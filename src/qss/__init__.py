@@ -6,8 +6,6 @@ the independent ground truth at small sizes.
 """
 
 from .fqlinalg import (
-    FieldScalar,
-    FqMatrix,
     batch_rank_mod,
     inv_mod,
     is_prime,
@@ -87,5 +85,3 @@ from .oracle import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -197,17 +197,10 @@ def dealer_kernel_witness(g: Multigraph, d: int, b_set) -> Multiset:
     |sup| * (q + 1) <= q * (cutrk(B) + 1). The strict form
     |sup| * (q + 1) < q * cutrk(B) is false whenever cutrk(B) = 1.
     """
-    b = _check_b(g, d, b_set)
-    if quantum_derivative(g, d, b) != -1:
-        raise ValueError("dealer kernel witness requires an accessible set (derivative -1)")
-    cols = [d] + list(b)
-    rows = [v for v in range(g.n) if v not in set(cols)]
-    m = g.gamma[np.ix_(rows, cols)] if rows else np.zeros((0, len(cols)), dtype=np.int64)
-    basis = reduced_column_echelon_mod(kernel_basis_mod(m, g.q), g.q)
+    basis, d_row, cols = kernel_slice_columns(g, d, b_set)
     if basis.shape[1] < 2 or basis[0, 0] == 0:
         raise ValueError("kernel structure inconsistent with derivative -1")
     c1 = basis[:, 0]
-    d_row = g.gamma[d, cols]
     c2 = None
     for j in range(1, basis.shape[1]):
         if int(d_row @ basis[:, j]) % g.q != 0:
@@ -227,9 +220,17 @@ def dealer_kernel_witness(g: Multigraph, d: int, b_set) -> Multiset:
 
 
 def kernel_slice_columns(g: Multigraph, d: int, b_set) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The (C1, C2) echelon pair behind dealer_kernel_witness plus the
-    column vertex order; exposed for exhaustive scans of the full kernel."""
+    """Reduced column echelon basis of the multisets over B + {d} whose
+    neighbours stay inside B + {d}, the dealer's row on those columns, and
+    the column vertex order (dealer first).
+
+    dealer_kernel_witness picks its (C1, C2) pair from this basis and
+    min_support_kernel_element scans every combination of it. Both need an
+    accessible set, so anything else is rejected here.
+    """
     b = _check_b(g, d, b_set)
+    if quantum_derivative(g, d, b) != -1:
+        raise ValueError("dealer kernel witness requires an accessible set (derivative -1)")
     cols = [d] + list(b)
     rows = [v for v in range(g.n) if v not in set(cols)]
     m = g.gamma[np.ix_(rows, cols)] if rows else np.zeros((0, len(cols)), dtype=np.int64)
@@ -240,8 +241,9 @@ def kernel_slice_columns(g: Multigraph, d: int, b_set) -> tuple[np.ndarray, np.n
 def min_support_kernel_element(g: Multigraph, d: int, b_set, budget: int = 200_000) -> int:
     """Exact minimum support size over the whole dealer kernel S_d(B).
 
-    Enumerates all (q^2 - 1) * q^t elements; raises if that exceeds budget.
-    Used to probe how tight the echelon-pair bound is.
+    B must be accessible (derivative -1). Enumerates all (q^2 - 1) * q^t
+    elements; raises if that exceeds budget. Used to probe how tight the
+    echelon-pair bound is.
     """
     basis, d_row, _cols = kernel_slice_columns(g, d, b_set)
     q = g.q

@@ -21,7 +21,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .access import classify
 from .multigraph import DealerGraph, Multigraph, parse_graph, rs747_fixture, serialize_graph
-from .oracle import AMPLITUDE_BUDGET, cq_round, oracle_report, qq_decode_bell, qq_encode
+from .oracle import AMPLITUDE_BUDGET, BudgetExceeded, cq_round, oracle_report, qq_decode_bell, qq_encode
 from .search import exhaustive_search, random_trials, scheme_k
 
 EXIT_OK = 0
@@ -270,9 +270,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except (ValueError, AssertionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if "budget" in str(exc).lower():
-            return EXIT_BUDGET
-        return EXIT_PRECONDITION
+        return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

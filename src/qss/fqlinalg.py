@@ -8,7 +8,6 @@ keeps every routine deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -47,43 +46,6 @@ def inv_mod(a: int, q: int) -> int:
     if a == 0:
         raise ZeroDivisionError(f"0 has no inverse in F_{q}")
     return pow(a, -1, q)
-
-
-@dataclass(frozen=True)
-class FieldScalar:
-    """A residue in F_q. Arithmetic between different moduli is an error."""
-
-    value: int
-    q: int
-
-    def __post_init__(self):
-        require_prime(self.q)
-        object.__setattr__(self, "value", int(self.value) % self.q)
-
-    def _coerce(self, other: "FieldScalar") -> int:
-        if not isinstance(other, FieldScalar):
-            raise TypeError("expected a FieldScalar")
-        if other.q != self.q:
-            raise ValueError(f"mixed moduli: F_{self.q} vs F_{other.q}")
-        return other.value
-
-    def __add__(self, other):
-        return FieldScalar(self.value + self._coerce(other), self.q)
-
-    def __sub__(self, other):
-        return FieldScalar(self.value - self._coerce(other), self.q)
-
-    def __mul__(self, other):
-        return FieldScalar(self.value * self._coerce(other), self.q)
-
-    def __neg__(self):
-        return FieldScalar(-self.value, self.q)
-
-    def inverse(self) -> "FieldScalar":
-        return FieldScalar(inv_mod(self.value, self.q), self.q)
-
-    def __int__(self):
-        return self.value
 
 
 def _as_mod_array(a, q: int) -> np.ndarray:
@@ -234,41 +196,3 @@ def batch_rank_mod(mats, q: int) -> np.ndarray:
         if (pivot_row >= rows).all():
             break
     return pivot_row
-
-
-class FqMatrix:
-    """Immutable matrix over F_q; thin typed wrapper over the array routines."""
-
-    def __init__(self, q: int, entries):
-        self.q = require_prime(q)
-        arr = _as_mod_array(entries, self.q)
-        arr.setflags(write=False)
-        self.array = arr
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.array.shape
-
-    def rank(self) -> int:
-        return rank_mod(self.array, self.q)
-
-    def kernel_basis(self) -> list[np.ndarray]:
-        basis = kernel_basis_mod(self.array, self.q)
-        return [basis[:, j].copy() for j in range(basis.shape[1])]
-
-    def solve_affine(self, b) -> AffineSolution | None:
-        return solve_affine_mod(self.array, b, self.q)
-
-    def reduced_column_echelon(self) -> "FqMatrix":
-        return FqMatrix(self.q, reduced_column_echelon_mod(self.array, self.q))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FqMatrix)
-            and self.q == other.q
-            and self.array.shape == other.array.shape
-            and bool(np.array_equal(self.array, other.array))
-        )
-
-    def __repr__(self):
-        return f"FqMatrix(q={self.q}, shape={self.array.shape})"

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .fqlinalg import FqMatrix, require_prime
+from .fqlinalg import require_prime
 
 
 class Multiset:
@@ -201,7 +201,7 @@ def local_complement(g: Multigraph, u: int, lam: int) -> Multigraph:
     return Multigraph(g.q, new)
 
 
-def cut_matrix(g: Multigraph, a: Iterable[int], b: Iterable[int]) -> FqMatrix:
+def cut_matrix(g: Multigraph, a: Iterable[int], b: Iterable[int]) -> np.ndarray:
     """Submatrix Gamma[A, B] with rows indexed by A and columns by B (both
     sorted). A and B must be disjoint vertex sets."""
     al, bl = sorted(set(int(v) for v in a)), sorted(set(int(v) for v in b))
@@ -210,7 +210,7 @@ def cut_matrix(g: Multigraph, a: Iterable[int], b: Iterable[int]) -> FqMatrix:
             raise ValueError("cut sides must be subsets of the vertex set")
     if set(al) & set(bl):
         raise ValueError("cut sides overlap")
-    return FqMatrix(g.q, g.gamma[np.ix_(al, bl)].reshape(len(al), len(bl)))
+    return g.gamma[np.ix_(al, bl)].reshape(len(al), len(bl))
 
 
 def random_graph(n: int, q: int, seed) -> Multigraph:
@@ -303,8 +303,3 @@ def rs747_fixture() -> DealerGraph:
     for (u, v), w in edges.items():
         gamma[u, v] = gamma[v, u] = w
     return DealerGraph(Multigraph(q, gamma), 0)
-
-
-def rs_743_fixture() -> DealerGraph:
-    """Alias for rs747_fixture; the scheme is also written (4,3,7)_7."""
-    return rs747_fixture()

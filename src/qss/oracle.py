@@ -14,7 +14,6 @@ subsystem order the players by ascending vertex index.
 from __future__ import annotations
 
 import hashlib
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +22,12 @@ from .fqlinalg import inv_mod, require_prime
 from .multigraph import Multigraph, Multiset, delete_vertex, serialize_graph
 from .access import classify, pi_classical, witness_C, witness_D
 
-log = logging.getLogger(__name__)
-
 AMPLITUDE_BUDGET = 2_000_000
 ATOL = 1e-9
+
+
+class BudgetExceeded(ValueError):
+    """A state vector or density matrix would exceed the amplitude budget."""
 
 
 class StateVector:
@@ -36,7 +37,7 @@ class StateVector:
         require_prime(q)
         dim = q**n
         if dim > budget:
-            raise ValueError(f"q^n = {dim} amplitudes exceed the budget of {budget}")
+            raise BudgetExceeded(f"q^n = {dim} amplitudes exceed the budget of {budget}")
         amps = np.asarray(amplitudes, dtype=np.complex128).reshape(dim).copy()
         self.q = q
         self.n = n
@@ -257,7 +258,7 @@ def graph_state(g: Multigraph, budget: int = AMPLITUDE_BUDGET) -> StateVector:
     sub-multigraph} at each basis label."""
     q, n = g.q, g.n
     if q**n > budget:
-        raise ValueError(f"q^n = {q ** n} amplitudes exceed the budget of {budget}")
+        raise BudgetExceeded(f"q^n = {q ** n} amplitudes exceed the budget of {budget}")
     exp = np.zeros([q] * n, dtype=np.int64)
     ar = np.arange(q, dtype=np.int64)
     for u, v, w in g.edges():
@@ -381,16 +382,26 @@ def _player_order(g: Multigraph, d: int) -> list[int]:
     return [v for v in range(g.n) if v != d]
 
 
-def cq_encode(g: Multigraph, d: int, s: int, budget: int = AMPLITUDE_BUDGET) -> StateVector:
-    """Classical codeword |s_L> = Z^s on the dealer's neighbours applied to
-    the dealer-deleted graph state. Lives on the n-1 players in vertex
-    order."""
+def _codewords(g: Multigraph, d: int, values, budget: int) -> list[StateVector]:
+    """|s_L> for each s in values. The dealer-deleted graph state is built
+    once and each codeword is its image under Z^s on the dealer's
+    neighbours."""
     if g.degree(d) == 0:
         raise ValueError("isolated dealer: the encoding collapses")
     players = _player_order(g, d)
     base = graph_state(delete_vertex(g, d), budget=budget)
-    z = tuple((s * g.gamma[d, v]) % g.q for v in players)
-    return apply_weyl(base, WeylOperator(g.q, (0,) * len(players), z, 0))
+    zeros = (0,) * len(players)
+    return [
+        apply_weyl(base, WeylOperator(g.q, zeros, tuple(s * int(g.gamma[d, v]) for v in players), 0))
+        for s in values
+    ]
+
+
+def cq_encode(g: Multigraph, d: int, s: int, budget: int = AMPLITUDE_BUDGET) -> StateVector:
+    """Classical codeword |s_L> = Z^s on the dealer's neighbours applied to
+    the dealer-deleted graph state. Lives on the n-1 players in vertex
+    order."""
+    return _codewords(g, d, [s], budget)[0]
 
 
 def qq_encode(g: Multigraph, d: int, secret, budget: int = AMPLITUDE_BUDGET) -> StateVector:
@@ -398,11 +409,9 @@ def qq_encode(g: Multigraph, d: int, secret, budget: int = AMPLITUDE_BUDGET) -> 
     secret = np.asarray(secret, dtype=np.complex128).reshape(g.q)
     if abs(np.linalg.norm(secret) - 1.0) > 1e-7:
         raise ValueError("secret amplitudes must be normalized")
+    support = [j for j in range(g.q) if secret[j] != 0]
     out = None
-    for j in range(g.q):
-        if secret[j] == 0:
-            continue
-        word = cq_encode(g, d, j, budget=budget)
+    for j, word in zip(support, _codewords(g, d, support, budget)):
         out = secret[j] * word.amplitudes if out is None else out + secret[j] * word.amplitudes
     state = StateVector._derived(g.q, g.n - 1, out)
     if abs(state.norm() - 1.0) > 1e-7:
@@ -416,7 +425,7 @@ def reduced_density(state: StateVector, sites, budget: int = AMPLITUDE_BUDGET) -
     if keep and not (0 <= keep[0] and keep[-1] < state.n):
         raise ValueError("sites outside the register")
     if state.q ** (2 * len(keep)) > budget:
-        raise ValueError("reduced density matrix exceeds the amplitude budget")
+        raise BudgetExceeded("reduced density matrix exceeds the amplitude budget")
     drop = [s for s in range(state.n) if s not in keep]
     grid = state.grid()
     rho = np.tensordot(grid, grid.conj(), axes=(drop, drop))
@@ -438,26 +447,24 @@ def density_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.sqrt(ivals).sum() ** 2)
 
 
-def leak_profile(g: Multigraph, d: int, b_set, budget: int = AMPLITUDE_BUDGET) -> tuple[float, float]:
-    """(max trace distance, max fidelity) over pairs of the q reduced
-    codeword states on the player positions of b_set."""
+def leak_profile(g: Multigraph, d: int, b_set, budget: int = AMPLITUDE_BUDGET) -> list[np.ndarray]:
+    """The q reduced codeword states rho_s, s = 0..q-1, on the player
+    positions of b_set."""
     players = _player_order(g, d)
     pos = [players.index(v) for v in sorted(set(b_set))]
-    rhos = [reduced_density(cq_encode(g, d, s, budget=budget), pos, budget=budget) for s in range(g.q)]
-    max_td = 0.0
-    max_fid = 0.0
-    for a in range(g.q):
-        for b in range(a + 1, g.q):
-            max_td = max(max_td, trace_distance(rhos[a], rhos[b]))
-            max_fid = max(max_fid, density_fidelity(rhos[a], rhos[b]))
-    return max_td, max_fid
+    return [reduced_density(word, pos, budget=budget) for word in _codewords(g, d, range(g.q), budget)]
 
 
 def info_leak(g: Multigraph, d: int, b_set, budget: int = AMPLITUDE_BUDGET) -> float:
     """Max trace distance between reduced codeword states on b_set: 0 iff
     the set has no classical information; 1 with orthogonal supports iff it
     can read the secret perfectly."""
-    return leak_profile(g, d, b_set, budget=budget)[0]
+    rhos = leak_profile(g, d, b_set, budget=budget)
+    max_td = 0.0
+    for a in range(g.q):
+        for b in range(a + 1, g.q):
+            max_td = max(max_td, trace_distance(rhos[a], rhos[b]))
+    return max_td
 
 
 def schmidt_rank(state: StateVector, sites, tol: float = 1e-7) -> int:
@@ -518,8 +525,6 @@ class DecodeParams:
 
     x[i], z[i] give the Weyl exponents measured by player i; c is the
     constructive phase that makes the assembled stabilizer product fix |G>.
-    c_printed is the closed-form bookkeeping value recorded alongside (the
-    two disagree in general; the constructive one is authoritative).
     half_correction is the extra mod-2 term needed at q = 2 where single
     Weyl factors square to -I.
     """
@@ -530,10 +535,6 @@ class DecodeParams:
     x: dict[int, int]
     z: dict[int, int]
     c: int
-    c_printed: int
-    printed_matches: bool
-    lam: int
-    lam_prime: int
     half_correction: int
 
     def f_t(self, r: int) -> int:
@@ -583,28 +584,13 @@ def decode_params(g: Multigraph, d: int, b_set, d_ms, c_ms, t: int) -> DecodePar
     half = t * (t - 1) // 2
     c = (s_product.phase - half * beta) % q
 
-    cvec = c_ms.as_vector(g.n) if c_ms is not None else np.zeros(g.n, dtype=np.int64)
-    dvec = d_ms.as_vector(g.n)
-    bd = sorted((d, *b))
-    lam = sum(int(g.gamma[u, v]) * int(cvec[u]) * int(cvec[v]) for ui, u in enumerate(bd) for v in bd[ui + 1 :]) % q
-    lam_p = sum(int(g.gamma[u, v]) * int(dvec[u]) * int(dvec[v]) for ui, u in enumerate(b) for v in b[ui + 1 :]) % q
-    cross = sum(int(g.gamma[u, v]) * int(cvec[u]) * int(dvec[v]) for u in b for v in b) % q
-    c_printed = (t * lam_p + (1 - t * beta) * lam + t * (t - 1) * lam_p + (1 - t * beta) * (-t * beta) * lam + t * (1 - t * beta) * cross) % q
-    if c_printed != c:
-        log.info(
-            "closed-form phase %s disagrees with the constructive phase %s (t=%s); using the constructive value",
-            c_printed,
-            c,
-            t,
-        )
-
     half_corr = 0
     if q == 2:
         weight = t + sum(x[i] * z[i] for i in b)
         if weight % 2:
             raise AssertionError("total XZ weight of the round operator must be even")
         half_corr = (weight // 2) % 2
-    return DecodeParams(q, t, beta, x, z, c, c_printed, c_printed == c, lam, lam_p, half_corr)
+    return DecodeParams(q, t, beta, x, z, c, half_corr)
 
 
 def cq_round(
@@ -986,7 +972,7 @@ def oracle_report(g: Multigraph, d: int, b_set, rng: np.random.Generator, budget
     """
     b = tuple(sorted(set(int(v) for v in b_set)))
     verdict = classify(g, d, b)
-    max_td, max_fid = leak_profile(g, d, b, budget=budget)
+    max_td = info_leak(g, d, b, budget=budget)
 
     secret = rng.normal(size=g.q) + 1j * rng.normal(size=g.q)
     secret = secret / np.linalg.norm(secret)

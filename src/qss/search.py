@@ -44,13 +44,6 @@ class SchemeReport:
         )
 
 
-def subsets_colex(items, size: int):
-    """Size-subsets of items in colexicographic order."""
-    items = list(items)
-    for combo in combinations(range(len(items)), size):
-        yield tuple(items[i] for i in combo)
-
-
 def scheme_k(dg: DealerGraph) -> SchemeReport:
     """Exact threshold k: 1 + the size of the largest non-accessible set.
 
@@ -66,7 +59,7 @@ def scheme_k(dg: DealerGraph) -> SchemeReport:
     for size in range(1, len(players) + 1):
         accessible_here: set[int] = set()
         found_unauth = False
-        for b in subsets_colex(players, size):
+        for b in combinations(players, size):
             mask = 0
             for v in b:
                 mask |= 1 << pos[v]
@@ -99,17 +92,17 @@ def is_scheme(dg: DealerGraph, k: int) -> IsSchemeResult:
 
     Requires every size-k player set to be accessible and at least one
     size-(k-1) set not to be (tightness; without it the graph realises a
-    smaller threshold). The first failing size-k set, in colex order, is
-    returned as the counterexample; a tightness failure has none.
+    smaller threshold). The first failing size-k set in lexicographic order
+    is returned as the counterexample; a tightness failure has none.
     """
     g, d = dg.graph, dg.dealer
     players = dg.players
     if not 1 <= k <= len(players):
         raise ValueError(f"k={k} outside 1..{len(players)}")
-    for b in subsets_colex(players, k):
+    for b in combinations(players, k):
         if quantum_derivative(g, d, b) != -1:
             return IsSchemeResult(False, b, f"set of size {k} cannot access the secret")
-    for b in subsets_colex(players, k - 1):
+    for b in combinations(players, k - 1):
         if quantum_derivative(g, d, b) != -1:
             return IsSchemeResult(True, None, "ok")
     return IsSchemeResult(False, None, f"k is not minimal: every set of size {k - 1} already has access")
@@ -302,7 +295,7 @@ def batch_accessible_at_k(gammas: np.ndarray, q: int, k: int, dealer: int = 0) -
     count, n, _ = gammas.shape
     players = [v for v in range(n) if v != dealer]
     alive = np.ones(count, dtype=bool)
-    for b in subsets_colex(players, k):
+    for b in combinations(players, k):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break

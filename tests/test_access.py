@@ -357,8 +357,10 @@ def test_dealer_kernel_witness_star():
 
 def test_dealer_kernel_witness_requires_accessible_set():
     g = star3()
-    with pytest.raises(ValueError, match="derivative -1"):
-        dealer_kernel_witness(g, 0, [1])
+    assert quantum_derivative(g, 0, [1]) == 0
+    for probe in (dealer_kernel_witness, kernel_slice_columns, min_support_kernel_element):
+        with pytest.raises(ValueError, match="derivative -1"):
+            probe(g, 0, [1])
 
 
 def _kernel_member(g, d, cols, vec):

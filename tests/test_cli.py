@@ -131,6 +131,10 @@ def test_precondition_errors_exit_2(capsys, star_file, tmp_path):
     code, _, err = run(capsys, ["access", str(tmp_path / "missing.graph"), "--dealer", "0", "--set", "1"])
     assert code == EXIT_PRECONDITION
 
+    # the exit code follows the exception type, not words in its message
+    code, _, err = run(capsys, ["scheme-k", str(tmp_path / "no_budget_here.txt"), "--dealer", "0"])
+    assert code == EXIT_PRECONDITION
+
     bad = tmp_path / "bad.graph"
     bad.write_text("q 4\nn 3\n")
     code, _, err = run(capsys, ["access", str(bad), "--dealer", "0", "--set", "1"])

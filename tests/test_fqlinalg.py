@@ -9,9 +9,6 @@ import numpy as np
 import pytest
 
 from qss.fqlinalg import (
-    AffineSolution,
-    FieldScalar,
-    FqMatrix,
     batch_rank_mod,
     inv_mod,
     is_prime,
@@ -75,31 +72,6 @@ def test_inverse_roundtrip_all_elements():
     for q in PRIMES:
         for a in range(1, q):
             assert (a * inv_mod(a, q)) % q == 1
-
-
-def test_field_scalar_arithmetic():
-    a = FieldScalar(4, 7)
-    b = FieldScalar(5, 7)
-    assert int(a + b) == 2
-    assert int(a - b) == 6
-    assert int(a * b) == 6
-    assert int(-a) == 3
-    assert int(a.inverse() * a) == 1
-
-
-def test_field_scalar_rejects_nonprime_modulus():
-    with pytest.raises(ValueError):
-        FieldScalar(1, 6)
-
-
-def test_field_scalar_mixed_moduli_error():
-    with pytest.raises(ValueError):
-        FieldScalar(1, 3) + FieldScalar(1, 5)
-
-
-def test_field_scalar_reduces_value():
-    assert FieldScalar(9, 7).value == 2
-    assert FieldScalar(-1, 7).value == 6
 
 
 def test_rank_identity_f5():
@@ -264,19 +236,3 @@ def test_batch_rank_empty_and_bad_shapes():
     assert batch_rank_mod(np.zeros((5, 0, 2), dtype=np.int64), 3).tolist() == [0] * 5
     with pytest.raises(ValueError):
         batch_rank_mod(np.zeros((2, 2), dtype=np.int64), 3)
-
-
-def test_fqmatrix_wrapper_roundtrip():
-    m = FqMatrix(5, [[1, 2], [2, 4]])
-    assert m.shape == (2, 2)
-    assert m.rank() == 1
-    kb = m.kernel_basis()
-    assert len(kb) == 1
-    sol = m.solve_affine([0, 0])
-    assert isinstance(sol, AffineSolution)
-    assert m.reduced_column_echelon() == FqMatrix(5, [[1, 0], [2, 0]])
-
-
-def test_fqmatrix_entry_validation():
-    with pytest.raises(ValueError):
-        FqMatrix(6, [[1]])

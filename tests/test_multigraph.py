@@ -23,7 +23,6 @@ from qss.multigraph import (
     parse_graph,
     random_graph,
     rs747_fixture,
-    rs_743_fixture,
     serialize_graph,
     validate_graph,
 )
@@ -240,14 +239,14 @@ def test_local_complement_preserves_cutrank():
 def test_cut_matrix_rs747_row():
     rs = rs747_fixture()
     m = cut_matrix(rs.graph, [7], [1, 2, 3])
-    assert m.array.tolist() == [[4, 3, 6]]
+    assert m.tolist() == [[4, 3, 6]]
 
 
 def test_cut_matrix_orders_and_validates():
     g = figure_example()
     m = cut_matrix(g, [4, 0], [2, 1])
     assert m.shape == (2, 2)
-    assert m.array.tolist() == [[1, 1], [1, 0]]  # rows 0,4 x cols 1,2
+    assert m.tolist() == [[1, 1], [1, 0]]  # rows 0,4 x cols 1,2
     with pytest.raises(ValueError, match="overlap"):
         cut_matrix(g, [0, 1], [1, 2])
     with pytest.raises(ValueError, match="subsets"):
@@ -355,7 +354,3 @@ def test_rs747_fixture_edge_table():
     # outer-layer players are pairwise non-adjacent
     assert rs.graph.gamma[1, 2] == 0
     assert rs.graph.gamma[0, 7] == 1
-
-
-def test_rs_743_alias():
-    assert rs_743_fixture() == rs747_fixture()

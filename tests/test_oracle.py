@@ -4,8 +4,6 @@ These tests pin the simulator against hand-computable states and against the
 rank-algebra layer, so the two sides stay independent checks of each other.
 """
 
-import logging
-
 import numpy as np
 import pytest
 
@@ -403,9 +401,11 @@ def test_info_leak_extremes():
     assert info_leak(star3(), 0, [1]) == pytest.approx(1.0, abs=1e-9)
     rs = rs747_fixture().graph
     assert info_leak(rs, 0, [1, 2, 3]) == pytest.approx(0.0, abs=1e-9)
-    td, fid = leak_profile(rs, 0, [1, 2, 3])
-    assert td == pytest.approx(0.0, abs=1e-9)
-    assert fid == pytest.approx(1.0, abs=1e-9)
+    rhos = leak_profile(rs, 0, [1, 2, 3])
+    assert len(rhos) == 7
+    for rho in rhos[1:]:
+        assert trace_distance(rhos[0], rho) == pytest.approx(0.0, abs=1e-9)
+        assert density_fidelity(rhos[0], rho) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_schmidt_rank_equals_q_power_cutrank():
@@ -447,7 +447,6 @@ def test_decode_params_t0_reduction():
     assert p.beta == 0
     assert p.x == {1: 1, 2: 0}  # X exponents mirror the accessing multiset
     assert p.c == 0
-    assert p.printed_matches
 
 
 def test_decode_params_needs_c_for_nonzero_t():
@@ -460,15 +459,14 @@ def test_decode_params_rejects_bad_pair():
         decode_params(star3(), 0, [1, 2], {2: 2, 1: 1}, None, 0)
 
 
-def test_decode_params_constructive_phase_overrides_printed(caplog):
+def test_decode_params_constructive_phase_overrides_printed():
+    # the closed-form phase printed for this case is 0; the constructive
+    # phase that makes the stabilizer product fix |G> is 1
     g = star3()
     dms = witness_D(g, 0, [1, 2])
     cms = witness_C(g, 0, [])  # hiding witness over B + {d}, here just {d}
-    with caplog.at_level(logging.INFO, logger="qss.oracle"):
-        p = decode_params(g, 0, [1, 2], dms, cms, 1)
-    assert (p.c, p.c_printed) == (1, 0)
-    assert not p.printed_matches
-    assert any("disagrees" in r.message for r in caplog.records)
+    p = decode_params(g, 0, [1, 2], dms, cms, 1)
+    assert p.c == 1
 
 
 def test_decode_params_q2_half_correction_integral():

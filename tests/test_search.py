@@ -1,5 +1,7 @@
 """Threshold extraction, exhaustive enumeration, and random trials."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from qss.search import (
     is_scheme,
     random_trials,
     scheme_k,
-    subsets_colex,
     sufficient_condition_check,
 )
 from qss.search import _gamma_from_index
@@ -34,7 +35,7 @@ def naive_scheme_k(dg):
     worst = 0
     players = dg.players
     for size in range(1, len(players) + 1):
-        for b in subsets_colex(players, size):
+        for b in combinations(players, size):
             if quantum_derivative(dg.graph, dg.dealer, b) != -1:
                 worst = max(worst, size)
     return worst + 1
@@ -262,7 +263,7 @@ def test_batch_accessibility_matches_scalar():
         for i in range(count):
             g = Multigraph(q, gammas[i])
             want = all(
-                quantum_derivative(g, 0, b) == -1 for b in subsets_colex(players, k)
+                quantum_derivative(g, 0, b) == -1 for b in combinations(players, k)
             )
             assert bool(got[i]) == want
 
@@ -287,7 +288,7 @@ def test_sufficient_condition_implies_access():
                 continue
             players = [v for v in range(n) if v != d]
             for size in range(k_min, len(players) + 1):
-                for b in subsets_colex(players, size):
+                for b in combinations(players, size):
                     assert quantum_derivative(g, d, b) == -1
     assert confirmed > 10  # the sweep must actually exercise the guarantee
 
