@@ -29,8 +29,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Every accepted field size is below this; see require_prime.
+FIELD_SIZE_CEILING = 1 << 20
+
+
 def require_prime(q: int) -> int:
+    """Return q as an int if it is a prime below FIELD_SIZE_CEILING.
+
+    The ceiling keeps every int64 intermediate exact. Residues are below
+    q < 2^20, so a product of two is below 2^40: the elimination steps
+    a - f * p and a * v - f * p stay far inside int64, and a row sum
+    Gamma @ v of n such products (witness checks, neighbour multisets, the
+    sufficient-condition scan) stays below n * 2^40 < 2^63 for every order
+    n < 2^23, whose int64 adjacency matrix alone would take 512 TiB.
+
+    Raises:
+        ValueError: for a composite q or one at or above the ceiling. The
+            ceiling is checked first, so an oversized modulus costs no trial
+            division.
+    """
     q = int(q)
+    if q >= FIELD_SIZE_CEILING:
+        raise ValueError(f"field size {q} is not below the ceiling {FIELD_SIZE_CEILING}")
     if not is_prime(q):
         raise ValueError(f"modulus must be a prime, got {q}")
     return q
@@ -163,6 +183,11 @@ def batch_rank_mod(mats, q: int) -> np.ndarray:
     Returns:
         int64 array of shape (N,). Vectorised over N; used by the search
         harness where millions of small cut matrices are ranked.
+
+    Elimination is fraction-free: each other row r becomes
+    v * r - r[col] * p for the pivot row p with pivot value v. Scaling a row
+    by a nonzero v keeps the rank, so no inverse is needed and no table
+    grows with q.
     """
     q = require_prime(q)
     a = np.asarray(mats, dtype=np.int64) % q
@@ -171,7 +196,6 @@ def batch_rank_mod(mats, q: int) -> np.ndarray:
     n, rows, cols = a.shape
     if n == 0 or rows == 0 or cols == 0:
         return np.zeros(n, dtype=np.int64)
-    inv_table = np.array([0] + [pow(v, -1, q) for v in range(1, q)], dtype=np.int64)
     pivot_row = np.zeros(n, dtype=np.int64)
     row_idx = np.arange(rows)[None, :]
     for col in range(cols):
@@ -186,12 +210,11 @@ def batch_rank_mod(mats, q: int) -> np.ndarray:
         tmp = a[idx, pr, :].copy()
         a[idx, pr, :] = a[idx, fr, :]
         a[idx, fr, :] = tmp
-        a[idx, pr, :] = (a[idx, pr, :] * inv_table[a[idx, pr, col]][:, None]) % q
         # eliminate the pivot column from every other row of the live matrices
         piv_rows = a[idx, pr, :]
         factors = a[idx, :, col].copy()
         factors[np.arange(idx.size), pr] = 0
-        a[idx] = (a[idx] - factors[:, :, None] * piv_rows[:, None, :]) % q
+        a[idx] = (a[idx] * piv_rows[:, col, None, None] - factors[:, :, None] * piv_rows[:, None, :]) % q
         pivot_row[idx] = pr + 1
         if (pivot_row >= rows).all():
             break

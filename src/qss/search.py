@@ -9,20 +9,21 @@ of the largest non-accessible set, and subset scans can prune aggressively.
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import combinations
 from math import ceil, comb
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
 from .fqlinalg import batch_rank_mod, require_prime
 from .multigraph import DealerGraph, Multigraph, serialize_graph
-from .access import quantum_derivative
 
 TRIAL_CHUNK = 2048
+# Most cut matrices gathered into one batch_rank_mod call.
+RANK_BATCH = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -44,35 +45,73 @@ class SchemeReport:
         )
 
 
+def _sets(players, size: int) -> np.ndarray:
+    """All size-element subsets of players in lexicographic order, one per
+    row (a single empty row for size 0)."""
+    return np.array(list(combinations(players, size)), dtype=np.intp)
+
+
+def _derivatives(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarray) -> np.ndarray:
+    """Derivatives cutrk(B + {d}) - cutrk(B) for every graph of a stack and
+    every player set of a (sets, size) index array, as a (graphs, sets) array.
+
+    Gathers the cut matrices Gamma[B, V - B] and Gamma[B + {d}, V - B - {d}]
+    of every (graph, set) pair and ranks each family with one batch_rank_mod
+    call. This is the one rank kernel behind every search path.
+    """
+    count, n, _ = gammas.shape
+    sets, size = subsets.shape
+    # bound the gathered stack, so a level of a large graph cannot exhaust memory
+    step = max(1, RANK_BATCH // max(count, 1))
+    if sets > step:
+        return np.concatenate(
+            [_derivatives(gammas, q, dealer, subsets[i : i + step]) for i in range(0, sets, step)], axis=1)
+    inside = np.zeros((sets, n), dtype=bool)
+    inside[np.arange(sets)[:, None], subsets] = True
+    ranks = []
+    for members, m in ((inside, size), (inside | (np.arange(n) == dealer), size + 1)):
+        # stable sort puts the members first and the rest after, each ascending
+        order = np.argsort(~members, axis=1, kind="stable")
+        cut = gammas[:, order[:, :m, None], order[:, None, m:]]
+        ranks.append(batch_rank_mod(cut.reshape(count * sets, m, n - m), q))
+    return (ranks[1] - ranks[0]).reshape(count, sets)
+
+
 def scheme_k(dg: DealerGraph) -> SchemeReport:
     """Exact threshold k: 1 + the size of the largest non-accessible set.
 
-    Scans player subsets by increasing size. A set with an accessible subset
-    is accessible by monotonicity and is skipped without a rank computation;
-    the scan stops at the first size where everything is accessible.
+    Scans player subsets level by level, by increasing size, ranking each
+    level in one batch. A set with an accessible subset one smaller is
+    accessible by monotonicity and is masked out before the gather; the scan
+    stops at the first size where everything is accessible.
+    worst_unauthorized is the lexicographically first non-accessible set of
+    the largest such size.
     """
     g, d = dg.graph, dg.dealer
-    players = dg.players
+    players = np.array(dg.players, dtype=np.intp)
     worst: tuple[int, ...] = ()
-    accessible_prev: set[int] = set()
-    pos = {v: i for i, v in enumerate(players)}
+    # accessible_prev[r]: is the previous level's set of colex rank r
+    # accessible? The rank is sum_i C(pos_i, i + 1) over the set's ascending
+    # player positions; level 0 holds only the empty set, never accessible.
+    accessible_prev = np.zeros(1, dtype=bool)
     for size in range(1, len(players) + 1):
-        accessible_here: set[int] = set()
-        found_unauth = False
-        for b in combinations(players, size):
-            mask = 0
-            for v in b:
-                mask |= 1 << pos[v]
-            pruned = any((mask & ~(1 << pos[v])) in accessible_prev for v in b)
-            if pruned or quantum_derivative(g, d, b) == -1:
-                accessible_here.add(mask)
-            else:
-                found_unauth = True
-                if size > len(worst) or not worst:
-                    worst = b
-        if not found_unauth:
+        pos = _sets(range(len(players)), size)
+        binom = np.array([[comb(p, i) for i in range(size + 1)] for p in range(len(players))], dtype=np.int64)
+        upper = binom[pos, np.arange(1, size + 1)]
+        lower = binom[pos, np.arange(size)]
+        # colex rank of the set minus its j-th member: members before j keep
+        # their index, members after it move down one
+        before = np.cumsum(upper, axis=1) - upper
+        after = np.cumsum(lower[:, ::-1], axis=1)[:, ::-1] - lower
+        accessible = accessible_prev[before + after].any(axis=1)
+        todo = np.flatnonzero(~accessible)
+        if todo.size:
+            accessible[todo] = _derivatives(g.gamma[None], g.q, d, players[pos[todo]])[0] == -1
+        if accessible.all():
             return SchemeReport(size, len(players), worst, True)
-        accessible_prev = accessible_here
+        worst = tuple(int(v) for v in players[pos[np.argmin(accessible)]])
+        accessible_prev = np.zeros(comb(len(players), size), dtype=bool)
+        accessible_prev[upper.sum(axis=1)] = accessible
     # unreachable for a non-isolated dealer: the full player set always has
     # derivative -1
     raise AssertionError("no threshold found; dealer isolated?")
@@ -92,38 +131,39 @@ def is_scheme(dg: DealerGraph, k: int) -> IsSchemeResult:
 
     Requires every size-k player set to be accessible and at least one
     size-(k-1) set not to be (tightness; without it the graph realises a
-    smaller threshold). The first failing size-k set in lexicographic order
-    is returned as the counterexample; a tightness failure has none.
+    smaller threshold). Ranks all size-k sets in one batch, then all
+    size-(k-1) sets. The first failing size-k set in lexicographic order is
+    returned as the counterexample; a tightness failure has none.
     """
     g, d = dg.graph, dg.dealer
     players = dg.players
     if not 1 <= k <= len(players):
         raise ValueError(f"k={k} outside 1..{len(players)}")
-    for b in combinations(players, k):
-        if quantum_derivative(g, d, b) != -1:
-            return IsSchemeResult(False, b, f"set of size {k} cannot access the secret")
-    for b in combinations(players, k - 1):
-        if quantum_derivative(g, d, b) != -1:
-            return IsSchemeResult(True, None, "ok")
+    subsets = _sets(players, k)
+    failing = np.flatnonzero(_derivatives(g.gamma[None], g.q, d, subsets)[0] != -1)
+    if failing.size:
+        b = tuple(int(v) for v in subsets[failing[0]])
+        return IsSchemeResult(False, b, f"set of size {k} cannot access the secret")
+    if (_derivatives(g.gamma[None], g.q, d, _sets(players, k - 1)) != -1).any():
+        return IsSchemeResult(True, None, "ok")
     return IsSchemeResult(False, None, f"k is not minimal: every set of size {k - 1} already has access")
 
 
-def _gamma_from_index(index: int, n: int, q: int) -> np.ndarray:
-    """Adjacency matrix for an enumeration index.
+def _gamma_from_index(index, n: int, q: int) -> np.ndarray:
+    """Adjacency matrices for enumeration indices.
 
     Edge slots are ordered row-major ((0,1), (0,2), ..., (n-2,n-1)) and read
     as base-q digits with the first slot most significant, so contiguous
-    index ranges share their leading entries.
+    index ranges share their leading entries. index is an int or an integer
+    array; the result has shape index.shape + (n, n).
     """
-    m = n * (n - 1) // 2
-    digits = np.zeros(m, dtype=np.int64)
-    for slot in range(m - 1, -1, -1):
-        digits[slot] = index % q
-        index //= q
-    gamma = np.zeros((n, n), dtype=np.int64)
-    iu = np.triu_indices(n, 1)
-    gamma[iu] = digits
-    return gamma + gamma.T
+    rest = np.array(index, dtype=np.int64)
+    gamma = np.zeros(rest.shape + (n, n), dtype=np.int64)
+    rows, cols = np.triu_indices(n, 1)
+    for slot in range(rows.size - 1, -1, -1):
+        gamma[..., rows[slot], cols[slot]] = rest % q
+        rest //= q
+    return gamma + np.swapaxes(gamma, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -148,37 +188,57 @@ class SearchResult:
 
 
 def _graphs_realising_k(start: int, stop: int, n: int, q: int, k: int, dealer_fixed: bool) -> tuple[int | None, int]:
-    """Scan enumeration indices [start, stop); return (first hit or None,
-    count checked)."""
-    checked = 0
-    for index in range(start, stop):
-        gamma = _gamma_from_index(index, n, q)
-        checked += 1
-        dealers = (0,) if dealer_fixed else tuple(range(n))
+    """Scan enumeration indices [start, stop) in sub-blocks of at most
+    TRIAL_CHUNK graphs; return (first hit or None, count checked).
+
+    A graph is a hit for dealer d when d has a neighbour, every size-k
+    player set is accessible and some size-(k-1) set is not.
+    """
+    dealers = (0,) if dealer_fixed else range(n)
+    for lo in range(start, stop, TRIAL_CHUNK):
+        gammas = _gamma_from_index(np.arange(lo, min(stop, lo + TRIAL_CHUNK)), n, q)
+        hit = np.zeros(len(gammas), dtype=bool)
         for d in dealers:
-            if gamma[d].any() and is_scheme(DealerGraph(Multigraph(q, gamma), d), k).ok:
-                return index, checked
-    return None, checked
+            ok = gammas[:, d].any(axis=1) & ~hit
+            for size, wanted in ((k, True), (k - 1, False)):
+                live = np.flatnonzero(ok)
+                ok[live] = batch_accessible_at_k(gammas[live], q, size, d) == wanted
+            hit |= ok
+        if hit.any():
+            first = lo + int(np.argmax(hit))
+            return first, first + 1 - start
+    return None, stop - start
 
 
-def _read_checkpoint(path: str) -> dict[int, tuple[int, int | None]]:
-    """Latest (last_index, found) per slice from an append-only checkpoint."""
+def _read_checkpoint(fh: TextIO, header: str) -> dict[int, tuple[int, int | None]]:
+    """Latest (last_index, found) per slice from an append-only checkpoint.
+
+    fh is the checkpoint opened in "a+" mode. An empty file gets the header
+    line; otherwise the file must start with it, so a run never resumes
+    another search's progress. A trailing record without its newline was
+    torn by an interrupted write: it is cut off, and the next append starts
+    a fresh line.
+    """
+    fh.seek(0)
+    text = fh.read()
+    if not (text.startswith(header + "\n") or (header + "\n").startswith(text)):
+        first = text.splitlines()[0]
+        raise ValueError(f"checkpoint {fh.name} starts {first!r}, not {header!r}: it belongs to another search")
+    complete = text[: text.rfind("\n") + 1]
+    fh.truncate(len(complete.encode()))
+    if not complete:
+        fh.write(header + "\n")
+        fh.flush()
     state: dict[int, tuple[int, int | None]] = {}
-    if not path or not os.path.exists(path):
-        return state
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 3:
-                continue
-            sl, last = int(parts[0]), int(parts[1])
-            found = None if parts[2] in ("none", "") else int(parts[2])
-            prev = state.get(sl)
-            if prev is None or last > prev[0]:
-                state[sl] = (last, found)
+    for line in complete.splitlines()[1:]:
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 3:
+            continue
+        sl, last = int(parts[0]), int(parts[1])
+        found = None if parts[2] in ("none", "") else int(parts[2])
+        prev = state.get(sl)
+        if prev is None or last > prev[0]:
+            state[sl] = (last, found)
     return state
 
 
@@ -197,50 +257,51 @@ def exhaustive_search(
 
     With dealer_fixed the dealer is vertex 0 (sufficient when searching for
     existence: relabeling moves any dealer there); otherwise every vertex is
-    tried. budget caps the number of graphs examined and yields a
-    budget_exceeded result carrying the resume index. The checkpoint file
-    appends `slice_index, last_enumeration_index, partial_result` lines and
-    a rerun with the same file skips finished work.
+    tried. Graphs are built and tested in vectorised sub-blocks of at most
+    TRIAL_CHUNK indices through batch_accessible_at_k. budget caps the
+    number of graphs examined and yields a budget_exceeded result carrying
+    the resume index. The checkpoint file starts with a
+    `# n=.. q=.. k=.. dealer_fixed=..` header and appends
+    `slice_index, last_enumeration_index, partial_result` lines; a rerun
+    with the same file and parameters skips finished work, and one with
+    other parameters raises ValueError. With workers > 1 one process pool
+    serves every block of the call.
     """
     require_prime(q)
     if n < 2:
         raise ValueError("need at least a dealer and one player")
     total = q ** (n * (n - 1) // 2)
-    state = _read_checkpoint(checkpoint_path) if checkpoint_path else {}
-    start = 0
-    found_prev: int | None = None
-    if state:
-        start = max(last + 1 for last, _ in state.values())
-        hits = [f for _, f in state.values() if f is not None]
-        found_prev = min(hits) if hits else None
-    stop = total if budget is None else min(total, start + budget)
-    if found_prev is not None:
-        stop = min(stop, found_prev)
-
+    header = f"# n={n} q={q} k={k} dealer_fixed={int(dealer_fixed)}"
     found: int | None = None
     checked = 0
-    cursor = start
-    ck = open(checkpoint_path, "a") if checkpoint_path else None
-    try:
+    with ExitStack() as stack:
+        ck = stack.enter_context(open(checkpoint_path, "a+")) if checkpoint_path else None
+        state = _read_checkpoint(ck, header) if ck else {}
+        start = 0
+        found_prev: int | None = None
+        if state:
+            start = max(last + 1 for last, _ in state.values())
+            hits = [f for _, f in state.values() if f is not None]
+            found_prev = min(hits) if hits else None
+        stop = total if budget is None else min(total, start + budget)
+        if found_prev is not None:
+            stop = min(stop, found_prev)
+
+        pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers)) if workers > 1 else None
+        cursor = start
         while cursor < stop and found is None:
             block = min(stop - cursor, max(checkpoint_every, 1))
-            if workers <= 1 or block < 4 * workers:
+            if pool is None or block < 4 * workers:
                 hit, cnt = _graphs_realising_k(cursor, cursor + block, n, q, k, dealer_fixed)
             else:
                 bounds = np.linspace(cursor, cursor + block, workers + 1, dtype=np.int64)
-                hits = []
-                cnt = 0
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        pool.submit(_graphs_realising_k, int(a), int(b), n, q, k, dealer_fixed)
-                        for a, b in zip(bounds[:-1], bounds[1:])
-                    ]
-                    for fut in futures:
-                        h, c = fut.result()
-                        cnt += c
-                        if h is not None:
-                            hits.append(h)
-                hit = min(hits) if hits else None
+                futures = [
+                    pool.submit(_graphs_realising_k, int(a), int(b), n, q, k, dealer_fixed)
+                    for a, b in zip(bounds[:-1], bounds[1:])
+                ]
+                results = [fut.result() for fut in futures]
+                cnt = sum(c for _, c in results)
+                hit = min((h for h, _ in results if h is not None), default=None)
             checked += cnt
             cursor += block
             if hit is not None:
@@ -249,9 +310,6 @@ def exhaustive_search(
                 mark = "none" if found is None else str(found)
                 ck.write(f"0, {cursor - 1}, {mark}\n")
                 ck.flush()
-    finally:
-        if ck:
-            ck.close()
 
     if found is None and found_prev is not None:
         found = found_prev
@@ -290,23 +348,19 @@ class TrialSummary:
 
 def batch_accessible_at_k(gammas: np.ndarray, q: int, k: int, dealer: int = 0) -> np.ndarray:
     """For a stack of adjacency matrices, test whether every size-k player
-    set has derivative -1. Vectorized: one batched rank call per subset,
-    with graphs dropped from the batch as soon as one subset fails."""
+    set has derivative -1. Vectorized: one kernel call per subset, with
+    graphs dropped from the batch as soon as one subset fails."""
     count, n, _ = gammas.shape
-    players = [v for v in range(n) if v != dealer]
-    alive = np.ones(count, dtype=bool)
-    for b in combinations(players, k):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
+    subsets = _sets([v for v in range(n) if v != dealer], k)
+    live = np.arange(count)
+    for i in range(len(subsets)):
+        if live.size == 0:
             break
-        bset = set(b)
-        rows = sorted(bset)
-        cols = [v for v in range(n) if v not in bset]
-        rows_d = sorted(bset | {dealer})
-        cols_d = [v for v in cols if v != dealer]
-        r_b = batch_rank_mod(gammas[np.ix_(idx, rows, cols)], q)
-        r_bd = batch_rank_mod(gammas[np.ix_(idx, rows_d, cols_d)], q)
-        alive[idx[r_bd - r_b != -1]] = False
+        passed = _derivatives(gammas, q, dealer, subsets[i : i + 1])[:, 0] == -1
+        if not passed.all():
+            live, gammas = live[passed], gammas[passed]
+    alive = np.zeros(count, dtype=bool)
+    alive[live] = True
     return alive
 
 

@@ -140,6 +140,20 @@ def test_precondition_errors_exit_2(capsys, star_file, tmp_path):
     code, _, err = run(capsys, ["access", str(bad), "--dealer", "0", "--set", "1"])
     assert code == EXIT_PRECONDITION
 
+    # a field above the size ceiling is refused before any allocation
+    code, _, err = run(capsys, ["sample", "--n", "5", "--q", "4294967311", "--alpha", "0.75",
+                                "--trials", "10", "--seed", "1"])
+    assert code == EXIT_PRECONDITION
+    assert "ceiling" in err
+
+    # a checkpoint written by another search is not resumed
+    ck = str(tmp_path / "run.ckpt")
+    assert run(capsys, ["search", "--n", "4", "--q", "3", "--k", "3", "--checkpoint", ck])[0] == EXIT_OK
+    code, out, err = run(capsys, ["search", "--n", "5", "--q", "2", "--k", "3", "--checkpoint", ck])
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "another search" in err
+
 
 def test_budget_errors_exit_3(capsys, star_file, rs_file):
     code, _, err = run(

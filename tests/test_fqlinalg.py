@@ -7,8 +7,11 @@ scheme search) reduces to these calls.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qss.fqlinalg import (
+    FIELD_SIZE_CEILING,
     batch_rank_mod,
     inv_mod,
     is_prime,
@@ -21,6 +24,27 @@ from qss.fqlinalg import (
 )
 
 PRIMES = [2, 3, 5, 7]
+LARGEST_PRIME = 1048573  # the largest prime below FIELD_SIZE_CEILING = 2**20
+
+
+def int_rank(rows, q):
+    """Rank by Gauss-Jordan elimination on Python ints, which never overflow:
+    the independent reference for the numpy kernels."""
+    rows = [[x % q for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, q)
+        rows[rank] = [x * inv % q for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def span_size_rank(a, q):
@@ -53,6 +77,44 @@ def test_require_prime_rejects_composites():
     assert require_prime(13) == 13
     with pytest.raises(ValueError):
         require_prime(9)
+
+
+def test_require_prime_field_size_ceiling():
+    # rejected before trial division, so these calls allocate and loop nothing
+    for q in (4294967311, FIELD_SIZE_CEILING, 2**31 - 1):
+        with pytest.raises(ValueError, match="ceiling"):
+            require_prime(q)
+    assert require_prime(LARGEST_PRIME) == LARGEST_PRIME
+
+
+def test_ranks_exact_just_below_ceiling():
+    q = LARGEST_PRIME
+    rng = np.random.default_rng(18)
+    mats = [rng.integers(0, q, size=(4, 5)) for _ in range(20)]
+    # products of thin factors have rank at most the inner size
+    mats += [rng.integers(0, q, size=(4, r)) @ rng.integers(0, q, size=(r, 5)) % q for r in (1, 2, 3) for _ in range(10)]
+    want = [int_rank(m.tolist(), q) for m in mats]
+    assert sorted(set(want)) == [1, 2, 3, 4]
+    assert [rank_mod(m, q) for m in mats] == want
+    assert batch_rank_mod(np.stack(mats), q).tolist() == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(PRIMES + [LARGEST_PRIME]),
+    st.integers(1, 4),
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.data(),
+)
+def test_rank_kernels_match_pure_int_reference(q, count, rows, cols, data):
+    # many zeros and repeated entries give rank-deficient matrices
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, q - 1))
+    flat = data.draw(st.lists(entry, min_size=count * rows * cols, max_size=count * rows * cols))
+    mats = np.array(flat, dtype=np.int64).reshape(count, rows, cols)
+    want = [int_rank(m.tolist(), q) for m in mats]
+    assert batch_rank_mod(mats, q).tolist() == want
+    assert [rank_mod(m, q) for m in mats] == want
 
 
 def test_inverse_values_mod_7():

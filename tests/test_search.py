@@ -1,11 +1,22 @@
-"""Threshold extraction, exhaustive enumeration, and random trials."""
+"""Threshold extraction, exhaustive enumeration, and random trials.
 
-from itertools import combinations
+The batched search paths are compared with scalar references built on
+`quantum_derivative` / `rank_mod`, including hypothesis property tests.
+"""
+
+import os
+import tempfile
+from functools import lru_cache
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qss.search
 from qss.access import quantum_derivative
+from qss.fqlinalg import rank_mod
 from qss.multigraph import DealerGraph, Multigraph, parse_graph, random_graph, rs747_fixture
 from qss.search import (
     TRIAL_CHUNK,
@@ -41,6 +52,65 @@ def naive_scheme_k(dg):
     return worst + 1
 
 
+@st.composite
+def dealer_graphs(draw, max_n=7):
+    """A random multigraph over a small field with a dealer that has a
+    neighbour."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(2, max_n))
+    m = n * (n - 1) // 2
+    gamma = np.zeros((n, n), dtype=np.int64)
+    gamma[np.triu_indices(n, 1)] = draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m))
+    gamma += gamma.T
+    d = draw(st.integers(0, n - 1))
+    if not gamma[d].any():
+        v = (d + 1) % n
+        gamma[d, v] = gamma[v, d] = 1
+    return DealerGraph(Multigraph(q, gamma), d)
+
+
+def scalar_is_scheme(dg, k):
+    """(ok, counterexample) of is_scheme by one quantum_derivative per set."""
+    g, d = dg.graph, dg.dealer
+    for b in combinations(dg.players, k):
+        if quantum_derivative(g, d, b) != -1:
+            return False, b
+    tight = any(quantum_derivative(g, d, b) != -1 for b in combinations(dg.players, k - 1))
+    return tight, None
+
+
+@lru_cache(maxsize=None)
+def _cut_rank(q, cut):
+    return rank_mod(np.array(cut, dtype=np.int64).reshape(len(cut), -1), q) if cut and cut[0] else 0
+
+
+def _scalar_derivative(gamma, q, d, b):
+    def cutrank(s):
+        return _cut_rank(q, tuple(tuple(gamma[u][v] for v in range(len(gamma)) if v not in s) for u in s))
+
+    return cutrank(tuple(sorted(b + (d,)))) - cutrank(b)
+
+
+def scalar_first_scheme(n, q, k, dealer_fixed):
+    """(index, checked) of the first scheme graph by a per-index scalar scan:
+    the definition of is_scheme evaluated with rank_mod, one graph and one
+    set at a time, cut ranks memoised on the cut matrix."""
+    slots = list(combinations(range(n), 2))
+    for index, digits in enumerate(product(range(q), repeat=len(slots))):
+        gamma = [[0] * n for _ in range(n)]
+        for (u, v), w in zip(slots, digits):
+            gamma[u][v] = gamma[v][u] = w
+        for d in (0,) if dealer_fixed else range(n):
+            players = [v for v in range(n) if v != d]
+            if (
+                any(gamma[d])
+                and all(_scalar_derivative(gamma, q, d, b) == -1 for b in combinations(players, k))
+                and any(_scalar_derivative(gamma, q, d, b) != -1 for b in combinations(players, k - 1))
+            ):
+                return index, index + 1
+    return None, q ** len(slots)
+
+
 # -------------------------------------------------------------------- scheme_k
 
 
@@ -73,6 +143,17 @@ def test_scheme_k_matches_naive_scan():
         assert scheme_k(dg).k == naive_scheme_k(dg)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(dealer_graphs(max_n=8))
+def test_scheme_k_matches_unpruned_reference(dg):
+    rep = scheme_k(dg)
+    k = naive_scheme_k(dg)
+    assert (rep.k, rep.n_players, rep.all_accessible_at_k) == (k, len(dg.players), True)
+    # the lexicographically first unauthorized set of the largest such size
+    unauthorized = [b for b in combinations(dg.players, k - 1) if quantum_derivative(dg.graph, dg.dealer, b) != -1]
+    assert rep.worst_unauthorized == unauthorized[0]
+
+
 def test_scheme_report_json_shape():
     import json
 
@@ -101,6 +182,14 @@ def test_is_scheme_bounds_check():
         is_scheme(star3(), 0)
     with pytest.raises(ValueError, match="outside"):
         is_scheme(star3(), 3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dealer_graphs())
+def test_is_scheme_matches_scalar_loop(dg):
+    for k in range(1, len(dg.players) + 1):
+        res = is_scheme(dg, k)
+        assert (res.ok, res.counterexample) == scalar_is_scheme(dg, k)
 
 
 def test_is_scheme_truthiness():
@@ -151,6 +240,26 @@ def test_exhaustive_search_first_hits():
     assert is_scheme(DealerGraph(g, 0), 2).ok
 
 
+@pytest.mark.parametrize("dealer_fixed", [True, False])
+@pytest.mark.parametrize(
+    "n, q, k", [(n, q, k) for n in range(2, 6) for q in (2, 3) for k in range(1, n)]
+)
+def test_exhaustive_search_matches_scalar_scan(n, q, k, dealer_fixed):
+    r = exhaustive_search(n, q, k, dealer_fixed=dealer_fixed)
+    index, checked = scalar_first_scheme(n, q, k, dealer_fixed)
+    assert (r.status, r.index, r.checked) == ("exhausted" if index is None else "found", index, checked)
+
+
+def test_exhaustive_search_hit_must_be_tight(tmp_path):
+    # graph 123 of (n=4, q=3) realises ((2, 3)): every 2-set already has
+    # access, so it has every 3-set but is no ((3, 3)) scheme
+    assert is_scheme(DealerGraph(Multigraph(3, _gamma_from_index(123, 4, 3)), 0), 2).ok
+    ck = tmp_path / "scan.ck"
+    ck.write_text("# n=4 q=3 k=3 dealer_fixed=1\n0, 122, none\n")
+    r = exhaustive_search(4, 3, 3, budget=1, checkpoint_path=str(ck))
+    assert (r.status, r.index, r.checked, r.next_index) == ("budget_exceeded", None, 1, 124)
+
+
 def test_exhaustive_search_worker_invariance():
     base = exhaustive_search(4, 3, 2)
     par = exhaustive_search(4, 3, 2, workers=2, checkpoint_every=40)
@@ -166,7 +275,7 @@ def test_exhaustive_search_budget_and_resume(tmp_path):
     assert first.status == "budget_exceeded"
     assert first.checked == 50
     assert first.next_index == 50
-    lines = [ln for ln in ck.read_text().splitlines() if ln.strip()]
+    lines = [ln for ln in ck.read_text().splitlines() if ln.strip() and not ln.startswith("#")]
     assert len(lines) == 5
     for ln in lines:
         slice_id, last, mark = [p.strip() for p in ln.split(",")]
@@ -180,6 +289,86 @@ def test_exhaustive_search_budget_and_resume(tmp_path):
     assert second.checked == 74  # resumed at 50, hit at 123
     final = [ln for ln in ck.read_text().splitlines() if ln.strip()][-1]
     assert final.split(",")[2].strip() == "123"
+
+
+def test_exhaustive_search_opens_one_pool_per_call(monkeypatch):
+    opened = []
+
+    class CountingPool(qss.search.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(qss.search, "ProcessPoolExecutor", CountingPool)
+    r = exhaustive_search(4, 3, 2, workers=2, checkpoint_every=40)
+    assert (r.status, r.index) == ("found", 123)
+    assert len(opened) == 1  # four blocks of 40 indices share it
+
+
+def test_checkpoint_header_guards_resume(tmp_path):
+    ck = tmp_path / "scan.ck"
+    first = exhaustive_search(4, 3, 3, checkpoint_path=str(ck))
+    assert (first.status, first.index) == ("found", 27)
+    text = ck.read_text()
+    assert text.splitlines()[0] == "# n=4 q=3 k=3 dealer_fixed=1"
+    # reused for (5, 2, 3) the file would answer 27 after 0 graphs; the
+    # fresh answer is 204
+    with pytest.raises(ValueError, match="another search"):
+        exhaustive_search(5, 2, 3, checkpoint_path=str(ck))
+    with pytest.raises(ValueError, match="another search"):
+        exhaustive_search(4, 3, 3, dealer_fixed=False, checkpoint_path=str(ck))
+    assert ck.read_text() == text
+    headerless = tmp_path / "old.ck"
+    headerless.write_text("0, 26, 27\n")
+    with pytest.raises(ValueError, match="another search"):
+        exhaustive_search(4, 3, 3, checkpoint_path=str(headerless))
+
+
+@pytest.mark.parametrize("torn", ["0, 99, no", "0, 99, 12", "0, 9", "# n=4 q"])
+def test_checkpoint_torn_trailing_record_is_ignored(tmp_path, torn):
+    ck = tmp_path / "scan.ck"
+    if torn.startswith("#"):
+        ck.write_text(torn)  # the header itself was cut short
+    else:
+        exhaustive_search(4, 3, 2, budget=50, checkpoint_path=str(ck), checkpoint_every=10)
+        with open(ck, "a") as fh:
+            fh.write(torn)
+    resumed = exhaustive_search(4, 3, 2, checkpoint_path=str(ck), checkpoint_every=10)
+    assert (resumed.status, resumed.index) == ("found", 123)
+    assert resumed.checked == (124 if torn.startswith("#") else 74)
+    lines = ck.read_text().splitlines()
+    assert lines[0] == "# n=4 q=3 k=2 dealer_fixed=1"
+    for ln in lines[1:]:
+        slice_id, last, mark = ln.split(", ")
+        assert slice_id == "0"
+        assert mark in ("none", "123")
+        int(last)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(4, 3, 2), (4, 3, 3), (4, 2, 2), (5, 2, 3), (5, 2, 4)]),
+    st.booleans(),
+    st.integers(1, 60),
+    st.lists(st.integers(1, 300), min_size=1, max_size=5),
+    st.booleans(),
+)
+def test_interrupted_search_resumes_to_uninterrupted_result(space, dealer_fixed, every, budgets, torn):
+    n, q, k = space
+    whole = exhaustive_search(n, q, k, dealer_fixed=dealer_fixed)
+    checked = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        ck = os.path.join(tmp, "scan.ck")
+        for budget in budgets + [None]:
+            part = exhaustive_search(n, q, k, dealer_fixed, budget=budget, checkpoint_path=ck, checkpoint_every=every)
+            checked += part.checked
+            if part.status != "budget_exceeded":
+                break
+            if torn:  # the interruption cut a record short
+                with open(ck, "a") as fh:
+                    fh.write("0, 1")
+    assert (part.status, part.index, part.graph_text) == (whole.status, whole.index, whole.graph_text)
+    assert checked == whole.checked
 
 
 def test_exhaustive_search_resume_after_found_skips_scan(tmp_path):
