@@ -6,6 +6,7 @@ the independent ground truth at small sizes.
 """
 
 from .fqlinalg import (
+    batch_border_indicators_mod,
     batch_rank_mod,
     inv_mod,
     is_prime,

@@ -68,10 +68,10 @@ def inv_mod(a: int, q: int) -> int:
     return pow(a, -1, q)
 
 
-def _as_mod_array(a, q: int) -> np.ndarray:
+def _as_mod_array(a, q: int, ndim: int = 2) -> np.ndarray:
     arr = np.asarray(a, dtype=np.int64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
     return arr % q
 
 
@@ -174,33 +174,23 @@ def reduced_column_echelon_mod(a, q: int) -> np.ndarray:
     return rref_mod(arr.T, q)[0].T.copy()
 
 
-def batch_rank_mod(mats, q: int) -> np.ndarray:
-    """Ranks of a stack of matrices over F_q, eliminated in lockstep.
+def _eliminate(a: np.ndarray, q: int, rows: int, cols: int) -> np.ndarray:
+    """Eliminate a reduced (N, R, C) stack in place, in lockstep; return
+    the rank of each matrix's leading rows x cols block.
 
-    Args:
-        mats: integer array of shape (N, rows, cols).
-
-    Returns:
-        int64 array of shape (N,). Vectorised over N; used by the search
-        harness where millions of small cut matrices are ranked.
-
-    Elimination is fraction-free: each other row r becomes
+    Pivots come only from the leading rows x cols block, but every row is
+    reduced, so rows below the block end up reduced against it. Elimination is fraction-free: each other row r becomes
     v * r - r[col] * p for the pivot row p with pivot value v. Scaling a row
-    by a nonzero v keeps the rank, so no inverse is needed and no table
+    by a nonzero v keeps every span, so no inverse is needed and no table
     grows with q.
     """
-    q = require_prime(q)
-    a = np.asarray(mats, dtype=np.int64) % q
-    if a.ndim != 3:
-        raise ValueError(f"expected shape (N, rows, cols), got {a.shape}")
-    n, rows, cols = a.shape
-    if n == 0 or rows == 0 or cols == 0:
-        return np.zeros(n, dtype=np.int64)
+    n = a.shape[0]
     pivot_row = np.zeros(n, dtype=np.int64)
     row_idx = np.arange(rows)[None, :]
     for col in range(cols):
-        col_vals = a[:, :, col]
-        eligible = (row_idx >= pivot_row[:, None]) & (col_vals != 0)
+        if (pivot_row >= rows).all():
+            break
+        eligible = (row_idx >= pivot_row[:, None]) & (a[:, :rows, col] != 0)
         has = eligible.any(axis=1)
         if not has.any():
             continue
@@ -216,6 +206,47 @@ def batch_rank_mod(mats, q: int) -> np.ndarray:
         factors[np.arange(idx.size), pr] = 0
         a[idx] = (a[idx] * piv_rows[:, col, None, None] - factors[:, :, None] * piv_rows[:, None, :]) % q
         pivot_row[idx] = pr + 1
-        if (pivot_row >= rows).all():
-            break
     return pivot_row
+
+
+def batch_rank_mod(mats, q: int) -> np.ndarray:
+    """Ranks of a stack of matrices over F_q, eliminated in lockstep.
+
+    Args:
+        mats: integer array of shape (N, rows, cols).
+
+    Returns:
+        int64 array of shape (N,).
+    """
+    q = require_prime(q)
+    a = _as_mod_array(mats, q, ndim=3)
+    return _eliminate(a, q, a.shape[1], a.shape[2])
+
+
+def batch_border_indicators_mod(mats, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Span tests for a stack of bordered matrices [[M, c], [r, x]] over F_q.
+
+    One lockstep elimination of M, with the last column c and the last row r
+    carried along as a border (the corner x is ignored), decides both
+    rank(M | c) - rank(M) and rank(M ; r) - rank(M).
+
+    Args:
+        mats: integer array of shape (N, m + 1, w + 1); M is m x w, and m
+            or w may be 0.
+
+    Returns:
+        (c_outside, r_outside): bool arrays of shape (N,) holding
+        c not in colspan M and r not in rowspan M.
+    """
+    q = require_prime(q)
+    a = _as_mod_array(mats, q, ndim=3)
+    _, rows, cols = a.shape
+    if rows == 0 or cols == 0:
+        raise ValueError(f"expected a border row and column, got shape {a.shape}")
+    rank = _eliminate(a, q, rows - 1, cols - 1)
+    # c is in colspan M exactly when it vanishes on the rows M reduced to 0;
+    # r is in rowspan M exactly when its reduction against M vanishes
+    below = np.arange(rows - 1)[None, :] >= rank[:, None]
+    c_outside = ((a[:, :-1, -1] != 0) & below).any(axis=1)
+    r_outside = (a[:, -1, :-1] != 0).any(axis=1)
+    return c_outside, r_outside

@@ -18,11 +18,11 @@ from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from .fqlinalg import batch_rank_mod, require_prime
+from .fqlinalg import batch_border_indicators_mod, require_prime
 from .multigraph import DealerGraph, Multigraph, serialize_graph
 
 TRIAL_CHUNK = 2048
-# Most cut matrices gathered into one batch_rank_mod call.
+# Most bordered cut matrices gathered into one batch_border_indicators_mod call.
 RANK_BATCH = 1 << 15
 
 
@@ -55,9 +55,12 @@ def _derivatives(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarray) -
     """Derivatives cutrk(B + {d}) - cutrk(B) for every graph of a stack and
     every player set of a (sets, size) index array, as a (graphs, sets) array.
 
-    Gathers the cut matrices Gamma[B, V - B] and Gamma[B + {d}, V - B - {d}]
-    of every (graph, set) pair and ranks each family with one batch_rank_mod
-    call. This is the one rank kernel behind every search path.
+    Gathers one bordered matrix Gamma[B + [d], (V - B - {d}) + [d]] per
+    (graph, set) pair: M = Gamma[B, V - B - {d}] with the dealer column c
+    and the dealer row r as its border. cutrk(B) = rank M + [c not in
+    colspan M] and cutrk(B + {d}) = rank M + [r not in rowspan M], so one
+    batch_border_indicators_mod call gives the derivative. This is the one
+    rank kernel behind every search path.
     """
     count, n, _ = gammas.shape
     sets, size = subsets.shape
@@ -66,15 +69,16 @@ def _derivatives(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarray) -
     if sets > step:
         return np.concatenate(
             [_derivatives(gammas, q, dealer, subsets[i : i + step]) for i in range(0, sets, step)], axis=1)
-    inside = np.zeros((sets, n), dtype=bool)
-    inside[np.arange(sets)[:, None], subsets] = True
-    ranks = []
-    for members, m in ((inside, size), (inside | (np.arange(n) == dealer), size + 1)):
-        # stable sort puts the members first and the rest after, each ascending
-        order = np.argsort(~members, axis=1, kind="stable")
-        cut = gammas[:, order[:, :m, None], order[:, None, m:]]
-        ranks.append(batch_rank_mod(cut.reshape(count * sets, m, n - m), q))
-    return (ranks[1] - ranks[0]).reshape(count, sets)
+    # a stable sort on (member, other player, dealer) keys lists the other
+    # players ascending and then the dealer
+    key = np.ones((sets, n), dtype=np.int8)
+    key[np.arange(sets)[:, None], subsets] = 0
+    key[:, dealer] = 2
+    cols = np.argsort(key, axis=1, kind="stable")[:, size:]
+    rows = np.concatenate([subsets, np.full((sets, 1), dealer)], axis=1)
+    bordered = gammas[:, rows[:, :, None], cols[:, None, :]]
+    c_outside, r_outside = batch_border_indicators_mod(bordered.reshape(count * sets, size + 1, n - size), q)
+    return (r_outside.astype(np.int64) - c_outside).reshape(count, sets)
 
 
 def scheme_k(dg: DealerGraph) -> SchemeReport:

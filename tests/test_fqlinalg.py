@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qss.fqlinalg import (
     FIELD_SIZE_CEILING,
+    batch_border_indicators_mod,
     batch_rank_mod,
     inv_mod,
     is_prime,
@@ -298,3 +299,50 @@ def test_batch_rank_empty_and_bad_shapes():
     assert batch_rank_mod(np.zeros((5, 0, 2), dtype=np.int64), 3).tolist() == [0] * 5
     with pytest.raises(ValueError):
         batch_rank_mod(np.zeros((2, 2), dtype=np.int64), 3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(PRIMES + [LARGEST_PRIME]),
+    st.integers(0, 4),
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.data(),
+)
+def test_border_indicators_match_pure_int_reference(q, count, m, w, data):
+    # stacks of bordered matrices [[M, c], [r, x]] with M of shape m x w
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, q - 1))
+    size = count * (m + 1) * (w + 1)
+    mats = np.array(data.draw(st.lists(entry, min_size=size, max_size=size)), dtype=np.int64)
+    mats = mats.reshape(count, m + 1, w + 1)
+    c_outside, r_outside = batch_border_indicators_mod(mats, q)
+    assert c_outside.shape == r_outside.shape == (count,)
+    for got_c, got_r, mat in zip(c_outside, r_outside, mats):
+        rank_m = int_rank(mat[:m, :w].tolist(), q)
+        assert got_c == int_rank(mat[:m, :].tolist(), q) - rank_m  # [M | c]
+        assert got_r == int_rank(mat[:, :w].tolist(), q) - rank_m  # [M ; r]
+
+
+def test_border_indicators_degenerate_shapes():
+    q = 5
+    # M with no rows (B empty): only r is tested, against the zero span
+    c_out, r_out = batch_border_indicators_mod(np.array([[[0, 3, 1]], [[0, 0, 4]]]), q)
+    assert c_out.tolist() == [False, False]
+    assert r_out.tolist() == [True, False]
+    # M with no columns (B + {d} = V): only c is tested, against the zero span
+    c_out, r_out = batch_border_indicators_mod(np.array([[[0], [2], [1]], [[0], [0], [3]]]), q)
+    assert c_out.tolist() == [True, False]
+    assert r_out.tolist() == [False, False]
+    # c and r inside the spans of a full-rank M, and the corner ignored
+    c_out, r_out = batch_border_indicators_mod(np.array([[[1, 2, 3], [0, 1, 4], [1, 3, 2]]]), q)
+    assert (c_out.tolist(), r_out.tolist()) == ([False], [False])
+    for shape in ((0, 3, 4), (0, 1, 1)):
+        c_out, r_out = batch_border_indicators_mod(np.zeros(shape, dtype=np.int64), q)
+        assert c_out.shape == r_out.shape == (0,)
+    for shape in ((2, 0, 3), (2, 3, 0)):
+        with pytest.raises(ValueError, match="border"):
+            batch_border_indicators_mod(np.zeros(shape, dtype=np.int64), q)
+    with pytest.raises(ValueError):
+        batch_border_indicators_mod(np.zeros((3, 3), dtype=np.int64), q)
+    with pytest.raises(ValueError, match="prime"):
+        batch_border_indicators_mod(np.zeros((1, 2, 2), dtype=np.int64), 4)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import qss.search
 from qss.access import quantum_derivative
 from qss.fqlinalg import rank_mod
-from qss.multigraph import DealerGraph, Multigraph, parse_graph, random_graph, rs747_fixture
+from qss.multigraph import DealerGraph, Multigraph, local_complement, parse_graph, random_graph, rs747_fixture
 from qss.search import (
     TRIAL_CHUNK,
     batch_accessible_at_k,
@@ -27,7 +27,7 @@ from qss.search import (
     scheme_k,
     sufficient_condition_check,
 )
-from qss.search import _gamma_from_index
+from qss.search import _derivatives, _gamma_from_index, _sets
 
 
 def star3(q=3):
@@ -131,7 +131,9 @@ def test_scheme_k_rs747():
     rep = scheme_k(rs747_fixture())
     assert rep.k == 4
     assert rep.n_players == 7
-    assert len(rep.worst_unauthorized) == 3
+    # pinned: recorded on the two-rank-call derivative kernel, which every
+    # later kernel must reproduce
+    assert rep.worst_unauthorized == (1, 2, 3)
 
 
 def test_scheme_k_matches_naive_scan():
@@ -152,6 +154,33 @@ def test_scheme_k_matches_unpruned_reference(dg):
     # the lexicographically first unauthorized set of the largest such size
     unauthorized = [b for b in combinations(dg.players, k - 1) if quantum_derivative(dg.graph, dg.dealer, b) != -1]
     assert rep.worst_unauthorized == unauthorized[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dealer_graphs(), st.data())
+def test_cut_rank_invariances_keep_every_derivative(dg, data):
+    # relabelling the players (dealer fixed), scaling Gamma -> D Gamma D and
+    # local complementation keep every cut rank, so the threshold workloads
+    # may run relabelled copies of one graph
+    g, d = dg.graph, dg.dealer
+    q, n = g.q, g.n
+    players = np.array(dg.players)
+    perm = np.arange(n)
+    perm[players] = data.draw(st.permutations(dg.players))
+    relabelled = np.empty_like(g.gamma)
+    relabelled[np.ix_(perm, perm)] = g.gamma
+    scale = np.array(data.draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n)))
+    scaled = scale[:, None] * g.gamma * scale[None, :] % q
+    lc = local_complement(g, data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, q - 1))).gamma
+    k = scheme_k(dg).k
+    for gamma in (relabelled, scaled, lc):
+        assert scheme_k(DealerGraph(Multigraph(q, gamma), d)).k == k
+    for size in range(len(players) + 1):
+        subsets = _sets(players, size)
+        images = np.sort(perm[subsets], axis=1)
+        want = _derivatives(g.gamma[None], q, d, subsets)
+        assert np.array_equal(_derivatives(relabelled[None], q, d, images), want)
+        assert np.array_equal(_derivatives(np.stack([scaled, lc]), q, d, subsets), np.vstack([want, want]))
 
 
 def test_scheme_report_json_shape():
@@ -402,6 +431,21 @@ def test_random_trials_frozen_counts():
     assert t.successes == 252
     assert t.success_rate == pytest.approx(0.84)
     assert (t.q, t.n, t.alpha, t.trials, t.seed) == (3, 6, 0.8, 300, 77)
+
+
+@pytest.mark.parametrize(
+    "n, q, alpha, trials, seed, k, successes",
+    [
+        (8, 3, 0.5, 3000, 7, None, 0),
+        (8, 3, 0.5, 3000, 7, 5, 1199),
+        (11, 5, 0.75, 2000, 11, None, 1994),
+        (10, 2, 0.75, 3000, 5, None, 977),
+    ],
+)
+def test_random_trials_pinned_counts(n, q, alpha, trials, seed, k, successes):
+    # recorded on the two-rank-call derivative kernel; every later kernel
+    # (fused, narrowed or bit-packed) must reproduce them
+    assert random_trials(n, q, alpha, trials, seed, k=k).successes == successes
 
 
 def test_random_trials_zero_trials_null_rate():
