@@ -30,7 +30,6 @@ from .multigraph import (
     random_graph,
     rs747_fixture,
     serialize_graph,
-    validate_graph,
 )
 from .access import (
     AccessVerdict,

@@ -21,12 +21,20 @@ from itertools import product
 
 import numpy as np
 
-from .fqlinalg import inv_mod, kernel_basis_mod, rank_mod, reduced_column_echelon_mod, solve_affine_mod
+from .fqlinalg import (
+    batch_border_indicators_mod,
+    kernel_basis_mod,
+    rank_mod,
+    reduced_column_echelon_mod,
+    solve_affine_mod,
+)
 from .multigraph import Multigraph, Multiset
 
 CLASSICAL_ACCESSIBLE = "accessible"
 NO_INFO = "no_info"
 PARTIAL = "partial"
+# quantum verdict of each derivative value
+QUANTUM_VERDICT = {-1: CLASSICAL_ACCESSIBLE, 0: PARTIAL, 1: NO_INFO}
 
 
 def _check_b(g: Multigraph, d: int, b_set) -> tuple[int, ...]:
@@ -47,26 +55,51 @@ def cutrank(g: Multigraph, b_set) -> int:
     return rank_mod(g.gamma[np.ix_(b, rest)], g.q)
 
 
+def batch_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pi, derivative) for every graph of a stack and every player set of a
+    (sets, size) index array, as two (graphs, sets) int64 arrays.
+
+    Gathers one bordered matrix Gamma[B + [d], (V - B - {d}) + [d]] per
+    (graph, set) pair: M = Gamma[B, V - B - {d}] with the dealer column c
+    and the dealer row r as its border. cutrk(B) = rank M + [c not in
+    colspan M] and cutrk(B + {d}) = rank M + [r not in rowspan M], so one
+    batch_border_indicators_mod call gives pi = [c not in colspan M] and
+    the derivative [r not in rowspan M] - pi. Every indicator in the
+    package, scalar or searched, comes from this gather.
+    """
+    count, n, _ = gammas.shape
+    sets, size = subsets.shape
+    # a stable sort on (member, other player, dealer) keys lists the other
+    # players ascending and then the dealer
+    key = np.ones((sets, n), dtype=np.int8)
+    key[np.arange(sets)[:, None], subsets] = 0
+    key[:, dealer] = 2
+    cols = np.argsort(key, axis=1, kind="stable")[:, size:]
+    rows = np.concatenate([subsets, np.full((sets, 1), dealer)], axis=1)
+    bordered = gammas[:, rows[:, :, None], cols[:, None, :]]
+    c_outside, r_outside = batch_border_indicators_mod(bordered.reshape(count * sets, size + 1, n - size), q)
+    pi = c_outside.reshape(count, sets).astype(np.int64)
+    return pi, r_outside.reshape(count, sets) - pi
+
+
+def _indicators(g: Multigraph, d: int, b_set) -> tuple[int, int]:
+    b = _check_b(g, d, b_set)
+    pi, der = batch_indicators(g.gamma[None], g.q, d, np.array(b, dtype=np.intp).reshape(1, -1))
+    return int(pi[0, 0]), int(der[0, 0])
+
+
 def pi_classical(g: Multigraph, d: int, b_set) -> int:
     """Classical-access indicator: 1 iff B can recover a CQ secret.
 
-    Computed without materializing the vertex-deleted graph: deleting d
-    just drops d's column from the cut matrix of B.
+    pi = cutrank_G(B) - cutrank_{G without d}(B): deleting d just drops d's
+    column from the cut matrix of B, so no vertex-deleted graph is built.
     """
-    b = _check_b(g, d, b_set)
-    if not b:
-        return 0
-    rest = [v for v in range(g.n) if v not in b]
-    rest_no_d = [v for v in rest if v != d]
-    full = rank_mod(g.gamma[np.ix_(list(b), rest)], g.q)
-    dropped = rank_mod(g.gamma[np.ix_(list(b), rest_no_d)], g.q) if rest_no_d else 0
-    return full - dropped
+    return _indicators(g, d, b_set)[0]
 
 
 def quantum_derivative(g: Multigraph, d: int, b_set) -> int:
     """Discrete derivative cutrank(B + {d}) - cutrank(B); -1 | 0 | +1."""
-    b = _check_b(g, d, b_set)
-    return cutrank(g, b + (d,)) - cutrank(g, b)
+    return _indicators(g, d, b_set)[1]
 
 
 @dataclass(frozen=True)
@@ -96,7 +129,7 @@ def witness_D(g: Multigraph, d: int, b_set) -> Multiset | None:
     sol = solve_affine_mod(m, target, g.q)
     if sol is None:
         return None
-    return Multiset(g.q, dict(zip(b, sol.particular.tolist())), domain=b)
+    return Multiset(g.q, dict(zip(b, sol.tolist())), domain=b)
 
 
 def witness_C(g: Multigraph, d: int, b_set) -> Multiset | None:
@@ -118,7 +151,7 @@ def witness_C(g: Multigraph, d: int, b_set) -> Multiset | None:
     sol = solve_affine_mod(m, target, g.q)
     if sol is None:
         return None
-    return Multiset(g.q, dict(zip(outside, sol.particular.tolist())), domain=outside)
+    return Multiset(g.q, dict(zip(outside, sol.tolist())), domain=outside)
 
 
 def classify(g: Multigraph, d: int, b_set, cross_check: bool = False) -> AccessVerdict:
@@ -129,23 +162,16 @@ def classify(g: Multigraph, d: int, b_set, cross_check: bool = False) -> AccessV
     must agree with the derivative; a mismatch raises.
     """
     b = _check_b(g, d, b_set)
-    pi = pi_classical(g, d, b)
-    der = quantum_derivative(g, d, b)
+    pi, der = _indicators(g, d, b)
     if cross_check:
         comp = tuple(v for v in range(g.n) if v != d and v not in b)
         dual = pi == 1 and pi_classical(g, d, comp) == 0
         if dual != (der == -1):
             raise AssertionError(f"derivative {der} contradicts dual indicators for B={b}")
     classical = CLASSICAL_ACCESSIBLE if pi == 1 else NO_INFO
-    if der == -1:
-        quantum = CLASSICAL_ACCESSIBLE
-    elif der == 1:
-        quantum = NO_INFO
-    else:
-        quantum = PARTIAL
     wd = witness_D(g, d, b) if pi == 1 else None
     wc = witness_C(g, d, b) if pi == 0 else None
-    return AccessVerdict(classical, quantum, pi, der, wd, wc)
+    return AccessVerdict(classical, QUANTUM_VERDICT[der], pi, der, wd, wc)
 
 
 def verify_witness_pair(g: Multigraph, d: int, b_set, d_ms, c_ms) -> bool:

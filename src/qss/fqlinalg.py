@@ -2,13 +2,13 @@
 
 All matrix routines operate on plain numpy integer arrays that are reduced
 modulo a prime q on entry; there is no lazy reduction and no floating point.
-Pivots are always the first nonzero entry of the current row/column, which
-keeps every routine deterministic.
+Every routine is an entry to one fraction-free lockstep elimination,
+`_eliminate`; the single-matrix routines run it on a stack of one. Pivots
+are always the first nonzero entry of the current row/column, which keeps
+every routine deterministic.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -75,114 +75,15 @@ def _as_mod_array(a, q: int, ndim: int = 2) -> np.ndarray:
     return arr % q
 
 
-def rref_mod(a, q: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of a over F_q.
-
-    Returns:
-        (R, pivot_cols) where R is the RREF and pivot_cols lists the pivot
-        column of each nonzero row in order.
-    """
-    q = require_prime(q)
-    r = _as_mod_array(a, q).copy()
-    rows, cols = r.shape
-    pivots: list[int] = []
-    row = 0
-    for col in range(cols):
-        if row >= rows:
-            break
-        nz = np.nonzero(r[row:, col])[0]
-        if nz.size == 0:
-            continue
-        p = row + int(nz[0])
-        if p != row:
-            r[[row, p]] = r[[p, row]]
-        r[row] = (r[row] * inv_mod(r[row, col], q)) % q
-        for other in range(rows):
-            if other != row and r[other, col]:
-                r[other] = (r[other] - r[other, col] * r[row]) % q
-        pivots.append(col)
-        row += 1
-    return r, pivots
-
-
-def rank_mod(a, q: int) -> int:
-    """Rank of a over F_q. Empty matrices have rank 0."""
-    arr = _as_mod_array(a, q)
-    if arr.shape[0] == 0 or arr.shape[1] == 0:
-        return 0
-    return len(rref_mod(arr, q)[1])
-
-
-def kernel_basis_mod(a, q: int) -> np.ndarray:
-    """Basis of the right kernel {x : a.x = 0 over F_q}.
-
-    Returns:
-        Array of shape (cols, k) whose columns are the basis vectors, built
-        from the free columns of the RREF (deterministic).
-    """
-    q = require_prime(q)
-    arr = _as_mod_array(a, q)
-    rows, cols = arr.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if rows == 0:
-        return np.eye(cols, dtype=np.int64)
-    r, pivots = rref_mod(arr, q)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, j] = (-r[i, fc]) % q
-    return basis
-
-
-class AffineSolution(NamedTuple):
-    particular: np.ndarray
-    kernel: np.ndarray
-
-
-def solve_affine_mod(a, b, q: int) -> AffineSolution | None:
-    """Solve a.x = b over F_q.
-
-    Returns:
-        AffineSolution(particular, kernel) with the deterministic particular
-        solution (free variables set to 0), or None when inconsistent.
-    """
-    q = require_prime(q)
-    arr = _as_mod_array(a, q)
-    rhs = np.asarray(b, dtype=np.int64).reshape(-1) % q
-    rows, cols = arr.shape
-    if rhs.shape[0] != rows:
-        raise ValueError(f"shape mismatch: {arr.shape} vs rhs {rhs.shape}")
-    if rows == 0:
-        return AffineSolution(np.zeros(cols, dtype=np.int64), kernel_basis_mod(arr, q))
-    aug = np.concatenate([arr, rhs[:, None]], axis=1)
-    r, pivots = rref_mod(aug, q)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, cols]
-    return AffineSolution(x, kernel_basis_mod(arr, q))
-
-
-def reduced_column_echelon_mod(a, q: int) -> np.ndarray:
-    """Reduced column echelon form: nonzero columns first, each column's
-    first nonzero entry is 1 and is the only nonzero entry of its row."""
-    arr = _as_mod_array(a, q)
-    return rref_mod(arr.T, q)[0].T.copy()
-
-
 def _eliminate(a: np.ndarray, q: int, rows: int, cols: int) -> np.ndarray:
     """Eliminate a reduced (N, R, C) stack in place, in lockstep; return
     the rank of each matrix's leading rows x cols block.
 
     Pivots come only from the leading rows x cols block, but every row is
-    reduced, so rows below the block end up reduced against it. Elimination is fraction-free: each other row r becomes
-    v * r - r[col] * p for the pivot row p with pivot value v. Scaling a row
-    by a nonzero v keeps every span, so no inverse is needed and no table
-    grows with q.
+    reduced, so rows below the block end up reduced against it. Elimination
+    is fraction-free: each other row r becomes v * r - r[col] * p for the
+    pivot row p with pivot value v. Scaling a row by a nonzero v keeps every
+    span, so no inverse is needed and no table grows with q.
     """
     n = a.shape[0]
     pivot_row = np.zeros(n, dtype=np.int64)
@@ -207,6 +108,76 @@ def _eliminate(a: np.ndarray, q: int, rows: int, cols: int) -> np.ndarray:
         a[idx] = (a[idx] * piv_rows[:, col, None, None] - factors[:, :, None] * piv_rows[:, None, :]) % q
         pivot_row[idx] = pr + 1
     return pivot_row
+
+
+def rref_mod(a, q: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a over F_q.
+
+    A stack-of-one call to the fraction-free elimination, which leaves every
+    pivot row a nonzero multiple of its RREF row; each is then scaled by the
+    inverse of its pivot value.
+
+    Returns:
+        (R, pivot_cols) where R is the RREF and pivot_cols lists the pivot
+        column of each nonzero row in order.
+    """
+    q = require_prime(q)
+    r = _as_mod_array(a, q)
+    rank = int(_eliminate(r[None], q, *r.shape)[0])
+    pivots = [int(np.flatnonzero(row)[0]) for row in r[:rank]]
+    for i, col in enumerate(pivots):
+        r[i] = r[i] * inv_mod(r[i, col], q) % q
+    return r, pivots
+
+
+def rank_mod(a, q: int) -> int:
+    """Rank of a over F_q. Empty matrices have rank 0."""
+    return len(rref_mod(a, q)[1])
+
+
+def kernel_basis_mod(a, q: int) -> np.ndarray:
+    """Basis of the right kernel {x : a.x = 0 over F_q}.
+
+    Returns:
+        Array of shape (cols, k) whose columns are the basis vectors, built
+        from the free columns of the RREF (deterministic).
+    """
+    r, pivots = rref_mod(a, q)
+    cols = r.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((cols, len(free)), dtype=np.int64)
+    for j, fc in enumerate(free):
+        basis[fc, j] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc, j] = (-r[i, fc]) % q
+    return basis
+
+
+def solve_affine_mod(a, b, q: int) -> np.ndarray | None:
+    """Solve a.x = b over F_q.
+
+    Returns:
+        The deterministic particular solution (free variables set to 0), or
+        None when the system is inconsistent.
+    """
+    q = require_prime(q)
+    arr = _as_mod_array(a, q)
+    rhs = np.asarray(b, dtype=np.int64).reshape(-1) % q
+    rows, cols = arr.shape
+    if rhs.shape[0] != rows:
+        raise ValueError(f"shape mismatch: {arr.shape} vs rhs {rhs.shape}")
+    r, pivots = rref_mod(np.concatenate([arr, rhs[:, None]], axis=1), q)
+    if cols in pivots:
+        return None
+    x = np.zeros(cols, dtype=np.int64)
+    x[pivots] = r[: len(pivots), cols]
+    return x
+
+
+def reduced_column_echelon_mod(a, q: int) -> np.ndarray:
+    """Reduced column echelon form: nonzero columns first, each column's
+    first nonzero entry is 1 and is the only nonzero entry of its row."""
+    return rref_mod(np.asarray(a).T, q)[0].T.copy()
 
 
 def batch_rank_mod(mats, q: int) -> np.ndarray:

@@ -116,16 +116,6 @@ class Multigraph:
         return f"Multigraph(q={self.q}, n={self.n}, edges={len(self.edges())})"
 
 
-def validate_graph(q: int, n: int, entries) -> Multigraph:
-    """Validate a raw adjacency matrix and wrap it. Distinct failure modes
-    (non-prime q, asymmetry, loops, out-of-range weights, wrong size) raise
-    ValueError with a specific message."""
-    g = Multigraph(q, entries)
-    if g.n != n:
-        raise ValueError(f"declared order {n} but matrix has order {g.n}")
-    return g
-
-
 @dataclass(frozen=True)
 class DealerGraph:
     """A graph together with a distinguished, non-isolated dealer vertex."""

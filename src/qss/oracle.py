@@ -20,7 +20,7 @@ import numpy as np
 
 from .fqlinalg import inv_mod, require_prime
 from .multigraph import Multigraph, Multiset, delete_vertex, serialize_graph
-from .access import classify, pi_classical, witness_C, witness_D
+from .access import QUANTUM_VERDICT, pi_classical, quantum_derivative, witness_C, witness_D
 
 AMPLITUDE_BUDGET = 2_000_000
 ATOL = 1e-9
@@ -755,7 +755,8 @@ def qq_decode_bell(
     try:
         if d_ms is None:
             d_ms = witness_D(g, d, b)
-        if c_ms is None:
+        # without D the fallback is certain, so C's solve would be wasted
+        if c_ms is None and d_ms is not None:
             comp = [v for v in range(g.n) if v != d and v not in b]
             c_ms = witness_C(g, d, comp)
         u_op, v_op = code_unitaries(g, d, b, d_ms, c_ms)
@@ -971,7 +972,7 @@ def oracle_report(g: Multigraph, d: int, b_set, rng: np.random.Generator, budget
     decoding fidelity for the quantum side (of the set and its complement).
     """
     b = tuple(sorted(set(int(v) for v in b_set)))
-    verdict = classify(g, d, b)
+    verdict_graph = QUANTUM_VERDICT[quantum_derivative(g, d, b)]
     max_td = info_leak(g, d, b, budget=budget)
 
     secret = rng.normal(size=g.q) + 1j * rng.normal(size=g.q)
@@ -994,7 +995,7 @@ def oracle_report(g: Multigraph, d: int, b_set, rng: np.random.Generator, budget
     return {
         "graph_hash": graph_hash(g),
         "B": list(b),
-        "verdict_graph": verdict.quantum,
+        "verdict_graph": verdict_graph,
         "verdict_oracle": verdict_oracle,
         "max_trace_distance": float(max_td),
         "decode_fidelity": float(res_b.fidelity) if res_b.fidelity is not None else None,

@@ -18,11 +18,12 @@ from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from .fqlinalg import batch_border_indicators_mod, require_prime
+from .access import batch_indicators
+from .fqlinalg import require_prime
 from .multigraph import DealerGraph, Multigraph, serialize_graph
 
 TRIAL_CHUNK = 2048
-# Most bordered cut matrices gathered into one batch_border_indicators_mod call.
+# Most bordered cut matrices gathered into one batch_indicators call.
 RANK_BATCH = 1 << 15
 
 
@@ -55,30 +56,16 @@ def _derivatives(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarray) -
     """Derivatives cutrk(B + {d}) - cutrk(B) for every graph of a stack and
     every player set of a (sets, size) index array, as a (graphs, sets) array.
 
-    Gathers one bordered matrix Gamma[B + [d], (V - B - {d}) + [d]] per
-    (graph, set) pair: M = Gamma[B, V - B - {d}] with the dealer column c
-    and the dealer row r as its border. cutrk(B) = rank M + [c not in
-    colspan M] and cutrk(B + {d}) = rank M + [r not in rowspan M], so one
-    batch_border_indicators_mod call gives the derivative. This is the one
-    rank kernel behind every search path.
+    The derivative half of access.batch_indicators, taken in chunks of at
+    most RANK_BATCH bordered matrices. This is the one rank kernel behind
+    every search path.
     """
-    count, n, _ = gammas.shape
-    sets, size = subsets.shape
     # bound the gathered stack, so a level of a large graph cannot exhaust memory
-    step = max(1, RANK_BATCH // max(count, 1))
-    if sets > step:
+    step = max(1, RANK_BATCH // max(len(gammas), 1))
+    if len(subsets) > step:
         return np.concatenate(
-            [_derivatives(gammas, q, dealer, subsets[i : i + step]) for i in range(0, sets, step)], axis=1)
-    # a stable sort on (member, other player, dealer) keys lists the other
-    # players ascending and then the dealer
-    key = np.ones((sets, n), dtype=np.int8)
-    key[np.arange(sets)[:, None], subsets] = 0
-    key[:, dealer] = 2
-    cols = np.argsort(key, axis=1, kind="stable")[:, size:]
-    rows = np.concatenate([subsets, np.full((sets, 1), dealer)], axis=1)
-    bordered = gammas[:, rows[:, :, None], cols[:, None, :]]
-    c_outside, r_outside = batch_border_indicators_mod(bordered.reshape(count * sets, size + 1, n - size), q)
-    return (r_outside.astype(np.int64) - c_outside).reshape(count, sets)
+            [_derivatives(gammas, q, dealer, subsets[i : i + step]) for i in range(0, len(subsets), step)], axis=1)
+    return batch_indicators(gammas, q, dealer, subsets)[1]
 
 
 def scheme_k(dg: DealerGraph) -> SchemeReport:

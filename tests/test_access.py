@@ -11,6 +11,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qss.access import (
     CLASSICAL_ACCESSIBLE,
@@ -28,6 +30,8 @@ from qss.access import (
     witness_D,
 )
 from qss.multigraph import Multigraph, Multiset, random_graph, rs747_fixture
+
+from helpers import dealer_graphs, int_rank
 
 
 def star3(q=3):
@@ -165,6 +169,27 @@ def test_derivative_equals_dual_indicator_pair():
         comp = [v for v in players if v not in b]
         dual = pi_classical(g, d, b) == 1 and pi_classical(g, d, comp) == 0
         assert dual == (quantum_derivative(g, d, b) == -1)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(dealer_graphs(), st.data())
+def test_indicators_match_pure_int_cut_ranks(dg, data):
+    # both indicators are read from one bordered elimination; check them
+    # against the cut-rank definitions, ranked by the pure-int reference
+    g, d = dg.graph, dg.dealer
+    players = list(dg.players)
+    drawn = tuple(sorted(data.draw(st.lists(st.sampled_from(players), unique=True))))
+
+    def rk(rows, cols):
+        return int_rank([[int(g.gamma[u, v]) for v in cols] for u in rows], g.q)
+
+    for b in ((), tuple(players), drawn):
+        rest = [v for v in players if v not in b]
+        pi = rk(b, rest + [d]) - rk(b, rest)
+        der = rk(b + (d,), rest) - rk(b, rest + [d])
+        verdict = classify(g, d, b)
+        assert pi_classical(g, d, b) == verdict.pi == pi
+        assert quantum_derivative(g, d, b) == verdict.derivative == der
 
 
 # ------------------------------------------------------------------- classify

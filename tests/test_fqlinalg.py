@@ -24,28 +24,10 @@ from qss.fqlinalg import (
     solve_affine_mod,
 )
 
+from helpers import int_rank, int_rref
+
 PRIMES = [2, 3, 5, 7]
 LARGEST_PRIME = 1048573  # the largest prime below FIELD_SIZE_CEILING = 2**20
-
-
-def int_rank(rows, q):
-    """Rank by Gauss-Jordan elimination on Python ints, which never overflow:
-    the independent reference for the numpy kernels."""
-    rows = [[x % q for x in row] for row in rows]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], -1, q)
-        rows[rank] = [x * inv % q for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 def span_size_rank(a, q):
@@ -173,6 +155,19 @@ def test_rank_against_span_oracle():
             assert rank_mod(a, q) == span_size_rank(a, q)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(PRIMES + [LARGEST_PRIME]), st.integers(0, 5), st.integers(0, 6), st.data())
+def test_rref_matches_pure_int_gauss_jordan(q, rows, cols, data):
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, q - 1))
+    flat = data.draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    a = np.array(flat, dtype=np.int64).reshape(rows, cols)
+    want_rows, want_pivots = int_rref(a.tolist(), q)
+    r, pivots = rref_mod(a, q)
+    assert r.shape == (rows, cols)
+    assert r.tolist() == want_rows
+    assert pivots == want_pivots
+
+
 def test_rref_pivots_are_unit_columns():
     rng = np.random.default_rng(13)
     for q in (3, 7):
@@ -220,8 +215,7 @@ def test_kernel_dimension_formula_and_membership():
 def test_solve_identity_returns_rhs():
     sol = solve_affine_mod(np.eye(3, dtype=np.int64), [2, 0, 4], 5)
     assert sol is not None
-    assert np.array_equal(sol.particular, [2, 0, 4])
-    assert sol.kernel.shape == (3, 0)
+    assert np.array_equal(sol, [2, 0, 4])
 
 
 def test_solve_inconsistent_returns_none():
@@ -231,7 +225,7 @@ def test_solve_inconsistent_returns_none():
 def test_solve_column_system_f3():
     sol = solve_affine_mod([[1], [0]], [1, 0], 3)
     assert sol is not None
-    assert sol.particular.tolist() == [1]
+    assert sol.tolist() == [1]
 
 
 def test_solve_random_systems_verify_by_multiplication():
@@ -244,7 +238,7 @@ def test_solve_random_systems_verify_by_multiplication():
             b = (a @ x_true) % q
             sol = solve_affine_mod(a, b, q)
             assert sol is not None
-            assert np.array_equal((a @ sol.particular) % q, b)
+            assert np.array_equal((a @ sol) % q, b)
 
 
 def test_solve_shape_mismatch():
@@ -280,7 +274,7 @@ def test_batch_rank_matches_scalar_rank():
     for q in PRIMES:
         mats = rng.integers(0, q, size=(64, 5, 4))
         got = batch_rank_mod(mats, q)
-        want = np.array([rank_mod(m, q) for m in mats])
+        want = np.array([int_rank(m.tolist(), q) for m in mats])
         assert np.array_equal(got, want)
 
 

@@ -24,7 +24,6 @@ from qss.multigraph import (
     random_graph,
     rs747_fixture,
     serialize_graph,
-    validate_graph,
 )
 
 PRINTED_GAMMA = np.array(
@@ -113,13 +112,6 @@ def test_graph_rejects_nonsquare_and_nonprime():
         Multigraph(3, [[0, 1, 0], [1, 0, 0]])
     with pytest.raises(ValueError, match="prime"):
         Multigraph(4, [[0, 1], [1, 0]])
-
-
-def test_validate_graph_order_mismatch():
-    with pytest.raises(ValueError, match="order"):
-        validate_graph(3, 3, [[0, 1], [1, 0]])
-    g = validate_graph(3, 2, [[0, 1], [1, 0]])
-    assert g.n == 2
 
 
 def test_edges_listing_row_major():

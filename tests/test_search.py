@@ -1,7 +1,8 @@
 """Threshold extraction, exhaustive enumeration, and random trials.
 
 The batched search paths are compared with scalar references built on
-`quantum_derivative` / `rank_mod`, including hypothesis property tests.
+`quantum_derivative` and the pure-int `int_rank`, including hypothesis
+property tests.
 """
 
 import os
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 import qss.search
 from qss.access import quantum_derivative
-from qss.fqlinalg import rank_mod
 from qss.multigraph import DealerGraph, Multigraph, local_complement, parse_graph, random_graph, rs747_fixture
 from qss.search import (
     TRIAL_CHUNK,
@@ -28,6 +28,8 @@ from qss.search import (
     sufficient_condition_check,
 )
 from qss.search import _derivatives, _gamma_from_index, _sets
+
+from helpers import dealer_graphs, int_rank
 
 
 def star3(q=3):
@@ -52,23 +54,6 @@ def naive_scheme_k(dg):
     return worst + 1
 
 
-@st.composite
-def dealer_graphs(draw, max_n=7):
-    """A random multigraph over a small field with a dealer that has a
-    neighbour."""
-    q = draw(st.sampled_from([2, 3, 5, 7]))
-    n = draw(st.integers(2, max_n))
-    m = n * (n - 1) // 2
-    gamma = np.zeros((n, n), dtype=np.int64)
-    gamma[np.triu_indices(n, 1)] = draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m))
-    gamma += gamma.T
-    d = draw(st.integers(0, n - 1))
-    if not gamma[d].any():
-        v = (d + 1) % n
-        gamma[d, v] = gamma[v, d] = 1
-    return DealerGraph(Multigraph(q, gamma), d)
-
-
 def scalar_is_scheme(dg, k):
     """(ok, counterexample) of is_scheme by one quantum_derivative per set."""
     g, d = dg.graph, dg.dealer
@@ -81,7 +66,7 @@ def scalar_is_scheme(dg, k):
 
 @lru_cache(maxsize=None)
 def _cut_rank(q, cut):
-    return rank_mod(np.array(cut, dtype=np.int64).reshape(len(cut), -1), q) if cut and cut[0] else 0
+    return int_rank(cut, q)
 
 
 def _scalar_derivative(gamma, q, d, b):
@@ -93,7 +78,7 @@ def _scalar_derivative(gamma, q, d, b):
 
 def scalar_first_scheme(n, q, k, dealer_fixed):
     """(index, checked) of the first scheme graph by a per-index scalar scan:
-    the definition of is_scheme evaluated with rank_mod, one graph and one
+    the definition of is_scheme evaluated with int_rank, one graph and one
     set at a time, cut ranks memoised on the cut matrix."""
     slots = list(combinations(range(n), 2))
     for index, digits in enumerate(product(range(q), repeat=len(slots))):
