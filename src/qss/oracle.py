@@ -20,7 +20,7 @@ import numpy as np
 
 from .fqlinalg import inv_mod, require_prime
 from .multigraph import Multigraph, Multiset, delete_vertex, serialize_graph
-from .access import QUANTUM_VERDICT, pi_classical, quantum_derivative, witness_C, witness_D
+from .access import QUANTUM_VERDICT, quantum_derivative, witness_C, witness_D
 
 AMPLITUDE_BUDGET = 2_000_000
 ATOL = 1e-9
@@ -617,10 +617,9 @@ def cq_round(
     q = g.q
     t = int(t) % q
     b = tuple(sorted(set(int(v) for v in b_set)))
-    accessible = pi_classical(g, d, b) == 1
+    dms = witness_D(g, d, b)  # None iff pi = 0
     params = None
-    if accessible:
-        dms = witness_D(g, d, b)
+    if dms is not None:
         if t == 0:
             params = decode_params(g, d, b, dms, None, 0)
         else:

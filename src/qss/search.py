@@ -3,7 +3,9 @@
 A dealer graph realises a ((k, n))_q scheme when every set of k players can
 reconstruct a quantum secret and some set of k - 1 players cannot (n counts
 players, not vertices). Because accessibility is monotone, k - 1 is the size
-of the largest non-accessible set, and subset scans can prune aggressively.
+of the largest non-accessible set. Every path asks one question of a list of
+player sets: which is the first without access? `_first_failure` answers it
+for a stack of graphs, and a graph stops being ranked at its first failure.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from .fqlinalg import require_prime
 from .multigraph import DealerGraph, Multigraph, serialize_graph
 
 TRIAL_CHUNK = 2048
-# Most bordered cut matrices gathered into one batch_indicators call.
-RANK_BATCH = 1 << 15
+# Bordered cut matrices per batch_indicators call in _first_failure, unless
+# the live stack alone is larger. Small blocks let a graph leave the stack
+# soon after its first failing set.
+BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -52,57 +56,48 @@ def _sets(players, size: int) -> np.ndarray:
     return np.array(list(combinations(players, size)), dtype=np.intp)
 
 
-def _derivatives(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarray) -> np.ndarray:
-    """Derivatives cutrk(B + {d}) - cutrk(B) for every graph of a stack and
-    every player set of a (sets, size) index array, as a (graphs, sets) array.
+def _first_failure(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarray) -> np.ndarray:
+    """For each graph of a stack, the row index into subsets of the first
+    player set whose derivative is not -1, or len(subsets) when every set
+    has access.
 
-    The derivative half of access.batch_indicators, taken in chunks of at
-    most RANK_BATCH bordered matrices. This is the one rank kernel behind
-    every search path.
+    The one subset scan behind every search path. Sets are ranked through
+    batch_indicators in blocks of max(1, BLOCK // live) rows, where live
+    counts the graphs still in the stack; a graph leaves the stack at its
+    first failure.
     """
-    # bound the gathered stack, so a level of a large graph cannot exhaust memory
-    step = max(1, RANK_BATCH // max(len(gammas), 1))
-    if len(subsets) > step:
-        return np.concatenate(
-            [_derivatives(gammas, q, dealer, subsets[i : i + step]) for i in range(0, len(subsets), step)], axis=1)
-    return batch_indicators(gammas, q, dealer, subsets)[1]
+    first = np.full(len(gammas), len(subsets), dtype=np.intp)
+    live = np.arange(len(gammas))
+    start = 0
+    while live.size and start < len(subsets):
+        stop = start + max(1, BLOCK // live.size)
+        failing = batch_indicators(gammas, q, dealer, subsets[start:stop])[1] != -1
+        failed = failing.any(axis=1)
+        if failed.any():
+            first[live[failed]] = start + failing[failed].argmax(axis=1)
+            keep = ~failed
+            live, gammas = live[keep], gammas[keep]
+        start = stop
+    return first
 
 
 def scheme_k(dg: DealerGraph) -> SchemeReport:
     """Exact threshold k: 1 + the size of the largest non-accessible set.
 
-    Scans player subsets level by level, by increasing size, ranking each
-    level in one batch. A set with an accessible subset one smaller is
-    accessible by monotonicity and is masked out before the gather; the scan
-    stops at the first size where everything is accessible.
+    Scans player subsets size by size, upwards, and stops each size at its
+    first non-accessible set. Every subset of a non-accessible set is
+    non-accessible, so the first size without one is k, and
     worst_unauthorized is the lexicographically first non-accessible set of
-    the largest such size.
+    size k - 1.
     """
-    g, d = dg.graph, dg.dealer
-    players = np.array(dg.players, dtype=np.intp)
+    g, d, players = dg.graph, dg.dealer, dg.players
     worst: tuple[int, ...] = ()
-    # accessible_prev[r]: is the previous level's set of colex rank r
-    # accessible? The rank is sum_i C(pos_i, i + 1) over the set's ascending
-    # player positions; level 0 holds only the empty set, never accessible.
-    accessible_prev = np.zeros(1, dtype=bool)
     for size in range(1, len(players) + 1):
-        pos = _sets(range(len(players)), size)
-        binom = np.array([[comb(p, i) for i in range(size + 1)] for p in range(len(players))], dtype=np.int64)
-        upper = binom[pos, np.arange(1, size + 1)]
-        lower = binom[pos, np.arange(size)]
-        # colex rank of the set minus its j-th member: members before j keep
-        # their index, members after it move down one
-        before = np.cumsum(upper, axis=1) - upper
-        after = np.cumsum(lower[:, ::-1], axis=1)[:, ::-1] - lower
-        accessible = accessible_prev[before + after].any(axis=1)
-        todo = np.flatnonzero(~accessible)
-        if todo.size:
-            accessible[todo] = _derivatives(g.gamma[None], g.q, d, players[pos[todo]])[0] == -1
-        if accessible.all():
+        subsets = _sets(players, size)
+        first = _first_failure(g.gamma[None], g.q, d, subsets)[0]
+        if first == len(subsets):
             return SchemeReport(size, len(players), worst, True)
-        worst = tuple(int(v) for v in players[pos[np.argmin(accessible)]])
-        accessible_prev = np.zeros(comb(len(players), size), dtype=bool)
-        accessible_prev[upper.sum(axis=1)] = accessible
+        worst = tuple(int(v) for v in subsets[first])
     # unreachable for a non-isolated dealer: the full player set always has
     # derivative -1
     raise AssertionError("no threshold found; dealer isolated?")
@@ -122,20 +117,22 @@ def is_scheme(dg: DealerGraph, k: int) -> IsSchemeResult:
 
     Requires every size-k player set to be accessible and at least one
     size-(k-1) set not to be (tightness; without it the graph realises a
-    smaller threshold). Ranks all size-k sets in one batch, then all
-    size-(k-1) sets. The first failing size-k set in lexicographic order is
-    returned as the counterexample; a tightness failure has none.
+    smaller threshold). Scans the size-k sets, then the size-(k-1) sets,
+    each up to its first non-accessible set. The first failing size-k set
+    in lexicographic order is returned as the counterexample; a tightness
+    failure has none.
     """
     g, d = dg.graph, dg.dealer
     players = dg.players
     if not 1 <= k <= len(players):
         raise ValueError(f"k={k} outside 1..{len(players)}")
     subsets = _sets(players, k)
-    failing = np.flatnonzero(_derivatives(g.gamma[None], g.q, d, subsets)[0] != -1)
-    if failing.size:
-        b = tuple(int(v) for v in subsets[failing[0]])
+    first = _first_failure(g.gamma[None], g.q, d, subsets)[0]
+    if first < len(subsets):
+        b = tuple(int(v) for v in subsets[first])
         return IsSchemeResult(False, b, f"set of size {k} cannot access the secret")
-    if (_derivatives(g.gamma[None], g.q, d, _sets(players, k - 1)) != -1).any():
+    lower = _sets(players, k - 1)
+    if _first_failure(g.gamma[None], g.q, d, lower)[0] < len(lower):
         return IsSchemeResult(True, None, "ok")
     return IsSchemeResult(False, None, f"k is not minimal: every set of size {k - 1} already has access")
 
@@ -261,6 +258,10 @@ def exhaustive_search(
     require_prime(q)
     if n < 2:
         raise ValueError("need at least a dealer and one player")
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"threshold k={k} outside 1..{n - 1}")
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be nonnegative")
     total = q ** (n * (n - 1) // 2)
     header = f"# n={n} q={q} k={k} dealer_fixed={int(dealer_fixed)}"
     found: int | None = None
@@ -339,20 +340,9 @@ class TrialSummary:
 
 def batch_accessible_at_k(gammas: np.ndarray, q: int, k: int, dealer: int = 0) -> np.ndarray:
     """For a stack of adjacency matrices, test whether every size-k player
-    set has derivative -1. Vectorized: one kernel call per subset, with
-    graphs dropped from the batch as soon as one subset fails."""
-    count, n, _ = gammas.shape
-    subsets = _sets([v for v in range(n) if v != dealer], k)
-    live = np.arange(count)
-    for i in range(len(subsets)):
-        if live.size == 0:
-            break
-        passed = _derivatives(gammas, q, dealer, subsets[i : i + 1])[:, 0] == -1
-        if not passed.all():
-            live, gammas = live[passed], gammas[passed]
-    alive = np.zeros(count, dtype=bool)
-    alive[live] = True
-    return alive
+    set has derivative -1."""
+    subsets = _sets([v for v in range(gammas.shape[1]) if v != dealer], k)
+    return _first_failure(gammas, q, dealer, subsets) == len(subsets)
 
 
 def random_trials(

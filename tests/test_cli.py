@@ -233,6 +233,16 @@ def test_search_budget_exit_and_checkpoint_resume(capsys, tmp_path):
     assert second["checked"] == 124 - 60  # resumed, not restarted
 
 
+def test_search_rejects_impossible_k_and_negative_budget(capsys, tmp_path):
+    ckpt = tmp_path / "progress.ckpt"
+    for extra in (["--k", "0"], ["--k", "4"], ["--k", "5"], ["--k", "2", "--budget", "-5"]):
+        code, out, err = run(capsys, ["search", "--n", "4", "--q", "2", *extra, "--checkpoint", str(ckpt)])
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert ("outside 1..3" if extra[1] != "2" else "budget") in err
+    assert not ckpt.exists()  # refused before the checkpoint is opened
+
+
 # --------------------------------------------------------------------- sample
 
 

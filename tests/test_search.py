@@ -1,14 +1,15 @@
 """Threshold extraction, exhaustive enumeration, and random trials.
 
-The batched search paths are compared with scalar references built on
-`quantum_derivative` and the pure-int `int_rank`, including hypothesis
-property tests.
+The batched search paths are compared with scalar references built on the
+pure-int `int_rank`, which never runs the package's rank kernel, including
+hypothesis property tests.
 """
 
 import os
 import tempfile
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qss.search
-from qss.access import quantum_derivative
+from qss.access import batch_indicators, quantum_derivative
 from qss.multigraph import DealerGraph, Multigraph, local_complement, parse_graph, random_graph, rs747_fixture
 from qss.search import (
     TRIAL_CHUNK,
@@ -27,7 +28,7 @@ from qss.search import (
     scheme_k,
     sufficient_condition_check,
 )
-from qss.search import _derivatives, _gamma_from_index, _sets
+from qss.search import BLOCK, _first_failure, _gamma_from_index, _sets
 
 from helpers import dealer_graphs, int_rank
 
@@ -43,27 +44,6 @@ def random_dealer_graph(rng, n, q):
             return DealerGraph(g, 0)
 
 
-def naive_scheme_k(dg):
-    """Unpruned reference: largest non-accessible player set, plus one."""
-    worst = 0
-    players = dg.players
-    for size in range(1, len(players) + 1):
-        for b in combinations(players, size):
-            if quantum_derivative(dg.graph, dg.dealer, b) != -1:
-                worst = max(worst, size)
-    return worst + 1
-
-
-def scalar_is_scheme(dg, k):
-    """(ok, counterexample) of is_scheme by one quantum_derivative per set."""
-    g, d = dg.graph, dg.dealer
-    for b in combinations(dg.players, k):
-        if quantum_derivative(g, d, b) != -1:
-            return False, b
-    tight = any(quantum_derivative(g, d, b) != -1 for b in combinations(dg.players, k - 1))
-    return tight, None
-
-
 @lru_cache(maxsize=None)
 def _cut_rank(q, cut):
     return int_rank(cut, q)
@@ -74,6 +54,30 @@ def _scalar_derivative(gamma, q, d, b):
         return _cut_rank(q, tuple(tuple(gamma[u][v] for v in range(len(gamma)) if v not in s) for u in s))
 
     return cutrank(tuple(sorted(b + (d,)))) - cutrank(b)
+
+
+def _has_access(dg, b):
+    return _scalar_derivative(dg.graph.gamma.tolist(), dg.graph.q, dg.dealer, b) == -1
+
+
+def naive_scheme_k(dg):
+    """Unpruned reference: largest non-accessible player set, plus one."""
+    worst = 0
+    players = dg.players
+    for size in range(1, len(players) + 1):
+        for b in combinations(players, size):
+            if not _has_access(dg, b):
+                worst = max(worst, size)
+    return worst + 1
+
+
+def scalar_is_scheme(dg, k):
+    """(ok, counterexample) of is_scheme by one int_rank derivative per set."""
+    for b in combinations(dg.players, k):
+        if not _has_access(dg, b):
+            return False, b
+    tight = any(not _has_access(dg, b) for b in combinations(dg.players, k - 1))
+    return tight, None
 
 
 def scalar_first_scheme(n, q, k, dealer_fixed):
@@ -137,7 +141,7 @@ def test_scheme_k_matches_unpruned_reference(dg):
     k = naive_scheme_k(dg)
     assert (rep.k, rep.n_players, rep.all_accessible_at_k) == (k, len(dg.players), True)
     # the lexicographically first unauthorized set of the largest such size
-    unauthorized = [b for b in combinations(dg.players, k - 1) if quantum_derivative(dg.graph, dg.dealer, b) != -1]
+    unauthorized = [b for b in combinations(dg.players, k - 1) if not _has_access(dg, b)]
     assert rep.worst_unauthorized == unauthorized[0]
 
 
@@ -163,9 +167,36 @@ def test_cut_rank_invariances_keep_every_derivative(dg, data):
     for size in range(len(players) + 1):
         subsets = _sets(players, size)
         images = np.sort(perm[subsets], axis=1)
-        want = _derivatives(g.gamma[None], q, d, subsets)
-        assert np.array_equal(_derivatives(relabelled[None], q, d, images), want)
-        assert np.array_equal(_derivatives(np.stack([scaled, lc]), q, d, subsets), np.vstack([want, want]))
+        want = batch_indicators(g.gamma[None], q, d, subsets)[1]
+        assert np.array_equal(batch_indicators(relabelled[None], q, d, images)[1], want)
+        assert np.array_equal(batch_indicators(np.stack([scaled, lc]), q, d, subsets)[1], np.vstack([want, want]))
+
+
+@pytest.mark.parametrize("count", [1, 3, 300])
+def test_first_failure_across_blocks(count):
+    # order-12 graphs have C(11, 6) = 462 player sets of size 6, several
+    # blocks however many graphs are live
+    rng = np.random.default_rng(70 + count)
+    n, q = 12, 3
+    iu = np.triu_indices(n, 1)
+    gammas = np.zeros((count, n, n), dtype=np.int64)
+    gammas[:, iu[0], iu[1]] = rng.integers(0, q, size=(count, len(iu[0])))
+    gammas += np.transpose(gammas, (0, 2, 1))
+    firsts = {}
+    for size in (6, 10):
+        subsets = _sets(range(1, n), size)
+        # sets that fail on few graphs go first, so first failures fall
+        # deep into the list and past the first block
+        failing = batch_indicators(gammas, q, 0, subsets)[1] != -1
+        order = np.argsort(failing.sum(axis=0), kind="stable")
+        failing = failing[:, order]
+        want = np.where(failing.any(axis=1), failing.argmax(axis=1), len(subsets))
+        assert np.array_equal(_first_failure(gammas, q, 0, subsets[order]), want)
+        firsts[size] = want
+    # a result that dropped its block's offset would read below this
+    assert (firsts[6] >= max(1, BLOCK // count)).any()
+    # size 10 covers graphs on which every set has access
+    assert (firsts[10] == comb(11, 10)).any()
 
 
 def test_scheme_report_json_shape():
@@ -184,7 +215,7 @@ def test_is_scheme_rs747():
     r3 = is_scheme(rs, 3)
     assert not r3.ok
     assert r3.counterexample is not None
-    assert quantum_derivative(rs.graph, 0, r3.counterexample) != -1
+    assert not _has_access(rs, r3.counterexample)
     r5 = is_scheme(rs, 5)
     assert not r5.ok
     assert r5.counterexample is None  # fails tightness, not access
@@ -399,6 +430,12 @@ def test_exhaustive_search_validation():
         exhaustive_search(4, 4, 2)
     with pytest.raises(ValueError, match="dealer"):
         exhaustive_search(1, 2, 1)
+    for k in (0, 4, 5):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            exhaustive_search(4, 2, k)
+    with pytest.raises(ValueError, match="budget"):
+        exhaustive_search(4, 2, 2, budget=-5)
+    assert exhaustive_search(4, 2, 2, budget=0).status == "budget_exceeded"
 
 
 def test_search_result_json_shape():
@@ -479,10 +516,7 @@ def test_batch_accessibility_matches_scalar():
         got = batch_accessible_at_k(gammas, q, k)
         players = [v for v in range(n) if v != 0]
         for i in range(count):
-            g = Multigraph(q, gammas[i])
-            want = all(
-                quantum_derivative(g, 0, b) == -1 for b in combinations(players, k)
-            )
+            want = all(_scalar_derivative(gammas[i].tolist(), q, 0, b) == -1 for b in combinations(players, k))
             assert bool(got[i]) == want
 
 
