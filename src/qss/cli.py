@@ -15,13 +15,14 @@ import argparse
 import json
 import sys
 import time
+from itertools import combinations
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from .access import classify
 from .multigraph import DealerGraph, Multigraph, parse_graph, rs747_fixture, serialize_graph
-from .oracle import AMPLITUDE_BUDGET, BudgetExceeded, cq_round, oracle_report, qq_decode_bell, qq_encode
+from .oracle import AMPLITUDE_BUDGET, BudgetExceeded, cq_round, oracle_reports, qq_decode_bell, qq_encode
 from .search import exhaustive_search, random_trials, scheme_k
 
 EXIT_OK = 0
@@ -40,11 +41,16 @@ class _Parser(argparse.ArgumentParser):
         raise _ParseError(message)
 
 
-def _read_graph(path: str) -> Multigraph:
+def _read_graph(path: str, dealer: int) -> Multigraph:
+    """Parse the graph file (- for stdin) and check that the dealer is one of its vertices."""
     if path == "-":
-        return parse_graph(sys.stdin.read())
-    with open(path) as fh:
-        return parse_graph(fh.read())
+        g = parse_graph(sys.stdin.read())
+    else:
+        with open(path) as fh:
+            g = parse_graph(fh.read())
+    if not 0 <= dealer < g.n:
+        raise ValueError(f"dealer {dealer} out of range")
+    return g
 
 
 def _parse_set(spec: str, dealer: int, n: int) -> tuple[int, ...]:
@@ -156,7 +162,7 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "access":
-        g = _read_graph(args.graph)
+        g = _read_graph(args.graph, args.dealer)
         b = _parse_set(args.vset, args.dealer, g.n)
         verdict = classify(g, args.dealer, b)
         result = {
@@ -172,7 +178,7 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "scheme-k":
-        g = _read_graph(args.graph)
+        g = _read_graph(args.graph, args.dealer)
         report = scheme_k(DealerGraph(g, args.dealer))
         result = json.loads(report.to_json())
         _emit("scheme-k", {"graph": args.graph, "dealer": args.dealer}, result, None, started)
@@ -199,26 +205,23 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "oracle-verify":
-        g = _read_graph(args.graph)
+        if args.max_size is not None and args.max_size < 0:
+            raise ValueError(f"--max-size {args.max_size} is negative")
+        g = _read_graph(args.graph, args.dealer)
         rng = np.random.default_rng(args.seed)
         players = [v for v in range(g.n) if v != args.dealer]
         cap = len(players) if args.max_size is None else args.max_size
-        from itertools import combinations
-
-        rows = []
-        disagree = 0
-        for size in range(0, cap + 1):
-            for b in combinations(players, size):
-                row = oracle_report(g, args.dealer, b, rng, budget=args.budget)
-                rows.append(row)
-                if row["verdict_graph"] != row["verdict_oracle"]:
-                    disagree += 1
+        sets = [b for size in range(cap + 1) for b in combinations(players, size)]
+        rows = oracle_reports(g, args.dealer, sets, rng, budget=args.budget)
+        disagree = sum(row["verdict_graph"] != row["verdict_oracle"] for row in rows)
         result = {"rows": rows, "disagreements": disagree}
         _emit("oracle-verify", {"graph": args.graph, "dealer": args.dealer}, result, args.seed, started)
         return EXIT_DISAGREEMENT if disagree else EXIT_OK
 
     if args.command == "cq-round":
-        g = _read_graph(args.graph)
+        if args.rounds < 0:
+            raise ValueError(f"--rounds {args.rounds} is negative")
+        g = _read_graph(args.graph, args.dealer)
         b = _parse_set(args.vset, args.dealer, g.n)
         rng = np.random.default_rng(args.seed)
         rounds = []
@@ -234,7 +237,7 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "qq-decode":
-        g = _read_graph(args.graph)
+        g = _read_graph(args.graph, args.dealer)
         b = _parse_set(args.vset, args.dealer, g.n)
         rng = np.random.default_rng(args.seed)
         secret = rng.normal(size=g.q) + 1j * rng.normal(size=g.q)

@@ -1,8 +1,8 @@
 """Dense state-vector oracle for qudit graph states.
 
-Everything here works on explicit complex amplitude arrays, so it is slow
-but independent of the graph-side rank machinery: the two are cross-checked
-against each other in the test suite. Phases are tracked as integer powers
+Everything here works on explicit complex amplitude arrays, so it is slow.
+The trace distances use no rank algebra; the decoders steer with the
+witnesses that the rank machinery solves. Phases are tracked as integer powers
 of omega = exp(2*pi*i/q) inside WeylOperator and only turned into floats
 when an operator hits a state.
 
@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .fqlinalg import inv_mod, require_prime
 from .multigraph import Multigraph, Multiset, delete_vertex, serialize_graph
-from .access import QUANTUM_VERDICT, quantum_derivative, witness_C, witness_D
+from .access import QUANTUM_VERDICT, _check_b, batch_indicators, witness_C, witness_D
 
 AMPLITUDE_BUDGET = 2_000_000
 ATOL = 1e-9
@@ -404,19 +405,29 @@ def cq_encode(g: Multigraph, d: int, s: int, budget: int = AMPLITUDE_BUDGET) -> 
     return _codewords(g, d, [s], budget)[0]
 
 
-def qq_encode(g: Multigraph, d: int, secret, budget: int = AMPLITUDE_BUDGET) -> StateVector:
-    """Quantum codeword sum_j secret[j] |j_L>. Checks the isometry."""
-    secret = np.asarray(secret, dtype=np.complex128).reshape(g.q)
+def _unit_secret(q: int, secret) -> np.ndarray:
+    secret = np.asarray(secret, dtype=np.complex128).reshape(q)
     if abs(np.linalg.norm(secret) - 1.0) > 1e-7:
         raise ValueError("secret amplitudes must be normalized")
-    support = [j for j in range(g.q) if secret[j] != 0]
+    return secret
+
+
+def _superpose(g: Multigraph, words, secret: np.ndarray) -> StateVector:
+    """sum_j secret[j] words[j] over the secret's support. Checks the isometry."""
     out = None
-    for j, word in zip(support, _codewords(g, d, support, budget)):
-        out = secret[j] * word.amplitudes if out is None else out + secret[j] * word.amplitudes
+    for j in np.flatnonzero(secret).tolist():
+        out = secret[j] * words[j].amplitudes if out is None else out + secret[j] * words[j].amplitudes
     state = StateVector._derived(g.q, g.n - 1, out)
     if abs(state.norm() - 1.0) > 1e-7:
         raise AssertionError("encoding failed to be an isometry")
     return state
+
+
+def qq_encode(g: Multigraph, d: int, secret, budget: int = AMPLITUDE_BUDGET) -> StateVector:
+    """Quantum codeword sum_j secret[j] |j_L>. Checks the isometry."""
+    secret = _unit_secret(g.q, secret)
+    support = np.flatnonzero(secret).tolist()
+    return _superpose(g, dict(zip(support, _codewords(g, d, support, budget))), secret)
 
 
 def reduced_density(state: StateVector, sites, budget: int = AMPLITUDE_BUDGET) -> np.ndarray:
@@ -455,16 +466,15 @@ def leak_profile(g: Multigraph, d: int, b_set, budget: int = AMPLITUDE_BUDGET) -
     return [reduced_density(word, pos, budget=budget) for word in _codewords(g, d, range(g.q), budget)]
 
 
+def _max_trace_distance(rhos) -> float:
+    return max(trace_distance(a, b) for a, b in combinations(rhos, 2))
+
+
 def info_leak(g: Multigraph, d: int, b_set, budget: int = AMPLITUDE_BUDGET) -> float:
     """Max trace distance between reduced codeword states on b_set: 0 iff
     the set has no classical information; 1 with orthogonal supports iff it
     can read the secret perfectly."""
-    rhos = leak_profile(g, d, b_set, budget=budget)
-    max_td = 0.0
-    for a in range(g.q):
-        for b in range(a + 1, g.q):
-            max_td = max(max_td, trace_distance(rhos[a], rhos[b]))
-    return max_td
+    return _max_trace_distance(leak_profile(g, d, b_set, budget=budget))
 
 
 def schmidt_rank(state: StateVector, sites, tol: float = 1e-7) -> int:
@@ -748,9 +758,13 @@ def qq_decode_bell(
     operators stand in (used_fallback = True); the measurements then fail
     to steer and the reported fidelity stays below 1.
     """
-    q = g.q
     b = tuple(sorted(set(int(v) for v in b_set)))
-    used_fallback = False
+    return _bell_decode(g.q, _steering(g, d, b, d_ms, c_ms), encoded, rng, expected, budget)
+
+
+def _steering(g: Multigraph, d: int, b: tuple[int, ...], d_ms, c_ms) -> tuple[WeylOperator, WeylOperator, bool]:
+    """(U_B, V_B, used_fallback) for qq_decode_bell: the code unitaries of
+    the given or solved witness pair, else the identity stand-ins."""
     try:
         if d_ms is None:
             d_ms = witness_D(g, d, b)
@@ -758,15 +772,15 @@ def qq_decode_bell(
         if c_ms is None and d_ms is not None:
             comp = [v for v in range(g.n) if v != d and v not in b]
             c_ms = witness_C(g, d, comp)
-        u_op, v_op = code_unitaries(g, d, b, d_ms, c_ms)
+        return (*code_unitaries(g, d, b, d_ms, c_ms), False)
     except (ValueError, TypeError):
-        used_fallback = True
-        u_op = WeylOperator.identity(q, g.n - 1)
-        v_op = WeylOperator.identity(q, g.n - 1)
+        identity = WeylOperator.identity(g.q, g.n - 1)
+        return identity, identity, True
 
-    bell = np.zeros((q, q), dtype=np.complex128)
-    for i in range(q):
-        bell[i, i] = 1.0 / np.sqrt(q)
+
+def _bell_decode(q: int, steering, encoded: StateVector, rng: np.random.Generator, expected, budget: int):
+    u_op, v_op, used_fallback = steering
+    bell = np.eye(q, dtype=np.complex128) / np.sqrt(q)
     full = StateVector(q, encoded.n + 2, np.kron(encoded.amplitudes, bell.reshape(-1)), budget=budget)
 
     n_tot = full.n
@@ -888,9 +902,7 @@ def encode_decode_variants(
     that every outcome reproduces qq_encode(g, d, secret) exactly.
     """
     q = g.q
-    secret = np.asarray(secret, dtype=np.complex128).reshape(q)
-    if abs(np.linalg.norm(secret) - 1.0) > 1e-7:
-        raise ValueError("secret amplitudes must be normalized")
+    secret = _unit_secret(q, secret)
     players = _player_order(g, d)
     if mode in ("E1", "E2") and rng is None:
         raise ValueError(f"mode {mode} simulates a measurement and needs rng")
@@ -925,12 +937,9 @@ def encode_decode_variants(
 
     if mode in ("D2", "D3"):
         b = tuple(sorted(players if b_set is None else set(int(v) for v in b_set)))
-        dms = witness_D(g, d, b)
-        comp = [v for v in range(g.n) if v != d and v not in b]
-        cms = witness_C(g, d, comp)
-        if dms is None or cms is None:
+        u_op, v_op, fallback = _steering(g, d, b, None, None)
+        if fallback:
             raise ValueError("decoding variants need an authorized player set")
-        u_op, v_op = code_unitaries(g, d, b, dms, cms)
         encoded = qq_encode(g, d, secret, budget=budget)
         plus = StateVector(q, 1, np.ones(q, dtype=np.complex128) / np.sqrt(q))
         full = encoded.tensor(plus, budget=budget)  # ancilla is the last axis
@@ -963,39 +972,53 @@ def graph_hash(g: Multigraph) -> str:
     return hashlib.sha256(serialize_graph(g).encode()).hexdigest()[:16]
 
 
-def oracle_report(g: Multigraph, d: int, b_set, rng: np.random.Generator, budget: int = AMPLITUDE_BUDGET) -> dict:
-    """Cross-check record for one (graph, dealer, player set) instance.
+def oracle_reports(
+    g: Multigraph, d: int, sets, rng: np.random.Generator, budget: int = AMPLITUDE_BUDGET
+) -> list[dict]:
+    """Cross-check records for the player sets of one (graph, dealer), in order.
 
-    verdict_graph comes from the rank algebra; verdict_oracle is rebuilt
-    from simulation alone: trace distances for the classical side and Bell
-    decoding fidelity for the quantum side (of the set and its complement).
+    verdict_graph comes from the rank algebra, one batch_indicators call per
+    set size. verdict_oracle comes from the dense simulation: the trace
+    distances between reduced codewords, and the Bell-decode fidelity of the
+    set and its complement. The decode steers with witnesses solved in
+    fqlinalg, so a fidelity of 1 certifies access; the no_info verdict rests
+    on the trace distances. The codewords and each set's code unitaries are
+    built once; per set come the densities, a fresh secret and two decodes.
     """
-    b = tuple(sorted(set(int(v) for v in b_set)))
-    verdict_graph = QUANTUM_VERDICT[quantum_derivative(g, d, b)]
-    max_td = info_leak(g, d, b, budget=budget)
+    sets = [_check_b(g, d, b) for b in sets]
+    words = _codewords(g, d, range(g.q), budget)
+    derivative = {}
+    for size in sorted({len(b) for b in sets}):
+        group = [b for b in sets if len(b) == size]
+        ranked = batch_indicators(g.gamma[None], g.q, d, np.array(group, dtype=np.intp).reshape(len(group), size))
+        derivative.update(zip(group, ranked[1][0].tolist()))
+    players = _player_order(g, d)
+    comps = {b: tuple(v for v in players if v not in b) for b in sets}
+    steering = {b: _steering(g, d, b, None, None) for b in {*sets, *comps.values()}}
+    digest = graph_hash(g)
+    rows = []
+    for b in sets:
+        pos = [players.index(v) for v in b]
+        max_td = _max_trace_distance([reduced_density(word, pos, budget=budget) for word in words])
+        secret = rng.normal(size=g.q) + 1j * rng.normal(size=g.q)
+        secret = _unit_secret(g.q, secret / np.linalg.norm(secret))
+        encoded = _superpose(g, words, secret)
+        fid_b = _bell_decode(g.q, steering[b], encoded, rng, secret, budget).fidelity
+        comp = comps[b]
+        fid_comp = _bell_decode(g.q, steering[comp], encoded, rng, secret, budget).fidelity if comp else None
+        hidden = fid_comp is not None and fid_comp >= 1 - 1e-7 and max_td <= 1e-7
+        rows.append({
+            "graph_hash": digest,
+            "B": list(b),
+            "verdict_graph": QUANTUM_VERDICT[derivative[b]],
+            "verdict_oracle": "accessible" if fid_b >= 1 - 1e-7 else "no_info" if hidden else "partial",
+            "max_trace_distance": float(max_td),
+            "decode_fidelity": float(fid_b),
+        })
+    return rows
 
-    secret = rng.normal(size=g.q) + 1j * rng.normal(size=g.q)
-    secret = secret / np.linalg.norm(secret)
-    encoded = qq_encode(g, d, secret, budget=budget)
-    res_b = qq_decode_bell(g, d, b, None, None, encoded, rng, expected=secret, budget=budget)
-    comp = tuple(v for v in range(g.n) if v != d and v not in b)
-    fid_comp = None
-    if comp:
-        res_c = qq_decode_bell(g, d, comp, None, None, encoded, rng, expected=secret, budget=budget)
-        fid_comp = res_c.fidelity
 
-    if res_b.fidelity is not None and res_b.fidelity >= 1 - 1e-7:
-        verdict_oracle = "accessible"
-    elif fid_comp is not None and fid_comp >= 1 - 1e-7 and max_td <= 1e-7:
-        verdict_oracle = "no_info"
-    else:
-        verdict_oracle = "partial"
-
-    return {
-        "graph_hash": graph_hash(g),
-        "B": list(b),
-        "verdict_graph": verdict_graph,
-        "verdict_oracle": verdict_oracle,
-        "max_trace_distance": float(max_td),
-        "decode_fidelity": float(res_b.fidelity) if res_b.fidelity is not None else None,
-    }
+def oracle_report(g: Multigraph, d: int, b_set, rng: np.random.Generator, budget: int = AMPLITUDE_BUDGET) -> dict:
+    """Cross-check record for one (graph, dealer, player set) instance: the
+    one-set case of oracle_reports."""
+    return oracle_reports(g, d, [b_set], rng, budget)[0]

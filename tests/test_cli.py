@@ -155,6 +155,25 @@ def test_precondition_errors_exit_2(capsys, star_file, tmp_path):
     assert "another search" in err
 
 
+DEALER_ARGS = {
+    "access": ["--set", "1"],
+    "scheme-k": [],
+    "oracle-verify": ["--seed", "3"],
+    "cq-round": ["--set", "1", "--seed", "3"],
+    "qq-decode": ["--set", "1", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("dealer", ["9", "-1", "8"])
+@pytest.mark.parametrize("command", sorted(DEALER_ARGS))
+def test_dealer_out_of_range_exit_2(capsys, rs_file, command, dealer):
+    # rs747 has 8 vertices, so 8 and 9 are past its end and -1 is before it
+    code, out, err = run(capsys, [command, rs_file, "--dealer", dealer, *DEALER_ARGS[command]])
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert f"dealer {dealer} out of range" in err
+
+
 def test_budget_errors_exit_3(capsys, star_file, rs_file):
     code, _, err = run(
         capsys,
@@ -316,6 +335,88 @@ def test_oracle_verify_size_cap(capsys, star_file):
     assert len(report(out)["result"]["rows"]) == 3
 
 
+# Reports of `oracle-verify --dealer 0` pinned from the per-set implementation
+# that preceded the per-graph sweep, minus wall_time. Each row is (B, verdict,
+# max_trace_distance, decode_fidelity); every row's graph and oracle verdicts
+# agree. The sweep does the same float operations in the same order and draws
+# the same random numbers, so every float must match exactly.
+ORACLE_PINS = {
+    "q2": ("q 2\nn 5\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 3 1\ne 3 4 1\ne 1 4 1\n", 7, "84dd5c0bd4aaaf5b", [
+        ((), "no_info", 0.0, 0.7553505920066489),
+        ((1,), "no_info", 3.0616169978683824e-17, 0.9828419199896004),
+        ((2,), "no_info", 3.061616997868383e-17, 0.9204664815022061),
+        ((3,), "no_info", 6.162975822039155e-33, 0.6984592912556628),
+        ((4,), "no_info", 0.0, 0.13689314933764724),
+        ((1, 2), "partial", 4.3297802811774664e-17, 0.4408468586395985),
+        ((1, 3), "partial", 9.681683036350967e-17, 0.7891670977090454),
+        ((1, 4), "partial", 1.0, 0.8063034551248721),
+        ((2, 3), "partial", 1.0, 0.6973571949614591),
+        ((2, 4), "partial", 9.681683036350972e-17, 0.6386497097838786),
+        ((3, 4), "partial", 8.650572712760372e-33, 0.22097970770120814),
+        ((1, 2, 3), "accessible", 1.0000000000000004, 0.9999999999999997),
+        ((1, 2, 4), "accessible", 1.0, 0.9999999999999998),
+        ((1, 3, 4), "accessible", 1.0, 1.0000000000000009),
+        ((2, 3, 4), "accessible", 1.0, 1.0000000000000007),
+        ((1, 2, 3, 4), "accessible", 1.0, 0.9999999999999991),
+    ]),
+    "q3": ("q 3\nn 4\ne 0 1 1\ne 0 2 2\ne 1 2 1\ne 2 3 1\ne 1 3 2\n", 11, "1e23af1c947a5f54", [
+        ((), "no_info", 0.0, 0.7242142759311068),
+        ((1,), "no_info", 1.8440577321853656e-16, 0.4669708631903393),
+        ((2,), "no_info", 1.816271650468207e-16, 0.6474751590857679),
+        ((3,), "partial", 9.829515167218813e-17, 0.10005751301441228),
+        ((1, 2), "partial", 2.641657457251073e-16, 0.8470895051047747),
+        ((1, 3), "accessible", 1.0000000000000002, 0.9999999999999999),
+        ((2, 3), "accessible", 1.0000000000000004, 0.9999999999999993),
+        ((1, 2, 3), "accessible", 1.0, 1.0),
+    ]),
+    "q5": ("q 5\nn 4\ne 0 1 2\ne 0 2 3\ne 1 2 4\ne 2 3 1\n", 5, "c918e658065311fc", [
+        ((), "no_info", 0.0, 0.04955859660037571),
+        ((1,), "partial", 1.3606863475249125e-16, 0.4285078429082082),
+        ((2,), "no_info", 1.4512434180810912e-16, 0.6727335955441638),
+        ((3,), "no_info", 1.220701126699668e-16, 0.25418437836231383),
+        ((1, 2), "accessible", 1.0000000000000007, 0.9999999999999983),
+        ((1, 3), "accessible", 1.0000000000000007, 1.0000000000000002),
+        ((2, 3), "partial", 2.1386647320189016e-16, 0.1530932191838654),
+        ((1, 2, 3), "accessible", 1.000000000000007, 1.0000000000000009),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name, max_size", [("q2", None), ("q2", 2), ("q3", None), ("q3", 1), ("q5", None)])
+def test_oracle_verify_reports_pinned(capsys, tmp_path, name, max_size):
+    text, seed, digest, pinned = ORACLE_PINS[name]
+    path = tmp_path / f"{name}.graph"
+    path.write_text(text)
+    cap = [] if max_size is None else ["--max-size", str(max_size)]
+    code, out, _ = run(capsys, ["oracle-verify", str(path), "--dealer", "0", "--seed", str(seed), *cap])
+    assert code == EXIT_OK
+    rep = report(out)
+    del rep["wall_time"]
+    expected = [
+        {"graph_hash": digest, "B": list(b), "verdict_graph": verdict, "verdict_oracle": verdict,
+         "max_trace_distance": td, "decode_fidelity": fid}
+        for b, verdict, td, fid in pinned if max_size is None or len(b) <= max_size
+    ]
+    assert rep == {"command": "oracle-verify", "inputs": {"graph": str(path), "dealer": 0},
+                   "result": {"rows": expected, "disagreements": 0}, "seed": seed}
+
+
+def test_oracle_verify_isolated_dealer_exit_2(capsys, tmp_path):
+    path = tmp_path / "iso.graph"
+    path.write_text("q 3\nn 3\ne 1 2 1\n")
+    code, out, err = run(capsys, ["oracle-verify", str(path), "--dealer", "0", "--seed", "1"])
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "isolated dealer" in err
+
+
+def test_oracle_verify_rejects_negative_max_size(capsys, star_file):
+    code, out, err = run(capsys, ["oracle-verify", star_file, "--dealer", "0", "--seed", "3", "--max-size", "-1"])
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "--max-size -1" in err
+
+
 # ------------------------------------------------------------------- cq-round
 
 
@@ -346,6 +447,14 @@ def test_cq_round_unauthorized_raise_and_measure(capsys, star_file):
     res = report(out)["result"]
     assert res["total"] == 6
     assert 0 <= res["agreements"] <= 6
+
+
+def test_cq_round_rejects_negative_rounds(capsys, star_file):
+    code, out, err = run(capsys, ["cq-round", star_file, "--dealer", "0", "--set", "1,2", "--seed", "4",
+                                  "--rounds", "-3"])
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "--rounds -3" in err
 
 
 # ------------------------------------------------------------------ qq-decode

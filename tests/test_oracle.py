@@ -37,6 +37,7 @@ from qss.oracle import (
     mub_vector,
     omega_table,
     oracle_report,
+    oracle_reports,
     qq_decode_bell,
     qq_encode,
     reduced_density,
@@ -685,3 +686,29 @@ def test_oracle_report_verdicts_agree():
             "max_trace_distance",
             "decode_fidelity",
         }
+
+
+def test_oracle_reports_equal_one_set_loop():
+    # one seed drives both sides: the sweep over all sets of a dealer draws
+    # the same numbers, in the same order, as one oracle_report call per set
+    rng = np.random.default_rng(17)
+    for q, n in ((2, 5), (3, 4), (5, 4), (7, 3)):
+        g = random_graph(n, q, rng)
+        for d in range(n):
+            if g.degree(d) == 0:
+                continue
+            players = [v for v in range(n) if v != d]
+            # bitmask order interleaves the set sizes that the sweep ranks apart
+            sets = [[players[j] for j in range(n - 1) if bits >> j & 1] for bits in range(2 ** (n - 1))]
+            loop_rng = np.random.default_rng(5)
+            assert oracle_reports(g, d, sets, np.random.default_rng(5)) == [
+                oracle_report(g, d, b, loop_rng) for b in sets
+            ]
+
+
+def test_oracle_reports_reject_bad_inputs():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="must not belong"):
+        oracle_reports(star3(), 0, [(1,), (0, 1)], rng)
+    with pytest.raises(ValueError, match="isolated dealer"):
+        oracle_reports(Multigraph(3, [[0, 0, 0], [0, 0, 1], [0, 1, 0]]), 0, [(1,)], rng)
