@@ -76,10 +76,13 @@ def batch_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarra
     key[:, dealer] = 2
     cols = np.argsort(key, axis=1, kind="stable")[:, size:]
     rows = np.concatenate([subsets, np.full((sets, 1), dealer)], axis=1)
-    bordered = gammas[:, rows[:, :, None], cols[:, None, :]]
-    c_outside, r_outside = batch_border_indicators_mod(bordered.reshape(count * sets, size + 1, n - size), q)
-    pi = c_outside.reshape(count, sets).astype(np.int64)
-    return pi, r_outside.reshape(count, sets) - pi
+    # gathered with the (set, graph) stack axis last, the layout the
+    # elimination runs in, and passed as an (N, R, C) view of it
+    bordered = gammas.transpose(1, 2, 0)[rows.T[:, None, :], cols.T[None, :, :]]
+    stack = bordered.reshape(size + 1, n - size, sets * count).transpose(2, 0, 1)
+    c_outside, r_outside = batch_border_indicators_mod(stack, q)
+    pi = c_outside.reshape(sets, count).T.astype(np.int64)
+    return pi, r_outside.reshape(sets, count).T - pi
 
 
 def _indicators(g: Multigraph, d: int, b_set) -> tuple[int, int]:

@@ -195,9 +195,16 @@ def emit_curve(q_min: int, q_max: int, step: int = 1, tol: float = 1e-8) -> str:
 
     Header is exactly `q,alpha_lower,alpha_random_threshold`; rows ascend in
     q. step subsamples the prime list (step=1 keeps every prime).
+
+    Raises:
+        ValueError: when no prime lies in [q_min, q_max], an inverted range
+            included.
     """
+    primes = _primes_between(q_min, q_max)
+    if not primes:
+        raise ValueError(f"no prime q in [{q_min}, {q_max}]")
     lines = ["q,alpha_lower,alpha_random_threshold"]
-    for p in _primes_between(q_min, q_max)[::step]:
+    for p in primes[::step]:
         lower = asymptotic_lower_bound(p, tol).alpha
         rnd = random_threshold_alpha(p, tol).alpha
         lines.append(f"{p},{lower:.10f},{rnd:.10f}")

@@ -262,6 +262,8 @@ def exhaustive_search(
         raise ValueError(f"threshold k={k} outside 1..{n - 1}")
     if budget is not None and budget < 0:
         raise ValueError("budget must be nonnegative")
+    if workers < 1:
+        raise ValueError(f"workers={workers} is below 1")
     total = q ** (n * (n - 1) // 2)
     header = f"# n={n} q={q} k={k} dealer_fixed={int(dealer_fixed)}"
     found: int | None = None
@@ -364,6 +366,8 @@ def random_trials(
     require_prime(q)
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    if workers < 1:
+        raise ValueError(f"workers={workers} is below 1")
     players = n - 1
     if k is None:
         k = ceil(alpha * players - 1e-9)

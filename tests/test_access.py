@@ -18,6 +18,7 @@ from qss.access import (
     CLASSICAL_ACCESSIBLE,
     NO_INFO,
     PARTIAL,
+    batch_indicators,
     classify,
     cutrank,
     dealer_kernel_witness,
@@ -190,6 +191,36 @@ def test_indicators_match_pure_int_cut_ranks(dg, data):
         verdict = classify(g, d, b)
         assert pi_classical(g, d, b) == verdict.pi == pi
         assert quantum_derivative(g, d, b) == verdict.derivative == der
+
+
+def test_batch_indicators_many_sets_match_pure_int_cut_ranks():
+    # one graph, then two, against every player set of each size: with many
+    # sets per graph the stack axis runs mostly over sets, and each pivot row
+    # must be read from the live stack, not from a stale copy of it
+    rs = rs747_fixture()
+    d, players = rs.dealer, list(rs.players)
+    graphs = [rs.graph, random_graph(8, 7, 23)]
+    gammas = np.stack([g.gamma for g in graphs])
+
+    def rk(g, rows, cols):
+        return int_rank([[int(g.gamma[u, v]) for v in cols] for u in rows], g.q)
+
+    for size in range(len(players) + 1):
+        sets = list(combinations(players, size))
+        want = []
+        for g in graphs:
+            pairs = []
+            for b in sets:
+                rest = [v for v in players if v not in b]
+                pairs.append((rk(g, b, rest + [d]) - rk(g, b, rest), rk(g, b + (d,), rest) - rk(g, b, rest + [d])))
+            want.append(pairs)
+        subsets = np.array(sets, dtype=np.intp).reshape(len(sets), size)
+        for count in (1, 2):
+            pi, der = batch_indicators(gammas[:count], 7, d, subsets)
+            assert pi.shape == der.shape == (count, len(sets))
+            assert [list(zip(p, r)) for p, r in zip(pi.tolist(), der.tolist())] == want[:count]
+        if size == 3:
+            assert want[0][sets.index((4, 5, 7))] == (0, 1)
 
 
 # ------------------------------------------------------------------- classify

@@ -262,6 +262,20 @@ def test_search_rejects_impossible_k_and_negative_budget(capsys, tmp_path):
     assert not ckpt.exists()  # refused before the checkpoint is opened
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_search_and_sample_reject_workers_below_one(capsys, tmp_path, workers):
+    ckpt = tmp_path / "progress.ckpt"
+    for argv in (
+        ["search", "--n", "4", "--q", "3", "--k", "2", "--checkpoint", str(ckpt)],
+        ["sample", "--n", "5", "--q", "2", "--alpha", "0.6", "--trials", "10", "--seed", "8"],
+    ):
+        code, out, err = run(capsys, argv + ["--workers", workers])
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert f"workers={workers} is below 1" in err
+    assert not ckpt.exists()
+
+
 # --------------------------------------------------------------------- sample
 
 
@@ -296,6 +310,14 @@ def test_bounds_csv_artifact(capsys):
     q2 = lines[1].split(",")
     assert float(q2[1]) == pytest.approx(0.5063762, abs=1e-6)
     assert float(q2[2]) == pytest.approx(0.8107104, abs=1e-6)
+
+
+@pytest.mark.parametrize("qmin, qmax", [("5", "2"), ("24", "28")])
+def test_bounds_rejects_a_range_without_primes(capsys, qmin, qmax):
+    code, out, err = run(capsys, ["bounds", "--qmin", qmin, "--qmax", qmax])
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert f"no prime q in [{qmin}, {qmax}]" in err
 
 
 # -------------------------------------------------------------------- fixture

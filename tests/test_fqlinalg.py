@@ -30,6 +30,18 @@ PRIMES = [2, 3, 5, 7]
 LARGEST_PRIME = 1048573  # the largest prime below FIELD_SIZE_CEILING = 2**20
 
 
+def kernel_entries(q):
+    """Matrix entries for the kernel property tests: 0, 1 and q - 1 often
+    (q - 1 gives the largest products, (q - 1)^2, at LARGEST_PRIME), any
+    residue, and int64 values outside [0, q) that the entry reduction must
+    handle."""
+    return st.one_of(
+        st.sampled_from([0, 1, q - 1]),
+        st.integers(0, q - 1),
+        st.sampled_from([-1, -q, 2**62 + 1]),
+    )
+
+
 def span_size_rank(a, q):
     """Rank via the size of the row span, |span| = q^rank.
 
@@ -82,6 +94,19 @@ def test_ranks_exact_just_below_ceiling():
     assert batch_rank_mod(np.stack(mats), q).tolist() == want
 
 
+def test_ranks_exact_where_a_bare_float_quotient_errs():
+    # for 92 of the multiples a = m * 197 with |m| < 197, floor(a * (1/197))
+    # rounds to m - 1; the kernel's floor((a + 1/2) * (1/q)) does not, and
+    # rank-deficient matrices make such multiples in their eliminated rows
+    q = 197
+    rng = np.random.default_rng(20)
+    mats = [rng.integers(0, q, size=(5, r)) @ rng.integers(0, q, size=(r, 6)) % q for r in (1, 2, 3, 4) for _ in range(10)]
+    want = [int_rank(m.tolist(), q) for m in mats]
+    assert sorted(set(want)) == [1, 2, 3, 4]
+    assert [rank_mod(m, q) for m in mats] == want
+    assert batch_rank_mod(np.stack(mats), q).tolist() == want
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     st.sampled_from(PRIMES + [LARGEST_PRIME]),
@@ -92,7 +117,7 @@ def test_ranks_exact_just_below_ceiling():
 )
 def test_rank_kernels_match_pure_int_reference(q, count, rows, cols, data):
     # many zeros and repeated entries give rank-deficient matrices
-    entry = st.one_of(st.just(0), st.just(1), st.integers(0, q - 1))
+    entry = kernel_entries(q)
     flat = data.draw(st.lists(entry, min_size=count * rows * cols, max_size=count * rows * cols))
     mats = np.array(flat, dtype=np.int64).reshape(count, rows, cols)
     want = [int_rank(m.tolist(), q) for m in mats]
@@ -305,7 +330,7 @@ def test_batch_rank_empty_and_bad_shapes():
 )
 def test_border_indicators_match_pure_int_reference(q, count, m, w, data):
     # stacks of bordered matrices [[M, c], [r, x]] with M of shape m x w
-    entry = st.one_of(st.just(0), st.just(1), st.integers(0, q - 1))
+    entry = kernel_entries(q)
     size = count * (m + 1) * (w + 1)
     mats = np.array(data.draw(st.lists(entry, min_size=size, max_size=size)), dtype=np.int64)
     mats = mats.reshape(count, m + 1, w + 1)
@@ -315,6 +340,27 @@ def test_border_indicators_match_pure_int_reference(q, count, m, w, data):
         rank_m = int_rank(mat[:m, :w].tolist(), q)
         assert got_c == int_rank(mat[:m, :].tolist(), q) - rank_m  # [M | c]
         assert got_r == int_rank(mat[:, :w].tolist(), q) - rank_m  # [M ; r]
+
+
+def test_kernels_accept_strided_stacks():
+    # views that are not C-contiguous: every other matrix of a transposed
+    # stack with its columns reversed, and single matrices cut from it
+    rng = np.random.default_rng(19)
+    for q in (3, LARGEST_PRIME):
+        full = rng.integers(-q, 2 * q, size=(5, 12, 6))
+        full[:, :4] = np.einsum("ik,kjc->ijc", rng.integers(0, q, size=(5, 2)), full[:2, :4]) % q
+        mats = full.transpose(1, 0, 2)[::2, :, ::-1]
+        assert mats.shape == (6, 5, 6) and not mats.flags.c_contiguous
+        want = [int_rank(m.tolist(), q) for m in mats]
+        assert min(want) <= 2
+        assert batch_rank_mod(mats, q).tolist() == want
+        assert [rank_mod(m, q) for m in mats] == want
+        assert [rref_mod(m, q)[0].tolist() for m in mats] == [int_rref(m.tolist(), q)[0] for m in mats]
+        c_outside, r_outside = batch_border_indicators_mod(mats, q)
+        for got_c, got_r, mat in zip(c_outside, r_outside, mats):
+            rank_m = int_rank(mat[:-1, :-1].tolist(), q)
+            assert got_c == int_rank(mat[:-1, :].tolist(), q) - rank_m
+            assert got_r == int_rank(mat[:, :-1].tolist(), q) - rank_m
 
 
 def test_border_indicators_degenerate_shapes():
