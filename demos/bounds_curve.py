@@ -24,8 +24,8 @@ print(emit_curve(2, 23))
 
 a = asymptotic_lower_bound(5)
 r = random_threshold_alpha(5)
-print(f"q=5: impossibility at alpha >= {a.alpha:.7f} ({a.method}, tol {a.tolerance})")
-print(f"     random schemes at alpha >= {r.alpha:.7f} ({r.method})")
+print(f"q=5: impossibility at alpha >= {a:.7f}")
+print(f"     random schemes at alpha >= {r:.7f}")
 
 # At finite n the impossibility inequality can be evaluated exactly with
 # integer arithmetic. For 400 vertices over F_2 it rules out thresholds up

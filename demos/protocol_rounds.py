@@ -56,11 +56,11 @@ print(f"empirical mutual information: {mi:.4f} bits (plug-in estimate, ~0)")
 secret = rng.normal(size=3) + 1j * rng.normal(size=3)
 secret = secret / np.linalg.norm(secret)
 encoded = qq_encode(star, 0, secret)
-res = qq_decode_bell(star, 0, (1, 2), None, None, encoded, rng, expected=secret)
+res = qq_decode_bell(star, 0, (1, 2), encoded, rng, expected=secret)
 print(f"\nquantum decode by B = {{1, 2}}: fidelity {res.fidelity:.15f}, "
       f"syndrome {res.syndrome}")
 
 # A lone player holds a classically-readable but quantum-blocked share:
-res_partial = qq_decode_bell(star, 0, (1,), None, None, encoded, rng, expected=secret)
+res_partial = qq_decode_bell(star, 0, (1,), encoded, rng, expected=secret)
 print(f"quantum decode by B = {{1}}:    fidelity {res_partial.fidelity:.15f} "
       f"(fallback used: {res_partial.used_fallback})")

@@ -54,7 +54,6 @@ from .search import (
     sufficient_condition_check,
 )
 from .bounds import (
-    BoundResult,
     asymptotic_lower_bound,
     emit_curve,
     entropy,
@@ -76,7 +75,6 @@ from .oracle import (
     info_leak,
     measure_weyl,
     mub_vector,
-    oracle_report,
     qq_decode_bell,
     qq_encode,
     reduced_density,

@@ -132,7 +132,7 @@ def witness_D(g: Multigraph, d: int, b_set) -> Multiset | None:
     sol = solve_affine_mod(m, target, g.q)
     if sol is None:
         return None
-    return Multiset(g.q, dict(zip(b, sol.tolist())), domain=b)
+    return Multiset(g.q, dict(zip(b, sol.tolist())))
 
 
 def witness_C(g: Multigraph, d: int, b_set) -> Multiset | None:
@@ -154,7 +154,7 @@ def witness_C(g: Multigraph, d: int, b_set) -> Multiset | None:
     sol = solve_affine_mod(m, target, g.q)
     if sol is None:
         return None
-    return Multiset(g.q, dict(zip(outside, sol.tolist())), domain=outside)
+    return Multiset(g.q, dict(zip(outside, sol.tolist())))
 
 
 def classify(g: Multigraph, d: int, b_set, cross_check: bool = False) -> AccessVerdict:
@@ -187,8 +187,8 @@ def verify_witness_pair(g: Multigraph, d: int, b_set, d_ms, c_ms) -> bool:
     """
     b = _check_b(g, d, b_set)
     bset = set(b)
-    d_ms = Multiset(g.q, d_ms if not isinstance(d_ms, Multiset) else d_ms.weights)
-    c_ms = Multiset(g.q, c_ms if not isinstance(c_ms, Multiset) else c_ms.weights)
+    d_ms = Multiset(g.q, d_ms)
+    c_ms = Multiset(g.q, c_ms)
     if not d_ms.support() <= bset:
         raise ValueError("D is supported outside the player set")
     if not c_ms.support() <= bset | {d}:
@@ -245,7 +245,7 @@ def dealer_kernel_witness(g: Multigraph, d: int, b_set) -> Multiset:
         key = (int(np.count_nonzero(cand)), tuple(cand.tolist()))
         if best is None or key < best[0]:
             best = (key, cand)
-    return Multiset(g.q, dict(zip(cols, best[1].tolist())), domain=cols)
+    return Multiset(g.q, dict(zip(cols, best[1].tolist())))
 
 
 def kernel_slice_columns(g: Multigraph, d: int, b_set) -> tuple[np.ndarray, np.ndarray, list[int]]:

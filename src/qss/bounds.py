@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .fqlinalg import is_prime
@@ -42,14 +41,6 @@ def entropy(x: float, base: float) -> float:
     return out
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    q: int
-    alpha: float
-    method: str
-    tolerance: float
-
-
 def _bisect(f, lo: float, hi: float, tol: float) -> float:
     """Bisection for the smallest alpha in (lo, hi] with f(alpha) True.
 
@@ -69,7 +60,7 @@ def _bisect(f, lo: float, hi: float, tol: float) -> float:
     return hi
 
 
-def random_threshold_alpha(q: int, tol: float = 1e-8) -> BoundResult:
+def random_threshold_alpha(q: int, tol: float = 1e-8) -> float:
     """Minimal alpha with H_{q^2}(1 - alpha) strictly below 1/2.
 
     The random-scheme theorem is stated for prime q, but the threshold
@@ -85,10 +76,10 @@ def random_threshold_alpha(q: int, tol: float = 1e-8) -> BoundResult:
     def ok(alpha: float) -> bool:
         return entropy(1.0 - alpha, base) < 0.5
 
-    return BoundResult(q, _bisect(ok, 0.5, 1.0, tol), "random-threshold", tol)
+    return _bisect(ok, 0.5, 1.0, tol)
 
 
-def asymptotic_lower_bound(q: int, tol: float = 1e-8) -> BoundResult:
+def asymptotic_lower_bound(q: int, tol: float = 1e-8) -> float:
     """Minimal alpha in (0.5, 1) satisfying the impossibility inequality
     H_2((alpha*q + 1)/(q + 1)) + alpha*H_2((1 - alpha)/alpha) >= H_2(alpha).
 
@@ -107,7 +98,7 @@ def asymptotic_lower_bound(q: int, tol: float = 1e-8) -> BoundResult:
 
     # At alpha -> 0.5+ the inequality fails (lhs < 1 = H_2(0.5)); at 1 it
     # holds (H_2(1) = 0). Bisect on that bracket.
-    return BoundResult(q, _bisect(ok, 0.5, 1.0 - 1e-12, tol), "asymptotic-root", tol)
+    return _bisect(ok, 0.5, 1.0 - 1e-12, tol)
 
 
 def _binom_rounded(n: int, x: Fraction) -> int:
@@ -124,6 +115,15 @@ def _binom_rounded(n: int, x: Fraction) -> int:
     return max(vals) if vals else 0
 
 
+def _finite_sides(n: int, q: int, k: int) -> tuple[int, Fraction]:
+    """(left, right) sides of finite_inequality_holds; the left side is
+    shared with the derivation's form in proof_chain_constant_consistent."""
+    alpha = Fraction(k, n)
+    lhs = _binom_rounded(n, (1 - alpha) * q * n / Fraction(q + 1))
+    lhs *= math.comb(k, 2 * k - n) if 2 * k - n >= 0 else 0
+    return lhs, (2 * alpha - 1) * (1 - alpha) / 2 * math.comb(n, k)
+
+
 def finite_inequality_holds(n: int, q: int, k: int) -> bool:
     """Exact test of the finite-n existence inequality at alpha = k/n:
 
@@ -133,15 +133,8 @@ def finite_inequality_holds(n: int, q: int, k: int) -> bool:
     the left side, arithmetic is exact (integers and Fractions), so False
     really means no ((k, n))_q scheme exists.
     """
-    alpha = Fraction(k, n)
-    left_arg = (1 - alpha) * q * n / Fraction(q + 1)
-    lhs = _binom_rounded(n, left_arg)
-    if 2 * k - n >= 0:
-        lhs *= math.comb(k, 2 * k - n)
-    else:
-        lhs *= 0
-    rhs = (2 * alpha - 1) * (1 - alpha) / 2 * math.comb(n, k)
-    return Fraction(lhs) >= rhs
+    lhs, rhs = _finite_sides(n, q, k)
+    return lhs >= rhs
 
 
 def proof_chain_constant_consistent(n: int, q: int, k: int) -> bool:
@@ -157,12 +150,9 @@ def proof_chain_constant_consistent(n: int, q: int, k: int) -> bool:
     alpha = Fraction(k, n)
     if not Fraction(1, 2) < alpha < 1:
         return True
-    left_arg = (1 - alpha) * q * n / Fraction(q + 1)
-    lhs = _binom_rounded(n, left_arg)
-    lhs *= math.comb(k, 2 * k - n) if 2 * k - n >= 0 else 0
-    proof_rhs = (1 - alpha) * (1 + alpha * q) / ((2 * alpha - 1) * (q + 1)) * math.comb(n, k)
-    statement = finite_inequality_holds(n, q, k)
-    proof = Fraction(lhs) >= proof_rhs
+    lhs, statement_rhs = _finite_sides(n, q, k)
+    statement = lhs >= statement_rhs
+    proof = lhs >= (1 - alpha) * (1 + alpha * q) / ((2 * alpha - 1) * (q + 1)) * math.comb(n, k)
     if statement != proof:
         log.info(
             "finite inequality constants disagree at n=%d q=%d k=%d: "
@@ -190,11 +180,11 @@ def _primes_between(lo: int, hi: int) -> list[int]:
     return [p for p in range(max(2, lo), hi + 1) if is_prime(p)]
 
 
-def emit_curve(q_min: int, q_max: int, step: int = 1, tol: float = 1e-8) -> str:
+def emit_curve(q_min: int, q_max: int, tol: float = 1e-8) -> str:
     """CSV of both alpha curves over the primes in [q_min, q_max].
 
     Header is exactly `q,alpha_lower,alpha_random_threshold`; rows ascend in
-    q. step subsamples the prime list (step=1 keeps every prime).
+    q.
 
     Raises:
         ValueError: when no prime lies in [q_min, q_max], an inverted range
@@ -204,8 +194,8 @@ def emit_curve(q_min: int, q_max: int, step: int = 1, tol: float = 1e-8) -> str:
     if not primes:
         raise ValueError(f"no prime q in [{q_min}, {q_max}]")
     lines = ["q,alpha_lower,alpha_random_threshold"]
-    for p in primes[::step]:
-        lower = asymptotic_lower_bound(p, tol).alpha
-        rnd = random_threshold_alpha(p, tol).alpha
+    for p in primes:
+        lower = asymptotic_lower_bound(p, tol)
+        rnd = random_threshold_alpha(p, tol)
         lines.append(f"{p},{lower:.10f},{rnd:.10f}")
     return "\n".join(lines) + "\n"

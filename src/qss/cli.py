@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 argument/parse error, 2 precondition violation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -180,8 +181,7 @@ def _run(args) -> int:
     if args.command == "scheme-k":
         g = _read_graph(args.graph, args.dealer)
         report = scheme_k(DealerGraph(g, args.dealer))
-        result = json.loads(report.to_json())
-        _emit("scheme-k", {"graph": args.graph, "dealer": args.dealer}, result, None, started)
+        _emit("scheme-k", {"graph": args.graph, "dealer": args.dealer}, dataclasses.asdict(report), None, started)
         return EXIT_OK
 
     if args.command == "search":
@@ -195,13 +195,13 @@ def _run(args) -> int:
             checkpoint_path=args.checkpoint,
         )
         inputs = {"n": args.n, "q": args.q, "k": args.k, "budget": args.budget, "workers": args.workers}
-        _emit("search", inputs, json.loads(res.to_json()), None, started)
+        _emit("search", inputs, dataclasses.asdict(res), None, started)
         return EXIT_BUDGET if res.status == "budget_exceeded" else EXIT_OK
 
     if args.command == "sample":
         summary = random_trials(args.n, args.q, args.alpha, args.trials, args.seed, workers=args.workers)
         inputs = {"n": args.n, "q": args.q, "alpha": args.alpha, "trials": args.trials}
-        _emit("sample", inputs, json.loads(summary.to_json()), args.seed, started)
+        _emit("sample", inputs, dataclasses.asdict(summary), args.seed, started)
         return EXIT_OK
 
     if args.command == "oracle-verify":
@@ -243,8 +243,7 @@ def _run(args) -> int:
         secret = rng.normal(size=g.q) + 1j * rng.normal(size=g.q)
         secret = secret / np.linalg.norm(secret)
         encoded = qq_encode(g, args.dealer, secret, budget=args.budget)
-        res = qq_decode_bell(g, args.dealer, b, None, None, encoded, rng,
-                             expected=secret, budget=args.budget)
+        res = qq_decode_bell(g, args.dealer, b, encoded, rng, secret, budget=args.budget)
         result = {
             "fidelity": res.fidelity,
             "syndrome": list(res.syndrome),

@@ -2,14 +2,14 @@
 
 A graph of order n is a symmetric n x n matrix over F_q with zero diagonal;
 entry (u, v) is the multiplicity of the edge u-v. Vertices are the 0-based
-indices 0..n-1. A multiset assigns an F_q multiplicity to each vertex of its
-domain; Gamma.D, the neighbour multiset of D, is the matrix-vector product
+indices 0..n-1. A multiset assigns an F_q multiplicity to each vertex;
+Gamma.D, the neighbour multiset of D, is the matrix-vector product
 (Gamma.D)(v) = sum_u Gamma(u, v) D(u) mod q.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -20,27 +20,19 @@ from .fqlinalg import require_prime
 class Multiset:
     """Vertex multiset with multiplicities in F_q.
 
-    Only nonzero multiplicities are stored. The optional domain records which
-    vertices the multiset is defined over (defaults to just its support) and
-    must contain the support.
+    Only nonzero multiplicities are stored. weights is a vertex ->
+    multiplicity mapping or another Multiset.
     """
 
-    def __init__(self, q: int, weights: Mapping[int, int], domain: Iterable[int] | None = None):
+    def __init__(self, q: int, weights: Mapping[int, int] | Multiset):
         self.q = require_prime(q)
         vals = {int(v): int(w) % q for v, w in weights.items()}
         self.weights = {v: w for v, w in sorted(vals.items()) if w != 0}
-        if domain is None:
-            self.domain = frozenset(self.weights)
-        else:
-            self.domain = frozenset(int(v) for v in domain)
-            missing = set(self.weights) - self.domain
-            if missing:
-                raise ValueError(f"support {sorted(missing)} outside domain")
 
     @classmethod
-    def from_vector(cls, q: int, vec, domain: Iterable[int] | None = None) -> "Multiset":
+    def from_vector(cls, q: int, vec) -> "Multiset":
         v = np.asarray(vec, dtype=np.int64) % q
-        return cls(q, {i: int(v[i]) for i in range(v.shape[0])}, domain)
+        return cls(q, {i: int(v[i]) for i in range(v.shape[0])})
 
     def support(self) -> frozenset[int]:
         return frozenset(self.weights)
@@ -138,17 +130,10 @@ class DealerGraph:
         return self.graph.n - 1
 
 
-def _weights_of(d) -> Mapping[int, int]:
-    if isinstance(d, Multiset):
-        return d.weights
-    return d
-
-
 def neighbors_multiset(g: Multigraph, d) -> Multiset:
     """Neighbour multiset Gamma.D over the full vertex set."""
-    vec = Multiset(g.q, _weights_of(d)).as_vector(g.n)
-    out = (g.gamma @ vec) % g.q
-    return Multiset.from_vector(g.q, out, domain=range(g.n))
+    vec = Multiset(g.q, d).as_vector(g.n)
+    return Multiset.from_vector(g.q, g.gamma @ vec)
 
 
 class InducedSubgraph(NamedTuple):
@@ -161,7 +146,7 @@ def induced_subgraph(g: Multigraph, d) -> InducedSubgraph:
     """Sub-multigraph induced by a multiset: on support vertices u, v the
     multiplicity is D(u) Gamma(u, v) D(v) mod q. edge_count is the plain
     integer number of edges (sum of multiplicities, not reduced)."""
-    ms = Multiset(g.q, _weights_of(d))
+    ms = Multiset(g.q, d)
     verts = tuple(sorted(ms.support() & set(range(g.n))))
     vec = ms.as_vector(g.n)[list(verts)]
     sub = (np.outer(vec, vec) * g.gamma[np.ix_(verts, verts)]) % g.q

@@ -21,7 +21,7 @@ import numpy as np
 
 from .fqlinalg import inv_mod, require_prime
 from .multigraph import Multigraph, Multiset, delete_vertex, serialize_graph
-from .access import QUANTUM_VERDICT, _check_b, batch_indicators, witness_C, witness_D
+from .access import QUANTUM_VERDICT, _check_b, batch_indicators, verify_witness_pair, witness_C, witness_D
 
 AMPLITUDE_BUDGET = 2_000_000
 ATOL = 1e-9
@@ -77,9 +77,9 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def check_normalized(self, tol: float = ATOL) -> "StateVector":
-        if abs(self.norm() - 1.0) > tol:
-            raise AssertionError(f"state norm {self.norm()} drifted beyond {tol}")
+    def check_normalized(self) -> "StateVector":
+        if abs(self.norm() - 1.0) > ATOL:
+            raise AssertionError(f"state norm {self.norm()} drifted beyond {ATOL}")
         return self
 
     def inner(self, other: "StateVector") -> complex:
@@ -90,9 +90,6 @@ class StateVector:
             raise ValueError("tensor factors must share the qudit dimension")
         amps = np.kron(self.amplitudes, other.amplitudes)
         return StateVector(self.q, self.n + other.n, amps, budget=budget)
-
-    def copy(self) -> "StateVector":
-        return StateVector._derived(self.q, self.n, self.amplitudes.copy())
 
     def __repr__(self):
         return f"StateVector(q={self.q}, n={self.n})"
@@ -477,13 +474,13 @@ def info_leak(g: Multigraph, d: int, b_set, budget: int = AMPLITUDE_BUDGET) -> f
     return _max_trace_distance(leak_profile(g, d, b_set, budget=budget))
 
 
-def schmidt_rank(state: StateVector, sites, tol: float = 1e-7) -> int:
-    """Schmidt rank of the bipartition (sites, rest)."""
+def schmidt_rank(state: StateVector, sites) -> int:
+    """Schmidt rank of the bipartition (sites, rest): singular values above 1e-7."""
     keep = sorted(set(int(s) for s in sites))
     grid = np.moveaxis(state.grid(), keep, range(len(keep)))
     mat = grid.reshape(state.q ** len(keep), -1)
     sing = np.linalg.svd(mat, compute_uv=False)
-    return int((sing > tol).sum())
+    return int((sing > 1e-7).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -499,19 +496,12 @@ def _restricted_stabilizer(g: Multigraph, d: int, u: int) -> WeylOperator:
     return WeylOperator(g.q, x, z, 0)
 
 
-def _as_weights(q: int, ms) -> Multiset:
-    return ms if isinstance(ms, Multiset) else Multiset(q, ms)
-
-
 def _validated_pair(g: Multigraph, d: int, b, d_ms, c_ms):
     """Normalize and sanity check the witness pair; returns (D, C) with the
     dealer coefficient of C equal to 1 and alpha = 1, or raises."""
-    from .access import verify_witness_pair
-
-    d_ms = _as_weights(g.q, d_ms)
+    d_ms = Multiset(g.q, d_ms)
     if c_ms is not None:
-        c_ms = _as_weights(g.q, c_ms)
-    if c_ms is not None:
+        c_ms = Multiset(g.q, c_ms)
         if not verify_witness_pair(g, d, b, d_ms, c_ms):
             raise ValueError("witness pair fails the access conditions")
     else:
@@ -731,7 +721,7 @@ def code_unitaries(g: Multigraph, d: int, b_set, d_ms, c_ms) -> tuple[WeylOperat
 @dataclass(frozen=True)
 class BellDecodeResult:
     amplitudes: np.ndarray
-    fidelity: float | None
+    fidelity: float
     syndrome: tuple[int, int]
     used_fallback: bool
 
@@ -740,42 +730,37 @@ def qq_decode_bell(
     g: Multigraph,
     d: int,
     b_set,
-    d_ms,
-    c_ms,
     encoded: StateVector,
     rng: np.random.Generator,
-    expected=None,
+    expected,
     budget: int = AMPLITUDE_BUDGET,
 ) -> BellDecodeResult:
-    """Teleport the logical secret out of the encoded state via a Bell pair.
+    """Teleport the logical secret out of the encoded state via a Bell pair
+    and report its fidelity to the expected secret amplitudes.
 
     Two ancillas join the player register in |00>+...+|q-1,q-1>. The set
     measures V_B^{-1} X_{a1}^{-1} (syndrome k) and U_B Z_{a1}^{-1}
     (syndrome l, recorded as minus the eigenvalue label), then applies
     Z^k X^{-l} on the second ancilla, which afterwards carries the secret.
 
-    When no valid witness pair is supplied or derivable the identity
-    operators stand in (used_fallback = True); the measurements then fail
-    to steer and the reported fidelity stays below 1.
+    The witnesses D and C are solved here. When either does not exist the
+    identity operators stand in (used_fallback = True); the measurements
+    then fail to steer and the reported fidelity stays below 1. A set that
+    holds the dealer or leaves the vertex range raises ValueError.
     """
-    b = tuple(sorted(set(int(v) for v in b_set)))
-    return _bell_decode(g.q, _steering(g, d, b, d_ms, c_ms), encoded, rng, expected, budget)
+    return _bell_decode(g.q, _steering(g, d, _check_b(g, d, b_set)), encoded, rng, expected, budget)
 
 
-def _steering(g: Multigraph, d: int, b: tuple[int, ...], d_ms, c_ms) -> tuple[WeylOperator, WeylOperator, bool]:
+def _steering(g: Multigraph, d: int, b: tuple[int, ...]) -> tuple[WeylOperator, WeylOperator, bool]:
     """(U_B, V_B, used_fallback) for qq_decode_bell: the code unitaries of
-    the given or solved witness pair, else the identity stand-ins."""
-    try:
-        if d_ms is None:
-            d_ms = witness_D(g, d, b)
-        # without D the fallback is certain, so C's solve would be wasted
-        if c_ms is None and d_ms is not None:
-            comp = [v for v in range(g.n) if v != d and v not in b]
-            c_ms = witness_C(g, d, comp)
-        return (*code_unitaries(g, d, b, d_ms, c_ms), False)
-    except (ValueError, TypeError):
+    the solved witness pair, else the identity stand-ins."""
+    d_ms = witness_D(g, d, b)
+    # without D the fallback is certain, so C's solve would be wasted
+    c_ms = None if d_ms is None else witness_C(g, d, [v for v in range(g.n) if v != d and v not in b])
+    if c_ms is None:
         identity = WeylOperator.identity(g.q, g.n - 1)
         return identity, identity, True
+    return (*code_unitaries(g, d, b, d_ms, c_ms), False)
 
 
 def _bell_decode(q: int, steering, encoded: StateVector, rng: np.random.Generator, expected, budget: int):
@@ -798,10 +783,8 @@ def _bell_decode(q: int, steering, encoded: StateVector, rng: np.random.Generato
     top = vecs[:, int(np.argmax(vals))]
     pivot = int(np.argmax(abs(top)))
     top = top * (abs(top[pivot]) / top[pivot])
-    fid = None
-    if expected is not None:
-        expected = np.asarray(expected, dtype=np.complex128).reshape(q)
-        fid = float(np.real(expected.conj() @ rho @ expected))
+    expected = np.asarray(expected, dtype=np.complex128).reshape(q)
+    fid = float(np.real(expected.conj() @ rho @ expected))
     return BellDecodeResult(top, fid, (k, l), used_fallback)
 
 
@@ -862,13 +845,13 @@ def _fourier_matrix(q: int) -> np.ndarray:
     return omega_table(q)[np.outer(j, j) % q] / np.sqrt(q)
 
 
-def _project_site(state: StateVector, site: int, vec: np.ndarray, tol: float = ATOL) -> StateVector:
+def _project_site(state: StateVector, site: int, vec: np.ndarray) -> StateVector:
     """Contract one site against a unit vector; errors if the site was not
-    exactly in that state (norm loss above tol)."""
+    exactly in that state (norm loss above 1e-7)."""
     grid = np.moveaxis(state.grid(), site, 0)
     res = np.tensordot(vec.conj(), grid, axes=(0, 0))
     norm = np.linalg.norm(res)
-    if abs(norm - 1.0) > max(tol, 1e-7):
+    if abs(norm - 1.0) > 1e-7:
         raise AssertionError(f"site {site} is not in the expected product state (residual norm {norm})")
     return StateVector._derived(state.q, state.n - 1, res / norm)
 
@@ -936,8 +919,7 @@ def encode_decode_variants(
         return _project_site(full, 0, plus)
 
     if mode in ("D2", "D3"):
-        b = tuple(sorted(players if b_set is None else set(int(v) for v in b_set)))
-        u_op, v_op, fallback = _steering(g, d, b, None, None)
+        u_op, v_op, fallback = _steering(g, d, _check_b(g, d, players if b_set is None else b_set))
         if fallback:
             raise ValueError("decoding variants need an authorized player set")
         encoded = qq_encode(g, d, secret, budget=budget)
@@ -994,7 +976,7 @@ def oracle_reports(
         derivative.update(zip(group, ranked[1][0].tolist()))
     players = _player_order(g, d)
     comps = {b: tuple(v for v in players if v not in b) for b in sets}
-    steering = {b: _steering(g, d, b, None, None) for b in {*sets, *comps.values()}}
+    steering = {b: _steering(g, d, b) for b in {*sets, *comps.values()}}
     digest = graph_hash(g)
     rows = []
     for b in sets:
@@ -1016,9 +998,3 @@ def oracle_reports(
             "decode_fidelity": float(fid_b),
         })
     return rows
-
-
-def oracle_report(g: Multigraph, d: int, b_set, rng: np.random.Generator, budget: int = AMPLITUDE_BUDGET) -> dict:
-    """Cross-check record for one (graph, dealer, player set) instance: the
-    one-set case of oracle_reports."""
-    return oracle_reports(g, d, [b_set], rng, budget)[0]

@@ -10,7 +10,6 @@ for a stack of graphs, and a graph stops being ranked at its first failure.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -37,17 +36,6 @@ class SchemeReport:
     n_players: int
     worst_unauthorized: tuple[int, ...]
     all_accessible_at_k: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k,
-                "n_players": self.n_players,
-                "worst_unauthorized": list(self.worst_unauthorized),
-                "all_accessible_at_k": self.all_accessible_at_k,
-            },
-            sort_keys=True,
-        )
 
 
 def _sets(players, size: int) -> np.ndarray:
@@ -162,18 +150,6 @@ class SearchResult:
     checked: int
     next_index: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "status": self.status,
-                "index": self.index,
-                "graph_text": self.graph_text,
-                "checked": self.checked,
-                "next_index": self.next_index,
-            },
-            sort_keys=True,
-        )
-
 
 def _graphs_realising_k(start: int, stop: int, n: int, q: int, k: int, dealer_fixed: bool) -> tuple[int | None, int]:
     """Scan enumeration indices [start, stop) in sub-blocks of at most
@@ -198,14 +174,16 @@ def _graphs_realising_k(start: int, stop: int, n: int, q: int, k: int, dealer_fi
     return None, stop - start
 
 
-def _read_checkpoint(fh: TextIO, header: str) -> dict[int, tuple[int, int | None]]:
-    """Latest (last_index, found) per slice from an append-only checkpoint.
+def _read_checkpoint(fh: TextIO, header: str) -> tuple[int, int | None] | None:
+    """(last_index, found) of the last complete record of an append-only
+    checkpoint, or None when it holds no record yet.
 
     fh is the checkpoint opened in "a+" mode. An empty file gets the header
     line; otherwise the file must start with it, so a run never resumes
     another search's progress. A trailing record without its newline was
     torn by an interrupted write: it is cut off, and the next append starts
-    a fresh line.
+    a fresh line. Records only ever advance, so the last one is the state;
+    one that does not parse as `slice, last, found` raises ValueError.
     """
     fh.seek(0)
     text = fh.read()
@@ -217,17 +195,17 @@ def _read_checkpoint(fh: TextIO, header: str) -> dict[int, tuple[int, int | None
     if not complete:
         fh.write(header + "\n")
         fh.flush()
-    state: dict[int, tuple[int, int | None]] = {}
-    for line in complete.splitlines()[1:]:
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 3:
-            continue
-        sl, last = int(parts[0]), int(parts[1])
-        found = None if parts[2] in ("none", "") else int(parts[2])
-        prev = state.get(sl)
-        if prev is None or last > prev[0]:
-            state[sl] = (last, found)
-    return state
+    lines = complete.splitlines()
+    if len(lines) < 2:
+        return None
+    try:
+        sl, last, found = [p.strip() for p in lines[-1].split(",")]
+        int(sl)
+        return int(last), None if found in ("none", "") else int(found)
+    except ValueError:
+        raise ValueError(
+            f"checkpoint {fh.name} line {len(lines)}: {lines[-1]!r} is not a 'slice, last, found' record"
+        ) from None
 
 
 def exhaustive_search(
@@ -270,13 +248,9 @@ def exhaustive_search(
     checked = 0
     with ExitStack() as stack:
         ck = stack.enter_context(open(checkpoint_path, "a+")) if checkpoint_path else None
-        state = _read_checkpoint(ck, header) if ck else {}
-        start = 0
-        found_prev: int | None = None
-        if state:
-            start = max(last + 1 for last, _ in state.values())
-            hits = [f for _, f in state.values() if f is not None]
-            found_prev = min(hits) if hits else None
+        state = _read_checkpoint(ck, header) if ck else None
+        last, found_prev = state or (-1, None)
+        start = last + 1
         stop = total if budget is None else min(total, start + budget)
         if found_prev is not None:
             stop = min(stop, found_prev)
@@ -325,20 +299,6 @@ class TrialSummary:
     seed: int
     success_rate: float | None
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "q": self.q,
-                "n": self.n,
-                "alpha": self.alpha,
-                "trials": self.trials,
-                "successes": self.successes,
-                "seed": self.seed,
-                "success_rate": self.success_rate,
-            },
-            sort_keys=True,
-        )
-
 
 def batch_accessible_at_k(gammas: np.ndarray, q: int, k: int, dealer: int = 0) -> np.ndarray:
     """For a stack of adjacency matrices, test whether every size-k player
@@ -353,7 +313,6 @@ def random_trials(
     alpha: float,
     trials: int,
     seed: int,
-    k: int | None = None,
     workers: int = 1,
 ) -> TrialSummary:
     """Sample uniform random order-n multigraphs (dealer 0) and count how
@@ -369,8 +328,7 @@ def random_trials(
     if workers < 1:
         raise ValueError(f"workers={workers} is below 1")
     players = n - 1
-    if k is None:
-        k = ceil(alpha * players - 1e-9)
+    k = ceil(alpha * players - 1e-9)
     if not 1 <= k <= players:
         raise ValueError(f"threshold k={k} outside 1..{players}")
     if trials == 0:

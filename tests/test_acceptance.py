@@ -169,7 +169,7 @@ def test_criterion_03_graph_oracle_equivalence():
                         der = quantum_derivative(g, d, b)
                         sec = random_secret(rng, q)
                         enc = qq_encode(g, d, sec)
-                        res = qq_decode_bell(g, d, b, None, None, enc, rng, expected=sec)
+                        res = qq_decode_bell(g, d, b, enc, rng, expected=sec)
                         assert (res.fidelity >= 1 - EXACT) == (der == -1)
                         instances += 1
     elapsed = time.monotonic() - started
@@ -348,11 +348,11 @@ def test_criterion_08_companion_proof_bound():
 
 
 def test_criterion_09_bound_values():
-    a2 = asymptotic_lower_bound(2).alpha
+    a2 = asymptotic_lower_bound(2)
     in_window = 0.505 <= a2 <= 0.507
     primes = [2, 3, 5, 7, 11, 13]
-    asym = [asymptotic_lower_bound(p).alpha for p in primes]
-    rand = [random_threshold_alpha(p).alpha for p in primes]
+    asym = [asymptotic_lower_bound(p) for p in primes]
+    rand = [random_threshold_alpha(p) for p in primes]
     decreasing = all(x > y for x, y in zip(asym, asym[1:])) and all(
         x > y for x, y in zip(rand, rand[1:])
     )
@@ -368,7 +368,7 @@ def test_criterion_09_bound_values():
 
 
 def test_criterion_10_random_existence_trend():
-    threshold = random_threshold_alpha(5).alpha
+    threshold = random_threshold_alpha(5)
     alpha = 0.75
     assert alpha > threshold
     successes = []
@@ -408,7 +408,7 @@ def test_criterion_11_nonexistence_evidence():
                 der = quantum_derivative(g, 0, b)
                 sec = random_secret(rng, 2)
                 enc = qq_encode(g, 0, sec)
-                res_b = qq_decode_bell(g, 0, b, None, None, enc, rng, expected=sec)
+                res_b = qq_decode_bell(g, 0, b, enc, rng, expected=sec)
                 assert (res_b.fidelity >= 1 - EXACT) == (der == -1)
                 fid_ok[b] = res_b.fidelity >= 1 - EXACT
                 cross_checked += 1

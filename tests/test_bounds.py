@@ -6,7 +6,6 @@ import math
 import pytest
 
 from qss.bounds import (
-    BoundResult,
     asymptotic_lower_bound,
     emit_curve,
     entropy,
@@ -62,37 +61,28 @@ FROZEN_CURVE = {
 
 def test_alpha_curve_frozen_values():
     for q, (lower, rnd) in FROZEN_CURVE.items():
-        assert asymptotic_lower_bound(q).alpha == pytest.approx(lower, abs=2e-7)
-        assert random_threshold_alpha(q).alpha == pytest.approx(rnd, abs=2e-7)
-
-
-def test_bound_result_fields():
-    r = random_threshold_alpha(3, tol=1e-6)
-    assert isinstance(r, BoundResult)
-    assert r.q == 3
-    assert r.method == "random-threshold"
-    assert r.tolerance == 1e-6
-    assert asymptotic_lower_bound(3).method == "asymptotic-root"
+        assert asymptotic_lower_bound(q) == pytest.approx(lower, abs=2e-7)
+        assert random_threshold_alpha(q) == pytest.approx(rnd, abs=2e-7)
 
 
 def test_random_threshold_guarantee_holds_at_result():
     # the returned alpha itself satisfies the strict inequality
     for q in (2, 3, 5, 7):
-        a = random_threshold_alpha(q).alpha
+        a = random_threshold_alpha(q)
         assert entropy(1.0 - a, q * q) < 0.5
 
 
 def test_asymptotic_bound_guarantee_holds_at_result():
     for q in (2, 3, 5, 7):
-        a = asymptotic_lower_bound(q).alpha
+        a = asymptotic_lower_bound(q)
         lhs = entropy((a * q + 1) / (q + 1), 2) + a * entropy((1 - a) / a, 2)
         assert lhs >= entropy(a, 2)
 
 
 def test_alpha_curves_decrease_with_q_and_leave_window():
     qs = [2, 3, 5, 7, 11, 13]
-    lowers = [asymptotic_lower_bound(q).alpha for q in qs]
-    rnds = [random_threshold_alpha(q).alpha for q in qs]
+    lowers = [asymptotic_lower_bound(q) for q in qs]
+    rnds = [random_threshold_alpha(q) for q in qs]
     assert lowers == sorted(lowers, reverse=True)
     assert rnds == sorted(rnds, reverse=True)
     # existence window between impossibility and random-success curves
@@ -101,7 +91,7 @@ def test_alpha_curves_decrease_with_q_and_leave_window():
 
 
 def test_bisection_matches_grid_scan_q2():
-    a = random_threshold_alpha(2, tol=1e-8).alpha
+    a = random_threshold_alpha(2, tol=1e-8)
     step = 1e-4
     grid = 1.0
     x = 0.5
@@ -116,16 +106,16 @@ def test_bisection_matches_grid_scan_q2():
 def test_bounds_tolerance_cauchy():
     for tol in (1e-4, 1e-6):
         for fn in (random_threshold_alpha, asymptotic_lower_bound):
-            a = fn(3, tol=tol).alpha
-            b = fn(3, tol=tol / 10).alpha
+            a = fn(3, tol=tol)
+            b = fn(3, tol=tol / 10)
             assert abs(a - b) < tol
 
 
 def test_nonprime_q_curve_sampling():
     # the curves extend off the primes; q=30 sits essentially at 1/2
     r = asymptotic_lower_bound(30)
-    assert abs(r.alpha - 0.5) < 5e-4
-    assert random_threshold_alpha(30).alpha == pytest.approx(0.5989350, abs=1e-6)
+    assert abs(r - 0.5) < 5e-4
+    assert random_threshold_alpha(30) == pytest.approx(0.5989350, abs=1e-6)
 
 
 def test_curve_validation():
@@ -158,7 +148,7 @@ def test_finite_lower_bound_boundary_is_sharp():
 
 def test_finite_ratio_approaches_asymptotic_curve():
     ratio = finite_lower_bound(400, 2) / 400
-    assert abs(ratio - asymptotic_lower_bound(2).alpha) < 0.02
+    assert abs(ratio - asymptotic_lower_bound(2)) < 0.02
 
 
 def test_finite_inequality_exactness_near_threshold():
@@ -213,8 +203,3 @@ def test_emit_curve_header_and_frozen_rows():
     assert lines[4] == "7,0.5005602166,0.6624963731"
     assert len(lines) == 5
     assert text.endswith("\n")
-
-
-def test_emit_curve_step_subsamples_primes():
-    lines = emit_curve(2, 13, step=2).splitlines()
-    assert [ln.split(",")[0] for ln in lines[1:]] == ["2", "5", "11"]

@@ -252,6 +252,15 @@ def test_search_budget_exit_and_checkpoint_resume(capsys, tmp_path):
     assert second["checked"] == 124 - 60  # resumed, not restarted
 
 
+def test_search_malformed_checkpoint_record_exit_2(capsys, tmp_path):
+    ckpt = tmp_path / "progress.ckpt"
+    ckpt.write_text("# n=4 q=3 k=2 dealer_fixed=1\n0, 59, none\n0, 99, no\n")
+    code, out, err = run(capsys, ["search", "--n", "4", "--q", "3", "--k", "2", "--checkpoint", str(ckpt)])
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert f"checkpoint {ckpt} line 3: '0, 99, no'" in err
+
+
 def test_search_rejects_impossible_k_and_negative_budget(capsys, tmp_path):
     ckpt = tmp_path / "progress.ckpt"
     for extra in (["--k", "0"], ["--k", "4"], ["--k", "5"], ["--k", "2", "--budget", "-5"]):

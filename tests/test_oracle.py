@@ -36,7 +36,6 @@ from qss.oracle import (
     mub_basis,
     mub_vector,
     omega_table,
-    oracle_report,
     oracle_reports,
     qq_decode_bell,
     qq_encode,
@@ -58,6 +57,10 @@ def edge2():
 
 def tri2():
     return Multigraph(2, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+
+
+def path4():
+    return Multigraph(3, [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]])
 
 
 def rs_subgraph():
@@ -490,6 +493,22 @@ def test_cq_round_contract_all_bases():
                 assert m == s
 
 
+def test_protocol_rounds_on_sets_that_leave_a_player_out():
+    # on the path 0-1-2-3 the sets (1, 2) and (1, 3) each leave one player
+    # outside, where decode_params checks the stabilizer product for a leak;
+    # a doubled D is rescaled to dealer multiplicity 1 before decoding
+    g = path4()
+    rng = np.random.default_rng(88)
+    for b in ((1, 2), (1, 3)):
+        for t in range(3):
+            for _ in range(5):
+                s, m = cq_round(g, 0, b, t, rng)
+                assert m == s
+        doubled = {v: 2 * w for v, w in witness_D(g, 0, b).items()}
+        for s in range(3):
+            assert classical_measure_decode(g, 0, b, doubled, s) == s
+
+
 def test_cq_round_unauthorized_paths():
     sub = rs_subgraph()
     rng = np.random.default_rng(82)
@@ -535,7 +554,7 @@ def test_qq_decode_bell_authorized():
     for _ in range(5):
         sec = random_secret(rng, 3)
         enc = qq_encode(g, 0, sec)
-        res = qq_decode_bell(g, 0, [1, 2], None, None, enc, rng, expected=sec)
+        res = qq_decode_bell(g, 0, [1, 2], enc, rng, expected=sec)
         assert isinstance(res, BellDecodeResult)
         assert not res.used_fallback
         assert res.fidelity >= 1 - 1e-9
@@ -550,7 +569,7 @@ def test_qq_decode_bell_partial_set_falls_back():
     for _ in range(20):
         sec = random_secret(rng, 3)
         enc = qq_encode(g, 0, sec)
-        res = qq_decode_bell(g, 0, [1], None, None, enc, rng, expected=sec)
+        res = qq_decode_bell(g, 0, [1], enc, rng, expected=sec)
         assert res.used_fallback
         assert res.fidelity < 1 - 1e-9
 
@@ -560,9 +579,20 @@ def test_qq_decode_bell_empty_set():
     rng = np.random.default_rng(86)
     sec = random_secret(rng, 3)
     enc = qq_encode(g, 0, sec)
-    res = qq_decode_bell(g, 0, [], None, None, enc, rng, expected=sec)
+    res = qq_decode_bell(g, 0, [], enc, rng, expected=sec)
     assert res.used_fallback
     assert res.fidelity < 1 - 1e-9
+
+
+def test_qq_decode_bell_rejects_dealer_and_outside_vertices():
+    g = star3()
+    rng = np.random.default_rng(87)
+    sec = random_secret(rng, 3)
+    enc = qq_encode(g, 0, sec)
+    with pytest.raises(ValueError, match="must not belong"):
+        qq_decode_bell(g, 0, [0, 1, 2], enc, rng, expected=sec)
+    with pytest.raises(ValueError, match="outside vertex range"):
+        qq_decode_bell(g, 0, [1, 2, 7], enc, rng, expected=sec)
 
 
 # ----------------------------------------------------------- bell primitives
@@ -675,7 +705,7 @@ def test_graph_hash_stable_and_distinct():
 def test_oracle_report_verdicts_agree():
     g = star3()
     for b, verdict in (([1, 2], "accessible"), ([1], "partial"), ([], "no_info")):
-        rep = oracle_report(g, 0, b, np.random.default_rng(5))
+        [rep] = oracle_reports(g, 0, [b], np.random.default_rng(5))
         assert rep["verdict_graph"] == verdict
         assert rep["verdict_oracle"] == verdict
         assert set(rep) == {
@@ -690,7 +720,7 @@ def test_oracle_report_verdicts_agree():
 
 def test_oracle_reports_equal_one_set_loop():
     # one seed drives both sides: the sweep over all sets of a dealer draws
-    # the same numbers, in the same order, as one oracle_report call per set
+    # the same numbers, in the same order, as one one-set call per set
     rng = np.random.default_rng(17)
     for q, n in ((2, 5), (3, 4), (5, 4), (7, 3)):
         g = random_graph(n, q, rng)
@@ -702,7 +732,7 @@ def test_oracle_reports_equal_one_set_loop():
             sets = [[players[j] for j in range(n - 1) if bits >> j & 1] for bits in range(2 ** (n - 1))]
             loop_rng = np.random.default_rng(5)
             assert oracle_reports(g, d, sets, np.random.default_rng(5)) == [
-                oracle_report(g, d, b, loop_rng) for b in sets
+                oracle_reports(g, d, [b], loop_rng)[0] for b in sets
             ]
 
 

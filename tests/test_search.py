@@ -5,11 +5,12 @@ pure-int `int_rank`, which never runs the package's rank kernel, including
 hypothesis property tests.
 """
 
+import dataclasses
 import os
 import tempfile
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
+from math import ceil, comb
 
 import numpy as np
 import pytest
@@ -200,9 +201,7 @@ def test_first_failure_across_blocks(count):
 
 
 def test_scheme_report_json_shape():
-    import json
-
-    payload = json.loads(scheme_k(star3()).to_json())
+    payload = dataclasses.asdict(scheme_k(star3()))
     assert set(payload) == {"k", "n_players", "worst_unauthorized", "all_accessible_at_k"}
 
 
@@ -390,6 +389,18 @@ def test_checkpoint_torn_trailing_record_is_ignored(tmp_path, torn):
         int(last)
 
 
+@pytest.mark.parametrize("record", ["0, 99, no", "0, x, none", "zero, 99, none", "0, 99", "0, 99, none, 1"])
+def test_checkpoint_malformed_complete_record_raises(tmp_path, record):
+    ck = tmp_path / "scan.ck"
+    exhaustive_search(4, 3, 2, budget=50, checkpoint_path=str(ck), checkpoint_every=10)
+    with open(ck, "a") as fh:
+        fh.write(record + "\n")  # the newline makes it a complete record
+    text = ck.read_text()
+    with pytest.raises(ValueError, match=f"checkpoint {ck} line 7: '{record}' is not"):
+        exhaustive_search(4, 3, 2, checkpoint_path=str(ck), checkpoint_every=10)
+    assert ck.read_text() == text
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     st.sampled_from([(4, 3, 2), (4, 3, 3), (4, 2, 2), (5, 2, 3), (5, 2, 4)]),
@@ -439,9 +450,7 @@ def test_exhaustive_search_validation():
 
 
 def test_search_result_json_shape():
-    import json
-
-    payload = json.loads(exhaustive_search(4, 2, 2).to_json())
+    payload = dataclasses.asdict(exhaustive_search(4, 2, 2))
     assert set(payload) == {"status", "index", "graph_text", "checked", "next_index"}
 
 
@@ -459,15 +468,17 @@ def test_random_trials_frozen_counts():
     "n, q, alpha, trials, seed, k, successes",
     [
         (8, 3, 0.5, 3000, 7, None, 0),
-        (8, 3, 0.5, 3000, 7, 5, 1199),
+        (8, 3, 5 / 7, 3000, 7, 5, 1199),
         (11, 5, 0.75, 2000, 11, None, 1994),
         (10, 2, 0.75, 3000, 5, None, 977),
     ],
 )
 def test_random_trials_pinned_counts(n, q, alpha, trials, seed, k, successes):
     # recorded on the two-rank-call derivative kernel; every later kernel
-    # (fused, narrowed or bit-packed) must reproduce them
-    assert random_trials(n, q, alpha, trials, seed, k=k).successes == successes
+    # (fused, narrowed or bit-packed) must reproduce them. A row that names
+    # k pins the threshold ceil(alpha * (n - 1)) its alpha gives.
+    assert k is None or ceil(alpha * (n - 1) - 1e-9) == k
+    assert random_trials(n, q, alpha, trials, seed).successes == successes
 
 
 def test_random_trials_zero_trials_null_rate():
@@ -475,9 +486,7 @@ def test_random_trials_zero_trials_null_rate():
     assert t.trials == 0
     assert t.successes == 0
     assert t.success_rate is None
-    import json
-
-    assert json.loads(t.to_json())["success_rate"] is None
+    assert dataclasses.asdict(t)["success_rate"] is None
 
 
 def test_random_trials_deterministic_and_worker_invariant():
@@ -490,17 +499,11 @@ def test_random_trials_deterministic_and_worker_invariant():
     assert a.successes != c.successes or a.seed != c.seed
 
 
-def test_random_trials_explicit_k_overrides_alpha():
-    a = random_trials(5, 2, 0.75, 500, seed=3, k=4)
-    b = random_trials(5, 2, 1.0, 500, seed=3)
-    assert a.successes == b.successes
-
-
 def test_random_trials_validation():
     with pytest.raises(ValueError, match="trials"):
         random_trials(5, 2, 0.5, -1, seed=0)
     with pytest.raises(ValueError, match="outside"):
-        random_trials(5, 2, 0.5, 10, seed=0, k=9)
+        random_trials(5, 2, 2.25, 10, seed=0)  # k = 9 of 4 players
 
 
 def test_batch_accessibility_matches_scalar():
