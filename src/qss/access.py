@@ -182,25 +182,26 @@ def verify_witness_pair(g: Multigraph, d: int, b_set, d_ms, c_ms) -> bool:
 
     D lives on B and must be seen from outside B exactly at the dealer
     (any nonzero multiplicity there is accepted, not just 1). C lives on
-    B + {d}, has C(d) != 0, and must not be seen outside B + {d}. Raises on
-    domain violations; returns the boolean verdict otherwise.
+    B + {d}, has C(d) != 0, and must not be seen outside B + {d}. With
+    c_ms None only D is checked. Raises on domain violations; returns the
+    boolean verdict otherwise.
     """
     b = _check_b(g, d, b_set)
     bset = set(b)
     d_ms = Multiset(g.q, d_ms)
-    c_ms = Multiset(g.q, c_ms)
+    c_ms = None if c_ms is None else Multiset(g.q, c_ms)
     if not d_ms.support() <= bset:
         raise ValueError("D is supported outside the player set")
-    if not c_ms.support() <= bset | {d}:
+    if c_ms is not None and not c_ms.support() <= bset | {d}:
         raise ValueError("C is supported outside the player set plus dealer")
-    dvec = d_ms.as_vector(g.n)
-    cvec = c_ms.as_vector(g.n)
-    nb_d = (g.gamma @ dvec) % g.q
-    nb_c = (g.gamma @ cvec) % g.q
+    nb_d = (g.gamma @ d_ms.as_vector(g.n)) % g.q
     outside = [v for v in range(g.n) if v not in bset]
-    seen = {v for v in outside if nb_d[v] != 0}
-    if seen != {d}:
+    if {v for v in outside if nb_d[v] != 0} != {d}:
         return False
+    if c_ms is None:
+        return True
+    cvec = c_ms.as_vector(g.n)
+    nb_c = (g.gamma @ cvec) % g.q
     if cvec[d] == 0:
         return False
     far = [v for v in outside if v != d]

@@ -69,8 +69,8 @@ def random_threshold_alpha(q: int, tol: float = 1e-8) -> float:
     """
     if q < 2:
         raise ValueError(f"field size q must be >= 2, got {q}")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     base = q * q
 
     def ok(alpha: float) -> bool:
@@ -89,8 +89,8 @@ def asymptotic_lower_bound(q: int, tol: float = 1e-8) -> float:
     """
     if q < 2:
         raise ValueError(f"field size q must be >= 2, got {q}")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
     def ok(alpha: float) -> bool:
         lhs = entropy((alpha * q + 1) / (q + 1), 2) + alpha * entropy((1 - alpha) / alpha, 2)

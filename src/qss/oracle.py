@@ -189,17 +189,15 @@ class WeylOperator:
         """Integer sum of x_v * z_v over sites (not reduced mod q)."""
         return int(sum(a * b for a, b in zip(self.x_powers, self.z_powers)))
 
-    def factor_site(self, site: int) -> tuple[int, int, "WeylOperator"]:
-        """Split off one site: returns (a_site, b_site, rest) where rest
-        keeps the global phase and acts on the remaining sites in order.
-        Exact only when a_site = 0 or the rest carries no phase ambiguity;
-        here it is used on sites with no X component, where the operator
-        factorizes strictly."""
-        a, b = self.x_powers[site], self.z_powers[site]
-        if a != 0:
+    def factor_site(self, site: int) -> "WeylOperator":
+        """The operator on the remaining sites, in order, with the site split
+        off and the global phase kept. Exact only for a site with no X
+        component, where the operator factorizes strictly; any other site
+        raises."""
+        if self.x_powers[site] != 0:
             raise ValueError("cannot cleanly factor a site with an X component")
         keep = [v for v in range(self.n) if v != site]
-        return a, b, WeylOperator(
+        return WeylOperator(
             self.q,
             tuple(self.x_powers[v] for v in keep),
             tuple(self.z_powers[v] for v in keep),
@@ -249,6 +247,15 @@ def apply_weyl(state: StateVector, w: WeylOperator) -> StateVector:
 def stabilizer_generator(g: Multigraph, u: int) -> WeylOperator:
     """K_u = X_u Z_{Gamma.{u}} on the full vertex register."""
     return WeylOperator(g.q, tuple(int(v == u) for v in range(g.n)), tuple(g.gamma[u].tolist()), 0)
+
+
+def _stabilizer_product(g: Multigraph, weights) -> WeylOperator:
+    """prod_u K_u^{w_u} over a vertex -> weight mapping, on the full vertex
+    register, multiplied in the mapping's order (the K_u commute)."""
+    out = WeylOperator.identity(g.q, g.n)
+    for u, w in weights.items():
+        out = out @ (stabilizer_generator(g, u) ** w)
+    return out
 
 
 def graph_state(g: Multigraph, budget: int = AMPLITUDE_BUDGET) -> StateVector:
@@ -386,13 +393,8 @@ def _codewords(g: Multigraph, d: int, values, budget: int) -> list[StateVector]:
     neighbours."""
     if g.degree(d) == 0:
         raise ValueError("isolated dealer: the encoding collapses")
-    players = _player_order(g, d)
     base = graph_state(delete_vertex(g, d), budget=budget)
-    zeros = (0,) * len(players)
-    return [
-        apply_weyl(base, WeylOperator(g.q, zeros, tuple(s * int(g.gamma[d, v]) for v in players), 0))
-        for s in values
-    ]
+    return [apply_weyl(base, logical_x(g, d) ** s) for s in values]
 
 
 def cq_encode(g: Multigraph, d: int, s: int, budget: int = AMPLITUDE_BUDGET) -> StateVector:
@@ -459,7 +461,7 @@ def leak_profile(g: Multigraph, d: int, b_set, budget: int = AMPLITUDE_BUDGET) -
     """The q reduced codeword states rho_s, s = 0..q-1, on the player
     positions of b_set."""
     players = _player_order(g, d)
-    pos = [players.index(v) for v in sorted(set(b_set))]
+    pos = [players.index(v) for v in _check_b(g, d, b_set)]
     return [reduced_density(word, pos, budget=budget) for word in _codewords(g, d, range(g.q), budget)]
 
 
@@ -487,29 +489,13 @@ def schmidt_rank(state: StateVector, sites) -> int:
 # protocol machinery
 
 
-def _restricted_stabilizer(g: Multigraph, d: int, u: int) -> WeylOperator:
-    """K_u with the dealer column dropped: X_u Z_{Gamma.{u} minus d} on the
-    player register."""
-    players = _player_order(g, d)
-    x = tuple(int(v == u) for v in players)
-    z = tuple(int(g.gamma[u, v]) for v in players)
-    return WeylOperator(g.q, x, z, 0)
-
-
 def _validated_pair(g: Multigraph, d: int, b, d_ms, c_ms):
     """Normalize and sanity check the witness pair; returns (D, C) with the
     dealer coefficient of C equal to 1 and alpha = 1, or raises."""
     d_ms = Multiset(g.q, d_ms)
-    if c_ms is not None:
-        c_ms = Multiset(g.q, c_ms)
-        if not verify_witness_pair(g, d, b, d_ms, c_ms):
-            raise ValueError("witness pair fails the access conditions")
-    else:
-        vec = d_ms.as_vector(g.n)
-        nb = (g.gamma @ vec) % g.q
-        outside = [v for v in range(g.n) if v not in set(b)]
-        if {v for v in outside if nb[v]} != {d}:
-            raise ValueError("witness D fails the access conditions")
+    c_ms = None if c_ms is None else Multiset(g.q, c_ms)
+    if not verify_witness_pair(g, d, b, d_ms, c_ms):
+        raise ValueError(f"witness {'D' if c_ms is None else 'pair'} fails the access conditions")
     alpha = int((g.gamma[d] @ d_ms.as_vector(g.n)) % g.q)
     if alpha != 1:
         inv = inv_mod(alpha, g.q)
@@ -559,17 +545,12 @@ def decode_params(g: Multigraph, d: int, b_set, d_ms, c_ms, t: int) -> DecodePar
     d_ms, c_ms = _validated_pair(g, d, b, d_ms, c_ms)
     beta = 0 if c_ms is None else int((g.gamma[d] @ c_ms.as_vector(g.n)) % q)
 
-    k_ops = {u: stabilizer_generator(g, u) for u in (d, *b)}
-    k_d_factor = WeylOperator.identity(q, g.n)
-    for i in b:
-        k_d_factor = k_d_factor @ (k_ops[i] ** d_ms[i])
+    k_d_factor = _stabilizer_product(g, d_ms)
     if t == 0:
         s_product = k_d_factor
     else:
-        k_c_factor = k_ops[d]
-        for i in b:
-            k_c_factor = k_c_factor @ (k_ops[i] ** c_ms[i])
-        s_product = (k_c_factor**t) @ (k_d_factor ** ((1 - t * beta) % q))
+        # C is 1 at the dealer and otherwise supported on b
+        s_product = (_stabilizer_product(g, c_ms) ** t) @ (k_d_factor ** ((1 - t * beta) % q))
 
     for v in range(g.n):
         if v == d or v in b:
@@ -614,6 +595,8 @@ def cq_round(
     map instead, modelling a best-effort attack that the hiding theorem
     forces to be uncorrelated with s.
     """
+    if on_unauthorized not in ("raise", "measure"):
+        raise ValueError("on_unauthorized must be 'raise' or 'measure'")
     q = g.q
     t = int(t) % q
     b = tuple(sorted(set(int(v) for v in b_set)))
@@ -630,8 +613,6 @@ def cq_round(
             params = decode_params(g, d, b, dms, cms, t)
     elif on_unauthorized == "raise":
         raise ValueError("player set cannot access the secret; protocol contract violated")
-    elif on_unauthorized != "measure":
-        raise ValueError("on_unauthorized must be 'raise' or 'measure'")
 
     state = graph_state(g, budget=budget)
     s, state = measure_site_basis(state, d, mub_basis(q, t), rng)
@@ -659,13 +640,10 @@ def classical_measure_decode(g: Multigraph, d: int, b_set, d_ms, s: int, budget:
     """
     b = tuple(sorted(set(int(v) for v in b_set)))
     d_ms, _ = _validated_pair(g, d, b, d_ms, None)
-    full = WeylOperator.identity(g.q, g.n)
-    for u in b:
-        full = full @ (stabilizer_generator(g, u) ** d_ms[u])
-    dealer_site_x = full.x_powers[d]
-    if dealer_site_x != 0:
+    full = _stabilizer_product(g, d_ms)
+    if full.x_powers[d] != 0:
         raise AssertionError("dealer site unexpectedly carries an X component")
-    _, _, players_op = full.factor_site(d)
+    players_op = full.factor_site(d)
     word = cq_encode(g, d, s % g.q, budget=budget)
     m = eigenvalue_label(word, players_op)
     return (-m) % g.q
@@ -678,8 +656,7 @@ def classical_measure_decode(g: Multigraph, d: int, b_set, d_ms, s: int, budget:
 def logical_x(g: Multigraph, d: int) -> WeylOperator:
     """Xbar = Z on the dealer's neighbour multiset; shifts |i_L> to
     |(i+1)_L> on the player register."""
-    players = _player_order(g, d)
-    return WeylOperator(g.q, (0,) * len(players), tuple(int(g.gamma[d, v]) for v in players), 0)
+    return WeylOperator(g.q, (0,) * g.n, tuple(g.gamma[d].tolist()), 0).factor_site(d)
 
 
 def logical_z(g: Multigraph, d: int) -> WeylOperator:
@@ -687,7 +664,7 @@ def logical_z(g: Multigraph, d: int) -> WeylOperator:
     adjacent to the dealer; phases |i_L> by omega^i."""
     for u in _player_order(g, d):
         if g.gamma[u, d] % g.q:
-            return _restricted_stabilizer(g, d, u) ** (-inv_mod(int(g.gamma[u, d]), g.q))
+            return _stabilizer_product(g, {u: -inv_mod(int(g.gamma[u, d]), g.q)}).factor_site(d)
     raise ValueError("no player adjacent to the dealer; logical Z undefined")
 
 
@@ -701,16 +678,11 @@ def code_unitaries(g: Multigraph, d: int, b_set, d_ms, c_ms) -> tuple[WeylOperat
     d_ms, c_ms = _validated_pair(g, d, b, d_ms, c_ms)
     q = g.q
     beta = int((g.gamma[d] @ c_ms.as_vector(g.n)) % q)
-    players = _player_order(g, d)
-    u_op = WeylOperator.identity(q, len(players))
-    v_op = WeylOperator(q, (0,) * len(players), tuple(int(g.gamma[d, v]) for v in players), 0)
-    for i in b:
-        k_i = _restricted_stabilizer(g, d, i)
-        u_op = u_op @ (k_i ** ((-d_ms[i]) % q))
-        v_op = v_op @ (k_i ** ((c_ms[i] - beta * d_ms[i]) % q))
-    pos = {v: players.index(v) for v in b}
-    for p, v in enumerate(players):
-        if v in pos:
+    # no K_i with i in b has an X power at the dealer, so the site splits off
+    u_op = _stabilizer_product(g, {i: -d_ms[i] % q for i in b}).factor_site(d)
+    v_op = logical_x(g, d) @ _stabilizer_product(g, {i: (c_ms[i] - beta * d_ms[i]) % q for i in b}).factor_site(d)
+    for p, v in enumerate(_player_order(g, d)):
+        if v in b:
             continue
         for op, name in ((u_op, "U_B"), (v_op, "V_B")):
             if op.x_powers[p] or op.z_powers[p]:

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import combinations
-from math import ceil, comb
+from math import ceil, comb, isfinite
 from typing import NamedTuple, TextIO
 
 import numpy as np
@@ -328,6 +328,8 @@ def random_trials(
     if workers < 1:
         raise ValueError(f"workers={workers} is below 1")
     players = n - 1
+    if not isfinite(alpha * players):
+        raise ValueError(f"alpha={alpha} gives no finite threshold over {players} players")
     k = ceil(alpha * players - 1e-9)
     if not 1 <= k <= players:
         raise ValueError(f"threshold k={k} outside 1..{players}")

@@ -384,11 +384,18 @@ def test_verify_witness_pair_rejects_domain_violations():
         verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], {4: 1}, {0: 1})
     with pytest.raises(ValueError, match="dealer"):
         verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], {7: 1}, {5: 1})
+    # without C the D domain is still checked
+    with pytest.raises(ValueError, match="D is supported outside"):
+        verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], {4: 1}, None)
+    # a C domain violation raises even when D alone already fails
+    with pytest.raises(ValueError, match="C is supported outside"):
+        verify_witness_pair(rs.graph, 0, (6, 7, 2, 3), {6: 3, 7: 2}, {5: 1})
 
 
 def test_verify_witness_pair_rejects_zero_d():
     rs = rs747_fixture()
     assert not verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], {}, {0: 1})
+    assert not verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], {}, None)
 
 
 def test_verify_witness_pair_perturbation_breaks():
@@ -398,6 +405,9 @@ def test_verify_witness_pair_perturbation_breaks():
     c_ms = {0: 1, 2: 1, 3: 3}
     assert verify_witness_pair(rs.graph, 0, b, d_ms, c_ms)
     assert not verify_witness_pair(rs.graph, 0, b, {6: 3, 7: 2}, c_ms)
+    # with c_ms None only D is checked
+    assert verify_witness_pair(rs.graph, 0, b, d_ms, None)
+    assert not verify_witness_pair(rs.graph, 0, b, {6: 3, 7: 2}, None)
     assert not verify_witness_pair(rs.graph, 0, b, d_ms, {0: 1, 2: 1, 3: 4})
 
 

@@ -125,6 +125,11 @@ def test_curve_validation():
         asymptotic_lower_bound(0)
     with pytest.raises(ValueError, match="tolerance"):
         random_threshold_alpha(3, tol=0.0)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            random_threshold_alpha(3, tol=tol)
+        with pytest.raises(ValueError, match="finite and positive"):
+            asymptotic_lower_bound(3, tol=tol)
 
 
 # ----------------------------------------------------------- finite inequality

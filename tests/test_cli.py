@@ -4,6 +4,7 @@ Each test drives main(argv) in-process and inspects stdout/stderr through
 capsys, so the suite never shells out.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -307,6 +308,14 @@ def test_sample_worker_invariance(capsys):
     assert json.loads(out1)["result"] == json.loads(out2)["result"]
 
 
+@pytest.mark.parametrize("alpha", ["inf", "nan", "1e308"])
+def test_sample_rejects_non_finite_alpha_exit_2(capsys, alpha):
+    code, out, err = run(capsys, ["sample", "--n", "5", "--q", "3", "--alpha", alpha, "--trials", "1", "--seed", "1"])
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "no finite threshold" in err
+
+
 # --------------------------------------------------------------------- bounds
 
 
@@ -327,6 +336,14 @@ def test_bounds_rejects_a_range_without_primes(capsys, qmin, qmax):
     assert code == EXIT_PRECONDITION
     assert out == ""
     assert f"no prime q in [{qmin}, {qmax}]" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_bounds_rejects_a_non_finite_or_nonpositive_tol(capsys, tol):
+    code, out, err = run(capsys, ["bounds", "--qmin", "2", "--qmax", "3", "--tol", tol])
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "tolerance must be finite and positive" in err
 
 
 # -------------------------------------------------------------------- fixture
@@ -430,6 +447,25 @@ def test_oracle_verify_reports_pinned(capsys, tmp_path, name, max_size):
     ]
     assert rep == {"command": "oracle-verify", "inputs": {"graph": str(path), "dealer": 0},
                    "result": {"rows": expected, "disagreements": 0}, "seed": seed}
+
+
+# The largest oracle shape of the benchmark, q = 2 and n = 6, pinned as the
+# sha256 of its JSON rows: 12 accessible, 8 partial and 12 no_info sets.
+ORACLE_PIN_Q2N6 = (
+    "q 2\nn 6\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 4 1\ne 3 5 1\ne 4 5 1\ne 1 4 1\ne 2 5 1\n", 13,
+    "bbf8e431a360bb311ee2a277a524751c1052fea3aedf05cead70df88eef50a23",
+)
+
+
+def test_oracle_verify_report_pinned_q2_n6(capsys, tmp_path):
+    text, seed, digest = ORACLE_PIN_Q2N6
+    path = tmp_path / "q2n6.graph"
+    path.write_text(text)
+    code, out, _ = run(capsys, ["oracle-verify", str(path), "--dealer", "0", "--seed", str(seed)])
+    assert code == EXIT_OK
+    res = report(out)["result"]
+    assert res["disagreements"] == 0 and len(res["rows"]) == 32
+    assert hashlib.sha256(json.dumps(res["rows"]).encode()).hexdigest() == digest
 
 
 def test_oracle_verify_isolated_dealer_exit_2(capsys, tmp_path):

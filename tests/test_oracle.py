@@ -185,9 +185,10 @@ def test_weyl_embed_and_factor():
     assert big.x_powers == (0, 1, 0, 0)
     assert big.z_powers == (0, 2, 0, 1)
     assert big.phase == 1
-    a, b, rest = big.factor_site(3)
-    assert (a, b) == (0, 1)
+    rest = big.factor_site(3)
     assert rest.x_powers == (0, 1, 0)
+    assert rest.z_powers == (0, 2, 0)
+    assert rest.phase == 1
     with pytest.raises(ValueError, match="X component"):
         big.factor_site(1)
 
@@ -412,6 +413,15 @@ def test_info_leak_extremes():
         assert density_fidelity(rhos[0], rho) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_info_leak_rejects_dealer_and_outside_vertices():
+    g = star3()
+    for fn in (info_leak, leak_profile):
+        with pytest.raises(ValueError, match="dealer 0 must not belong"):
+            fn(g, 0, [0, 1])
+        with pytest.raises(ValueError, match="outside vertex range"):
+            fn(g, 0, [1, 7])
+
+
 def test_schmidt_rank_equals_q_power_cutrank():
     cases = [(star3(), [1]), (tri2(), [0, 1]), (rs_subgraph(), [1, 2])]
     rng = np.random.default_rng(80)
@@ -518,6 +528,9 @@ def test_cq_round_unauthorized_paths():
     assert 0 <= s < 7 and 0 <= m < 7
     with pytest.raises(ValueError, match="on_unauthorized"):
         cq_round(sub, 0, [1], 0, rng, on_unauthorized="shrug")
+    # the value is checked before the set is, so an authorized set rejects it too
+    with pytest.raises(ValueError, match="on_unauthorized"):
+        cq_round(star3(), 0, [1, 2], 0, rng, on_unauthorized="shrug")
 
 
 def test_cq_round_budget_threading():

@@ -504,6 +504,9 @@ def test_random_trials_validation():
         random_trials(5, 2, 0.5, -1, seed=0)
     with pytest.raises(ValueError, match="outside"):
         random_trials(5, 2, 2.25, 10, seed=0)  # k = 9 of 4 players
+    for alpha in (float("inf"), float("nan"), 1e308):
+        with pytest.raises(ValueError, match="no finite threshold"):
+            random_trials(5, 3, alpha, 1, seed=1)
 
 
 def test_batch_accessibility_matches_scalar():
