@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -86,7 +87,10 @@ def _emit(command: str, inputs: dict, result, seed, started: float) -> None:
     print(json.dumps(report, sort_keys=True))
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process; parse_args keeps no state
+    between calls, so every main call after the first only parses."""
     p = _Parser(prog="qss", description="Secret sharing on qudit graph states.")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -153,6 +157,8 @@ def build_parser() -> _Parser:
 
 def _run(args) -> int:
     started = time.monotonic()
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError(f"--seed {args.seed} is negative")
 
     if args.command == "fixture":
         print(serialize_graph(rs747_fixture().graph), end="")

@@ -13,9 +13,9 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import ceil, comb, isfinite
-from typing import NamedTuple, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -38,34 +38,28 @@ class SchemeReport:
     all_accessible_at_k: bool
 
 
-def _sets(players, size: int) -> np.ndarray:
-    """All size-element subsets of players in lexicographic order, one per
-    row (a single empty row for size 0)."""
-    return np.array(list(combinations(players, size)), dtype=np.intp)
+def _first_failure(
+    gammas: np.ndarray, q: int, dealer: int, sets: Iterable[tuple[int, ...]]
+) -> list[tuple[int, ...] | None]:
+    """For each graph of a stack, the first player set of the ordered stream
+    sets whose derivative is not -1, or None when every set has access.
 
-
-def _first_failure(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarray) -> np.ndarray:
-    """For each graph of a stack, the row index into subsets of the first
-    player set whose derivative is not -1, or len(subsets) when every set
-    has access.
-
-    The one subset scan behind every search path. Sets are ranked through
-    batch_indicators in blocks of max(1, BLOCK // live) rows, where live
-    counts the graphs still in the stack; a graph leaves the stack at its
-    first failure.
+    The one subset scan behind every search path. The stream is pulled in
+    blocks of max(1, BLOCK // live) sets, where live counts the graphs still
+    in the stack, and is never built whole; a graph leaves the stack at its
+    first failure, and the scan stops when none is left.
     """
-    first = np.full(len(gammas), len(subsets), dtype=np.intp)
+    first: list[tuple[int, ...] | None] = [None] * len(gammas)
     live = np.arange(len(gammas))
-    start = 0
-    while live.size and start < len(subsets):
-        stop = start + max(1, BLOCK // live.size)
-        failing = batch_indicators(gammas, q, dealer, subsets[start:stop])[1] != -1
+    sets = iter(sets)
+    while live.size and (block := list(islice(sets, max(1, BLOCK // live.size)))):
+        failing = batch_indicators(gammas, q, dealer, np.array(block, dtype=np.intp))[1] != -1
         failed = failing.any(axis=1)
         if failed.any():
-            first[live[failed]] = start + failing[failed].argmax(axis=1)
+            for i, j in zip(live[failed], failing[failed].argmax(axis=1)):
+                first[i] = block[j]
             keep = ~failed
             live, gammas = live[keep], gammas[keep]
-        start = stop
     return first
 
 
@@ -81,11 +75,10 @@ def scheme_k(dg: DealerGraph) -> SchemeReport:
     g, d, players = dg.graph, dg.dealer, dg.players
     worst: tuple[int, ...] = ()
     for size in range(1, len(players) + 1):
-        subsets = _sets(players, size)
-        first = _first_failure(g.gamma[None], g.q, d, subsets)[0]
-        if first == len(subsets):
+        failure = _first_failure(g.gamma[None], g.q, d, combinations(players, size))[0]
+        if failure is None:
             return SchemeReport(size, len(players), worst, True)
-        worst = tuple(int(v) for v in subsets[first])
+        worst = failure
     # unreachable for a non-isolated dealer: the full player set always has
     # derivative -1
     raise AssertionError("no threshold found; dealer isolated?")
@@ -114,13 +107,10 @@ def is_scheme(dg: DealerGraph, k: int) -> IsSchemeResult:
     players = dg.players
     if not 1 <= k <= len(players):
         raise ValueError(f"k={k} outside 1..{len(players)}")
-    subsets = _sets(players, k)
-    first = _first_failure(g.gamma[None], g.q, d, subsets)[0]
-    if first < len(subsets):
-        b = tuple(int(v) for v in subsets[first])
-        return IsSchemeResult(False, b, f"set of size {k} cannot access the secret")
-    lower = _sets(players, k - 1)
-    if _first_failure(g.gamma[None], g.q, d, lower)[0] < len(lower):
+    failure = _first_failure(g.gamma[None], g.q, d, combinations(players, k))[0]
+    if failure is not None:
+        return IsSchemeResult(False, failure, f"set of size {k} cannot access the secret")
+    if _first_failure(g.gamma[None], g.q, d, combinations(players, k - 1))[0] is not None:
         return IsSchemeResult(True, None, "ok")
     return IsSchemeResult(False, None, f"k is not minimal: every set of size {k - 1} already has access")
 
@@ -303,8 +293,9 @@ class TrialSummary:
 def batch_accessible_at_k(gammas: np.ndarray, q: int, k: int, dealer: int = 0) -> np.ndarray:
     """For a stack of adjacency matrices, test whether every size-k player
     set has derivative -1."""
-    subsets = _sets([v for v in range(gammas.shape[1]) if v != dealer], k)
-    return _first_failure(gammas, q, dealer, subsets) == len(subsets)
+    players = [v for v in range(gammas.shape[1]) if v != dealer]
+    first = _first_failure(gammas, q, dealer, combinations(players, k))
+    return np.array([f is None for f in first], dtype=bool)
 
 
 def random_trials(

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from qss import cli
 from qss.cli import (
     EXIT_BUDGET,
     EXIT_DISAGREEMENT,
@@ -548,6 +549,92 @@ def test_qq_decode_partial_set_fallback(capsys, star_file):
     assert res["used_fallback"] is True
     assert res["fidelity"] == pytest.approx(0.7122855504, abs=1e-9)
     assert res["fidelity"] < 1 - 1e-9
+
+
+# ------------------------------------------------------- parser reuse, argv
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch, star_file):
+    # subparsers are _Parser instances too; only the top-level one has prog "qss"
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    for argv in (["scheme-k", star_file, "--dealer", "0"], ["fixture", "rs747"], ["access"],
+                 ["access", star_file, "--dealer", "0", "--set", "1"], ["scheme-k", star_file, "--dealer", "0"]):
+        run(capsys, argv)
+    assert built.count("qss") == 1
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_leaks_nothing_between_calls(capsys, star_file):
+    # optional flags set in one call and absent in the next, with a parse
+    # error between them; each call must match the same call on a fresh parser
+    calls = [
+        ["search", "--n", "3", "--q", "3", "--k", "2", "--all-dealers"],
+        ["search", "--n", "3", "--q", "3", "--k", "2"],
+        ["oracle-verify", star_file, "--dealer", "0", "--seed", "3", "--max-size", "1"],
+        ["search", "--n", "3", "--q", "3", "--k", "two"],
+        ["oracle-verify", star_file, "--dealer", "0", "--seed", "3"],
+        ["cq-round", star_file, "--dealer", "0", "--set", "", "--seed", "4", "--rounds", "3",
+         "--on-unauthorized", "measure"],
+        ["cq-round", star_file, "--dealer", "0", "--set", "", "--seed", "4", "--rounds", "3"],
+    ]
+
+    def outcome(argv):
+        code, out, err = run(capsys, argv)
+        rep = json.loads(out) if out else None
+        if rep:
+            del rep["wall_time"]
+        return code, rep, err
+
+    reused = [outcome(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_PARSE, EXIT_OK, EXIT_OK,
+                                               EXIT_PRECONDITION]
+    assert reused[0][1]["result"]["index"] != reused[1][1]["result"]["index"]
+    assert len(reused[2][1]["result"]["rows"]) == 3 and len(reused[4][1]["result"]["rows"]) == 4
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch, tmp_path):
+    # the qss console script calls main() with no argument
+    monkeypatch.setattr("sys.argv", ["qss", "fixture", "rs747"])
+    assert main() == EXIT_OK
+    text = capsys.readouterr().out
+    g, ref = parse_graph(text), rs747_fixture().graph
+    assert g.q == ref.q and (g.gamma == ref.gamma).all()
+
+    path = tmp_path / "rs.graph"
+    path.write_text(text)
+    monkeypatch.setattr("sys.argv", ["qss", "scheme-k", str(path), "--dealer", "7"])
+    assert main() == EXIT_OK
+    assert report(capsys.readouterr().out)["result"]["k"] == 4
+
+
+SEED_ARGS = {
+    "sample": ["--n", "5", "--q", "3", "--alpha", "0.75", "--trials", "4"],
+    "oracle-verify": ["--dealer", "0"],
+    "cq-round": ["--dealer", "0", "--set", "1,2"],
+    "qq-decode": ["--dealer", "0", "--set", "1,2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEED_ARGS))
+def test_negative_seed_exit_2_names_the_flag(capsys, star_file, command):
+    graph = [] if command == "sample" else [star_file]
+    code, out, err = run(capsys, [command, *graph, *SEED_ARGS[command], "--seed", "-1"])
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "--seed -1 is negative" in err
 
 
 def test_exit_code_constants_are_distinct():

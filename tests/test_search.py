@@ -14,7 +14,7 @@ from math import ceil, comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qss.search
@@ -29,7 +29,7 @@ from qss.search import (
     scheme_k,
     sufficient_condition_check,
 )
-from qss.search import BLOCK, _first_failure, _gamma_from_index, _sets
+from qss.search import BLOCK, _first_failure, _gamma_from_index
 
 from helpers import dealer_graphs, int_rank
 
@@ -166,7 +166,7 @@ def test_cut_rank_invariances_keep_every_derivative(dg, data):
     for gamma in (relabelled, scaled, lc):
         assert scheme_k(DealerGraph(Multigraph(q, gamma), d)).k == k
     for size in range(len(players) + 1):
-        subsets = _sets(players, size)
+        subsets = np.array(list(combinations(dg.players, size)), dtype=np.intp)
         images = np.sort(perm[subsets], axis=1)
         want = batch_indicators(g.gamma[None], q, d, subsets)[1]
         assert np.array_equal(batch_indicators(relabelled[None], q, d, images)[1], want)
@@ -185,19 +185,56 @@ def test_first_failure_across_blocks(count):
     gammas += np.transpose(gammas, (0, 2, 1))
     firsts = {}
     for size in (6, 10):
-        subsets = _sets(range(1, n), size)
+        subsets = np.array(list(combinations(range(1, n), size)))
         # sets that fail on few graphs go first, so first failures fall
         # deep into the list and past the first block
         failing = batch_indicators(gammas, q, 0, subsets)[1] != -1
         order = np.argsort(failing.sum(axis=0), kind="stable")
         failing = failing[:, order]
         want = np.where(failing.any(axis=1), failing.argmax(axis=1), len(subsets))
-        assert np.array_equal(_first_failure(gammas, q, 0, subsets[order]), want)
+        stream = [tuple(int(v) for v in subsets[i]) for i in order]
+        got = _first_failure(gammas, q, 0, iter(stream))
+        assert got == [stream[j] if j < len(stream) else None for j in want]
         firsts[size] = want
-    # a result that dropped its block's offset would read below this
+    # a result taken from the wrong block would name a set before this
     assert (firsts[6] >= max(1, BLOCK // count)).any()
     # size 10 covers graphs on which every set has access
     assert (firsts[10] == comb(11, 10)).any()
+
+
+@st.composite
+def small_field_graphs(draw):
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 9))
+    gamma = np.zeros((n, n), dtype=np.int64)
+    gamma[np.triu_indices(n, 1)] = draw(st.lists(st.integers(0, q - 1), min_size=n * (n - 1) // 2,
+                                                 max_size=n * (n - 1) // 2))
+    gamma += gamma.T
+    gamma[0, 1] = gamma[1, 0] = draw(st.integers(1, q - 1))
+    return DealerGraph(Multigraph(q, gamma), 0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_field_graphs())
+@example(DealerGraph(Multigraph(3, [[0, 2], [2, 0]]), 0))
+def test_streamed_scan_matches_scalar_derivative_loop(dg):
+    # the streamed first-failure scan against one quantum_derivative call per
+    # set of each combinations level; n = 2 has the size-0 level at k = 1
+    g, d, players = dg.graph, dg.dealer, dg.players
+    failures = {
+        size: [b for b in combinations(players, size) if quantum_derivative(g, d, b) != -1]
+        for size in range(len(players) + 1)
+    }
+    k = 1 + max(size for size, failed in failures.items() if failed)
+    rep = scheme_k(dg)
+    assert (rep.k, rep.worst_unauthorized) == (k, failures[k - 1][0])
+    for size in range(1, len(players) + 1):
+        res = is_scheme(dg, size)
+        if failures[size]:
+            want = (False, failures[size][0])
+        else:
+            want = (bool(failures[size - 1]), None)
+        assert (res.ok, res.counterexample) == want
 
 
 def test_scheme_report_json_shape():
