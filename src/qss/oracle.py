@@ -106,7 +106,8 @@ class WeylOperator:
 
     Composition, powers and inverses track the global phase exactly as an
     integer exponent of omega, using X^a Z^b |x> = omega^{b.x} |x+a> and
-    Z^b X^a = omega^{a b} X^a Z^b per site.
+    Z^b X^a = omega^{a b} X^a Z^b per site. Stabilizer products skip this
+    algebra: _stabilizer_product writes each down in closed form.
     """
 
     q: int
@@ -125,18 +126,6 @@ class WeylOperator:
     @classmethod
     def identity(cls, q: int, n: int) -> "WeylOperator":
         return cls(q, (0,) * n, (0,) * n, 0)
-
-    @classmethod
-    def x_op(cls, q: int, n: int, site: int, power: int = 1) -> "WeylOperator":
-        a = [0] * n
-        a[site] = power
-        return cls(q, tuple(a), (0,) * n, 0)
-
-    @classmethod
-    def z_op(cls, q: int, n: int, site: int, power: int = 1) -> "WeylOperator":
-        b = [0] * n
-        b[site] = power
-        return cls(q, (0,) * n, tuple(b), 0)
 
     @property
     def n(self) -> int:
@@ -175,20 +164,6 @@ class WeylOperator:
             m * self.phase + (m * (m - 1) // 2) * cross,
         )
 
-    def commutation_exponent(self, other: "WeylOperator") -> int:
-        """e with self @ other = omega^e (other @ self)."""
-        e = sum(b * a for b, a in zip(self.z_powers, other.x_powers)) - sum(
-            b * a for b, a in zip(other.z_powers, self.x_powers)
-        )
-        return e % self.q
-
-    def is_identity(self) -> bool:
-        return not any(self.x_powers) and not any(self.z_powers) and self.phase == 0
-
-    def xz_weight(self) -> int:
-        """Integer sum of x_v * z_v over sites (not reduced mod q)."""
-        return int(sum(a * b for a, b in zip(self.x_powers, self.z_powers)))
-
     def factor_site(self, site: int) -> "WeylOperator":
         """The operator on the remaining sites, in order, with the site split
         off and the global phase kept. Exact only for a site with no X
@@ -203,18 +178,6 @@ class WeylOperator:
             tuple(self.z_powers[v] for v in keep),
             self.phase,
         )
-
-    def embed(self, n: int, sites) -> "WeylOperator":
-        """Place this operator on the given sites of a larger register."""
-        sites = list(sites)
-        if len(sites) != self.n:
-            raise ValueError("site list must match the operator arity")
-        a = [0] * n
-        b = [0] * n
-        for local, g in enumerate(sites):
-            a[g] = self.x_powers[local]
-            b[g] = self.z_powers[local]
-        return WeylOperator(self.q, tuple(a), tuple(b), self.phase)
 
 
 def omega_table(q: int) -> np.ndarray:
@@ -246,16 +209,21 @@ def apply_weyl(state: StateVector, w: WeylOperator) -> StateVector:
 
 def stabilizer_generator(g: Multigraph, u: int) -> WeylOperator:
     """K_u = X_u Z_{Gamma.{u}} on the full vertex register."""
-    return WeylOperator(g.q, tuple(int(v == u) for v in range(g.n)), tuple(g.gamma[u].tolist()), 0)
+    return _stabilizer_product(g, np.arange(g.n) == u)
 
 
-def _stabilizer_product(g: Multigraph, weights) -> WeylOperator:
-    """prod_u K_u^{w_u} over a vertex -> weight mapping, on the full vertex
-    register, multiplied in the mapping's order (the K_u commute)."""
-    out = WeylOperator.identity(g.q, g.n)
-    for u, w in weights.items():
-        out = out @ (stabilizer_generator(g, u) ** w)
-    return out
+def _stabilizer_product(g: Multigraph, w) -> WeylOperator:
+    """prod_u K_u^{w_u} = omega^{w.Gamma.w / 2} X^w Z^{Gamma w} for a
+    length-n weight vector w, on the full vertex register.
+
+    Exact: K_u^q = I, so w mod q suffices. Multiplied out in any order, the
+    reorderings cost omega^{w_u Gamma_uv w_v} once per pair u < v. Gamma is
+    symmetric with a zero diagonal, so w.Gamma.w is twice that sum, even,
+    and halves exactly in Python ints.
+    """
+    x = [int(a) % g.q for a in w]
+    z = (g.gamma @ np.array(x, dtype=np.int64)).tolist()
+    return WeylOperator(g.q, x, z, sum(a * b for a, b in zip(x, z)) // 2)
 
 
 def graph_state(g: Multigraph, budget: int = AMPLITUDE_BUDGET) -> StateVector:
@@ -327,9 +295,9 @@ def measure_weyl(state: StateVector, w: WeylOperator, rng: np.random.Generator):
 
     For odd q every Weyl operator here satisfies W^q = I, the eigenvalues
     are omega^m and the projectors are the discrete Fourier sums of W^j.
-    For q = 2 an operator with odd total XZ weight squares to -I; the
+    For q = 2 an operator with odd x.z = sum_v x_v z_v squares to -I; the
     measured observable is then -iW and the label m means eigenvalue
-    i * (-1)^m of W itself. Even weight keeps the plain (-1)^m convention.
+    i * (-1)^m of W itself. Even x.z keeps the plain (-1)^m convention.
     """
     q = state.q
     if q != 2:
@@ -350,7 +318,7 @@ def measure_weyl(state: StateVector, w: WeylOperator, rng: np.random.Generator):
         return m, StateVector._derived(q, state.n, post).check_normalized()
     # q = 2
     wpsi = apply_weyl(state, w)
-    odd = w.xz_weight() % 2 == 1
+    odd = sum(a * b for a, b in zip(w.x_powers, w.z_powers)) % 2 == 1
     scale = -1j if odd else 1.0  # measured observable is scale * W
     probs = []
     branches = []
@@ -394,7 +362,8 @@ def _codewords(g: Multigraph, d: int, values, budget: int) -> list[StateVector]:
     if g.degree(d) == 0:
         raise ValueError("isolated dealer: the encoding collapses")
     base = graph_state(delete_vertex(g, d), budget=budget)
-    return [apply_weyl(base, logical_x(g, d) ** s) for s in values]
+    xbar = logical_x(g, d)
+    return [apply_weyl(base, xbar**s) for s in values]
 
 
 def cq_encode(g: Multigraph, d: int, s: int, budget: int = AMPLITUDE_BUDGET) -> StateVector:
@@ -429,11 +398,17 @@ def qq_encode(g: Multigraph, d: int, secret, budget: int = AMPLITUDE_BUDGET) -> 
     return _superpose(g, dict(zip(support, _codewords(g, d, support, budget))), secret)
 
 
-def reduced_density(state: StateVector, sites, budget: int = AMPLITUDE_BUDGET) -> np.ndarray:
-    """Partial trace down to the given site positions (sorted order)."""
+def _register_sites(state: StateVector, sites) -> list[int]:
+    """Distinct site positions, ascending; any outside 0..n-1, negative too, raises."""
     keep = sorted(set(int(s) for s in sites))
     if keep and not (0 <= keep[0] and keep[-1] < state.n):
         raise ValueError("sites outside the register")
+    return keep
+
+
+def reduced_density(state: StateVector, sites, budget: int = AMPLITUDE_BUDGET) -> np.ndarray:
+    """Partial trace down to the given site positions (sorted order)."""
+    keep = _register_sites(state, sites)
     if state.q ** (2 * len(keep)) > budget:
         raise BudgetExceeded("reduced density matrix exceeds the amplitude budget")
     drop = [s for s in range(state.n) if s not in keep]
@@ -478,7 +453,7 @@ def info_leak(g: Multigraph, d: int, b_set, budget: int = AMPLITUDE_BUDGET) -> f
 
 def schmidt_rank(state: StateVector, sites) -> int:
     """Schmidt rank of the bipartition (sites, rest): singular values above 1e-7."""
-    keep = sorted(set(int(s) for s in sites))
+    keep = _register_sites(state, sites)
     grid = np.moveaxis(state.grid(), keep, range(len(keep)))
     mat = grid.reshape(state.q ** len(keep), -1)
     sing = np.linalg.svd(mat, compute_uv=False)
@@ -533,8 +508,8 @@ class DecodeParams:
 def decode_params(g: Multigraph, d: int, b_set, d_ms, c_ms, t: int) -> DecodeParams:
     """Assemble the round-t measurement parameters from the witness pair.
 
-    The stabilizer product K_C^t K_D^{1 - t*beta} is multiplied out with
-    exact phase tracking; its global phase defines c. t = 0 works with
+    The stabilizer product K_C^t K_D^{1 - t*beta} has weight
+    t*C + (1 - t*beta)*D; its exact global phase defines c. t = 0 works with
     c_ms = None (the C factor never enters). q = 2 allows t in {0, 1}.
     """
     q = g.q
@@ -543,14 +518,10 @@ def decode_params(g: Multigraph, d: int, b_set, d_ms, c_ms, t: int) -> DecodePar
     if t != 0 and c_ms is None:
         raise ValueError("basis t != 0 needs the hiding witness C")
     d_ms, c_ms = _validated_pair(g, d, b, d_ms, c_ms)
-    beta = 0 if c_ms is None else int((g.gamma[d] @ c_ms.as_vector(g.n)) % q)
-
-    k_d_factor = _stabilizer_product(g, d_ms)
-    if t == 0:
-        s_product = k_d_factor
-    else:
-        # C is 1 at the dealer and otherwise supported on b
-        s_product = (_stabilizer_product(g, c_ms) ** t) @ (k_d_factor ** ((1 - t * beta) % q))
+    c_vec = np.zeros(g.n, dtype=np.int64) if c_ms is None else c_ms.as_vector(g.n)
+    beta = int((g.gamma[d] @ c_vec) % q)
+    # C is 1 at the dealer and otherwise supported on b
+    s_product = _stabilizer_product(g, t * c_vec + (1 - t * beta) * d_ms.as_vector(g.n))
 
     for v in range(g.n):
         if v == d or v in b:
@@ -624,8 +595,8 @@ def cq_round(
             total += m_v
         return s, (-total) % q
     for v in b:
-        w = WeylOperator.x_op(q, g.n, v, params.x[v]) @ WeylOperator.z_op(q, g.n, v, params.z[v])
-        m_v, state = measure_weyl(state, w, rng)
+        on_v = np.arange(g.n) == v
+        m_v, state = measure_weyl(state, WeylOperator(q, params.x[v] * on_v, params.z[v] * on_v), rng)
         total += m_v
     return s, params.decode(total)
 
@@ -640,10 +611,7 @@ def classical_measure_decode(g: Multigraph, d: int, b_set, d_ms, s: int, budget:
     """
     b = tuple(sorted(set(int(v) for v in b_set)))
     d_ms, _ = _validated_pair(g, d, b, d_ms, None)
-    full = _stabilizer_product(g, d_ms)
-    if full.x_powers[d] != 0:
-        raise AssertionError("dealer site unexpectedly carries an X component")
-    players_op = full.factor_site(d)
+    players_op = _stabilizer_product(g, d_ms.as_vector(g.n)).factor_site(d)
     word = cq_encode(g, d, s % g.q, budget=budget)
     m = eigenvalue_label(word, players_op)
     return (-m) % g.q
@@ -664,7 +632,8 @@ def logical_z(g: Multigraph, d: int) -> WeylOperator:
     adjacent to the dealer; phases |i_L> by omega^i."""
     for u in _player_order(g, d):
         if g.gamma[u, d] % g.q:
-            return _stabilizer_product(g, {u: -inv_mod(int(g.gamma[u, d]), g.q)}).factor_site(d)
+            w = -inv_mod(int(g.gamma[u, d]), g.q) * (np.arange(g.n) == u)
+            return _stabilizer_product(g, w).factor_site(d)
     raise ValueError("no player adjacent to the dealer; logical Z undefined")
 
 
@@ -676,11 +645,11 @@ def code_unitaries(g: Multigraph, d: int, b_set, d_ms, c_ms) -> tuple[WeylOperat
     if d_ms is None or c_ms is None:
         raise ValueError("quantum decoding needs both witnesses")
     d_ms, c_ms = _validated_pair(g, d, b, d_ms, c_ms)
-    q = g.q
-    beta = int((g.gamma[d] @ c_ms.as_vector(g.n)) % q)
-    # no K_i with i in b has an X power at the dealer, so the site splits off
-    u_op = _stabilizer_product(g, {i: -d_ms[i] % q for i in b}).factor_site(d)
-    v_op = logical_x(g, d) @ _stabilizer_product(g, {i: (c_ms[i] - beta * d_ms[i]) % q for i in b}).factor_site(d)
+    d_vec, c_vec = d_ms.as_vector(g.n), c_ms.as_vector(g.n)
+    beta = int((g.gamma[d] @ c_vec) % g.q)
+    c_vec[d] = 0  # C's dealer weight 1 is the logical X; D and the rest of C live on b
+    u_op = _stabilizer_product(g, -d_vec).factor_site(d)
+    v_op = logical_x(g, d) @ _stabilizer_product(g, c_vec - beta * d_vec).factor_site(d)
     for p, v in enumerate(_player_order(g, d)):
         if v in b:
             continue
@@ -740,15 +709,16 @@ def _bell_decode(q: int, steering, encoded: StateVector, rng: np.random.Generato
     bell = np.eye(q, dtype=np.complex128) / np.sqrt(q)
     full = StateVector(q, encoded.n + 2, np.kron(encoded.amplitudes, bell.reshape(-1)), budget=budget)
 
-    n_tot = full.n
-    a1, a2 = n_tot - 2, n_tot - 1
-    m1 = v_op.inverse().embed(n_tot, range(encoded.n)) @ WeylOperator.x_op(q, n_tot, a1, -1)
-    m2 = u_op.embed(n_tot, range(encoded.n)) @ WeylOperator.z_op(q, n_tot, a1, -1)
+    # the ancillas a1, a2 follow the players: append their exponents
+    v_inv = v_op.inverse()
+    m1 = WeylOperator(q, (*v_inv.x_powers, -1, 0), (*v_inv.z_powers, 0, 0), v_inv.phase)
+    m2 = WeylOperator(q, (*u_op.x_powers, 0, 0), (*u_op.z_powers, -1, 0), u_op.phase)
     k, full = measure_weyl(full, m1, rng)
     l_label, full = measure_weyl(full, m2, rng)
     l = (-l_label) % q
-    correction = WeylOperator.z_op(q, n_tot, a2, k) @ WeylOperator.x_op(q, n_tot, a2, -l)
-    full = apply_weyl(full, correction)
+    a2 = full.n - 1
+    # Z^k X^{-l} = omega^{-kl} X^{-l} Z^k on a2
+    full = apply_weyl(full, WeylOperator(q, (0,) * a2 + (-l,), (0,) * a2 + (k,), -k * l))
 
     rho = reduced_density(full, [a2], budget=budget)
     vals, vecs = np.linalg.eigh(rho)
@@ -799,15 +769,14 @@ def bell_measure(state: StateVector, site_a: int, site_b: int, rng: np.random.Ge
     return k, l, out.check_normalized()
 
 
-def apply_controlled(state: StateVector, control: int, w: WeylOperator, power_sign: int = 1) -> StateVector:
-    """Apply W^{power_sign * j} to the rest of the register for each digit j
-    of the control site. w acts on the remaining sites in their order."""
+def apply_controlled(state: StateVector, control: int, w: WeylOperator) -> StateVector:
+    """Apply W^j to the rest of the register for each digit j of the control
+    site; digit 0 is left alone. w acts on the remaining sites in their
+    order."""
     q = state.q
     grid = np.moveaxis(state.grid(), control, 0).copy()
-    for j in range(q):
-        wj = w ** ((power_sign * j) % q)
-        if not wj.is_identity():
-            grid[j] = _weyl_on_grid(q, grid[j], wj)
+    for j in range(1, q):
+        grid[j] = _weyl_on_grid(q, grid[j], w**j)
     out = np.moveaxis(grid, 0, control)
     return StateVector._derived(q, state.n, out).check_normalized()
 
@@ -886,7 +855,7 @@ def encode_decode_variants(
         fmat = _fourier_matrix(q)
         grid = np.tensordot(fmat, full.grid(), axes=(1, 0))
         full = StateVector._derived(q, full.n, grid)
-        full = apply_controlled(full, 0, zbar, power_sign=-1)
+        full = apply_controlled(full, 0, zbar.inverse())
         plus = np.ones(q, dtype=np.complex128) / np.sqrt(q)
         return _project_site(full, 0, plus)
 
@@ -898,7 +867,7 @@ def encode_decode_variants(
         plus = StateVector(q, 1, np.ones(q, dtype=np.complex128) / np.sqrt(q))
         full = encoded.tensor(plus, budget=budget)  # ancilla is the last axis
         anc = full.n - 1
-        full = apply_controlled(full, anc, v_op, power_sign=-1)
+        full = apply_controlled(full, anc, v_op.inverse())
         if mode == "D2":
             return full
         fmat = _fourier_matrix(q)

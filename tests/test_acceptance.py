@@ -451,7 +451,7 @@ def test_criterion_12_variant_equivalence():
             from qss.oracle import code_unitaries
 
             _, v_op = code_unitaries(g, 0, players, dms, cms)
-            undone = apply_controlled(joint, joint.n - 1, v_op, power_sign=1)
+            undone = apply_controlled(joint, joint.n - 1, v_op)
             plus = StateVector(g.q, 1, np.ones(g.q) / np.sqrt(g.q))
             worst = min(worst, state_fidelity(undone, ref.tensor(plus)))
 

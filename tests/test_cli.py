@@ -499,6 +499,58 @@ def test_cq_round_authorized_rounds_agree(capsys, star_file):
     assert all(r["s"] == r["m"] for r in res["rounds"])
 
 
+# Eight authorized rounds per basis t on the ORACLE_PINS graphs, pinned from the
+# implementation that folded generator powers one at a time. The dealer's
+# outcomes s come from the same draws in every basis; each m must equal s.
+# q = 2 at t = 1 takes the half_correction path, and both odd-q sets have
+# beta = 1, so the round operator weights D by 1 - t at t = 1 and 2.
+CQ_ROUND_PINS = [
+    ("q2", "1,2,3", (1,), 21, [1, 1, 1, 1, 0, 0, 0, 0]),
+    ("q3", "1,3", (0, 1, 2), 22, [1, 1, 2, 1, 1, 2, 1, 0]),
+    ("q5", "1,3", (0, 1, 2), 23, [3, 0, 1, 2, 0, 1, 3, 3]),
+]
+
+
+@pytest.mark.parametrize("name, vset, t, seed, outcomes",
+                         [(name, vset, t, seed, s) for name, vset, ts, seed, s in CQ_ROUND_PINS for t in ts])
+def test_cq_round_reports_pinned(capsys, tmp_path, name, vset, t, seed, outcomes):
+    path = tmp_path / f"{name}.graph"
+    path.write_text(ORACLE_PINS[name][0])
+    code, out, _ = run(capsys, ["cq-round", str(path), "--dealer", "0", "--set", vset, "--t", str(t),
+                                "--rounds", "8", "--seed", str(seed)])
+    assert code == EXIT_OK
+    rep = report(out)
+    del rep["wall_time"]
+    b = [int(v) for v in vset.split(",")]
+    assert rep == {
+        "command": "cq-round",
+        "inputs": {"graph": str(path), "dealer": 0, "set": b, "t": t, "rounds": 8},
+        "result": {"rounds": [{"s": s, "m": s} for s in outcomes], "agreements": 8, "total": 8},
+        "seed": seed,
+    }
+
+
+def test_qq_decode_report_pinned(capsys, tmp_path):
+    path = tmp_path / "q5.graph"
+    path.write_text(ORACLE_PINS["q5"][0])
+    code, out, _ = run(capsys, ["qq-decode", str(path), "--dealer", "0", "--set", "1,2", "--seed", "31"])
+    assert code == EXIT_OK
+    rep = report(out)
+    del rep["wall_time"]
+    assert rep == {
+        "command": "qq-decode",
+        "inputs": {"graph": str(path), "dealer": 0, "set": [1, 2]},
+        "result": {
+            "fidelity": 1.0000000000000016,
+            "syndrome": [2, 1],
+            "used_fallback": False,
+            "secret_real": [-0.174855670195, 0.116738840541, 0.268554197519, -0.43002048874, 0.339564912493],
+            "secret_imag": [0.112821182498, 0.34633954905, 0.120500171053, 0.513997083814, -0.414802645028],
+        },
+        "seed": 31,
+    }
+
+
 def test_cq_round_unauthorized_raise_and_measure(capsys, star_file):
     code, _, err = run(
         capsys, ["cq-round", star_file, "--dealer", "0", "--set", "", "--seed", "4"]

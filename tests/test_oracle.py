@@ -13,6 +13,7 @@ from qss.oracle import (
     BellDecodeResult,
     StateVector,
     WeylOperator,
+    _stabilizer_product,
     apply_controlled,
     apply_weyl,
     bell_basis_vector,
@@ -118,8 +119,8 @@ def test_xz_versus_zx_on_zero():
     q = 3
     zero = StateVector.computational(q, 1, [0])
     one = StateVector.computational(q, 1, [1])
-    x = WeylOperator.x_op(q, 1, 0)
-    z = WeylOperator.z_op(q, 1, 0)
+    x = WeylOperator(q, (1,), (0,))
+    z = WeylOperator(q, (0,), (1,))
     xz = apply_weyl(zero, x @ z)
     zx = apply_weyl(zero, z @ x)
     omega = omega_table(q)[1]
@@ -127,13 +128,22 @@ def test_xz_versus_zx_on_zero():
     assert np.allclose(zx.amplitudes, omega * one.amplitudes)
 
 
+def commutation_exponent(a, b):
+    """e with a @ b = omega^e (b @ a): the symplectic form z_a.x_b - z_b.x_a."""
+    e = sum(z * x for z, x in zip(a.z_powers, b.x_powers)) - sum(z * x for z, x in zip(b.z_powers, a.x_powers))
+    return e % a.q
+
+
 def test_commutation_exponent():
     for q in (2, 3, 5):
-        x = WeylOperator.x_op(q, 1, 0)
-        z = WeylOperator.z_op(q, 1, 0)
-        assert x.commutation_exponent(z) == q - 1
-        assert z.commutation_exponent(x) == 1
-        assert x.commutation_exponent(x) == 0
+        x = WeylOperator(q, (1,), (0,))
+        z = WeylOperator(q, (0,), (1,))
+        assert commutation_exponent(x, z) == q - 1
+        assert commutation_exponent(z, x) == 1
+        assert commutation_exponent(x, x) == 0
+        xz, zx = x @ z, z @ x
+        assert (xz.x_powers, xz.z_powers) == (zx.x_powers, zx.z_powers)
+        assert (xz.phase - zx.phase) % q == commutation_exponent(x, z)
 
 
 def test_weyl_inverse_and_power():
@@ -146,8 +156,8 @@ def test_weyl_inverse_and_power():
                 tuple(rng.integers(0, q, size=3)),
                 int(rng.integers(0, q)),
             )
-            assert (w @ w.inverse()).is_identity()
-            assert (w.inverse() @ w).is_identity()
+            assert w @ w.inverse() == WeylOperator.identity(q, 3)
+            assert w.inverse() @ w == WeylOperator.identity(q, 3)
             if q != 2:
                 assert (w**q).x_powers == (0, 0, 0)
                 assert (w**q).z_powers == (0, 0, 0)
@@ -160,7 +170,7 @@ def test_weyl_square_at_q2_odd_weight():
     sq = w**2
     assert sq.x_powers == (0,) and sq.z_powers == (0,)
     assert sq.phase == 1
-    assert not sq.is_identity()
+    assert sq != WeylOperator.identity(2, 1)
 
 
 def test_weyl_power_matches_repeated_product():
@@ -180,11 +190,17 @@ def test_weyl_power_matches_repeated_product():
 
 
 def test_weyl_embed_and_factor():
+    # exponents appended for new sites act as the tensor product with them
+    rng = np.random.default_rng(79)
     w = WeylOperator(3, (1, 0), (2, 1), 1)
-    big = w.embed(4, [1, 3])
-    assert big.x_powers == (0, 1, 0, 0)
-    assert big.z_powers == (0, 2, 0, 1)
-    assert big.phase == 1
+    psi = StateVector(3, 2, rng.normal(size=9) + 1j * rng.normal(size=9))
+    psi = StateVector(3, 2, psi.amplitudes / psi.norm())
+    anc = StateVector.computational(3, 1, [2])
+    wide = WeylOperator(3, (*w.x_powers, 2), (*w.z_powers, 1), w.phase)
+    expected = np.kron(apply_weyl(psi, w).amplitudes, apply_weyl(anc, WeylOperator(3, (2,), (1,), 0)).amplitudes)
+    assert np.allclose(apply_weyl(psi.tensor(anc), wide).amplitudes, expected)
+
+    big = WeylOperator(3, (0, 1, 0, 0), (0, 2, 0, 1), 1)
     rest = big.factor_site(3)
     assert rest.x_powers == (0, 1, 0)
     assert rest.z_powers == (0, 2, 0)
@@ -208,7 +224,33 @@ def test_graph_stabilizers_commute():
         ops = [stabilizer_generator(g, u) for u in range(4)]
         for a in ops:
             for b in ops:
-                assert a.commutation_exponent(b) == 0
+                assert commutation_exponent(a, b) == 0
+
+
+def folded_product(g, w, order):
+    """prod_u K_u^{w_u} multiplied out one generator power at a time."""
+    out = WeylOperator.identity(g.q, g.n)
+    for u in order:
+        k_u = stabilizer_generator(g, u)
+        assert k_u == WeylOperator(g.q, np.arange(g.n) == u, g.gamma[u])  # X_u Z^{Gamma.u}
+        out = out @ (k_u ** int(w[u]))
+    return out
+
+
+def test_stabilizer_product_matches_ordered_fold():
+    rng = np.random.default_rng(80)
+    for q in (2, 3, 5, 7):
+        for _ in range(100):
+            n = int(rng.integers(2, 8))
+            g = random_graph(n, q, rng)
+            w = rng.integers(-2 * q, 2 * q + 1, size=n)  # below 0 and at least q
+            prod = _stabilizer_product(g, w)
+            assert prod == folded_product(g, w, rng.permutation(n).tolist())
+            # the round operator's shape K_C^t K_D^e has weight t*C + e*D
+            c, t = rng.integers(-2 * q, 2 * q + 1, size=n), int(rng.integers(0, q))
+            assert (folded_product(g, c, range(n)) ** t) @ prod == _stabilizer_product(g, t * c + w)
+            if q**n <= 3**7:
+                assert eigenvalue_label(graph_state(g), prod) == 0
 
 
 # ------------------------------------------------------------------ mub bases
@@ -318,7 +360,7 @@ def test_measure_weyl_q2_odd_weight_convention():
 def test_eigenvalue_label_rejects_non_eigenvector():
     with pytest.raises(AssertionError, match="eigenvector"):
         eigenvalue_label(
-            StateVector.computational(3, 1, [0]), WeylOperator.x_op(3, 1, 0)
+            StateVector.computational(3, 1, [0]), WeylOperator(3, (1,), (0,))
         )
 
 
@@ -434,6 +476,15 @@ def test_schmidt_rank_equals_q_power_cutrank():
     for g, sites in cases:
         psi = graph_state(g)
         assert schmidt_rank(psi, sites) == g.q ** cutrank(g, sites)
+
+
+@pytest.mark.parametrize("sites", [[-1], [0, -3], [3], [1, 7]])
+def test_site_positions_outside_the_register_raise(sites):
+    psi = graph_state(star3())
+    with pytest.raises(ValueError, match="outside the register"):
+        schmidt_rank(psi, sites)
+    with pytest.raises(ValueError, match="outside the register"):
+        reduced_density(psi, sites)
 
 
 # ------------------------------------------------------------ classical rounds
@@ -634,7 +685,7 @@ def test_apply_controlled_entangles():
     plus = StateVector(q, 1, np.ones(q) / np.sqrt(q))
     zero = StateVector.computational(q, 1, [0])
     both = plus.tensor(zero)
-    out = apply_controlled(both, 0, WeylOperator.x_op(q, 1, 0))
+    out = apply_controlled(both, 0, WeylOperator(q, (1,), (0,)))
     grid = out.grid()
     for j in range(q):
         assert grid[j, j] == pytest.approx(1 / np.sqrt(q))
