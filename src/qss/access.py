@@ -28,7 +28,7 @@ from .fqlinalg import (
     reduced_column_echelon_mod,
     solve_affine_mod,
 )
-from .multigraph import Multigraph, Multiset
+from .multigraph import Multigraph, Multiset, cut_matrix
 
 CLASSICAL_ACCESSIBLE = "accessible"
 NO_INFO = "no_info"
@@ -48,11 +48,8 @@ def _check_b(g: Multigraph, d: int, b_set) -> tuple[int, ...]:
 
 def cutrank(g: Multigraph, b_set) -> int:
     """Rank over F_q of the cut matrix between b_set and the rest."""
-    b = sorted(set(int(v) for v in b_set))
-    rest = [v for v in range(g.n) if v not in set(b)]
-    if not b or not rest:
-        return 0
-    return rank_mod(g.gamma[np.ix_(b, rest)], g.q)
+    b = set(int(v) for v in b_set)
+    return rank_mod(cut_matrix(g, b, [v for v in range(g.n) if v not in b]), g.q)
 
 
 def batch_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,10 +123,9 @@ def witness_D(g: Multigraph, d: int, b_set) -> Multiset | None:
     if not b:
         return None
     rest = [v for v in range(g.n) if v not in b]
-    m = g.gamma[np.ix_(rest, list(b))]
     target = np.zeros(len(rest), dtype=np.int64)
     target[rest.index(d)] = 1
-    sol = solve_affine_mod(m, target, g.q)
+    sol = solve_affine_mod(cut_matrix(g, rest, b), target, g.q)
     if sol is None:
         return None
     return Multiset(g.q, dict(zip(b, sol.tolist())))
@@ -145,10 +141,9 @@ def witness_C(g: Multigraph, d: int, b_set) -> Multiset | None:
     """
     b = _check_b(g, d, b_set)
     outside = [v for v in range(g.n) if v not in b]
-    rows = g.gamma[np.ix_(list(b), outside)] if b else np.zeros((0, len(outside)), dtype=np.int64)
     pin = np.zeros((1, len(outside)), dtype=np.int64)
     pin[0, outside.index(d)] = 1
-    m = np.vstack([rows, pin])
+    m = np.vstack([cut_matrix(g, b, outside), pin])
     target = np.zeros(len(b) + 1, dtype=np.int64)
     target[-1] = 1
     sol = solve_affine_mod(m, target, g.q)

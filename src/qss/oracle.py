@@ -271,6 +271,15 @@ def mub_basis(q: int, t: int) -> np.ndarray:
     return np.stack([mub_vector(q, t, i) for i in range(q)], axis=1)
 
 
+def _draw(weights: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """(outcome, probs): the outcome probabilities are the weights clipped
+    at zero and normalised, and one outcome is drawn from them. Every
+    measurement samples here."""
+    probs = np.clip(weights, 0.0, None)
+    probs = probs / probs.sum()
+    return int(rng.choice(len(probs), p=probs)), probs
+
+
 def measure_site_basis(state: StateVector, site: int, basis: np.ndarray, rng: np.random.Generator):
     """Projective measurement of one site in an orthonormal basis (columns).
 
@@ -280,10 +289,7 @@ def measure_site_basis(state: StateVector, site: int, basis: np.ndarray, rng: np
     q = state.q
     grid = np.moveaxis(state.grid(), site, 0).reshape(q, -1)
     overlaps = basis.conj().T @ grid  # row i = <i|psi> component
-    probs = (abs(overlaps) ** 2).sum(axis=1)
-    probs = np.clip(probs.real, 0.0, None)
-    probs = probs / probs.sum()
-    outcome = int(rng.choice(q, p=probs))
+    outcome, probs = _draw((abs(overlaps) ** 2).sum(axis=1).real, rng)
     residual = overlaps[outcome] / np.sqrt(probs[outcome])
     collapsed = np.tensordot(basis[:, outcome], residual, axes=0).reshape([q] + [q] * (state.n - 1))
     collapsed = np.moveaxis(collapsed, 0, site)
@@ -300,37 +306,26 @@ def measure_weyl(state: StateVector, w: WeylOperator, rng: np.random.Generator):
     i * (-1)^m of W itself. Even x.z keeps the plain (-1)^m convention.
     """
     q = state.q
+    if w.q != q or w.n != state.n:
+        raise ValueError("operator does not match the state register")
+    # W^j |psi> for j < q, as flat amplitude arrays
+    powers = [state.grid()]
+    for _ in range(q - 1):
+        powers.append(_weyl_on_grid(q, powers[-1], w))
+    powers = [p.reshape(-1) for p in powers]
     if q != 2:
-        powers = [state]
-        for _ in range(q - 1):
-            powers.append(apply_weyl(powers[-1], w))
-        expect = np.array([state.inner(p) for p in powers])
         table = omega_table(q)
-        probs = np.array([(table ** (-m) * expect).sum().real / q for m in range(q)])
-        probs = np.clip(probs, 0.0, None)
-        probs = probs / probs.sum()
-        m = int(rng.choice(q, p=probs))
-        proj = np.zeros_like(state.amplitudes)
-        for j in range(q):
-            proj = proj + table[(-m * j) % q] * powers[j].amplitudes
-        proj = proj / q
-        post = proj / np.linalg.norm(proj)
-        return m, StateVector._derived(q, state.n, post).check_normalized()
-    # q = 2
-    wpsi = apply_weyl(state, w)
-    odd = sum(a * b for a, b in zip(w.x_powers, w.z_powers)) % 2 == 1
-    scale = -1j if odd else 1.0  # measured observable is scale * W
-    probs = []
-    branches = []
-    for m in range(2):
-        amp = 0.5 * (state.amplitudes + (-1) ** m * scale * wpsi.amplitudes)
-        branches.append(amp)
-        probs.append(float(np.vdot(amp, amp).real))
-    probs = np.clip(np.array(probs), 0.0, None)
-    probs = probs / probs.sum()
-    m = int(rng.choice(2, p=probs))
-    post = branches[m] / np.linalg.norm(branches[m])
-    return m, StateVector._derived(2, state.n, post).check_normalized()
+        expect = np.array([np.vdot(powers[0], p) for p in powers])
+        m, _ = _draw(np.array([(table ** (-m) * expect).sum().real / q for m in range(q)]), rng)
+        proj = sum(table[(-m * j) % q] * p for j, p in enumerate(powers)) / q
+    else:
+        psi, wpsi = powers
+        odd = sum(a * b for a, b in zip(w.x_powers, w.z_powers)) % 2 == 1
+        scale = -1j if odd else 1.0  # measured observable is scale * W
+        branches = [0.5 * (psi + (-1) ** m * scale * wpsi) for m in range(2)]
+        m, _ = _draw(np.array([np.vdot(b, b).real for b in branches]), rng)
+        proj = branches[m]
+    return m, StateVector._derived(q, state.n, proj / np.linalg.norm(proj)).check_normalized()
 
 
 def eigenvalue_label(state: StateVector, w: WeylOperator) -> int:
@@ -514,7 +509,7 @@ def decode_params(g: Multigraph, d: int, b_set, d_ms, c_ms, t: int) -> DecodePar
     """
     q = g.q
     t = int(t) % q
-    b = tuple(sorted(set(int(v) for v in b_set)))
+    b = _check_b(g, d, b_set)
     if t != 0 and c_ms is None:
         raise ValueError("basis t != 0 needs the hiding witness C")
     d_ms, c_ms = _validated_pair(g, d, b, d_ms, c_ms)
@@ -570,7 +565,7 @@ def cq_round(
         raise ValueError("on_unauthorized must be 'raise' or 'measure'")
     q = g.q
     t = int(t) % q
-    b = tuple(sorted(set(int(v) for v in b_set)))
+    b = _check_b(g, d, b_set)
     dms = witness_D(g, d, b)  # None iff pi = 0
     params = None
     if dms is not None:
@@ -609,7 +604,7 @@ def classical_measure_decode(g: Multigraph, d: int, b_set, d_ms, s: int, budget:
     the rest acts on |s_L> with eigenvalue omega^{-s}. Returns the negated
     label, i.e. s itself.
     """
-    b = tuple(sorted(set(int(v) for v in b_set)))
+    b = _check_b(g, d, b_set)
     d_ms, _ = _validated_pair(g, d, b, d_ms, None)
     players_op = _stabilizer_product(g, d_ms.as_vector(g.n)).factor_site(d)
     word = cq_encode(g, d, s % g.q, budget=budget)
@@ -641,7 +636,7 @@ def code_unitaries(g: Multigraph, d: int, b_set, d_ms, c_ms) -> tuple[WeylOperat
     """(U_B, V_B) on the player register from a valid witness pair:
     U_B |s_L> = omega^s |s_L> and V_B |s_L> = |(s+1)_L>, both supported on
     b_set only."""
-    b = tuple(sorted(set(int(v) for v in b_set)))
+    b = _check_b(g, d, b_set)
     if d_ms is None or c_ms is None:
         raise ValueError("quantum decoding needs both witnesses")
     d_ms, c_ms = _validated_pair(g, d, b, d_ms, c_ms)
@@ -704,6 +699,16 @@ def _steering(g: Multigraph, d: int, b: tuple[int, ...]) -> tuple[WeylOperator, 
     return (*code_unitaries(g, d, b, d_ms, c_ms), False)
 
 
+def _top_eigenvector(rho: np.ndarray) -> tuple[float, np.ndarray]:
+    """The largest eigenvalue of a density matrix and its unit eigenvector,
+    phased so that its largest-magnitude entry is real and positive."""
+    vals, vecs = np.linalg.eigh(rho)
+    top = int(np.argmax(vals))
+    vec = vecs[:, top]
+    pivot = int(np.argmax(abs(vec)))
+    return float(vals[top]), vec * (abs(vec[pivot]) / vec[pivot])
+
+
 def _bell_decode(q: int, steering, encoded: StateVector, rng: np.random.Generator, expected, budget: int):
     u_op, v_op, used_fallback = steering
     bell = np.eye(q, dtype=np.complex128) / np.sqrt(q)
@@ -721,10 +726,7 @@ def _bell_decode(q: int, steering, encoded: StateVector, rng: np.random.Generato
     full = apply_weyl(full, WeylOperator(q, (0,) * a2 + (-l,), (0,) * a2 + (k,), -k * l))
 
     rho = reduced_density(full, [a2], budget=budget)
-    vals, vecs = np.linalg.eigh(rho)
-    top = vecs[:, int(np.argmax(vals))]
-    pivot = int(np.argmax(abs(top)))
-    top = top * (abs(top[pivot]) / top[pivot])
+    top = _top_eigenvector(rho)[1]
     expected = np.asarray(expected, dtype=np.complex128).reshape(q)
     fid = float(np.real(expected.conj() @ rho @ expected))
     return BellDecodeResult(top, fid, (k, l), used_fallback)
@@ -750,20 +752,10 @@ def bell_measure(state: StateVector, site_a: int, site_b: int, rng: np.random.Ge
     q = state.q
     grid = np.moveaxis(state.grid(), (site_a, site_b), (0, 1)).reshape(q * q, -1)
     rest_shape = [q] * (state.n - 2)
-    probs = np.zeros(q * q)
-    residuals = []
-    labels = []
-    for k in range(q):
-        for l in range(q):
-            vec = bell_basis_vector(q, k, l)
-            res = vec.conj() @ grid
-            probs[k * q + l] = float(np.vdot(res, res).real)
-            residuals.append(res)
-            labels.append((k, l))
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    pick = int(rng.choice(q * q, p=probs))
-    k, l = labels[pick]
+    # residual k * q + l is <beta_{k,l}| on the two sites
+    residuals = [bell_basis_vector(q, k, l).conj() @ grid for k in range(q) for l in range(q)]
+    pick, probs = _draw(np.array([np.vdot(res, res).real for res in residuals]), rng)
+    k, l = divmod(pick, q)
     res = residuals[pick] / np.sqrt(probs[pick])
     out = StateVector._derived(q, state.n - 2, res.reshape(rest_shape) if rest_shape else res)
     return k, l, out.check_normalized()
@@ -784,6 +776,12 @@ def apply_controlled(state: StateVector, control: int, w: WeylOperator) -> State
 def _fourier_matrix(q: int) -> np.ndarray:
     j = np.arange(q)
     return omega_table(q)[np.outer(j, j) % q] / np.sqrt(q)
+
+
+def _apply_site(state: StateVector, site: int, mat: np.ndarray) -> StateVector:
+    """The q x q matrix mat applied to one site of the register."""
+    grid = np.tensordot(mat, np.moveaxis(state.grid(), site, 0), axes=(1, 0))
+    return StateVector._derived(state.q, state.n, np.moveaxis(grid, 0, site))
 
 
 def _project_site(state: StateVector, site: int, vec: np.ndarray) -> StateVector:
@@ -852,10 +850,7 @@ def encode_decode_variants(
             j, full = measure_site_basis(full, 0, xbasis, rng)
             full = _project_site(full, 0, xbasis[:, j])
             return apply_weyl(full, zbar ** ((-j) % q))
-        fmat = _fourier_matrix(q)
-        grid = np.tensordot(fmat, full.grid(), axes=(1, 0))
-        full = StateVector._derived(q, full.n, grid)
-        full = apply_controlled(full, 0, zbar.inverse())
+        full = apply_controlled(_apply_site(full, 0, _fourier_matrix(q)), 0, zbar.inverse())
         plus = np.ones(q, dtype=np.complex128) / np.sqrt(q)
         return _project_site(full, 0, plus)
 
@@ -871,18 +866,12 @@ def encode_decode_variants(
         if mode == "D2":
             return full
         fmat = _fourier_matrix(q)
-        grid = np.tensordot(fmat, np.moveaxis(full.grid(), anc, 0), axes=(1, 0))
-        full = StateVector._derived(q, full.n, np.moveaxis(grid, 0, anc))
-        full = apply_controlled(full, anc, u_op)
-        grid = np.tensordot(fmat.conj().T, np.moveaxis(full.grid(), anc, 0), axes=(1, 0))
-        full = StateVector._derived(q, full.n, np.moveaxis(grid, 0, anc))
-        rho = reduced_density(full, [anc], budget=budget)
-        vals, vecs = np.linalg.eigh(rho)
-        if vals[-1] < 1.0 - 1e-7:
+        full = apply_controlled(_apply_site(full, anc, fmat), anc, u_op)
+        full = _apply_site(full, anc, fmat.conj().T)
+        val, top = _top_eigenvector(reduced_density(full, [anc], budget=budget))
+        if val < 1.0 - 1e-7:
             raise AssertionError("ancilla failed to decouple; decoding is not exact here")
-        top = vecs[:, -1]
-        pivot = int(np.argmax(abs(top)))
-        return top * (abs(top[pivot]) / top[pivot])
+        return top
 
     raise ValueError(f"unknown mode {mode!r}; expected E1, E2, E3, D2 or D3")
 

@@ -11,8 +11,9 @@ for a stack of graphs, and a graph stops being ranked at its first failure.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, islice
 from math import ceil, comb, isfinite
 from typing import Iterable, NamedTuple, TextIO
@@ -28,6 +29,20 @@ TRIAL_CHUNK = 2048
 # the live stack alone is larger. Small blocks let a graph leave the stack
 # soon after its first failing set.
 BLOCK = 64
+# _gamma_from_index builds int64 indices, so no search reaches this index
+_INDEX_LIMIT = 2**63
+
+
+@contextmanager
+def _ordered_map(workers: int):
+    """The map every parallel path runs through: the builtin map when
+    workers is 1, else the ordered map of one process pool that serves the
+    whole call. Results come back in input order either way."""
+    if workers == 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool.map
 
 
 @dataclass(frozen=True)
@@ -141,16 +156,16 @@ class SearchResult:
     next_index: int
 
 
-def _graphs_realising_k(start: int, stop: int, n: int, q: int, k: int, dealer_fixed: bool) -> tuple[int | None, int]:
-    """Scan enumeration indices [start, stop) in sub-blocks of at most
-    TRIAL_CHUNK graphs; return (first hit or None, count checked).
+def _graphs_realising_k(start: int, stop: int, n: int, q: int, k: int, dealer_fixed: bool) -> int | None:
+    """The first hit among enumeration indices [start, stop), scanned in
+    sub-blocks of at most TRIAL_CHUNK graphs, or None.
 
     A graph is a hit for dealer d when d has a neighbour, every size-k
     player set is accessible and some size-(k-1) set is not.
     """
     dealers = (0,) if dealer_fixed else range(n)
     for lo in range(start, stop, TRIAL_CHUNK):
-        gammas = _gamma_from_index(np.arange(lo, min(stop, lo + TRIAL_CHUNK)), n, q)
+        gammas = _gamma_from_index(lo + np.arange(min(stop - lo, TRIAL_CHUNK)), n, q)
         hit = np.zeros(len(gammas), dtype=bool)
         for d in dealers:
             ok = gammas[:, d].any(axis=1) & ~hit
@@ -159,12 +174,11 @@ def _graphs_realising_k(start: int, stop: int, n: int, q: int, k: int, dealer_fi
                 ok[live] = batch_accessible_at_k(gammas[live], q, size, d) == wanted
             hit |= ok
         if hit.any():
-            first = lo + int(np.argmax(hit))
-            return first, first + 1 - start
-    return None, stop - start
+            return lo + int(np.argmax(hit))
+    return None
 
 
-def _read_checkpoint(fh: TextIO, header: str) -> tuple[int, int | None] | None:
+def _read_checkpoint(fh: TextIO, header: str, limit: int, scan) -> tuple[int, int | None] | None:
     """(last_index, found) of the last complete record of an append-only
     checkpoint, or None when it holds no record yet.
 
@@ -172,8 +186,10 @@ def _read_checkpoint(fh: TextIO, header: str) -> tuple[int, int | None] | None:
     line; otherwise the file must start with it, so a run never resumes
     another search's progress. A trailing record without its newline was
     torn by an interrupted write: it is cut off, and the next append starts
-    a fresh line. Records only ever advance, so the last one is the state;
-    one that does not parse as `slice, last, found` raises ValueError.
+    a fresh line. Records only ever advance, so the last one is the state.
+    One that does not parse as `slice, last, found`, whose last index lies
+    outside [0, limit), or whose found index lies outside [0, last] or is
+    no hit of scan(start, stop) raises ValueError.
     """
     fh.seek(0)
     text = fh.read()
@@ -188,14 +204,20 @@ def _read_checkpoint(fh: TextIO, header: str) -> tuple[int, int | None] | None:
     lines = complete.splitlines()
     if len(lines) < 2:
         return None
+    where = f"checkpoint {fh.name} line {len(lines)}: {lines[-1]!r}"
     try:
         sl, last, found = [p.strip() for p in lines[-1].split(",")]
         int(sl)
-        return int(last), None if found in ("none", "") else int(found)
+        last, found = int(last), None if found in ("none", "") else int(found)
     except ValueError:
-        raise ValueError(
-            f"checkpoint {fh.name} line {len(lines)}: {lines[-1]!r} is not a 'slice, last, found' record"
-        ) from None
+        raise ValueError(f"{where} is not a 'slice, last, found' record") from None
+    if not 0 <= last < limit:
+        raise ValueError(f"{where} has its last index outside 0..{limit - 1}")
+    if found is not None and not 0 <= found <= last:
+        raise ValueError(f"{where} has its found index outside 0..{last}")
+    if found is not None and scan(found, found + 1) is None:
+        raise ValueError(f"{where} names graph {found}, which realises no such scheme")
+    return last, found
 
 
 def exhaustive_search(
@@ -220,8 +242,11 @@ def exhaustive_search(
     `# n=.. q=.. k=.. dealer_fixed=..` header and appends
     `slice_index, last_enumeration_index, partial_result` lines; a rerun
     with the same file and parameters skips finished work, and one with
-    other parameters raises ValueError. With workers > 1 one process pool
-    serves every block of the call.
+    other parameters raises ValueError. Each checkpoint block is cut into
+    `workers` contiguous slices, mapped through one process pool for the
+    whole call when workers > 1; the block's hit is the least slice hit, so
+    the result does not depend on workers. A block that would reach index
+    2^63 raises ValueError.
     """
     require_prime(q)
     if n < 2:
@@ -234,36 +259,28 @@ def exhaustive_search(
         raise ValueError(f"workers={workers} is below 1")
     total = q ** (n * (n - 1) // 2)
     header = f"# n={n} q={q} k={k} dealer_fixed={int(dealer_fixed)}"
+    scan = partial(_graphs_realising_k, n=n, q=q, k=k, dealer_fixed=dealer_fixed)
     found: int | None = None
     checked = 0
     with ExitStack() as stack:
         ck = stack.enter_context(open(checkpoint_path, "a+")) if checkpoint_path else None
-        state = _read_checkpoint(ck, header) if ck else None
+        state = _read_checkpoint(ck, header, min(total, _INDEX_LIMIT), scan) if ck else None
         last, found_prev = state or (-1, None)
         start = last + 1
         stop = total if budget is None else min(total, start + budget)
         if found_prev is not None:
             stop = min(stop, found_prev)
 
-        pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers)) if workers > 1 else None
+        run = stack.enter_context(_ordered_map(workers))
         cursor = start
         while cursor < stop and found is None:
-            block = min(stop - cursor, max(checkpoint_every, 1))
-            if pool is None or block < 4 * workers:
-                hit, cnt = _graphs_realising_k(cursor, cursor + block, n, q, k, dealer_fixed)
-            else:
-                bounds = np.linspace(cursor, cursor + block, workers + 1, dtype=np.int64)
-                futures = [
-                    pool.submit(_graphs_realising_k, int(a), int(b), n, q, k, dealer_fixed)
-                    for a, b in zip(bounds[:-1], bounds[1:])
-                ]
-                results = [fut.result() for fut in futures]
-                cnt = sum(c for _, c in results)
-                hit = min((h for h, _ in results if h is not None), default=None)
-            checked += cnt
-            cursor += block
-            if hit is not None:
-                found = hit
+            end = min(stop, cursor + max(checkpoint_every, 1))
+            if end > _INDEX_LIMIT:
+                raise ValueError(f"the block from index {cursor} reaches 2^63, beyond the int64 enumeration")
+            cuts = [cursor + (end - cursor) * i // workers for i in range(workers + 1)]
+            found = min((hit for hit in run(scan, cuts[:-1], cuts[1:]) if hit is not None), default=None)
+            checked += (end if found is None else found + 1) - cursor
+            cursor = end
             if ck:
                 mark = "none" if found is None else str(found)
                 ck.write(f"0, {cursor - 1}, {mark}\n")
@@ -327,18 +344,10 @@ def random_trials(
     if trials == 0:
         return TrialSummary(q, n, alpha, 0, 0, seed, None)
 
-    chunks = [
-        (chunk_index, min(TRIAL_CHUNK, trials - chunk_index * TRIAL_CHUNK))
-        for chunk_index in range(-(-trials // TRIAL_CHUNK))
-    ]
-    if workers <= 1 or len(chunks) == 1:
-        successes = sum(_trial_chunk(seed, ci, cn, n, q, k) for ci, cn in chunks)
-    else:
-        successes = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_trial_chunk, seed, ci, cn, n, q, k) for ci, cn in chunks]
-            for fut in futures:
-                successes += fut.result()
+    chunks = range(-(-trials // TRIAL_CHUNK))
+    counts = [min(TRIAL_CHUNK, trials - ci * TRIAL_CHUNK) for ci in chunks]
+    with _ordered_map(workers) as run:
+        successes = sum(run(partial(_trial_chunk, seed, n=n, q=q, k=k), chunks, counts))
     return TrialSummary(q, n, alpha, trials, successes, seed, successes / trials)
 
 

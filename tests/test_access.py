@@ -57,6 +57,13 @@ def test_cutrank_examples():
     assert cutrank(g, [0]) == 1
 
 
+@pytest.mark.parametrize("b", [[-1], [5], [0, 3]])
+def test_cutrank_rejects_vertices_outside_the_graph(b):
+    # [-1] would read the last vertex through a negative index
+    with pytest.raises(ValueError, match="subsets of the vertex set"):
+        cutrank(star3(), b)
+
+
 def test_cutrank_symmetric_under_complement():
     rng = np.random.default_rng(41)
     for _ in range(200):

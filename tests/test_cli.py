@@ -263,6 +263,33 @@ def test_search_malformed_checkpoint_record_exit_2(capsys, tmp_path):
     assert f"checkpoint {ckpt} line 3: '0, 99, no'" in err
 
 
+def test_search_checkpoint_record_out_of_range_exit_2(capsys, tmp_path):
+    ckpt = tmp_path / "progress.ckpt"
+    for record in ("0, -50, none", "0, 10, 5"):
+        ckpt.write_text(f"# n=4 q=3 k=2 dealer_fixed=1\n{record}\n")
+        code, out, err = run(capsys, ["search", "--n", "4", "--q", "3", "--k", "2", "--checkpoint", str(ckpt)])
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert f"checkpoint {ckpt} line 2: '{record}'" in err
+
+
+def test_search_beyond_int64_indices_exit_2(capsys, tmp_path):
+    ckpt = tmp_path / "progress.ckpt"
+    ckpt.write_text("# n=8 q=7 k=4 dealer_fixed=1\n0, 9223372036854775700, none\n")
+    argv = ["search", "--n", "8", "--q", "7", "--k", "4", "--budget", "1000", "--checkpoint", str(ckpt)]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "reaches 2^63" in err
+
+
+def test_search_result_does_not_depend_on_workers(capsys):
+    argv = ["search", "--n", "5", "--q", "2", "--k", "3"]
+    results = [report(run(capsys, argv + ["--workers", w])[1])["result"] for w in ("1", "2", "3")]
+    assert results[0]["checked"] == 205
+    assert results[1] == results[0] and results[2] == results[0]
+
+
 def test_search_rejects_impossible_k_and_negative_budget(capsys, tmp_path):
     ckpt = tmp_path / "progress.ckpt"
     for extra in (["--k", "0"], ["--k", "4"], ["--k", "5"], ["--k", "2", "--budget", "-5"]):

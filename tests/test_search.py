@@ -342,12 +342,12 @@ def test_exhaustive_search_hit_must_be_tight(tmp_path):
 
 
 def test_exhaustive_search_worker_invariance():
-    base = exhaustive_search(4, 3, 2)
-    par = exhaustive_search(4, 3, 2, workers=2, checkpoint_every=40)
-    assert par.status == "found"
-    assert par.index == base.index
-    # parallel slices may scan a little past the hit, never less
-    assert par.checked >= base.checked
+    for every in (40, 50_000):
+        base = exhaustive_search(4, 3, 2, checkpoint_every=every)
+        assert base.status == "found"
+        for workers in (2, 3):
+            # slices past the block's least hit are not counted
+            assert exhaustive_search(4, 3, 2, workers=workers, checkpoint_every=every) == base
 
 
 def test_exhaustive_search_budget_and_resume(tmp_path):
@@ -384,6 +384,22 @@ def test_exhaustive_search_opens_one_pool_per_call(monkeypatch):
     r = exhaustive_search(4, 3, 2, workers=2, checkpoint_every=40)
     assert (r.status, r.index) == ("found", 123)
     assert len(opened) == 1  # four blocks of 40 indices share it
+
+
+def test_random_trials_opens_one_pool_per_call(monkeypatch):
+    opened = []
+
+    class CountingPool(qss.search.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(qss.search, "ProcessPoolExecutor", CountingPool)
+    trials = 3 * TRIAL_CHUNK + 7
+    serial = random_trials(5, 2, 0.75, trials, seed=13)
+    assert opened == []
+    assert random_trials(5, 2, 0.75, trials, seed=13, workers=2) == serial
+    assert len(opened) == 1  # four chunks share it
 
 
 def test_checkpoint_header_guards_resume(tmp_path):
@@ -436,6 +452,48 @@ def test_checkpoint_malformed_complete_record_raises(tmp_path, record):
     with pytest.raises(ValueError, match=f"checkpoint {ck} line 7: '{record}' is not"):
         exhaustive_search(4, 3, 2, checkpoint_path=str(ck), checkpoint_every=10)
     assert ck.read_text() == text
+
+
+@pytest.mark.parametrize(
+    "record, complaint",
+    [
+        ("0, -50, none", "has its last index outside 0..728"),
+        ("0, 729, none", "has its last index outside 0..728"),
+        ("0, 40, 123", "has its found index outside 0..40"),
+        ("0, 40, -1", "has its found index outside 0..40"),
+        # graph 5 leaves the dealer isolated
+        ("0, 10, 5", "names graph 5, which realises no such scheme"),
+    ],
+)
+def test_checkpoint_record_out_of_range_raises(tmp_path, record, complaint):
+    ck = tmp_path / "scan.ck"
+    ck.write_text(f"# n=4 q=3 k=2 dealer_fixed=1\n0, 9, none\n{record}\n")
+    text = ck.read_text()
+    with pytest.raises(ValueError, match=f"checkpoint {ck} line 3: '{record}' {complaint}"):
+        exhaustive_search(4, 3, 2, checkpoint_path=str(ck))
+    assert ck.read_text() == text
+
+
+def test_checkpoint_record_at_the_last_index_is_exhausted(tmp_path):
+    ck = tmp_path / "scan.ck"
+    ck.write_text("# n=4 q=3 k=2 dealer_fixed=1\n0, 728, none\n")
+    r = exhaustive_search(4, 3, 2, checkpoint_path=str(ck))
+    assert (r.status, r.checked, r.next_index) == ("exhausted", 0, 729)
+
+
+def test_search_stops_before_index_2_to_the_63(tmp_path):
+    # n = 8, q = 7 has 7^28 > 2^63 indices; _gamma_from_index builds int64
+    ck = tmp_path / "scan.ck"
+    ck.write_text(f"# n=8 q=7 k=4 dealer_fixed=1\n0, {2**63 - 21}, none\n")
+    r = exhaustive_search(8, 7, 4, budget=10, checkpoint_path=str(ck), checkpoint_every=10)
+    assert (r.status, r.checked, r.next_index) == ("budget_exceeded", 10, 2**63 - 10)
+    # the block up to index 2^63 - 1 runs, the next one would reach 2^63
+    with pytest.raises(ValueError, match=f"block from index {2**63} reaches 2\\^63"):
+        exhaustive_search(8, 7, 4, budget=100, checkpoint_path=str(ck), checkpoint_every=10)
+    assert ck.read_text().splitlines()[-1] == f"0, {2**63 - 1}, none"
+    ck.write_text(f"# n=8 q=7 k=4 dealer_fixed=1\n0, {2**63 + 92}, none\n")
+    with pytest.raises(ValueError, match=f"last index outside 0..{2**63 - 1}"):
+        exhaustive_search(8, 7, 4, budget=10, checkpoint_path=str(ck))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
