@@ -37,7 +37,10 @@ for k in (200, 201, 202, 203):
     holds = finite_inequality_holds(n, q, k)
     print(f"  k={k}: inequality {'holds (scheme not excluded)' if holds else 'violated (no such scheme)'}")
 
-# Small instances are never excluded; in particular the ((4,7))_7 scheme
-# that the fixture realises is compatible with the bound:
-print(f"\nfinite bound at n=7, q=7 excludes nothing "
-      f"(strongest excluded k = {finite_lower_bound(7, 7)}), so k=4 is fair game")
+# At small orders the entropy inequality excludes nothing; the bound that
+# bites is no-cloning: two disjoint sets never both recover a quantum
+# secret, so k > players/2. For the 7 players of the ((4,7))_7 fixture,
+# k <= 3 is already excluded and k = 4 is the least possible threshold:
+players, q = 7, 7
+print(f"\n{players} players over F_{q}: the finite bound excludes k <= {finite_lower_bound(players, q)}, "
+      f"no-cloning excludes k <= {players // 2}, so k = {players // 2 + 1} is the least possible")

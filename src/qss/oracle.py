@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -180,8 +181,12 @@ class WeylOperator:
         )
 
 
+@cache
 def omega_table(q: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(q) / q)
+    """omega^j for j in 0..q-1, built once per q and read-only."""
+    table = np.exp(2j * np.pi * np.arange(q) / q)
+    table.flags.writeable = False
+    return table
 
 
 def _weyl_on_grid(q: int, grid: np.ndarray, w: WeylOperator) -> np.ndarray:

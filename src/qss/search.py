@@ -78,18 +78,33 @@ def _first_failure(
     return first
 
 
+def _some_set_fails(size: int, players: int) -> bool:
+    """No-cloning (Cleve, Gottesman and Lo, PRL 83, 648, 1999): when
+    2 * size <= players, some set of that size has no access.
+
+    Proof. For player set P, the bordered matrix of P - B (batch_indicators)
+    is the transpose of B's, so der(B) = pi(P - B) - pi(B). pi is monotone:
+    a witness D over B also serves any superset. So der(B) = -1 gives
+    pi(P - B) = 0, and every set disjoint from B has pi = 0 and der >= 0.
+    Two disjoint sets of this size exist and never both have access.
+    """
+    return 2 * size <= players
+
+
 def scheme_k(dg: DealerGraph) -> SchemeReport:
     """Exact threshold k: 1 + the size of the largest non-accessible set.
 
-    Scans player subsets size by size, upwards, and stops each size at its
-    first non-accessible set. Every subset of a non-accessible set is
-    non-accessible, so the first size without one is k, and
-    worst_unauthorized is the lexicographically first non-accessible set of
-    size k - 1.
+    Scans player subsets size by size, upwards from p // 2 (_some_set_fails
+    decides every smaller size), stopping each size at its first
+    non-accessible set. Subsets of a non-accessible set are non-accessible,
+    so the first size without one is k, and worst_unauthorized is the
+    lexicographically first non-accessible set of size k - 1.
     """
     g, d, players = dg.graph, dg.dealer, dg.players
     worst: tuple[int, ...] = ()
     for size in range(1, len(players) + 1):
+        if _some_set_fails(size + 1, len(players)):
+            continue  # size + 1 fails too, so size is neither k nor k - 1
         failure = _first_failure(g.gamma[None], g.q, d, combinations(players, size))[0]
         if failure is None:
             return SchemeReport(size, len(players), worst, True)
@@ -113,10 +128,10 @@ def is_scheme(dg: DealerGraph, k: int) -> IsSchemeResult:
 
     Requires every size-k player set to be accessible and at least one
     size-(k-1) set not to be (tightness; without it the graph realises a
-    smaller threshold). Scans the size-k sets, then the size-(k-1) sets,
-    each up to its first non-accessible set. The first failing size-k set
-    in lexicographic order is returned as the counterexample; a tightness
-    failure has none.
+    smaller threshold). Scans the size-k sets, then, unless _some_set_fails
+    settles tightness, the size-(k-1) sets, each up to its first failure.
+    The first failing size-k set in lexicographic order is returned as the
+    counterexample; a tightness failure has none.
     """
     g, d = dg.graph, dg.dealer
     players = dg.players
@@ -125,7 +140,8 @@ def is_scheme(dg: DealerGraph, k: int) -> IsSchemeResult:
     failure = _first_failure(g.gamma[None], g.q, d, combinations(players, k))[0]
     if failure is not None:
         return IsSchemeResult(False, failure, f"set of size {k} cannot access the secret")
-    if _first_failure(g.gamma[None], g.q, d, combinations(players, k - 1))[0] is not None:
+    tight = _some_set_fails(k - 1, len(players))
+    if tight or _first_failure(g.gamma[None], g.q, d, combinations(players, k - 1))[0] is not None:
         return IsSchemeResult(True, None, "ok")
     return IsSchemeResult(False, None, f"k is not minimal: every set of size {k - 1} already has access")
 
@@ -163,6 +179,8 @@ def _graphs_realising_k(start: int, stop: int, n: int, q: int, k: int, dealer_fi
     A graph is a hit for dealer d when d has a neighbour, every size-k
     player set is accessible and some size-(k-1) set is not.
     """
+    if _some_set_fails(k, n - 1):
+        return None  # no graph realises this k, so none is built
     dealers = (0,) if dealer_fixed else range(n)
     for lo in range(start, stop, TRIAL_CHUNK):
         gammas = _gamma_from_index(lo + np.arange(min(stop - lo, TRIAL_CHUNK)), n, q)
@@ -309,8 +327,10 @@ class TrialSummary:
 
 def batch_accessible_at_k(gammas: np.ndarray, q: int, k: int, dealer: int = 0) -> np.ndarray:
     """For a stack of adjacency matrices, test whether every size-k player
-    set has derivative -1."""
+    set has derivative -1: never when _some_set_fails, so nothing is ranked."""
     players = [v for v in range(gammas.shape[1]) if v != dealer]
+    if _some_set_fails(k, len(players)):
+        return np.zeros(len(gammas), dtype=bool)
     first = _first_failure(gammas, q, dealer, combinations(players, k))
     return np.array([f is None for f in first], dtype=bool)
 

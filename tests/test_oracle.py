@@ -128,6 +128,14 @@ def test_xz_versus_zx_on_zero():
     assert np.allclose(zx.amplitudes, omega * one.amplitudes)
 
 
+def test_omega_table_is_built_once_per_q_and_read_only():
+    table = omega_table(5)
+    assert omega_table(5) is table
+    assert np.array_equal(table, np.exp(2j * np.pi * np.arange(5) / 5))
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 0
+
+
 def commutation_exponent(a, b):
     """e with a @ b = omega^e (b @ a): the symplectic form z_a.x_b - z_b.x_a."""
     e = sum(z * x for z, x in zip(a.z_powers, b.x_powers)) - sum(z * x for z, x in zip(b.z_powers, a.x_powers))

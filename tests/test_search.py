@@ -29,7 +29,7 @@ from qss.search import (
     scheme_k,
     sufficient_condition_check,
 )
-from qss.search import BLOCK, _first_failure, _gamma_from_index
+from qss.search import BLOCK, _first_failure, _gamma_from_index, _some_set_fails
 
 from helpers import dealer_graphs, int_rank
 
@@ -276,6 +276,82 @@ def test_is_scheme_matches_scalar_loop(dg):
 def test_is_scheme_truthiness():
     assert is_scheme(star3(), 2)
     assert not is_scheme(star3(), 1)
+
+
+# ----------------------------------------------------------------- no-cloning
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The (sets, size) shape of every batch_indicators call from qss.search."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3].shape)
+        return batch_indicators(*args)
+
+    monkeypatch.setattr(qss.search, "batch_indicators", counted)
+    return calls
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(dealer_graphs(max_n=8))
+def test_no_two_disjoint_sets_both_have_access(dg):
+    players = dg.players
+    subsets = [b for size in range(len(players) + 1) for b in combinations(players, size)]
+    accessing = [set(b) for b in subsets if _has_access(dg, b)]
+    assert not any(a.isdisjoint(b) for a, b in combinations(accessing, 2))
+    for size in range(len(players) + 1):
+        if _some_set_fails(size, len(players)):
+            assert any(not _has_access(dg, b) for b in combinations(players, size))
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
+def test_every_small_graph_matches_the_int_references(n, q):
+    gammas = _gamma_from_index(np.arange(q ** (n * (n - 1) // 2)), n, q)
+    for gamma in gammas:
+        for d in range(n):
+            if not gamma[d].any():
+                continue
+            dg = DealerGraph(Multigraph(q, gamma), d)
+            rep, k = scheme_k(dg), naive_scheme_k(dg)
+            unauthorized = [b for b in combinations(dg.players, k - 1) if not _has_access(dg, b)]
+            assert (rep.k, rep.worst_unauthorized) == (k, unauthorized[0])
+            for size in range(1, n):
+                res = is_scheme(dg, size)
+                assert (res.ok, res.counterexample) == scalar_is_scheme(dg, size)
+
+
+def test_scheme_k_ranks_two_sizes_on_rs747(kernel_calls):
+    rep = scheme_k(rs747_fixture())
+    assert (rep.k, rep.worst_unauthorized) == (4, (1, 2, 3))
+    assert [shape[1] for shape in kernel_calls] == [3, 4]  # sizes 1 and 2 must fail
+
+
+def test_is_scheme_skips_a_tightness_scan_no_cloning_settles(kernel_calls):
+    assert is_scheme(rs747_fixture(), 4).ok
+    assert len(kernel_calls) == 1  # 2 * 3 <= 7 players: some set of 3 fails
+
+
+def test_batch_accessible_at_k_ranks_nothing_below_the_floor(kernel_calls):
+    rs = rs747_fixture()
+    gammas = np.stack([rs.graph.gamma] * 3)
+    for k in (1, 2, 3):
+        assert not batch_accessible_at_k(gammas, 7, k, rs.dealer).any()
+    assert kernel_calls == []
+    assert batch_accessible_at_k(gammas, 7, 4, rs.dealer).all()
+    assert kernel_calls
+
+
+def test_impossible_searches_rank_nothing(kernel_calls, tmp_path):
+    r = exhaustive_search(8, 2, 3)
+    assert (r.status, r.checked, r.next_index) == ("exhausted", 2**28, 2**28)
+    assert random_trials(5, 2, 0.5, 4096, seed=1).successes == 0
+    ck = tmp_path / "run.ckpt"
+    r = exhaustive_search(5, 3, 2, budget=40000, checkpoint_path=str(ck))
+    assert (r.status, r.checked) == ("budget_exceeded", 40000)
+    assert ck.read_text() == "# n=5 q=3 k=2 dealer_fixed=1\n0, 39999, none\n"
+    assert kernel_calls == []
 
 
 # ---------------------------------------------------------------- enumeration
