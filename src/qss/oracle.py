@@ -452,7 +452,10 @@ def info_leak(g: Multigraph, d: int, b_set, budget: int = AMPLITUDE_BUDGET) -> f
 
 
 def schmidt_rank(state: StateVector, sites) -> int:
-    """Schmidt rank of the bipartition (sites, rest): singular values above 1e-7."""
+    """Schmidt rank of the bipartition (sites, rest): singular values above 1e-7.
+
+    For a graph state |G> the Schmidt rank across (B, rest) is q^cutrk(B).
+    """
     keep = _register_sites(state, sites)
     grid = np.moveaxis(state.grid(), keep, range(len(keep)))
     mat = grid.reshape(state.q ** len(keep), -1)
@@ -599,22 +602,6 @@ def cq_round(
         m_v, state = measure_weyl(state, WeylOperator(q, params.x[v] * on_v, params.z[v] * on_v), rng)
         total += m_v
     return s, params.decode(total)
-
-
-def classical_measure_decode(g: Multigraph, d: int, b_set, d_ms, s: int, budget: int = AMPLITUDE_BUDGET) -> int:
-    """Recover s from |s_L> with the accessing multiset D.
-
-    Builds the player-side product of stabilizer generators weighted by D;
-    its dealer site carries only a Z factor, so it splits off exactly and
-    the rest acts on |s_L> with eigenvalue omega^{-s}. Returns the negated
-    label, i.e. s itself.
-    """
-    b = _check_b(g, d, b_set)
-    d_ms, _ = _validated_pair(g, d, b, d_ms, None)
-    players_op = _stabilizer_product(g, d_ms.as_vector(g.n)).factor_site(d)
-    word = cq_encode(g, d, s % g.q, budget=budget)
-    m = eigenvalue_label(word, players_op)
-    return (-m) % g.q
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,10 @@ def sufficient_condition_check(g: Multigraph, alpha: float, budget: int = 5_000_
     multiset C with support of at most (1-alpha)*n vertices must see, jointly
     with its neighbours, more than (1-alpha)*n vertices.
 
+    This is the paper's sufficient condition behind its random-multigraph
+    theorem (a random multigraph has accessing parameter k <= alpha*n with
+    high probability); bounds.random_threshold_alpha(q) is that alpha.
+
     True guarantees all sets of at least alpha*n players are accessible
     (regardless of dealer); False says nothing. Enumeration is over one
     representative per scalar class (first nonzero multiplicity = 1).

@@ -31,6 +31,7 @@ from qss.access import (
     witness_D,
 )
 from qss.multigraph import Multigraph, Multiset, random_graph, rs747_fixture
+from qss.oracle import qq_decode_bell, qq_encode
 
 from helpers import dealer_graphs, int_rank
 
@@ -112,6 +113,22 @@ def test_dealer_membership_rejected():
         quantum_derivative(g, 0, [0])
     with pytest.raises(ValueError, match="range"):
         pi_classical(g, 0, [5])
+
+
+def _bell_decode_on(g, d, b):
+    secret = np.eye(g.q, dtype=np.complex128)[1]
+    encoded = qq_encode(g, 0, secret)
+    return qq_decode_bell(g, d, b, encoded, np.random.default_rng(0), expected=secret)
+
+
+@pytest.mark.parametrize("call", [pi_classical, quantum_derivative, witness_D, classify, _bell_decode_on],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("dealer", [-1, -8, 8, 99])
+def test_dealer_out_of_range_rejected(call, dealer):
+    # on rs747 (order 8) index -1 would wrap to player 7 and -8 to vertex 0
+    g = rs747_fixture().graph
+    with pytest.raises(ValueError, match=f"dealer {dealer} out of range"):
+        call(g, dealer, [1, 2, 3])
 
 
 def test_indicator_ranges_random():
@@ -235,20 +252,20 @@ def test_batch_indicators_many_sets_match_pure_int_cut_ranks():
 
 def test_classify_labels_and_witnesses():
     rs = rs747_fixture()
-    v = classify(rs.graph, 0, [1, 2, 3, 7], cross_check=True)
+    v = classify(rs.graph, 0, [1, 2, 3, 7])
     assert v.classical == CLASSICAL_ACCESSIBLE
     assert v.quantum == CLASSICAL_ACCESSIBLE
     assert (v.pi, v.derivative) == (1, -1)
     assert v.witness_d is not None and v.witness_c is None
 
-    v0 = classify(rs.graph, 0, [1, 2, 3], cross_check=True)
+    v0 = classify(rs.graph, 0, [1, 2, 3])
     assert v0.classical == NO_INFO
     assert v0.quantum == NO_INFO
     assert v0.witness_d is None and v0.witness_c is not None
     assert v0.witness_c[0] != 0  # C(d) pinned to a nonzero value
 
     g = star3()
-    vp = classify(g, 0, [1], cross_check=True)
+    vp = classify(g, 0, [1])
     assert vp.quantum == PARTIAL
     assert vp.derivative == 0
 
@@ -263,7 +280,12 @@ def test_classify_cross_check_random():
         players = [v for v in range(n) if v != d]
         bits = int(rng.integers(0, 2 ** len(players)))
         b = [players[i] for i in range(len(players)) if bits >> i & 1]
-        classify(g, d, b, cross_check=True)  # raises on any inconsistency
+        # the quantum verdict re-derived from the two classical indicators:
+        # B reads the secret and the complement sees nothing
+        verdict = classify(g, d, b)
+        comp = [v for v in players if v not in b]
+        dual = verdict.pi == 1 and pi_classical(g, d, comp) == 0
+        assert dual == (verdict.quantum == CLASSICAL_ACCESSIBLE)
 
 
 # ------------------------------------------------------------------ witnesses

@@ -1,6 +1,5 @@
 """Entropy curves and the exact finite-n impossibility inequality."""
 
-import logging
 import math
 
 import pytest
@@ -11,7 +10,6 @@ from qss.bounds import (
     entropy,
     finite_inequality_holds,
     finite_lower_bound,
-    proof_chain_constant_consistent,
     random_threshold_alpha,
 )
 
@@ -172,27 +170,6 @@ def test_finite_lower_bound_validation():
         finite_lower_bound(10, 4)
     with pytest.raises(ValueError, match="dealer"):
         finite_lower_bound(1, 2)
-
-
-# ----------------------------------------------------------------- proof chain
-
-
-def test_proof_chain_mismatch_points_logged(caplog):
-    with caplog.at_level(logging.INFO, logger="qss.bounds"):
-        assert not proof_chain_constant_consistent(100, 2, 51)
-        assert not proof_chain_constant_consistent(400, 2, 202)
-        assert not proof_chain_constant_consistent(400, 3, 201)
-    msgs = [r.message for r in caplog.records]
-    assert len(msgs) == 3
-    assert all("disagree" in m for m in msgs)
-
-
-def test_proof_chain_consistent_points_silent(caplog):
-    with caplog.at_level(logging.INFO, logger="qss.bounds"):
-        assert proof_chain_constant_consistent(400, 2, 210)
-        assert proof_chain_constant_consistent(400, 2, 201)
-        assert proof_chain_constant_consistent(10, 2, 5)  # alpha = 1/2: trivially True
-    assert not caplog.records
 
 
 # ----------------------------------------------------------------------- curve

@@ -2,7 +2,7 @@
 
 The 5-vertex worked example used throughout comes in two variants: the
 adjacency matrix as printed (no v1-v2 edge) and a figure variant with a
-weight-1 v1-v2 edge added. The narrative neighbour/induced-edge claims hold
+weight-1 v1-v2 edge added. The narrative neighbour claims hold
 for the figure variant; both are pinned so a regression in either direction
 is caught. Vertices v1..v5 are indices 0..4.
 """
@@ -17,7 +17,6 @@ from qss.multigraph import (
     Multiset,
     cut_matrix,
     delete_vertex,
-    induced_subgraph,
     local_complement,
     neighbors_multiset,
     parse_graph,
@@ -139,7 +138,6 @@ def test_neighbors_printed_matrix():
     d = Multiset(3, {0: 2, 1: 1})
     assert neighbors_multiset(g, a) == Multiset(3, {4: 2})
     assert neighbors_multiset(g, d) == Multiset(3, {2: 1})
-    assert induced_subgraph(g, d).edge_count == 0
 
 
 def test_neighbors_figure_variant_matches_narrative():
@@ -148,29 +146,11 @@ def test_neighbors_figure_variant_matches_narrative():
     d = Multiset(3, {0: 2, 1: 1})
     assert neighbors_multiset(g, a) == Multiset(3, {0: 1, 1: 1, 4: 2})
     assert neighbors_multiset(g, d) == Multiset(3, {0: 1, 1: 2, 2: 1})
-    ind = induced_subgraph(g, d)
-    assert ind.vertices == (0, 1)
-    assert ind.graph.edges() == [(0, 1, 2)]
-    assert ind.edge_count == 2
 
 
 def test_neighbors_accepts_plain_dict():
     g = printed_example()
     assert neighbors_multiset(g, {0: 2, 1: 1}) == Multiset(3, {2: 1})
-
-
-def test_induced_subgraph_weights_are_products():
-    g = figure_example()
-    # multiplicity D(u) * Gamma(u, v) * D(v): 2 * 1 * 1 = 2
-    ind = induced_subgraph(g, {0: 2, 1: 1})
-    assert ind.graph.gamma[0, 1] == 2
-
-
-def test_induced_edge_count_is_plain_integer_sum():
-    # two weight-2 edges mod 3 would cancel in F_3 but count as 4 edges
-    g = Multigraph(3, [[0, 2, 2], [2, 0, 0], [2, 0, 0]])
-    ind = induced_subgraph(g, {0: 1, 1: 1, 2: 1})
-    assert ind.edge_count == 4
 
 
 # ------------------------------------------------------------ local operations

@@ -18,7 +18,6 @@ from qss.oracle import (
     apply_weyl,
     bell_basis_vector,
     bell_measure,
-    classical_measure_decode,
     code_unitaries,
     cq_encode,
     cq_round,
@@ -498,21 +497,6 @@ def test_site_positions_outside_the_register_raise(sites):
 # ------------------------------------------------------------ classical rounds
 
 
-def test_classical_measure_decode_star():
-    g = star3()
-    for s in range(3):
-        assert classical_measure_decode(g, 0, [1, 2], {1: 1}, s) == s
-
-
-def test_classical_measure_decode_rs_subgraph():
-    g = rs_subgraph()
-    b = [1, 2, 3, 4]
-    dms = witness_D(g, 0, b)
-    assert dms is not None
-    for s in range(7):
-        assert classical_measure_decode(g, 0, b, dms, s) == s
-
-
 def test_decode_params_t0_reduction():
     g = star3()
     p = decode_params(g, 0, [1, 2], {1: 1}, None, 0)
@@ -573,9 +557,9 @@ def test_protocol_rounds_on_sets_that_leave_a_player_out():
             for _ in range(5):
                 s, m = cq_round(g, 0, b, t, rng)
                 assert m == s
-        doubled = {v: 2 * w for v, w in witness_D(g, 0, b).items()}
-        for s in range(3):
-            assert classical_measure_decode(g, 0, b, doubled, s) == s
+        dms = witness_D(g, 0, b)
+        doubled = {v: 2 * w for v, w in dms.items()}
+        assert decode_params(g, 0, b, doubled, None, 0) == decode_params(g, 0, b, dms, None, 0)
 
 
 def test_cq_round_unauthorized_paths():
