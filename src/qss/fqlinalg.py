@@ -12,6 +12,8 @@ unused row that is nonzero there, which keeps every routine deterministic.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 
@@ -79,6 +81,20 @@ def _int_array(a, ndim: int = 2) -> np.ndarray:
     return arr
 
 
+# _eliminate's scratch stack: one float64 buffer per thread, grown to the
+# largest stack the thread has eliminated and never shrunk (see _eliminate)
+_scratch = threading.local()
+
+
+def _scratch_like(a: np.ndarray) -> np.ndarray:
+    """An uninitialised float64 array of a's shape, a view of this thread's
+    scratch buffer; it is only valid until the thread's next call."""
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.size < a.size:
+        buf = _scratch.buf = np.empty(a.size)
+    return buf[: a.size].reshape(a.shape)
+
+
 def _eliminate(stack: np.ndarray, q: int, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     """Eliminate an int64 (R, C, N) stack of N matrices over F_q in lockstep.
 
@@ -109,6 +125,13 @@ def _eliminate(stack: np.ndarray, q: int, rows: int, cols: int) -> tuple[np.ndar
     and the product errs by under q * 2^-52 <= 2^-32, so the floor is
     exactly floor(a / q). Without the 1/2 it is not: floor(a * (1/q)) is
     one too small for some multiples a of q = 197.
+
+    Each column step writes its products into a scratch stack of a's shape,
+    a view of a buffer that only grows and is reused by every call. A fresh
+    stack per call would cost page faults: glibc hands a freed block above
+    about 128 KiB back to the OS, and the next call faults it in again. The
+    buffer is per thread, and worker processes have their own, so no two
+    eliminations share it; nothing returned aliases it.
     """
     residues = stack // q
     residues *= q
@@ -124,7 +147,7 @@ def _eliminate(stack: np.ndarray, q: int, rows: int, cols: int) -> tuple[np.ndar
     row_offsets = np.arange(width * size).reshape(width, size)
     # the first free row of a column scores highest
     score = np.arange(rows, 0, -1)[:, None]
-    scratch = np.empty_like(a)
+    scratch = _scratch_like(a)
     inv_q = 1.0 / q
     for col in range(cols):
         key = ((a[:rows, col] != 0) & unused) * score

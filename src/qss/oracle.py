@@ -611,12 +611,14 @@ def cq_round(
 def logical_x(g: Multigraph, d: int) -> WeylOperator:
     """Xbar = Z on the dealer's neighbour multiset; shifts |i_L> to
     |(i+1)_L> on the player register."""
+    _check_b(g, d, ())
     return WeylOperator(g.q, (0,) * g.n, tuple(g.gamma[d].tolist()), 0).factor_site(d)
 
 
 def logical_z(g: Multigraph, d: int) -> WeylOperator:
     """Zbar = (X_u Z_{Gamma.{u}})^{-1/Gamma(u,d)} for the first player u
     adjacent to the dealer; phases |i_L> by omega^i."""
+    _check_b(g, d, ())
     for u in _player_order(g, d):
         if g.gamma[u, d] % g.q:
             w = -inv_mod(int(g.gamma[u, d]), g.q) * (np.arange(g.n) == u)

@@ -25,10 +25,14 @@ from .fqlinalg import require_prime
 from .multigraph import DealerGraph, Multigraph, serialize_graph
 
 TRIAL_CHUNK = 2048
-# Bordered cut matrices per batch_indicators call in _first_failure, unless
-# the live stack alone is larger. Small blocks let a graph leave the stack
-# soon after its first failing set.
+# Bordered cut matrices in _first_failure's first batch_indicators call,
+# unless the live stack alone is larger. The budget doubles after each call
+# up to BLOCK_CAP: a graph that fails early leaves the stack after small
+# blocks, while a long scan pays the kernel's fixed per-call cost rarely.
+# Past BLOCK_CAP matrices the elimination slows per matrix, as the stack
+# outgrows a 2 MiB L2 cache.
 BLOCK = 64
+BLOCK_CAP = 2048
 # _gamma_from_index builds int64 indices, so no search reaches this index
 _INDEX_LIMIT = 2**63
 
@@ -60,14 +64,19 @@ def _first_failure(
     sets whose derivative is not -1, or None when every set has access.
 
     The one subset scan behind every search path. The stream is pulled in
-    blocks of max(1, BLOCK // live) sets, where live counts the graphs still
-    in the stack, and is never built whole; a graph leaves the stack at its
-    first failure, and the scan stops when none is left.
+    blocks of max(1, budget // live) sets, where live counts the graphs
+    still in the stack and the budget of bordered matrices starts at BLOCK
+    and doubles after each call up to BLOCK_CAP; the stream is never built
+    whole. A graph leaves the stack at its first failure, the argmax inside
+    its ordered block, so the block sizes change only the number of calls,
+    never a result. The scan stops when no graph is left.
     """
     first: list[tuple[int, ...] | None] = [None] * len(gammas)
     live = np.arange(len(gammas))
     sets = iter(sets)
-    while live.size and (block := list(islice(sets, max(1, BLOCK // live.size)))):
+    budget = BLOCK
+    while live.size and (block := list(islice(sets, max(1, budget // live.size)))):
+        budget = min(2 * budget, BLOCK_CAP)
         failing = batch_indicators(gammas, q, dealer, np.array(block, dtype=np.intp))[1] != -1
         failed = failing.any(axis=1)
         if failed.any():

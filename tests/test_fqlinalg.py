@@ -363,6 +363,38 @@ def test_kernels_accept_strided_stacks():
             assert got_r == int_rank(mat[:, :-1].tolist(), q) - rank_m
 
 
+def test_kernel_calls_of_changing_shapes_share_the_scratch_buffer():
+    # the elimination reuses one scratch buffer that grows to the largest
+    # stack: stacks that grow, shrink and grow past it again, in other
+    # shapes and fields, must each match the reference, and no result kept
+    # from an earlier call may change under a later one
+    rng = np.random.default_rng(29)
+    kept = []
+    for q, count, rows, cols in [
+        (3, 3000, 5, 6),
+        (LARGEST_PRIME, 2, 3, 3),
+        (2, 40, 7, 2),
+        (5, 1, 6, 6),
+        (LARGEST_PRIME, 2500, 4, 5),
+        (7, 3, 2, 8),
+        (3, 3200, 6, 5),
+    ]:
+        mats = rng.integers(0, q, size=(count, rows, cols))
+        # every other matrix has rank at most 2, so both span tests vary
+        low = rng.integers(0, q, size=(count, rows, 2)) @ rng.integers(0, q, size=(count, 2, cols)) % q
+        mats[::2] = low[::2]
+        c_outside, r_outside = batch_border_indicators_mod(mats, q)
+        for got_c, got_r, mat in zip(c_outside, r_outside, mats):
+            rank_m = int_rank(mat[:-1, :-1].tolist(), q)
+            assert got_c == int_rank(mat[:-1, :].tolist(), q) - rank_m
+            assert got_r == int_rank(mat[:, :-1].tolist(), q) - rank_m
+        r, pivots = rref_mod(mats[-1], q)
+        assert (r.tolist(), pivots) == int_rref(mats[-1].tolist(), q)
+        kept.append(((c_outside, r_outside, r), (c_outside.copy(), r_outside.copy(), r.copy())))
+        for results, copies in kept:
+            assert all(np.array_equal(a, b) for a, b in zip(results, copies))
+
+
 def test_border_indicators_degenerate_shapes():
     q = 5
     # M with no rows (B empty): only r is tested, against the zero span

@@ -423,6 +423,14 @@ def test_logical_z_needs_a_dealer_neighbor():
         logical_z(g, 0)
 
 
+@pytest.mark.parametrize("logical", [logical_x, logical_z], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("dealer", [-1, -3, 3])
+def test_logical_operators_reject_out_of_range_dealer(logical, dealer):
+    # on the 3-vertex star, index -1 would wrap to vertex 2 and -3 to vertex 0
+    with pytest.raises(ValueError, match=f"dealer {dealer} out of range for order 3"):
+        logical(star3(), dealer)
+
+
 # ------------------------------------------------------------ reduced densities
 
 

@@ -198,6 +198,11 @@ def test_first_failure_across_blocks(count):
         firsts[size] = want
     # a result taken from the wrong block would name a set before this
     assert (firsts[6] >= max(1, BLOCK // count)).any()
+    if count == 1:
+        # a lone graph is ranked in blocks of BLOCK, 2 * BLOCK, 4 * BLOCK
+        # sets: its first failure lies in the third block, so a set taken
+        # from a wrongly grown block fails the comparison above
+        assert firsts[6][0] > BLOCK + 2 * BLOCK
     # size 10 covers graphs on which every set has access
     assert (firsts[10] == comb(11, 10)).any()
 
@@ -650,6 +655,14 @@ def test_random_trials_pinned_counts(n, q, alpha, trials, seed, k, successes):
     # k pins the threshold ceil(alpha * (n - 1)) its alpha gives.
     assert k is None or ceil(alpha * (n - 1) - 1e-9) == k
     assert random_trials(n, q, alpha, trials, seed).successes == successes
+
+
+@pytest.mark.parametrize("n, q, calls, successes", [(11, 5, 10, 255), (10, 2, 8, 98)])
+def test_random_trials_rank_in_doubling_blocks(kernel_calls, n, q, calls, successes):
+    # most of the 256 graphs pass many sets, so a budget that stayed at
+    # BLOCK matrices would rank one set per call: 45 and 36 calls
+    assert random_trials(n, q, 0.75, 256, seed=7).successes == successes
+    assert len(kernel_calls) <= calls
 
 
 def test_random_trials_zero_trials_null_rate():
