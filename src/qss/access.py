@@ -17,7 +17,7 @@ certify the classical verdicts constructively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
@@ -56,7 +56,7 @@ def cutrank(g: Multigraph, b_set) -> int:
 
 def batch_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(pi, derivative) for every graph of a stack and every player set of a
-    (sets, size) index array, as two (graphs, sets) int64 arrays.
+    (sets, width) index array, as two (graphs, sets) int64 arrays.
 
     Gathers one bordered matrix Gamma[B + [d], (V - B - {d}) + [d]] per
     (graph, set) pair: M = Gamma[B, V - B - {d}] with the dealer column c
@@ -65,23 +65,70 @@ def batch_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarra
     batch_border_indicators_mod call gives pi = [c not in colspan M] and
     the derivative [r not in rowspan M] - pi. Every indicator in the
     package, scalar or searched, comes from this gather.
+
+    Rows may hold sets of several sizes: a smaller set lists its members
+    and pads the rest of its row with -1. All matrices then share the shape
+    of the widest row and the smallest set, so a smaller set's matrix gets
+    zero rows for its pads and zero columns for the members of larger sets.
+    A zero row or column of the bordered matrix changes neither span test,
+    so a padded set gets the verdicts of its own matrix, and one kernel
+    call ranks every size. In a padded array, a -1 before a member, a
+    member outside 0..n-1, a repeated member or the dealer raises
+    ValueError.
     """
     count, n, _ = gammas.shape
-    sets, size = subsets.shape
-    # a stable sort on (member, other player, dealer) keys lists the other
-    # players ascending and then the dealer
+    sets, width = subsets.shape
+    least, marked = width, subsets
+    if (low := subsets.min(initial=0)) < 0:
+        pad = subsets < 0
+        members = width - pad.sum(axis=1)
+        least = int(members.min())
+        if low < -1 or subsets.max() >= n:
+            raise ValueError("player set outside vertex range")
+        if (pad[:, :-1] > pad[:, 1:]).any():
+            raise ValueError("a -1 pad must follow every member of its row")
+        marked = np.where(pad, dealer, subsets)
+    # a stable sort on (member, other player, dealer) keys lists the members
+    # ascending, then the other players ascending and then the dealer
     key = np.ones((sets, n), dtype=np.int8)
-    key[np.arange(sets)[:, None], subsets] = 0
+    key[np.arange(sets)[:, None], marked] = 0
     key[:, dealer] = 2
-    cols = np.argsort(key, axis=1, kind="stable")[:, size:]
+    cols = np.argsort(key, axis=1, kind="stable")[:, least:]
+    if least < width:
+        # the zeroed columns below are a set's leading sorted members, so
+        # each row must mark as many distinct members as it lists
+        if ((key == 0).sum(axis=1) < members).any():
+            raise ValueError("a padded player set repeats a member or holds the dealer")
+        # vertex n: a zero row and column, which index -1 reaches too
+        padded = np.zeros((count, n + 1, n + 1), dtype=gammas.dtype)
+        padded[:, :n, :n] = gammas
+        gammas = padded
+        cols[np.arange(n - least) < (members - least)[:, None]] = n
     rows = np.concatenate([subsets, np.full((sets, 1), dealer)], axis=1)
     # gathered with the (set, graph) stack axis last, the layout the
     # elimination runs in, and passed as an (N, R, C) view of it
     bordered = gammas.transpose(1, 2, 0)[rows.T[:, None, :], cols.T[None, :, :]]
-    stack = bordered.reshape(size + 1, n - size, sets * count).transpose(2, 0, 1)
+    stack = bordered.reshape(width + 1, n - least, sets * count).transpose(2, 0, 1)
     c_outside, r_outside = batch_border_indicators_mod(stack, q)
     pi = c_outside.reshape(sets, count).T.astype(np.int64)
     return pi, r_outside.reshape(sets, count).T - pi
+
+
+def _index_array(sets: list[tuple[int, ...]]) -> np.ndarray:
+    """The (sets, width) index array of batch_indicators for a nonempty list
+    of player sets whose size changes monotonically, so that a list whose
+    ends have one size is of one size: it is converted whole, and np.array
+    raises if it is not. A list that spans sizes is filled run by run of
+    equal sizes, each row padded with -1 to the widest set."""
+    if len(sets[0]) == len(sets[-1]):
+        return np.array(sets, dtype=np.intp)
+    runs = [list(run) for _, run in groupby(sets, len)]
+    packed = np.full((len(sets), max(len(run[0]) for run in runs)), -1, dtype=np.intp)
+    start = 0
+    for run in runs:
+        packed[start : start + len(run), : len(run[0])] = run
+        start += len(run)
+    return packed
 
 
 def _indicators(g: Multigraph, d: int, b_set) -> tuple[int, int]:

@@ -82,13 +82,18 @@ def _int_array(a, ndim: int = 2) -> np.ndarray:
 
 
 # _eliminate's scratch stack: one float64 buffer per thread, grown to the
-# largest stack the thread has eliminated and never shrunk (see _eliminate)
+# largest stack the thread has eliminated up to SCRATCH_CAP bytes and never
+# shrunk (see _eliminate). Program paths stay below about 2 MiB.
 _scratch = threading.local()
+SCRATCH_CAP = 4 << 20
 
 
 def _scratch_like(a: np.ndarray) -> np.ndarray:
     """An uninitialised float64 array of a's shape, a view of this thread's
-    scratch buffer; it is only valid until the thread's next call."""
+    scratch buffer; it is only valid until the thread's next call. A stack
+    above SCRATCH_CAP gets a buffer of its own, freed with it."""
+    if a.nbytes > SCRATCH_CAP:
+        return np.empty(a.shape)
     buf = getattr(_scratch, "buf", None)
     if buf is None or buf.size < a.size:
         buf = _scratch.buf = np.empty(a.size)
@@ -127,11 +132,12 @@ def _eliminate(stack: np.ndarray, q: int, rows: int, cols: int) -> tuple[np.ndar
     one too small for some multiples a of q = 197.
 
     Each column step writes its products into a scratch stack of a's shape,
-    a view of a buffer that only grows and is reused by every call. A fresh
-    stack per call would cost page faults: glibc hands a freed block above
-    about 128 KiB back to the OS, and the next call faults it in again. The
-    buffer is per thread, and worker processes have their own, so no two
-    eliminations share it; nothing returned aliases it.
+    a view of a buffer that only grows, up to SCRATCH_CAP, and is reused by
+    every call. A fresh stack per call would cost page faults: glibc hands a
+    freed block above about 128 KiB back to the OS, and the next call faults
+    it in again. A larger stack is a one-off, and keeping its buffer would
+    keep the memory. The buffer is per thread, and worker processes have
+    their own, so no two eliminations share it; nothing returned aliases it.
     """
     residues = stack // q
     residues *= q

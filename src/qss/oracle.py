@@ -22,7 +22,7 @@ import numpy as np
 
 from .fqlinalg import inv_mod, require_prime
 from .multigraph import Multigraph, Multiset, delete_vertex, serialize_graph
-from .access import QUANTUM_VERDICT, _check_b, batch_indicators, verify_witness_pair, witness_C, witness_D
+from .access import QUANTUM_VERDICT, _check_b, _index_array, batch_indicators, verify_witness_pair, witness_C, witness_D
 
 AMPLITUDE_BUDGET = 2_000_000
 ATOL = 1e-9
@@ -883,21 +883,19 @@ def oracle_reports(
 ) -> list[dict]:
     """Cross-check records for the player sets of one (graph, dealer), in order.
 
-    verdict_graph comes from the rank algebra, one batch_indicators call per
-    set size. verdict_oracle comes from the dense simulation: the trace
-    distances between reduced codewords, and the Bell-decode fidelity of the
-    set and its complement. The decode steers with witnesses solved in
-    fqlinalg, so a fidelity of 1 certifies access; the no_info verdict rests
-    on the trace distances. The codewords and each set's code unitaries are
+    verdict_graph comes from the rank algebra, one batch_indicators call for
+    the sets of every size. verdict_oracle comes from the dense simulation:
+    the trace distances between reduced codewords, and the Bell-decode
+    fidelity of the set and its complement. The decode steers with
+    witnesses solved in fqlinalg, so a fidelity of 1 certifies access; the
+    no_info verdict rests on the trace distances. The codewords and each set's code unitaries are
     built once; per set come the densities, a fresh secret and two decodes.
     """
     sets = [_check_b(g, d, b) for b in sets]
     words = _codewords(g, d, range(g.q), budget)
-    derivative = {}
-    for size in sorted({len(b) for b in sets}):
-        group = [b for b in sets if len(b) == size]
-        ranked = batch_indicators(g.gamma[None], g.q, d, np.array(group, dtype=np.intp).reshape(len(group), size))
-        derivative.update(zip(group, ranked[1][0].tolist()))
+    by_size = sorted(set(sets), key=len)
+    ranked = batch_indicators(g.gamma[None], g.q, d, _index_array(by_size))[1][0].tolist() if sets else []
+    derivative = dict(zip(by_size, ranked))
     players = _player_order(g, d)
     comps = {b: tuple(v for v in players if v not in b) for b in sets}
     steering = {b: _steering(g, d, b) for b in {*sets, *comps.values()}}

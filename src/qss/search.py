@@ -3,9 +3,13 @@
 A dealer graph realises a ((k, n))_q scheme when every set of k players can
 reconstruct a quantum secret and some set of k - 1 players cannot (n counts
 players, not vertices). Because accessibility is monotone, k - 1 is the size
-of the largest non-accessible set. Every path asks one question of a list of
-player sets: which is the first without access? `_first_failure` answers it
-for a stack of graphs, and a graph stops being ranked at its first failure.
+of the largest non-accessible set. Every path asks one question of a stream
+of player sets: which is the first without access? `_first_failure` answers
+it for a stack of graphs, and a graph stops being ranked at its first
+failure. A stream may chain several sizes, and one kernel call then ranks a
+block that spans them: `scheme_k` scans sizes downwards on small graphs, so
+its first failure is the largest unauthorized set, and `is_scheme` ranks the
+size-k sets and then the size-(k - 1) sets.
 """
 
 from __future__ import annotations
@@ -14,13 +18,13 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import ceil, comb, isfinite
-from typing import Iterable, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .access import batch_indicators
+from .access import _index_array, batch_indicators
 from .fqlinalg import require_prime
 from .multigraph import DealerGraph, Multigraph, serialize_graph
 
@@ -67,9 +71,11 @@ def _first_failure(
     blocks of max(1, budget // live) sets, where live counts the graphs
     still in the stack and the budget of bordered matrices starts at BLOCK
     and doubles after each call up to BLOCK_CAP; the stream is never built
-    whole. A graph leaves the stack at its first failure, the argmax inside
-    its ordered block, so the block sizes change only the number of calls,
-    never a result. The scan stops when no graph is left.
+    whole. A block that spans several set sizes goes to batch_indicators
+    as one array padded with -1. A graph leaves the stack at its first
+    failure, the argmax inside its ordered block, so the block sizes change
+    only the number of calls, never a result. The scan stops when no graph
+    is left.
     """
     first: list[tuple[int, ...] | None] = [None] * len(gammas)
     live = np.arange(len(gammas))
@@ -77,7 +83,7 @@ def _first_failure(
     budget = BLOCK
     while live.size and (block := list(islice(sets, max(1, budget // live.size)))):
         budget = min(2 * budget, BLOCK_CAP)
-        failing = batch_indicators(gammas, q, dealer, np.array(block, dtype=np.intp))[1] != -1
+        failing = batch_indicators(gammas, q, dealer, _index_array(block))[1] != -1
         failed = failing.any(axis=1)
         if failed.any():
             for i, j in zip(live[failed], failing[failed].argmax(axis=1)):
@@ -85,6 +91,11 @@ def _first_failure(
             keep = ~failed
             live, gammas = live[keep], gammas[keep]
     return first
+
+
+def _sets_by_size(players: tuple[int, ...], sizes: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """The player sets of each size in turn, lexicographic within a size."""
+    return chain.from_iterable(combinations(players, size) for size in sizes)
 
 
 def _some_set_fails(size: int, players: int) -> bool:
@@ -100,27 +111,46 @@ def _some_set_fails(size: int, players: int) -> bool:
     return 2 * size <= players
 
 
+def _largest_failure_downwards(dg: DealerGraph) -> tuple[int, ...]:
+    """The lexicographically first non-accessible set of the largest size,
+    from one scan of sizes p - 1, p - 2, ..., p // 2 for p players. Its
+    first failure lies in the largest failing size, and _some_set_fails
+    puts one in size p // 2."""
+    g, p = dg.graph, len(dg.players)
+    return _first_failure(g.gamma[None], g.q, dg.dealer, _sets_by_size(dg.players, range(p - 1, p // 2 - 1, -1)))[0]
+
+
+def _largest_failure_upwards(dg: DealerGraph) -> tuple[int, ...]:
+    """The same set as _largest_failure_downwards, from one scan per size
+    upwards from p // 2, which stops at the first size without a failure.
+    It ranks no size above k, where the downward scan ranks every one."""
+    g, players = dg.graph, dg.players
+    for size in range(len(players) // 2, len(players)):
+        failure = _first_failure(g.gamma[None], g.q, dg.dealer, combinations(players, size))[0]
+        if failure is None:
+            break
+        worst = failure
+    return worst
+
+
 def scheme_k(dg: DealerGraph) -> SchemeReport:
     """Exact threshold k: 1 + the size of the largest non-accessible set.
 
-    Scans player subsets size by size, upwards from p // 2 (_some_set_fails
-    decides every smaller size), stopping each size at its first
-    non-accessible set. Subsets of a non-accessible set are non-accessible,
-    so the first size without one is k, and worst_unauthorized is the
-    lexicographically first non-accessible set of size k - 1.
+    Subsets of a non-accessible set are non-accessible, and every set of
+    size p // 2 or less fails for p players (_some_set_fails), so k - 1 is
+    the largest size from p // 2 to p - 1 with a failing set; the full
+    player set of a non-isolated dealer has access. worst_unauthorized is
+    the lexicographically first non-accessible set of size k - 1. When the
+    sets of those sizes fit in one BLOCK_CAP block, one scan of the sizes
+    downwards ranks them in a few kernel calls; larger graphs scan upwards,
+    one size per scan, and never rank the sets above k.
     """
-    g, d, players = dg.graph, dg.dealer, dg.players
-    worst: tuple[int, ...] = ()
-    for size in range(1, len(players) + 1):
-        if _some_set_fails(size + 1, len(players)):
-            continue  # size + 1 fails too, so size is neither k nor k - 1
-        failure = _first_failure(g.gamma[None], g.q, d, combinations(players, size))[0]
-        if failure is None:
-            return SchemeReport(size, len(players), worst, True)
-        worst = failure
-    # unreachable for a non-isolated dealer: the full player set always has
-    # derivative -1
-    raise AssertionError("no threshold found; dealer isolated?")
+    p = len(dg.players)
+    if sum(comb(p, size) for size in range(p // 2, p)) <= BLOCK_CAP:
+        worst = _largest_failure_downwards(dg)
+    else:
+        worst = _largest_failure_upwards(dg)
+    return SchemeReport(len(worst) + 1, p, worst, True)
 
 
 class IsSchemeResult(NamedTuple):
@@ -132,27 +162,34 @@ class IsSchemeResult(NamedTuple):
         return self.ok
 
 
+def _sizes_at_k(k: int, players: int) -> tuple[int, ...]:
+    """The sizes a test of threshold k ranks, in order: k, then k - 1 unless
+    _some_set_fails settles tightness. In one scan of both, a failure of
+    size k is a counterexample and one of size k - 1 proves tightness."""
+    return (k,) if _some_set_fails(k - 1, players) else (k, k - 1)
+
+
 def is_scheme(dg: DealerGraph, k: int) -> IsSchemeResult:
     """Decide whether the graph realises a ((k, n)) scheme at exactly this k.
 
     Requires every size-k player set to be accessible and at least one
     size-(k-1) set not to be (tightness; without it the graph realises a
-    smaller threshold). Scans the size-k sets, then, unless _some_set_fails
-    settles tightness, the size-(k-1) sets, each up to its first failure.
-    The first failing size-k set in lexicographic order is returned as the
-    counterexample; a tightness failure has none.
+    smaller threshold). One scan ranks the size-k sets and then, unless
+    _some_set_fails settles tightness, the size-(k-1) sets, up to the first
+    failure. The first failing size-k set in lexicographic order is returned
+    as the counterexample; a tightness failure has none.
     """
     g, d = dg.graph, dg.dealer
     players = dg.players
     if not 1 <= k <= len(players):
         raise ValueError(f"k={k} outside 1..{len(players)}")
-    failure = _first_failure(g.gamma[None], g.q, d, combinations(players, k))[0]
-    if failure is not None:
+    sizes = _sizes_at_k(k, len(players))
+    failure = _first_failure(g.gamma[None], g.q, d, _sets_by_size(players, sizes))[0]
+    if failure is not None and len(failure) == k:
         return IsSchemeResult(False, failure, f"set of size {k} cannot access the secret")
-    tight = _some_set_fails(k - 1, len(players))
-    if tight or _first_failure(g.gamma[None], g.q, d, combinations(players, k - 1))[0] is not None:
-        return IsSchemeResult(True, None, "ok")
-    return IsSchemeResult(False, None, f"k is not minimal: every set of size {k - 1} already has access")
+    if failure is None and len(sizes) == 2:
+        return IsSchemeResult(False, None, f"k is not minimal: every set of size {k - 1} already has access")
+    return IsSchemeResult(True, None, "ok")
 
 
 def _gamma_from_index(index, n: int, q: int) -> np.ndarray:
@@ -186,20 +223,21 @@ def _graphs_realising_k(start: int, stop: int, n: int, q: int, k: int, dealer_fi
     sub-blocks of at most TRIAL_CHUNK graphs, or None.
 
     A graph is a hit for dealer d when d has a neighbour, every size-k
-    player set is accessible and some size-(k-1) set is not.
+    player set is accessible and some size-(k-1) set is not: one scan per
+    dealer over the sizes of _sizes_at_k decides both.
     """
     if _some_set_fails(k, n - 1):
         return None  # no graph realises this k, so none is built
     dealers = (0,) if dealer_fixed else range(n)
+    sizes = _sizes_at_k(k, n - 1)
     for lo in range(start, stop, TRIAL_CHUNK):
         gammas = _gamma_from_index(lo + np.arange(min(stop - lo, TRIAL_CHUNK)), n, q)
         hit = np.zeros(len(gammas), dtype=bool)
         for d in dealers:
-            ok = gammas[:, d].any(axis=1) & ~hit
-            for size, wanted in ((k, True), (k - 1, False)):
-                live = np.flatnonzero(ok)
-                ok[live] = batch_accessible_at_k(gammas[live], q, size, d) == wanted
-            hit |= ok
+            live = np.flatnonzero(gammas[:, d].any(axis=1) & ~hit)
+            players = tuple(v for v in range(n) if v != d)
+            first = _first_failure(gammas[live], q, d, _sets_by_size(players, sizes))
+            hit[live] = [len(sizes) == 1 if f is None else len(f) < k for f in first]
         if hit.any():
             return lo + int(np.argmax(hit))
     return None

@@ -247,6 +247,50 @@ def test_batch_indicators_many_sets_match_pure_int_cut_ranks():
             assert want[0][sets.index((4, 5, 7))] == (0, 1)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(dealer_graphs(max_n=9), st.data())
+def test_padded_rows_match_one_uniform_call_per_size(dg, data):
+    # sets of every size from 0 to p in one array, padded with -1, on a
+    # stack of two graphs, against one unpadded call per size; members may
+    # come in any order
+    g, d, players = dg.graph, dg.dealer, list(dg.players)
+    n, q = g.n, g.q
+    other = np.zeros((n, n), dtype=np.int64)
+    other[np.triu_indices(n, 1)] = data.draw(st.lists(st.integers(0, q - 1), min_size=n * (n - 1) // 2,
+                                                      max_size=n * (n - 1) // 2))
+    gammas = np.stack([g.gamma, other + other.T])
+    drawn = data.draw(st.lists(st.permutations(players).flatmap(
+        lambda perm: st.integers(0, len(perm)).map(lambda size: tuple(perm[:size]))), max_size=30))
+    sets = data.draw(st.permutations(drawn + [(), tuple(players)]))
+    subsets = np.full((len(sets), len(players)), -1, dtype=np.intp)
+    for i, b in enumerate(sets):
+        subsets[i, : len(b)] = b
+    pi, der = batch_indicators(gammas, q, d, subsets)
+    for size in {len(b) for b in sets}:
+        at = [i for i, b in enumerate(sets) if len(b) == size]
+        uniform = np.array([sets[i] for i in at], dtype=np.intp).reshape(len(at), size)
+        want_pi, want_der = batch_indicators(gammas, q, d, uniform)
+        assert np.array_equal(pi[:, at], want_pi) and np.array_equal(der[:, at], want_der)
+
+
+@pytest.mark.parametrize(
+    "rows, complaint",
+    [
+        ([[1, 2, 3], [-1, 2, 3]], "pad must follow"),
+        ([[1, 2, 3], [4, -1, 5]], "pad must follow"),
+        ([[1, 2, 3], [4, 4, -1]], "repeats a member"),
+        ([[1, 2, 3], [0, 5, -1]], "repeats a member or holds the dealer"),
+        ([[1, 2, 3], [8, -1, -1]], "outside vertex range"),
+        ([[1, 2, 3], [5, -2, -1]], "outside vertex range"),
+    ],
+)
+def test_malformed_padded_rows_are_rejected(rows, complaint):
+    # rs747: dealer 0, players 1..7; each bad row would rank a wrong matrix
+    rs = rs747_fixture()
+    with pytest.raises(ValueError, match=complaint):
+        batch_indicators(rs.graph.gamma[None], rs.graph.q, rs.dealer, np.array(rows, dtype=np.intp))
+
+
 # ------------------------------------------------------------------- classify
 
 

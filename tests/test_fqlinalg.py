@@ -5,12 +5,17 @@ small matrices, since everything above them (cut ranks, access verdicts,
 scheme search) reduces to these calls.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qss.fqlinalg
+from qss.access import batch_indicators
 from qss.fqlinalg import (
+    SCRATCH_CAP,
     FIELD_SIZE_CEILING,
     batch_border_indicators_mod,
     batch_rank_mod,
@@ -393,6 +398,27 @@ def test_kernel_calls_of_changing_shapes_share_the_scratch_buffer():
         kept.append(((c_outside, r_outside, r), (c_outside.copy(), r_outside.copy(), r.copy())))
         for results, copies in kept:
             assert all(np.array_equal(a, b) for a, b in zip(results, copies))
+
+
+def test_a_stack_above_the_cap_gets_a_buffer_of_its_own():
+    # 300 order-12 graphs by the 462 sets of 6 players: 138,600 bordered 7x6
+    # matrices, a 46 MiB stack. The buffer kept afterwards stays under the
+    # cap, and the stack's own buffer ranks as the kept one does on chunks
+    # of 10 graphs
+    rng = np.random.default_rng(71)
+    n, q, count = 12, 3, 300
+    iu = np.triu_indices(n, 1)
+    gammas = np.zeros((count, n, n), dtype=np.int64)
+    gammas[:, iu[0], iu[1]] = rng.integers(0, q, size=(count, len(iu[0])))
+    gammas += np.transpose(gammas, (0, 2, 1))
+    subsets = np.array(list(combinations(range(1, n), 6)), dtype=np.intp)
+    assert 8 * 7 * 6 * count * len(subsets) > SCRATCH_CAP
+    pi, der = batch_indicators(gammas, q, 0, subsets)
+    assert getattr(qss.fqlinalg._scratch, "buf", np.empty(0)).nbytes <= SCRATCH_CAP
+    for lo in range(0, count, 10):
+        chunk_pi, chunk_der = batch_indicators(gammas[lo : lo + 10], q, 0, subsets)
+        assert np.array_equal(chunk_pi, pi[lo : lo + 10]) and np.array_equal(chunk_der, der[lo : lo + 10])
+    assert 0 < qss.fqlinalg._scratch.buf.nbytes <= SCRATCH_CAP
 
 
 def test_border_indicators_degenerate_shapes():

@@ -29,7 +29,15 @@ from qss.search import (
     scheme_k,
     sufficient_condition_check,
 )
-from qss.search import BLOCK, _first_failure, _gamma_from_index, _some_set_fails
+from qss.search import (
+    BLOCK,
+    BLOCK_CAP,
+    _first_failure,
+    _gamma_from_index,
+    _largest_failure_downwards,
+    _largest_failure_upwards,
+    _some_set_fails,
+)
 
 from helpers import dealer_graphs, int_rank
 
@@ -144,6 +152,18 @@ def test_scheme_k_matches_unpruned_reference(dg):
     # the lexicographically first unauthorized set of the largest such size
     unauthorized = [b for b in combinations(dg.players, k - 1) if not _has_access(dg, b)]
     assert rep.worst_unauthorized == unauthorized[0]
+
+
+@pytest.mark.parametrize("q, seed", [(2, 1), (3, 2), (5, 3)])
+def test_scheme_k_scans_upwards_at_order_13(q, seed):
+    # 12 players: the 2,509 sets of sizes 6 to 11 exceed one block, so
+    # scheme_k scans upwards; both orders must give the int reference
+    dg = random_dealer_graph(np.random.default_rng(seed), 13, q)
+    assert sum(comb(12, size) for size in range(6, 12)) > BLOCK_CAP
+    rep, k = scheme_k(dg), naive_scheme_k(dg)
+    unauthorized = [b for b in combinations(dg.players, k - 1) if not _has_access(dg, b)]
+    assert (rep.k, rep.worst_unauthorized) == (k, unauthorized[0])
+    assert _largest_failure_upwards(dg) == _largest_failure_downwards(dg) == unauthorized[0]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -288,11 +308,12 @@ def test_is_scheme_truthiness():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The (sets, size) shape of every batch_indicators call from qss.search."""
+    """The (sets, width) index array of every batch_indicators call from
+    qss.search."""
     calls = []
 
     def counted(*args):
-        calls.append(args[3].shape)
+        calls.append(args[3])
         return batch_indicators(*args)
 
     monkeypatch.setattr(qss.search, "batch_indicators", counted)
@@ -322,20 +343,37 @@ def test_every_small_graph_matches_the_int_references(n, q):
             rep, k = scheme_k(dg), naive_scheme_k(dg)
             unauthorized = [b for b in combinations(dg.players, k - 1) if not _has_access(dg, b)]
             assert (rep.k, rep.worst_unauthorized) == (k, unauthorized[0])
+            # scheme_k scans these small graphs downwards; the upward scan
+            # must find the same set
+            assert _largest_failure_downwards(dg) == _largest_failure_upwards(dg) == unauthorized[0]
             for size in range(1, n):
                 res = is_scheme(dg, size)
                 assert (res.ok, res.counterexample) == scalar_is_scheme(dg, size)
 
 
-def test_scheme_k_ranks_two_sizes_on_rs747(kernel_calls):
+def test_scheme_k_ranks_rs747_in_one_call(kernel_calls):
     rep = scheme_k(rs747_fixture())
     assert (rep.k, rep.worst_unauthorized) == (4, (1, 2, 3))
-    assert [shape[1] for shape in kernel_calls] == [3, 4]  # sizes 1 and 2 must fail
+    # the 63 sets of sizes 6, 5 and 4 and the first set of size 3 fill the
+    # first block; sizes 1 and 2 must fail, so they are never ranked
+    [subsets] = kernel_calls
+    sizes = (subsets >= 0).sum(axis=1)
+    assert subsets.shape == (BLOCK, 6)
+    assert sizes.min() == 3 and np.flatnonzero(sizes == 3).tolist() == [63]
 
 
 def test_is_scheme_skips_a_tightness_scan_no_cloning_settles(kernel_calls):
     assert is_scheme(rs747_fixture(), 4).ok
     assert len(kernel_calls) == 1  # 2 * 3 <= 7 players: some set of 3 fails
+
+
+def test_is_scheme_ranks_both_sizes_in_one_call(kernel_calls):
+    rs = rs747_fixture()
+    res = is_scheme(rs, 5)
+    assert (res.ok, res.counterexample) == (False, None)
+    # the 21 sets of size 5 and the 35 of size 4 all have access
+    [subsets] = kernel_calls
+    assert np.bincount((subsets >= 0).sum(axis=1)).tolist() == [0, 0, 0, 0, 35, 21]
 
 
 def test_batch_accessible_at_k_ranks_nothing_below_the_floor(kernel_calls):
