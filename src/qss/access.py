@@ -22,6 +22,7 @@ from itertools import groupby, product
 import numpy as np
 
 from .fqlinalg import (
+    _residues,
     batch_border_indicators_mod,
     kernel_basis_mod,
     rank_mod,
@@ -64,7 +65,10 @@ def batch_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarra
     colspan M] and cutrk(B + {d}) = rank M + [r not in rowspan M], so one
     batch_border_indicators_mod call gives pi = [c not in colspan M] and
     the derivative [r not in rowspan M] - pi. Every indicator in the
-    package, scalar or searched, comes from this gather.
+    package, scalar or searched, comes from this gather. The graph stack
+    is reduced mod q into the elimination's type first, unless it already
+    has that type (fqlinalg._residues), so a scan that reduces its stack
+    once gathers straight from the residues.
 
     Rows may hold sets of several sizes: a smaller set lists its members
     and pads the rest of its row with -1. All matrices then share the shape
@@ -72,19 +76,22 @@ def batch_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarra
     zero rows for its pads and zero columns for the members of larger sets.
     A zero row or column of the bordered matrix changes neither span test,
     so a padded set gets the verdicts of its own matrix, and one kernel
-    call ranks every size. In a padded array, a -1 before a member, a
-    member outside 0..n-1, a repeated member or the dealer raises
+    call ranks every size. A dealer or member outside 0..n-1, a -1 before
+    a member, a repeated member or the dealer as a member raises
     ValueError.
     """
     count, n, _ = gammas.shape
     sets, width = subsets.shape
-    least, marked = width, subsets
-    if (low := subsets.min(initial=0)) < 0:
+    low = subsets.min(initial=0)
+    if not 0 <= dealer < n:
+        raise ValueError(f"dealer {dealer} out of range for order {n}")
+    if low < -1 or subsets.max(initial=0) >= n:
+        raise ValueError("player set outside vertex range")
+    least, marked, members = width, subsets, width
+    if low < 0:
         pad = subsets < 0
         members = width - pad.sum(axis=1)
         least = int(members.min())
-        if low < -1 or subsets.max() >= n:
-            raise ValueError("player set outside vertex range")
         if (pad[:, :-1] > pad[:, 1:]).any():
             raise ValueError("a -1 pad must follow every member of its row")
         marked = np.where(pad, dealer, subsets)
@@ -93,20 +100,23 @@ def batch_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarra
     key = np.ones((sets, n), dtype=np.int8)
     key[np.arange(sets)[:, None], marked] = 0
     key[:, dealer] = 2
+    # a row marks as many distinct members as it lists unless it repeats
+    # one or holds the dealer; the padded gather below relies on it too
+    if ((key == 0).sum(axis=1) < members).any():
+        raise ValueError("a player set repeats a member or holds the dealer")
     cols = np.argsort(key, axis=1, kind="stable")[:, least:]
+    gammas = _residues(gammas, q)
     if least < width:
-        # the zeroed columns below are a set's leading sorted members, so
-        # each row must mark as many distinct members as it lists
-        if ((key == 0).sum(axis=1) < members).any():
-            raise ValueError("a padded player set repeats a member or holds the dealer")
-        # vertex n: a zero row and column, which index -1 reaches too
+        # vertex n: a zero row and column, which index -1 reaches too; the
+        # zeroed columns are a smaller set's leading sorted members
         padded = np.zeros((count, n + 1, n + 1), dtype=gammas.dtype)
         padded[:, :n, :n] = gammas
         gammas = padded
         cols[np.arange(n - least) < (members - least)[:, None]] = n
     rows = np.concatenate([subsets, np.full((sets, 1), dealer)], axis=1)
-    # gathered with the (set, graph) stack axis last, the layout the
-    # elimination runs in, and passed as an (N, R, C) view of it
+    # gathered with the (set, graph) stack axis last, the C-contiguous
+    # layout the elimination runs in place on, and passed as an (N, R, C)
+    # view of it
     bordered = gammas.transpose(1, 2, 0)[rows.T[:, None, :], cols.T[None, :, :]]
     stack = bordered.reshape(width + 1, n - least, sets * count).transpose(2, 0, 1)
     c_outside, r_outside = batch_border_indicators_mod(stack, q)

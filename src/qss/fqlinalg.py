@@ -2,12 +2,14 @@
 
 Every matrix routine takes plain numpy integer arrays and is an entry to one
 fraction-free lockstep elimination, `_eliminate`; the single-matrix routines
-run it on a stack of one. It reduces its input modulo the prime q in integer
-arithmetic, then eliminates in float64 and reduces every entry back into
-[0, q) after each step. Both are exact for every accepted q: products of two
-residues stay below 2^40 < 2^53, and the float quotient floor((a + 1/2) / q)
-is exact (see `_eliminate`). The pivot of a column is always the first
-unused row that is nonzero there, which keeps every routine deterministic.
+run it on a stack of one. Its input is reduced modulo the prime q once, in
+integer arithmetic (`_residues`), into the narrowest float type that is
+exact for q: float32 below FLOAT32_CEILING = 2^11, float64 up to the field
+ceiling 2^20. Every elimination step then stays below q^2 in magnitude,
+exact in the type's significand, and is reduced back into [0, q) through
+the float quotient floor((a + 1/2) * (1/q)), which is exact for every q
+the type is chosen for (see `_eliminate`). The pivot of a column is always the first unused
+row that is nonzero there, which keeps every routine deterministic.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ def require_prime(q: int) -> int:
     The ceiling keeps every intermediate exact. Residues are below
     q < 2^20, so a product of two is below 2^40. The elimination step
     v * r - f * p is then an integer of magnitude below 2^40 < 2^53, exact
-    in float64, and its float quotient floor((a + 1/2) * (1/q)) is exact
-    (see _eliminate). In int64, a row sum Gamma @ v of n such products
+    in float64 (the float32 the elimination uses below 2^11 is exact there
+    too), and its float quotient floor((a + 1/2) * (1/q)) is exact (see
+    _eliminate). In int64, a row sum Gamma @ v of n such products
     (witness checks, neighbour multisets, the sufficient-condition scan)
     stays below n * 2^40 < 2^63 for every order n < 2^23, whose int64
     adjacency matrix alone would take 512 TiB.
@@ -81,33 +84,60 @@ def _int_array(a, ndim: int = 2) -> np.ndarray:
     return arr
 
 
-# _eliminate's scratch stack: one float64 buffer per thread, grown to the
-# largest stack the thread has eliminated up to SCRATCH_CAP bytes and never
-# shrunk (see _eliminate). Program paths stay below about 2 MiB.
+# Below this modulus the elimination runs in float32, else in float64; see
+# _eliminate for why each is exact.
+FLOAT32_CEILING = 1 << 11
+
+
+def _float_type(q: int) -> type:
+    """The elimination's number type for F_q: float32 below FLOAT32_CEILING."""
+    return np.float32 if q < FLOAT32_CEILING else np.float64
+
+
+def _residues(a: np.ndarray, q: int) -> np.ndarray:
+    """a mod q as a new C-contiguous array of _float_type(q), reduced in
+    integer arithmetic as a - q * (a // q): numpy divides an int64 array by
+    a scalar through a multiply, several times faster than %, and a product
+    that wraps past int64 wraps back in the subtraction. An array already
+    of that type is taken to hold residues, and is returned as it is when
+    C-contiguous."""
+    if a.dtype == _float_type(q):
+        return np.ascontiguousarray(a)
+    reduced = a // q
+    reduced *= q
+    np.subtract(a, reduced, out=reduced)
+    return reduced.astype(_float_type(q), order="C")
+
+
+# _eliminate's scratch stack: one byte buffer per thread, viewed as the
+# stack's type and grown to the largest stack the thread has eliminated up
+# to SCRATCH_CAP bytes, never shrunk (see _eliminate). Program paths stay
+# below about 2 MiB.
 _scratch = threading.local()
 SCRATCH_CAP = 4 << 20
 
 
 def _scratch_like(a: np.ndarray) -> np.ndarray:
-    """An uninitialised float64 array of a's shape, a view of this thread's
+    """An uninitialised array of a's shape and type, a view of this thread's
     scratch buffer; it is only valid until the thread's next call. A stack
     above SCRATCH_CAP gets a buffer of its own, freed with it."""
     if a.nbytes > SCRATCH_CAP:
-        return np.empty(a.shape)
+        return np.empty_like(a)
     buf = getattr(_scratch, "buf", None)
-    if buf is None or buf.size < a.size:
-        buf = _scratch.buf = np.empty(a.size)
-    return buf[: a.size].reshape(a.shape)
+    if buf is None or buf.nbytes < a.nbytes:
+        buf = _scratch.buf = np.empty(a.nbytes, dtype=np.uint8)
+    return buf[: a.nbytes].view(a.dtype).reshape(a.shape)
 
 
-def _eliminate(stack: np.ndarray, q: int, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eliminate an int64 (R, C, N) stack of N matrices over F_q in lockstep.
+def _eliminate(a: np.ndarray, q: int, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eliminate an (R, C, N) stack of N matrices over F_q in lockstep, in
+    place.
 
-    Returns (a, used): a is the eliminated stack, a C-contiguous float64
-    copy of stack mod q, and used is the (rows, N) mask of pivot rows, so
-    each matrix's leading rows x cols block has rank used.sum(0). Keeping
-    the matrix axis last makes every array operation run along the long N
-    axis.
+    a must be C-contiguous, of _float_type(q) and hold residues in [0, q),
+    as _residues makes it. Returns (a, used): a is the eliminated stack and
+    used is the (rows, N) mask of pivot rows, so each matrix's leading
+    rows x cols block has rank used.sum(0). Keeping the matrix axis last
+    makes every array operation run along the long N axis.
 
     Pivots come only from the leading rows x cols block, but every row is
     reduced, so rows below the block end up reduced against it. Rows are
@@ -118,18 +148,20 @@ def _eliminate(stack: np.ndarray, q: int, rows: int, cols: int) -> tuple[np.ndar
     r[col] taken as 0. Scaling a row by a nonzero v keeps every span, so no
     inverse is needed and no table grows with q.
 
-    Exactness: callers may pass any int64, so the stack is first reduced
-    mod q in integer arithmetic, as stack - q * (stack // q); numpy divides
-    an int64 array by a scalar through a multiply, several times faster
-    than %, and a product that wraps past int64 wraps back in the
-    subtraction. Afterwards every entry is a residue in [0, q), so a step's
-    v * r - r[col] * p is an integer of magnitude at most (q - 1)^2 < 2^40,
-    exact in float64, whose significand holds 53 bits. It is reduced back
-    as a - q * floor((a + 1/2) * (1/q)): (a + 1/2) / q = (2a + 1) / (2q)
-    lies at least 1 / (2q) > 2^-21 from every integer, while rounding 1/q
-    and the product errs by under q * 2^-52 <= 2^-32, so the floor is
-    exactly floor(a / q). Without the 1/2 it is not: floor(a * (1/q)) is
-    one too small for some multiples a of q = 197.
+    Exactness: every entry is a residue in [0, q) before a step, so the
+    step's v * r - r[col] * p is an integer of magnitude below q^2. It is
+    exact in the type's significand: q^2 < 2^22 < 2^24 in float32, and
+    q^2 < 2^40 < 2^53 in float64. It is reduced back as
+    a - q * floor((a + 1/2) * fl(1/q)). The quotient (a + 1/2) / q =
+    (2a + 1) / (2q) lies at least 1 / (2q) from every integer, and a + 1/2
+    is exact too, so only rounding 1/q and the product errs: by under
+    q * 2^-23 in float32 and q * 2^-52 in float64, since |a + 1/2| / q < q.
+    That is below 1 / (2q) when q^2 < 2^22, i.e. q < 2^11 = FLOAT32_CEILING,
+    and for every q below the 2^20 ceiling in float64, so the floor is
+    exactly floor(a / q). The float32 bound is tight within a factor of 2:
+    at q = 4093 < 2^12 the float32 floor is one too small for some
+    multiples a of q. Without the 1/2 not even float64 is exact:
+    floor(a * (1/q)) is one too small for some multiples a of q = 197.
 
     Each column step writes its products into a scratch stack of a's shape,
     a view of a buffer that only grows, up to SCRATCH_CAP, and is reused by
@@ -139,10 +171,8 @@ def _eliminate(stack: np.ndarray, q: int, rows: int, cols: int) -> tuple[np.ndar
     keep the memory. The buffer is per thread, and worker processes have
     their own, so no two eliminations share it; nothing returned aliases it.
     """
-    residues = stack // q
-    residues *= q
-    np.subtract(stack, residues, out=residues)
-    a = residues.astype(np.float64, order="C")
+    if not a.flags.c_contiguous or a.dtype != _float_type(q):
+        raise ValueError(f"expected a C-contiguous {np.dtype(_float_type(q))} stack, got {a.dtype}")
     _, width, size = a.shape
     unused = np.ones((rows, size), dtype=bool)
     if rows == 0:
@@ -154,7 +184,7 @@ def _eliminate(stack: np.ndarray, q: int, rows: int, cols: int) -> tuple[np.ndar
     # the first free row of a column scores highest
     score = np.arange(rows, 0, -1)[:, None]
     scratch = _scratch_like(a)
-    inv_q = 1.0 / q
+    inv_q = a.dtype.type(1.0 / q)
     for col in range(cols):
         key = ((a[:rows, col] != 0) & unused) * score
         top = key.max(axis=0)
@@ -165,7 +195,7 @@ def _eliminate(stack: np.ndarray, q: int, rows: int, cols: int) -> tuple[np.ndar
         pivot_rows = flat[np.where(has, rows - top, 0) * (width * size) + row_offsets]
         factors = a[:, col] * has
         factors[:rows] *= ~pivot
-        a *= np.where(has, pivot_rows[col], 1.0)
+        a *= np.where(has, pivot_rows[col], 1)
         np.multiply(factors[:, None, :], pivot_rows, out=scratch)
         a -= scratch
         np.add(a, 0.5, out=scratch)
@@ -193,7 +223,7 @@ def rref_mod(a, q: int) -> tuple[np.ndarray, list[int]]:
     q = require_prime(q)
     arr = _int_array(a)
     rows, cols = arr.shape
-    eliminated, used = _eliminate(arr[:, :, None], q, rows, cols)
+    eliminated, used = _eliminate(_residues(arr[:, :, None], q), q, rows, cols)
     r = eliminated[used[:, 0], :, 0].astype(np.int64)
     # a pivot row's first nonzero entry is its pivot
     pivots = (r != 0).argmax(axis=1) if cols else np.zeros(0, dtype=np.intp)
@@ -209,7 +239,7 @@ def rank_mod(a, q: int) -> int:
     """Rank of a over F_q. Empty matrices have rank 0."""
     q = require_prime(q)
     arr = _int_array(a)
-    return int(_eliminate(arr[:, :, None], q, *arr.shape)[1].sum())
+    return int(_eliminate(_residues(arr[:, :, None], q), q, *arr.shape)[1].sum())
 
 
 def kernel_basis_mod(a, q: int) -> np.ndarray:
@@ -268,7 +298,7 @@ def batch_rank_mod(mats, q: int) -> np.ndarray:
     """
     q = require_prime(q)
     arr = _int_array(mats, ndim=3)
-    return _eliminate(arr.transpose(1, 2, 0), q, arr.shape[1], arr.shape[2])[1].sum(axis=0)
+    return _eliminate(_residues(arr.transpose(1, 2, 0), q), q, arr.shape[1], arr.shape[2])[1].sum(axis=0)
 
 
 def batch_border_indicators_mod(mats, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -280,18 +310,20 @@ def batch_border_indicators_mod(mats, q: int) -> tuple[np.ndarray, np.ndarray]:
 
     Args:
         mats: integer array of shape (N, m + 1, w + 1); M is m x w, and m
-            or w may be 0.
+            or w may be 0. An array already of the elimination's type holds
+            residues (see _residues) and may be eliminated in place:
+            access.batch_indicators passes its gathered stack so.
 
     Returns:
         (c_outside, r_outside): bool arrays of shape (N,) holding
         c not in colspan M and r not in rowspan M.
     """
     q = require_prime(q)
-    arr = _int_array(mats, ndim=3)
+    arr = mats if getattr(mats, "dtype", None) == _float_type(q) else _int_array(mats, ndim=3)
     _, rows, cols = arr.shape
     if rows == 0 or cols == 0:
         raise ValueError(f"expected a border row and column, got shape {arr.shape}")
-    a, used = _eliminate(arr.transpose(1, 2, 0), q, rows - 1, cols - 1)
+    a, used = _eliminate(_residues(arr.transpose(1, 2, 0), q), q, rows - 1, cols - 1)
     # c is in colspan M exactly when it vanishes on the rows M reduced to 0;
     # r is in rowspan M exactly when its reduction against M vanishes
     c_outside = ((a[:-1, -1] != 0) & ~used).any(axis=0)

@@ -678,7 +678,9 @@ def qq_decode_bell(
     then fail to steer and the reported fidelity stays below 1. A set that
     holds the dealer or leaves the vertex range raises ValueError.
     """
-    return _bell_decode(g.q, _steering(g, d, _check_b(g, d, b_set)), encoded, rng, expected, budget)
+    steering = _steering(g, d, _check_b(g, d, b_set))
+    rho, syndrome = _bell_decode(g.q, steering, encoded, rng, budget)
+    return BellDecodeResult(_top_eigenvector(rho)[1], _fidelity(rho, expected), syndrome, steering[2])
 
 
 def _steering(g: Multigraph, d: int, b: tuple[int, ...]) -> tuple[WeylOperator, WeylOperator, bool]:
@@ -703,8 +705,14 @@ def _top_eigenvector(rho: np.ndarray) -> tuple[float, np.ndarray]:
     return float(vals[top]), vec * (abs(vec[pivot]) / vec[pivot])
 
 
-def _bell_decode(q: int, steering, encoded: StateVector, rng: np.random.Generator, expected, budget: int):
-    u_op, v_op, used_fallback = steering
+def _bell_decode(
+    q: int, steering, encoded: StateVector, rng: np.random.Generator, budget: int
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """The density matrix of the second ancilla after qq_decode_bell's
+    measurements and correction, and the syndrome (k, l); only the
+    fidelity is read off it in oracle_reports, so no eigenvector is taken
+    here."""
+    u_op, v_op, _ = steering
     bell = np.eye(q, dtype=np.complex128) / np.sqrt(q)
     full = StateVector(q, encoded.n + 2, np.kron(encoded.amplitudes, bell.reshape(-1)), budget=budget)
 
@@ -719,11 +727,13 @@ def _bell_decode(q: int, steering, encoded: StateVector, rng: np.random.Generato
     # Z^k X^{-l} = omega^{-kl} X^{-l} Z^k on a2
     full = apply_weyl(full, WeylOperator(q, (0,) * a2 + (-l,), (0,) * a2 + (k,), -k * l))
 
-    rho = reduced_density(full, [a2], budget=budget)
-    top = _top_eigenvector(rho)[1]
-    expected = np.asarray(expected, dtype=np.complex128).reshape(q)
-    fid = float(np.real(expected.conj() @ rho @ expected))
-    return BellDecodeResult(top, fid, (k, l), used_fallback)
+    return reduced_density(full, [a2], budget=budget), (k, l)
+
+
+def _fidelity(rho: np.ndarray, expected) -> float:
+    """<expected| rho |expected> for a decoded qudit density matrix."""
+    expected = np.asarray(expected, dtype=np.complex128).reshape(len(rho))
+    return float(np.real(expected.conj() @ rho @ expected))
 
 
 # ---------------------------------------------------------------------------
@@ -907,9 +917,9 @@ def oracle_reports(
         secret = rng.normal(size=g.q) + 1j * rng.normal(size=g.q)
         secret = _unit_secret(g.q, secret / np.linalg.norm(secret))
         encoded = _superpose(g, words, secret)
-        fid_b = _bell_decode(g.q, steering[b], encoded, rng, secret, budget).fidelity
+        fid_b = _fidelity(_bell_decode(g.q, steering[b], encoded, rng, budget)[0], secret)
         comp = comps[b]
-        fid_comp = _bell_decode(g.q, steering[comp], encoded, rng, secret, budget).fidelity if comp else None
+        fid_comp = _fidelity(_bell_decode(g.q, steering[comp], encoded, rng, budget)[0], secret) if comp else None
         hidden = fid_comp is not None and fid_comp >= 1 - 1e-7 and max_td <= 1e-7
         rows.append({
             "graph_hash": digest,

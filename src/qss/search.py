@@ -17,7 +17,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import chain, combinations, islice
 from math import ceil, comb, isfinite
 from typing import Iterable, Iterator, NamedTuple, TextIO
@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 import numpy as np
 
 from .access import _index_array, batch_indicators
-from .fqlinalg import require_prime
+from .fqlinalg import _float_type, _residues, require_prime
 from .multigraph import DealerGraph, Multigraph, serialize_graph
 
 TRIAL_CHUNK = 2048
@@ -75,9 +75,11 @@ def _first_failure(
     as one array padded with -1. A graph leaves the stack at its first
     failure, the argmax inside its ordered block, so the block sizes change
     only the number of calls, never a result. The scan stops when no graph
-    is left.
+    is left. The stack is reduced mod q once, into the kernel's type, and
+    every block is gathered from those residues.
     """
     first: list[tuple[int, ...] | None] = [None] * len(gammas)
+    gammas = _residues(gammas, q)
     live = np.arange(len(gammas))
     sets = iter(sets)
     budget = BLOCK
@@ -192,21 +194,37 @@ def is_scheme(dg: DealerGraph, k: int) -> IsSchemeResult:
     return IsSchemeResult(True, None, "ok")
 
 
-def _gamma_from_index(index, n: int, q: int) -> np.ndarray:
-    """Adjacency matrices for enumeration indices.
+@cache
+def _slot_map(n: int) -> np.ndarray:
+    """The read-only (n, n) map from each adjacency entry to its edge slot.
+    The m = n(n-1)/2 slots are ordered row-major ((0,1), (0,2), ...,
+    (n-2,n-1)), both entries of a pair read its slot, and the diagonal
+    reads slot m, so a row of m edge multiplicities and a trailing zero
+    gathers into the symmetric adjacency matrix in one step."""
+    rows, cols = np.triu_indices(n, 1)
+    slots = np.full((n, n), rows.size)
+    slots[rows, cols] = slots[cols, rows] = np.arange(rows.size)
+    slots.setflags(write=False)
+    return slots
 
-    Edge slots are ordered row-major ((0,1), (0,2), ..., (n-2,n-1)) and read
-    as base-q digits with the first slot most significant, so contiguous
-    index ranges share their leading entries. index is an int or an integer
-    array; the result has shape index.shape + (n, n).
+
+def _gamma_from_index(index, n: int, q: int) -> np.ndarray:
+    """Adjacency matrices for enumeration indices, in the kernel's type for
+    q, so a scan of them reduces nothing; Multigraph takes one as int64.
+
+    The edge slots of _slot_map are read as base-q digits with the first
+    slot most significant, so contiguous index ranges share their leading
+    entries. index is an int or an integer array; the result has shape
+    index.shape + (n, n). The digits are taken one slot at a time, as
+    q^(m - 1) overflows int64 for large n.
     """
     rest = np.array(index, dtype=np.int64)
-    gamma = np.zeros(rest.shape + (n, n), dtype=np.int64)
-    rows, cols = np.triu_indices(n, 1)
-    for slot in range(rows.size - 1, -1, -1):
-        gamma[..., rows[slot], cols[slot]] = rest % q
+    m = n * (n - 1) // 2
+    digits = np.zeros(rest.shape + (m + 1,), dtype=_float_type(q))
+    for slot in range(m - 1, -1, -1):
+        digits[..., slot] = rest % q
         rest //= q
-    return gamma + np.swapaxes(gamma, -1, -2)
+    return digits[..., _slot_map(n)]
 
 
 @dataclass(frozen=True)
@@ -421,12 +439,11 @@ def random_trials(
 def _trial_chunk(seed: int, chunk_index: int, count: int, n: int, q: int, k: int) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
     m = n * (n - 1) // 2
-    flat = rng.integers(0, q, size=(count, m))
-    gammas = np.zeros((count, n, n), dtype=np.int64)
-    iu = np.triu_indices(n, 1)
-    gammas[:, iu[0], iu[1]] = flat
-    gammas += np.transpose(gammas, (0, 2, 1))
-    return int(batch_accessible_at_k(gammas, q, k).sum())
+    # the multiplicities are residues, so they go straight into the
+    # kernel's type and the scan reduces nothing
+    slots = np.zeros((count, m + 1), dtype=_float_type(q))
+    slots[:, :m] = rng.integers(0, q, size=(count, m))
+    return int(batch_accessible_at_k(slots[:, _slot_map(n)], q, k).sum())
 
 
 def sufficient_condition_check(g: Multigraph, alpha: float, budget: int = 5_000_000) -> bool:

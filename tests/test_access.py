@@ -30,6 +30,7 @@ from qss.access import (
     witness_C,
     witness_D,
 )
+from qss.fqlinalg import _float_type
 from qss.multigraph import Multigraph, Multiset, random_graph, rs747_fixture
 from qss.oracle import qq_decode_bell, qq_encode
 
@@ -289,6 +290,42 @@ def test_malformed_padded_rows_are_rejected(rows, complaint):
     rs = rs747_fixture()
     with pytest.raises(ValueError, match=complaint):
         batch_indicators(rs.graph.gamma[None], rs.graph.q, rs.dealer, np.array(rows, dtype=np.intp))
+
+
+@pytest.mark.parametrize(
+    "rows, dealer, complaint",
+    [
+        # {1, 1, 1, 5} is {1, 5}, whose derivative is 1, not 0
+        ([[1, 2, 3, 4], [1, 1, 1, 5]], 0, "repeats a member"),
+        ([[0, 1, 2]], 0, "holds the dealer"),
+        ([[1, 2, 8]], 0, "outside vertex range"),
+        ([[1, 2, 3]], 8, "dealer 8 out of range"),
+        ([[1, 2, 3]], -1, "dealer -1 out of range"),
+    ],
+)
+def test_malformed_uniform_rows_are_rejected(rows, dealer, complaint):
+    # an unpadded array gets the padded path's checks: rs747 again
+    rs = rs747_fixture()
+    assert quantum_derivative(rs.graph, 0, [1, 5]) == 1
+    with pytest.raises(ValueError, match=complaint):
+        batch_indicators(rs.graph.gamma[None], rs.graph.q, dealer, np.array(rows, dtype=np.intp))
+
+
+def test_a_stack_of_residues_in_the_kernel_type_is_not_reduced_again():
+    # int64 entries anywhere, against the same graphs as kernel-type
+    # residues, which batch_indicators gathers from as they are
+    rng = np.random.default_rng(41)
+    subsets = np.array(list(combinations(range(1, 8), 3)), dtype=np.intp)
+    for q in (2, 7, 2039, 2053):
+        gammas = rng.integers(0, q, size=(5, 8, 8))
+        gammas = np.triu(gammas, 1) + np.triu(gammas, 1).transpose(0, 2, 1)
+        shifted = gammas + q * rng.integers(-3, 4, size=gammas.shape)
+        residues = gammas.astype(_float_type(q))
+        got = batch_indicators(residues, q, 0, subsets)
+        assert all(np.array_equal(a, b) for a, b in zip(got, batch_indicators(shifted, q, 0, subsets)))
+        assert residues.dtype == _float_type(q) and np.array_equal(residues, gammas)
+        want = [[quantum_derivative(Multigraph(q, g), 0, b) for b in subsets] for g in gammas]
+        assert got[1].tolist() == want
 
 
 # ------------------------------------------------------------------- classify

@@ -17,6 +17,8 @@ from qss.access import batch_indicators
 from qss.fqlinalg import (
     SCRATCH_CAP,
     FIELD_SIZE_CEILING,
+    FLOAT32_CEILING,
+    _float_type,
     batch_border_indicators_mod,
     batch_rank_mod,
     inv_mod,
@@ -33,6 +35,10 @@ from helpers import int_rank, int_rref
 
 PRIMES = [2, 3, 5, 7]
 LARGEST_PRIME = 1048573  # the largest prime below FIELD_SIZE_CEILING = 2**20
+# the largest float32 prime (below FLOAT32_CEILING = 2**11), the least
+# float64 prime, the largest prime below 2**12, where float32 would err,
+# and the ceiling's
+BOUNDARY_PRIMES = [2039, 2053, 4093, LARGEST_PRIME]
 
 
 def kernel_entries(q):
@@ -128,6 +134,48 @@ def test_rank_kernels_match_pure_int_reference(q, count, rows, cols, data):
     want = [int_rank(m.tolist(), q) for m in mats]
     assert batch_rank_mod(mats, q).tolist() == want
     assert [rank_mod(m, q) for m in mats] == want
+
+
+def test_elimination_type_changes_at_the_float32_ceiling():
+    assert FLOAT32_CEILING == 2**11
+    assert [_float_type(q) for q in [2, 7, *BOUNDARY_PRIMES]] == [np.float32] * 3 + [np.float64] * 3
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(BOUNDARY_PRIMES),
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_kernels_exact_on_both_sides_of_the_float32_ceiling(q, count, rows, cols, inner, data):
+    # entries cluster at 0 and q - 1, where the steps reach their largest
+    # magnitudes, near q^2; the even matrices are products of thin factors,
+    # whose eliminated rows are multiples of q that must reduce to 0
+    def draw(*shape):
+        near = st.one_of(st.integers(0, 2), st.integers(q - 3, q - 1))
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(near, min_size=size, max_size=size)), dtype=np.int64).reshape(shape)
+
+    mats = draw(count, rows, cols)
+    mats[::2] = (draw(count, rows, inner) @ draw(count, inner, cols) % q)[::2]
+    for mat in mats:
+        assert rank_mod(mat, q) == int_rank(mat.tolist(), q)
+        r, pivots = rref_mod(mat, q)
+        assert (r.tolist(), pivots) == int_rref(mat.tolist(), q)
+        a, b = mat[:, :-1], mat[:, -1]
+        x = solve_affine_mod(a, b, q)
+        if int_rank(mat.tolist(), q) > int_rank(a.tolist(), q):
+            assert x is None
+        else:
+            assert [sum(u * v for u, v in zip(row, x.tolist())) % q for row in a.tolist()] == b.tolist()
+    c_outside, r_outside = batch_border_indicators_mod(mats, q)
+    for got_c, got_r, mat in zip(c_outside, r_outside, mats):
+        rank_m = int_rank(mat[:-1, :-1].tolist(), q)
+        assert got_c == int_rank(mat[:-1, :].tolist(), q) - rank_m
+        assert got_r == int_rank(mat[:, :-1].tolist(), q) - rank_m
 
 
 def test_inverse_values_mod_7():
@@ -402,7 +450,7 @@ def test_kernel_calls_of_changing_shapes_share_the_scratch_buffer():
 
 def test_a_stack_above_the_cap_gets_a_buffer_of_its_own():
     # 300 order-12 graphs by the 462 sets of 6 players: 138,600 bordered 7x6
-    # matrices, a 46 MiB stack. The buffer kept afterwards stays under the
+    # matrices, a 23 MiB float32 stack. The buffer kept afterwards stays under the
     # cap, and the stack's own buffer ranks as the kept one does on chunks
     # of 10 graphs
     rng = np.random.default_rng(71)
@@ -412,7 +460,7 @@ def test_a_stack_above_the_cap_gets_a_buffer_of_its_own():
     gammas[:, iu[0], iu[1]] = rng.integers(0, q, size=(count, len(iu[0])))
     gammas += np.transpose(gammas, (0, 2, 1))
     subsets = np.array(list(combinations(range(1, n), 6)), dtype=np.intp)
-    assert 8 * 7 * 6 * count * len(subsets) > SCRATCH_CAP
+    assert np.dtype(_float_type(q)).itemsize * 7 * 6 * count * len(subsets) > SCRATCH_CAP
     pi, der = batch_indicators(gammas, q, 0, subsets)
     assert getattr(qss.fqlinalg._scratch, "buf", np.empty(0)).nbytes <= SCRATCH_CAP
     for lo in range(0, count, 10):
