@@ -24,10 +24,10 @@ import numpy as np
 from .fqlinalg import (
     _residues,
     batch_border_indicators_mod,
+    batch_solve_affine_mod,
     kernel_basis_mod,
     rank_mod,
     reduced_column_echelon_mod,
-    solve_affine_mod,
 )
 from .multigraph import Multigraph, Multiset, cut_matrix, neighbors_multiset
 
@@ -178,16 +178,22 @@ def witness_D(g: Multigraph, d: int, b_set) -> Multiset | None:
     with multiplicity exactly 1. None iff pi = 0. The returned solution is
     the deterministic one with lowest-index pivots and zero free variables.
     """
-    b = _check_b(g, d, b_set)
-    if not b:
-        return None
-    rest = [v for v in range(g.n) if v not in b]
-    target = np.zeros(len(rest), dtype=np.int64)
-    target[rest.index(d)] = 1
-    sol = solve_affine_mod(cut_matrix(g, rest, b), target, g.q)
-    if sol is None:
-        return None
-    return Multiset(g.q, dict(zip(b, sol.tolist())))
+    return witnesses_D(g, d, [b_set])[0]
+
+
+def witnesses_D(g: Multigraph, d: int, sets) -> list[Multiset | None]:
+    """witness_D of each player set, in order, from one stacked solve of
+    Gamma[V - B, B] D = [d]. The empty set's system has no columns and is
+    inconsistent, so it gets None."""
+    bs = [_check_b(g, d, b) for b in sets]
+    systems = []
+    for b in bs:
+        rest = [v for v in range(g.n) if v not in b]
+        target = np.zeros(len(rest), dtype=np.int64)
+        target[rest.index(d)] = 1
+        systems.append((cut_matrix(g, rest, b), target))
+    sols = batch_solve_affine_mod(systems, g.q)
+    return [None if sol is None else Multiset(g.q, dict(zip(b, sol.tolist()))) for b, sol in zip(bs, sols)]
 
 
 def witness_C(g: Multigraph, d: int, b_set) -> Multiset | None:
@@ -198,17 +204,24 @@ def witness_C(g: Multigraph, d: int, b_set) -> Multiset | None:
     B can screen the complement, call with b_set = V minus (B + {d}); the
     result is then supported on B + {d}.
     """
-    b = _check_b(g, d, b_set)
-    outside = [v for v in range(g.n) if v not in b]
-    pin = np.zeros((1, len(outside)), dtype=np.int64)
-    pin[0, outside.index(d)] = 1
-    m = np.vstack([cut_matrix(g, b, outside), pin])
-    target = np.zeros(len(b) + 1, dtype=np.int64)
-    target[-1] = 1
-    sol = solve_affine_mod(m, target, g.q)
-    if sol is None:
-        return None
-    return Multiset(g.q, dict(zip(outside, sol.tolist())))
+    return witnesses_C(g, d, [b_set])[0]
+
+
+def witnesses_C(g: Multigraph, d: int, sets) -> list[Multiset | None]:
+    """witness_C of each set B, in order, from one stacked solve of
+    Gamma[B, V - B] C = 0 with C(d) = 1 pinned by a last row."""
+    bs = [_check_b(g, d, b) for b in sets]
+    systems, outsides = [], []
+    for b in bs:
+        outside = [v for v in range(g.n) if v not in b]
+        pin = np.zeros((1, len(outside)), dtype=np.int64)
+        pin[0, outside.index(d)] = 1
+        target = np.zeros(len(b) + 1, dtype=np.int64)
+        target[-1] = 1
+        systems.append((np.vstack([cut_matrix(g, b, outside), pin]), target))
+        outsides.append(outside)
+    sols = batch_solve_affine_mod(systems, g.q)
+    return [None if sol is None else Multiset(g.q, dict(zip(out, sol.tolist()))) for out, sol in zip(outsides, sols)]
 
 
 def classify(g: Multigraph, d: int, b_set) -> AccessVerdict:

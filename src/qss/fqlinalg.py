@@ -261,24 +261,56 @@ def kernel_basis_mod(a, q: int) -> np.ndarray:
 
 
 def solve_affine_mod(a, b, q: int) -> np.ndarray | None:
-    """Solve a.x = b over F_q.
+    """Solve a.x = b over F_q: the stack of one of batch_solve_affine_mod.
 
     Returns:
         The deterministic particular solution (free variables set to 0), or
         None when the system is inconsistent.
     """
+    return batch_solve_affine_mod([(a, b)], q)[0]
+
+
+def batch_solve_affine_mod(systems, q: int) -> list[np.ndarray | None]:
+    """Solve every system a.x = b of a sequence of (a, b) pairs over F_q in
+    one lockstep elimination of the augmented matrices [a | b].
+
+    Systems of different shapes are padded to one: zero rows below [a | b]
+    and zero columns between a and b. A zero row or column gains no pivot
+    and moves none, so each system keeps the pivots of its own elimination.
+    Each pivot row is then a nonzero multiple of a row of the RREF, which
+    is unique, so every solution is the one Gauss-Jordan elimination gives:
+    the RREF's last column on the pivot columns and 0 on the free ones. A
+    system with a pivot in its last column is inconsistent.
+
+    Returns:
+        One int64 array of length a.shape[1] per system, or None for an
+        inconsistent one, in order.
+    """
     q = require_prime(q)
-    arr = _int_array(a)
-    rhs = np.asarray(b, dtype=np.int64).reshape(-1)
-    rows, cols = arr.shape
-    if rhs.shape[0] != rows:
-        raise ValueError(f"shape mismatch: {arr.shape} vs rhs {rhs.shape}")
-    r, pivots = rref_mod(np.concatenate([arr, rhs[:, None]], axis=1), q)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    x[pivots] = r[: len(pivots), cols]
-    return x
+    mats = [_int_array(a) for a, _ in systems]
+    rhss = [np.asarray(b, dtype=np.int64).reshape(-1) for _, b in systems]
+    for arr, rhs in zip(mats, rhss):
+        if rhs.shape[0] != arr.shape[0]:
+            raise ValueError(f"shape mismatch: {arr.shape} vs rhs {rhs.shape}")
+    if not mats:
+        return []
+    rows = max(arr.shape[0] for arr in mats)
+    cols = max(arr.shape[1] for arr in mats)
+    stack = np.zeros((rows, cols + 1, len(mats)), dtype=np.int64)
+    for j, (arr, rhs) in enumerate(zip(mats, rhss)):
+        stack[: arr.shape[0], : arr.shape[1], j] = arr
+        stack[: arr.shape[0], cols, j] = rhs
+    eliminated, used = _eliminate(_residues(stack, q), q, rows, cols + 1)
+    # a pivot row's first nonzero entry is its pivot
+    row, system = np.nonzero(used)
+    r = eliminated[row, :, system].astype(np.int64)
+    pivots = (r != 0).argmax(axis=1)
+    consistent = np.ones(len(mats), dtype=bool)
+    consistent[system[pivots == cols]] = False
+    x = np.zeros((len(mats), cols + 1), dtype=np.int64)
+    scale = [inv_mod(v, q) for v in r[np.arange(len(r)), pivots].tolist()]
+    x[system, pivots] = r[:, cols] * np.array(scale, dtype=np.int64) % q
+    return [x[j, : arr.shape[1]].copy() if consistent[j] else None for j, arr in enumerate(mats)]
 
 
 def reduced_column_echelon_mod(a, q: int) -> np.ndarray:

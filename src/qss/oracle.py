@@ -23,6 +23,7 @@ import numpy as np
 from .fqlinalg import inv_mod, require_prime
 from .multigraph import Multigraph, Multiset, delete_vertex, serialize_graph
 from .access import QUANTUM_VERDICT, _check_b, _index_array, batch_indicators, verify_witness_pair, witness_C, witness_D
+from .access import witnesses_C, witnesses_D
 
 AMPLITUDE_BUDGET = 2_000_000
 ATOL = 1e-9
@@ -40,10 +41,8 @@ class StateVector:
         dim = q**n
         if dim > budget:
             raise BudgetExceeded(f"q^n = {dim} amplitudes exceed the budget of {budget}")
-        amps = np.asarray(amplitudes, dtype=np.complex128).reshape(dim).copy()
-        self.q = q
-        self.n = n
-        self.amplitudes = amps
+        self.q, self.n = q, n
+        self.amplitudes = np.asarray(amplitudes, dtype=np.complex128).reshape(dim).copy()
 
     @classmethod
     def _derived(cls, q: int, n: int, amplitudes) -> "StateVector":
@@ -54,8 +53,7 @@ class StateVector:
         wrongly reject states a caller explicitly allowed.
         """
         sv = cls.__new__(cls)
-        sv.q = q
-        sv.n = n
+        sv.q, sv.n = q, n
         sv.amplitudes = np.asarray(amplitudes, dtype=np.complex128).reshape(q**n)
         return sv
 
@@ -64,9 +62,7 @@ class StateVector:
         digits = list(digits)
         if len(digits) != n:
             raise ValueError("one digit per site required")
-        index = 0
-        for x in digits:
-            index = index * q + int(x) % q
+        index = sum(int(x) % q * q ** (n - 1 - v) for v, x in enumerate(digits))
         amps = np.zeros(q**n, dtype=np.complex128)
         amps[index] = 1.0
         return cls(q, n, amps)
@@ -89,8 +85,7 @@ class StateVector:
     def tensor(self, other: "StateVector", budget: int = AMPLITUDE_BUDGET) -> "StateVector":
         if other.q != self.q:
             raise ValueError("tensor factors must share the qudit dimension")
-        amps = np.kron(self.amplitudes, other.amplitudes)
-        return StateVector(self.q, self.n + other.n, amps, budget=budget)
+        return StateVector(self.q, self.n + other.n, np.kron(self.amplitudes, other.amplitudes), budget=budget)
 
     def __repr__(self):
         return f"StateVector(q={self.q}, n={self.n})"
@@ -189,27 +184,29 @@ def omega_table(q: int) -> np.ndarray:
     return table
 
 
-def _weyl_on_grid(q: int, grid: np.ndarray, w: WeylOperator) -> np.ndarray:
-    """Raw W|x> = omega^{phase + b.x} |x + a> on an n-axis amplitude grid."""
-    n = grid.ndim
-    exp = np.zeros([q] * n, dtype=np.int64)
-    for v, b in enumerate(w.z_powers):
+def _weyl_map(q: int, w: WeylOperator):
+    """The map psi -> W psi = omega^{phase + b.x} |x + a> on flat amplitude
+    arrays: one phase multiply and one index gather, both built once for
+    every array mapped. Each site W acts on adds a term along its own axis,
+    so the phase spans only the Z axes; with no X powers nothing is gathered."""
+    n, shape, exp, offset = w.n, [q] * w.n, w.phase, 0
+    for v, (a, b) in enumerate(zip(w.x_powers, w.z_powers)):
+        digit = np.arange(q).reshape([q if j == v else 1 for j in range(n)]) if a or b else None
         if b:
-            shape = [1] * n
-            shape[v] = q
-            exp = exp + b * np.arange(q, dtype=np.int64).reshape(shape)
-    out = grid * omega_table(q)[(exp + w.phase) % q]
-    for v, a in enumerate(w.x_powers):
+            exp = exp + b * digit
         if a:
-            out = np.roll(out, a, axis=v)
-    return out
+            offset = offset + ((digit - a) % q - digit) * q ** (n - 1 - v)
+    phase = omega_table(q)[exp % q]
+    # src[y] is the flat index of y - a
+    src = (np.arange(q**n).reshape(shape) + offset).reshape(-1) if any(w.x_powers) else slice(None)
+    return lambda psi: (psi.reshape(shape) * phase).reshape(-1)[src]
 
 
 def apply_weyl(state: StateVector, w: WeylOperator) -> StateVector:
     """W|x> = omega^{phase + b.x} |x + a>, applied over the whole register."""
     if w.q != state.q or w.n != state.n:
         raise ValueError("operator does not match the state register")
-    return StateVector._derived(state.q, state.n, _weyl_on_grid(state.q, state.grid(), w)).check_normalized()
+    return StateVector._derived(state.q, state.n, _weyl_map(state.q, w)(state.amplitudes)).check_normalized()
 
 
 def stabilizer_generator(g: Multigraph, u: int) -> WeylOperator:
@@ -238,13 +235,10 @@ def graph_state(g: Multigraph, budget: int = AMPLITUDE_BUDGET) -> StateVector:
     if q**n > budget:
         raise BudgetExceeded(f"q^n = {q ** n} amplitudes exceed the budget of {budget}")
     exp = np.zeros([q] * n, dtype=np.int64)
-    ar = np.arange(q, dtype=np.int64)
+    # site v's digit, broadcast along axis v
+    digit = [np.arange(q, dtype=np.int64).reshape([q if j == v else 1 for j in range(n)]) for v in range(n)]
     for u, v, w in g.edges():
-        su = [1] * n
-        su[u] = q
-        sv = [1] * n
-        sv[v] = q
-        exp = exp + w * ar.reshape(su) * ar.reshape(sv)
+        exp = exp + w * digit[u] * digit[v]
     amps = omega_table(q)[exp % q] * (q ** (-n / 2))
     return StateVector._derived(q, n, amps).check_normalized()
 
@@ -264,10 +258,8 @@ def mub_vector(q: int, t: int, i: int) -> np.ndarray:
         return vec
     if q == 2:
         return np.array([1.0, -1j if i == 0 else 1j]) / np.sqrt(2)
-    inv2t = inv_mod(2 * t, q)
-    invt = inv_mod(t, q)
     j = np.arange(q)
-    exp = (j * (j - t) * inv2t - i * invt * j) % q
+    exp = (j * (j - t) * inv_mod(2 * t, q) - i * inv_mod(t, q) * j) % q
     return omega_table(q)[exp] / np.sqrt(q)
 
 
@@ -278,11 +270,18 @@ def mub_basis(q: int, t: int) -> np.ndarray:
 
 def _draw(weights: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """(outcome, probs): the outcome probabilities are the weights clipped
-    at zero and normalised, and one outcome is drawn from them. Every
-    measurement samples here."""
+    at zero and normalised, and one outcome is drawn from them by inverse
+    CDF, as Generator.choice(p=probs) draws it. Every measurement samples
+    here and draws exactly one uniform, rng.random(). A clipped total that
+    is zero or not finite raises ValueError."""
     probs = np.clip(weights, 0.0, None)
-    probs = probs / probs.sum()
-    return int(rng.choice(len(probs), p=probs)), probs
+    total = probs.sum()
+    if not (np.isfinite(total) and total > 0):
+        raise ValueError(f"measurement weights sum to {total}")
+    probs = probs / total
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right")), probs
 
 
 def measure_site_basis(state: StateVector, site: int, basis: np.ndarray, rng: np.random.Generator):
@@ -296,8 +295,7 @@ def measure_site_basis(state: StateVector, site: int, basis: np.ndarray, rng: np
     overlaps = basis.conj().T @ grid  # row i = <i|psi> component
     outcome, probs = _draw((abs(overlaps) ** 2).sum(axis=1).real, rng)
     residual = overlaps[outcome] / np.sqrt(probs[outcome])
-    collapsed = np.tensordot(basis[:, outcome], residual, axes=0).reshape([q] + [q] * (state.n - 1))
-    collapsed = np.moveaxis(collapsed, 0, site)
+    collapsed = np.moveaxis(np.tensordot(basis[:, outcome], residual, axes=0).reshape([q] * state.n), 0, site)
     return outcome, StateVector._derived(q, state.n, collapsed).check_normalized()
 
 
@@ -314,10 +312,10 @@ def measure_weyl(state: StateVector, w: WeylOperator, rng: np.random.Generator):
     if w.q != q or w.n != state.n:
         raise ValueError("operator does not match the state register")
     # W^j |psi> for j < q, as flat amplitude arrays
-    powers = [state.grid()]
+    step = _weyl_map(q, w)
+    powers = [state.amplitudes]
     for _ in range(q - 1):
-        powers.append(_weyl_on_grid(q, powers[-1], w))
-    powers = [p.reshape(-1) for p in powers]
+        powers.append(step(powers[-1]))
     if q != 2:
         table = omega_table(q)
         expect = np.array([np.vdot(powers[0], p) for p in powers])
@@ -325,8 +323,8 @@ def measure_weyl(state: StateVector, w: WeylOperator, rng: np.random.Generator):
         proj = sum(table[(-m * j) % q] * p for j, p in enumerate(powers)) / q
     else:
         psi, wpsi = powers
-        odd = sum(a * b for a, b in zip(w.x_powers, w.z_powers)) % 2 == 1
-        scale = -1j if odd else 1.0  # measured observable is scale * W
+        # the measured observable is scale * W, -iW for odd x.z
+        scale = -1j if sum(a * b for a, b in zip(w.x_powers, w.z_powers)) % 2 else 1.0
         branches = [0.5 * (psi + (-1) ** m * scale * wpsi) for m in range(2)]
         m, _ = _draw(np.array([np.vdot(b, b).real for b in branches]), rng)
         proj = branches[m]
@@ -339,8 +337,7 @@ def eigenvalue_label(state: StateVector, w: WeylOperator) -> int:
     q = state.q
     out = apply_weyl(state, w)
     pivot = int(np.argmax(abs(state.amplitudes)))
-    ratio = out.amplitudes[pivot] / state.amplitudes[pivot]
-    angle = np.angle(ratio) * q / (2 * np.pi)
+    angle = np.angle(out.amplitudes[pivot] / state.amplitudes[pivot]) * q / (2 * np.pi)
     m = int(np.round(angle)) % q
     if np.linalg.norm(out.amplitudes - omega_table(q)[m] * state.amplitudes) > 1e-8:
         raise AssertionError("state is not an eigenvector of the given operator")
@@ -414,12 +411,14 @@ def reduced_density(state: StateVector, sites, budget: int = AMPLITUDE_BUDGET) -
     drop = [s for s in range(state.n) if s not in keep]
     grid = state.grid()
     rho = np.tensordot(grid, grid.conj(), axes=(drop, drop))
-    dim = state.q ** len(keep)
-    return rho.reshape(dim, dim)
+    return rho.reshape(2 * [state.q ** len(keep)])
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
+def trace_distance(rho: np.ndarray, sigma: np.ndarray):
+    """0.5 * sum |eigenvalues of rho - sigma|; for two stacks of matrices,
+    an array of one distance per pair."""
+    vals = np.abs(np.linalg.eigvalsh(rho - sigma))
+    return 0.5 * float(vals.sum()) if vals.ndim == 1 else 0.5 * vals.sum(axis=-1)
 
 
 def density_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -441,7 +440,13 @@ def leak_profile(g: Multigraph, d: int, b_set, budget: int = AMPLITUDE_BUDGET) -
 
 
 def _max_trace_distance(rhos) -> float:
-    return max(trace_distance(a, b) for a, b in combinations(rhos, 2))
+    """The largest trace distance between two of rhos: one stacked call up to
+    27 x 27 (bit for bit the one-pair results); above, one call per pair, as
+    a stack of larger matrices costs memory and saves no time."""
+    pairs = list(combinations(rhos, 2))
+    if len(rhos[0]) > 27:
+        return max(trace_distance(a, b) for a, b in pairs)
+    return float(trace_distance(*map(np.stack, zip(*pairs))).max())
 
 
 def info_leak(g: Multigraph, d: int, b_set, budget: int = AMPLITUDE_BUDGET) -> float:
@@ -501,11 +506,9 @@ class DecodeParams:
     c: int
     half_correction: int
 
-    def f_t(self, r: int) -> int:
-        return (-r - self.c - (self.t * (self.t - 1) // 2) * self.beta) % self.q
-
     def decode(self, total: int) -> int:
-        return (self.f_t(total) + self.half_correction) % self.q
+        """The secret f_t(total) = -total - c - C(t, 2) * beta, plus the q = 2 correction."""
+        return (-total - self.c - (self.t * (self.t - 1) // 2) * self.beta + self.half_correction) % self.q
 
 
 def decode_params(g: Multigraph, d: int, b_set, d_ms, c_ms, t: int) -> DecodeParams:
@@ -526,18 +529,14 @@ def decode_params(g: Multigraph, d: int, b_set, d_ms, c_ms, t: int) -> DecodePar
     # C is 1 at the dealer and otherwise supported on b
     s_product = _stabilizer_product(g, t * c_vec + (1 - t * beta) * d_ms.as_vector(g.n))
 
-    for v in range(g.n):
-        if v == d or v in b:
-            continue
-        if s_product.x_powers[v] or s_product.z_powers[v]:
-            raise AssertionError("stabilizer product leaks outside the player set")
+    if any(s_product.x_powers[v] or s_product.z_powers[v] for v in range(g.n) if v != d and v not in b):
+        raise AssertionError("stabilizer product leaks outside the player set")
     if s_product.x_powers[d] != t or s_product.z_powers[d] != 1:
         raise AssertionError("dealer factor of the stabilizer product is off")
 
     x = {i: s_product.x_powers[i] for i in b}
     z = {i: s_product.z_powers[i] for i in b}
-    half = t * (t - 1) // 2
-    c = (s_product.phase - half * beta) % q
+    c = (s_product.phase - t * (t - 1) // 2 * beta) % q
 
     half_corr = 0
     if q == 2:
@@ -590,7 +589,6 @@ def cq_round(
 
     state = graph_state(g, budget=budget)
     s, state = measure_site_basis(state, d, mub_basis(q, t), rng)
-    players = _player_order(g, d)
     total = 0
     if params is None:
         for v in b:
@@ -639,12 +637,9 @@ def code_unitaries(g: Multigraph, d: int, b_set, d_ms, c_ms) -> tuple[WeylOperat
     c_vec[d] = 0  # C's dealer weight 1 is the logical X; D and the rest of C live on b
     u_op = _stabilizer_product(g, -d_vec).factor_site(d)
     v_op = logical_x(g, d) @ _stabilizer_product(g, c_vec - beta * d_vec).factor_site(d)
-    for p, v in enumerate(_player_order(g, d)):
-        if v in b:
-            continue
-        for op, name in ((u_op, "U_B"), (v_op, "V_B")):
-            if op.x_powers[p] or op.z_powers[p]:
-                raise AssertionError(f"{name} acts outside the player set")
+    for op, name in ((u_op, "U_B"), (v_op, "V_B")):
+        if any(op.x_powers[p] or op.z_powers[p] for p, v in enumerate(_player_order(g, d)) if v not in b):
+            raise AssertionError(f"{name} acts outside the player set")
     return u_op, v_op
 
 
@@ -678,21 +673,21 @@ def qq_decode_bell(
     then fail to steer and the reported fidelity stays below 1. A set that
     holds the dealer or leaves the vertex range raises ValueError.
     """
-    steering = _steering(g, d, _check_b(g, d, b_set))
+    steering = _steering(g, d, [_check_b(g, d, b_set)])[0]
     rho, syndrome = _bell_decode(g.q, steering, encoded, rng, budget)
     return BellDecodeResult(_top_eigenvector(rho)[1], _fidelity(rho, expected), syndrome, steering[2])
 
 
-def _steering(g: Multigraph, d: int, b: tuple[int, ...]) -> tuple[WeylOperator, WeylOperator, bool]:
-    """(U_B, V_B, used_fallback) for qq_decode_bell: the code unitaries of
-    the solved witness pair, else the identity stand-ins."""
-    d_ms = witness_D(g, d, b)
-    # without D the fallback is certain, so C's solve would be wasted
-    c_ms = None if d_ms is None else witness_C(g, d, [v for v in range(g.n) if v != d and v not in b])
-    if c_ms is None:
-        identity = WeylOperator.identity(g.q, g.n - 1)
-        return identity, identity, True
-    return (*code_unitaries(g, d, b, d_ms, c_ms), False)
+def _steering(g: Multigraph, d: int, sets) -> list[tuple[WeylOperator, WeylOperator, bool]]:
+    """(U_B, V_B, used_fallback) of each player set for qq_decode_bell: the
+    code unitaries of the solved witness pair, else the identity stand-ins.
+    One stacked solve finds every D, and one more the C of each set with a D."""
+    pairs = [(b, d_ms) for b, d_ms in zip(sets, witnesses_D(g, d, sets)) if d_ms is not None]
+    hiding = witnesses_C(g, d, [[v for v in range(g.n) if v != d and v not in b] for b, _ in pairs])
+    identity = WeylOperator.identity(g.q, g.n - 1)
+    solved = {b: (*code_unitaries(g, d, b, d_ms, c_ms), False)
+              for (b, d_ms), c_ms in zip(pairs, hiding) if c_ms is not None}
+    return [solved.get(b, (identity, identity, True)) for b in sets]
 
 
 def _top_eigenvector(rho: np.ndarray) -> tuple[float, np.ndarray]:
@@ -709,12 +704,10 @@ def _bell_decode(
     q: int, steering, encoded: StateVector, rng: np.random.Generator, budget: int
 ) -> tuple[np.ndarray, tuple[int, int]]:
     """The density matrix of the second ancilla after qq_decode_bell's
-    measurements and correction, and the syndrome (k, l); only the
-    fidelity is read off it in oracle_reports, so no eigenvector is taken
-    here."""
+    measurements and correction, and the syndrome (k, l)."""
     u_op, v_op, _ = steering
     bell = np.eye(q, dtype=np.complex128) / np.sqrt(q)
-    full = StateVector(q, encoded.n + 2, np.kron(encoded.amplitudes, bell.reshape(-1)), budget=budget)
+    full = StateVector(q, encoded.n + 2, np.multiply.outer(encoded.amplitudes, bell.reshape(-1)), budget=budget)
 
     # the ancillas a1, a2 follow the players: append their exponents
     v_inv = v_op.inverse()
@@ -726,7 +719,6 @@ def _bell_decode(
     a2 = full.n - 1
     # Z^k X^{-l} = omega^{-kl} X^{-l} Z^k on a2
     full = apply_weyl(full, WeylOperator(q, (0,) * a2 + (-l,), (0,) * a2 + (k,), -k * l))
-
     return reduced_density(full, [a2], budget=budget), (k, l)
 
 
@@ -770,10 +762,10 @@ def apply_controlled(state: StateVector, control: int, w: WeylOperator) -> State
     site; digit 0 is left alone. w acts on the remaining sites in their
     order."""
     q = state.q
-    grid = np.moveaxis(state.grid(), control, 0).copy()
+    grid = np.moveaxis(state.grid(), control, 0).copy().reshape(q, -1)
     for j in range(1, q):
-        grid[j] = _weyl_on_grid(q, grid[j], w**j)
-    out = np.moveaxis(grid, 0, control)
+        grid[j] = _weyl_map(q, w**j)(grid[j])
+    out = np.moveaxis(grid.reshape([q] * state.n), 0, control)
     return StateVector._derived(q, state.n, out).check_normalized()
 
 
@@ -859,7 +851,7 @@ def encode_decode_variants(
         return _project_site(full, 0, plus)
 
     if mode in ("D2", "D3"):
-        u_op, v_op, fallback = _steering(g, d, _check_b(g, d, players if b_set is None else b_set))
+        u_op, v_op, fallback = _steering(g, d, [_check_b(g, d, players if b_set is None else b_set)])[0]
         if fallback:
             raise ValueError("decoding variants need an authorized player set")
         encoded = qq_encode(g, d, secret, budget=budget)
@@ -898,8 +890,13 @@ def oracle_reports(
     the trace distances between reduced codewords, and the Bell-decode
     fidelity of the set and its complement. The decode steers with
     witnesses solved in fqlinalg, so a fidelity of 1 certifies access; the
-    no_info verdict rests on the trace distances. The codewords and each set's code unitaries are
-    built once; per set come the densities, a fresh secret and two decodes.
+    no_info verdict rests on the trace distances. The codewords are built
+    once, and every set's and complement's code unitaries come from one
+    stacked solve per witness. Per set come the densities, a fresh secret
+    and the set's decode. The complement is decoded only when the verdict
+    reads it: a set below fidelity 1 - 1e-7 with every trace distance at
+    most 1e-7. A skipped decode still draws its two uniforms, so every
+    later secret and syndrome is the one a sweep of every decode draws.
     """
     sets = [_check_b(g, d, b) for b in sets]
     words = _codewords(g, d, range(g.q), budget)
@@ -908,7 +905,8 @@ def oracle_reports(
     derivative = dict(zip(by_size, ranked))
     players = _player_order(g, d)
     comps = {b: tuple(v for v in players if v not in b) for b in sets}
-    steering = {b: _steering(g, d, b) for b in {*sets, *comps.values()}}
+    keys = list({*sets, *comps.values()})
+    steering = dict(zip(keys, _steering(g, d, keys)))
     digest = graph_hash(g)
     rows = []
     for b in sets:
@@ -918,9 +916,11 @@ def oracle_reports(
         secret = _unit_secret(g.q, secret / np.linalg.norm(secret))
         encoded = _superpose(g, words, secret)
         fid_b = _fidelity(_bell_decode(g.q, steering[b], encoded, rng, budget)[0], secret)
-        comp = comps[b]
-        fid_comp = _fidelity(_bell_decode(g.q, steering[comp], encoded, rng, budget)[0], secret) if comp else None
-        hidden = fid_comp is not None and fid_comp >= 1 - 1e-7 and max_td <= 1e-7
+        comp, hidden = comps[b], False
+        if comp and fid_b < 1 - 1e-7 and max_td <= 1e-7:
+            hidden = _fidelity(_bell_decode(g.q, steering[comp], encoded, rng, budget)[0], secret) >= 1 - 1e-7
+        elif comp:
+            rng.random(2)  # the two measurement draws of the decode the verdict does not read
         rows.append({
             "graph_hash": digest,
             "B": list(b),

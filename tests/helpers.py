@@ -33,6 +33,18 @@ def int_rref(rows, q):
     return rows, pivots
 
 
+def int_solve(a, b, cols, q):
+    """The lowest-pivot particular solution of a.x = b, a with cols columns,
+    from int_rref of [a | b], or None when the system is inconsistent."""
+    r, pivots = int_rref([row + [v] for row, v in zip(a, b)], q)
+    if cols in pivots:
+        return None
+    x = [0] * cols
+    for row, p in zip(r, pivots):
+        x[p] = row[cols]
+    return x
+
+
 def int_rank(rows, q):
     """Rank from int_rref: the independent reference for the numpy kernels."""
     return len(int_rref(rows, q)[1])

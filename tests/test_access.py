@@ -29,12 +29,14 @@ from qss.access import (
     verify_witness_pair,
     witness_C,
     witness_D,
+    witnesses_C,
+    witnesses_D,
 )
 from qss.fqlinalg import _float_type
 from qss.multigraph import Multigraph, Multiset, random_graph, rs747_fixture
 from qss.oracle import qq_decode_bell, qq_encode
 
-from helpers import dealer_graphs, int_rank
+from helpers import dealer_graphs, int_rank, int_solve
 
 
 def star3(q=3):
@@ -411,6 +413,26 @@ def test_witness_c_exists_iff_hidden():
             nb = (g.gamma @ vec) % g.q
             assert all(nb[v] == 0 for v in b)
             assert set(w.support()) <= set(range(g.n)) - set(b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dealer_graphs(max_n=6))
+def test_stacked_witnesses_are_the_lowest_pivot_solutions(dg):
+    # every player set of the graph in one stacked solve per witness kind,
+    # against int_rref on each set's own unpadded system
+    g, d = dg.graph, dg.dealer
+    players = [v for v in range(g.n) if v != d]
+    sets = list(all_subsets(players))
+    stacked_d, stacked_c = witnesses_D(g, d, sets), witnesses_C(g, d, sets)
+    for b, got_d, got_c in zip(sets, stacked_d, stacked_c):
+        rest = [v for v in range(g.n) if v not in b]
+        x = int_solve(g.gamma[np.ix_(rest, b)].tolist(), [int(v == d) for v in rest], len(b), g.q)
+        assert got_d == (None if x is None else Multiset(g.q, dict(zip(b, x))))
+        assert got_d == witness_D(g, d, b)
+        pinned = g.gamma[np.ix_(b, rest)].tolist() + [[int(v == d) for v in rest]]
+        x = int_solve(pinned, [0] * len(b) + [1], len(rest), g.q)
+        assert got_c == (None if x is None else Multiset(g.q, dict(zip(rest, x))))
+        assert got_c == witness_C(g, d, b)
 
 
 def test_screening_form_supported_on_b_plus_dealer():

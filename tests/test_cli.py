@@ -496,6 +496,33 @@ def test_oracle_verify_report_pinned_q2_n6(capsys, tmp_path):
     assert hashlib.sha256(json.dumps(res["rows"]).encode()).hexdigest() == digest
 
 
+# More rows pinned as the sha256 of their JSON, captured before complement
+# decodes were skipped: the largest q = 3 and q = 5 oracle shapes of the
+# benchmark (its first base graphs of those shapes, 6 accessible, 4 partial
+# and 6 no_info sets, and 3, 2 and 3), and the q2n6 graph up to one player,
+# whose complements are decoded but never swept as sets themselves.
+ORACLE_PINS_BY_SHA = {
+    "q3n5": ("q 3\nn 5\ne 0 3 2\ne 0 4 1\ne 1 2 1\ne 2 3 1\ne 2 4 1\ne 3 4 1\n", 17, [], 16,
+             "28c336869862ac3d4cc26d848ffde30b715c76ac99e1a42965c818d48c6bc300"),
+    "q5n4": ("q 5\nn 4\ne 0 1 3\ne 0 2 1\ne 0 3 1\ne 1 2 2\ne 1 3 3\ne 2 3 1\n", 17, [], 8,
+             "e0b5e315a5fd64720d144de06ce7dfd6479709ed262e9d180cec65b3ea5802f5"),
+    "q2n6-max1": (ORACLE_PIN_Q2N6[0], 13, ["--max-size", "1"], 6,
+                  "23c7960ec664d98357a1a8d8d649459fde654fa9dd140d77a4337ebe02abddce"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PINS_BY_SHA))
+def test_oracle_verify_reports_pinned_by_sha(capsys, tmp_path, name):
+    text, seed, cap, count, digest = ORACLE_PINS_BY_SHA[name]
+    path = tmp_path / f"{name}.graph"
+    path.write_text(text)
+    code, out, _ = run(capsys, ["oracle-verify", str(path), "--dealer", "0", "--seed", str(seed), *cap])
+    assert code == EXIT_OK
+    res = report(out)["result"]
+    assert res["disagreements"] == 0 and len(res["rows"]) == count
+    assert hashlib.sha256(json.dumps(res["rows"]).encode()).hexdigest() == digest
+
+
 def test_oracle_verify_isolated_dealer_exit_2(capsys, tmp_path):
     path = tmp_path / "iso.graph"
     path.write_text("q 3\nn 3\ne 1 2 1\n")

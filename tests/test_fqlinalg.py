@@ -21,6 +21,7 @@ from qss.fqlinalg import (
     _float_type,
     batch_border_indicators_mod,
     batch_rank_mod,
+    batch_solve_affine_mod,
     inv_mod,
     is_prime,
     kernel_basis_mod,
@@ -31,7 +32,7 @@ from qss.fqlinalg import (
     solve_affine_mod,
 )
 
-from helpers import int_rank, int_rref
+from helpers import int_rank, int_rref, int_solve
 
 PRIMES = [2, 3, 5, 7]
 LARGEST_PRIME = 1048573  # the largest prime below FIELD_SIZE_CEILING = 2**20
@@ -322,6 +323,44 @@ def test_solve_random_systems_verify_by_multiplication():
 def test_solve_shape_mismatch():
     with pytest.raises(ValueError):
         solve_affine_mod(np.eye(2, dtype=np.int64), [1, 2, 3], 5)
+    with pytest.raises(ValueError):
+        batch_solve_affine_mod([(np.eye(2, dtype=np.int64), [1, 2]), (np.eye(2, dtype=np.int64), [1])], 5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 5, 7, 2053]), st.integers(1, 6), st.data())
+def test_stacked_solve_matches_int_rref(q, count, data):
+    # each system has its own shape, zero rows and zero columns included, so
+    # the stack is padded; a right-hand side is a combination of the columns
+    # (consistent) or drawn freely (inconsistent whenever it leaves the span)
+    systems = []
+    for _ in range(count):
+        rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        entry = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
+        a = np.array(data.draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)), dtype=np.int64)
+        a = a.reshape(rows, cols)
+        if data.draw(st.booleans()):
+            x = np.array(data.draw(st.lists(entry, min_size=cols, max_size=cols)), dtype=np.int64)
+            b = a @ x % q if cols else np.zeros(rows, dtype=np.int64)
+        else:
+            b = np.array(data.draw(st.lists(entry, min_size=rows, max_size=rows)), dtype=np.int64)
+        systems.append((a, b))
+    got = batch_solve_affine_mod(systems, q)
+    assert len(got) == count
+    for (a, b), x in zip(systems, got):
+        want = int_solve(a.tolist(), b.tolist(), a.shape[1], q)
+        assert (None if x is None else x.tolist()) == want
+        assert x is None or (x.dtype == np.int64 and x.shape == (a.shape[1],))
+        one = solve_affine_mod(a, b, q)
+        assert (None if one is None else one.tolist()) == want
+
+
+def test_stacked_solve_of_nothing_and_of_zero_width_systems():
+    assert batch_solve_affine_mod([], 5) == []
+    # the empty-set case of witness_D: no unknowns, so only b = 0 is solvable
+    none, empty = batch_solve_affine_mod([(np.zeros((3, 0)), [0, 1, 0]), (np.zeros((2, 0)), [0, 0])], 5)
+    assert none is None
+    assert empty.shape == (0,) and empty.dtype == np.int64
 
 
 def test_column_echelon_identity_and_zero():

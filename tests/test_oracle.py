@@ -4,16 +4,25 @@ These tests pin the simulator against hand-computable states and against the
 rank-algebra layer, so the two sides stay independent checks of each other.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from qss.access import cutrank, witness_C, witness_D
-from qss.multigraph import Multigraph, random_graph, rs747_fixture
+from qss.access import QUANTUM_VERDICT, cutrank, quantum_derivative, witness_C, witness_D
+from qss.multigraph import Multigraph, parse_graph, random_graph, rs747_fixture
 from qss.oracle import (
+    AMPLITUDE_BUDGET,
     BellDecodeResult,
     StateVector,
     WeylOperator,
+    _bell_decode,
+    _codewords,
+    _draw,
+    _fidelity,
     _stabilizer_product,
+    _steering,
+    _superpose,
     apply_controlled,
     apply_weyl,
     bell_basis_vector,
@@ -178,6 +187,37 @@ def test_weyl_square_at_q2_odd_weight():
     assert sq.x_powers == (0,) and sq.z_powers == (0,)
     assert sq.phase == 1
     assert sq != WeylOperator.identity(2, 1)
+
+
+def weyl_by_rolls(q, grid, w):
+    """The per-axis reference for W|x> = omega^{phase + b.x} |x + a>: the
+    phase grid built by one broadcast add per Z power, then one np.roll
+    per X power."""
+    n = grid.ndim
+    exp = np.zeros([q] * n, dtype=np.int64)
+    for v, b in enumerate(w.z_powers):
+        exp = exp + b * np.arange(q).reshape([q if j == v else 1 for j in range(n)])
+    out = grid * omega_table(q)[(exp + w.phase) % q]
+    for v, a in enumerate(w.x_powers):
+        out = np.roll(out, a, axis=v)
+    return out.reshape(-1)
+
+
+def test_weyl_map_is_the_per_axis_reference_bit_for_bit():
+    # apply_weyl, measure_weyl and apply_controlled map amplitudes through
+    # one phase multiply and one gather; each amplitude must be the float
+    # the per-axis reference computes, for identity, Z-only, X-only and
+    # general operators alike
+    rng = np.random.default_rng(92)
+    for q, n in ((2, 1), (2, 7), (3, 4), (5, 3), (7, 2)):
+        for kind in ("identity", "z", "x", "xz"):
+            x = rng.integers(0, q, n) * (kind in ("x", "xz"))
+            z = rng.integers(0, q, n) * (kind in ("z", "xz"))
+            w = WeylOperator(q, x, z, int(rng.integers(0, q)))
+            psi = rng.normal(size=q**n) + 1j * rng.normal(size=q**n)
+            psi /= np.linalg.norm(psi)
+            got = apply_weyl(StateVector(q, n, psi), w).amplitudes
+            assert got.tobytes() == weyl_by_rolls(q, psi.reshape([q] * n), w).tobytes()
 
 
 def test_weyl_power_matches_repeated_product():
@@ -364,6 +404,34 @@ def test_measure_weyl_q2_odd_weight_convention():
     assert m2 == 0
 
 
+def test_draw_is_generator_choice_on_one_uniform():
+    # every measurement samples through _draw; it must pick the outcome
+    # Generator.choice(p=...) picks and leave both streams aligned, also
+    # for zero weights and tiny negative ones that are clipped away
+    weights_rng = np.random.default_rng(2024)
+    for seed in range(200):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            size = int(weights_rng.integers(1, 9))
+            weights = weights_rng.random(size) * (weights_rng.random(size) < 0.7)
+            weights[weights_rng.random(size) < 0.2] = -1e-17
+            if weights.max() <= 0:
+                weights[int(weights_rng.integers(size))] = 0.5
+            outcome, probs = _draw(weights, ours)
+            assert outcome == theirs.choice(size, p=probs)
+            assert probs[outcome] > 0
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("weights", [[0.0, 0.0], [-1e-17, 0.0], [np.nan, 1.0], [np.inf, 1.0], [1e308, 1e308]])
+def test_draw_rejects_weights_without_a_finite_positive_total(weights):
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="weights sum to"):
+        _draw(np.array(weights), rng)
+    assert rng.bit_generator.state == state
+
+
 def test_eigenvalue_label_rejects_non_eigenvector():
     with pytest.raises(AssertionError, match="eigenvector"):
         eigenvalue_label(
@@ -457,6 +525,17 @@ def test_distance_and_fidelity_extremes():
     assert density_fidelity(a, b) == pytest.approx(0.0, abs=1e-12)
     assert trace_distance(a, a) == pytest.approx(0.0)
     assert density_fidelity(a, a) == pytest.approx(1.0)
+
+
+def test_stacked_trace_distances_are_the_pairwise_ones_bit_for_bit():
+    # the oracle stacks a set's codeword pairs up to 27 x 27; every
+    # distance must be the float of the one-pair call
+    rng = np.random.default_rng(93)
+    for dim in (1, 3, 9, 25, 27, 32):
+        mats = rng.normal(size=(5, 2, dim, dim)) + 1j * rng.normal(size=(5, 2, dim, dim))
+        mats = mats + mats.conj().swapaxes(-1, -2)
+        stacked = trace_distance(mats[:, 0], mats[:, 1])
+        assert stacked.tolist() == [trace_distance(a, b) for a, b in mats]
 
 
 def test_info_leak_extremes():
@@ -646,6 +725,71 @@ def test_qq_decode_bell_empty_set():
     res = qq_decode_bell(g, 0, [], enc, rng, expected=sec)
     assert res.used_fallback
     assert res.fidelity < 1 - 1e-9
+
+
+@pytest.mark.parametrize("g, b", [(star3(), (1, 2)), (star3(), (1,)), (tri2(), (1, 2)), (rs_subgraph(), (1, 2, 3))])
+def test_one_bell_decode_draws_two_uniforms(g, b):
+    # oracle_reports skips a decode whose fidelity no verdict reads by
+    # drawing two uniforms in its place, so a decode must draw exactly two
+    rng = np.random.default_rng(90)
+    enc = qq_encode(g, 0, random_secret(rng, g.q))
+    after_decode, after_skip = np.random.default_rng(91), np.random.default_rng(91)
+    _bell_decode(g.q, _steering(g, 0, [b])[0], enc, after_decode, AMPLITUDE_BUDGET)
+    after_skip.random(2)
+    assert after_decode.bit_generator.state == after_skip.bit_generator.state
+
+
+def reference_reports(g, d, sets, rng):
+    """oracle_reports as a loop that decodes every nonempty complement, one
+    pair of codewords at a time; returns the rows and the decodes skipped
+    by oracle_reports."""
+    words = _codewords(g, d, range(g.q), AMPLITUDE_BUDGET)
+    players = [v for v in range(g.n) if v != d]
+    rows, skipped = [], 0
+    for b in sets:
+        pos = [players.index(v) for v in b]
+        rhos = [reduced_density(word, pos) for word in words]
+        max_td = max(trace_distance(x, y) for x, y in combinations(rhos, 2))
+        secret = rng.normal(size=g.q) + 1j * rng.normal(size=g.q)
+        secret = secret / np.linalg.norm(secret)
+        encoded = _superpose(g, words, secret)
+        fid_b = _fidelity(_bell_decode(g.q, _steering(g, d, [b])[0], encoded, rng, AMPLITUDE_BUDGET)[0], secret)
+        comp = tuple(v for v in players if v not in b)
+        hidden = False
+        if comp:
+            fid_comp = _fidelity(_bell_decode(g.q, _steering(g, d, [comp])[0], encoded, rng, AMPLITUDE_BUDGET)[0], secret)
+            hidden = fid_comp >= 1 - 1e-7 and max_td <= 1e-7
+            skipped += not (fid_b < 1 - 1e-7 and max_td <= 1e-7)
+        rows.append({
+            "graph_hash": graph_hash(g),
+            "B": list(b),
+            "verdict_graph": QUANTUM_VERDICT[quantum_derivative(g, d, b)],
+            "verdict_oracle": "accessible" if fid_b >= 1 - 1e-7 else "no_info" if hidden else "partial",
+            "max_trace_distance": max_td,
+            "decode_fidelity": fid_b,
+        })
+    return rows, skipped
+
+
+@pytest.mark.parametrize("text", [
+    "q 3\nn 5\ne 0 3 2\ne 0 4 1\ne 1 2 1\ne 2 3 1\ne 2 4 1\ne 3 4 1\n",
+    "q 5\nn 4\ne 0 1 3\ne 0 2 1\ne 0 3 1\ne 1 2 2\ne 1 3 3\ne 2 3 1\n",
+    "q 2\nn 6\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 4 1\ne 3 5 1\ne 4 5 1\ne 1 4 1\ne 2 5 1\n",
+])
+def test_oracle_reports_skip_only_unread_complement_decodes(text):
+    # on graphs with all three verdicts, the sweep with skipped complement
+    # decodes writes the rows of a loop that decodes every complement, and
+    # leaves the rng where that loop leaves it
+    g = parse_graph(text)
+    players = list(range(1, g.n))
+    sets = [b for size in range(g.n) for b in combinations(players, size)]
+    swept, looped = np.random.default_rng(12), np.random.default_rng(12)
+    rows = oracle_reports(g, 0, sets, swept)
+    reference, skipped = reference_reports(g, 0, sets, looped)
+    assert rows == reference
+    assert swept.bit_generator.state == looped.bit_generator.state
+    assert {row["verdict_oracle"] for row in rows} == {"accessible", "partial", "no_info"}
+    assert 0 < skipped < len(sets) - 1
 
 
 def test_qq_decode_bell_rejects_dealer_and_outside_vertices():
