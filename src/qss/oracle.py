@@ -439,21 +439,43 @@ def leak_profile(g: Multigraph, d: int, b_set, budget: int = AMPLITUDE_BUDGET) -
     return [reduced_density(word, pos, budget=budget) for word in _codewords(g, d, range(g.q), budget)]
 
 
-def _max_trace_distance(rhos) -> float:
-    """The largest trace distance between two of rhos: one stacked call up to
-    27 x 27 (bit for bit the one-pair results); above, one call per pair, as
-    a stack of larger matrices costs memory and saves no time."""
-    pairs = list(combinations(rhos, 2))
-    if len(rhos[0]) > 27:
+def _max_trace_distance(mats) -> float:
+    """The largest trace distance between two of mats, the reduced states or
+    the Gram matrices of _set_trace_distance: one stacked call up to 27 x 27
+    (bit for bit the one-pair results); above, one call per pair, as a stack
+    of larger matrices costs memory and saves no time."""
+    pairs = list(combinations(mats, 2))
+    if len(mats[0]) > 27:
         return max(trace_distance(a, b) for a, b in pairs)
     return float(trace_distance(*map(np.stack, zip(*pairs))).max())
 
 
+def _set_trace_distance(words, pos, budget: int) -> float:
+    """The largest trace distance between the codewords reduced to the sites
+    pos. Codeword s is a q^|B| x r matrix A_s with rho_s = A_s A_s^dagger.
+    Up to 27 x 27, or when q r >= q^|B|, it compares the reduced states.
+    Otherwise one QR of [A_0 ... A_{q-1}] = Q R gives rho_s - rho_t =
+    Q (G_s - G_t) Q^dagger with G_s = R_s R_s^dagger: the same nonzero spectra
+    from q r x q r Gram matrices, whose size the budget bounds as it bounds
+    rho_s."""
+    q, dim, cols = words[0].q, words[0].q ** len(pos), words[0].q ** (words[0].n - len(pos) + 1)
+    if dim <= max(27, cols):
+        return _max_trace_distance([reduced_density(word, pos, budget=budget) for word in words])
+    if cols**2 > budget:
+        raise BudgetExceeded("codeword Gram matrices exceed the amplitude budget")
+    y = np.concatenate([np.moveaxis(word.grid(), pos, range(len(pos))).reshape(dim, -1) for word in words], axis=1)
+    factors = np.linalg.qr(y, mode="r").reshape(cols, q, -1).transpose(1, 0, 2)
+    return _max_trace_distance(factors @ factors.conj().transpose(0, 2, 1))
+
+
 def info_leak(g: Multigraph, d: int, b_set, budget: int = AMPLITUDE_BUDGET) -> float:
-    """Max trace distance between reduced codeword states on b_set: 0 iff
-    the set has no classical information; 1 with orthogonal supports iff it
-    can read the secret perfectly."""
-    return _max_trace_distance(leak_profile(g, d, b_set, budget=budget))
+    """Max trace distance between reduced codeword states on b_set, by the
+    route of oracle_reports, so the two agree bit for bit: 0 iff the set has
+    no classical information; 1 with orthogonal supports iff it can read the
+    secret perfectly."""
+    players = _player_order(g, d)
+    pos = [players.index(v) for v in _check_b(g, d, b_set)]
+    return _set_trace_distance(_codewords(g, d, range(g.q), budget), pos, budget)
 
 
 def schmidt_rank(state: StateVector, sites) -> int:
@@ -910,8 +932,7 @@ def oracle_reports(
     digest = graph_hash(g)
     rows = []
     for b in sets:
-        pos = [players.index(v) for v in b]
-        max_td = _max_trace_distance([reduced_density(word, pos, budget=budget) for word in words])
+        max_td = _set_trace_distance(words, [players.index(v) for v in b], budget)
         secret = rng.normal(size=g.q) + 1j * rng.normal(size=g.q)
         secret = _unit_secret(g.q, secret / np.linalg.norm(secret))
         encoded = _superpose(g, words, secret)

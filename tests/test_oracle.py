@@ -14,12 +14,14 @@ from qss.multigraph import Multigraph, parse_graph, random_graph, rs747_fixture
 from qss.oracle import (
     AMPLITUDE_BUDGET,
     BellDecodeResult,
+    BudgetExceeded,
     StateVector,
     WeylOperator,
     _bell_decode,
     _codewords,
     _draw,
     _fidelity,
+    _set_trace_distance,
     _stabilizer_product,
     _steering,
     _superpose,
@@ -549,6 +551,76 @@ def test_info_leak_extremes():
         assert density_fidelity(rhos[0], rho) == pytest.approx(1.0, abs=1e-9)
 
 
+def dealer_graph(n, q, rng):
+    """A random graph on n vertices whose dealer 0 is not isolated."""
+    while True:
+        g = random_graph(n, q, rng)
+        if g.degree(0) > 0:
+            return g
+
+
+def dense_max_trace_distance(g, b):
+    return max(trace_distance(x, y) for x, y in combinations(leak_profile(g, 0, b), 2))
+
+
+@pytest.mark.parametrize("q, n, size", [
+    (2, 7, 6), (3, 5, 4), (5, 4, 3), (7, 4, 3),  # the full set: r = 1
+    (2, 8, 5), (3, 6, 4), (5, 5, 3),  # q r < q^|B|
+    (2, 12, 5), (7, 4, 2),  # q r >= q^|B|: the reduced states themselves
+])
+def test_set_trace_distance_above_27_matches_the_dense_reference(q, n, size):
+    rng = np.random.default_rng(94 + q * n + size)
+    assert q**size > 27
+    for _ in range(3):
+        g = dealer_graph(n, q, rng)
+        b = sorted(rng.choice(np.arange(1, n), size=size, replace=False).tolist())
+        words = _codewords(g, 0, range(q), AMPLITUDE_BUDGET)
+        got = _set_trace_distance(words, [v - 1 for v in b], AMPLITUDE_BUDGET)
+        assert abs(got - dense_max_trace_distance(g, b)) <= 1e-12
+
+
+@pytest.mark.parametrize("q, n, size", [(3, 5, 3), (3, 4, 3), (2, 7, 4), (5, 4, 2)])
+def test_set_trace_distance_up_to_27_is_the_dense_route_bit_for_bit(q, n, size):
+    rng = np.random.default_rng(95 + q * n + size)
+    g = dealer_graph(n, q, rng)
+    words = _codewords(g, 0, range(q), AMPLITUDE_BUDGET)
+    for b in combinations(range(1, n), size):
+        got = _set_trace_distance(words, [v - 1 for v in b], AMPLITUDE_BUDGET)
+        assert got == dense_max_trace_distance(g, b)
+
+
+@pytest.mark.parametrize("text", [
+    "q 3\nn 5\ne 0 3 2\ne 0 4 1\ne 1 2 1\ne 2 3 1\ne 2 4 1\ne 3 4 1\n",
+    "q 5\nn 4\ne 0 1 3\ne 0 2 1\ne 0 3 1\ne 1 2 2\ne 1 3 3\ne 2 3 1\n",
+    "q 2\nn 7\ne 0 1 1\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 4 5 1\ne 5 6 1\ne 0 6 1\n",
+])
+def test_info_leak_is_the_oracle_reports_distance_bit_for_bit(text):
+    # one route computes a set's maximum trace distance, with no fork
+    g = parse_graph(text)
+    sets = [b for size in range(g.n) for b in combinations(range(1, g.n), size)]
+    for row in oracle_reports(g, 0, sets, np.random.default_rng(96)):
+        assert info_leak(g, 0, row["B"]) == row["max_trace_distance"]
+
+
+def test_set_trace_distance_budget_bounds_the_gram_matrices():
+    # q = 5, full set of 3 players: 125 x 125 states, 5 x 5 Gram matrices
+    g = parse_graph("q 5\nn 4\ne 0 1 2\ne 0 2 3\ne 1 2 4\ne 2 3 1\n")
+    words = _codewords(g, 0, range(5), AMPLITUDE_BUDGET)
+    with pytest.raises(BudgetExceeded, match="Gram"):
+        _set_trace_distance(words, [0, 1, 2], 24)
+    assert _set_trace_distance(words, [0, 1, 2], 25) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_info_leak_past_the_dense_budget_when_the_factor_fits():
+    # all 11 players of a q = 2 graph: the 2,048 x 2,048 reduced state
+    # exceeds the budget, its 2 x 2 Gram matrices do not
+    g = dealer_graph(12, 2, np.random.default_rng(98))
+    players = list(range(1, 12))
+    with pytest.raises(BudgetExceeded):
+        leak_profile(g, 0, players)
+    assert info_leak(g, 0, players) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_info_leak_rejects_dealer_and_outside_vertices():
     g = star3()
     for fn in (info_leak, leak_profile):
@@ -740,16 +812,14 @@ def test_one_bell_decode_draws_two_uniforms(g, b):
 
 
 def reference_reports(g, d, sets, rng):
-    """oracle_reports as a loop that decodes every nonempty complement, one
-    pair of codewords at a time; returns the rows and the decodes skipped
-    by oracle_reports."""
+    """oracle_reports as a loop that decodes every nonempty complement, with
+    the trace distances from the shared route; returns the rows and the
+    decodes skipped by oracle_reports."""
     words = _codewords(g, d, range(g.q), AMPLITUDE_BUDGET)
     players = [v for v in range(g.n) if v != d]
     rows, skipped = [], 0
     for b in sets:
-        pos = [players.index(v) for v in b]
-        rhos = [reduced_density(word, pos) for word in words]
-        max_td = max(trace_distance(x, y) for x, y in combinations(rhos, 2))
+        max_td = _set_trace_distance(words, [players.index(v) for v in b], AMPLITUDE_BUDGET)
         secret = rng.normal(size=g.q) + 1j * rng.normal(size=g.q)
         secret = secret / np.linalg.norm(secret)
         encoded = _superpose(g, words, secret)
