@@ -207,6 +207,18 @@ def _eliminate(a: np.ndarray, q: int, rows: int, cols: int) -> tuple[np.ndarray,
     return a, ~unused
 
 
+def _pivot_rows(eliminated: np.ndarray, used: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(matrix, pivot, rows) for the pivot rows of an _eliminate result, in
+    row order per matrix: each one's matrix index, its pivot column, and
+    the row as int64 scaled by the inverse of its pivot."""
+    row, matrix = np.nonzero(used)
+    r = eliminated[row, :, matrix].astype(np.int64)
+    # a row's first nonzero entry is its pivot; argmax raises on width 0
+    pivots = (r != 0).argmax(axis=1) if r.shape[1] else np.zeros(0, dtype=np.intp)
+    scale = [inv_mod(v, q) for v in r[np.arange(len(r)), pivots].tolist()]
+    return matrix, pivots, r * np.array(scale, dtype=np.int64)[:, None] % q
+
+
 def rref_mod(a, q: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of a over F_q.
 
@@ -223,16 +235,11 @@ def rref_mod(a, q: int) -> tuple[np.ndarray, list[int]]:
     q = require_prime(q)
     arr = _int_array(a)
     rows, cols = arr.shape
-    eliminated, used = _eliminate(_residues(arr[:, :, None], q), q, rows, cols)
-    r = eliminated[used[:, 0], :, 0].astype(np.int64)
-    # a pivot row's first nonzero entry is its pivot
-    pivots = (r != 0).argmax(axis=1) if cols else np.zeros(0, dtype=np.intp)
+    _, pivots, r = _pivot_rows(*_eliminate(_residues(arr[:, :, None], q), q, rows, cols), q)
     order = np.argsort(pivots)
-    r, pivots = r[order], pivots[order]
-    scale = [inv_mod(v, q) for v in r[np.arange(len(r)), pivots].tolist()]
     out = np.zeros((rows, cols), dtype=np.int64)
-    out[: len(r)] = r * np.array(scale, dtype=np.int64)[:, None] % q
-    return out, pivots.tolist()
+    out[: len(r)] = r[order]
+    return out, pivots[order].tolist()
 
 
 def rank_mod(a, q: int) -> int:
@@ -250,13 +257,10 @@ def kernel_basis_mod(a, q: int) -> np.ndarray:
         from the free columns of the RREF (deterministic).
     """
     r, pivots = rref_mod(a, q)
-    cols = r.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, j] = (-r[i, fc]) % q
+    free = np.flatnonzero(~np.isin(np.arange(r.shape[1]), pivots))
+    basis = np.zeros((r.shape[1], len(free)), dtype=np.int64)
+    basis[free, np.arange(len(free))] = 1
+    basis[pivots] = -r[: len(pivots), free] % q
     return basis
 
 
@@ -300,16 +304,11 @@ def batch_solve_affine_mod(systems, q: int) -> list[np.ndarray | None]:
     for j, (arr, rhs) in enumerate(zip(mats, rhss)):
         stack[: arr.shape[0], : arr.shape[1], j] = arr
         stack[: arr.shape[0], cols, j] = rhs
-    eliminated, used = _eliminate(_residues(stack, q), q, rows, cols + 1)
-    # a pivot row's first nonzero entry is its pivot
-    row, system = np.nonzero(used)
-    r = eliminated[row, :, system].astype(np.int64)
-    pivots = (r != 0).argmax(axis=1)
+    system, pivots, r = _pivot_rows(*_eliminate(_residues(stack, q), q, rows, cols + 1), q)
     consistent = np.ones(len(mats), dtype=bool)
     consistent[system[pivots == cols]] = False
     x = np.zeros((len(mats), cols + 1), dtype=np.int64)
-    scale = [inv_mod(v, q) for v in r[np.arange(len(r)), pivots].tolist()]
-    x[system, pivots] = r[:, cols] * np.array(scale, dtype=np.int64) % q
+    x[system, pivots] = r[:, cols]
     return [x[j, : arr.shape[1]].copy() if consistent[j] else None for j, arr in enumerate(mats)]
 
 

@@ -585,10 +585,11 @@ def cq_round(
     outcomes through the affine decoder. Returns (s, m); the contract for an
     authorized set is m = s.
 
-    An unauthorized set raises by default. on_unauthorized="measure" makes
-    the players measure computational digits and decode with the trivial
-    map instead, modelling a best-effort attack that the hiding theorem
-    forces to be uncorrelated with s.
+    A set without a round-t decoder raises by default: one that cannot read
+    the basis-0 secret (no witness D), or, at t != 0, one without a hiding
+    witness C. on_unauthorized="measure" makes the players of any such set
+    measure computational digits and decode with the trivial map instead,
+    modelling a best-effort attack.
     """
     if on_unauthorized not in ("raise", "measure"):
         raise ValueError("on_unauthorized must be 'raise' or 'measure'")
@@ -596,17 +597,15 @@ def cq_round(
     t = int(t) % q
     b = _check_b(g, d, b_set)
     dms = witness_D(g, d, b)  # None iff pi = 0
+    cms = None
+    if dms is not None and t != 0:
+        cms = witness_C(g, d, [v for v in range(g.n) if v != d and v not in b])
     params = None
-    if dms is not None:
-        if t == 0:
-            params = decode_params(g, d, b, dms, None, 0)
-        else:
-            comp = [v for v in range(g.n) if v != d and v not in b]
-            cms = witness_C(g, d, comp)
-            if cms is None:
-                raise ValueError("basis t != 0 needs a quantum-accessible set (no hiding witness exists)")
-            params = decode_params(g, d, b, dms, cms, t)
+    if dms is not None and (t == 0 or cms is not None):
+        params = decode_params(g, d, b, dms, cms, t)
     elif on_unauthorized == "raise":
+        if dms is not None:
+            raise ValueError("basis t != 0 needs a quantum-accessible set (no hiding witness exists)")
         raise ValueError("player set cannot access the secret; protocol contract violated")
 
     state = graph_state(g, budget=budget)

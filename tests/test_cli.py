@@ -632,6 +632,21 @@ def test_cq_round_unauthorized_raise_and_measure(capsys, star_file):
     assert 0 <= res["agreements"] <= 6
 
 
+def test_cq_round_set_without_a_hiding_witness_raise_and_measure(capsys, star_file):
+    # player 1 of the star reads the basis-0 secret but has no round-1 decoder
+    argv = ["cq-round", star_file, "--dealer", "0", "--set", "1", "--t", "1", "--seed", "4"]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "hiding witness" in err
+
+    code, out, _ = run(capsys, [*argv, "--on-unauthorized", "measure", "--rounds", "6"])
+    assert code == EXIT_OK
+    res = report(out)["result"]
+    assert res["total"] == 6
+    assert 0 <= res["agreements"] <= 6
+
+
 def test_cq_round_rejects_negative_rounds(capsys, star_file):
     code, out, err = run(capsys, ["cq-round", star_file, "--dealer", "0", "--set", "1,2", "--seed", "4",
                                   "--rounds", "-3"])

@@ -735,6 +735,22 @@ def test_cq_round_unauthorized_paths():
         cq_round(star3(), 0, [1, 2], 0, rng, on_unauthorized="shrug")
 
 
+def test_cq_round_set_that_reads_only_the_basis_0_secret():
+    # on the star, player 1 alone reads the basis-0 secret (a witness D) but
+    # player 2 reads it too, so no hiding witness C exists: the set has a
+    # round-0 decoder and none for t != 0
+    g = star3()
+    rng = np.random.default_rng(84)
+    for mode in ("raise", "measure"):
+        s, m = cq_round(g, 0, [1], 0, rng, on_unauthorized=mode)
+        assert m == s
+    for t in (1, 2):
+        with pytest.raises(ValueError, match="hiding witness"):
+            cq_round(g, 0, [1], t, rng)
+        s, m = cq_round(g, 0, [1], t, rng, on_unauthorized="measure")
+        assert 0 <= s < 3 and 0 <= m < 3
+
+
 def test_cq_round_budget_threading():
     rng = np.random.default_rng(83)
     with pytest.raises(ValueError, match="budget"):

@@ -22,8 +22,11 @@ SOURCES = [*MODULES, *(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.p
            ROOT / "tests" / "test_acceptance.py"]
 # no program path uses these; tests in tests/test_oracle.py and
 # tests/test_search.py use them to check the paper's statements (Schmidt rank
-# q^cutrk, stabilizer eigenvalues, the sufficient access condition)
-TEST_REFERENCES = ("schmidt_rank", "eigenvalue_label", "sufficient_condition_check")
+# q^cutrk, stabilizer eigenvalues, the sufficient access condition).
+# info_leak answers the trace distance of one set without a decode, so it
+# reaches sets whose Bell decode exceeds the amplitude budget: rs747 {1,2,3},
+# whose decode needs 7^9 amplitudes
+TEST_REFERENCES = ("schmidt_rank", "eigenvalue_label", "sufficient_condition_check", "info_leak")
 
 
 def _references(tree: ast.AST) -> Counter:
