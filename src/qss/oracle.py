@@ -26,6 +26,8 @@ from .access import QUANTUM_VERDICT, _check_b, _index_array, batch_indicators, v
 from .access import witnesses_C, witnesses_D
 
 AMPLITUDE_BUDGET = 2_000_000
+# amplitudes in one stack of rows, a measurement's q powers counted
+STACK_CAP = 2**15
 ATOL = 1e-9
 
 
@@ -33,16 +35,32 @@ class BudgetExceeded(ValueError):
     """A state vector or density matrix would exceed the amplitude budget."""
 
 
+def _admit(dim: int, budget: int) -> None:
+    if dim > budget:
+        raise BudgetExceeded(f"q^n = {dim} amplitudes exceed the budget of {budget}")
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """The norm of each row of a stack (S, dim), reduced along that row alone."""
+    return np.sqrt(np.vecdot(rows, rows).real)
+
+
+def _check_norms(rows: np.ndarray) -> np.ndarray:
+    """The stack itself, once every row's norm is within ATOL of 1."""
+    drifted = (norms := _norms(rows))[abs(norms - 1.0) > ATOL]
+    if drifted.size:
+        raise AssertionError(f"state norm {drifted[0]} drifted beyond {ATOL}")
+    return rows
+
+
 class StateVector:
     """Dense pure state of m qudits of prime dimension q."""
 
     def __init__(self, q: int, n: int, amplitudes, budget: int = AMPLITUDE_BUDGET):
         require_prime(q)
-        dim = q**n
-        if dim > budget:
-            raise BudgetExceeded(f"q^n = {dim} amplitudes exceed the budget of {budget}")
+        _admit(q**n, budget)
         self.q, self.n = q, n
-        self.amplitudes = np.asarray(amplitudes, dtype=np.complex128).reshape(dim).copy()
+        self.amplitudes = np.asarray(amplitudes, dtype=np.complex128).reshape(q**n).copy()
 
     @classmethod
     def _derived(cls, q: int, n: int, amplitudes) -> "StateVector":
@@ -75,8 +93,7 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def check_normalized(self) -> "StateVector":
-        if abs(self.norm() - 1.0) > ATOL:
-            raise AssertionError(f"state norm {self.norm()} drifted beyond {ATOL}")
+        _check_norms(self.amplitudes[None])
         return self
 
     def inner(self, other: "StateVector") -> complex:
@@ -184,29 +201,37 @@ def omega_table(q: int) -> np.ndarray:
     return table
 
 
-def _weyl_map(q: int, w: WeylOperator):
-    """The map psi -> W psi = omega^{phase + b.x} |x + a> on flat amplitude
-    arrays: one phase multiply and one index gather, both built once for
-    every array mapped. Each site W acts on adds a term along its own axis,
-    so the phase spans only the Z axes; with no X powers nothing is gathered."""
-    n, shape, exp, offset = w.n, [q] * w.n, w.phase, 0
-    for v, (a, b) in enumerate(zip(w.x_powers, w.z_powers)):
-        digit = np.arange(q).reshape([q if j == v else 1 for j in range(n)]) if a or b else None
-        if b:
-            exp = exp + b * digit
-        if a:
-            offset = offset + ((digit - a) % q - digit) * q ** (n - 1 - v)
-    phase = omega_table(q)[exp % q]
-    # src[y] is the flat index of y - a
-    src = (np.arange(q**n).reshape(shape) + offset).reshape(-1) if any(w.x_powers) else slice(None)
-    return lambda psi: (psi.reshape(shape) * phase).reshape(-1)[src]
+def _exponents(ops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x and z exponent rows (S, m) and the phases (S,) of S Weyl operators."""
+    return tuple(np.array([getattr(w, f) for w in ops], dtype=np.int64) for f in ("x_powers", "z_powers", "phase"))
+
+
+def _weyl_powers(q: int, psi: np.ndarray, x, z, phase, top: int) -> list[np.ndarray]:
+    """[psi, W psi, ..., W^top psi] for rows psi (S, q^m), row s mapped by
+    W_s = omega^{phase[s]} X^{x[s]} Z^{z[s]} (exponent rows x, z of shape
+    (S, m)): W|y> = omega^{phase + b.y} |y + a>. Each power is one phase
+    multiply and one gather by a flat index into the whole stack."""
+    rows, m = x.shape
+    d = np.arange(q)
+    # phase + b.y (each term mod q) and the flat stack index of y - a, summed
+    # from per-axis tables from the last axis on, so each inner loop is long
+    ztab, xtab = z[:, :, None] * d % q, (d - x[:, :, None]) % q * q ** np.arange(m - 1, -1, -1)[:, None]
+    exp, src = phase[:, None] % q, np.arange(rows)[:, None] * q**m
+    for v in reversed(range(m)):
+        exp = (ztab[:, v, :, None] + exp[:, None]).reshape(rows, -1)
+        src = (xtab[:, v, :, None] + src[:, None]).reshape(rows, -1)
+    ph, out = np.resize(omega_table(q), q * (m + 1))[exp], [psi]
+    for _ in range(top):
+        out.append((out[-1] * ph).reshape(-1)[src])
+    return out
 
 
 def apply_weyl(state: StateVector, w: WeylOperator) -> StateVector:
     """W|x> = omega^{phase + b.x} |x + a>, applied over the whole register."""
     if w.q != state.q or w.n != state.n:
         raise ValueError("operator does not match the state register")
-    return StateVector._derived(state.q, state.n, _weyl_map(state.q, w)(state.amplitudes)).check_normalized()
+    out = _weyl_powers(state.q, state.amplitudes[None], *_exponents([w]), 1)[1][0]
+    return StateVector._derived(state.q, state.n, out).check_normalized()
 
 
 def stabilizer_generator(g: Multigraph, u: int) -> WeylOperator:
@@ -232,8 +257,7 @@ def graph_state(g: Multigraph, budget: int = AMPLITUDE_BUDGET) -> StateVector:
     """|G> with amplitude q^{-n/2} omega^{edge count of the induced
     sub-multigraph} at each basis label."""
     q, n = g.q, g.n
-    if q**n > budget:
-        raise BudgetExceeded(f"q^n = {q ** n} amplitudes exceed the budget of {budget}")
+    _admit(q**n, budget)
     exp = np.zeros([q] * n, dtype=np.int64)
     # site v's digit, broadcast along axis v
     digit = [np.arange(q, dtype=np.int64).reshape([q if j == v else 1 for j in range(n)]) for v in range(n)]
@@ -269,19 +293,25 @@ def mub_basis(q: int, t: int) -> np.ndarray:
 
 
 def _draw(weights: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """(outcome, probs): the outcome probabilities are the weights clipped
-    at zero and normalised, and one outcome is drawn from them by inverse
-    CDF, as Generator.choice(p=probs) draws it. Every measurement samples
-    here and draws exactly one uniform, rng.random(). A clipped total that
-    is zero or not finite raises ValueError."""
-    probs = np.clip(weights, 0.0, None)
-    total = probs.sum()
-    if not (np.isfinite(total) and total > 0):
-        raise ValueError(f"measurement weights sum to {total}")
-    probs = probs / total
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right")), probs
+    """(outcome, probs) of one row of weights by _draw_rows, drawing exactly
+    one uniform, rng.random(), as Generator.choice(p=probs) does."""
+    outcomes, probs = _draw_rows(np.asarray(weights)[None], rng.random)
+    return int(outcomes[0]), probs[0]
+
+
+def _draw_rows(weights: np.ndarray, uniforms) -> tuple[np.ndarray, np.ndarray]:
+    """(outcomes, probs) of weight rows (S, K), each clipped at zero, normalised
+    and sampled by inverse CDF on its uniform: one per row, or drawn by a call
+    uniforms(S) once every clipped total is finite and positive, else ValueError."""
+    probs = np.maximum(weights, 0.0)
+    total = probs.sum(axis=-1, keepdims=True)
+    if (bad := ~(np.isfinite(total) & (total > 0))).any():
+        raise ValueError(f"measurement weights sum to {total[bad][0]}")
+    uniforms = uniforms(len(probs)) if callable(uniforms) else uniforms
+    cdf = (probs := probs / total).cumsum(axis=-1)
+    cdf /= cdf[:, -1:]
+    # searchsorted(side="right") per row: the count of cdf entries <= u
+    return (cdf <= np.asarray(uniforms)[:, None]).sum(axis=-1), probs
 
 
 def measure_site_basis(state: StateVector, site: int, basis: np.ndarray, rng: np.random.Generator):
@@ -308,27 +338,26 @@ def measure_weyl(state: StateVector, w: WeylOperator, rng: np.random.Generator):
     measured observable is then -iW and the label m means eigenvalue
     i * (-1)^m of W itself. Even x.z keeps the plain (-1)^m convention.
     """
-    q = state.q
-    if w.q != q or w.n != state.n:
+    if w.q != state.q or w.n != state.n:
         raise ValueError("operator does not match the state register")
-    # W^j |psi> for j < q, as flat amplitude arrays
-    step = _weyl_map(q, w)
-    powers = [state.amplitudes]
-    for _ in range(q - 1):
-        powers.append(step(powers[-1]))
-    if q != 2:
-        table = omega_table(q)
-        expect = np.array([np.vdot(powers[0], p) for p in powers])
-        m, _ = _draw(np.array([(table ** (-m) * expect).sum().real / q for m in range(q)]), rng)
-        proj = sum(table[(-m * j) % q] * p for j, p in enumerate(powers)) / q
-    else:
-        psi, wpsi = powers
-        # the measured observable is scale * W, -iW for odd x.z
-        scale = -1j if sum(a * b for a, b in zip(w.x_powers, w.z_powers)) % 2 else 1.0
-        branches = [0.5 * (psi + (-1) ** m * scale * wpsi) for m in range(2)]
-        m, _ = _draw(np.array([np.vdot(b, b).real for b in branches]), rng)
-        proj = branches[m]
-    return m, StateVector._derived(q, state.n, proj / np.linalg.norm(proj)).check_normalized()
+    labels, out = _measure_rows(state.q, state.amplitudes[None], *_exponents([w]), rng.random)
+    return int(labels[0]), StateVector._derived(state.q, state.n, out[0])
+
+
+def _measure_rows(q: int, psi: np.ndarray, x, z, phase, uniforms) -> tuple[np.ndarray, np.ndarray]:
+    """measure_weyl on each row of psi (S, q^m) with its own operator and
+    uniform: the labels (S,) and the collapsed rows. Every reduction runs
+    along one row, so a row's floats do not depend on the stack it sits in."""
+    j = np.arange(q)
+    powers = _weyl_powers(q, psi, x, z, phase, q - 1)
+    if q == 2:  # odd x.z measures -iW
+        powers[1] = powers[1] * np.where((x * z).sum(axis=-1) % 2, -1j, 1)[:, None]
+    # the projector onto label m is sum_j coef[m, j] W^j / q
+    coef = omega_table(q)[-j[:, None] * j % q]
+    expect = np.stack([np.vecdot(psi, p) for p in powers], axis=-1)  # <psi|W^j|psi>
+    labels, _ = _draw_rows((coef * expect[:, None]).sum(axis=-1).real / q, uniforms)
+    proj = sum(coef[labels, i, None] * p for i, p in enumerate(powers)) / q
+    return labels, _check_norms(proj / _norms(proj)[:, None])
 
 
 def eigenvalue_label(state: StateVector, w: WeylOperator) -> int:
@@ -377,22 +406,20 @@ def _unit_secret(q: int, secret) -> np.ndarray:
     return secret
 
 
-def _superpose(g: Multigraph, words, secret: np.ndarray) -> StateVector:
-    """sum_j secret[j] words[j] over the secret's support. Checks the isometry."""
-    out = None
-    for j in np.flatnonzero(secret).tolist():
-        out = secret[j] * words[j].amplitudes if out is None else out + secret[j] * words[j].amplitudes
-    state = StateVector._derived(g.q, g.n - 1, out)
-    if abs(state.norm() - 1.0) > 1e-7:
+def _superpose(words, secrets: np.ndarray) -> np.ndarray:
+    """sum_j secrets[:, j] words[j]: one encoded state per row of the
+    secrets (S, len(words)). Checks the isometry of every row."""
+    out = sum(secrets[:, j, None] * word.amplitudes for j, word in enumerate(words))
+    if (abs(_norms(out) - 1.0) > 1e-7).any():
         raise AssertionError("encoding failed to be an isometry")
-    return state
+    return out
 
 
 def qq_encode(g: Multigraph, d: int, secret, budget: int = AMPLITUDE_BUDGET) -> StateVector:
     """Quantum codeword sum_j secret[j] |j_L>. Checks the isometry."""
     secret = _unit_secret(g.q, secret)
     support = np.flatnonzero(secret).tolist()
-    return _superpose(g, dict(zip(support, _codewords(g, d, support, budget))), secret)
+    return StateVector._derived(g.q, g.n - 1, _superpose(_codewords(g, d, support, budget), secret[None, support])[0])
 
 
 def _register_sites(state: StateVector, sites) -> list[int]:
@@ -439,33 +466,41 @@ def leak_profile(g: Multigraph, d: int, b_set, budget: int = AMPLITUDE_BUDGET) -
     return [reduced_density(word, pos, budget=budget) for word in _codewords(g, d, range(g.q), budget)]
 
 
-def _max_trace_distance(mats) -> float:
-    """The largest trace distance between two of mats, the reduced states or
-    the Gram matrices of _set_trace_distance: one stacked call up to 27 x 27
-    (bit for bit the one-pair results); above, one call per pair, as a stack
-    of larger matrices costs memory and saves no time."""
-    pairs = list(combinations(mats, 2))
-    if len(mats[0]) > 27:
-        return max(trace_distance(a, b) for a, b in pairs)
-    return float(trace_distance(*map(np.stack, zip(*pairs))).max())
+def _max_trace_distance(mats: np.ndarray) -> np.ndarray:
+    """The largest trace distance between two of the q matrices mats[s], for
+    each s: one stacked call up to 27 x 27 (bit for bit the one-pair results);
+    above, one call per pair, as larger stacks cost memory and save no time."""
+    i, j = np.array(list(combinations(range(mats.shape[1]), 2))).T
+    if mats.shape[-1] > 27:
+        return np.array([max(trace_distance(m[a], m[b]) for a, b in zip(i, j)) for m in mats])
+    return trace_distance(mats[:, i], mats[:, j]).max(axis=-1)
 
 
-def _set_trace_distance(words, pos, budget: int) -> float:
-    """The largest trace distance between the codewords reduced to the sites
-    pos. Codeword s is a q^|B| x r matrix A_s with rho_s = A_s A_s^dagger.
-    Up to 27 x 27, or when q r >= q^|B|, it compares the reduced states.
-    Otherwise one QR of [A_0 ... A_{q-1}] = Q R gives rho_s - rho_t =
-    Q (G_s - G_t) Q^dagger with G_s = R_s R_s^dagger: the same nonzero spectra
-    from q r x q r Gram matrices, whose size the budget bounds as it bounds
-    rho_s."""
-    q, dim, cols = words[0].q, words[0].q ** len(pos), words[0].q ** (words[0].n - len(pos) + 1)
-    if dim <= max(27, cols):
-        return _max_trace_distance([reduced_density(word, pos, budget=budget) for word in words])
-    if cols**2 > budget:
-        raise BudgetExceeded("codeword Gram matrices exceed the amplitude budget")
-    y = np.concatenate([np.moveaxis(word.grid(), pos, range(len(pos))).reshape(dim, -1) for word in words], axis=1)
-    factors = np.linalg.qr(y, mode="r").reshape(cols, q, -1).transpose(1, 0, 2)
-    return _max_trace_distance(factors @ factors.conj().transpose(0, 2, 1))
+def _set_trace_distances(words, sets, budget: int) -> list[float]:
+    """The largest trace distance between the codewords reduced to each set of
+    site positions. Codeword s is a q^|B| x r matrix A_s, rho_s = A_s A_s^dagger.
+    Up to 27 x 27, or when q r >= q^|B|, the sets of one size stack their
+    reduced states, STACK_CAP amplitudes at a time, for _max_trace_distance.
+    Otherwise one QR of [A_0 ... A_{q-1}] = Q R per set gives rho_s - rho_t =
+    Q (G_s - G_t) Q^dagger, G_s = R_s R_s^dagger: the same nonzero spectra from
+    q r x q r Gram matrices, whose size the budget bounds as it bounds rho_s."""
+    q, n, out, dense = words[0].q, words[0].n, {}, {}
+    for i, pos in enumerate(sets):
+        dim, cols = q ** len(pos), q ** (n - len(pos) + 1)
+        if dim <= max(27, cols):
+            dense.setdefault(len(pos), []).append(i)
+            continue
+        if cols**2 > budget:
+            raise BudgetExceeded("codeword Gram matrices exceed the amplitude budget")
+        y = np.concatenate([np.moveaxis(word.grid(), pos, range(len(pos))).reshape(dim, -1) for word in words], axis=1)
+        factors = np.linalg.qr(y, mode="r").reshape(cols, q, -1).transpose(1, 0, 2)
+        out[i] = _max_trace_distance((factors @ factors.conj().transpose(0, 2, 1))[None])[0]
+    for size, group in dense.items():
+        step = max(1, STACK_CAP // q ** (2 * size + 1))
+        for chunk in (group[lo:lo + step] for lo in range(0, len(group), step)):
+            rhos = [[reduced_density(word, sets[i], budget=budget) for word in words] for i in chunk]
+            out.update(zip(chunk, _max_trace_distance(np.array(rhos))))
+    return [float(out[i]) for i in range(len(sets))]
 
 
 def info_leak(g: Multigraph, d: int, b_set, budget: int = AMPLITUDE_BUDGET) -> float:
@@ -475,7 +510,7 @@ def info_leak(g: Multigraph, d: int, b_set, budget: int = AMPLITUDE_BUDGET) -> f
     secret perfectly."""
     players = _player_order(g, d)
     pos = [players.index(v) for v in _check_b(g, d, b_set)]
-    return _set_trace_distance(_codewords(g, d, range(g.q), budget), pos, budget)
+    return _set_trace_distances(_codewords(g, d, range(g.q), budget), [pos], budget)[0]
 
 
 def schmidt_rank(state: StateVector, sites) -> int:
@@ -694,9 +729,10 @@ def qq_decode_bell(
     then fail to steer and the reported fidelity stays below 1. A set that
     holds the dealer or leaves the vertex range raises ValueError.
     """
-    steering = _steering(g, d, [_check_b(g, d, b_set)])[0]
-    rho, syndrome = _bell_decode(g.q, steering, encoded, rng, budget)
-    return BellDecodeResult(_top_eigenvector(rho)[1], _fidelity(rho, expected), syndrome, steering[2])
+    steering = _steering(g, d, [_check_b(g, d, b_set)])
+    rho, syndrome = _bell_decode(g.q, steering, encoded.amplitudes[None], rng.random((1, 2)), budget)
+    return BellDecodeResult(_top_eigenvector(rho[0])[1], _fidelity(rho[0], expected), tuple(syndrome[0].tolist()),
+                            steering[0][2])
 
 
 def _steering(g: Multigraph, d: int, sets) -> list[tuple[WeylOperator, WeylOperator, bool]]:
@@ -721,26 +757,25 @@ def _top_eigenvector(rho: np.ndarray) -> tuple[float, np.ndarray]:
     return float(vals[top]), vec * (abs(vec[pivot]) / vec[pivot])
 
 
-def _bell_decode(
-    q: int, steering, encoded: StateVector, rng: np.random.Generator, budget: int
-) -> tuple[np.ndarray, tuple[int, int]]:
-    """The density matrix of the second ancilla after qq_decode_bell's
-    measurements and correction, and the syndrome (k, l)."""
-    u_op, v_op, _ = steering
-    bell = np.eye(q, dtype=np.complex128) / np.sqrt(q)
-    full = StateVector(q, encoded.n + 2, np.multiply.outer(encoded.amplitudes, bell.reshape(-1)), budget=budget)
-
-    # the ancillas a1, a2 follow the players: append their exponents
-    v_inv = v_op.inverse()
-    m1 = WeylOperator(q, (*v_inv.x_powers, -1, 0), (*v_inv.z_powers, 0, 0), v_inv.phase)
-    m2 = WeylOperator(q, (*u_op.x_powers, 0, 0), (*u_op.z_powers, -1, 0), u_op.phase)
-    k, full = measure_weyl(full, m1, rng)
-    l_label, full = measure_weyl(full, m2, rng)
-    l = (-l_label) % q
-    a2 = full.n - 1
+def _bell_decode(q: int, steering, encoded: np.ndarray, uniforms: np.ndarray, budget: int):
+    """qq_decode_bell's measurements and correction on a stack of encoded
+    states (S, q^(n-1)), each steered by its (U_B, V_B, used_fallback) and
+    measured on its row of uniforms (S, 2): the second ancilla's density
+    matrices (S, q, q) and the syndromes (k, l) as an (S, 2) array."""
+    _admit(encoded.shape[1] * q * q, budget)
+    (ux, uz, up), (vx, vz, vp) = (_exponents(ops) for ops in list(zip(*steering))[:2])
+    bell = np.eye(q, dtype=np.complex128).reshape(-1) / np.sqrt(q)
+    full = (encoded[:, :, None] * bell).reshape(len(encoded), -1)
+    # the ancillas a1, a2 follow the players: V_B^{-1} X_{a1}^{-1}, then U_B Z_{a1}^{-1}
+    pad = lambda rows, a1, a2: np.column_stack([rows, np.full(len(rows), a1), np.full(len(rows), a2)])
+    k, full = _measure_rows(q, full, pad(-vx, -1, 0), pad(-vz, 0, 0), (vx * vz).sum(axis=-1) - vp, uniforms[:, 0])
+    l_label, full = _measure_rows(q, full, pad(ux, 0, 0), pad(uz, -1, 0), up, uniforms[:, 1])
+    l = -l_label % q
     # Z^k X^{-l} = omega^{-kl} X^{-l} Z^k on a2
-    full = apply_weyl(full, WeylOperator(q, (0,) * a2 + (-l,), (0,) * a2 + (k,), -k * l))
-    return reduced_density(full, [a2], budget=budget), (k, l)
+    full = _check_norms(_weyl_powers(q, full, pad(0 * ux, 0, -l), pad(0 * ux, 0, k), -k * l, 1)[1])
+    # rho[i, j] = sum_r psi[r, i] psi[r, j]^*, summed along each row's last axis
+    a2 = np.ascontiguousarray(full.reshape(len(full), -1, q).transpose(0, 2, 1))
+    return np.vecdot(a2[:, None], a2[:, :, None]), np.stack([k, l], axis=1)
 
 
 def _fidelity(rho: np.ndarray, expected) -> float:
@@ -783,9 +818,8 @@ def apply_controlled(state: StateVector, control: int, w: WeylOperator) -> State
     site; digit 0 is left alone. w acts on the remaining sites in their
     order."""
     q = state.q
-    grid = np.moveaxis(state.grid(), control, 0).copy().reshape(q, -1)
-    for j in range(1, q):
-        grid[j] = _weyl_map(q, w**j)(grid[j])
+    grid = np.moveaxis(state.grid(), control, 0).reshape(q, -1)
+    grid = _weyl_powers(q, grid, *_exponents([w**j for j in range(q)]), 1)[1]
     out = np.moveaxis(grid.reshape([q] * state.n), 0, control)
     return StateVector._derived(q, state.n, out).check_normalized()
 
@@ -901,6 +935,15 @@ def graph_hash(g: Multigraph) -> str:
     return hashlib.sha256(serialize_graph(g).encode()).hexdigest()[:16]
 
 
+def _decode_fidelities(g: Multigraph, words, steering, secrets: np.ndarray, uniforms: np.ndarray, budget: int):
+    """Each secret's Bell-decode fidelity, in stacks within STACK_CAP or of one decode."""
+    step, fids = max(1, STACK_CAP // g.q ** (g.n + 2)), []
+    for rows in (slice(lo, lo + step) for lo in range(0, len(secrets), step)):
+        rho = _bell_decode(g.q, steering[rows], _superpose(words, secrets[rows]), uniforms[rows], budget)[0]
+        fids += map(_fidelity, rho, secrets[rows])
+    return fids
+
+
 def oracle_reports(
     g: Multigraph, d: int, sets, rng: np.random.Generator, budget: int = AMPLITUDE_BUDGET
 ) -> list[dict]:
@@ -913,11 +956,11 @@ def oracle_reports(
     witnesses solved in fqlinalg, so a fidelity of 1 certifies access; the
     no_info verdict rests on the trace distances. The codewords are built
     once, and every set's and complement's code unitaries come from one
-    stacked solve per witness. Per set come the densities, a fresh secret
-    and the set's decode. The complement is decoded only when the verdict
-    reads it: a set below fidelity 1 - 1e-7 with every trace distance at
-    most 1e-7. A skipped decode still draws its two uniforms, so every
-    later secret and syndrome is the one a sweep of every decode draws.
+    stacked solve per witness. Every draw comes first, in set-by-set order:
+    a secret, two uniforms for the set's decode and two for a nonempty
+    complement's. The sets are decoded in stacks, and the complements in a
+    second pass only where the verdict reads them: a set below fidelity
+    1 - 1e-7 with every trace distance at most 1e-7.
     """
     sets = [_check_b(g, d, b) for b in sets]
     words = _codewords(g, d, range(g.q), budget)
@@ -925,28 +968,25 @@ def oracle_reports(
     ranked = batch_indicators(g.gamma[None], g.q, d, _index_array(by_size))[1][0].tolist() if sets else []
     derivative = dict(zip(by_size, ranked))
     players = _player_order(g, d)
-    comps = {b: tuple(v for v in players if v not in b) for b in sets}
-    keys = list({*sets, *comps.values()})
+    comps = [tuple(v for v in players if v not in b) for b in sets]
+    keys = list({*sets, *comps})
     steering = dict(zip(keys, _steering(g, d, keys)))
-    digest = graph_hash(g)
-    rows = []
-    for b in sets:
-        max_td = _set_trace_distance(words, [players.index(v) for v in b], budget)
+    secrets, draws = np.empty((len(sets), g.q), dtype=np.complex128), np.zeros((len(sets), 4))
+    for i, comp in enumerate(comps):
         secret = rng.normal(size=g.q) + 1j * rng.normal(size=g.q)
-        secret = _unit_secret(g.q, secret / np.linalg.norm(secret))
-        encoded = _superpose(g, words, secret)
-        fid_b = _fidelity(_bell_decode(g.q, steering[b], encoded, rng, budget)[0], secret)
-        comp, hidden = comps[b], False
-        if comp and fid_b < 1 - 1e-7 and max_td <= 1e-7:
-            hidden = _fidelity(_bell_decode(g.q, steering[comp], encoded, rng, budget)[0], secret) >= 1 - 1e-7
-        elif comp:
-            rng.random(2)  # the two measurement draws of the decode the verdict does not read
-        rows.append({
-            "graph_hash": digest,
-            "B": list(b),
-            "verdict_graph": QUANTUM_VERDICT[derivative[b]],
-            "verdict_oracle": "accessible" if fid_b >= 1 - 1e-7 else "no_info" if hidden else "partial",
-            "max_trace_distance": float(max_td),
-            "decode_fidelity": float(fid_b),
-        })
-    return rows
+        secrets[i] = _unit_secret(g.q, secret / np.linalg.norm(secret))
+        draws[i, :4 if comp else 2] = rng.random(4 if comp else 2)
+    fid = _decode_fidelities(g, words, [steering[b] for b in sets], secrets, draws[:, :2], budget)
+    max_td = _set_trace_distances(words, [[players.index(v) for v in b] for b in sets], budget)
+    read = [i for i, comp in enumerate(comps) if comp and fid[i] < 1 - 1e-7 and max_td[i] <= 1e-7]
+    fid_comp = _decode_fidelities(g, words, [steering[comps[i]] for i in read], secrets[read], draws[read, 2:], budget)
+    hidden = {i for i, f in zip(read, fid_comp) if f >= 1 - 1e-7}
+    digest = graph_hash(g)
+    return [{
+        "graph_hash": digest,
+        "B": list(b),
+        "verdict_graph": QUANTUM_VERDICT[derivative[b]],
+        "verdict_oracle": "accessible" if fid[i] >= 1 - 1e-7 else "no_info" if i in hidden else "partial",
+        "max_trace_distance": max_td[i],
+        "decode_fidelity": fid[i],
+    } for i, b in enumerate(sets)]

@@ -22,6 +22,8 @@ import numpy as np
 import pytest
 
 from qss.access import (
+    _index_array,
+    batch_indicators,
     cutrank,
     dealer_kernel_witness,
     min_support_kernel_element,
@@ -147,9 +149,10 @@ def test_criterion_02_witness_perfectness():
 
 
 def test_criterion_03_graph_oracle_equivalence():
-    # one oracle_reports sweep per (graph, dealer) over every player set;
-    # the graphs and the oracle's secrets and syndromes draw from separate
-    # generators, so the graphs do not depend on how many draws a sweep makes
+    # one oracle_reports sweep per (graph, dealer) over every player set, and
+    # pi of every set from one batch_indicators call; the graphs and the
+    # oracle's secrets and syndromes draw from separate generators, so the
+    # graphs do not depend on how many draws a sweep makes
     started = time.monotonic()
     graph_rng = np.random.default_rng(314159)
     oracle_rng = np.random.default_rng(271828)
@@ -164,8 +167,8 @@ def test_criterion_03_graph_oracle_equivalence():
             for d in range(n):
                 players = [v for v in range(n) if v != d]
                 sets = [b for r in range(len(players) + 1) for b in itertools.combinations(players, r)]
-                for b, row in zip(sets, oracle_reports(g, d, sets, oracle_rng)):
-                    pi = pi_classical(g, d, b)
+                pis = batch_indicators(g.gamma[None], q, d, _index_array(sets))[0][0].tolist()
+                for pi, row in zip(pis, oracle_reports(g, d, sets, oracle_rng), strict=True):
                     leak = row["max_trace_distance"]
                     assert (pi == 1) == (leak >= 1 - EXACT)
                     assert (pi == 0) == (leak <= EXACT)

@@ -419,44 +419,49 @@ def test_oracle_verify_size_cap(capsys, star_file):
 # float must match exactly. The one row above, q5's (1, 2, 3) on 125 x 125,
 # takes its trace distance through one QR of the codeword factors; it was
 # re-captured when that route came in (1.000000000000007 -> 1.0000000000000004).
+# The decode fidelities were re-captured when the Bell decode came to run on
+# stacks of player sets, whose sums run along each row alone: 28 of the 32
+# moved, by at most 1.7e-15 (q5's (1, 2) 0.9999999999999983 -> 1.0, (1, 2, 3)
+# 1.0000000000000009 -> 0.9999999999999998; q2's (2, 3, 4) 1.0000000000000007
+# -> 0.9999999999999999); no verdict or trace distance moved.
 ORACLE_PINS = {
     "q2": ("q 2\nn 5\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 3 1\ne 3 4 1\ne 1 4 1\n", 7, "84dd5c0bd4aaaf5b", [
-        ((), "no_info", 0.0, 0.7553505920066489),
+        ((), "no_info", 0.0, 0.7553505920066483),
         ((1,), "no_info", 3.0616169978683824e-17, 0.9828419199896004),
-        ((2,), "no_info", 3.061616997868383e-17, 0.9204664815022061),
-        ((3,), "no_info", 6.162975822039155e-33, 0.6984592912556628),
+        ((2,), "no_info", 3.061616997868383e-17, 0.9204664815022066),
+        ((3,), "no_info", 6.162975822039155e-33, 0.6984592912556626),
         ((4,), "no_info", 0.0, 0.13689314933764724),
-        ((1, 2), "partial", 4.3297802811774664e-17, 0.4408468586395985),
-        ((1, 3), "partial", 9.681683036350967e-17, 0.7891670977090454),
-        ((1, 4), "partial", 1.0, 0.8063034551248721),
-        ((2, 3), "partial", 1.0, 0.6973571949614591),
-        ((2, 4), "partial", 9.681683036350972e-17, 0.6386497097838786),
+        ((1, 2), "partial", 4.3297802811774664e-17, 0.4408468586395987),
+        ((1, 3), "partial", 9.681683036350967e-17, 0.7891670977090457),
+        ((1, 4), "partial", 1.0, 0.8063034551248722),
+        ((2, 3), "partial", 1.0, 0.6973571949614592),
+        ((2, 4), "partial", 9.681683036350972e-17, 0.6386497097838784),
         ((3, 4), "partial", 8.650572712760372e-33, 0.22097970770120814),
-        ((1, 2, 3), "accessible", 1.0000000000000004, 0.9999999999999997),
-        ((1, 2, 4), "accessible", 1.0, 0.9999999999999998),
-        ((1, 3, 4), "accessible", 1.0, 1.0000000000000009),
-        ((2, 3, 4), "accessible", 1.0, 1.0000000000000007),
-        ((1, 2, 3, 4), "accessible", 1.0, 0.9999999999999991),
+        ((1, 2, 3), "accessible", 1.0000000000000004, 1.0),
+        ((1, 2, 4), "accessible", 1.0, 1.0000000000000002),
+        ((1, 3, 4), "accessible", 1.0, 1.0000000000000004),
+        ((2, 3, 4), "accessible", 1.0, 0.9999999999999999),
+        ((1, 2, 3, 4), "accessible", 1.0, 0.9999999999999997),
     ]),
     "q3": ("q 3\nn 4\ne 0 1 1\ne 0 2 2\ne 1 2 1\ne 2 3 1\ne 1 3 2\n", 11, "1e23af1c947a5f54", [
-        ((), "no_info", 0.0, 0.7242142759311068),
+        ((), "no_info", 0.0, 0.7242142759311065),
         ((1,), "no_info", 1.8440577321853656e-16, 0.4669708631903393),
-        ((2,), "no_info", 1.816271650468207e-16, 0.6474751590857679),
-        ((3,), "partial", 9.829515167218813e-17, 0.10005751301441228),
-        ((1, 2), "partial", 2.641657457251073e-16, 0.8470895051047747),
-        ((1, 3), "accessible", 1.0000000000000002, 0.9999999999999999),
-        ((2, 3), "accessible", 1.0000000000000004, 0.9999999999999993),
-        ((1, 2, 3), "accessible", 1.0, 1.0),
+        ((2,), "no_info", 1.816271650468207e-16, 0.6474751590857677),
+        ((3,), "partial", 9.829515167218813e-17, 0.10005751301441224),
+        ((1, 2), "partial", 2.641657457251073e-16, 0.8470895051047745),
+        ((1, 3), "accessible", 1.0000000000000002, 1.0),
+        ((2, 3), "accessible", 1.0000000000000004, 0.9999999999999998),
+        ((1, 2, 3), "accessible", 1.0, 0.9999999999999998),
     ]),
     "q5": ("q 5\nn 4\ne 0 1 2\ne 0 2 3\ne 1 2 4\ne 2 3 1\n", 5, "c918e658065311fc", [
-        ((), "no_info", 0.0, 0.04955859660037571),
-        ((1,), "partial", 1.3606863475249125e-16, 0.4285078429082082),
-        ((2,), "no_info", 1.4512434180810912e-16, 0.6727335955441638),
-        ((3,), "no_info", 1.220701126699668e-16, 0.25418437836231383),
-        ((1, 2), "accessible", 1.0000000000000007, 0.9999999999999983),
-        ((1, 3), "accessible", 1.0000000000000007, 1.0000000000000002),
-        ((2, 3), "partial", 2.1386647320189016e-16, 0.1530932191838654),
-        ((1, 2, 3), "accessible", 1.0000000000000004, 1.0000000000000009),
+        ((), "no_info", 0.0, 0.04955859660037572),
+        ((1,), "partial", 1.3606863475249125e-16, 0.42850784290820804),
+        ((2,), "no_info", 1.4512434180810912e-16, 0.6727335955441636),
+        ((3,), "no_info", 1.220701126699668e-16, 0.2541843783623138),
+        ((1, 2), "accessible", 1.0000000000000007, 1.0),
+        ((1, 3), "accessible", 1.0000000000000007, 0.9999999999999998),
+        ((2, 3), "partial", 2.1386647320189016e-16, 0.15309321918386545),
+        ((1, 2, 3), "accessible", 1.0000000000000004, 0.9999999999999998),
     ]),
 }
 
@@ -483,10 +488,13 @@ def test_oracle_verify_reports_pinned(capsys, tmp_path, name, max_size):
 # The largest oracle shape of the benchmark, q = 2 and n = 6, pinned as the
 # sha256 of its JSON rows: 12 accessible, 8 partial and 12 no_info sets.
 # Re-captured when the full set's 32 x 32 states took the QR route: its
-# max_trace_distance moved 1.0000000000000004 -> 1.0000000000000002.
+# max_trace_distance moved 1.0000000000000004 -> 1.0000000000000002. Re-captured
+# (4322eeb2... -> b2a4ccf9...) when the Bell decode came to run on stacks of
+# player sets: 27 decode fidelities moved, by at most 1.8e-15 (row (2, 3, 5)
+# 0.9999999999999982 -> 1.0); nothing else moved.
 ORACLE_PIN_Q2N6 = (
     "q 2\nn 6\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 4 1\ne 3 5 1\ne 4 5 1\ne 1 4 1\ne 2 5 1\n", 13,
-    "4322eeb29a8f96de5df6fc74d0a924ad46bacae74f4aee7b4230c8186ad9c3c6",
+    "b2a4ccf90c03537c1cf6eb04764dc16b8dd0c5ab8003564ed1e0935a3231a8be",
 )
 
 
@@ -509,14 +517,18 @@ def test_oracle_verify_report_pinned_q2_n6(capsys, tmp_path):
 # and q5n4 were re-captured when their sets above 27 x 27 took the QR route:
 # the full set's max_trace_distance moved 1.0000000000000044 ->
 # 0.9999999999999999 on q3n5 (81 x 81) and 1.0000000000000067 ->
-# 1.0000000000000009 on q5n4 (125 x 125); no other float moved.
+# 1.0000000000000009 on q5n4 (125 x 125); no other float moved. All three
+# were re-captured when the Bell decode came to run on stacks of player sets
+# (q3n5 1f840afd... -> 7110b89f..., q5n4 2a623843... -> 78dd4941..., q2n6-max1
+# 23c7960e... -> a5ecb41a...): only decode fidelities moved, by at most
+# 6.7e-16.
 ORACLE_PINS_BY_SHA = {
     "q3n5": ("q 3\nn 5\ne 0 3 2\ne 0 4 1\ne 1 2 1\ne 2 3 1\ne 2 4 1\ne 3 4 1\n", 17, [], 16,
-             "1f840afd5f9588ef62dff84bd2a7cd58efd997f085501938f7c9a69257550ab3"),
+             "7110b89f328246eae5077826bd47a0ea94b6bfe1e68e46537629037b9a384b02"),
     "q5n4": ("q 5\nn 4\ne 0 1 3\ne 0 2 1\ne 0 3 1\ne 1 2 2\ne 1 3 3\ne 2 3 1\n", 17, [], 8,
-             "2a62384389deae54716ceb704aa71389269ec85c91a9b9c2bcfb4db9a1a7a8e7"),
+             "78dd4941db2834f675f0a14430363007913dce48d117b8986729c478027344d2"),
     "q2n6-max1": (ORACLE_PIN_Q2N6[0], 13, ["--max-size", "1"], 6,
-                  "23c7960ec664d98357a1a8d8d649459fde654fa9dd140d77a4337ebe02abddce"),
+                  "a5ecb41aa90a259b4bdf01724124467df658ea17920d6218c1e1b5dc9281eb59"),
 }
 
 
@@ -604,7 +616,9 @@ def test_qq_decode_report_pinned(capsys, tmp_path):
         "command": "qq-decode",
         "inputs": {"graph": str(path), "dealer": 0, "set": [1, 2]},
         "result": {
-            "fidelity": 1.0000000000000016,
+            # re-captured 1.0000000000000016 -> 1.0000000000000004 when the
+            # Bell decode came to run on stacks (sums along each row alone)
+            "fidelity": 1.0000000000000004,
             "syndrome": [2, 1],
             "used_fallback": False,
             "secret_real": [-0.174855670195, 0.116738840541, 0.268554197519, -0.43002048874, 0.339564912493],

@@ -11,8 +11,10 @@ import pytest
 
 from qss.access import QUANTUM_VERDICT, cutrank, quantum_derivative, witness_C, witness_D
 from qss.multigraph import Multigraph, parse_graph, random_graph, rs747_fixture
+import qss.oracle
 from qss.oracle import (
     AMPLITUDE_BUDGET,
+    STACK_CAP,
     BellDecodeResult,
     BudgetExceeded,
     StateVector,
@@ -20,11 +22,15 @@ from qss.oracle import (
     _bell_decode,
     _codewords,
     _draw,
+    _draw_rows,
+    _exponents,
     _fidelity,
-    _set_trace_distance,
+    _measure_rows,
+    _set_trace_distances,
     _stabilizer_product,
     _steering,
     _superpose,
+    _weyl_powers,
     apply_controlled,
     apply_weyl,
     bell_basis_vector,
@@ -206,20 +212,25 @@ def weyl_by_rolls(q, grid, w):
 
 
 def test_weyl_map_is_the_per_axis_reference_bit_for_bit():
-    # apply_weyl, measure_weyl and apply_controlled map amplitudes through
-    # one phase multiply and one gather; each amplitude must be the float
-    # the per-axis reference computes, for identity, Z-only, X-only and
-    # general operators alike
+    # apply_weyl, measure_weyl, apply_controlled and the Bell decode map a
+    # stack of rows, each by its own operator, through one phase multiply
+    # and one gather; each amplitude of each row must be the float the
+    # per-axis reference computes, for identity, Z-only, X-only and general
+    # operators alike, in a mixed stack and in a stack of one
     rng = np.random.default_rng(92)
     for q, n in ((2, 1), (2, 7), (3, 4), (5, 3), (7, 2)):
-        for kind in ("identity", "z", "x", "xz"):
+        ops, rows = [], []
+        for kind in ("identity", "z", "x", "xz") * 2:
             x = rng.integers(0, q, n) * (kind in ("x", "xz"))
             z = rng.integers(0, q, n) * (kind in ("z", "xz"))
-            w = WeylOperator(q, x, z, int(rng.integers(0, q)))
+            ops.append(WeylOperator(q, x, z, int(rng.integers(0, q))))
             psi = rng.normal(size=q**n) + 1j * rng.normal(size=q**n)
-            psi /= np.linalg.norm(psi)
-            got = apply_weyl(StateVector(q, n, psi), w).amplitudes
-            assert got.tobytes() == weyl_by_rolls(q, psi.reshape([q] * n), w).tobytes()
+            rows.append(psi / np.linalg.norm(psi))
+        stacked = _weyl_powers(q, np.array(rows), *_exponents(ops), 1)[1]
+        for w, psi, got in zip(ops, rows, stacked):
+            want = weyl_by_rolls(q, psi.reshape([q] * n), w).tobytes()
+            assert got.tobytes() == want
+            assert apply_weyl(StateVector(q, n, psi), w).amplitudes.tobytes() == want
 
 
 def test_weyl_power_matches_repeated_product():
@@ -434,6 +445,37 @@ def test_draw_rejects_weights_without_a_finite_positive_total(weights):
     assert rng.bit_generator.state == state
 
 
+def test_row_wise_draw_picks_the_outcome_of_draw_on_each_row():
+    # a stack of weight rows, zeros and tiny negatives included, draws on each
+    # row what _draw draws on it alone from the same uniform
+    weights_rng = np.random.default_rng(2025)
+    for size in range(1, 9):
+        weights = weights_rng.random((40, size)) * (weights_rng.random((40, size)) < 0.7)
+        weights[weights_rng.random((40, size)) < 0.2] = -1e-17
+        weights[weights.max(axis=1) <= 0, 0] = 0.5
+        uniforms = np.random.default_rng(size).random(40)
+        one_by_one = np.random.default_rng(size)
+        outcomes, probs = _draw_rows(weights, uniforms)
+        for row, outcome, row_probs in zip(weights, outcomes, probs):
+            alone, alone_probs = _draw(row, one_by_one)
+            assert outcome == alone and row_probs.tobytes() == alone_probs.tobytes()
+
+
+def test_row_whose_weights_clip_to_zero_raises_before_any_draw():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    weights = np.array([[0.2, 0.8], [-1e-17, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="weights sum to 0.0"):
+        _draw_rows(weights, rng.random)
+    assert rng.bit_generator.state == state
+    # a zero row among states measured as one stack
+    psi = np.zeros((3, 9), dtype=np.complex128)
+    psi[0, 0] = psi[2, 4] = 1.0
+    x, z, phase = _exponents([WeylOperator(3, (0, 0), (1, 0))] * 3)
+    with pytest.raises(ValueError, match="weights sum to"):
+        _measure_rows(3, psi, x, z, phase, np.full(3, 0.5))
+
+
 def test_eigenvalue_label_rejects_non_eigenvector():
     with pytest.raises(AssertionError, match="eigenvector"):
         eigenvalue_label(
@@ -575,7 +617,7 @@ def test_set_trace_distance_above_27_matches_the_dense_reference(q, n, size):
         g = dealer_graph(n, q, rng)
         b = sorted(rng.choice(np.arange(1, n), size=size, replace=False).tolist())
         words = _codewords(g, 0, range(q), AMPLITUDE_BUDGET)
-        got = _set_trace_distance(words, [v - 1 for v in b], AMPLITUDE_BUDGET)
+        got = _set_trace_distances(words, [[v - 1 for v in b]], AMPLITUDE_BUDGET)[0]
         assert abs(got - dense_max_trace_distance(g, b)) <= 1e-12
 
 
@@ -584,9 +626,11 @@ def test_set_trace_distance_up_to_27_is_the_dense_route_bit_for_bit(q, n, size):
     rng = np.random.default_rng(95 + q * n + size)
     g = dealer_graph(n, q, rng)
     words = _codewords(g, 0, range(q), AMPLITUDE_BUDGET)
-    for b in combinations(range(1, n), size):
-        got = _set_trace_distance(words, [v - 1 for v in b], AMPLITUDE_BUDGET)
+    sets = list(combinations(range(1, n), size))
+    stacked = _set_trace_distances(words, [[v - 1 for v in b] for b in sets], AMPLITUDE_BUDGET)
+    for b, got in zip(sets, stacked):
         assert got == dense_max_trace_distance(g, b)
+        assert got == _set_trace_distances(words, [[v - 1 for v in b]], AMPLITUDE_BUDGET)[0]
 
 
 @pytest.mark.parametrize("text", [
@@ -607,8 +651,8 @@ def test_set_trace_distance_budget_bounds_the_gram_matrices():
     g = parse_graph("q 5\nn 4\ne 0 1 2\ne 0 2 3\ne 1 2 4\ne 2 3 1\n")
     words = _codewords(g, 0, range(5), AMPLITUDE_BUDGET)
     with pytest.raises(BudgetExceeded, match="Gram"):
-        _set_trace_distance(words, [0, 1, 2], 24)
-    assert _set_trace_distance(words, [0, 1, 2], 25) == pytest.approx(1.0, abs=1e-12)
+        _set_trace_distances(words, [[0, 1, 2]], 24)
+    assert _set_trace_distances(words, [[0, 1, 2]], 25)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_info_leak_past_the_dense_budget_when_the_factor_fits():
@@ -817,33 +861,39 @@ def test_qq_decode_bell_empty_set():
 
 @pytest.mark.parametrize("g, b", [(star3(), (1, 2)), (star3(), (1,)), (tri2(), (1, 2)), (rs_subgraph(), (1, 2, 3))])
 def test_one_bell_decode_draws_two_uniforms(g, b):
-    # oracle_reports skips a decode whose fidelity no verdict reads by
-    # drawing two uniforms in its place, so a decode must draw exactly two
+    # oracle_reports hands every decode two uniforms of a set-by-set sweep,
+    # a skipped complement decode included, so a decode must draw exactly two
     rng = np.random.default_rng(90)
-    enc = qq_encode(g, 0, random_secret(rng, g.q))
+    sec = random_secret(rng, g.q)
+    enc = qq_encode(g, 0, sec)
     after_decode, after_skip = np.random.default_rng(91), np.random.default_rng(91)
-    _bell_decode(g.q, _steering(g, 0, [b])[0], enc, after_decode, AMPLITUDE_BUDGET)
+    qq_decode_bell(g, 0, b, enc, after_decode, sec)
     after_skip.random(2)
     assert after_decode.bit_generator.state == after_skip.bit_generator.state
 
 
+def decode_one(g, d, b, encoded, rng):
+    """The second ancilla's density after a Bell decode, as a stack of one."""
+    return _bell_decode(g.q, _steering(g, d, [b]), encoded[None], rng.random((1, 2)), AMPLITUDE_BUDGET)[0][0]
+
+
 def reference_reports(g, d, sets, rng):
-    """oracle_reports as a loop that decodes every nonempty complement, with
-    the trace distances from the shared route; returns the rows and the
+    """oracle_reports as a set-by-set loop of stacks of one that decodes
+    every nonempty complement and draws as it goes; returns the rows and the
     decodes skipped by oracle_reports."""
     words = _codewords(g, d, range(g.q), AMPLITUDE_BUDGET)
     players = [v for v in range(g.n) if v != d]
     rows, skipped = [], 0
     for b in sets:
-        max_td = _set_trace_distance(words, [players.index(v) for v in b], AMPLITUDE_BUDGET)
+        max_td = _set_trace_distances(words, [[players.index(v) for v in b]], AMPLITUDE_BUDGET)[0]
         secret = rng.normal(size=g.q) + 1j * rng.normal(size=g.q)
         secret = secret / np.linalg.norm(secret)
-        encoded = _superpose(g, words, secret)
-        fid_b = _fidelity(_bell_decode(g.q, _steering(g, d, [b])[0], encoded, rng, AMPLITUDE_BUDGET)[0], secret)
+        encoded = _superpose(words, secret[None])[0]
+        fid_b = _fidelity(decode_one(g, d, b, encoded, rng), secret)
         comp = tuple(v for v in players if v not in b)
         hidden = False
         if comp:
-            fid_comp = _fidelity(_bell_decode(g.q, _steering(g, d, [comp])[0], encoded, rng, AMPLITUDE_BUDGET)[0], secret)
+            fid_comp = _fidelity(decode_one(g, d, comp, encoded, rng), secret)
             hidden = fid_comp >= 1 - 1e-7 and max_td <= 1e-7
             skipped += not (fid_b < 1 - 1e-7 and max_td <= 1e-7)
         rows.append({
@@ -876,6 +926,48 @@ def test_oracle_reports_skip_only_unread_complement_decodes(text):
     assert swept.bit_generator.state == looped.bit_generator.state
     assert {row["verdict_oracle"] for row in rows} == {"accessible", "partial", "no_info"}
     assert 0 < skipped < len(sets) - 1
+
+
+def record_stacks(monkeypatch):
+    """The number of rows of every stack the oracle's Bell decode runs on,
+    with the amplitudes it holds, the q powers counted."""
+    stacks, decode = [], qss.oracle._bell_decode
+
+    def recorded(q, steering, encoded, uniforms, budget):
+        stacks.append((len(encoded), len(encoded) * q**3 * encoded.shape[1]))
+        return decode(q, steering, encoded, uniforms, budget)
+
+    monkeypatch.setattr(qss.oracle, "_bell_decode", recorded)
+    return stacks
+
+
+@pytest.mark.parametrize("q, n", [(2, 9), (3, 6), (5, 4)])
+def test_oracle_reports_in_several_stacks_are_the_stacks_of_one(monkeypatch, q, n):
+    # a sweep whose sets fill several stacks writes, bit for bit, the rows
+    # of a set-by-set loop of stacks of one, and leaves the rng where that
+    # loop leaves it; no stack holds more than STACK_CAP amplitudes
+    g = dealer_graph(n, q, np.random.default_rng(97 + q))
+    sets = [b for size in range(n) for b in combinations(range(1, n), size)]
+    stacks = record_stacks(monkeypatch)
+    swept, looped = np.random.default_rng(13), np.random.default_rng(13)
+    rows = oracle_reports(g, 0, sets, swept)
+    assert [size for size, _ in stacks if size > 1] and max(amps for _, amps in stacks) <= STACK_CAP
+    assert sum(size for size, _ in stacks) > len(sets) > max(size for size, _ in stacks)
+    assert rows == reference_reports(g, 0, sets, looped)[0]
+    assert swept.bit_generator.state == looped.bit_generator.state
+
+
+def test_decodes_past_the_stack_cap_run_as_stacks_of_one(monkeypatch):
+    # q = 3, n = 8: one decode's 3^9 amplitudes, times q powers, exceed the cap
+    g = dealer_graph(8, 3, np.random.default_rng(99))
+    assert 3 ** (8 + 2) > STACK_CAP
+    sets = [(), (1,), (1, 2), (3, 5, 7), (2, 3, 4, 5), tuple(range(1, 8))]
+    stacks = record_stacks(monkeypatch)
+    swept, looped = np.random.default_rng(14), np.random.default_rng(14)
+    rows = oracle_reports(g, 0, sets, swept)
+    assert {size for size, _ in stacks} == {1} and len(stacks) >= len(sets)
+    assert rows == reference_reports(g, 0, sets, looped)[0]
+    assert swept.bit_generator.state == looped.bit_generator.state
 
 
 def test_qq_decode_bell_rejects_dealer_and_outside_vertices():
