@@ -17,9 +17,9 @@ star = Multigraph(3, [[0, 1, 1], [1, 0, 0], [1, 0, 0]])
 rng = np.random.default_rng(11)
 
 # --- classical rounds -------------------------------------------------------
-# The dealer measures her qudit of the graph state in the X^t Z eigenbasis;
-# the players in B measure their assigned Weyl operators and combine the
-# outcomes with an affine map. For an authorized set the decoded digit
+# The dealer measures the Weyl operator X^t Z on their qudit of the graph
+# state; the players in B measure their assigned Weyl operators and combine
+# the outcomes with an affine map. Every measurement draws one uniform. For an authorized set the decoded digit
 # equals the dealer's in every basis and every round.
 
 print("classical rounds on the star, B = {1, 2}:")
@@ -31,7 +31,7 @@ for t in range(3):
 
 # --- an unauthorized set tries anyway ---------------------------------------
 # A path graph 0-1-2 with B = {2}: the set is blocked (pi = 0). Forcing the
-# round through with computational measurements produces outcomes that are
+# round through, each player measuring Z, produces outcomes that are
 # statistically independent of the dealer digit.
 
 path = Multigraph(3, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
@@ -51,7 +51,10 @@ print(f"empirical mutual information: {mi:.4f} bits (plug-in estimate, ~0)")
 # --- quantum decoding -------------------------------------------------------
 # Encode an arbitrary qutrit and let the full set teleport it back out
 # through a Bell pair. The syndrome steers a Weyl correction; the fidelity
-# against the original secret is 1 up to numerical noise.
+# against the original secret is 1 up to numerical noise. The syndromes are
+# two Weyl measurements, as is the Bell measurement of the appendix encoding
+# E1, which undoes the Bell preparation on (secret, dealer) and measures Z
+# on both sites.
 
 secret = rng.normal(size=3) + 1j * rng.normal(size=3)
 secret = secret / np.linalg.norm(secret)

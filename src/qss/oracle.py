@@ -6,6 +6,12 @@ witnesses that the rank machinery solves. Phases are tracked as integer powers
 of omega = exp(2*pi*i/q) inside WeylOperator and only turned into floats
 when an operator hits a state.
 
+Every projective measurement is a Weyl measurement through _measure_rows,
+sampled by _draw_rows on one uniform: the dealer's X^t Z and the players'
+X^{x_i} Z^{z_i} in a round, the Bell decode's syndromes, the appendix E1
+Bell measurement (the Bell preparation undone, then Z on both sites) and
+the E2 dealer's X.
+
 Site ordering: a StateVector over m qudits reshapes to [q]*m with axis j
 holding site j's digit, most significant first. States on the player
 subsystem order the players by ascending vertex index.
@@ -267,38 +273,6 @@ def graph_state(g: Multigraph, budget: int = AMPLITUDE_BUDGET) -> StateVector:
     return StateVector._derived(q, n, amps).check_normalized()
 
 
-def mub_vector(q: int, t: int, i: int) -> np.ndarray:
-    """Eigenbasis vector |i(t)> of X^t Z with eigenvalue omega^i.
-
-    t = 0 is the computational basis. For odd q and t >= 1 the quadratic
-    phase needs 1/(2t) and 1/t mod q. q = 2 supports only t = 1, with the
-    convention XZ |i(1)> = (-1)^i * i * |i(1)>.
-    """
-    require_prime(q)
-    t, i = t % q, i % q
-    if t == 0:
-        vec = np.zeros(q, dtype=np.complex128)
-        vec[i] = 1.0
-        return vec
-    if q == 2:
-        return np.array([1.0, -1j if i == 0 else 1j]) / np.sqrt(2)
-    j = np.arange(q)
-    exp = (j * (j - t) * inv_mod(2 * t, q) - i * inv_mod(t, q) * j) % q
-    return omega_table(q)[exp] / np.sqrt(q)
-
-
-def mub_basis(q: int, t: int) -> np.ndarray:
-    """q x q matrix whose column i is |i(t)>."""
-    return np.stack([mub_vector(q, t, i) for i in range(q)], axis=1)
-
-
-def _draw(weights: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """(outcome, probs) of one row of weights by _draw_rows, drawing exactly
-    one uniform, rng.random(), as Generator.choice(p=probs) does."""
-    outcomes, probs = _draw_rows(np.asarray(weights)[None], rng.random)
-    return int(outcomes[0]), probs[0]
-
-
 def _draw_rows(weights: np.ndarray, uniforms) -> tuple[np.ndarray, np.ndarray]:
     """(outcomes, probs) of weight rows (S, K), each clipped at zero, normalised
     and sampled by inverse CDF on its uniform: one per row, or drawn by a call
@@ -312,21 +286,6 @@ def _draw_rows(weights: np.ndarray, uniforms) -> tuple[np.ndarray, np.ndarray]:
     cdf /= cdf[:, -1:]
     # searchsorted(side="right") per row: the count of cdf entries <= u
     return (cdf <= np.asarray(uniforms)[:, None]).sum(axis=-1), probs
-
-
-def measure_site_basis(state: StateVector, site: int, basis: np.ndarray, rng: np.random.Generator):
-    """Projective measurement of one site in an orthonormal basis (columns).
-
-    Returns (outcome, collapsed state). The measured site is left in the
-    outcome basis vector.
-    """
-    q = state.q
-    grid = np.moveaxis(state.grid(), site, 0).reshape(q, -1)
-    overlaps = basis.conj().T @ grid  # row i = <i|psi> component
-    outcome, probs = _draw((abs(overlaps) ** 2).sum(axis=1).real, rng)
-    residual = overlaps[outcome] / np.sqrt(probs[outcome])
-    collapsed = np.moveaxis(np.tensordot(basis[:, outcome], residual, axes=0).reshape([q] * state.n), 0, site)
-    return outcome, StateVector._derived(q, state.n, collapsed).check_normalized()
 
 
 def measure_weyl(state: StateVector, w: WeylOperator, rng: np.random.Generator):
@@ -615,16 +574,16 @@ def cq_round(
 ) -> tuple[int, int]:
     """One round of the classical protocol in basis t.
 
-    The dealer measures their qudit of |G> in the X^t Z eigenbasis getting
-    s(t); each player in b_set measures X^{x_i} Z^{z_i}; the players combine
-    outcomes through the affine decoder. Returns (s, m); the contract for an
-    authorized set is m = s.
+    The dealer measures the Weyl operator X^t Z on their qudit of |G>,
+    getting s(t); each player i in b_set measures X^{x_i} Z^{z_i}; the
+    players combine outcomes through the affine decoder. Returns (s, m); the
+    contract for an authorized set is m = s. Each measurement draws one
+    uniform, so a round draws 1 + |b_set|.
 
     A set without a round-t decoder raises by default: one that cannot read
     the basis-0 secret (no witness D), or, at t != 0, one without a hiding
     witness C. on_unauthorized="measure" makes the players of any such set
-    measure computational digits and decode with the trivial map instead,
-    modelling a best-effort attack.
+    measure Z and decode -total instead, modelling a best-effort attack.
     """
     if on_unauthorized not in ("raise", "measure"):
         raise ValueError("on_unauthorized must be 'raise' or 'measure'")
@@ -635,25 +594,20 @@ def cq_round(
     cms = None
     if dms is not None and t != 0:
         cms = witness_C(g, d, [v for v in range(g.n) if v != d and v not in b])
-    params = None
     if dms is not None and (t == 0 or cms is not None):
         params = decode_params(g, d, b, dms, cms, t)
     elif on_unauthorized == "raise":
         if dms is not None:
             raise ValueError("basis t != 0 needs a quantum-accessible set (no hiding witness exists)")
         raise ValueError("player set cannot access the secret; protocol contract violated")
+    else:  # Z on every player, decoded as -total
+        params = DecodeParams(q, t, 0, dict.fromkeys(b, 0), dict.fromkeys(b, 1), 0, 0)
 
-    state = graph_state(g, budget=budget)
-    s, state = measure_site_basis(state, d, mub_basis(q, t), rng)
+    on = np.eye(g.n, dtype=np.int64)
+    s, state = measure_weyl(graph_state(g, budget=budget), WeylOperator(q, t * on[d], on[d]), rng)
     total = 0
-    if params is None:
-        for v in b:
-            m_v, state = measure_site_basis(state, v, np.eye(q, dtype=np.complex128), rng)
-            total += m_v
-        return s, (-total) % q
     for v in b:
-        on_v = np.arange(g.n) == v
-        m_v, state = measure_weyl(state, WeylOperator(q, params.x[v] * on_v, params.z[v] * on_v), rng)
+        m_v, state = measure_weyl(state, WeylOperator(q, params.x[v] * on[v], params.z[v] * on[v]), rng)
         total += m_v
     return s, params.decode(total)
 
@@ -788,35 +742,12 @@ def _fidelity(rho: np.ndarray, expected) -> float:
 # appendix encode/decode variants
 
 
-def bell_basis_vector(q: int, k: int, l: int) -> np.ndarray:
-    """|beta_{k,l}> = (Z^k x X^l) sum_i |ii> / sqrt(q), flattened over two
-    qudit axes."""
-    out = np.zeros((q, q), dtype=np.complex128)
-    table = omega_table(q)
-    for i in range(q):
-        out[i, (i + l) % q] = table[(k * i) % q] / np.sqrt(q)
-    return out.reshape(-1)
-
-
-def bell_measure(state: StateVector, site_a: int, site_b: int, rng: np.random.Generator):
-    """Projective Bell measurement of two sites; returns (k, l, residual
-    state on the remaining sites in order)."""
-    q = state.q
-    grid = np.moveaxis(state.grid(), (site_a, site_b), (0, 1)).reshape(q * q, -1)
-    rest_shape = [q] * (state.n - 2)
-    # residual k * q + l is <beta_{k,l}| on the two sites
-    residuals = [bell_basis_vector(q, k, l).conj() @ grid for k in range(q) for l in range(q)]
-    pick, probs = _draw(np.array([np.vdot(res, res).real for res in residuals]), rng)
-    k, l = divmod(pick, q)
-    res = residuals[pick] / np.sqrt(probs[pick])
-    out = StateVector._derived(q, state.n - 2, res.reshape(rest_shape) if rest_shape else res)
-    return k, l, out.check_normalized()
-
-
 def apply_controlled(state: StateVector, control: int, w: WeylOperator) -> StateVector:
     """Apply W^j to the rest of the register for each digit j of the control
     site; digit 0 is left alone. w acts on the remaining sites in their
     order."""
+    if w.q != state.q or w.n != state.n - 1:
+        raise ValueError("operator does not match the state register")
     q = state.q
     grid = np.moveaxis(state.grid(), control, 0).reshape(q, -1)
     grid = _weyl_powers(q, grid, *_exponents([w**j for j in range(q)]), 1)[1]
@@ -857,7 +788,8 @@ def encode_decode_variants(
 ):
     """The appendix encoding and decoding circuits.
 
-    E1: secret qudit + |G>, Bell measurement on (secret, dealer), players
+    E1: secret qudit + |G>, Bell measurement on (secret, dealer), made by
+        undoing the Bell preparation and measuring Z on both sites; players
         correct with Zbar^k Xbar^{-l}. Returns the player state.
     E2: secret sits on the dealer wire over |0_L>, controlled-Xbar spreads
         it, the dealer measures in the X basis, players correct by
@@ -871,8 +803,9 @@ def encode_decode_variants(
     D3: full decode: D2 then Fourier on the ancilla, controlled-U_B,
         inverse Fourier. Returns the recovered secret amplitudes.
 
-    E1 and E2 sample a measurement outcome and need rng; the contract is
-    that every outcome reproduces qq_encode(g, d, secret) exactly.
+    E1 and E2 sample measurement outcomes (E1 two, E2 one, one uniform
+    each) and need rng; the contract is that every outcome reproduces
+    qq_encode(g, d, secret) exactly.
     """
     q = g.q
     secret = _unit_secret(q, secret)
@@ -882,11 +815,17 @@ def encode_decode_variants(
 
     if mode == "E1":
         full = StateVector(q, 1, secret).tensor(graph_state(g, budget=budget), budget=budget)
-        k, l, rest = bell_measure(full, 0, 1 + d, rng)
+        # undo the Bell preparation on (secret, dealer), controlled-X^{-1} then
+        # Fourier^dagger, which takes |beta_kl> = sum_i omega^{ki} |i, i+l> / sqrt(q)
+        # to |k, l>, and measure Z on both sites
+        on, zero = np.eye(1 + g.n, dtype=np.int64), (0,) * (1 + g.n)
+        full = apply_controlled(full, 0, WeylOperator(q, -on[1 + d, 1:], zero[1:]))
+        full = _apply_site(full, 0, _fourier_matrix(q).conj().T)
+        k, full = measure_weyl(full, WeylOperator(q, zero, on[0]), rng)
+        l, full = measure_weyl(full, WeylOperator(q, zero, on[1 + d]), rng)
         # remaining axes: the players in vertex order
-        xbar, zbar = logical_x(g, d), logical_z(g, d)
-        corr = (zbar**k) @ (xbar ** ((-l) % q))
-        return apply_weyl(rest, corr)
+        rest = _project_site(_project_site(full, 0, np.eye(q)[k]), d, np.eye(q)[l])
+        return apply_weyl(rest, (logical_z(g, d) ** k) @ (logical_x(g, d) ** ((-l) % q)))
 
     if mode == "E2" or mode == "E3":
         # register: dealer wire first, then players in vertex order
@@ -895,11 +834,11 @@ def encode_decode_variants(
         xbar, zbar = logical_x(g, d), logical_z(g, d)
         full = apply_controlled(full, 0, xbar)
         if mode == "E2":
-            # X eigenbasis: column j has X-eigenvalue omega^j, so the
+            # label j leaves the dealer wire in column j of the conjugate
+            # Fourier matrix, the X eigenvector of eigenvalue omega^j, so the
             # leftover phase on |s_L> is omega^{js} and Zbar^{-j} removes it.
-            xbasis = _fourier_matrix(q).conj()
-            j, full = measure_site_basis(full, 0, xbasis, rng)
-            full = _project_site(full, 0, xbasis[:, j])
+            j, full = measure_weyl(full, WeylOperator(q, np.arange(full.n) == 0, (0,) * full.n), rng)
+            full = _project_site(full, 0, _fourier_matrix(q).conj()[:, j])
             return apply_weyl(full, zbar ** ((-j) % q))
         full = apply_controlled(_apply_site(full, 0, _fourier_matrix(q)), 0, zbar.inverse())
         plus = np.ones(q, dtype=np.complex128) / np.sqrt(q)

@@ -661,6 +661,42 @@ def test_cq_round_set_without_a_hiding_witness_raise_and_measure(capsys, star_fi
     assert 0 <= res["agreements"] <= 6
 
 
+# Eight --on-unauthorized measure rounds per basis t, as (s, m) pairs: the empty
+# set and a set without a hiding witness on the star, and B = {2} on the path
+# 0-1-2, which is blocked (pi = 0), at q = 3 and q = 5. Pinned from the
+# implementation that measured the dealer in a table of X^t Z eigenvectors and
+# the players in the computational basis.
+STAR = "q 3\nn 3\ne 0 1 1\ne 0 2 1\n"
+MEASURE_PINS = [
+    (STAR, "", (0,), 4, [(2, 0), (1, 0), (2, 0), (0, 0), (1, 0), (1, 0), (2, 0), (0, 0)]),
+    (STAR, "1", (1,), 4, [(2, 2), (2, 0), (1, 2), (2, 0), (2, 2), (2, 2), (1, 1), (2, 2)]),
+    ("q 3\nn 3\ne 0 1 1\ne 1 2 1\n", "2", (0, 1, 2), 41,
+     [(2, 1), (0, 1), (2, 2), (1, 2), (1, 2), (2, 1), (1, 2), (1, 1)]),
+    ("q 5\nn 3\ne 0 1 1\ne 1 2 1\n", "2", (0, 2, 4), 43,
+     [(3, 0), (0, 1), (2, 4), (3, 4), (2, 3), (4, 1), (1, 4), (2, 0)]),
+]
+
+
+@pytest.mark.parametrize("text, vset, t, seed, pairs",
+                         [(text, vset, t, seed, p) for text, vset, ts, seed, p in MEASURE_PINS for t in ts])
+def test_cq_round_measure_reports_pinned(capsys, tmp_path, text, vset, t, seed, pairs):
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    code, out, _ = run(capsys, ["cq-round", str(path), "--dealer", "0", "--set", vset, "--t", str(t),
+                                "--rounds", "8", "--seed", str(seed), "--on-unauthorized", "measure"])
+    assert code == EXIT_OK
+    rep = report(out)
+    del rep["wall_time"]
+    assert rep == {
+        "command": "cq-round",
+        "inputs": {"graph": str(path), "dealer": 0, "set": [int(v) for v in vset.split(",") if v], "t": t,
+                   "rounds": 8},
+        "result": {"rounds": [{"s": s, "m": m} for s, m in pairs],
+                   "agreements": sum(s == m for s, m in pairs), "total": 8},
+        "seed": seed,
+    }
+
+
 def test_cq_round_rejects_negative_rounds(capsys, star_file):
     code, out, err = run(capsys, ["cq-round", star_file, "--dealer", "0", "--set", "1,2", "--seed", "4",
                                   "--rounds", "-3"])

@@ -19,12 +19,13 @@ from qss.oracle import (
     BudgetExceeded,
     StateVector,
     WeylOperator,
+    _apply_site,
     _bell_decode,
     _codewords,
-    _draw,
     _draw_rows,
     _exponents,
     _fidelity,
+    _fourier_matrix,
     _measure_rows,
     _set_trace_distances,
     _stabilizer_product,
@@ -33,8 +34,6 @@ from qss.oracle import (
     _weyl_powers,
     apply_controlled,
     apply_weyl,
-    bell_basis_vector,
-    bell_measure,
     code_unitaries,
     cq_encode,
     cq_round,
@@ -48,10 +47,7 @@ from qss.oracle import (
     leak_profile,
     logical_x,
     logical_z,
-    measure_site_basis,
     measure_weyl,
-    mub_basis,
-    mub_vector,
     omega_table,
     oracle_reports,
     qq_decode_bell,
@@ -313,38 +309,20 @@ def test_stabilizer_product_matches_ordered_fold():
                 assert eigenvalue_label(graph_state(g), prod) == 0
 
 
-# ------------------------------------------------------------------ mub bases
+# -------------------------------------------------------- Weyl measurement labels
 
 
-def test_mub_bases_orthonormal_and_unbiased():
-    for q in (2, 3, 5, 7):
-        bases = [mub_basis(q, t) for t in range(2 if q == 2 else q)]
-        for m in bases:
-            assert np.allclose(m.conj().T @ m, np.eye(q), atol=1e-12)
-        target = 1 / np.sqrt(q)
-        for i, a in enumerate(bases):
-            for b in bases[i + 1 :]:
-                overlaps = np.abs(a.conj().T @ b)
-                assert np.allclose(overlaps, target, atol=1e-12)
-
-
-def test_mub_t0_is_computational():
-    for q in (2, 5):
-        assert np.allclose(mub_basis(q, 0), np.eye(q))
-
-
-def test_mub_eigenvector_relation():
-    # |i(t)> has X^t Z eigenvalue omega^i (odd q); q=2 uses i * (-1)^i
-    for q in (3, 5):
-        for t in range(1, q):
-            w = WeylOperator(q, (t,), (1,), 0)
-            for i in range(q):
-                vec = StateVector(q, 1, mub_vector(q, t, i))
-                assert eigenvalue_label(vec, w) == i
-    xz = np.array([[0, -1], [1, 0]], dtype=complex)
-    for i in range(2):
-        v = mub_vector(2, 1, i)
-        assert np.allclose(xz @ v, (1j if i == 0 else -1j) * v)
+def test_weyl_measurement_labels_its_eigenvector():
+    # measuring X^t Z on one site of a random two-site state leaves an
+    # eigenvector of eigenvalue omega^label, for every basis t
+    rng = np.random.default_rng(79)
+    for q in (3, 5, 7):
+        for t in range(q):
+            w = WeylOperator(q, (t, 0), (1, 0))
+            for _ in range(3):
+                amps = rng.normal(size=q * q) + 1j * rng.normal(size=q * q)
+                label, post = measure_weyl(StateVector(q, 2, amps / np.linalg.norm(amps)), w, rng)
+                assert eigenvalue_label(post, w) == label
 
 
 # ---------------------------------------------------------------- graph states
@@ -377,7 +355,7 @@ def test_stabilizers_fix_graph_state():
 def test_measure_computational_deterministic():
     rng = np.random.default_rng(75)
     s = StateVector.computational(3, 2, [2, 0])
-    out, post = measure_site_basis(s, 0, np.eye(3, dtype=complex), rng)
+    out, post = measure_weyl(s, WeylOperator(3, (0, 0), (1, 0)), rng)
     assert out == 2
     assert state_fidelity(post, s) == pytest.approx(1.0)
 
@@ -389,7 +367,7 @@ def test_measure_plus_state_statistics():
     counts = np.zeros(q)
     draws = 1200
     for _ in range(draws):
-        out, _ = measure_site_basis(plus, 0, np.eye(q, dtype=complex), rng)
+        out, _ = measure_weyl(plus, WeylOperator(q, (0,), (1,)), rng)
         counts[out] += 1
     sigma = (draws * (1 / q) * (1 - 1 / q)) ** 0.5
     assert (np.abs(counts - draws / q) <= 4 * sigma).all()
@@ -418,9 +396,9 @@ def test_measure_weyl_q2_odd_weight_convention():
 
 
 def test_draw_is_generator_choice_on_one_uniform():
-    # every measurement samples through _draw; it must pick the outcome
-    # Generator.choice(p=...) picks and leave both streams aligned, also
-    # for zero weights and tiny negative ones that are clipped away
+    # every measurement samples through _draw_rows; on one row it must pick
+    # the outcome Generator.choice(p=...) picks and leave both streams
+    # aligned, also for zero weights and tiny negative ones that are clipped away
     weights_rng = np.random.default_rng(2024)
     for seed in range(200):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -430,7 +408,7 @@ def test_draw_is_generator_choice_on_one_uniform():
             weights[weights_rng.random(size) < 0.2] = -1e-17
             if weights.max() <= 0:
                 weights[int(weights_rng.integers(size))] = 0.5
-            outcome, probs = _draw(weights, ours)
+            (outcome,), (probs,) = _draw_rows(weights[None], ours.random)
             assert outcome == theirs.choice(size, p=probs)
             assert probs[outcome] > 0
         assert ours.bit_generator.state == theirs.bit_generator.state
@@ -441,13 +419,13 @@ def test_draw_rejects_weights_without_a_finite_positive_total(weights):
     rng = np.random.default_rng(1)
     state = rng.bit_generator.state
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="weights sum to"):
-        _draw(np.array(weights), rng)
+        _draw_rows(np.array(weights)[None], rng.random)
     assert rng.bit_generator.state == state
 
 
 def test_row_wise_draw_picks_the_outcome_of_draw_on_each_row():
     # a stack of weight rows, zeros and tiny negatives included, draws on each
-    # row what _draw draws on it alone from the same uniform
+    # row what a stack of that row alone draws from the same uniform
     weights_rng = np.random.default_rng(2025)
     for size in range(1, 9):
         weights = weights_rng.random((40, size)) * (weights_rng.random((40, size)) < 0.7)
@@ -457,7 +435,7 @@ def test_row_wise_draw_picks_the_outcome_of_draw_on_each_row():
         one_by_one = np.random.default_rng(size)
         outcomes, probs = _draw_rows(weights, uniforms)
         for row, outcome, row_probs in zip(weights, outcomes, probs):
-            alone, alone_probs = _draw(row, one_by_one)
+            (alone,), (alone_probs,) = _draw_rows(row[None], one_by_one.random)
             assert outcome == alone and row_probs.tobytes() == alone_probs.tobytes()
 
 
@@ -801,6 +779,26 @@ def test_cq_round_budget_threading():
         cq_round(star3(), 0, [1, 2], 0, rng, budget=8)
 
 
+@pytest.mark.parametrize("g, b, ts, mode", [
+    (star3(), (1, 2), (0, 1, 2), "raise"),
+    (tri2(), (1, 2), (0, 1), "raise"),
+    (path4(), (1, 3), (0, 1, 2), "raise"),
+    (star3(), (), (0, 1), "measure"),
+    (star3(), (1,), (1, 2), "measure"),
+    (path4(), (2, 3), (0, 2), "measure"),
+    (rs_subgraph(), (1,), (0, 3), "measure"),
+])
+def test_cq_round_draws_one_uniform_per_measurement(g, b, ts, mode):
+    # the dealer's measurement and one per player, whatever the outcomes:
+    # this keeps the rounds of a cq-round report on fixed draws
+    for t in ts:
+        rng, twin = np.random.default_rng(85), np.random.default_rng(85)
+        for _ in range(4):
+            cq_round(g, 0, b, t, rng, on_unauthorized=mode)
+            twin.random(1 + len(b))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 # ------------------------------------------------------------- quantum decode
 
 
@@ -984,22 +982,19 @@ def test_qq_decode_bell_rejects_dealer_and_outside_vertices():
 # ----------------------------------------------------------- bell primitives
 
 
-def test_bell_basis_orthonormal():
-    q = 3
-    vecs = [bell_basis_vector(q, k, l) for k in range(q) for l in range(q)]
-    gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-    assert np.allclose(gram, np.eye(q * q), atol=1e-12)
-
-
 def test_bell_measure_recovers_prepared_label():
+    # E1's Bell measurement: controlled-X^{-1}, then Fourier^dagger on the
+    # first site, then Z on both, labels (Z^k x X^l) sum_i |ii> / sqrt(q) as (k, l)
     q = 3
     rng = np.random.default_rng(87)
+    pair = StateVector(q, 2, np.eye(q).reshape(-1) / np.sqrt(q))
     for k in range(q):
         for l in range(q):
-            state = StateVector(q, 2, bell_basis_vector(q, k, l))
-            got_k, got_l, rest = bell_measure(state, 0, 1, rng)
+            state = apply_weyl(pair, WeylOperator(q, (0, l), (k, 0)))
+            state = _apply_site(apply_controlled(state, 0, WeylOperator(q, (-1,), (0,))), 0, _fourier_matrix(q).conj().T)
+            got_k, state = measure_weyl(state, WeylOperator(q, (0, 0), (1, 0)), rng)
+            got_l, _ = measure_weyl(state, WeylOperator(q, (0, 0), (0, 1)), rng)
             assert (got_k, got_l) == (k, l)
-            assert rest.n == 0
 
 
 def test_apply_controlled_entangles():
@@ -1012,6 +1007,14 @@ def test_apply_controlled_entangles():
     for j in range(q):
         assert grid[j, j] == pytest.approx(1 / np.sqrt(q))
     assert schmidt_rank(out, [0]) == q
+
+
+@pytest.mark.parametrize("w", [WeylOperator(5, (4,), (0,)), WeylOperator(3, (1, 0), (0, 0))])
+def test_apply_controlled_rejects_an_operator_off_the_register(w):
+    # the control leaves one target site of dimension 3
+    both = StateVector(3, 1, np.ones(3) / np.sqrt(3)).tensor(StateVector.computational(3, 1, [0]))
+    with pytest.raises(ValueError, match="does not match the state register"):
+        apply_controlled(both, 0, w)
 
 
 # --------------------------------------------------------- encode/decode variants
