@@ -23,13 +23,13 @@ import numpy as np
 
 from .fqlinalg import (
     _residues,
+    _solve_stack,
     batch_border_indicators_mod,
-    batch_solve_affine_mod,
     kernel_basis_mod,
     rank_mod,
     reduced_column_echelon_mod,
 )
-from .multigraph import Multigraph, Multiset, cut_matrix, neighbors_multiset
+from .multigraph import Multigraph, Multiset, cut_matrix
 
 CLASSICAL_ACCESSIBLE = "accessible"
 NO_INFO = "no_info"
@@ -185,15 +185,39 @@ def witnesses_D(g: Multigraph, d: int, sets) -> list[Multiset | None]:
     """witness_D of each player set, in order, from one stacked solve of
     Gamma[V - B, B] D = [d]. The empty set's system has no columns and is
     inconsistent, so it gets None."""
-    bs = [_check_b(g, d, b) for b in sets]
-    systems = []
-    for b in bs:
-        rest = [v for v in range(g.n) if v not in b]
-        target = np.zeros(len(rest), dtype=np.int64)
-        target[rest.index(d)] = 1
-        systems.append((cut_matrix(g, rest, b), target))
-    sols = batch_solve_affine_mod(systems, g.q)
-    return [None if sol is None else Multiset(g.q, dict(zip(b, sol.tolist()))) for b, sol in zip(bs, sols)]
+    inside = _members(g.n, [_check_b(g, d, b) for b in sets])
+    rows, found = _solve_cuts(g, d, ~inside, inside, np.zeros(len(inside), dtype=bool))
+    return [Multiset.from_vector(g.q, row) if ok else None for row, ok in zip(rows, found)]
+
+
+def _members(n: int, sets) -> np.ndarray:
+    """The (S, n) mask of each set's members."""
+    mask = np.zeros((len(sets), n), dtype=bool)
+    mask[np.repeat(np.arange(len(sets)), [len(b) for b in sets]), [v for b in sets for v in b]] = True
+    return mask
+
+
+def _solve_cuts(g: Multigraph, d: int, rows, cols, pinned) -> tuple[np.ndarray, np.ndarray]:
+    """Solve Gamma[R, C] x = [R = d], plus a last row x(d) = 1 where pinned,
+    for (S, n) vertex masks R and C and an (S,) mask pinned, in one
+    _solve_stack call. Each system is gathered, its vertices ascending and
+    padded, from Gamma bordered by a zero vertex n for pads and vertex n + 1
+    for the target column and pin row: the solutions on C as (S, n) rows,
+    zero where inconsistent, and the (S,) consistency mask."""
+    n, index = g.n, []
+    ext = np.zeros((n + 2, n + 2), dtype=np.int64)
+    ext[:n, :n] = g.gamma
+    ext[d, n + 1] = ext[n + 1, d] = ext[n + 1, n + 1] = 1
+    for mask in (np.column_stack([rows, np.zeros(len(rows)), pinned]).astype(bool), cols):
+        count = mask.sum(axis=1)  # each row's vertices ascending, then pads
+        order = np.argsort(~mask, axis=1, kind="stable")[:, : count.max(initial=0)]
+        order[np.arange(order.shape[1]) >= count[:, None]] = n
+        index.append(order)
+    r, c = index[0], np.column_stack([index[1], np.full(len(cols), n + 1)])
+    x, found = _solve_stack(ext[r.T[:, None, :], c.T[None, :, :]], g.q)
+    out = np.zeros((len(x), n + 1), dtype=np.int64)
+    out[np.arange(len(x))[:, None], c[:, :-1]] = x
+    return out[:, :n], found
 
 
 def witness_C(g: Multigraph, d: int, b_set) -> Multiset | None:
@@ -210,18 +234,9 @@ def witness_C(g: Multigraph, d: int, b_set) -> Multiset | None:
 def witnesses_C(g: Multigraph, d: int, sets) -> list[Multiset | None]:
     """witness_C of each set B, in order, from one stacked solve of
     Gamma[B, V - B] C = 0 with C(d) = 1 pinned by a last row."""
-    bs = [_check_b(g, d, b) for b in sets]
-    systems, outsides = [], []
-    for b in bs:
-        outside = [v for v in range(g.n) if v not in b]
-        pin = np.zeros((1, len(outside)), dtype=np.int64)
-        pin[0, outside.index(d)] = 1
-        target = np.zeros(len(b) + 1, dtype=np.int64)
-        target[-1] = 1
-        systems.append((np.vstack([cut_matrix(g, b, outside), pin]), target))
-        outsides.append(outside)
-    sols = batch_solve_affine_mod(systems, g.q)
-    return [None if sol is None else Multiset(g.q, dict(zip(out, sol.tolist()))) for out, sol in zip(outsides, sols)]
+    inside = _members(g.n, [_check_b(g, d, b) for b in sets])
+    rows, found = _solve_cuts(g, d, inside, ~inside, np.ones(len(inside), dtype=bool))
+    return [Multiset.from_vector(g.q, row) if ok else None for row, ok in zip(rows, found)]
 
 
 def classify(g: Multigraph, d: int, b_set) -> AccessVerdict:
@@ -241,21 +256,38 @@ def verify_witness_pair(g: Multigraph, d: int, b_set, d_ms, c_ms) -> bool:
     at the dealer, with any nonzero multiplicity. C lives on B + {d}, has
     C(d) != 0 and sup(Gamma.C) - B - {d} empty. With c_ms None only D is
     checked. Raises on domain violations; returns the boolean verdict
-    otherwise.
+    otherwise. The stack of one of verify_witness_pairs.
     """
     b = _check_b(g, d, b_set)
-    bset = set(b)
-    d_ms = Multiset(g.q, d_ms)
-    c_ms = None if c_ms is None else Multiset(g.q, c_ms)
-    if not d_ms.support() <= bset:
+    return bool(verify_witness_pairs(g, d, [b], *_pair_rows(g, d_ms, c_ms))[0])
+
+
+def _pair_rows(g: Multigraph, d_ms, c_ms) -> tuple[np.ndarray, np.ndarray | None]:
+    """A witness pair (C may be None) as (1, n) rows; a vertex outside the
+    graph lies outside the set too, and raises as such."""
+    d_ms, c_ms = (None if ms is None else Multiset(g.q, ms) for ms in (d_ms, c_ms))
+    if not d_ms.support() <= set(range(g.n)):
         raise ValueError("D is supported outside the player set")
-    if c_ms is not None and not c_ms.support() <= bset | {d}:
+    if c_ms is not None and not c_ms.support() <= set(range(g.n)):
         raise ValueError("C is supported outside the player set plus dealer")
-    if neighbors_multiset(g, d_ms).support() - bset != {d}:
-        return False
-    if c_ms is None:
-        return True
-    return c_ms[d] != 0 and not neighbors_multiset(g, c_ms).support() - bset - {d}
+    return d_ms.as_vector(g.n)[None], None if c_ms is None else c_ms.as_vector(g.n)[None]
+
+
+def verify_witness_pairs(g: Multigraph, d: int, sets, d_rows: np.ndarray, c_rows: np.ndarray | None) -> np.ndarray:
+    """verify_witness_pair of each checked player set for its witness rows
+    D and C (S, n), C None to check D alone: raises ValueError if some row
+    breaks a domain, else returns the (S,) verdicts."""
+    q, outside = g.q, ~_members(g.n, sets)
+    if (d_rows % q * outside).any():
+        raise ValueError("D is supported outside the player set")
+    outside[:, d] = False
+    if c_rows is not None and (c_rows % q * outside).any():
+        raise ValueError("C is supported outside the player set plus dealer")
+    seen = d_rows @ g.gamma % q
+    met = (seen[:, d] != 0) & ~(seen * outside).any(axis=1)
+    if c_rows is not None:
+        met &= (c_rows[:, d] % q != 0) & ~(c_rows @ g.gamma % q * outside).any(axis=1)
+    return met
 
 
 def dealer_kernel_witness(g: Multigraph, d: int, b_set) -> Multiset:

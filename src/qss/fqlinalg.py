@@ -265,51 +265,43 @@ def kernel_basis_mod(a, q: int) -> np.ndarray:
 
 
 def solve_affine_mod(a, b, q: int) -> np.ndarray | None:
-    """Solve a.x = b over F_q: the stack of one of batch_solve_affine_mod.
+    """Solve a.x = b over F_q: _solve_stack on the augmented matrix [a | b].
 
     Returns:
         The deterministic particular solution (free variables set to 0), or
         None when the system is inconsistent.
     """
-    return batch_solve_affine_mod([(a, b)], q)[0]
+    q = require_prime(q)
+    arr, rhs = _int_array(a), np.asarray(b, dtype=np.int64).reshape(-1)
+    if rhs.shape[0] != arr.shape[0]:
+        raise ValueError(f"shape mismatch: {arr.shape} vs rhs {rhs.shape}")
+    x, consistent = _solve_stack(np.column_stack([arr, rhs])[:, :, None], q)
+    return x[0] if consistent[0] else None
 
 
-def batch_solve_affine_mod(systems, q: int) -> list[np.ndarray | None]:
-    """Solve every system a.x = b of a sequence of (a, b) pairs over F_q in
-    one lockstep elimination of the augmented matrices [a | b].
+def _solve_stack(stack: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Solve every system a.x = b of an (R, C + 1, N) int64 stack of
+    augmented matrices [a | b] over F_q in one lockstep elimination.
 
-    Systems of different shapes are padded to one: zero rows below [a | b]
-    and zero columns between a and b. A zero row or column gains no pivot
-    and moves none, so each system keeps the pivots of its own elimination.
-    Each pivot row is then a nonzero multiple of a row of the RREF, which
-    is unique, so every solution is the one Gauss-Jordan elimination gives:
-    the RREF's last column on the pivot columns and 0 on the free ones. A
-    system with a pivot in its last column is inconsistent.
+    Systems of different shapes share the stack padded: zero rows below
+    [a | b] and zero columns between a and b. A zero row or column gains no
+    pivot and moves none, so each system keeps the pivots of its own
+    elimination. Each pivot row is then a nonzero multiple of a row of the
+    RREF, which is unique, so every solution is the one Gauss-Jordan
+    elimination gives: the RREF's last column on the pivot columns and 0 on
+    the free ones. A system with a pivot in its last column is inconsistent.
 
     Returns:
-        One int64 array of length a.shape[1] per system, or None for an
-        inconsistent one, in order.
+        The (N, C) solutions, zero for an inconsistent system, and the (N,)
+        mask of the consistent ones.
     """
-    q = require_prime(q)
-    mats = [_int_array(a) for a, _ in systems]
-    rhss = [np.asarray(b, dtype=np.int64).reshape(-1) for _, b in systems]
-    for arr, rhs in zip(mats, rhss):
-        if rhs.shape[0] != arr.shape[0]:
-            raise ValueError(f"shape mismatch: {arr.shape} vs rhs {rhs.shape}")
-    if not mats:
-        return []
-    rows = max(arr.shape[0] for arr in mats)
-    cols = max(arr.shape[1] for arr in mats)
-    stack = np.zeros((rows, cols + 1, len(mats)), dtype=np.int64)
-    for j, (arr, rhs) in enumerate(zip(mats, rhss)):
-        stack[: arr.shape[0], : arr.shape[1], j] = arr
-        stack[: arr.shape[0], cols, j] = rhs
+    rows, cols = stack.shape[0], stack.shape[1] - 1
     system, pivots, r = _pivot_rows(*_eliminate(_residues(stack, q), q, rows, cols + 1), q)
-    consistent = np.ones(len(mats), dtype=bool)
+    consistent = np.ones(stack.shape[2], dtype=bool)
     consistent[system[pivots == cols]] = False
-    x = np.zeros((len(mats), cols + 1), dtype=np.int64)
+    x = np.zeros((stack.shape[2], cols + 1), dtype=np.int64)
     x[system, pivots] = r[:, cols]
-    return [x[j, : arr.shape[1]].copy() if consistent[j] else None for j, arr in enumerate(mats)]
+    return np.where(consistent[:, None], x[:, :cols], 0), consistent
 
 
 def reduced_column_echelon_mod(a, q: int) -> np.ndarray:

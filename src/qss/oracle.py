@@ -3,8 +3,8 @@
 Everything here works on explicit complex amplitude arrays, so it is slow.
 The trace distances use no rank algebra; the decoders steer with the
 witnesses that the rank machinery solves. Phases are tracked as integer powers
-of omega = exp(2*pi*i/q) inside WeylOperator and only turned into floats
-when an operator hits a state.
+of omega = exp(2*pi*i/q), inside WeylOperator or in stacks of exponent rows,
+and only turned into floats when an operator hits a state.
 
 Every projective measurement is a Weyl measurement through _measure_rows,
 sampled by _draw_rows on one uniform: the dealer's X^t Z and the players'
@@ -27,9 +27,9 @@ from itertools import combinations
 import numpy as np
 
 from .fqlinalg import inv_mod, require_prime
-from .multigraph import Multigraph, Multiset, delete_vertex, serialize_graph
-from .access import QUANTUM_VERDICT, _check_b, _index_array, batch_indicators, verify_witness_pair, witness_C, witness_D
-from .access import witnesses_C, witnesses_D
+from .multigraph import Multigraph, delete_vertex, serialize_graph
+from .access import QUANTUM_VERDICT, _check_b, _index_array, _members, _pair_rows, _solve_cuts, batch_indicators
+from .access import verify_witness_pairs, witness_C, witness_D
 
 AMPLITUDE_BUDGET = 2_000_000
 # amplitudes in one stack of rows, a measurement's q powers counted
@@ -126,7 +126,7 @@ class WeylOperator:
     Composition, powers and inverses track the global phase exactly as an
     integer exponent of omega, using X^a Z^b |x> = omega^{b.x} |x+a> and
     Z^b X^a = omega^{a b} X^a Z^b per site. Stabilizer products skip this
-    algebra: _stabilizer_product writes each down in closed form.
+    algebra: _stabilizer_rows writes each down in closed form.
     """
 
     q: int
@@ -141,10 +141,6 @@ class WeylOperator:
         object.__setattr__(self, "phase", int(self.phase) % self.q)
         if len(self.x_powers) != len(self.z_powers):
             raise ValueError("x and z exponent tuples differ in length")
-
-    @classmethod
-    def identity(cls, q: int, n: int) -> "WeylOperator":
-        return cls(q, (0,) * n, (0,) * n, 0)
 
     @property
     def n(self) -> int:
@@ -246,17 +242,26 @@ def stabilizer_generator(g: Multigraph, u: int) -> WeylOperator:
 
 
 def _stabilizer_product(g: Multigraph, w) -> WeylOperator:
-    """prod_u K_u^{w_u} = omega^{w.Gamma.w / 2} X^w Z^{Gamma w} for a
-    length-n weight vector w, on the full vertex register.
+    """The stack of one of _stabilizer_rows, for a length-n weight vector w."""
+    x, z, phase = _stabilizer_rows(g, np.asarray(w)[None])
+    return WeylOperator(g.q, x[0], z[0], phase[0])
+
+
+def _stabilizer_rows(g: Multigraph, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x and z exponent rows and the phases of prod_u K_u^{w_u} =
+    omega^{w.Gamma.w / 2} X^w Z^{Gamma w} for each weight row of w (..., n),
+    on the full vertex register.
 
     Exact: K_u^q = I, so w mod q suffices. Multiplied out in any order, the
     reorderings cost omega^{w_u Gamma_uv w_v} once per pair u < v. Gamma is
     symmetric with a zero diagonal, so w.Gamma.w is twice that sum, even,
-    and halves exactly in Python ints.
+    and halves exactly once taken mod 2q, which keeps every product below
+    2q^2 < 2^41 in int64. Reduced mod q before halving, Gamma w would lose
+    the parity: at q = 2 the halved sum would be another phase.
     """
-    x = [int(a) % g.q for a in w]
-    z = (g.gamma @ np.array(x, dtype=np.int64)).tolist()
-    return WeylOperator(g.q, x, z, sum(a * b for a, b in zip(x, z)) // 2)
+    x = np.asarray(w, dtype=np.int64) % g.q
+    z = x @ g.gamma
+    return x, z % g.q, (x * (z % (2 * g.q))).sum(axis=-1) % (2 * g.q) // 2
 
 
 def graph_state(g: Multigraph, budget: int = AMPLITUDE_BUDGET) -> StateVector:
@@ -340,22 +345,22 @@ def _player_order(g: Multigraph, d: int) -> list[int]:
     return [v for v in range(g.n) if v != d]
 
 
-def _codewords(g: Multigraph, d: int, values, budget: int) -> list[StateVector]:
-    """|s_L> for each s in values. The dealer-deleted graph state is built
-    once and each codeword is its image under Z^s on the dealer's
-    neighbours."""
+def _codewords(g: Multigraph, d: int, values, budget: int) -> np.ndarray:
+    """|s_L> for each s in values, one row each. The dealer-deleted graph
+    state is built once and the codewords are its images under Z^s on the
+    dealer's neighbours, one stacked Weyl map."""
     if g.degree(d) == 0:
         raise ValueError("isolated dealer: the encoding collapses")
-    base = graph_state(delete_vertex(g, d), budget=budget)
-    xbar = logical_x(g, d)
-    return [apply_weyl(base, xbar**s) for s in values]
+    base = graph_state(delete_vertex(g, d), budget=budget).amplitudes
+    z = np.outer(list(values), logical_x(g, d).z_powers) % g.q
+    return _check_norms(_weyl_powers(g.q, np.broadcast_to(base, (len(z), len(base))), 0 * z, z, z[:, 0] * 0, 1)[1])
 
 
 def cq_encode(g: Multigraph, d: int, s: int, budget: int = AMPLITUDE_BUDGET) -> StateVector:
     """Classical codeword |s_L> = Z^s on the dealer's neighbours applied to
     the dealer-deleted graph state. Lives on the n-1 players in vertex
     order."""
-    return _codewords(g, d, [s], budget)[0]
+    return StateVector._derived(g.q, g.n - 1, _codewords(g, d, [s], budget)[0])
 
 
 def _unit_secret(q: int, secret) -> np.ndarray:
@@ -365,10 +370,10 @@ def _unit_secret(q: int, secret) -> np.ndarray:
     return secret
 
 
-def _superpose(words, secrets: np.ndarray) -> np.ndarray:
+def _superpose(words: np.ndarray, secrets: np.ndarray) -> np.ndarray:
     """sum_j secrets[:, j] words[j]: one encoded state per row of the
     secrets (S, len(words)). Checks the isometry of every row."""
-    out = sum(secrets[:, j, None] * word.amplitudes for j, word in enumerate(words))
+    out = sum(secrets[:, j, None] * word for j, word in enumerate(words))
     if (abs(_norms(out) - 1.0) > 1e-7).any():
         raise AssertionError("encoding failed to be an isometry")
     return out
@@ -422,7 +427,8 @@ def leak_profile(g: Multigraph, d: int, b_set, budget: int = AMPLITUDE_BUDGET) -
     positions of b_set."""
     players = _player_order(g, d)
     pos = [players.index(v) for v in _check_b(g, d, b_set)]
-    return [reduced_density(word, pos, budget=budget) for word in _codewords(g, d, range(g.q), budget)]
+    words = _codewords(g, d, range(g.q), budget)
+    return [reduced_density(StateVector._derived(g.q, g.n - 1, word), pos, budget=budget) for word in words]
 
 
 def _max_trace_distance(mats: np.ndarray) -> np.ndarray:
@@ -435,15 +441,22 @@ def _max_trace_distance(mats: np.ndarray) -> np.ndarray:
     return trace_distance(mats[:, i], mats[:, j]).max(axis=-1)
 
 
-def _set_trace_distances(words, sets, budget: int) -> list[float]:
-    """The largest trace distance between the codewords reduced to each set of
-    site positions. Codeword s is a q^|B| x r matrix A_s, rho_s = A_s A_s^dagger.
-    Up to 27 x 27, or when q r >= q^|B|, the sets of one size stack their
-    reduced states, STACK_CAP amplitudes at a time, for _max_trace_distance.
-    Otherwise one QR of [A_0 ... A_{q-1}] = Q R per set gives rho_s - rho_t =
-    Q (G_s - G_t) Q^dagger, G_s = R_s R_s^dagger: the same nonzero spectra from
-    q r x q r Gram matrices, whose size the budget bounds as it bounds rho_s."""
-    q, n, out, dense = words[0].q, words[0].n, {}, {}
+def _set_trace_distances(words: np.ndarray, sets, budget: int) -> list[float]:
+    """The largest trace distance between the q codewords (rows of words)
+    reduced to each set of site positions. Codeword s is a q^|B| x r matrix
+    A_s, rho_s = A_s A_s^dagger. Up to 27 x 27, or when q r >= q^|B|, the
+    sets of one size form their reduced states STACK_CAP amplitudes at a
+    time, as one matmul of an (S, q, q^|B|, r) stack of factors (bit for bit
+    reduced_density's product when r >= 2, so only the full set calls it),
+    for _max_trace_distance. Otherwise one QR of [A_0 ... A_{q-1}] = Q R per
+    set gives rho_s - rho_t = Q (G_s - G_t) Q^dagger, G_s = R_s R_s^dagger:
+    the same nonzero spectra from q r x q r Gram matrices, whose size the
+    budget bounds as it bounds rho_s."""
+    q, out, dense = len(words), {}, {}
+    n = round(np.log(words.shape[1]) / np.log(q))
+    grids = words.reshape([q] * (n + 1))
+    # (q, q^|B|, r): axis 0 holds the codewords
+    factors = lambda pos: np.moveaxis(grids, np.add(pos, 1), range(1, len(pos) + 1)).reshape(q, q ** len(pos), -1)
     for i, pos in enumerate(sets):
         dim, cols = q ** len(pos), q ** (n - len(pos) + 1)
         if dim <= max(27, cols):
@@ -451,14 +464,21 @@ def _set_trace_distances(words, sets, budget: int) -> list[float]:
             continue
         if cols**2 > budget:
             raise BudgetExceeded("codeword Gram matrices exceed the amplitude budget")
-        y = np.concatenate([np.moveaxis(word.grid(), pos, range(len(pos))).reshape(dim, -1) for word in words], axis=1)
-        factors = np.linalg.qr(y, mode="r").reshape(cols, q, -1).transpose(1, 0, 2)
-        out[i] = _max_trace_distance((factors @ factors.conj().transpose(0, 2, 1))[None])[0]
+        r_factor = np.linalg.qr(factors(pos).transpose(1, 0, 2).reshape(dim, -1), mode="r")
+        gram = r_factor.reshape(cols, q, -1).transpose(1, 0, 2)
+        out[i] = _max_trace_distance((gram @ gram.conj().transpose(0, 2, 1))[None])[0]
     for size, group in dense.items():
+        if q ** (2 * size) > budget:
+            raise BudgetExceeded("reduced density matrix exceeds the amplitude budget")
         step = max(1, STACK_CAP // q ** (2 * size + 1))
         for chunk in (group[lo:lo + step] for lo in range(0, len(group), step)):
-            rhos = [[reduced_density(word, sets[i], budget=budget) for word in words] for i in chunk]
-            out.update(zip(chunk, _max_trace_distance(np.array(rhos))))
+            if size == n:
+                rhos = np.array([[reduced_density(StateVector._derived(q, n, w), sets[i], budget=budget)
+                                  for w in words] for i in chunk])
+            else:
+                a = np.array([factors(sets[i]) for i in chunk])
+                rhos = a @ np.ascontiguousarray(a.conj().swapaxes(-1, -2))
+            out.update(zip(chunk, _max_trace_distance(rhos)))
     return [float(out[i]) for i in range(len(sets))]
 
 
@@ -488,20 +508,18 @@ def schmidt_rank(state: StateVector, sites) -> int:
 # protocol machinery
 
 
-def _validated_pair(g: Multigraph, d: int, b, d_ms, c_ms):
-    """Normalize and sanity check the witness pair; returns (D, C) with the
-    dealer coefficient of C equal to 1 and alpha = 1, or raises."""
-    d_ms = Multiset(g.q, d_ms)
-    c_ms = None if c_ms is None else Multiset(g.q, c_ms)
-    if not verify_witness_pair(g, d, b, d_ms, c_ms):
-        raise ValueError(f"witness {'D' if c_ms is None else 'pair'} fails the access conditions")
-    alpha = int((g.gamma[d] @ d_ms.as_vector(g.n)) % g.q)
-    if alpha != 1:
-        inv = inv_mod(alpha, g.q)
-        d_ms = Multiset(g.q, {v: (w * inv) % g.q for v, w in d_ms.items()})
-    if c_ms is not None and c_ms[d] != 1:
+def _checked_witnesses(g: Multigraph, d: int, sets, d_rows, c_rows) -> tuple[np.ndarray, np.ndarray | None]:
+    """The witness rows (S, n) of the checked player sets, reduced mod q,
+    once every pair meets qss.access.verify_witness_pairs and every C (C
+    may be None) has dealer coefficient 1; else ValueError. D comes back
+    scaled so that the dealer sees it with multiplicity alpha = 1."""
+    if not verify_witness_pairs(g, d, sets, d_rows, c_rows).all():
+        raise ValueError(f"witness {'D' if c_rows is None else 'pair'} fails the access conditions")
+    q = g.q
+    if c_rows is not None and ((c_rows := c_rows % q)[:, d] != 1).any():
         raise ValueError("witness C must have dealer coefficient 1")
-    return d_ms, c_ms
+    inverse = np.array([0] + [inv_mod(a, q) for a in range(1, q)])
+    return d_rows * inverse[d_rows @ g.gamma[d] % q][:, None] % q, c_rows
 
 
 @dataclass(frozen=True)
@@ -539,11 +557,11 @@ def decode_params(g: Multigraph, d: int, b_set, d_ms, c_ms, t: int) -> DecodePar
     b = _check_b(g, d, b_set)
     if t != 0 and c_ms is None:
         raise ValueError("basis t != 0 needs the hiding witness C")
-    d_ms, c_ms = _validated_pair(g, d, b, d_ms, c_ms)
-    c_vec = np.zeros(g.n, dtype=np.int64) if c_ms is None else c_ms.as_vector(g.n)
+    d_rows, c_rows = _checked_witnesses(g, d, [b], *_pair_rows(g, d_ms, c_ms))
+    c_vec = np.zeros(g.n, dtype=np.int64) if c_rows is None else c_rows[0]
     beta = int((g.gamma[d] @ c_vec) % q)
     # C is 1 at the dealer and otherwise supported on b
-    s_product = _stabilizer_product(g, t * c_vec + (1 - t * beta) * d_ms.as_vector(g.n))
+    s_product = _stabilizer_product(g, t * c_vec + (1 - t * beta) * d_rows[0])
 
     if any(s_product.x_powers[v] or s_product.z_powers[v] for v in range(g.n) if v != d and v not in b):
         raise AssertionError("stabilizer product leaks outside the player set")
@@ -637,20 +655,35 @@ def logical_z(g: Multigraph, d: int) -> WeylOperator:
 def code_unitaries(g: Multigraph, d: int, b_set, d_ms, c_ms) -> tuple[WeylOperator, WeylOperator]:
     """(U_B, V_B) on the player register from a valid witness pair:
     U_B |s_L> = omega^s |s_L> and V_B |s_L> = |(s+1)_L>, both supported on
-    b_set only."""
+    b_set only. The stack of one of _steering_rows."""
     b = _check_b(g, d, b_set)
     if d_ms is None or c_ms is None:
         raise ValueError("quantum decoding needs both witnesses")
-    d_ms, c_ms = _validated_pair(g, d, b, d_ms, c_ms)
-    d_vec, c_vec = d_ms.as_vector(g.n), c_ms.as_vector(g.n)
-    beta = int((g.gamma[d] @ c_vec) % g.q)
-    c_vec[d] = 0  # C's dealer weight 1 is the logical X; D and the rest of C live on b
-    u_op = _stabilizer_product(g, -d_vec).factor_site(d)
-    v_op = logical_x(g, d) @ _stabilizer_product(g, c_vec - beta * d_vec).factor_site(d)
-    for op, name in ((u_op, "U_B"), (v_op, "V_B")):
-        if any(op.x_powers[p] or op.z_powers[p] for p, v in enumerate(_player_order(g, d)) if v not in b):
+    return tuple(WeylOperator(g.q, *_split(row)) for row in _steering_rows(g, d, [b], *_pair_rows(g, d_ms, c_ms))[0])
+
+
+def _steering_rows(g: Multigraph, d: int, sets, d_rows, c_rows) -> np.ndarray:
+    """(U_B, V_B) of each player set from its witness rows, checked by
+    _checked_witnesses, as (S, 2, 2(n-1)+1) [x | z | phase] exponent rows on
+    the player register: U_B = K_D^{-1} and V_B = K_C K_D^{-beta}, beta =
+    Gamma_d.C, with the dealer's site dropped, which leaves C's dealer
+    weight 1 as the logical X, Z on the dealer's neighbours."""
+    d_rows, c_rows = _checked_witnesses(g, d, sets, d_rows, c_rows)
+    beta = c_rows @ g.gamma[d] % g.q
+    x, z, phase = _stabilizer_rows(g, np.stack([-d_rows, c_rows - beta[:, None] * d_rows], axis=1))
+    outside = ~_members(g.n, sets)
+    outside[:, d] = False
+    for k, name in enumerate(("U_B", "V_B")):
+        if ((x[:, k] + z[:, k]) * outside).any():
             raise AssertionError(f"{name} acts outside the player set")
-    return u_op, v_op
+    players = _player_order(g, d)
+    return np.concatenate([x[..., players], z[..., players], phase[..., None]], axis=-1)
+
+
+def _split(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x rows, z rows and phases of [x | z | phase] exponent rows."""
+    m = rows.shape[-1] // 2
+    return rows[..., :m], rows[..., m:-1], rows[..., -1]
 
 
 @dataclass(frozen=True)
@@ -683,22 +716,29 @@ def qq_decode_bell(
     then fail to steer and the reported fidelity stays below 1. A set that
     holds the dealer or leaves the vertex range raises ValueError.
     """
-    steering = _steering(g, d, [_check_b(g, d, b_set)])
+    steering, fallback = _steering(g, d, [_check_b(g, d, b_set)])
     rho, syndrome = _bell_decode(g.q, steering, encoded.amplitudes[None], rng.random((1, 2)), budget)
     return BellDecodeResult(_top_eigenvector(rho[0])[1], _fidelity(rho[0], expected), tuple(syndrome[0].tolist()),
-                            steering[0][2])
+                            bool(fallback[0]))
 
 
-def _steering(g: Multigraph, d: int, sets) -> list[tuple[WeylOperator, WeylOperator, bool]]:
-    """(U_B, V_B, used_fallback) of each player set for qq_decode_bell: the
-    code unitaries of the solved witness pair, else the identity stand-ins.
-    One stacked solve finds every D, and one more the C of each set with a D."""
-    pairs = [(b, d_ms) for b, d_ms in zip(sets, witnesses_D(g, d, sets)) if d_ms is not None]
-    hiding = witnesses_C(g, d, [[v for v in range(g.n) if v != d and v not in b] for b, _ in pairs])
-    identity = WeylOperator.identity(g.q, g.n - 1)
-    solved = {b: (*code_unitaries(g, d, b, d_ms, c_ms), False)
-              for (b, d_ms), c_ms in zip(pairs, hiding) if c_ms is not None}
-    return [solved.get(b, (identity, identity, True)) for b in sets]
+def _steering(g: Multigraph, d: int, sets) -> tuple[np.ndarray, np.ndarray]:
+    """The _steering_rows of each checked player set for _bell_decode, and
+    the mask of the sets that have no witness D or no witness C, whose rows
+    are the identity stand-ins. One stacked solve finds, for every distinct
+    set B, its D and its C over B + {d} (qss.access.witnesses_D of B and
+    witnesses_C of V - B - {d}, whose systems have about the same shape)."""
+    at = {b: i for i, b in enumerate(dict.fromkeys(sets))}
+    keys, inside = list(at), _members(g.n, list(at))
+    hidden = ~inside
+    hidden[:, d] = False
+    pinned = np.repeat([False, True], len(keys))
+    sols, found = _solve_cuts(g, d, np.vstack([~inside, hidden]), np.vstack([inside, ~hidden]), pinned)
+    (d_rows, c_rows), ok = sols.reshape(2, len(keys), g.n), found.reshape(2, -1).all(axis=0)
+    rows = np.zeros((len(keys), 2, 2 * g.n - 1), dtype=np.int64)
+    rows[ok] = _steering_rows(g, d, [b for b, solved in zip(keys, ok) if solved], d_rows[ok], c_rows[ok])
+    index = [at[b] for b in sets]
+    return rows[index], ~ok[index]
 
 
 def _top_eigenvector(rho: np.ndarray) -> tuple[float, np.ndarray]:
@@ -711,13 +751,13 @@ def _top_eigenvector(rho: np.ndarray) -> tuple[float, np.ndarray]:
     return float(vals[top]), vec * (abs(vec[pivot]) / vec[pivot])
 
 
-def _bell_decode(q: int, steering, encoded: np.ndarray, uniforms: np.ndarray, budget: int):
+def _bell_decode(q: int, steering: np.ndarray, encoded: np.ndarray, uniforms: np.ndarray, budget: int):
     """qq_decode_bell's measurements and correction on a stack of encoded
-    states (S, q^(n-1)), each steered by its (U_B, V_B, used_fallback) and
-    measured on its row of uniforms (S, 2): the second ancilla's density
+    states (S, q^(n-1)), each steered by its (U_B, V_B) rows of _steering
+    and measured on its row of uniforms (S, 2): the second ancilla's density
     matrices (S, q, q) and the syndromes (k, l) as an (S, 2) array."""
     _admit(encoded.shape[1] * q * q, budget)
-    (ux, uz, up), (vx, vz, vp) = (_exponents(ops) for ops in list(zip(*steering))[:2])
+    (ux, uz, up), (vx, vz, vp) = _split(steering[:, 0]), _split(steering[:, 1])
     bell = np.eye(q, dtype=np.complex128).reshape(-1) / np.sqrt(q)
     full = (encoded[:, :, None] * bell).reshape(len(encoded), -1)
     # the ancillas a1, a2 follow the players: V_B^{-1} X_{a1}^{-1}, then U_B Z_{a1}^{-1}
@@ -845,9 +885,10 @@ def encode_decode_variants(
         return _project_site(full, 0, plus)
 
     if mode in ("D2", "D3"):
-        u_op, v_op, fallback = _steering(g, d, [_check_b(g, d, players if b_set is None else b_set)])[0]
-        if fallback:
+        steering, fallback = _steering(g, d, [_check_b(g, d, players if b_set is None else b_set)])
+        if fallback[0]:
             raise ValueError("decoding variants need an authorized player set")
+        u_op, v_op = (WeylOperator(q, *_split(row)) for row in steering[0])
         encoded = qq_encode(g, d, secret, budget=budget)
         plus = StateVector(q, 1, np.ones(q, dtype=np.complex128) / np.sqrt(q))
         full = encoded.tensor(plus, budget=budget)  # ancilla is the last axis
@@ -894,12 +935,13 @@ def oracle_reports(
     fidelity of the set and its complement. The decode steers with
     witnesses solved in fqlinalg, so a fidelity of 1 certifies access; the
     no_info verdict rests on the trace distances. The codewords are built
-    once, and every set's and complement's code unitaries come from one
-    stacked solve per witness. Every draw comes first, in set-by-set order:
-    a secret, two uniforms for the set's decode and two for a nonempty
-    complement's. The sets are decoded in stacks, and the complements in a
-    second pass only where the verdict reads them: a set below fidelity
-    1 - 1e-7 with every trace distance at most 1e-7.
+    once, and the code unitaries of every decoded set come from one stacked
+    solve per witness. Every draw comes first, in set-by-set order: a
+    secret, two uniforms for the set's decode and two for a nonempty
+    complement's. The trace distances come next, and then one stacked pass
+    Bell-decodes the sets and the nonempty complements of the sets with
+    every trace distance at most 1e-7; a complement's fidelity is read only
+    where its set's is below 1 - 1e-7.
     """
     sets = [_check_b(g, d, b) for b in sets]
     words = _codewords(g, d, range(g.q), budget)
@@ -908,18 +950,17 @@ def oracle_reports(
     derivative = dict(zip(by_size, ranked))
     players = _player_order(g, d)
     comps = [tuple(v for v in players if v not in b) for b in sets]
-    keys = list({*sets, *comps})
-    steering = dict(zip(keys, _steering(g, d, keys)))
     secrets, draws = np.empty((len(sets), g.q), dtype=np.complex128), np.zeros((len(sets), 4))
     for i, comp in enumerate(comps):
         secret = rng.normal(size=g.q) + 1j * rng.normal(size=g.q)
         secrets[i] = _unit_secret(g.q, secret / np.linalg.norm(secret))
         draws[i, :4 if comp else 2] = rng.random(4 if comp else 2)
-    fid = _decode_fidelities(g, words, [steering[b] for b in sets], secrets, draws[:, :2], budget)
     max_td = _set_trace_distances(words, [[players.index(v) for v in b] for b in sets], budget)
-    read = [i for i, comp in enumerate(comps) if comp and fid[i] < 1 - 1e-7 and max_td[i] <= 1e-7]
-    fid_comp = _decode_fidelities(g, words, [steering[comps[i]] for i in read], secrets[read], draws[read, 2:], budget)
-    hidden = {i for i, f in zip(read, fid_comp) if f >= 1 - 1e-7}
+    read = [i for i, comp in enumerate(comps) if comp and max_td[i] <= 1e-7]
+    steering = _steering(g, d, sets + [comps[i] for i in read])[0]
+    fid = _decode_fidelities(g, words, steering, secrets[[*range(len(sets)), *read]],
+                             np.concatenate([draws[:, :2], draws[read, 2:]]), budget)
+    hidden = {i for i, f in zip(read, fid[len(sets):]) if f >= 1 - 1e-7}
     digest = graph_hash(g)
     return [{
         "graph_hash": digest,

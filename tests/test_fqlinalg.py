@@ -19,9 +19,9 @@ from qss.fqlinalg import (
     FIELD_SIZE_CEILING,
     FLOAT32_CEILING,
     _float_type,
+    _solve_stack,
     batch_border_indicators_mod,
     batch_rank_mod,
-    batch_solve_affine_mod,
     inv_mod,
     is_prime,
     kernel_basis_mod,
@@ -324,7 +324,21 @@ def test_solve_shape_mismatch():
     with pytest.raises(ValueError):
         solve_affine_mod(np.eye(2, dtype=np.int64), [1, 2, 3], 5)
     with pytest.raises(ValueError):
-        batch_solve_affine_mod([(np.eye(2, dtype=np.int64), [1, 2]), (np.eye(2, dtype=np.int64), [1])], 5)
+        solve_affine_mod(np.eye(2, dtype=np.int64), [1], 5)
+
+
+def padded_solve(systems, q):
+    """_solve_stack on systems of any shapes, each padded with zero rows
+    below [a | b] and zero columns between a and b: one int64 solution of
+    length a.shape[1] per system, or None."""
+    rows = max((a.shape[0] for a, _ in systems), default=0)
+    cols = max((a.shape[1] for a, _ in systems), default=0)
+    stack = np.zeros((rows, cols + 1, len(systems)), dtype=np.int64)
+    for j, (a, b) in enumerate(systems):
+        stack[: a.shape[0], : a.shape[1], j] = a
+        stack[: a.shape[0], cols, j] = b
+    x, consistent = _solve_stack(stack, q)
+    return [x[j, : a.shape[1]] if ok else None for j, ((a, _), ok) in enumerate(zip(systems, consistent))]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -345,7 +359,7 @@ def test_stacked_solve_matches_int_rref(q, count, data):
         else:
             b = np.array(data.draw(st.lists(entry, min_size=rows, max_size=rows)), dtype=np.int64)
         systems.append((a, b))
-    got = batch_solve_affine_mod(systems, q)
+    got = padded_solve(systems, q)
     assert len(got) == count
     for (a, b), x in zip(systems, got):
         want = int_solve(a.tolist(), b.tolist(), a.shape[1], q)
@@ -356,11 +370,13 @@ def test_stacked_solve_matches_int_rref(q, count, data):
 
 
 def test_stacked_solve_of_nothing_and_of_zero_width_systems():
-    assert batch_solve_affine_mod([], 5) == []
+    assert padded_solve([], 5) == []
     # the empty-set case of witness_D: no unknowns, so only b = 0 is solvable
-    none, empty = batch_solve_affine_mod([(np.zeros((3, 0)), [0, 1, 0]), (np.zeros((2, 0)), [0, 0])], 5)
+    none, empty = padded_solve([(np.zeros((3, 0)), [0, 1, 0]), (np.zeros((2, 0)), [0, 0])], 5)
     assert none is None
     assert empty.shape == (0,) and empty.dtype == np.int64
+    assert solve_affine_mod(np.zeros((3, 0)), [0, 1, 0], 5) is None
+    assert solve_affine_mod(np.zeros((2, 0)), [0, 0], 5).shape == (0,)
 
 
 def test_column_echelon_identity_and_zero():

@@ -30,6 +30,7 @@ from qss.oracle import (
     _set_trace_distances,
     _stabilizer_product,
     _steering,
+    _steering_rows,
     _superpose,
     _weyl_powers,
     apply_controlled,
@@ -80,6 +81,10 @@ def rs_subgraph():
     rs = rs747_fixture().graph
     keep = [0, 1, 2, 3, 4]
     return Multigraph(7, rs.gamma[np.ix_(keep, keep)])
+
+
+def identity(q, n):
+    return WeylOperator(q, (0,) * n, (0,) * n)
 
 
 def random_secret(rng, q):
@@ -176,8 +181,8 @@ def test_weyl_inverse_and_power():
                 tuple(rng.integers(0, q, size=3)),
                 int(rng.integers(0, q)),
             )
-            assert w @ w.inverse() == WeylOperator.identity(q, 3)
-            assert w.inverse() @ w == WeylOperator.identity(q, 3)
+            assert w @ w.inverse() == identity(q, 3)
+            assert w.inverse() @ w == identity(q, 3)
             if q != 2:
                 assert (w**q).x_powers == (0, 0, 0)
                 assert (w**q).z_powers == (0, 0, 0)
@@ -190,7 +195,7 @@ def test_weyl_square_at_q2_odd_weight():
     sq = w**2
     assert sq.x_powers == (0,) and sq.z_powers == (0,)
     assert sq.phase == 1
-    assert sq != WeylOperator.identity(2, 1)
+    assert sq != identity(2, 1)
 
 
 def weyl_by_rolls(q, grid, w):
@@ -239,7 +244,7 @@ def test_weyl_power_matches_repeated_product():
                 tuple(rng.integers(0, q, size=2)),
                 int(rng.integers(0, q)),
             )
-            acc = WeylOperator.identity(q, 2)
+            acc = identity(q, 2)
             for m in range(6):
                 assert acc == w**m
                 acc = acc @ w
@@ -269,7 +274,7 @@ def test_weyl_validation():
     with pytest.raises(ValueError, match="length"):
         WeylOperator(3, (1,), (0, 0), 0)
     with pytest.raises(ValueError, match="shapes"):
-        WeylOperator.identity(3, 2) @ WeylOperator.identity(3, 3)
+        identity(3, 2) @ identity(3, 3)
 
 
 def test_graph_stabilizers_commute():
@@ -285,7 +290,7 @@ def test_graph_stabilizers_commute():
 
 def folded_product(g, w, order):
     """prod_u K_u^{w_u} multiplied out one generator power at a time."""
-    out = WeylOperator.identity(g.q, g.n)
+    out = identity(g.q, g.n)
     for u in order:
         k_u = stabilizer_generator(g, u)
         assert k_u == WeylOperator(g.q, np.arange(g.n) == u, g.gamma[u])  # X_u Z^{Gamma.u}
@@ -294,10 +299,12 @@ def folded_product(g, w, order):
 
 
 def test_stabilizer_product_matches_ordered_fold():
+    # 1048573, the largest prime the package accepts, with up to 12
+    # vertices: w.Gamma.w reaches 2^64, past int64, before it is reduced
     rng = np.random.default_rng(80)
-    for q in (2, 3, 5, 7):
+    for q in (2, 3, 5, 7, 1048573):
         for _ in range(100):
-            n = int(rng.integers(2, 8))
+            n = int(rng.integers(2, 8 if q < 11 else 13))
             g = random_graph(n, q, rng)
             w = rng.integers(-2 * q, 2 * q + 1, size=n)  # below 0 and at least q
             prod = _stabilizer_product(g, w)
@@ -821,6 +828,67 @@ def test_code_unitaries_need_both_witnesses():
         code_unitaries(star3(), 0, [1, 2], {1: 1}, None)
 
 
+def folded_unitaries(g, d, b, dms, cms):
+    """(U_B, V_B) multiplied out one generator power at a time: U_B =
+    K_D^{-1} and V_B = Xbar K_C' K_D^{-beta}, D scaled to alpha = 1 and C'
+    being C without its dealer weight, on the player register."""
+    q, dvec, cvec = g.q, dms.as_vector(g.n), cms.as_vector(g.n)
+    dvec = dvec * pow(int(g.gamma[d] @ dvec % q), -1, q) % q
+    beta, cvec[d] = int(g.gamma[d] @ cvec % q), 0
+    u_op = folded_product(g, -dvec % q, range(g.n)).factor_site(d)
+    return u_op, logical_x(g, d) @ folded_product(g, (cvec - beta * dvec) % q, range(g.n)).factor_site(d)
+
+
+def test_steering_rows_are_the_code_unitaries():
+    # every set of random graphs, stacked: a set with both witnesses gets the
+    # exponent rows and phases of code_unitaries and of the generator-by-
+    # generator product, every other set the identity rows, flagged fallback
+    rng = np.random.default_rng(93)
+    for q in (2, 3, 5, 7):
+        for n in range(2, 7):
+            g = dealer_graph(n, q, rng)
+            sets = [b for size in range(n) for b in combinations(range(1, n), size)]
+            rows, fallback = _steering(g, 0, sets)
+            assert rows.shape == (len(sets), 2, 2 * n - 1)
+            for b, row, fell in zip(sets, rows, fallback):
+                got = [WeylOperator(q, r[: n - 1], r[n - 1 : -1], r[-1]) for r in row]
+                dms, cms = witness_D(g, 0, b), witness_C(g, 0, [v for v in range(1, n) if v not in b])
+                if dms is None or cms is None:
+                    assert fell and not row.any()
+                    continue
+                assert not fell
+                assert got == list(code_unitaries(g, 0, b, dms, cms)) == list(folded_unitaries(g, 0, b, dms, cms))
+            assert {bool(f) for f in fallback} == {False, True}
+
+
+@pytest.mark.parametrize("case, error", [
+    ("D off B", "D is supported outside the player set"),
+    ("C dealer 2", "witness C must have dealer coefficient 1"),
+    ("D leaks", "witness pair fails the access conditions"),
+])
+def test_corrupted_witness_rows_raise(case, error):
+    # on the path 0-1-2-3, B = {1, 2} has D = {1: 1} and C = {0: 1};
+    # one corrupted pair raises the same error through a stack of sets, the
+    # stack of one and code_unitaries
+    g, b, full = path4(), (1, 2), (1, 2, 3)
+    d_row = witness_D(g, 0, b).as_vector(4)
+    c_row = witness_C(g, 0, [3]).as_vector(4)
+    bad_d, bad_c = d_row.copy(), c_row.copy()
+    if case == "D off B":
+        bad_d[3] = 1
+    elif case == "C dealer 2":
+        bad_c = 2 * c_row % 3
+    else:
+        bad_d[2] = 1  # Gamma.D reaches vertex 3 as well as the dealer
+    full_d, full_c = witness_D(g, 0, full).as_vector(4), witness_C(g, 0, []).as_vector(4)
+    assert _steering_rows(g, 0, [b, full], np.array([d_row, full_d]), np.array([c_row, full_c])).shape == (2, 2, 7)
+    for sets, d_rows, c_rows in (([full, b], [full_d, bad_d], [full_c, bad_c]), ([b], [bad_d], [bad_c])):
+        with pytest.raises(ValueError, match=error):
+            _steering_rows(g, 0, sets, np.array(d_rows), np.array(c_rows))
+    with pytest.raises(ValueError, match=error):
+        code_unitaries(g, 0, b, dict(enumerate(bad_d.tolist())), dict(enumerate(bad_c.tolist())))
+
+
 def test_qq_decode_bell_authorized():
     g = star3()
     rng = np.random.default_rng(84)
@@ -872,7 +940,7 @@ def test_one_bell_decode_draws_two_uniforms(g, b):
 
 def decode_one(g, d, b, encoded, rng):
     """The second ancilla's density after a Bell decode, as a stack of one."""
-    return _bell_decode(g.q, _steering(g, d, [b]), encoded[None], rng.random((1, 2)), AMPLITUDE_BUDGET)[0][0]
+    return _bell_decode(g.q, _steering(g, d, [b])[0], encoded[None], rng.random((1, 2)), AMPLITUDE_BUDGET)[0][0]
 
 
 def reference_reports(g, d, sets, rng):
@@ -893,7 +961,7 @@ def reference_reports(g, d, sets, rng):
         if comp:
             fid_comp = _fidelity(decode_one(g, d, comp, encoded, rng), secret)
             hidden = fid_comp >= 1 - 1e-7 and max_td <= 1e-7
-            skipped += not (fid_b < 1 - 1e-7 and max_td <= 1e-7)
+            skipped += max_td > 1e-7
         rows.append({
             "graph_hash": graph_hash(g),
             "B": list(b),
@@ -951,6 +1019,20 @@ def test_oracle_reports_in_several_stacks_are_the_stacks_of_one(monkeypatch, q, 
     rows = oracle_reports(g, 0, sets, swept)
     assert [size for size, _ in stacks if size > 1] and max(amps for _, amps in stacks) <= STACK_CAP
     assert sum(size for size, _ in stacks) > len(sets) > max(size for size, _ in stacks)
+    assert rows == reference_reports(g, 0, sets, looped)[0]
+    assert swept.bit_generator.state == looped.bit_generator.state
+
+
+def test_oracle_reports_bell_decode_in_one_pass(monkeypatch):
+    # at q = 2, n = 6 the sets and the complements the verdict reads (the
+    # empty set's, at least) fill one stack, so one _bell_decode call decodes
+    # them all and still writes the rows of the set-by-set loop
+    g = parse_graph("q 2\nn 6\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 4 1\ne 3 5 1\ne 4 5 1\ne 1 4 1\ne 2 5 1\n")
+    sets = [b for size in range(6) for b in combinations(range(1, 6), size)]
+    stacks = record_stacks(monkeypatch)
+    swept, looped = np.random.default_rng(16), np.random.default_rng(16)
+    rows = oracle_reports(g, 0, sets, swept)
+    assert len(stacks) == 1 and stacks[0][0] > len(sets)
     assert rows == reference_reports(g, 0, sets, looped)[0]
     assert swept.bit_generator.state == looped.bit_generator.state
 
