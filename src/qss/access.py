@@ -178,16 +178,8 @@ def witness_D(g: Multigraph, d: int, b_set) -> Multiset | None:
     with multiplicity exactly 1. None iff pi = 0. The returned solution is
     the deterministic one with lowest-index pivots and zero free variables.
     """
-    return witnesses_D(g, d, [b_set])[0]
-
-
-def witnesses_D(g: Multigraph, d: int, sets) -> list[Multiset | None]:
-    """witness_D of each player set, in order, from one stacked solve of
-    Gamma[V - B, B] D = [d]. The empty set's system has no columns and is
-    inconsistent, so it gets None."""
-    inside = _members(g.n, [_check_b(g, d, b) for b in sets])
-    rows, found = _solve_cuts(g, d, ~inside, inside, np.zeros(len(inside), dtype=bool))
-    return [Multiset.from_vector(g.q, row) if ok else None for row, ok in zip(rows, found)]
+    rows, found = witness_rows(g, d, [b_set], [])[:2]
+    return Multiset.from_vector(g.q, rows[0]) if found[0] else None
 
 
 def _members(n: int, sets) -> np.ndarray:
@@ -197,27 +189,32 @@ def _members(n: int, sets) -> np.ndarray:
     return mask
 
 
-def _solve_cuts(g: Multigraph, d: int, rows, cols, pinned) -> tuple[np.ndarray, np.ndarray]:
-    """Solve Gamma[R, C] x = [R = d], plus a last row x(d) = 1 where pinned,
-    for (S, n) vertex masks R and C and an (S,) mask pinned, in one
-    _solve_stack call. Each system is gathered, its vertices ascending and
+def witness_rows(g: Multigraph, d: int, d_sets, c_sets) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The witness_D rows (S, n) of the player sets d_sets and their (S,)
+    found mask, then the same of witness_C for c_sets, zero where none
+    exists, from one _solve_stack call: Gamma[V - B, B] D = [d] for each
+    set of d_sets and Gamma[B, V - B] C = 0 plus a last row C(d) = 1 for
+    each set of c_sets (the empty set's D system has no columns and is
+    inconsistent). Each system is gathered, its vertices ascending and
     padded, from Gamma bordered by a zero vertex n for pads and vertex n + 1
-    for the target column and pin row: the solutions on C as (S, n) rows,
-    zero where inconsistent, and the (S,) consistency mask."""
-    n, index = g.n, []
+    for the target column and pin row."""
+    n, k, index = g.n, len(d_sets), []
+    inside = _members(n, [_check_b(g, d, b) for b in [*d_sets, *c_sets]])
+    pinned = np.arange(len(inside)) >= k
     ext = np.zeros((n + 2, n + 2), dtype=np.int64)
     ext[:n, :n] = g.gamma
     ext[d, n + 1] = ext[n + 1, d] = ext[n + 1, n + 1] = 1
-    for mask in (np.column_stack([rows, np.zeros(len(rows)), pinned]).astype(bool), cols):
+    for mask in (np.column_stack([inside ^ ~pinned[:, None], np.zeros(len(inside)), pinned]).astype(bool),
+                 inside ^ pinned[:, None]):
         count = mask.sum(axis=1)  # each row's vertices ascending, then pads
         order = np.argsort(~mask, axis=1, kind="stable")[:, : count.max(initial=0)]
         order[np.arange(order.shape[1]) >= count[:, None]] = n
         index.append(order)
-    r, c = index[0], np.column_stack([index[1], np.full(len(cols), n + 1)])
+    r, c = index[0], np.column_stack([index[1], np.full(len(inside), n + 1)])
     x, found = _solve_stack(ext[r.T[:, None, :], c.T[None, :, :]], g.q)
     out = np.zeros((len(x), n + 1), dtype=np.int64)
     out[np.arange(len(x))[:, None], c[:, :-1]] = x
-    return out[:, :n], found
+    return out[:k, :n], found[:k], out[k:, :n], found[k:]
 
 
 def witness_C(g: Multigraph, d: int, b_set) -> Multiset | None:
@@ -228,15 +225,8 @@ def witness_C(g: Multigraph, d: int, b_set) -> Multiset | None:
     B can screen the complement, call with b_set = V minus (B + {d}); the
     result is then supported on B + {d}.
     """
-    return witnesses_C(g, d, [b_set])[0]
-
-
-def witnesses_C(g: Multigraph, d: int, sets) -> list[Multiset | None]:
-    """witness_C of each set B, in order, from one stacked solve of
-    Gamma[B, V - B] C = 0 with C(d) = 1 pinned by a last row."""
-    inside = _members(g.n, [_check_b(g, d, b) for b in sets])
-    rows, found = _solve_cuts(g, d, inside, ~inside, np.ones(len(inside), dtype=bool))
-    return [Multiset.from_vector(g.q, row) if ok else None for row, ok in zip(rows, found)]
+    rows, found = witness_rows(g, d, [], [b_set])[2:]
+    return Multiset.from_vector(g.q, rows[0]) if found[0] else None
 
 
 def classify(g: Multigraph, d: int, b_set) -> AccessVerdict:

@@ -130,12 +130,6 @@ class DealerGraph:
         return self.graph.n - 1
 
 
-def neighbors_multiset(g: Multigraph, d) -> Multiset:
-    """Neighbour multiset Gamma.D over the full vertex set."""
-    vec = Multiset(g.q, d).as_vector(g.n)
-    return Multiset.from_vector(g.q, g.gamma @ vec)
-
-
 def delete_vertex(g: Multigraph, v: int) -> Multigraph:
     """Graph with vertex v removed; remaining vertices are re-indexed in
     order, so the result has order n - 1."""

@@ -28,8 +28,8 @@ import numpy as np
 
 from .fqlinalg import inv_mod, require_prime
 from .multigraph import Multigraph, delete_vertex, serialize_graph
-from .access import QUANTUM_VERDICT, _check_b, _index_array, _members, _pair_rows, _solve_cuts, batch_indicators
-from .access import verify_witness_pairs, witness_C, witness_D
+from .access import QUANTUM_VERDICT, _check_b, _index_array, _members, _pair_rows, batch_indicators
+from .access import verify_witness_pairs, witness_C, witness_D, witness_rows
 
 AMPLITUDE_BUDGET = 2_000_000
 # amplitudes in one stack of rows, a measurement's q powers counted
@@ -445,10 +445,10 @@ def _set_trace_distances(words: np.ndarray, sets, budget: int) -> list[float]:
     """The largest trace distance between the q codewords (rows of words)
     reduced to each set of site positions. Codeword s is a q^|B| x r matrix
     A_s, rho_s = A_s A_s^dagger. Up to 27 x 27, or when q r >= q^|B|, the
-    sets of one size form their reduced states STACK_CAP amplitudes at a
-    time, as one matmul of an (S, q, q^|B|, r) stack of factors (bit for bit
-    reduced_density's product when r >= 2, so only the full set calls it),
-    for _max_trace_distance. Otherwise one QR of [A_0 ... A_{q-1}] = Q R per
+    sets of one size stack their reduced states, STACK_CAP amplitudes at a
+    time, for _max_trace_distance: one matmul of a set's (q, q^|B|, r)
+    factors, bit for bit reduced_density's product when r >= 2 (the full set
+    calls reduced_density). Otherwise one QR of [A_0 ... A_{q-1}] = Q R per
     set gives rho_s - rho_t = Q (G_s - G_t) Q^dagger, G_s = R_s R_s^dagger:
     the same nonzero spectra from q r x q r Gram matrices, whose size the
     budget bounds as it bounds rho_s."""
@@ -476,8 +476,10 @@ def _set_trace_distances(words: np.ndarray, sets, budget: int) -> list[float]:
                 rhos = np.array([[reduced_density(StateVector._derived(q, n, w), sets[i], budget=budget)
                                   for w in words] for i in chunk])
             else:
-                a = np.array([factors(sets[i]) for i in chunk])
-                rhos = a @ np.ascontiguousarray(a.conj().swapaxes(-1, -2))
+                rhos = np.empty((len(chunk), q, q**size, q**size), dtype=np.complex128)
+                for k, i in enumerate(chunk):
+                    f = factors(sets[i])
+                    rhos[k] = f @ np.ascontiguousarray(f.conj().swapaxes(-1, -2))
             out.update(zip(chunk, _max_trace_distance(rhos)))
     return [float(out[i]) for i in range(len(sets))]
 
@@ -518,8 +520,9 @@ def _checked_witnesses(g: Multigraph, d: int, sets, d_rows, c_rows) -> tuple[np.
     q = g.q
     if c_rows is not None and ((c_rows := c_rows % q)[:, d] != 1).any():
         raise ValueError("witness C must have dealer coefficient 1")
-    inverse = np.array([0] + [inv_mod(a, q) for a in range(1, q)])
-    return d_rows * inverse[d_rows @ g.gamma[d] % q][:, None] % q, c_rows
+    alpha, where = np.unique(d_rows @ g.gamma[d] % q, return_inverse=True)
+    inverse = np.array([inv_mod(a, q) for a in alpha.tolist()], dtype=np.int64)
+    return d_rows * inverse[where][:, None] % q, c_rows
 
 
 @dataclass(frozen=True)
@@ -725,16 +728,13 @@ def qq_decode_bell(
 def _steering(g: Multigraph, d: int, sets) -> tuple[np.ndarray, np.ndarray]:
     """The _steering_rows of each checked player set for _bell_decode, and
     the mask of the sets that have no witness D or no witness C, whose rows
-    are the identity stand-ins. One stacked solve finds, for every distinct
-    set B, its D and its C over B + {d} (qss.access.witnesses_D of B and
-    witnesses_C of V - B - {d}, whose systems have about the same shape)."""
+    are the identity stand-ins. One witness_rows call finds, for every
+    distinct set B, its D and its C over B + {d} (witness_C of V - B - {d})."""
     at = {b: i for i, b in enumerate(dict.fromkeys(sets))}
-    keys, inside = list(at), _members(g.n, list(at))
-    hidden = ~inside
-    hidden[:, d] = False
-    pinned = np.repeat([False, True], len(keys))
-    sols, found = _solve_cuts(g, d, np.vstack([~inside, hidden]), np.vstack([inside, ~hidden]), pinned)
-    (d_rows, c_rows), ok = sols.reshape(2, len(keys), g.n), found.reshape(2, -1).all(axis=0)
+    keys = list(at)
+    d_rows, d_found, c_rows, c_found = witness_rows(g, d, keys, [[v for v in range(g.n) if v != d and v not in b]
+                                                                 for b in keys])
+    ok = d_found & c_found
     rows = np.zeros((len(keys), 2, 2 * g.n - 1), dtype=np.int64)
     rows[ok] = _steering_rows(g, d, [b for b, solved in zip(keys, ok) if solved], d_rows[ok], c_rows[ok])
     index = [at[b] for b in sets]
@@ -955,6 +955,7 @@ def oracle_reports(
         secret = rng.normal(size=g.q) + 1j * rng.normal(size=g.q)
         secrets[i] = _unit_secret(g.q, secret / np.linalg.norm(secret))
         draws[i, :4 if comp else 2] = rng.random(4 if comp else 2)
+    _admit(g.q ** (g.n + 1) if sets else 0, budget)  # the decode's budget, checked first
     max_td = _set_trace_distances(words, [[players.index(v) for v in b] for b in sets], budget)
     read = [i for i, comp in enumerate(comps) if comp and max_td[i] <= 1e-7]
     steering = _steering(g, d, sets + [comps[i] for i in read])[0]

@@ -29,8 +29,7 @@ from qss.access import (
     verify_witness_pair,
     witness_C,
     witness_D,
-    witnesses_C,
-    witnesses_D,
+    witness_rows,
 )
 from qss.fqlinalg import _float_type
 from qss.multigraph import Multigraph, Multiset, random_graph, rs747_fixture
@@ -418,12 +417,14 @@ def test_witness_c_exists_iff_hidden():
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(dealer_graphs(max_n=6))
 def test_stacked_witnesses_are_the_lowest_pivot_solutions(dg):
-    # every player set of the graph in one stacked solve per witness kind,
-    # against int_rref on each set's own unpadded system
+    # every player set of the graph, both witness kinds, in one stacked
+    # solve, against int_rref on each set's own unpadded system
     g, d = dg.graph, dg.dealer
     players = [v for v in range(g.n) if v != d]
     sets = list(all_subsets(players))
-    stacked_d, stacked_c = witnesses_D(g, d, sets), witnesses_C(g, d, sets)
+    rows = witness_rows(g, d, sets, sets)
+    stacked_d, stacked_c = ([Multiset.from_vector(g.q, row) if ok else None for row, ok in zip(rows[k], rows[k + 1])]
+                            for k in (0, 2))
     for b, got_d, got_c in zip(sets, stacked_d, stacked_c):
         rest = [v for v in range(g.n) if v not in b]
         x = int_solve(g.gamma[np.ix_(rest, b)].tolist(), [int(v == d) for v in rest], len(b), g.q)

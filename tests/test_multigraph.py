@@ -18,7 +18,6 @@ from qss.multigraph import (
     cut_matrix,
     delete_vertex,
     local_complement,
-    neighbors_multiset,
     parse_graph,
     random_graph,
     rs747_fixture,
@@ -130,6 +129,11 @@ def test_dealer_graph_range_check():
 
 
 # ------------------------------------------------------- worked 5-vertex example
+
+
+def neighbors_multiset(g: Multigraph, d) -> Multiset:
+    """Neighbour multiset Gamma.D over the full vertex set."""
+    return Multiset.from_vector(g.q, g.gamma @ Multiset(g.q, d).as_vector(g.n))
 
 
 def test_neighbors_printed_matrix():

@@ -4,6 +4,7 @@ These tests pin the simulator against hand-computable states and against the
 rank-algebra layer, so the two sides stay independent checks of each other.
 """
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -638,6 +639,32 @@ def test_set_trace_distance_budget_bounds_the_gram_matrices():
     with pytest.raises(BudgetExceeded, match="Gram"):
         _set_trace_distances(words, [[0, 1, 2]], 24)
     assert _set_trace_distances(words, [[0, 1, 2]], 25)[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_dense_trace_distances_hold_one_set_of_factors_at_a_time():
+    # q = 2, 12 players, the 220 sets of size 3 in one chunk: each set's
+    # (q, 8, 512) factors are the codewords themselves, so a copy per set
+    # would hold 220 copies; one set's factors and their copies plus the
+    # chunk's reduced states (at most STACK_CAP amplitudes) bound the peak
+    g = dealer_graph(13, 2, np.random.default_rng(100))
+    words = _codewords(g, 0, range(2), AMPLITUDE_BUDGET)
+    sets = [list(b) for b in combinations(range(12), 3)]
+    tracemalloc.start()
+    try:
+        _set_trace_distances(words, sets, AMPLITUDE_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * words.nbytes + 16 * STACK_CAP
+
+
+def test_oracle_reports_check_the_decode_budget_before_any_trace_distance(monkeypatch):
+    # q = 2, n = 6: the codewords fit 2^5 amplitudes, a decode needs 2^7, and
+    # the sweep raises for the decode before it takes a trace distance
+    g = parse_graph("q 2\nn 6\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 4 1\ne 3 5 1\ne 4 5 1\ne 1 4 1\ne 2 5 1\n")
+    monkeypatch.setattr(qss.oracle, "_set_trace_distances", lambda *args: pytest.fail("trace distance taken"))
+    with pytest.raises(BudgetExceeded, match="q\\^n = 128 amplitudes"):
+        oracle_reports(g, 0, [(1,), (2, 3)], np.random.default_rng(17), budget=64)
 
 
 def test_info_leak_past_the_dense_budget_when_the_factor_fits():

@@ -25,8 +25,11 @@ SOURCES = [*MODULES, *(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.p
 # q^cutrk, stabilizer eigenvalues, the sufficient access condition).
 # info_leak answers the trace distance of one set without a decode, so it
 # reaches sets whose Bell decode exceeds the amplitude budget: rs747 {1,2,3},
-# whose decode needs 7^9 amplitudes
-TEST_REFERENCES = ("schmidt_rank", "eigenvalue_label", "sufficient_condition_check", "info_leak")
+# whose decode needs 7^9 amplitudes. verify_witness_pair is the one-set form
+# of the paper's graphical access criterion; the oracle checks whole stacks
+# through verify_witness_pairs, and tests/test_access.py pins the criterion's
+# verdicts and domain errors through the one-set form
+TEST_REFERENCES = ("schmidt_rank", "eigenvalue_label", "sufficient_condition_check", "info_leak", "verify_witness_pair")
 
 
 def _references(tree: ast.AST) -> Counter:
