@@ -936,12 +936,12 @@ def oracle_reports(
     witnesses solved in fqlinalg, so a fidelity of 1 certifies access; the
     no_info verdict rests on the trace distances. The codewords are built
     once, and the code unitaries of every decoded set come from one stacked
-    solve per witness. Every draw comes first, in set-by-set order: a
-    secret, two uniforms for the set's decode and two for a nonempty
-    complement's. The trace distances come next, and then one stacked pass
-    Bell-decodes the sets and the nonempty complements of the sets with
-    every trace distance at most 1e-7; a complement's fidelity is read only
-    where its set's is below 1 - 1e-7.
+    witness solve. Every draw comes first, in set-by-set order: a secret,
+    two uniforms for the set's decode and two for a nonempty complement's.
+    The decode's budget is checked, the trace distances come next, and then
+    one stacked pass Bell-decodes the sets and the nonempty complements of
+    the sets with every trace distance at most 1e-7; a complement's fidelity
+    is read only where its set's is below 1 - 1e-7.
     """
     sets = [_check_b(g, d, b) for b in sets]
     words = _codewords(g, d, range(g.q), budget)
@@ -955,7 +955,7 @@ def oracle_reports(
         secret = rng.normal(size=g.q) + 1j * rng.normal(size=g.q)
         secrets[i] = _unit_secret(g.q, secret / np.linalg.norm(secret))
         draws[i, :4 if comp else 2] = rng.random(4 if comp else 2)
-    _admit(g.q ** (g.n + 1) if sets else 0, budget)  # the decode's budget, checked first
+    _admit(g.q ** (g.n + 1) if sets else 0, budget)
     max_td = _set_trace_distances(words, [[players.index(v) for v in b] for b in sets], budget)
     read = [i for i, comp in enumerate(comps) if comp and max_td[i] <= 1e-7]
     steering = _steering(g, d, sets + [comps[i] for i in read])[0]
