@@ -6,21 +6,24 @@ witnesses that the rank machinery solves. Phases are tracked as integer powers
 of omega = exp(2*pi*i/q), inside WeylOperator or in stacks of exponent rows,
 and only turned into floats when an operator hits a state.
 
-Every projective measurement is a Weyl measurement through _measure_rows,
-sampled by _draw_rows on one uniform: the dealer's X^t Z and the players'
-X^{x_i} Z^{z_i} in a round, the Bell decode's syndromes, the appendix E1
-Bell measurement (the Bell preparation undone, then Z on both sites) and
-the E2 dealer's X.
+Every projective measurement is a Weyl measurement under one label rule,
+_collapse, sampled by _draw_rows on one uniform: the dealer's X^t Z and the
+players' X^{x_i} Z^{z_i} in a round and the appendix E1 Bell measurement's
+two Z and E2 dealer's X, each on its one site (_measure_site), and the Bell
+decode's syndromes, through full-register powers (_measure_rows).
 
-Site ordering: a StateVector over m qudits reshapes to [q]*m with axis j
-holding site j's digit, most significant first. States on the player
-subsystem order the players by ascending vertex index.
+Site ordering: states are flat amplitude rows (S, q^m), a StateVector
+being the record of one row; site j is the j-th digit of the flat index,
+most significant first. States on the player subsystem order the players
+by ascending vertex index. _on_site applies a (k, q) matrix to one site of
+every row: the Fourier steps, the projections, the Bell decode's
+correction and the collapse of every one-site measurement.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cache
 from itertools import combinations
 
@@ -59,64 +62,24 @@ def _check_norms(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """Dense pure state of m qudits of prime dimension q."""
+    """Dense pure state of n qudits of prime dimension q: one flat row of q^n amplitudes."""
 
-    def __init__(self, q: int, n: int, amplitudes, budget: int = AMPLITUDE_BUDGET):
-        require_prime(q)
-        _admit(q**n, budget)
-        self.q, self.n = q, n
-        self.amplitudes = np.asarray(amplitudes, dtype=np.complex128).reshape(q**n).copy()
+    q: int
+    n: int
+    amplitudes: np.ndarray
+    budget: InitVar[int] = AMPLITUDE_BUDGET
 
-    @classmethod
-    def _derived(cls, q: int, n: int, amplitudes) -> "StateVector":
-        """Wrap amplitudes already admitted by an entry-point budget check.
-
-        Measurement collapses, single-site unitaries and projections never
-        grow the register, so re-checking against the default budget would
-        wrongly reject states a caller explicitly allowed.
-        """
-        sv = cls.__new__(cls)
-        sv.q, sv.n = q, n
-        sv.amplitudes = np.asarray(amplitudes, dtype=np.complex128).reshape(q**n)
-        return sv
-
-    @classmethod
-    def computational(cls, q: int, n: int, digits) -> "StateVector":
-        digits = list(digits)
-        if len(digits) != n:
-            raise ValueError("one digit per site required")
-        index = sum(int(x) % q * q ** (n - 1 - v) for v, x in enumerate(digits))
-        amps = np.zeros(q**n, dtype=np.complex128)
-        amps[index] = 1.0
-        return cls(q, n, amps)
-
-    def grid(self) -> np.ndarray:
-        """View as an n-axis array, axis j = site j, most significant first."""
-        return self.amplitudes.reshape([self.q] * self.n)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def check_normalized(self) -> "StateVector":
-        _check_norms(self.amplitudes[None])
-        return self
-
-    def inner(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def tensor(self, other: "StateVector", budget: int = AMPLITUDE_BUDGET) -> "StateVector":
-        if other.q != self.q:
-            raise ValueError("tensor factors must share the qudit dimension")
-        return StateVector(self.q, self.n + other.n, np.kron(self.amplitudes, other.amplitudes), budget=budget)
-
-    def __repr__(self):
-        return f"StateVector(q={self.q}, n={self.n})"
+    def __post_init__(self, budget: int):
+        require_prime(self.q)
+        _admit(self.q**self.n, budget)
+        object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=np.complex128).reshape(self.q**self.n))
 
 
 def state_fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2 for pure states."""
-    return abs(a.inner(b)) ** 2
+    return abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
 
 
 @dataclass(frozen=True)
@@ -232,8 +195,8 @@ def apply_weyl(state: StateVector, w: WeylOperator) -> StateVector:
     """W|x> = omega^{phase + b.x} |x + a>, applied over the whole register."""
     if w.q != state.q or w.n != state.n:
         raise ValueError("operator does not match the state register")
-    out = _weyl_powers(state.q, state.amplitudes[None], *_exponents([w]), 1)[1][0]
-    return StateVector._derived(state.q, state.n, out).check_normalized()
+    out = _check_norms(_weyl_powers(state.q, state.amplitudes[None], *_exponents([w]), 1)[1])[0]
+    return StateVector(state.q, state.n, out, budget=out.size)  # a map does not grow the register
 
 
 def stabilizer_generator(g: Multigraph, u: int) -> WeylOperator:
@@ -275,7 +238,7 @@ def graph_state(g: Multigraph, budget: int = AMPLITUDE_BUDGET) -> StateVector:
     for u, v, w in g.edges():
         exp = exp + w * digit[u] * digit[v]
     amps = omega_table(q)[exp % q] * (q ** (-n / 2))
-    return StateVector._derived(q, n, amps).check_normalized()
+    return StateVector(q, n, _check_norms(amps.reshape(1, -1))[0], budget)
 
 
 def _draw_rows(weights: np.ndarray, uniforms) -> tuple[np.ndarray, np.ndarray]:
@@ -300,28 +263,78 @@ def measure_weyl(state: StateVector, w: WeylOperator, rng: np.random.Generator):
     are omega^m and the projectors are the discrete Fourier sums of W^j.
     For q = 2 an operator with odd x.z = sum_v x_v z_v squares to -I; the
     measured observable is then -iW and the label m means eigenvalue
-    i * (-1)^m of W itself. Even x.z keeps the plain (-1)^m convention.
+    i * (-1)^m of W itself. Even x.z keeps the plain (-1)^m convention. An
+    operator on one site is measured there alone, others on the register.
     """
     if w.q != state.q or w.n != state.n:
         raise ValueError("operator does not match the state register")
-    labels, out = _measure_rows(state.q, state.amplitudes[None], *_exponents([w]), rng.random)
-    return int(labels[0]), StateVector._derived(state.q, state.n, out[0])
+    x, z, phase = _exponents([w])
+    on = np.flatnonzero(x[0] | z[0])  # the sites w acts on
+    args = (state.q, state.amplitudes[None], x, z, phase, rng.random)
+    labels, out = _measure_site(*args, int(on[0])) if len(on) == 1 else _measure_rows(*args)
+    return int(labels[0]), StateVector(state.q, state.n, out[0], budget=out.size)
 
 
 def _measure_rows(q: int, psi: np.ndarray, x, z, phase, uniforms) -> tuple[np.ndarray, np.ndarray]:
     """measure_weyl on each row of psi (S, q^m) with its own operator and
-    uniform: the labels (S,) and the collapsed rows. Every reduction runs
-    along one row, so a row's floats do not depend on the stack it sits in."""
-    j = np.arange(q)
+    uniform, through q - 1 full-register powers: the labels (S,) and the
+    collapsed rows. Every reduction runs along one row, so a row's floats
+    do not depend on the stack it sits in."""
     powers = _weyl_powers(q, psi, x, z, phase, q - 1)
-    if q == 2:  # odd x.z measures -iW
-        powers[1] = powers[1] * np.where((x * z).sum(axis=-1) % 2, -1j, 1)[:, None]
-    # the projector onto label m is sum_j coef[m, j] W^j / q
-    coef = omega_table(q)[-j[:, None] * j % q]
     expect = np.stack([np.vecdot(psi, p) for p in powers], axis=-1)  # <psi|W^j|psi>
+    return _collapse(q, x, z, expect, uniforms, lambda c: sum(c[:, i, None] * p for i, p in enumerate(powers)) / q)
+
+
+def _measure_site(q: int, psi: np.ndarray, x, z, phase, uniforms, site: int) -> tuple[np.ndarray, np.ndarray]:
+    """_measure_rows for operators on the given site alone: <psi|W^j|psi>
+    from its q x q reduced state, the label's projector through _on_site."""
+    wj = _site_powers(q, x[:, site], z[:, site], phase)
+    expect = np.einsum("sjab,sba->sj", wj, _site_density(q, psi, site))
+    return _collapse(q, x, z, expect, uniforms, lambda c: _on_site(q, psi, site, np.einsum("sj,sjab->sab", c / q, wj)))
+
+
+def _collapse(q: int, x, z, expect: np.ndarray, uniforms, project) -> tuple[np.ndarray, np.ndarray]:
+    """The labels _draw_rows draws from the expectations (S, q) of W^j, and
+    project(c) for each label's coefficients c (S, q) of W^j, normalised."""
+    j = np.arange(q)
+    odd = (x * z).sum(axis=-1) % 2 if q == 2 else np.zeros(len(expect), dtype=np.int64)
+    # the projector onto label m is sum_j coef[s, m, j] W_s^j / q; odd x.z measures -iW
+    coef = omega_table(q)[-j[:, None] * j % q] * np.where(odd[:, None] & (j == 1), -1j, 1)[:, None]
     labels, _ = _draw_rows((coef * expect[:, None]).sum(axis=-1).real / q, uniforms)
-    proj = sum(coef[labels, i, None] * p for i, p in enumerate(powers)) / q
-    return labels, _check_norms(proj / _norms(proj)[:, None])
+    proj = project(coef[np.arange(len(expect)), labels])
+    proj /= _norms(proj)[:, None]  # in place: one full-register allocation fewer per measurement
+    return labels, _check_norms(proj)
+
+
+def _site_powers(q: int, a, b, p) -> np.ndarray:
+    """W^0, ..., W^{q-1} as q x q matrices on one site, for W = omega^p X^a
+    Z^b per entry of the exponents a, b, p (S,): (S, q, q, q), indexed
+    [s, j, row, column], W^j|c> = omega^{jp + jbc + C(j,2)ab} |c + ja>."""
+    j, r, c = np.arange(q)[:, None, None], np.arange(q)[:, None], np.arange(q)
+    a, b, p = (np.asarray(e, dtype=np.int64)[:, None, None, None] % q for e in (a, b, p))
+    e = j * p + j * b % q * c + j * (j - 1) // 2 % q * a % q * b
+    return (r == (c + j * a) % q) * omega_table(q)[e % q]
+
+
+def _site_density(q: int, rows: np.ndarray, site: int) -> np.ndarray:
+    """The q x q reduced state rho[s, i, j] = sum psi_i psi_j^* of one site of each row (S, q^m)."""
+    grid = np.ascontiguousarray(rows.reshape(len(rows), q**site, q, -1).transpose(0, 2, 1, 3)).reshape(len(rows), q, -1)
+    return np.vecdot(grid[:, None], grid[:, :, None])
+
+
+def _on_site(q: int, rows: np.ndarray, site: int, mat: np.ndarray) -> np.ndarray:
+    """The (k, q) matrix mat, or one (S, k, q) per row, applied to one site
+    of every row (S, q^m). With k = 1 the site is projected out, mat's row
+    being the bra: each row is renormalised, and raises AssertionError
+    unless its norm was within 1e-7 of 1, the site being in that state. The
+    site's axis goes last (a copy unless it is the last site), so each row
+    takes one product."""
+    grid = rows.reshape(len(rows), q**site, q, -1).swapaxes(2, 3)
+    out = grid.reshape(len(rows), -1, q) @ np.swapaxes(mat, -1, -2)
+    out = out.reshape(*grid.shape[:3], -1).swapaxes(2, 3).reshape(len(rows), -1)
+    if mat.shape[-2] == 1 and (bad := abs((norms := _norms(out)) - 1.0) > 1e-7).any():
+        raise AssertionError(f"site {site} is not in the expected product state (residual norm {norms[bad][0]})")
+    return out / norms[:, None] if mat.shape[-2] == 1 else out
 
 
 def eigenvalue_label(state: StateVector, w: WeylOperator) -> int:
@@ -360,7 +373,7 @@ def cq_encode(g: Multigraph, d: int, s: int, budget: int = AMPLITUDE_BUDGET) -> 
     """Classical codeword |s_L> = Z^s on the dealer's neighbours applied to
     the dealer-deleted graph state. Lives on the n-1 players in vertex
     order."""
-    return StateVector._derived(g.q, g.n - 1, _codewords(g, d, [s], budget)[0])
+    return StateVector(g.q, g.n - 1, _codewords(g, d, [s], budget)[0], budget)
 
 
 def _unit_secret(q: int, secret) -> np.ndarray:
@@ -383,7 +396,7 @@ def qq_encode(g: Multigraph, d: int, secret, budget: int = AMPLITUDE_BUDGET) -> 
     """Quantum codeword sum_j secret[j] |j_L>. Checks the isometry."""
     secret = _unit_secret(g.q, secret)
     support = np.flatnonzero(secret).tolist()
-    return StateVector._derived(g.q, g.n - 1, _superpose(_codewords(g, d, support, budget), secret[None, support])[0])
+    return StateVector(g.q, g.n - 1, _superpose(_codewords(g, d, support, budget), secret[None, support])[0], budget)
 
 
 def _register_sites(state: StateVector, sites) -> list[int]:
@@ -400,7 +413,7 @@ def reduced_density(state: StateVector, sites, budget: int = AMPLITUDE_BUDGET) -
     if state.q ** (2 * len(keep)) > budget:
         raise BudgetExceeded("reduced density matrix exceeds the amplitude budget")
     drop = [s for s in range(state.n) if s not in keep]
-    grid = state.grid()
+    grid = state.amplitudes.reshape([state.q] * state.n)
     rho = np.tensordot(grid, grid.conj(), axes=(drop, drop))
     return rho.reshape(2 * [state.q ** len(keep)])
 
@@ -428,7 +441,7 @@ def leak_profile(g: Multigraph, d: int, b_set, budget: int = AMPLITUDE_BUDGET) -
     players = _player_order(g, d)
     pos = [players.index(v) for v in _check_b(g, d, b_set)]
     words = _codewords(g, d, range(g.q), budget)
-    return [reduced_density(StateVector._derived(g.q, g.n - 1, word), pos, budget=budget) for word in words]
+    return [reduced_density(StateVector(g.q, g.n - 1, word, budget), pos, budget=budget) for word in words]
 
 
 def _max_trace_distance(mats: np.ndarray) -> np.ndarray:
@@ -473,7 +486,7 @@ def _set_trace_distances(words: np.ndarray, sets, budget: int) -> list[float]:
         step = max(1, STACK_CAP // q ** (2 * size + 1))
         for chunk in (group[lo:lo + step] for lo in range(0, len(group), step)):
             if size == n:
-                rhos = np.array([[reduced_density(StateVector._derived(q, n, w), sets[i], budget=budget)
+                rhos = np.array([[reduced_density(StateVector(q, n, w, budget), sets[i], budget=budget)
                                   for w in words] for i in chunk])
             else:
                 rhos = np.empty((len(chunk), q, q**size, q**size), dtype=np.complex128)
@@ -500,7 +513,7 @@ def schmidt_rank(state: StateVector, sites) -> int:
     For a graph state |G> the Schmidt rank across (B, rest) is q^cutrk(B).
     """
     keep = _register_sites(state, sites)
-    grid = np.moveaxis(state.grid(), keep, range(len(keep)))
+    grid = np.moveaxis(state.amplitudes.reshape([state.q] * state.n), keep, range(len(keep)))
     mat = grid.reshape(state.q ** len(keep), -1)
     sing = np.linalg.svd(mat, compute_uv=False)
     return int((sing > 1e-7).sum())
@@ -717,8 +730,11 @@ def qq_decode_bell(
     The witnesses D and C are solved here. When either does not exist the
     identity operators stand in (used_fallback = True); the measurements
     then fail to steer and the reported fidelity stays below 1. A set that
-    holds the dealer or leaves the vertex range raises ValueError.
+    holds the dealer or leaves the vertex range raises ValueError, as does
+    an encoded register other than the graph's n - 1 players.
     """
+    if (encoded.q, encoded.n) != (g.q, g.n - 1):
+        raise ValueError("operator does not match the state register")
     steering, fallback = _steering(g, d, [_check_b(g, d, b_set)])
     rho, syndrome = _bell_decode(g.q, steering, encoded.amplitudes[None], rng.random((1, 2)), budget)
     return BellDecodeResult(_top_eigenvector(rho[0])[1], _fidelity(rho[0], expected), tuple(syndrome[0].tolist()),
@@ -765,11 +781,10 @@ def _bell_decode(q: int, steering: np.ndarray, encoded: np.ndarray, uniforms: np
     k, full = _measure_rows(q, full, pad(-vx, -1, 0), pad(-vz, 0, 0), (vx * vz).sum(axis=-1) - vp, uniforms[:, 0])
     l_label, full = _measure_rows(q, full, pad(ux, 0, 0), pad(uz, -1, 0), up, uniforms[:, 1])
     l = -l_label % q
-    # Z^k X^{-l} = omega^{-kl} X^{-l} Z^k on a2
-    full = _check_norms(_weyl_powers(q, full, pad(0 * ux, 0, -l), pad(0 * ux, 0, k), -k * l, 1)[1])
-    # rho[i, j] = sum_r psi[r, i] psi[r, j]^*, summed along each row's last axis
-    a2 = np.ascontiguousarray(full.reshape(len(full), -1, q).transpose(0, 2, 1))
-    return np.vecdot(a2[:, None], a2[:, :, None]), np.stack([k, l], axis=1)
+    # Z^k X^{-l} = omega^{-kl} X^{-l} Z^k on a2, the last site
+    last = ux.shape[1] + 1
+    full = _check_norms(_on_site(q, full, last, _site_powers(q, -l, k, -k * l)[:, 1]))
+    return _site_density(q, full, last), np.stack([k, l], axis=1)
 
 
 def _fidelity(rho: np.ndarray, expected) -> float:
@@ -789,32 +804,15 @@ def apply_controlled(state: StateVector, control: int, w: WeylOperator) -> State
     if w.q != state.q or w.n != state.n - 1:
         raise ValueError("operator does not match the state register")
     q = state.q
-    grid = np.moveaxis(state.grid(), control, 0).reshape(q, -1)
+    grid = np.moveaxis(state.amplitudes.reshape([q] * state.n), control, 0).reshape(q, -1)
     grid = _weyl_powers(q, grid, *_exponents([w**j for j in range(q)]), 1)[1]
-    out = np.moveaxis(grid.reshape([q] * state.n), 0, control)
-    return StateVector._derived(q, state.n, out).check_normalized()
+    out = np.moveaxis(grid.reshape([q] * state.n), 0, control).reshape(1, -1)
+    return StateVector(q, state.n, _check_norms(out)[0], budget=out.size)
 
 
 def _fourier_matrix(q: int) -> np.ndarray:
     j = np.arange(q)
     return omega_table(q)[np.outer(j, j) % q] / np.sqrt(q)
-
-
-def _apply_site(state: StateVector, site: int, mat: np.ndarray) -> StateVector:
-    """The q x q matrix mat applied to one site of the register."""
-    grid = np.tensordot(mat, np.moveaxis(state.grid(), site, 0), axes=(1, 0))
-    return StateVector._derived(state.q, state.n, np.moveaxis(grid, 0, site))
-
-
-def _project_site(state: StateVector, site: int, vec: np.ndarray) -> StateVector:
-    """Contract one site against a unit vector; errors if the site was not
-    exactly in that state (norm loss above 1e-7)."""
-    grid = np.moveaxis(state.grid(), site, 0)
-    res = np.tensordot(vec.conj(), grid, axes=(0, 0))
-    norm = np.linalg.norm(res)
-    if abs(norm - 1.0) > 1e-7:
-        raise AssertionError(f"site {site} is not in the expected product state (residual norm {norm})")
-    return StateVector._derived(state.q, state.n - 1, res / norm)
 
 
 def encode_decode_variants(
@@ -852,37 +850,38 @@ def encode_decode_variants(
     players = _player_order(g, d)
     if mode in ("E1", "E2") and rng is None:
         raise ValueError(f"mode {mode} simulates a measurement and needs rng")
+    # m applied to site v of a register; a one-row m projects the site out
+    on_site = lambda sv, v, m: StateVector(q, sv.n - (len(m) == 1), _on_site(q, sv.amplitudes[None], v, m)[0], budget)
 
     if mode == "E1":
-        full = StateVector(q, 1, secret).tensor(graph_state(g, budget=budget), budget=budget)
+        full = StateVector(q, 1 + g.n, np.kron(secret, graph_state(g, budget=budget).amplitudes), budget)
         # undo the Bell preparation on (secret, dealer), controlled-X^{-1} then
         # Fourier^dagger, which takes |beta_kl> = sum_i omega^{ki} |i, i+l> / sqrt(q)
         # to |k, l>, and measure Z on both sites
         on, zero = np.eye(1 + g.n, dtype=np.int64), (0,) * (1 + g.n)
         full = apply_controlled(full, 0, WeylOperator(q, -on[1 + d, 1:], zero[1:]))
-        full = _apply_site(full, 0, _fourier_matrix(q).conj().T)
+        full = on_site(full, 0, _fourier_matrix(q).conj().T)
         k, full = measure_weyl(full, WeylOperator(q, zero, on[0]), rng)
         l, full = measure_weyl(full, WeylOperator(q, zero, on[1 + d]), rng)
         # remaining axes: the players in vertex order
-        rest = _project_site(_project_site(full, 0, np.eye(q)[k]), d, np.eye(q)[l])
+        rest = on_site(on_site(full, 0, np.eye(q)[[k]]), d, np.eye(q)[[l]])
         return apply_weyl(rest, (logical_z(g, d) ** k) @ (logical_x(g, d) ** ((-l) % q)))
 
     if mode == "E2" or mode == "E3":
         # register: dealer wire first, then players in vertex order
         zero_l = cq_encode(g, d, 0, budget=budget)
-        full = StateVector(q, 1, secret).tensor(zero_l, budget=budget)
+        full = StateVector(q, g.n, np.kron(secret, zero_l.amplitudes), budget)
         xbar, zbar = logical_x(g, d), logical_z(g, d)
         full = apply_controlled(full, 0, xbar)
         if mode == "E2":
-            # label j leaves the dealer wire in column j of the conjugate
-            # Fourier matrix, the X eigenvector of eigenvalue omega^j, so the
-            # leftover phase on |s_L> is omega^{js} and Zbar^{-j} removes it.
+            # label j leaves the dealer wire in column j of the conjugate Fourier
+            # matrix (whose bra is row j of the Fourier matrix), the X eigenvector of
+            # eigenvalue omega^j, so Zbar^{-j} removes the leftover phase omega^{js}.
             j, full = measure_weyl(full, WeylOperator(q, np.arange(full.n) == 0, (0,) * full.n), rng)
-            full = _project_site(full, 0, _fourier_matrix(q).conj()[:, j])
+            full = on_site(full, 0, _fourier_matrix(q)[[j]])
             return apply_weyl(full, zbar ** ((-j) % q))
-        full = apply_controlled(_apply_site(full, 0, _fourier_matrix(q)), 0, zbar.inverse())
-        plus = np.ones(q, dtype=np.complex128) / np.sqrt(q)
-        return _project_site(full, 0, plus)
+        full = apply_controlled(on_site(full, 0, _fourier_matrix(q)), 0, zbar.inverse())
+        return on_site(full, 0, np.ones((1, q)) / np.sqrt(q))
 
     if mode in ("D2", "D3"):
         steering, fallback = _steering(g, d, [_check_b(g, d, players if b_set is None else b_set)])
@@ -890,15 +889,15 @@ def encode_decode_variants(
             raise ValueError("decoding variants need an authorized player set")
         u_op, v_op = (WeylOperator(q, *_split(row)) for row in steering[0])
         encoded = qq_encode(g, d, secret, budget=budget)
-        plus = StateVector(q, 1, np.ones(q, dtype=np.complex128) / np.sqrt(q))
-        full = encoded.tensor(plus, budget=budget)  # ancilla is the last axis
+        # the ancilla |+> is the last site
+        full = StateVector(q, g.n, np.kron(encoded.amplitudes, np.ones(q) / np.sqrt(q)), budget)
         anc = full.n - 1
         full = apply_controlled(full, anc, v_op.inverse())
         if mode == "D2":
             return full
         fmat = _fourier_matrix(q)
-        full = apply_controlled(_apply_site(full, anc, fmat), anc, u_op)
-        full = _apply_site(full, anc, fmat.conj().T)
+        full = apply_controlled(on_site(full, anc, fmat), anc, u_op)
+        full = on_site(full, anc, fmat.conj().T)
         val, top = _top_eigenvector(reduced_density(full, [anc], budget=budget))
         if val < 1.0 - 1e-7:
             raise AssertionError("ancilla failed to decouple; decoding is not exact here")

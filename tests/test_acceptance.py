@@ -451,8 +451,8 @@ def test_criterion_12_variant_equivalence():
 
             _, v_op = code_unitaries(g, 0, players, dms, cms)
             undone = apply_controlled(joint, joint.n - 1, v_op)
-            plus = StateVector(g.q, 1, np.ones(g.q) / np.sqrt(g.q))
-            worst = min(worst, state_fidelity(undone, ref.tensor(plus)))
+            with_plus = StateVector(g.q, g.n, np.kron(ref.amplitudes, np.ones(g.q) / np.sqrt(g.q)))
+            worst = min(worst, state_fidelity(undone, with_plus))
 
             recovered = encode_decode_variants(g, 0, "D3", sec)
             worst = min(worst, float(abs(np.vdot(sec, recovered)) ** 2))

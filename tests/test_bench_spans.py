@@ -60,3 +60,21 @@ def test_tracer_hooks_run_on_one_call_per_command(tmp_path, capsys):
     assert metrics["search.exhaustive_search.graphs_checked"][0] > 0
     assert metrics["oracle.peak_amplitudes"][0] > 0
     assert tracer.counts["search.batch_accessible_at_k.slots"] > 0
+
+
+def test_tracer_hooks_read_the_state_record_in_a_round(tmp_path, capsys):
+    # the measure_weyl hook reads .amplitudes.size off its first argument,
+    # which cq_round passes as a StateVector
+    star = tmp_path / "star.graph"
+    star.write_text(serialize_graph(Multigraph(3, [[0, 1, 1], [1, 0, 0], [1, 0, 0]])))
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        code = qss.cli.main(["cq-round", str(star), "--dealer", "0", "--set", "1,2", "--rounds", "1", "--seed", "1"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracer.layer_metrics({})
+    assert code == 0
+    assert metrics["oracle.measure_weyl.calls"][0] > 0
+    assert metrics["oracle.peak_amplitudes"][0] > 0

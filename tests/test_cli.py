@@ -423,7 +423,11 @@ def test_oracle_verify_size_cap(capsys, star_file):
 # stacks of player sets, whose sums run along each row alone: 28 of the 32
 # moved, by at most 1.7e-15 (q5's (1, 2) 0.9999999999999983 -> 1.0, (1, 2, 3)
 # 1.0000000000000009 -> 0.9999999999999998; q2's (2, 3, 4) 1.0000000000000007
-# -> 0.9999999999999999); no verdict or trace distance moved.
+# -> 0.9999999999999999); no verdict or trace distance moved. Re-captured
+# when the Bell decode's correction Z^k X^{-l} became a q x q matrix on the
+# second ancilla: two q5 fidelities moved by 2.8e-17 (() 0.04955859660037572
+# -> 0.04955859660037571, (2, 3) 0.15309321918386545 -> 0.15309321918386543);
+# q2 and q3 did not move.
 ORACLE_PINS = {
     "q2": ("q 2\nn 5\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 3 1\ne 3 4 1\ne 1 4 1\n", 7, "84dd5c0bd4aaaf5b", [
         ((), "no_info", 0.0, 0.7553505920066483),
@@ -454,13 +458,13 @@ ORACLE_PINS = {
         ((1, 2, 3), "accessible", 1.0, 0.9999999999999998),
     ]),
     "q5": ("q 5\nn 4\ne 0 1 2\ne 0 2 3\ne 1 2 4\ne 2 3 1\n", 5, "c918e658065311fc", [
-        ((), "no_info", 0.0, 0.04955859660037572),
+        ((), "no_info", 0.0, 0.04955859660037571),
         ((1,), "partial", 1.3606863475249125e-16, 0.42850784290820804),
         ((2,), "no_info", 1.4512434180810912e-16, 0.6727335955441636),
         ((3,), "no_info", 1.220701126699668e-16, 0.2541843783623138),
         ((1, 2), "accessible", 1.0000000000000007, 1.0),
         ((1, 3), "accessible", 1.0000000000000007, 0.9999999999999998),
-        ((2, 3), "partial", 2.1386647320189016e-16, 0.15309321918386545),
+        ((2, 3), "partial", 2.1386647320189016e-16, 0.15309321918386543),
         ((1, 2, 3), "accessible", 1.0000000000000004, 0.9999999999999998),
     ]),
 }
@@ -521,12 +525,14 @@ def test_oracle_verify_report_pinned_q2_n6(capsys, tmp_path):
 # were re-captured when the Bell decode came to run on stacks of player sets
 # (q3n5 1f840afd... -> 7110b89f..., q5n4 2a623843... -> 78dd4941..., q2n6-max1
 # 23c7960e... -> a5ecb41a...): only decode fidelities moved, by at most
-# 6.7e-16.
+# 6.7e-16. q5n4 was re-captured (78dd4941... -> 0c74d929...) when the Bell
+# decode's correction became a q x q matrix on the second ancilla: two
+# fidelities moved by 2.8e-17; q3n5 and q2n6-max1 did not move.
 ORACLE_PINS_BY_SHA = {
     "q3n5": ("q 3\nn 5\ne 0 3 2\ne 0 4 1\ne 1 2 1\ne 2 3 1\ne 2 4 1\ne 3 4 1\n", 17, [], 16,
              "7110b89f328246eae5077826bd47a0ea94b6bfe1e68e46537629037b9a384b02"),
     "q5n4": ("q 5\nn 4\ne 0 1 3\ne 0 2 1\ne 0 3 1\ne 1 2 2\ne 1 3 3\ne 2 3 1\n", 17, [], 8,
-             "78dd4941db2834f675f0a14430363007913dce48d117b8986729c478027344d2"),
+             "0c74d929e365e86f7d8863ef1297a91db133d09856f54ba37052a641c684f04d"),
     "q2n6-max1": (ORACLE_PIN_Q2N6[0], 13, ["--max-size", "1"], 6,
                   "a5ecb41aa90a259b4bdf01724124467df658ea17920d6218c1e1b5dc9281eb59"),
 }

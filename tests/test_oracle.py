@@ -5,6 +5,7 @@ rank-algebra layer, so the two sides stay independent checks of each other.
 """
 
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from itertools import combinations
 
 import numpy as np
@@ -20,15 +21,19 @@ from qss.oracle import (
     BudgetExceeded,
     StateVector,
     WeylOperator,
-    _apply_site,
     _bell_decode,
+    _check_norms,
     _codewords,
     _draw_rows,
     _exponents,
     _fidelity,
     _fourier_matrix,
     _measure_rows,
+    _measure_site,
+    _on_site,
     _set_trace_distances,
+    _site_density,
+    _site_powers,
     _stabilizer_product,
     _steering,
     _steering_rows,
@@ -96,13 +101,22 @@ def random_secret(rng, q):
 # ---------------------------------------------------------------- state vector
 
 
-def test_computational_state_and_grid():
-    s = StateVector.computational(3, 2, [2, 1])
-    assert s.amplitudes[2 * 3 + 1] == 1.0
-    assert s.grid()[2, 1] == 1.0
-    assert s.norm() == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="digit"):
-        StateVector.computational(3, 2, [1])
+def basis(q, *digits):
+    """The flat row of the basis state |digits>, site 0 most significant."""
+    row = np.zeros(q ** len(digits), dtype=np.complex128)
+    row[np.ravel_multi_index(digits, [q] * len(digits))] = 1.0
+    return row
+
+
+def test_site_j_is_the_jth_digit_most_significant_first():
+    # |2, 1> on two qutrits sits at flat index 2 * 3 + 1; the per-site
+    # helpers read site 0 as the leading digit
+    rows = basis(3, 2, 1)[None]
+    assert rows[0, 7] == 1.0 and rows.reshape(3, 3)[2, 1] == 1.0
+    assert np.array_equal(_site_density(3, rows, 0)[0], np.diag([0, 0, 1]))
+    assert np.array_equal(_site_density(3, rows, 1)[0], np.diag([0, 1, 0]))
+    assert np.array_equal(_on_site(3, rows, 0, np.eye(3)[[2]]), basis(3, 1)[None])
+    assert np.array_equal(_on_site(3, rows, 1, np.roll(np.eye(3), 1, axis=0)), basis(3, 2, 2)[None])
 
 
 def test_state_budget_guard():
@@ -112,22 +126,32 @@ def test_state_budget_guard():
     StateVector(5, 10, np.zeros(5**10), budget=10_000_000)
 
 
-def test_tensor_budget_and_dimension_check():
-    a = StateVector.computational(3, 1, [0])
-    b = StateVector.computational(3, 1, [1])
-    ab = a.tensor(b)
-    assert ab.n == 2
-    assert ab.grid()[0, 1] == 1.0
-    with pytest.raises(ValueError, match="dimension"):
-        a.tensor(StateVector.computational(5, 1, [0]))
-    with pytest.raises(ValueError, match="budget"):
-        a.tensor(b, budget=2)
+def test_state_record_checks_its_register():
+    with pytest.raises(ValueError, match="prime"):
+        StateVector(4, 1, np.ones(4) / 2)
+    with pytest.raises(ValueError, match="reshape"):
+        StateVector(3, 2, np.ones(8))
+    with pytest.raises(FrozenInstanceError):
+        StateVector(3, 1, basis(3, 0)).n = 2
 
 
-def test_check_normalized_drift():
-    s = StateVector(3, 1, [1.0, 1.0, 0.0])
+@pytest.mark.parametrize("mode, grown", [("E1", 3**4), ("E2", 3**3), ("E3", 3**3), ("D2", 3**3), ("D3", 3**3)])
+def test_variants_check_the_budget_where_the_register_grows(mode, grown):
+    # the star's graph state (27 amplitudes) and codewords (9) fit a budget
+    # that the register grown by the secret or ancilla site exceeds
+    rng = np.random.default_rng(1)
+    with pytest.raises(BudgetExceeded, match=f"q\\^n = {grown} amplitudes"):
+        encode_decode_variants(star3(), 0, mode, [1.0, 0.0, 0.0], rng=rng, budget=grown - 1)
+    # the secret site must match the qudit dimension of the graph
+    with pytest.raises(ValueError, match="reshape"):
+        encode_decode_variants(star3(), 0, mode, [1.0, 0.0], rng=rng)
+
+
+def test_norm_drift_raises():
     with pytest.raises(AssertionError, match="norm"):
-        s.check_normalized()
+        _check_norms(np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
+    with pytest.raises(AssertionError, match="norm"):
+        apply_weyl(StateVector(3, 1, [1.0, 1.0, 0.0]), WeylOperator(3, (1,), (0,)))
 
 
 # ----------------------------------------------------------------- weyl algebra
@@ -135,8 +159,8 @@ def test_check_normalized_drift():
 
 def test_xz_versus_zx_on_zero():
     q = 3
-    zero = StateVector.computational(q, 1, [0])
-    one = StateVector.computational(q, 1, [1])
+    zero = StateVector(q, 1, basis(q, 0))
+    one = StateVector(q, 1, basis(q, 1))
     x = WeylOperator(q, (1,), (0,))
     z = WeylOperator(q, (0,), (1,))
     xz = apply_weyl(zero, x @ z)
@@ -255,12 +279,13 @@ def test_weyl_embed_and_factor():
     # exponents appended for new sites act as the tensor product with them
     rng = np.random.default_rng(79)
     w = WeylOperator(3, (1, 0), (2, 1), 1)
-    psi = StateVector(3, 2, rng.normal(size=9) + 1j * rng.normal(size=9))
-    psi = StateVector(3, 2, psi.amplitudes / psi.norm())
-    anc = StateVector.computational(3, 1, [2])
+    psi = rng.normal(size=9) + 1j * rng.normal(size=9)
+    psi = StateVector(3, 2, psi / np.linalg.norm(psi))
+    anc = StateVector(3, 1, basis(3, 2))
     wide = WeylOperator(3, (*w.x_powers, 2), (*w.z_powers, 1), w.phase)
     expected = np.kron(apply_weyl(psi, w).amplitudes, apply_weyl(anc, WeylOperator(3, (2,), (1,), 0)).amplitudes)
-    assert np.allclose(apply_weyl(psi.tensor(anc), wide).amplitudes, expected)
+    joint = StateVector(3, 3, np.kron(psi.amplitudes, anc.amplitudes))
+    assert np.allclose(apply_weyl(joint, wide).amplitudes, expected)
 
     big = WeylOperator(3, (0, 1, 0, 0), (0, 2, 0, 1), 1)
     rest = big.factor_site(3)
@@ -362,7 +387,7 @@ def test_stabilizers_fix_graph_state():
 
 def test_measure_computational_deterministic():
     rng = np.random.default_rng(75)
-    s = StateVector.computational(3, 2, [2, 0])
+    s = StateVector(3, 2, basis(3, 2, 0))
     out, post = measure_weyl(s, WeylOperator(3, (0, 0), (1, 0)), rng)
     assert out == 2
     assert state_fidelity(post, s) == pytest.approx(1.0)
@@ -462,10 +487,72 @@ def test_row_whose_weights_clip_to_zero_raises_before_any_draw():
         _measure_rows(3, psi, x, z, phase, np.full(3, 0.5))
 
 
+@pytest.mark.parametrize("q, m", [(2, 3), (3, 3), (5, 3), (7, 2)])
+def test_one_site_measurement_is_the_full_register_rule(q, m):
+    # random states, every site and every (x, z) != (0, 0), odd x.z at q = 2
+    # included: on the same uniform, the one-site route draws the label of
+    # _measure_rows, the full-register reference, and leaves the same state;
+    # a row's label and floats do not depend on the stack it sits in
+    rng = np.random.default_rng(500 + q)
+    for v in range(m):
+        ops = [(a, b) for a in range(q) for b in range(q) if a or b]
+        x, z = np.zeros((len(ops), m), dtype=np.int64), np.zeros((len(ops), m), dtype=np.int64)
+        x[:, v], z[:, v] = np.array(ops).T
+        phase = rng.integers(0, q, len(ops))
+        psi = rng.normal(size=(len(ops), q**m)) + 1j * rng.normal(size=(len(ops), q**m))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        uniforms = rng.random(len(ops))
+        labels, post = _measure_site(q, psi, x, z, phase, uniforms, v)
+        want_labels, want = _measure_rows(q, psi, x, z, phase, uniforms)
+        assert labels.tolist() == want_labels.tolist()
+        assert np.abs(post - want).max() <= 1e-12
+        for i in range(len(ops)):
+            alone = _measure_site(q, psi[i:i + 1], x[i:i + 1], z[i:i + 1], phase[i:i + 1], uniforms[i:i + 1], v)
+            assert alone[0][0] == labels[i] and alone[1][0].tobytes() == post[i].tobytes()
+
+
+def test_measure_weyl_routes_by_the_operators_support(monkeypatch):
+    # an operator on one site takes no _weyl_powers call; one on two sites,
+    # or on none, takes one
+    calls, powers = [], qss.oracle._weyl_powers
+    monkeypatch.setattr(qss.oracle, "_weyl_powers", lambda *args: calls.append(1) or powers(*args))
+    rng = np.random.default_rng(501)
+    psi = graph_state(path4())
+    for w, taken in ((WeylOperator(3, (0, 2, 0, 0), (0, 1, 0, 0)), 0), (WeylOperator(3, (0, 0, 0, 0), (0, 0, 0, 2)), 0),
+                     (stabilizer_generator(path4(), 1), 1), (identity(3, 4), 1)):
+        calls.clear()
+        measure_weyl(psi, w, rng)
+        assert len(calls) == taken
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_one_site_weyl_map_is_the_full_register_gather(q):
+    # the Bell decode's correction Z^k X^{-l} = omega^{-kl} X^{-l} Z^k as a
+    # q x q map on one site, against _weyl_powers, for every (k, l) and site
+    rng = np.random.default_rng(600 + q)
+    m, count = 3, 4
+    rows = rng.normal(size=(count, q**m)) + 1j * rng.normal(size=(count, q**m))
+    for v in range(m):
+        for k in range(q):
+            for l in range(q):
+                x, z = np.zeros((count, m), dtype=np.int64), np.zeros((count, m), dtype=np.int64)
+                x[:, v], z[:, v] = -l, k
+                phase = np.full(count, -k * l)
+                got = _on_site(q, rows, v, _site_powers(q, x[:, v], z[:, v], phase)[:, 1])
+                assert np.abs(got - _weyl_powers(q, rows, x, z, phase, 1)[1]).max() <= 1e-15
+
+
+def test_projecting_a_site_out_checks_its_state():
+    rows = np.array([basis(3, 1, 0), basis(3, 0, 0)])
+    assert np.array_equal(_on_site(3, rows[:1], 0, np.eye(3)[[1]]), basis(3, 0)[None])
+    with pytest.raises(AssertionError, match="site 0 is not in the expected product state"):
+        _on_site(3, rows, 0, np.eye(3)[[1]])
+
+
 def test_eigenvalue_label_rejects_non_eigenvector():
     with pytest.raises(AssertionError, match="eigenvector"):
         eigenvalue_label(
-            StateVector.computational(3, 1, [0]), WeylOperator(3, (1,), (0,))
+            StateVector(3, 1, basis(3, 0)), WeylOperator(3, (1,), (0,))
         )
 
 
@@ -489,7 +576,7 @@ def test_cq_encode_isolated_dealer():
 def test_codewords_orthonormal():
     for g in (star3(), tri2(), rs_subgraph()):
         words = [cq_encode(g, 0, s) for s in range(g.q)]
-        gram = np.array([[a.inner(b) for b in words] for a in words])
+        gram = np.array([[np.vdot(a.amplitudes, b.amplitudes) for b in words] for a in words])
         assert np.allclose(gram, np.eye(g.q), atol=1e-12)
 
 
@@ -500,7 +587,7 @@ def test_qq_encode_linearity_and_isometry():
     enc = qq_encode(g, 0, sec)
     manual = sum(sec[j] * cq_encode(g, 0, j).amplitudes for j in range(3))
     assert np.allclose(enc.amplitudes, manual)
-    assert enc.norm() == pytest.approx(1.0)
+    assert np.linalg.norm(enc.amplitudes) == pytest.approx(1.0)
     with pytest.raises(ValueError, match="normalized"):
         qq_encode(g, 0, [1.0, 1.0, 0.0])
 
@@ -1077,6 +1164,20 @@ def test_decodes_past_the_stack_cap_run_as_stacks_of_one(monkeypatch):
     assert swept.bit_generator.state == looped.bit_generator.state
 
 
+@pytest.mark.parametrize("graph", [
+    "q 3\nn 5\ne 0 1 1\ne 1 2 1\ne 2 3 1\ne 3 4 1\n",  # four players where the graph has three
+    "q 5\nn 4\ne 0 1 1\ne 1 2 1\ne 2 3 1\n",  # q = 5 players on a q = 3 graph
+], ids=["four-players", "q5-players"])
+def test_qq_decode_bell_rejects_a_register_off_the_graph(graph):
+    other = parse_graph(graph)
+    encoded = qq_encode(other, 0, np.eye(other.q)[0])
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="operator does not match the state register"):
+        qq_decode_bell(path4(), 0, [1, 2], encoded, rng, expected=[1.0, 0.0, 0.0])
+    assert rng.bit_generator.state == state
+
+
 def test_qq_decode_bell_rejects_dealer_and_outside_vertices():
     g = star3()
     rng = np.random.default_rng(87)
@@ -1100,7 +1201,8 @@ def test_bell_measure_recovers_prepared_label():
     for k in range(q):
         for l in range(q):
             state = apply_weyl(pair, WeylOperator(q, (0, l), (k, 0)))
-            state = _apply_site(apply_controlled(state, 0, WeylOperator(q, (-1,), (0,))), 0, _fourier_matrix(q).conj().T)
+            state = apply_controlled(state, 0, WeylOperator(q, (-1,), (0,)))
+            state = StateVector(q, 2, _on_site(q, state.amplitudes[None], 0, _fourier_matrix(q).conj().T)[0])
             got_k, state = measure_weyl(state, WeylOperator(q, (0, 0), (1, 0)), rng)
             got_l, _ = measure_weyl(state, WeylOperator(q, (0, 0), (0, 1)), rng)
             assert (got_k, got_l) == (k, l)
@@ -1108,11 +1210,9 @@ def test_bell_measure_recovers_prepared_label():
 
 def test_apply_controlled_entangles():
     q = 3
-    plus = StateVector(q, 1, np.ones(q) / np.sqrt(q))
-    zero = StateVector.computational(q, 1, [0])
-    both = plus.tensor(zero)
+    both = StateVector(q, 2, np.kron(np.ones(q) / np.sqrt(q), basis(q, 0)))
     out = apply_controlled(both, 0, WeylOperator(q, (1,), (0,)))
-    grid = out.grid()
+    grid = out.amplitudes.reshape(q, q)
     for j in range(q):
         assert grid[j, j] == pytest.approx(1 / np.sqrt(q))
     assert schmidt_rank(out, [0]) == q
@@ -1121,7 +1221,7 @@ def test_apply_controlled_entangles():
 @pytest.mark.parametrize("w", [WeylOperator(5, (4,), (0,)), WeylOperator(3, (1, 0), (0, 0))])
 def test_apply_controlled_rejects_an_operator_off_the_register(w):
     # the control leaves one target site of dimension 3
-    both = StateVector(3, 1, np.ones(3) / np.sqrt(3)).tensor(StateVector.computational(3, 1, [0]))
+    both = StateVector(3, 2, np.kron(np.ones(3) / np.sqrt(3), basis(3, 0)))
     with pytest.raises(ValueError, match="does not match the state register"):
         apply_controlled(both, 0, w)
 
@@ -1164,7 +1264,7 @@ def test_d2_returns_joint_state():
     sec = random_secret(rng, 3)
     joint = encode_decode_variants(g, 0, "D2", sec)
     assert joint.n == 3  # two players + ancilla
-    assert joint.norm() == pytest.approx(1.0)
+    assert np.linalg.norm(joint.amplitudes) == pytest.approx(1.0)
 
 
 def test_d3_recovers_secret():
