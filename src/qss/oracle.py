@@ -10,7 +10,8 @@ Every projective measurement is a Weyl measurement under one label rule,
 _collapse, sampled by _draw_rows on one uniform: the dealer's X^t Z and the
 players' X^{x_i} Z^{z_i} in a round and the appendix E1 Bell measurement's
 two Z and E2 dealer's X, each on its one site (_measure_site), and the Bell
-decode's syndromes, through full-register powers (_measure_rows).
+decode's syndromes, through full-register powers (_measure_rows); the sweep
+decodes only the sets with both witnesses.
 
 Site ordering: states are flat amplitude rows (S, q^m), a StateVector
 being the record of one row; site j is the j-th digit of the flat index,
@@ -25,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import InitVar, dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -235,8 +236,9 @@ def graph_state(g: Multigraph, budget: int = AMPLITUDE_BUDGET) -> StateVector:
     exp = np.zeros([q] * n, dtype=np.int64)
     # site v's digit, broadcast along axis v
     digit = [np.arange(q, dtype=np.int64).reshape([q if j == v else 1 for j in range(n)]) for v in range(n)]
-    for u, v, w in g.edges():
-        exp = exp + w * digit[u] * digit[v]
+    # one in-place add per lower vertex, not a full-size temporary per edge
+    for u, group in groupby(g.edges(), key=lambda e: e[0]):
+        exp += digit[u] * sum(w * digit[v] for _, v, w in group)
     amps = omega_table(q)[exp % q] * (q ** (-n / 2))
     return StateVector(q, n, _check_norms(amps.reshape(1, -1))[0], budget)
 
@@ -729,7 +731,9 @@ def qq_decode_bell(
 
     The witnesses D and C are solved here. When either does not exist the
     identity operators stand in (used_fallback = True); the measurements
-    then fail to steer and the reported fidelity stays below 1. A set that
+    then fail to steer and the reported fidelity stays below 1. This
+    simulated stand-in decode is the reference for the closed form that
+    oracle_reports takes for such a set (_decode_fidelities). A set that
     holds the dealer or leaves the vertex range raises ValueError, as does
     an encoded register other than the graph's n - 1 players.
     """
@@ -914,13 +918,20 @@ def graph_hash(g: Multigraph) -> str:
     return hashlib.sha256(serialize_graph(g).encode()).hexdigest()[:16]
 
 
-def _decode_fidelities(g: Multigraph, words, steering, secrets: np.ndarray, uniforms: np.ndarray, budget: int):
-    """Each secret's Bell-decode fidelity, in stacks within STACK_CAP or of one decode."""
-    step, fids = max(1, STACK_CAP // g.q ** (g.n + 2)), []
-    for rows in (slice(lo, lo + step) for lo in range(0, len(secrets), step)):
+def _decode_fidelities(g: Multigraph, words, steering, fallback, secrets: np.ndarray, uniforms, budget: int):
+    """Each secret's Bell-decode fidelity: the steered rows decoded in stacks
+    within STACK_CAP or of one decode, each fallback row's |sum_i s_i|^2 / q.
+    With identity stand-ins the first syndrome measures X^{-1} on a1: label k
+    leaves a2 in sum_i omega^{-ki} |i> / sqrt(q). The second measures Z^{-1}
+    on a1 alone, now in product with a2, which does not change. The correction
+    Z^k X^{-l} takes a2 to |+> = sum_i |i> / sqrt(q) whatever (k, l). Both
+    operators have x.z = 0, so the q = 2 -iW convention does not apply."""
+    fids, steered = abs(secrets.sum(axis=-1)) ** 2 / g.q, np.flatnonzero(~fallback)
+    step = max(1, STACK_CAP // g.q ** (g.n + 2))
+    for rows in (steered[lo:lo + step] for lo in range(0, len(steered), step)):
         rho = _bell_decode(g.q, steering[rows], _superpose(words, secrets[rows]), uniforms[rows], budget)[0]
-        fids += map(_fidelity, rho, secrets[rows])
-    return fids
+        fids[rows] = [*map(_fidelity, rho, secrets[rows])]
+    return fids.tolist()
 
 
 def oracle_reports(
@@ -939,8 +950,10 @@ def oracle_reports(
     two uniforms for the set's decode and two for a nonempty complement's.
     The decode's budget is checked, the trace distances come next, and then
     one stacked pass Bell-decodes the sets and the nonempty complements of
-    the sets with every trace distance at most 1e-7; a complement's fidelity
-    is read only where its set's is below 1 - 1e-7.
+    the sets with every trace distance at most 1e-7, those of them with both
+    witnesses; the others' fidelities take the closed form of
+    _decode_fidelities. A complement's fidelity is read only where its set's
+    is below 1 - 1e-7.
     """
     sets = [_check_b(g, d, b) for b in sets]
     words = _codewords(g, d, range(g.q), budget)
@@ -957,8 +970,8 @@ def oracle_reports(
     _admit(g.q ** (g.n + 1) if sets else 0, budget)
     max_td = _set_trace_distances(words, [[players.index(v) for v in b] for b in sets], budget)
     read = [i for i, comp in enumerate(comps) if comp and max_td[i] <= 1e-7]
-    steering = _steering(g, d, sets + [comps[i] for i in read])[0]
-    fid = _decode_fidelities(g, words, steering, secrets[[*range(len(sets)), *read]],
+    steering, fallback = _steering(g, d, sets + [comps[i] for i in read])
+    fid = _decode_fidelities(g, words, steering, fallback, secrets[[*range(len(sets)), *read]],
                              np.concatenate([draws[:, :2], draws[read, 2:]]), budget)
     hidden = {i for i, f in zip(read, fid[len(sets):]) if f >= 1 - 1e-7}
     digest = graph_hash(g)

@@ -427,20 +427,26 @@ def test_oracle_verify_size_cap(capsys, star_file):
 # when the Bell decode's correction Z^k X^{-l} became a q x q matrix on the
 # second ancilla: two q5 fidelities moved by 2.8e-17 (() 0.04955859660037572
 # -> 0.04955859660037571, (2, 3) 0.15309321918386545 -> 0.15309321918386543);
-# q2 and q3 did not move.
+# q2 and q3 did not move. Re-captured when a set without both witnesses came
+# to take its fidelity |sum_i s_i|^2 / q in closed form, with no decode
+# simulated: 21 fidelities moved, all of such sets, by at most 3.3e-16 (q2's
+# () 0.7553505920066483 -> 0.7553505920066486 and (2, 3) 0.6973571949614592
+# -> 0.6973571949614595, q3's (1, 2) 0.8470895051047745 -> 0.8470895051047748,
+# q5's (2,) 0.6727335955441636 -> 0.6727335955441638); no verdict, trace
+# distance or fidelity of a decoded set moved.
 ORACLE_PINS = {
     "q2": ("q 2\nn 5\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 3 1\ne 3 4 1\ne 1 4 1\n", 7, "84dd5c0bd4aaaf5b", [
-        ((), "no_info", 0.0, 0.7553505920066483),
-        ((1,), "no_info", 3.0616169978683824e-17, 0.9828419199896004),
-        ((2,), "no_info", 3.061616997868383e-17, 0.9204664815022066),
-        ((3,), "no_info", 6.162975822039155e-33, 0.6984592912556626),
-        ((4,), "no_info", 0.0, 0.13689314933764724),
-        ((1, 2), "partial", 4.3297802811774664e-17, 0.4408468586395987),
-        ((1, 3), "partial", 9.681683036350967e-17, 0.7891670977090457),
-        ((1, 4), "partial", 1.0, 0.8063034551248722),
-        ((2, 3), "partial", 1.0, 0.6973571949614592),
-        ((2, 4), "partial", 9.681683036350972e-17, 0.6386497097838784),
-        ((3, 4), "partial", 8.650572712760372e-33, 0.22097970770120814),
+        ((), "no_info", 0.0, 0.7553505920066486),
+        ((1,), "no_info", 3.0616169978683824e-17, 0.9828419199896005),
+        ((2,), "no_info", 3.061616997868383e-17, 0.9204664815022067),
+        ((3,), "no_info", 6.162975822039155e-33, 0.6984592912556628),
+        ((4,), "no_info", 0.0, 0.1368931493376472),
+        ((1, 2), "partial", 4.3297802811774664e-17, 0.4408468586395986),
+        ((1, 3), "partial", 9.681683036350967e-17, 0.7891670977090456),
+        ((1, 4), "partial", 1.0, 0.8063034551248726),
+        ((2, 3), "partial", 1.0, 0.6973571949614595),
+        ((2, 4), "partial", 9.681683036350972e-17, 0.6386497097838781),
+        ((3, 4), "partial", 8.650572712760372e-33, 0.2209797077012081),
         ((1, 2, 3), "accessible", 1.0000000000000004, 1.0),
         ((1, 2, 4), "accessible", 1.0, 1.0000000000000002),
         ((1, 3, 4), "accessible", 1.0, 1.0000000000000004),
@@ -448,23 +454,23 @@ ORACLE_PINS = {
         ((1, 2, 3, 4), "accessible", 1.0, 0.9999999999999997),
     ]),
     "q3": ("q 3\nn 4\ne 0 1 1\ne 0 2 2\ne 1 2 1\ne 2 3 1\ne 1 3 2\n", 11, "1e23af1c947a5f54", [
-        ((), "no_info", 0.0, 0.7242142759311065),
-        ((1,), "no_info", 1.8440577321853656e-16, 0.4669708631903393),
-        ((2,), "no_info", 1.816271650468207e-16, 0.6474751590857677),
-        ((3,), "partial", 9.829515167218813e-17, 0.10005751301441224),
-        ((1, 2), "partial", 2.641657457251073e-16, 0.8470895051047745),
+        ((), "no_info", 0.0, 0.7242142759311067),
+        ((1,), "no_info", 1.8440577321853656e-16, 0.46697086319033926),
+        ((2,), "no_info", 1.816271650468207e-16, 0.6474751590857678),
+        ((3,), "partial", 9.829515167218813e-17, 0.10005751301441242),
+        ((1, 2), "partial", 2.641657457251073e-16, 0.8470895051047748),
         ((1, 3), "accessible", 1.0000000000000002, 1.0),
         ((2, 3), "accessible", 1.0000000000000004, 0.9999999999999998),
         ((1, 2, 3), "accessible", 1.0, 0.9999999999999998),
     ]),
     "q5": ("q 5\nn 4\ne 0 1 2\ne 0 2 3\ne 1 2 4\ne 2 3 1\n", 5, "c918e658065311fc", [
-        ((), "no_info", 0.0, 0.04955859660037571),
-        ((1,), "partial", 1.3606863475249125e-16, 0.42850784290820804),
-        ((2,), "no_info", 1.4512434180810912e-16, 0.6727335955441636),
-        ((3,), "no_info", 1.220701126699668e-16, 0.2541843783623138),
+        ((), "no_info", 0.0, 0.04955859660037569),
+        ((1,), "partial", 1.3606863475249125e-16, 0.428507842908208),
+        ((2,), "no_info", 1.4512434180810912e-16, 0.6727335955441638),
+        ((3,), "no_info", 1.220701126699668e-16, 0.2541843783623137),
         ((1, 2), "accessible", 1.0000000000000007, 1.0),
         ((1, 3), "accessible", 1.0000000000000007, 0.9999999999999998),
-        ((2, 3), "partial", 2.1386647320189016e-16, 0.15309321918386543),
+        ((2, 3), "partial", 2.1386647320189016e-16, 0.1530932191838654),
         ((1, 2, 3), "accessible", 1.0000000000000004, 0.9999999999999998),
     ]),
 }
@@ -495,10 +501,13 @@ def test_oracle_verify_reports_pinned(capsys, tmp_path, name, max_size):
 # max_trace_distance moved 1.0000000000000004 -> 1.0000000000000002. Re-captured
 # (4322eeb2... -> b2a4ccf9...) when the Bell decode came to run on stacks of
 # player sets: 27 decode fidelities moved, by at most 1.8e-15 (row (2, 3, 5)
-# 0.9999999999999982 -> 1.0); nothing else moved.
+# 0.9999999999999982 -> 1.0); nothing else moved. Re-captured (b2a4ccf9... ->
+# b3514457...) when a set without both witnesses came to take its fidelity in
+# closed form: 20 such fidelities moved, by at most 4.4e-16 (row (4, 5)
+# 0.6152868243577475 -> 0.615286824357748); nothing else moved.
 ORACLE_PIN_Q2N6 = (
     "q 2\nn 6\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 4 1\ne 3 5 1\ne 4 5 1\ne 1 4 1\ne 2 5 1\n", 13,
-    "b2a4ccf90c03537c1cf6eb04764dc16b8dd0c5ab8003564ed1e0935a3231a8be",
+    "b3514457aef9627869a0616ec323676a99b14d4ea495af91a9c8a45c45ba7fda",
 )
 
 
@@ -527,14 +536,19 @@ def test_oracle_verify_report_pinned_q2_n6(capsys, tmp_path):
 # 23c7960e... -> a5ecb41a...): only decode fidelities moved, by at most
 # 6.7e-16. q5n4 was re-captured (78dd4941... -> 0c74d929...) when the Bell
 # decode's correction became a q x q matrix on the second ancilla: two
-# fidelities moved by 2.8e-17; q3n5 and q2n6-max1 did not move.
+# fidelities moved by 2.8e-17; q3n5 and q2n6-max1 did not move. All three
+# were re-captured when a set without both witnesses came to take its
+# fidelity |sum_i s_i|^2 / q in closed form (q3n5 7110b89f... -> 26eae5b7...,
+# q5n4 0c74d929... -> 76374dbd..., q2n6-max1 a5ecb41a... -> 1c08e59d...): only
+# fidelities of such sets moved, 9, 5 and 6 of them, by at most 3.3e-16
+# (q2n6-max1's (2,) 0.5458950915344445 -> 0.5458950915344448).
 ORACLE_PINS_BY_SHA = {
     "q3n5": ("q 3\nn 5\ne 0 3 2\ne 0 4 1\ne 1 2 1\ne 2 3 1\ne 2 4 1\ne 3 4 1\n", 17, [], 16,
-             "7110b89f328246eae5077826bd47a0ea94b6bfe1e68e46537629037b9a384b02"),
+             "26eae5b7b6784c48d95f89780005bd7507c6cfa777fb9e0650ecc3c43fc12704"),
     "q5n4": ("q 5\nn 4\ne 0 1 3\ne 0 2 1\ne 0 3 1\ne 1 2 2\ne 1 3 3\ne 2 3 1\n", 17, [], 8,
-             "0c74d929e365e86f7d8863ef1297a91db133d09856f54ba37052a641c684f04d"),
+             "76374dbd889e89d413c4fd4cab0775d185041bdc94175439aadbf08722d1f8f2"),
     "q2n6-max1": (ORACLE_PIN_Q2N6[0], 13, ["--max-size", "1"], 6,
-                  "a5ecb41aa90a259b4bdf01724124467df658ea17920d6218c1e1b5dc9281eb59"),
+                  "1c08e59dc42c204c5090b527aeca4f6e9ea8d32b6f82bb245f9e741aecae1c85"),
 }
 
 

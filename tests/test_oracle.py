@@ -366,6 +366,26 @@ def test_edge_graph_state_amplitudes():
     assert np.allclose(amps, [0.5, 0.5, 0.5, -0.5])
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_graph_state_edge_sum_is_the_per_edge_reference_bit_for_bit(q):
+    # the edges added into the exponents in groups by their lower vertex give
+    # the amplitudes of one full-register sum per edge, bit for bit
+    rng = np.random.default_rng(60 + q)
+    weights = set()
+    for n in range(2, 7 if q < 5 else 5):
+        for _ in range(3):
+            gamma = np.triu(rng.integers(0, q, size=(n, n)), 1)
+            g = Multigraph(q, gamma + gamma.T)
+            digit = [np.arange(q).reshape([q if j == v else 1 for j in range(n)]) for v in range(n)]
+            exp = np.zeros([q] * n, dtype=np.int64)
+            for u, v, w in g.edges():
+                exp = exp + w * digit[u] * digit[v]
+                weights.add(w)
+            reference = (omega_table(q)[exp % q] * q ** (-n / 2)).reshape(-1)
+            assert graph_state(g).amplitudes.tobytes() == reference.tobytes()
+    assert max(weights) == q - 1
+
+
 def test_graph_state_budget():
     with pytest.raises(ValueError, match="budget"):
         graph_state(rs747_fixture().graph, budget=1000)
@@ -1052,6 +1072,26 @@ def test_one_bell_decode_draws_two_uniforms(g, b):
     assert after_decode.bit_generator.state == after_skip.bit_generator.state
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_stand_in_decode_leaves_the_second_ancilla_in_plus(q):
+    # identity stand-ins: X^{-1} and then Z^{-1} on the first ancilla, which
+    # the first syndrome leaves in product with the second. On every one of
+    # the q^2 syndromes the correction takes the second ancilla to |+>, so the
+    # fidelity is |sum_i s_i|^2 / q whatever the secret and the codewords
+    rng = np.random.default_rng(40 + q)
+    g = dealer_graph(3, q, rng)
+    mid = (np.arange(q) + 0.5) / q  # each label has probability 1/q
+    uniforms = np.stack(np.meshgrid(mid, mid, indexing="ij"), axis=-1).reshape(-1, 2)
+    secrets = np.array([random_secret(rng, q) for _ in uniforms])
+    steering = np.zeros((len(uniforms), 2, 2 * g.n - 1), dtype=np.int64)
+    encoded = _superpose(_codewords(g, 0, range(q), AMPLITUDE_BUDGET), secrets)
+    rho, syndromes = _bell_decode(q, steering, encoded, uniforms, AMPLITUDE_BUDGET)
+    assert {tuple(kl) for kl in syndromes.tolist()} == {(k, l) for k in range(q) for l in range(q)}
+    assert abs(rho - np.full((q, q), 1 / q)).max() <= 1e-14
+    closed = abs(secrets.sum(axis=-1)) ** 2 / q
+    assert abs(np.array([*map(_fidelity, rho, secrets)]) - closed).max() <= 1e-14
+
+
 def decode_one(g, d, b, encoded, rng):
     """The second ancilla's density after a Bell decode, as a stack of one."""
     return _bell_decode(g.q, _steering(g, d, [b])[0], encoded[None], rng.random((1, 2)), AMPLITUDE_BUDGET)[0][0]
@@ -1087,22 +1127,51 @@ def reference_reports(g, d, sets, rng):
     return rows, skipped
 
 
+def steered(g, d, b):
+    """Whether the set has both witnesses, so that its Bell decode is simulated."""
+    comp = [v for v in range(g.n) if v != d and v not in b]
+    return witness_D(g, d, b) is not None and witness_C(g, d, comp) is not None
+
+
+def steered_decodes(g, d, rows):
+    """The decodes oracle_reports simulates for its rows: the sets with both
+    witnesses, and such nonempty complements that the verdict reads."""
+    comps = [[v for v in range(g.n) if v != d and v not in row["B"]] for row in rows]
+    return sum(steered(g, d, row["B"]) for row in rows) + sum(
+        steered(g, d, comp) for comp, row in zip(comps, rows) if comp and row["max_trace_distance"] <= 1e-7)
+
+
+def assert_rows_match(g, d, rows, reference):
+    """rows are the reference rows bit for bit, but for the decode fidelity of
+    a set without both witnesses: its closed form agrees with the simulated
+    decode within 1e-14."""
+    assert len(rows) == len(reference)
+    for row, ref in zip(rows, reference):
+        if not steered(g, d, row["B"]):
+            assert abs(row["decode_fidelity"] - ref["decode_fidelity"]) <= 1e-14
+            row, ref = ({**r, "decode_fidelity": None} for r in (row, ref))
+        assert row == ref
+
+
 @pytest.mark.parametrize("text", [
     "q 3\nn 5\ne 0 3 2\ne 0 4 1\ne 1 2 1\ne 2 3 1\ne 2 4 1\ne 3 4 1\n",
     "q 5\nn 4\ne 0 1 3\ne 0 2 1\ne 0 3 1\ne 1 2 2\ne 1 3 3\ne 2 3 1\n",
     "q 2\nn 6\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 4 1\ne 3 5 1\ne 4 5 1\ne 1 4 1\ne 2 5 1\n",
 ])
-def test_oracle_reports_skip_only_unread_complement_decodes(text):
+def test_oracle_reports_skip_only_unread_complement_decodes(monkeypatch, text):
     # on graphs with all three verdicts, the sweep with skipped complement
     # decodes writes the rows of a loop that decodes every complement, and
-    # leaves the rng where that loop leaves it
+    # leaves the rng where that loop leaves it; it simulates only the decodes
+    # of sets with both witnesses
     g = parse_graph(text)
     players = list(range(1, g.n))
     sets = [b for size in range(g.n) for b in combinations(players, size)]
+    stacks = record_stacks(monkeypatch)
     swept, looped = np.random.default_rng(12), np.random.default_rng(12)
     rows = oracle_reports(g, 0, sets, swept)
     reference, skipped = reference_reports(g, 0, sets, looped)
-    assert rows == reference
+    assert_rows_match(g, 0, rows, reference)
+    assert sum(size for size, _ in stacks) == steered_decodes(g, 0, rows)
     assert swept.bit_generator.state == looped.bit_generator.state
     assert {row["verdict_oracle"] for row in rows} == {"accessible", "partial", "no_info"}
     assert 0 < skipped < len(sets) - 1
@@ -1110,10 +1179,12 @@ def test_oracle_reports_skip_only_unread_complement_decodes(text):
 
 def record_stacks(monkeypatch):
     """The number of rows of every stack the oracle's Bell decode runs on,
-    with the amplitudes it holds, the q powers counted."""
+    with the amplitudes it holds, the q powers counted. No stack may hold an
+    identity stand-in, a row of all-zero exponents."""
     stacks, decode = [], qss.oracle._bell_decode
 
     def recorded(q, steering, encoded, uniforms, budget):
+        assert steering.any(axis=(1, 2)).all(), "a set without both witnesses reached the decode"
         stacks.append((len(encoded), len(encoded) * q**3 * encoded.shape[1]))
         return decode(q, steering, encoded, uniforms, budget)
 
@@ -1123,22 +1194,22 @@ def record_stacks(monkeypatch):
 
 @pytest.mark.parametrize("q, n", [(2, 9), (3, 6), (5, 4)])
 def test_oracle_reports_in_several_stacks_are_the_stacks_of_one(monkeypatch, q, n):
-    # a sweep whose sets fill several stacks writes, bit for bit, the rows
-    # of a set-by-set loop of stacks of one, and leaves the rng where that
-    # loop leaves it; no stack holds more than STACK_CAP amplitudes
+    # a sweep whose steered decodes fill several stacks writes, bit for bit,
+    # the rows of a set-by-set loop of stacks of one, and leaves the rng where
+    # that loop leaves it; no stack holds more than STACK_CAP amplitudes
     g = dealer_graph(n, q, np.random.default_rng(97 + q))
     sets = [b for size in range(n) for b in combinations(range(1, n), size)]
     stacks = record_stacks(monkeypatch)
     swept, looped = np.random.default_rng(13), np.random.default_rng(13)
     rows = oracle_reports(g, 0, sets, swept)
     assert [size for size, _ in stacks if size > 1] and max(amps for _, amps in stacks) <= STACK_CAP
-    assert sum(size for size, _ in stacks) > len(sets) > max(size for size, _ in stacks)
-    assert rows == reference_reports(g, 0, sets, looped)[0]
+    assert sum(size for size, _ in stacks) == steered_decodes(g, 0, rows) > max(size for size, _ in stacks)
+    assert_rows_match(g, 0, rows, reference_reports(g, 0, sets, looped)[0])
     assert swept.bit_generator.state == looped.bit_generator.state
 
 
 def test_oracle_reports_bell_decode_in_one_pass(monkeypatch):
-    # at q = 2, n = 6 the sets and the complements the verdict reads (the
+    # at q = 2, n = 6 the steered sets and complements the verdict reads (the
     # empty set's, at least) fill one stack, so one _bell_decode call decodes
     # them all and still writes the rows of the set-by-set loop
     g = parse_graph("q 2\nn 6\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 4 1\ne 3 5 1\ne 4 5 1\ne 1 4 1\ne 2 5 1\n")
@@ -1146,8 +1217,8 @@ def test_oracle_reports_bell_decode_in_one_pass(monkeypatch):
     stacks = record_stacks(monkeypatch)
     swept, looped = np.random.default_rng(16), np.random.default_rng(16)
     rows = oracle_reports(g, 0, sets, swept)
-    assert len(stacks) == 1 and stacks[0][0] > len(sets)
-    assert rows == reference_reports(g, 0, sets, looped)[0]
+    assert len(stacks) == 1 and stacks[0][0] == steered_decodes(g, 0, rows) > 1
+    assert_rows_match(g, 0, rows, reference_reports(g, 0, sets, looped)[0])
     assert swept.bit_generator.state == looped.bit_generator.state
 
 
@@ -1159,9 +1230,28 @@ def test_decodes_past_the_stack_cap_run_as_stacks_of_one(monkeypatch):
     stacks = record_stacks(monkeypatch)
     swept, looped = np.random.default_rng(14), np.random.default_rng(14)
     rows = oracle_reports(g, 0, sets, swept)
-    assert {size for size, _ in stacks} == {1} and len(stacks) >= len(sets)
-    assert rows == reference_reports(g, 0, sets, looped)[0]
+    assert {size for size, _ in stacks} == {1} and len(stacks) == steered_decodes(g, 0, rows) > 1
+    assert_rows_match(g, 0, rows, reference_reports(g, 0, sets, looped)[0])
     assert swept.bit_generator.state == looped.bit_generator.state
+
+
+def test_sweeps_decode_no_set_without_both_witnesses(monkeypatch):
+    # the empty set's fidelity takes the closed form; its trace distance is 0,
+    # so the verdict reads its complement, the whole player set, which has
+    # both witnesses: one decode of one row. The partial set (1, 4), at trace
+    # distance 1, has no witness C and its complement is not read: no decode.
+    # Both sweeps still check the decode's budget: the q = 2, n = 5 codewords
+    # fit 2^4 amplitudes, a decode needs 2^6
+    g = parse_graph("q 2\nn 5\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 3 1\ne 3 4 1\ne 1 4 1\n")
+    for sets, decoded in (([()], [1]), ([(1, 4)], [])):
+        stacks = record_stacks(monkeypatch)
+        swept, looped = np.random.default_rng(18), np.random.default_rng(18)
+        rows = oracle_reports(g, 0, sets, swept)
+        assert [size for size, _ in stacks] == decoded and not steered(g, 0, sets[0])
+        assert_rows_match(g, 0, rows, reference_reports(g, 0, sets, looped)[0])
+        assert swept.bit_generator.state == looped.bit_generator.state
+        with pytest.raises(BudgetExceeded, match="q\\^n = 64 amplitudes"):
+            oracle_reports(g, 0, sets, np.random.default_rng(17), budget=32)
 
 
 @pytest.mark.parametrize("graph", [
