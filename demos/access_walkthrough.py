@@ -30,9 +30,10 @@ for b in [(), (1,), (1, 2)]:
 # everything, one player alone gets the classical part only (the state is
 # not private against her, but she cannot steer it), nobody gets nothing.
 
-# The witnesses behind the verdicts are explicit multisets:
+# The witnesses behind the verdicts are explicit multisets, vectors of
+# multiplicities mod q, one per vertex; printed by their nonzero entries:
 v = classify(star, 0, (1, 2))
-print("accessing multiset for B={1,2}:", dict(v.witness_d.items()))
+print("accessing multiset for B={1,2}:", {u: w for u, w in enumerate(v.witness_d.tolist()) if w})
 
 # Now the seven-player fixture with a ((4,7))_7 threshold.
 dg = rs747_fixture()

@@ -10,8 +10,10 @@ and the quantum-access indicator is the discrete derivative
     cutrank(B + {d}) - cutrank(B)  in {-1, 0, +1}
 
 where -1 means B can reconstruct a quantum secret, +1 means it has no
-information, and 0 is the in-between (partial) regime. Witness multisets
-certify the classical verdicts constructively.
+information, and 0 is the in-between (partial) regime. The witnesses D and
+C certify the classical verdicts constructively; each is a vertex multiset,
+a length-n int64 vector of residues mod q, checked by one matrix-vector
+product with Gamma.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .fqlinalg import (
     rank_mod,
     reduced_column_echelon_mod,
 )
-from .multigraph import Multigraph, Multiset, cut_matrix
+from .multigraph import Multigraph, as_integers, cut_matrix
 
 CLASSICAL_ACCESSIBLE = "accessible"
 NO_INFO = "no_info"
@@ -167,19 +169,19 @@ class AccessVerdict:
     quantum: str
     pi: int
     derivative: int
-    witness_d: Multiset | None
-    witness_c: Multiset | None
+    witness_d: np.ndarray | None
+    witness_c: np.ndarray | None
 
 
-def witness_D(g: Multigraph, d: int, b_set) -> Multiset | None:
-    """Accessing multiset D over B, if one exists.
+def witness_D(g: Multigraph, d: int, b_set) -> np.ndarray | None:
+    """Accessing multiset D over B, a length-n vector, if one exists.
 
     D satisfies sup(Gamma.D) outside B = {d}, scaled so the dealer sees D
     with multiplicity exactly 1. None iff pi = 0. The returned solution is
     the deterministic one with lowest-index pivots and zero free variables.
     """
     rows, found = witness_rows(g, d, [b_set], [])[:2]
-    return Multiset.from_vector(g.q, rows[0]) if found[0] else None
+    return rows[0] if found[0] else None
 
 
 def _members(n: int, sets) -> np.ndarray:
@@ -217,8 +219,8 @@ def witness_rows(g: Multigraph, d: int, d_sets, c_sets) -> tuple[np.ndarray, np.
     return out[:k, :n], found[:k], out[k:, :n], found[k:]
 
 
-def witness_C(g: Multigraph, d: int, b_set) -> Multiset | None:
-    """Hiding multiset C over V minus B, if one exists.
+def witness_C(g: Multigraph, d: int, b_set) -> np.ndarray | None:
+    """Hiding multiset C over V minus B, a length-n vector, if one exists.
 
     C satisfies C(d) = 1 and, for every u in B, the number of neighbours of
     u in C is 0 mod q. None iff pi = 1. To certify that a quantum-accessible
@@ -226,7 +228,7 @@ def witness_C(g: Multigraph, d: int, b_set) -> Multiset | None:
     result is then supported on B + {d}.
     """
     rows, found = witness_rows(g, d, [], [b_set])[2:]
-    return Multiset.from_vector(g.q, rows[0]) if found[0] else None
+    return rows[0] if found[0] else None
 
 
 def classify(g: Multigraph, d: int, b_set) -> AccessVerdict:
@@ -239,28 +241,29 @@ def classify(g: Multigraph, d: int, b_set) -> AccessVerdict:
     return AccessVerdict(classical, QUANTUM_VERDICT[der], pi, der, wd, wc)
 
 
-def verify_witness_pair(g: Multigraph, d: int, b_set, d_ms, c_ms) -> bool:
+def verify_witness_pair(g: Multigraph, d: int, b_set, d_vec, c_vec) -> bool:
     """Check (D, C) against the paper's graphical access criterion.
 
     D lives on B and sup(Gamma.D) - B = {d}: outside B, D is seen exactly
     at the dealer, with any nonzero multiplicity. C lives on B + {d}, has
-    C(d) != 0 and sup(Gamma.C) - B - {d} empty. With c_ms None only D is
+    C(d) != 0 and sup(Gamma.C) - B - {d} empty. With c_vec None only D is
     checked. Raises on domain violations; returns the boolean verdict
     otherwise. The stack of one of verify_witness_pairs.
     """
     b = _check_b(g, d, b_set)
-    return bool(verify_witness_pairs(g, d, [b], *_pair_rows(g, d_ms, c_ms))[0])
+    return bool(verify_witness_pairs(g, d, [b], *_vector_pair(g, d_vec, c_vec))[0])
 
 
-def _pair_rows(g: Multigraph, d_ms, c_ms) -> tuple[np.ndarray, np.ndarray | None]:
-    """A witness pair (C may be None) as (1, n) rows; a vertex outside the
-    graph lies outside the set too, and raises as such."""
-    d_ms, c_ms = (None if ms is None else Multiset(g.q, ms) for ms in (d_ms, c_ms))
-    if not d_ms.support() <= set(range(g.n)):
-        raise ValueError("D is supported outside the player set")
-    if c_ms is not None and not c_ms.support() <= set(range(g.n)):
-        raise ValueError("C is supported outside the player set plus dealer")
-    return d_ms.as_vector(g.n)[None], None if c_ms is None else c_ms.as_vector(g.n)[None]
+def _vector_pair(g: Multigraph, d_vec, c_vec) -> tuple[np.ndarray, np.ndarray | None]:
+    """A witness pair of length-n vectors (C may be None) as (1, n) rows of
+    residues; ValueError if D is missing, a vector has another shape or an
+    entry is not an integer."""
+    if d_vec is None:
+        raise ValueError("the witness D is missing")
+    rows = [None if v is None else as_integers(v, f"witness {name}") % g.q for name, v in (("D", d_vec), ("C", c_vec))]
+    if any(r is not None and r.shape != (g.n,) for r in rows):
+        raise ValueError(f"a witness must be a vector of length {g.n}")
+    return rows[0][None], None if rows[1] is None else rows[1][None]
 
 
 def verify_witness_pairs(g: Multigraph, d: int, sets, d_rows: np.ndarray, c_rows: np.ndarray | None) -> np.ndarray:
@@ -280,8 +283,8 @@ def verify_witness_pairs(g: Multigraph, d: int, sets, d_rows: np.ndarray, c_rows
     return met
 
 
-def dealer_kernel_witness(g: Multigraph, d: int, b_set) -> Multiset:
-    """Small-support element of the dealer kernel of B.
+def dealer_kernel_witness(g: Multigraph, d: int, b_set) -> np.ndarray:
+    """Small-support element of the dealer kernel of B, a length-n vector.
 
     The dealer kernel S_d(B) consists of the multisets over B + {d} whose
     neighbours stay inside B + {d} and which are not extensions of such
@@ -300,25 +303,14 @@ def dealer_kernel_witness(g: Multigraph, d: int, b_set) -> Multiset:
     |sup| * (q + 1) < q * cutrk(B) is false whenever cutrk(B) = 1.
     """
     basis, d_row, cols = kernel_slice_columns(g, d, b_set)
-    if basis.shape[1] < 2 or basis[0, 0] == 0:
+    seen = np.flatnonzero(d_row @ basis[:, 1:] % g.q)  # the columns after C1 with a nonzero image at d
+    if basis.shape[1] < 2 or basis[0, 0] == 0 or not seen.size:
         raise ValueError("kernel structure inconsistent with derivative -1")
-    c1 = basis[:, 0]
-    c2 = None
-    for j in range(1, basis.shape[1]):
-        if int(d_row @ basis[:, j]) % g.q != 0:
-            c2 = basis[:, j]
-            break
-    if c2 is None:
-        raise ValueError("kernel structure inconsistent with derivative -1")
-    best = None
-    for x, y in product(range(g.q), repeat=2):
-        if x == 0 and y == 0:
-            continue
-        cand = (x * c1 + y * c2) % g.q
-        key = (int(np.count_nonzero(cand)), tuple(cand.tolist()))
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return Multiset(g.q, dict(zip(cols, best[1].tolist())))
+    c1, c2 = basis[:, 0], basis[:, 1 + seen[0]]
+    members = [(x * c1 + y * c2) % g.q for x, y in product(range(g.q), repeat=2) if x or y]
+    out = np.zeros(g.n, dtype=np.int64)
+    out[cols] = min(members, key=lambda v: (int(np.count_nonzero(v)), v.tolist()))
+    return out
 
 
 def kernel_slice_columns(g: Multigraph, d: int, b_set) -> tuple[np.ndarray, np.ndarray, list[int]]:

@@ -70,10 +70,9 @@ def _parse_set(spec: str, dealer: int, n: int) -> tuple[int, ...]:
     return tuple(vals)
 
 
-def _multiset_payload(ms) -> dict | None:
-    if ms is None:
-        return None
-    return {str(v): int(w) for v, w in sorted(ms.items())}
+def _witness_payload(vec) -> dict | None:
+    """A witness vector as its vertex -> multiplicity map of nonzero entries."""
+    return None if vec is None else {str(v): w for v, w in enumerate(vec.tolist()) if w}
 
 
 def _emit(command: str, inputs: dict, result, seed, started: float) -> None:
@@ -177,8 +176,8 @@ def _run(args) -> int:
             "quantum": verdict.quantum,
             "pi": verdict.pi,
             "derivative": verdict.derivative,
-            "witness_d": _multiset_payload(verdict.witness_d),
-            "witness_c": _multiset_payload(verdict.witness_c),
+            "witness_d": _witness_payload(verdict.witness_d),
+            "witness_c": _witness_payload(verdict.witness_c),
         }
         inputs = {"graph": args.graph, "dealer": args.dealer, "set": list(b)}
         _emit("access", inputs, result, None, started)

@@ -1,66 +1,37 @@
-"""Multigraphs over F_q and the vertex multiset algebra built on them.
+"""Multigraphs over F_q.
 
 A graph of order n is a symmetric n x n matrix over F_q with zero diagonal;
 entry (u, v) is the multiplicity of the edge u-v. Vertices are the 0-based
-indices 0..n-1. A multiset assigns an F_q multiplicity to each vertex;
-Gamma.D, the neighbour multiset of D, is the matrix-vector product
+indices 0..n-1. A vertex multiset D, such as a witness of qss.access, is a
+length-n int64 vector of F_q multiplicities; Gamma.D, the neighbour
+multiset of D, is the matrix-vector product
 (Gamma.D)(v) = sum_u Gamma(u, v) D(u) mod q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .fqlinalg import require_prime
 
 
-class Multiset:
-    """Vertex multiset with multiplicities in F_q.
-
-    Only nonzero multiplicities are stored. weights is a vertex ->
-    multiplicity mapping or another Multiset.
-    """
-
-    def __init__(self, q: int, weights: Mapping[int, int] | Multiset):
-        self.q = require_prime(q)
-        vals = {int(v): int(w) % q for v, w in weights.items()}
-        self.weights = {v: w for v, w in sorted(vals.items()) if w != 0}
-
-    @classmethod
-    def from_vector(cls, q: int, vec) -> "Multiset":
-        v = np.asarray(vec, dtype=np.int64) % q
-        return cls(q, {i: int(v[i]) for i in range(v.shape[0])})
-
-    def support(self) -> frozenset[int]:
-        return frozenset(self.weights)
-
-    def as_vector(self, n: int) -> np.ndarray:
-        out = np.zeros(n, dtype=np.int64)
-        for v, w in self.weights.items():
-            out[v] = w
-        return out
-
-    def __getitem__(self, v: int) -> int:
-        return self.weights.get(int(v), 0)
-
-    def items(self):
-        return self.weights.items()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Multiset)
-            and self.q == other.q
-            and self.weights == other.weights
-        )
-
-    def __bool__(self):
-        return bool(self.weights)
-
-    def __repr__(self):
-        return f"Multiset(q={self.q}, {self.weights})"
+def as_integers(values, what: str) -> np.ndarray:
+    """values as a new int64 array; ValueError naming what if an entry is
+    not an integer that int64 holds. Integral floats pass."""
+    raw = np.asarray(values)
+    if raw.dtype == np.int64:  # exact as it stands: the package builds its matrices in int64
+        return raw.copy()
+    try:
+        with np.errstate(invalid="ignore"):
+            arr = raw.astype(np.int64)
+        if np.array_equal(arr, raw):
+            return arr
+    except (OverflowError, TypeError, ValueError):
+        pass
+    raise ValueError(f"{what} must be integers within int64")
 
 
 class Multigraph:
@@ -68,7 +39,7 @@ class Multigraph:
 
     def __init__(self, q: int, gamma):
         self.q = require_prime(q)
-        arr = np.asarray(gamma, dtype=np.int64)
+        arr = as_integers(gamma, "edge multiplicities")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"adjacency matrix must be square, got {arr.shape}")
         if (arr < 0).any() or (arr >= q).any():
@@ -77,7 +48,6 @@ class Multigraph:
             raise ValueError("self-loops are not allowed (nonzero diagonal)")
         if not np.array_equal(arr, arr.T):
             raise ValueError("adjacency matrix must be symmetric")
-        arr = arr.copy()
         arr.setflags(write=False)
         self.gamma = arr
         self.n = arr.shape[0]

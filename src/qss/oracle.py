@@ -32,8 +32,8 @@ import numpy as np
 
 from .fqlinalg import inv_mod, require_prime
 from .multigraph import Multigraph, delete_vertex, serialize_graph
-from .access import QUANTUM_VERDICT, _check_b, _index_array, _members, _pair_rows, batch_indicators
-from .access import verify_witness_pairs, witness_C, witness_D, witness_rows
+from .access import QUANTUM_VERDICT, _check_b, _index_array, _members, _vector_pair, batch_indicators
+from .access import verify_witness_pairs, witness_rows
 
 AMPLITUDE_BUDGET = 2_000_000
 # amplitudes in one stack of rows, a measurement's q powers counted
@@ -542,19 +542,21 @@ def _checked_witnesses(g: Multigraph, d: int, sets, d_rows, c_rows) -> tuple[np.
 
 @dataclass(frozen=True)
 class DecodeParams:
-    """Player-side measurement data for the basis-t round.
+    """Measurement data for the basis-t round.
 
-    x[i], z[i] give the Weyl exponents measured by player i; c is the
-    constructive phase that makes the assembled stabilizer product fix |G>.
-    half_correction is the extra mod-2 term needed at q = 2 where single
-    Weyl factors square to -I.
+    x and z are the round operator's exponent tuples on the full vertex
+    register: vertex v measures X^{x[v]} Z^{z[v]}, so the dealer's entries
+    give X^t Z and the players' their Weyl operators, zero off the round.
+    c is the constructive phase that makes the assembled stabilizer product
+    fix |G>. half_correction is the extra mod-2 term needed at q = 2 where
+    single Weyl factors square to -I.
     """
 
     q: int
     t: int
     beta: int
-    x: dict[int, int]
-    z: dict[int, int]
+    x: tuple[int, ...]
+    z: tuple[int, ...]
     c: int
     half_correction: int
 
@@ -563,36 +565,33 @@ class DecodeParams:
         return (-total - self.c - (self.t * (self.t - 1) // 2) * self.beta + self.half_correction) % self.q
 
 
-def decode_params(g: Multigraph, d: int, b_set, d_ms, c_ms, t: int) -> DecodeParams:
+def decode_params(g: Multigraph, d: int, b_set, d_vec, c_vec, t: int) -> DecodeParams:
     """Assemble the round-t measurement parameters from the witness pair.
 
     The stabilizer product K_C^t K_D^{1 - t*beta} has weight
     t*C + (1 - t*beta)*D; its exact global phase defines c. t = 0 works with
-    c_ms = None (the C factor never enters). q = 2 allows t in {0, 1}.
+    c_vec = None (the C factor never enters). q = 2 allows t in {0, 1}.
     """
     q = g.q
     t = int(t) % q
     b = _check_b(g, d, b_set)
-    if t != 0 and c_ms is None:
+    if t != 0 and c_vec is None:
         raise ValueError("basis t != 0 needs the hiding witness C")
-    d_rows, c_rows = _checked_witnesses(g, d, [b], *_pair_rows(g, d_ms, c_ms))
-    c_vec = np.zeros(g.n, dtype=np.int64) if c_rows is None else c_rows[0]
-    beta = int((g.gamma[d] @ c_vec) % q)
+    d_rows, c_rows = _checked_witnesses(g, d, [b], *_vector_pair(g, d_vec, c_vec))
+    c_row = np.zeros(g.n, dtype=np.int64) if c_rows is None else c_rows[0]
+    beta = int((g.gamma[d] @ c_row) % q)
     # C is 1 at the dealer and otherwise supported on b
-    s_product = _stabilizer_product(g, t * c_vec + (1 - t * beta) * d_rows[0])
-
-    if any(s_product.x_powers[v] or s_product.z_powers[v] for v in range(g.n) if v != d and v not in b):
+    s_product = _stabilizer_product(g, t * c_row + (1 - t * beta) * d_rows[0])
+    x, z = s_product.x_powers, s_product.z_powers
+    if any(x[v] or z[v] for v in range(g.n) if v != d and v not in b):
         raise AssertionError("stabilizer product leaks outside the player set")
-    if s_product.x_powers[d] != t or s_product.z_powers[d] != 1:
+    if (x[d], z[d]) != (t, 1):
         raise AssertionError("dealer factor of the stabilizer product is off")
-
-    x = {i: s_product.x_powers[i] for i in b}
-    z = {i: s_product.z_powers[i] for i in b}
     c = (s_product.phase - t * (t - 1) // 2 * beta) % q
 
     half_corr = 0
     if q == 2:
-        weight = t + sum(x[i] * z[i] for i in b)
+        weight = sum(xv * zv for xv, zv in zip(x, z))  # the dealer's X^t Z adds t
         if weight % 2:
             raise AssertionError("total XZ weight of the round operator must be even")
         half_corr = (weight // 2) % 2
@@ -611,7 +610,8 @@ def cq_round(
     """One round of the classical protocol in basis t.
 
     The dealer measures the Weyl operator X^t Z on their qudit of |G>,
-    getting s(t); each player i in b_set measures X^{x_i} Z^{z_i}; the
+    getting s(t); each player i in b_set measures X^{x_i} Z^{z_i}, both
+    read from the round operator's exponent tuples of DecodeParams; the
     players combine outcomes through the affine decoder. Returns (s, m); the
     contract for an authorized set is m = s. Each measurement draws one
     uniform, so a round draws 1 + |b_set|.
@@ -626,26 +626,24 @@ def cq_round(
     q = g.q
     t = int(t) % q
     b = _check_b(g, d, b_set)
-    dms = witness_D(g, d, b)  # None iff pi = 0
-    cms = None
-    if dms is not None and t != 0:
-        cms = witness_C(g, d, [v for v in range(g.n) if v != d and v not in b])
-    if dms is not None and (t == 0 or cms is not None):
-        params = decode_params(g, d, b, dms, cms, t)
+    comp = [v for v in range(g.n) if v != d and v not in b]
+    # D (none iff pi = 0) and, at t != 0, C over B + {d}, from one solve
+    d_rows, d_found, c_rows, c_found = witness_rows(g, d, [b], [comp] if t else [])
+    if d_found[0] and (t == 0 or c_found[0]):
+        params = decode_params(g, d, b, d_rows[0], c_rows[0] if t else None, t)
     elif on_unauthorized == "raise":
-        if dms is not None:
+        if d_found[0]:
             raise ValueError("basis t != 0 needs a quantum-accessible set (no hiding witness exists)")
         raise ValueError("player set cannot access the secret; protocol contract violated")
-    else:  # Z on every player, decoded as -total
-        params = DecodeParams(q, t, 0, dict.fromkeys(b, 0), dict.fromkeys(b, 1), 0, 0)
+    else:  # X^t Z on the dealer, Z on every player, decoded as -total
+        params = DecodeParams(q, t, 0, tuple(t * (v == d) for v in range(g.n)),
+                              tuple(int(v not in comp) for v in range(g.n)), 0, 0)
 
-    on = np.eye(g.n, dtype=np.int64)
-    s, state = measure_weyl(graph_state(g, budget=budget), WeylOperator(q, t * on[d], on[d]), rng)
-    total = 0
-    for v in b:
+    on, state, outcomes = np.eye(g.n, dtype=np.int64), graph_state(g, budget=budget), []
+    for v in (d, *b):  # the dealer first, then the players ascending
         m_v, state = measure_weyl(state, WeylOperator(q, params.x[v] * on[v], params.z[v] * on[v]), rng)
-        total += m_v
-    return s, params.decode(total)
+        outcomes.append(m_v)
+    return outcomes[0], params.decode(sum(outcomes[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -670,14 +668,14 @@ def logical_z(g: Multigraph, d: int) -> WeylOperator:
     raise ValueError("no player adjacent to the dealer; logical Z undefined")
 
 
-def code_unitaries(g: Multigraph, d: int, b_set, d_ms, c_ms) -> tuple[WeylOperator, WeylOperator]:
+def code_unitaries(g: Multigraph, d: int, b_set, d_vec, c_vec) -> tuple[WeylOperator, WeylOperator]:
     """(U_B, V_B) on the player register from a valid witness pair:
     U_B |s_L> = omega^s |s_L> and V_B |s_L> = |(s+1)_L>, both supported on
     b_set only. The stack of one of _steering_rows."""
     b = _check_b(g, d, b_set)
-    if d_ms is None or c_ms is None:
+    if d_vec is None or c_vec is None:
         raise ValueError("quantum decoding needs both witnesses")
-    return tuple(WeylOperator(g.q, *_split(row)) for row in _steering_rows(g, d, [b], *_pair_rows(g, d_ms, c_ms))[0])
+    return tuple(WeylOperator(g.q, *_split(row)) for row in _steering_rows(g, d, [b], *_vector_pair(g, d_vec, c_vec))[0])
 
 
 def _steering_rows(g: Multigraph, d: int, sets, d_rows, c_rows) -> np.ndarray:

@@ -45,6 +45,14 @@ def int_solve(a, b, cols, q):
     return x
 
 
+def vector(n, weights):
+    """The length-n int64 vertex vector with the given vertex -> multiplicity
+    entries, zero elsewhere: a witness D or C in the package's form."""
+    out = np.zeros(n, dtype=np.int64)
+    out[list(weights)] = list(weights.values())
+    return out
+
+
 def int_rank(rows, q):
     """Rank from int_rref: the independent reference for the numpy kernels."""
     return len(int_rref(rows, q)[1])

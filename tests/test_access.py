@@ -1,4 +1,4 @@
-"""Access verdicts: cut ranks, the two indicators, and witness multisets.
+"""Access verdicts: cut ranks, the two indicators, and the witness vectors.
 
 The published witness table for the order-8 Reed-Solomon graph is pinned row
 by row. Four of its 21 rows fail verification (three C tuples, one D tuple);
@@ -32,10 +32,10 @@ from qss.access import (
     witness_rows,
 )
 from qss.fqlinalg import _float_type
-from qss.multigraph import Multigraph, Multiset, random_graph, rs747_fixture
-from qss.oracle import qq_decode_bell, qq_encode
+from qss.multigraph import Multigraph, random_graph, rs747_fixture
+from qss.oracle import code_unitaries, decode_params, qq_decode_bell, qq_encode
 
-from helpers import dealer_graphs, int_rank, int_solve
+from helpers import dealer_graphs, int_rank, int_solve, vector
 
 
 def star3(q=3):
@@ -387,8 +387,8 @@ def test_witness_d_exists_iff_accessible():
         assert (w is not None) == (pi_classical(g, d, b) == 1)
         if w is not None:
             # seen outside B exactly at the dealer, with multiplicity 1
-            vec = w.as_vector(g.n)
-            nb = (g.gamma @ vec) % g.q
+            assert w.shape == (g.n,)
+            nb = (g.gamma @ w) % g.q
             outside = [v for v in range(g.n) if v not in set(b)]
             assert {v for v in outside if nb[v]} == {d}
             assert nb[d] == 1
@@ -407,11 +407,11 @@ def test_witness_c_exists_iff_hidden():
         w = witness_C(g, d, b)
         assert (w is not None) == (pi_classical(g, d, b) == 0)
         if w is not None:
-            vec = w.as_vector(g.n)
-            assert vec[d] == 1
-            nb = (g.gamma @ vec) % g.q
+            assert w.shape == (g.n,)
+            assert w[d] == 1
+            nb = (g.gamma @ w) % g.q
             assert all(nb[v] == 0 for v in b)
-            assert set(w.support()) <= set(range(g.n)) - set(b)
+            assert set(np.flatnonzero(w).tolist()) <= set(range(g.n)) - set(b)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -423,17 +423,17 @@ def test_stacked_witnesses_are_the_lowest_pivot_solutions(dg):
     players = [v for v in range(g.n) if v != d]
     sets = list(all_subsets(players))
     rows = witness_rows(g, d, sets, sets)
-    stacked_d, stacked_c = ([Multiset.from_vector(g.q, row) if ok else None for row, ok in zip(rows[k], rows[k + 1])]
-                            for k in (0, 2))
+    as_list = lambda vec: None if vec is None else vec.tolist()
+    stacked_d, stacked_c = ([row.tolist() if ok else None for row, ok in zip(rows[k], rows[k + 1])] for k in (0, 2))
     for b, got_d, got_c in zip(sets, stacked_d, stacked_c):
         rest = [v for v in range(g.n) if v not in b]
         x = int_solve(g.gamma[np.ix_(rest, b)].tolist(), [int(v == d) for v in rest], len(b), g.q)
-        assert got_d == (None if x is None else Multiset(g.q, dict(zip(b, x))))
-        assert got_d == witness_D(g, d, b)
+        assert got_d == (None if x is None else vector(g.n, dict(zip(b, x))).tolist())
+        assert got_d == as_list(witness_D(g, d, b))
         pinned = g.gamma[np.ix_(b, rest)].tolist() + [[int(v == d) for v in rest]]
         x = int_solve(pinned, [0] * len(b) + [1], len(rest), g.q)
-        assert got_c == (None if x is None else Multiset(g.q, dict(zip(rest, x))))
-        assert got_c == witness_C(g, d, b)
+        assert got_c == (None if x is None else vector(g.n, dict(zip(rest, x))).tolist())
+        assert got_c == as_list(witness_C(g, d, b))
 
 
 def test_screening_form_supported_on_b_plus_dealer():
@@ -443,7 +443,7 @@ def test_screening_form_supported_on_b_plus_dealer():
     far = [v for v in range(8) if v != 0 and v not in b]
     w = witness_C(rs.graph, 0, far)
     assert w is not None
-    assert w.support() <= set(b) | {0}
+    assert set(np.flatnonzero(w).tolist()) <= set(b) | {0}
 
 
 PUBLISHED_WITNESS_TABLE = [
@@ -472,11 +472,9 @@ PUBLISHED_WITNESS_TABLE = [
 ]
 
 
-def _split_pair_checks(g, d, b, d_ms, c_ms):
+def _split_pair_checks(g, d, b, dvec, cvec):
     """The two halves of verify_witness_pair, reported separately."""
     q = g.q
-    dvec = Multiset(q, d_ms).as_vector(g.n)
-    cvec = Multiset(q, c_ms).as_vector(g.n)
     nb_d = (g.gamma @ dvec) % q
     nb_c = (g.gamma @ cvec) % q
     outside = [v for v in range(g.n) if v not in set(b)]
@@ -491,12 +489,12 @@ def test_published_witness_table_row(row):
     rs = rs747_fixture()
     g, d = rs.graph, rs.dealer
     b, d_tuple, c_tuple, want_d, want_c = PUBLISHED_WITNESS_TABLE[row]
-    d_ms = dict(zip(b, d_tuple))
-    c_ms = dict(zip((d,) + b, c_tuple))
-    d_ok, c_ok = _split_pair_checks(g, d, b, d_ms, c_ms)
+    d_vec = vector(g.n, dict(zip(b, d_tuple)))
+    c_vec = vector(g.n, dict(zip((d,) + b, c_tuple)))
+    d_ok, c_ok = _split_pair_checks(g, d, b, d_vec, c_vec)
     assert d_ok == want_d
     assert c_ok == want_c
-    assert verify_witness_pair(g, d, b, d_ms, c_ms) == (want_d and want_c)
+    assert verify_witness_pair(g, d, b, d_vec, c_vec) == (want_d and want_c)
     # every set in the table is genuinely accessible and a valid pair exists
     assert quantum_derivative(g, d, b) == -1
     wd = witness_D(g, d, b)
@@ -514,34 +512,64 @@ def test_table_covers_every_support_pattern_once():
 def test_verify_witness_pair_rejects_domain_violations():
     rs = rs747_fixture()
     with pytest.raises(ValueError, match="player set"):
-        verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], {4: 1}, {0: 1})
+        verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], vector(8, {4: 1}), vector(8, {0: 1}))
     with pytest.raises(ValueError, match="dealer"):
-        verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], {7: 1}, {5: 1})
+        verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], vector(8, {7: 1}), vector(8, {5: 1}))
     # without C the D domain is still checked
     with pytest.raises(ValueError, match="D is supported outside"):
-        verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], {4: 1}, None)
+        verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], vector(8, {4: 1}), None)
     # a C domain violation raises even when D alone already fails
     with pytest.raises(ValueError, match="C is supported outside"):
-        verify_witness_pair(rs.graph, 0, (6, 7, 2, 3), {6: 3, 7: 2}, {5: 1})
+        verify_witness_pair(rs.graph, 0, (6, 7, 2, 3), vector(8, {6: 3, 7: 2}), vector(8, {5: 1}))
+    # a vector of another length names no vertex set at all
+    with pytest.raises(ValueError, match="length 8"):
+        verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], vector(9, {7: 1}), None)
 
 
 def test_verify_witness_pair_rejects_zero_d():
     rs = rs747_fixture()
-    assert not verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], {}, {0: 1})
-    assert not verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], {}, None)
+    assert not verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], vector(8, {}), vector(8, {0: 1}))
+    assert not verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], vector(8, {}), None)
 
 
 def test_verify_witness_pair_perturbation_breaks():
     rs = rs747_fixture()
     b = (6, 7, 2, 3)
-    d_ms = {6: 3, 7: 1}
-    c_ms = {0: 1, 2: 1, 3: 3}
-    assert verify_witness_pair(rs.graph, 0, b, d_ms, c_ms)
-    assert not verify_witness_pair(rs.graph, 0, b, {6: 3, 7: 2}, c_ms)
-    # with c_ms None only D is checked
-    assert verify_witness_pair(rs.graph, 0, b, d_ms, None)
-    assert not verify_witness_pair(rs.graph, 0, b, {6: 3, 7: 2}, None)
-    assert not verify_witness_pair(rs.graph, 0, b, d_ms, {0: 1, 2: 1, 3: 4})
+    d_vec = vector(8, {6: 3, 7: 1})
+    c_vec = vector(8, {0: 1, 2: 1, 3: 3})
+    assert verify_witness_pair(rs.graph, 0, b, d_vec, c_vec)
+    assert not verify_witness_pair(rs.graph, 0, b, vector(8, {6: 3, 7: 2}), c_vec)
+    # with c_vec None only D is checked
+    assert verify_witness_pair(rs.graph, 0, b, d_vec, None)
+    assert not verify_witness_pair(rs.graph, 0, b, vector(8, {6: 3, 7: 2}), None)
+    assert not verify_witness_pair(rs.graph, 0, b, d_vec, vector(8, {0: 1, 2: 1, 3: 4}))
+
+
+# the three one-set entry points of a witness pair, called as f(g, d, B, D, C)
+PAIR_CALLS = {
+    "verify_witness_pair": verify_witness_pair,
+    "decode_params": lambda *args: decode_params(*args, 0),
+    "code_unitaries": code_unitaries,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_CALLS))
+def test_pair_calls_name_a_missing_d(name):
+    g = star3()
+    with pytest.raises(ValueError, match="witness(es)? D|both witnesses"):
+        PAIR_CALLS[name](g, 0, [1, 2], None, None)
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_CALLS))
+def test_pair_calls_reject_non_integral_entries(name):
+    g = star3()
+    half = np.array([0, 1.5, 0])
+    with pytest.raises(ValueError, match="witness D must be integers"):
+        PAIR_CALLS[name](g, 0, [1, 2], half, vector(3, {0: 1}))
+    with pytest.raises(ValueError, match="witness C must be integers"):
+        PAIR_CALLS[name](g, 0, [1, 2], vector(3, {1: 1}), np.array([1.0, 0.5, 0.0]))
+    # integral floats pass as the integers they hold
+    assert PAIR_CALLS[name](g, 0, [1, 2], np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
 
 # ---------------------------------------------------------------- dealer kernel
@@ -550,7 +578,7 @@ def test_verify_witness_pair_perturbation_breaks():
 def test_dealer_kernel_witness_star():
     g = star3()
     w = dealer_kernel_witness(g, 0, [1, 2])
-    assert w.weights == {1: 1}
+    assert w.tolist() == [0, 1, 0]
     assert min_support_kernel_element(g, 0, [1, 2]) == 1
 
 
@@ -575,9 +603,9 @@ def test_dealer_kernel_witness_rs747_all_quads():
     g, d = rs.graph, rs.dealer
     for b in combinations(range(1, 8), 4):
         w = dealer_kernel_witness(g, d, b)
-        assert 1 <= len(w.support()) <= 3
+        assert w.shape == (8,) and 1 <= np.count_nonzero(w) <= 3
         cols = [d] + list(b)
-        vec = w.as_vector(8)[cols]
+        vec = w[cols]
         assert _kernel_member(g, d, cols, vec)
 
 
@@ -623,7 +651,7 @@ def test_slice_minimum_upper_bounds_exact_minimum():
             continue
         w = dealer_kernel_witness(g, d, b)
         exact = min_support_kernel_element(g, d, b)
-        assert exact <= len(w.support())
+        assert exact <= np.count_nonzero(w)
         checked += 1
 
 

@@ -6,6 +6,7 @@ capsys, so the suite never shells out.
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -98,6 +99,38 @@ def test_access_strips_dealer_with_warning(capsys, star_file):
     rep = report(out)
     assert rep["inputs"]["set"] == [1, 2]
     assert rep["result"]["derivative"] == -1
+
+
+# Order-11 reports pinned byte for byte, wall_time aside: a witness D over F_3
+# and a witness C over F_5, each with support on vertices 2 and 10, so the
+# sorted JSON lists key "10" before key "2".
+ACCESS_PINS_N11 = [
+    ("q 3\nn 11\ne 0 1 2\ne 0 2 2\ne 0 3 2\ne 0 4 1\ne 0 5 2\ne 0 6 2\ne 0 7 2\ne 0 9 1\ne 0 10 1\ne 1 3 1\n"
+     "e 1 4 1\ne 1 5 2\ne 1 6 1\ne 1 8 2\ne 1 9 2\ne 2 3 1\ne 2 4 1\ne 2 5 2\ne 2 7 1\ne 2 8 2\ne 2 9 1\n"
+     "e 3 4 2\ne 3 5 2\ne 3 6 2\ne 3 7 2\ne 3 8 1\ne 3 9 2\ne 3 10 2\ne 4 5 1\ne 4 6 2\ne 4 7 1\ne 4 9 1\n"
+     "e 4 10 1\ne 5 7 2\ne 5 8 1\ne 5 9 2\ne 6 7 1\ne 6 10 1\ne 7 8 1\ne 7 9 1\ne 7 10 1\ne 8 9 2\n"
+     "e 8 10 1\ne 9 10 1\n", "1,2,4,6,8,10",
+     '{"command": "access", "inputs": {"dealer": 0, "graph": "GRAPH", "set": [1, 2, 4, 6, 8, 10]}, "result": '
+     '{"classical": "accessible", "derivative": -1, "pi": 1, "quantum": "accessible", "witness_c": null, '
+     '"witness_d": {"1": 2, "10": 2, "2": 2, "4": 1, "6": 1}}, "seed": null, "wall_time": X}\n'),
+    ("q 5\nn 11\ne 0 1 4\ne 0 2 4\ne 0 3 4\ne 0 4 4\ne 0 6 4\ne 0 7 4\ne 0 8 1\ne 1 2 3\ne 1 3 4\ne 1 4 3\n"
+     "e 1 5 3\ne 1 6 3\ne 1 8 4\ne 1 9 4\ne 2 3 4\ne 2 4 4\ne 2 5 1\ne 2 6 2\ne 2 7 4\ne 2 8 4\ne 2 10 3\n"
+     "e 3 4 2\ne 3 5 1\ne 3 6 4\ne 3 7 3\ne 3 8 2\ne 3 9 4\ne 3 10 2\ne 4 5 4\ne 4 7 4\ne 4 8 4\ne 4 9 2\n"
+     "e 4 10 2\ne 5 6 1\ne 5 7 1\ne 5 8 1\ne 5 9 3\ne 5 10 1\ne 6 7 4\ne 6 8 1\ne 6 9 2\ne 6 10 1\n"
+     "e 7 8 3\ne 7 9 1\ne 7 10 4\ne 8 9 3\ne 9 10 4\n", "3,4,5,6",
+     '{"command": "access", "inputs": {"dealer": 0, "graph": "GRAPH", "set": [3, 4, 5, 6]}, "result": '
+     '{"classical": "no_info", "derivative": 1, "pi": 0, "quantum": "no_info", "witness_c": '
+     '{"0": 1, "1": 3, "10": 1, "2": 2, "7": 3}, "witness_d": null}, "seed": null, "wall_time": X}\n'),
+]
+
+
+@pytest.mark.parametrize("text, vset, pinned", ACCESS_PINS_N11)
+def test_access_report_pinned_n11(capsys, tmp_path, text, vset, pinned):
+    path = tmp_path / "n11.graph"
+    path.write_text(text)
+    code, out, _ = run(capsys, ["access", str(path), "--dealer", "0", "--set", vset])
+    assert code == EXIT_OK
+    assert re.sub(r'"wall_time": [0-9.e-]+', '"wall_time": X', out) == pinned.replace("GRAPH", str(path))
 
 
 def test_access_report_deterministic_modulo_wall_time(capsys, star_file):

@@ -1,4 +1,4 @@
-"""Graphs over F_q, multiset algebra, and the text graph format.
+"""Graphs over F_q, neighbour multisets as vectors, and the text graph format.
 
 The 5-vertex worked example used throughout comes in two variants: the
 adjacency matrix as printed (no v1-v2 edge) and a figure variant with a
@@ -14,7 +14,6 @@ from qss.access import cutrank
 from qss.multigraph import (
     DealerGraph,
     Multigraph,
-    Multiset,
     cut_matrix,
     delete_vertex,
     local_complement,
@@ -56,30 +55,6 @@ def path3(q):
     return Multigraph(q, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
 
-# ---------------------------------------------------------------- multisets
-
-
-def test_multiset_drops_zero_weights_and_sorts():
-    m = Multiset(5, {3: 0, 1: 7, 0: 5})
-    assert m.weights == {1: 2}
-    assert m.support() == frozenset({1})
-
-
-def test_multiset_vector_roundtrip():
-    m = Multiset.from_vector(3, [2, 0, 1])
-    assert m.weights == {0: 2, 2: 1}
-    assert m.as_vector(3).tolist() == [2, 0, 1]
-    assert m[1] == 0 and m[2] == 1
-
-
-def test_multiset_equality_ignores_domain():
-    # a vertex listed at multiplicity 0, as from_vector lists it, changes nothing
-    assert Multiset(3, {0: 1}) == Multiset(3, {0: 1, 1: 0}) == Multiset.from_vector(3, [1, 0, 3])
-    assert Multiset(3, {0: 1}) != Multiset(5, {0: 1})
-    assert not Multiset(3, {})
-    assert Multiset(3, {0: 1})
-
-
 # ------------------------------------------------------------- construction
 
 
@@ -98,6 +73,18 @@ def test_graph_rejects_out_of_range_weights():
         Multigraph(3, [[0, 3], [3, 0]])
     with pytest.raises(ValueError, match="multiplicities"):
         Multigraph(3, [[0, -1], [-1, 0]])
+
+
+def test_graph_rejects_non_integral_entries():
+    # an entry is never truncated: 1.5 would read as an edge of multiplicity 1
+    with pytest.raises(ValueError, match="integers"):
+        Multigraph(3, [[0, 1.5], [1.5, 0]])
+    # an entry beyond int64 raises ValueError, not OverflowError
+    with pytest.raises(ValueError, match="integers"):
+        Multigraph(3, np.array([[0, 2**64], [2**64, 0]], dtype=object))
+    # integral floats pass: the search builds its found graph from float digits
+    g = Multigraph(3, np.array([[0.0, 2.0], [2.0, 0.0]], dtype=np.float32))
+    assert g.gamma.dtype == np.int64 and g.gamma.tolist() == [[0, 2], [2, 0]]
 
 
 def test_graph_rejects_nonsquare_and_nonprime():
@@ -131,30 +118,31 @@ def test_dealer_graph_range_check():
 # ------------------------------------------------------- worked 5-vertex example
 
 
-def neighbors_multiset(g: Multigraph, d) -> Multiset:
-    """Neighbour multiset Gamma.D over the full vertex set."""
-    return Multiset.from_vector(g.q, g.gamma @ Multiset(g.q, d).as_vector(g.n))
+def neighbors_multiset(g: Multigraph, d) -> list[int]:
+    """Neighbour multiset Gamma.D over the full vertex set, as a list of
+    residues, for a length-n vertex multiset D."""
+    return (g.gamma @ np.asarray(d) % g.q).tolist()
 
 
 def test_neighbors_printed_matrix():
     g = printed_example()
-    a = Multiset(3, {0: 1, 1: 1})
-    d = Multiset(3, {0: 2, 1: 1})
-    assert neighbors_multiset(g, a) == Multiset(3, {4: 2})
-    assert neighbors_multiset(g, d) == Multiset(3, {2: 1})
+    a = np.array([1, 1, 0, 0, 0])
+    d = np.array([2, 1, 0, 0, 0])
+    assert neighbors_multiset(g, a) == [0, 0, 0, 0, 2]
+    assert neighbors_multiset(g, d) == [0, 0, 1, 0, 0]
 
 
 def test_neighbors_figure_variant_matches_narrative():
     g = figure_example()
-    a = Multiset(3, {0: 1, 1: 1})
-    d = Multiset(3, {0: 2, 1: 1})
-    assert neighbors_multiset(g, a) == Multiset(3, {0: 1, 1: 1, 4: 2})
-    assert neighbors_multiset(g, d) == Multiset(3, {0: 1, 1: 2, 2: 1})
+    a = np.array([1, 1, 0, 0, 0])
+    d = np.array([2, 1, 0, 0, 0])
+    assert neighbors_multiset(g, a) == [1, 1, 0, 0, 2]
+    assert neighbors_multiset(g, d) == [1, 2, 1, 0, 0]
 
 
-def test_neighbors_accepts_plain_dict():
+def test_neighbors_accepts_plain_list():
     g = printed_example()
-    assert neighbors_multiset(g, {0: 2, 1: 1}) == Multiset(3, {2: 1})
+    assert neighbors_multiset(g, [2, 1, 0, 0, 0]) == [0, 0, 1, 0, 0]
 
 
 # ------------------------------------------------------------ local operations

@@ -66,6 +66,8 @@ from qss.oracle import (
     trace_distance,
 )
 
+from helpers import vector
+
 
 def star3():
     return Multigraph(3, [[0, 1, 1], [1, 0, 0], [1, 0, 0]])
@@ -821,21 +823,22 @@ def test_site_positions_outside_the_register_raise(sites):
 
 def test_decode_params_t0_reduction():
     g = star3()
-    p = decode_params(g, 0, [1, 2], {1: 1}, None, 0)
+    p = decode_params(g, 0, [1, 2], vector(3, {1: 1}), None, 0)
     assert p.t == 0
     assert p.beta == 0
-    assert p.x == {1: 1, 2: 0}  # X exponents mirror the accessing multiset
+    assert p.x == (0, 1, 0)  # X exponents mirror the accessing multiset, X^0 at the dealer
+    assert p.z == (1, 0, 0)  # the dealer's Z; K_1 = X_1 Z_0 puts no Z on the players
     assert p.c == 0
 
 
 def test_decode_params_needs_c_for_nonzero_t():
     with pytest.raises(ValueError, match="hiding witness"):
-        decode_params(star3(), 0, [1, 2], {1: 1}, None, 1)
+        decode_params(star3(), 0, [1, 2], vector(3, {1: 1}), None, 1)
 
 
 def test_decode_params_rejects_bad_pair():
     with pytest.raises(ValueError, match="access conditions"):
-        decode_params(star3(), 0, [1, 2], {2: 2, 1: 1}, None, 0)
+        decode_params(star3(), 0, [1, 2], vector(3, {2: 2, 1: 1}), None, 0)
 
 
 def test_decode_params_constructive_phase_overrides_printed():
@@ -846,6 +849,7 @@ def test_decode_params_constructive_phase_overrides_printed():
     cms = witness_C(g, 0, [])  # hiding witness over B + {d}, here just {d}
     p = decode_params(g, 0, [1, 2], dms, cms, 1)
     assert p.c == 1
+    assert (p.x[0], p.z[0]) == (1, 1)  # the dealer's X^t Z at t = 1
 
 
 def test_decode_params_q2_half_correction_integral():
@@ -880,8 +884,19 @@ def test_protocol_rounds_on_sets_that_leave_a_player_out():
                 s, m = cq_round(g, 0, b, t, rng)
                 assert m == s
         dms = witness_D(g, 0, b)
-        doubled = {v: 2 * w for v, w in dms.items()}
+        doubled = 2 * dms
         assert decode_params(g, 0, b, doubled, None, 0) == decode_params(g, 0, b, dms, None, 0)
+
+
+def test_cq_round_solves_its_witnesses_in_one_call(monkeypatch):
+    # D alone at t = 0; D and C over B + {d} together at t != 0
+    calls, solve = [], qss.oracle.witness_rows
+    monkeypatch.setattr(qss.oracle, "witness_rows", lambda *args: calls.append(args[2:]) or solve(*args))
+    rng = np.random.default_rng(86)
+    for t in range(3):
+        s, m = cq_round(path4(), 0, (1, 3), t, rng)
+        assert m == s
+    assert calls == [([(1, 3)], []), ([(1, 3)], [[2]]), ([(1, 3)], [[2]])]
 
 
 def test_cq_round_unauthorized_paths():
@@ -959,14 +974,14 @@ def test_code_unitaries_phase_and_shift():
 
 def test_code_unitaries_need_both_witnesses():
     with pytest.raises(ValueError, match="both"):
-        code_unitaries(star3(), 0, [1, 2], {1: 1}, None)
+        code_unitaries(star3(), 0, [1, 2], vector(3, {1: 1}), None)
 
 
 def folded_unitaries(g, d, b, dms, cms):
     """(U_B, V_B) multiplied out one generator power at a time: U_B =
     K_D^{-1} and V_B = Xbar K_C' K_D^{-beta}, D scaled to alpha = 1 and C'
     being C without its dealer weight, on the player register."""
-    q, dvec, cvec = g.q, dms.as_vector(g.n), cms.as_vector(g.n)
+    q, dvec, cvec = g.q, dms.copy(), cms.copy()
     dvec = dvec * pow(int(g.gamma[d] @ dvec % q), -1, q) % q
     beta, cvec[d] = int(g.gamma[d] @ cvec % q), 0
     u_op = folded_product(g, -dvec % q, range(g.n)).factor_site(d)
@@ -1005,8 +1020,8 @@ def test_corrupted_witness_rows_raise(case, error):
     # one corrupted pair raises the same error through a stack of sets, the
     # stack of one and code_unitaries
     g, b, full = path4(), (1, 2), (1, 2, 3)
-    d_row = witness_D(g, 0, b).as_vector(4)
-    c_row = witness_C(g, 0, [3]).as_vector(4)
+    d_row = witness_D(g, 0, b)
+    c_row = witness_C(g, 0, [3])
     bad_d, bad_c = d_row.copy(), c_row.copy()
     if case == "D off B":
         bad_d[3] = 1
@@ -1014,13 +1029,13 @@ def test_corrupted_witness_rows_raise(case, error):
         bad_c = 2 * c_row % 3
     else:
         bad_d[2] = 1  # Gamma.D reaches vertex 3 as well as the dealer
-    full_d, full_c = witness_D(g, 0, full).as_vector(4), witness_C(g, 0, []).as_vector(4)
+    full_d, full_c = witness_D(g, 0, full), witness_C(g, 0, [])
     assert _steering_rows(g, 0, [b, full], np.array([d_row, full_d]), np.array([c_row, full_c])).shape == (2, 2, 7)
     for sets, d_rows, c_rows in (([full, b], [full_d, bad_d], [full_c, bad_c]), ([b], [bad_d], [bad_c])):
         with pytest.raises(ValueError, match=error):
             _steering_rows(g, 0, sets, np.array(d_rows), np.array(c_rows))
     with pytest.raises(ValueError, match=error):
-        code_unitaries(g, 0, b, dict(enumerate(bad_d.tolist())), dict(enumerate(bad_c.tolist())))
+        code_unitaries(g, 0, b, bad_d, bad_c)
 
 
 def test_qq_decode_bell_authorized():
