@@ -24,12 +24,13 @@ from itertools import groupby, product
 import numpy as np
 
 from .fqlinalg import (
+    _border_indicators,
     _residues,
     _solve_stack,
-    batch_border_indicators_mod,
     kernel_basis_mod,
     rank_mod,
     reduced_column_echelon_mod,
+    require_prime,
 )
 from .multigraph import Multigraph, as_integers, cut_matrix
 
@@ -68,9 +69,9 @@ def batch_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarra
     batch_border_indicators_mod call gives pi = [c not in colspan M] and
     the derivative [r not in rowspan M] - pi. Every indicator in the
     package, scalar or searched, comes from this gather. The graph stack
-    is reduced mod q into the elimination's type first, unless it already
-    has that type (fqlinalg._residues), so a scan that reduces its stack
-    once gathers straight from the residues.
+    is reduced mod q into the elimination's type first (fqlinalg._residues);
+    a scan that holds its stack as residues already gathers through
+    _residue_indicators, which skips that reduction.
 
     Rows may hold sets of several sizes: a smaller set lists its members
     and pads the rest of its row with -1. All matrices then share the shape
@@ -82,6 +83,12 @@ def batch_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarra
     a member, a repeated member or the dealer as a member raises
     ValueError.
     """
+    q = require_prime(q)
+    return _residue_indicators(_residues(gammas, q), q, dealer, subsets)
+
+
+def _residue_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """batch_indicators on a stack of residues in the elimination's type."""
     count, n, _ = gammas.shape
     sets, width = subsets.shape
     low = subsets.min(initial=0)
@@ -107,7 +114,6 @@ def batch_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarra
     if ((key == 0).sum(axis=1) < members).any():
         raise ValueError("a player set repeats a member or holds the dealer")
     cols = np.argsort(key, axis=1, kind="stable")[:, least:]
-    gammas = _residues(gammas, q)
     if least < width:
         # vertex n: a zero row and column, which index -1 reaches too; the
         # zeroed columns are a smaller set's leading sorted members
@@ -116,12 +122,12 @@ def batch_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarra
         gammas = padded
         cols[np.arange(n - least) < (members - least)[:, None]] = n
     rows = np.concatenate([subsets, np.full((sets, 1), dealer)], axis=1)
-    # gathered with the (set, graph) stack axis last, the C-contiguous
-    # layout the elimination runs in place on, and passed as an (N, R, C)
-    # view of it
+    # gathered with the (set, graph) stack axis last, the layout the
+    # elimination runs in place on; numpy lays out a gather from one graph
+    # with its set axis outermost, so that one is copied
     bordered = gammas.transpose(1, 2, 0)[rows.T[:, None, :], cols.T[None, :, :]]
-    stack = bordered.reshape(width + 1, n - least, sets * count).transpose(2, 0, 1)
-    c_outside, r_outside = batch_border_indicators_mod(stack, q)
+    stack = np.ascontiguousarray(bordered.reshape(width + 1, n - least, sets * count))
+    c_outside, r_outside = _border_indicators(stack, q)
     pi = c_outside.reshape(sets, count).T.astype(np.int64)
     return pi, r_outside.reshape(sets, count).T - pi
 
@@ -171,6 +177,12 @@ class AccessVerdict:
     derivative: int
     witness_d: np.ndarray | None
     witness_c: np.ndarray | None
+
+    def __eq__(self, other):
+        """Value equality; the witness vectors compare entry by entry."""
+        if not isinstance(other, AccessVerdict):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self.__dataclass_fields__)
 
 
 def witness_D(g: Multigraph, d: int, b_set) -> np.ndarray | None:

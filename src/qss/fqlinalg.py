@@ -2,14 +2,14 @@
 
 Every matrix routine takes plain numpy integer arrays and is an entry to one
 fraction-free lockstep elimination, `_eliminate`; the single-matrix routines
-run it on a stack of one. Its input is reduced modulo the prime q once, in
-integer arithmetic (`_residues`), into the narrowest float type that is
-exact for q: float32 below FLOAT32_CEILING = 2^11, float64 up to the field
-ceiling 2^20. Every elimination step then stays below q^2 in magnitude,
-exact in the type's significand, and is reduced back into [0, q) through
-the float quotient floor((a + 1/2) * (1/q)), which is exact for every q
-the type is chosen for (see `_eliminate`). The pivot of a column is always the first unused
-row that is nonzero there, which keeps every routine deterministic.
+run it on a stack of one. Every public routine reduces its input modulo the
+prime q (`_residues`) into the narrowest signed integer type that holds
+(q - 1)^2: int8 up to q = 11, int16 up to 181, int32 up to 46,337 and int64
+up to the field ceiling 2^20. Every elimination step then stays within
+[-(q - 1)^2, (q - 1)^2] and is reduced back into [0, q) by exact integer
+floor division, so no step rounds. The pivot of a column is always the
+first unused row that is nonzero there, which keeps every routine
+deterministic.
 """
 
 from __future__ import annotations
@@ -43,11 +43,9 @@ def require_prime(q: int) -> int:
     """Return q as an int if it is a prime below FIELD_SIZE_CEILING.
 
     The ceiling keeps every intermediate exact. Residues are below
-    q < 2^20, so a product of two is below 2^40. The elimination step
-    v * r - f * p is then an integer of magnitude below 2^40 < 2^53, exact
-    in float64 (the float32 the elimination uses below 2^11 is exact there
-    too), and its float quotient floor((a + 1/2) * (1/q)) is exact (see
-    _eliminate). In int64, a row sum Gamma @ v of n such products
+    q < 2^20, so a product of two is below 2^40 and the elimination step
+    v * r - f * p fits int64 (see _eliminate). In int64, a row sum
+    Gamma @ v of n such products
     (witness checks, neighbour multisets, the sufficient-condition scan)
     stays below n * 2^40 < 2^63 for every order n < 2^23, whose int64
     adjacency matrix alone would take 512 TiB.
@@ -84,29 +82,24 @@ def _int_array(a, ndim: int = 2) -> np.ndarray:
     return arr
 
 
-# Below this modulus the elimination runs in float32, else in float64; see
-# _eliminate for why each is exact.
-FLOAT32_CEILING = 1 << 11
-
-
-def _float_type(q: int) -> type:
-    """The elimination's number type for F_q: float32 below FLOAT32_CEILING."""
-    return np.float32 if q < FLOAT32_CEILING else np.float64
+def _kernel_type(q: int) -> np.dtype:
+    """The elimination's number type for F_q: the narrowest signed integer
+    type that holds -(q - 1)^2, the least value of an elimination step."""
+    return np.min_scalar_type(-((q - 1) ** 2))
 
 
 def _residues(a: np.ndarray, q: int) -> np.ndarray:
-    """a mod q as a new C-contiguous array of _float_type(q), reduced in
-    integer arithmetic as a - q * (a // q): numpy divides an int64 array by
-    a scalar through a multiply, several times faster than %, and a product
-    that wraps past int64 wraps back in the subtraction. An array already
-    of that type is taken to hold residues, and is returned as it is when
-    C-contiguous."""
-    if a.dtype == _float_type(q):
-        return np.ascontiguousarray(a)
+    """a mod q as a new C-contiguous array of _kernel_type(q), whatever a's
+    type, reduced as a - q * (a // q) in a's type if it is an integer type
+    that holds q, else widened: numpy divides an integer array by a scalar
+    through a multiply, several times faster than %, and a product that
+    wraps past the type wraps back in the subtraction."""
+    if a.dtype.kind not in "iu" or np.iinfo(a.dtype).max < q:
+        a = a.astype(np.promote_types(a.dtype, _kernel_type(q)))
     reduced = a // q
     reduced *= q
     np.subtract(a, reduced, out=reduced)
-    return reduced.astype(_float_type(q), order="C")
+    return reduced.astype(_kernel_type(q), order="C", copy=False)
 
 
 # _eliminate's scratch stack: one byte buffer per thread, viewed as the
@@ -133,7 +126,7 @@ def _eliminate(a: np.ndarray, q: int, rows: int, cols: int) -> tuple[np.ndarray,
     """Eliminate an (R, C, N) stack of N matrices over F_q in lockstep, in
     place.
 
-    a must be C-contiguous, of _float_type(q) and hold residues in [0, q),
+    a must be C-contiguous, of _kernel_type(q) and hold residues in [0, q),
     as _residues makes it. Returns (a, used): a is the eliminated stack and
     used is the (rows, N) mask of pivot rows, so each matrix's leading
     rows x cols block has rank used.sum(0). Keeping the matrix axis last
@@ -144,24 +137,17 @@ def _eliminate(a: np.ndarray, q: int, rows: int, cols: int) -> tuple[np.ndarray,
     never swapped: the pivot of a column is the first unused leading row
     that is nonzero there. Elimination is fraction-free (Bareiss): every
     other row r becomes v * r - r[col] * p for the pivot row p with pivot
-    value v, and a matrix with no pivot in the column gets v = 1 and
-    r[col] taken as 0. Scaling a row by a nonzero v keeps every span, so no
-    inverse is needed and no table grows with q.
+    value v, and a matrix with no pivot in the column gets v = 1 and a zero
+    p, which subtracts nothing. Scaling a row by a nonzero v keeps every
+    span, so no inverse is needed and no table grows with q.
 
-    Exactness: every entry is a residue in [0, q) before a step, so the
-    step's v * r - r[col] * p is an integer of magnitude below q^2. It is
-    exact in the type's significand: q^2 < 2^22 < 2^24 in float32, and
-    q^2 < 2^40 < 2^53 in float64. It is reduced back as
-    a - q * floor((a + 1/2) * fl(1/q)). The quotient (a + 1/2) / q =
-    (2a + 1) / (2q) lies at least 1 / (2q) from every integer, and a + 1/2
-    is exact too, so only rounding 1/q and the product errs: by under
-    q * 2^-23 in float32 and q * 2^-52 in float64, since |a + 1/2| / q < q.
-    That is below 1 / (2q) when q^2 < 2^22, i.e. q < 2^11 = FLOAT32_CEILING,
-    and for every q below the 2^20 ceiling in float64, so the floor is
-    exactly floor(a / q). The float32 bound is tight within a factor of 2:
-    at q = 4093 < 2^12 the float32 floor is one too small for some
-    multiples a of q. Without the 1/2 not even float64 is exact:
-    floor(a * (1/q)) is one too small for some multiples a of q = 197.
+    Exactness: every entry is a residue in [0, q) before a step, so both
+    products lie in [0, (q - 1)^2] and the step's result in
+    [-(q - 1)^2, (q - 1)^2], which the type holds by its choice. It is
+    reduced back as a - q * (a // q) with numpy's floor division, and
+    q * (a // q) lies in [-q(q - 1), (q - 1)^2], which the type also holds
+    for every prime q it is chosen for. Integer arithmetic is exact, so no
+    step rounds, whatever q below the field ceiling.
 
     Each column step writes its products into a scratch stack of a's shape,
     a view of a buffer that only grows, up to SCRATCH_CAP, and is reused by
@@ -171,36 +157,30 @@ def _eliminate(a: np.ndarray, q: int, rows: int, cols: int) -> tuple[np.ndarray,
     keep the memory. The buffer is per thread, and worker processes have
     their own, so no two eliminations share it; nothing returned aliases it.
     """
-    if not a.flags.c_contiguous or a.dtype != _float_type(q):
-        raise ValueError(f"expected a C-contiguous {np.dtype(_float_type(q))} stack, got {a.dtype}")
-    _, width, size = a.shape
-    unused = np.ones((rows, size), dtype=bool)
+    if not a.flags.c_contiguous or a.dtype != _kernel_type(q):
+        raise ValueError(f"expected a C-contiguous {_kernel_type(q)} stack, got {a.dtype}")
+    unused = np.ones((rows, a.shape[2]), dtype=bool)
     if rows == 0:
         return a, ~unused
-    # a is C-contiguous, so flat is a view of it and pivot rows are read
-    # from the live stack
-    flat = a.reshape(-1)
-    row_offsets = np.arange(width * size).reshape(width, size)
     # the first free row of a column scores highest
-    score = np.arange(rows, 0, -1)[:, None]
+    score = np.arange(rows, 0, -1, dtype=np.min_scalar_type(rows))[:, None]
     scratch = _scratch_like(a)
-    inv_q = a.dtype.type(1.0 / q)
+    lead, masked = a[:rows], scratch[:rows]
     for col in range(cols):
-        key = ((a[:rows, col] != 0) & unused) * score
+        key = ((lead[:, col] != 0) & unused) * score
         top = key.max(axis=0)
-        has = top > 0
-        if not has.any():
+        if not top.any():
             continue
-        pivot = (key == top) & has
-        pivot_rows = flat[np.where(has, rows - top, 0) * (width * size) + row_offsets]
-        factors = a[:, col] * has
+        pivot = (key == top) & (top > 0)
+        # each matrix's pivot row, or a zero row where it has no pivot
+        np.multiply(lead, pivot[:, None, :], out=masked)
+        pivot_rows = masked.sum(axis=0, dtype=a.dtype)
+        factors = a[:, col].copy()
         factors[:rows] *= ~pivot
-        a *= np.where(has, pivot_rows[col], 1)
+        a *= pivot_rows[col] + (top == 0)
         np.multiply(factors[:, None, :], pivot_rows, out=scratch)
         a -= scratch
-        np.add(a, 0.5, out=scratch)
-        scratch *= inv_q
-        np.floor(scratch, out=scratch)
+        np.floor_divide(a, q, out=scratch)
         scratch *= q
         a -= scratch
         unused ^= pivot
@@ -333,20 +313,23 @@ def batch_border_indicators_mod(mats, q: int) -> tuple[np.ndarray, np.ndarray]:
 
     Args:
         mats: integer array of shape (N, m + 1, w + 1); M is m x w, and m
-            or w may be 0. An array already of the elimination's type holds
-            residues (see _residues) and may be eliminated in place:
-            access.batch_indicators passes its gathered stack so.
+            or w may be 0.
 
     Returns:
         (c_outside, r_outside): bool arrays of shape (N,) holding
         c not in colspan M and r not in rowspan M.
     """
     q = require_prime(q)
-    arr = mats if getattr(mats, "dtype", None) == _float_type(q) else _int_array(mats, ndim=3)
-    _, rows, cols = arr.shape
-    if rows == 0 or cols == 0:
+    arr = _int_array(mats, ndim=3)
+    if arr.shape[1] == 0 or arr.shape[2] == 0:
         raise ValueError(f"expected a border row and column, got shape {arr.shape}")
-    a, used = _eliminate(_residues(arr.transpose(1, 2, 0), q), q, rows - 1, cols - 1)
+    return _border_indicators(_residues(arr.transpose(1, 2, 0), q), q)
+
+
+def _border_indicators(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """batch_border_indicators_mod on an (R, C, N) stack of residues in the
+    kernel's type, eliminated in place: access.batch_indicators' route."""
+    a, used = _eliminate(a, q, a.shape[0] - 1, a.shape[1] - 1)
     # c is in colspan M exactly when it vanishes on the rows M reduced to 0;
     # r is in rowspan M exactly when its reduction against M vanishes
     c_outside = ((a[:-1, -1] != 0) & ~used).any(axis=0)

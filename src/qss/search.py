@@ -24,8 +24,8 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .access import _index_array, batch_indicators
-from .fqlinalg import _float_type, _residues, require_prime
+from .access import _index_array, _residue_indicators
+from .fqlinalg import _kernel_type, _residues, require_prime
 from .multigraph import DealerGraph, Multigraph, serialize_graph
 
 TRIAL_CHUNK = 2048
@@ -75,24 +75,29 @@ def _first_failure(
     as one array padded with -1. A graph leaves the stack at its first
     failure, the argmax inside its ordered block, so the block sizes change
     only the number of calls, never a result. The scan stops when no graph
-    is left. The stack is reduced mod q once, into the kernel's type, and
-    every block is gathered from those residues.
+    is left. The stack must hold residues mod q, as a Multigraph's Gamma
+    and _gamma_from_index's stacks do; it is cast once into the kernel's
+    type, and every block is gathered from it by access._residue_indicators.
     """
-    first: list[tuple[int, ...] | None] = [None] * len(gammas)
-    gammas = _residues(gammas, q)
+    gammas = gammas.astype(_kernel_type(q), copy=False)
+    # each graph's first failure as an index into failed_sets, which keeps
+    # only the blocks some graph failed in
+    first = np.full(len(gammas), -1)
+    failed_sets: list[tuple[int, ...] | None] = []
     live = np.arange(len(gammas))
     sets = iter(sets)
     budget = BLOCK
     while live.size and (block := list(islice(sets, max(1, budget // live.size)))):
         budget = min(2 * budget, BLOCK_CAP)
-        failing = batch_indicators(gammas, q, dealer, _index_array(block))[1] != -1
+        failing = _residue_indicators(gammas, q, dealer, _index_array(block))[1] != -1
         failed = failing.any(axis=1)
         if failed.any():
-            for i, j in zip(live[failed], failing[failed].argmax(axis=1)):
-                first[i] = block[j]
+            first[live[failed]] = len(failed_sets) + failing[failed].argmax(axis=1)
+            failed_sets += block
             keep = ~failed
             live, gammas = live[keep], gammas[keep]
-    return first
+    failed_sets.append(None)  # index -1: no failure
+    return [failed_sets[i] for i in first.tolist()]
 
 
 def _sets_by_size(players: tuple[int, ...], sizes: Iterable[int]) -> Iterator[tuple[int, ...]]:
@@ -220,7 +225,7 @@ def _gamma_from_index(index, n: int, q: int) -> np.ndarray:
     """
     rest = np.array(index, dtype=np.int64)
     m = n * (n - 1) // 2
-    digits = np.zeros(rest.shape + (m + 1,), dtype=_float_type(q))
+    digits = np.zeros(rest.shape + (m + 1,), dtype=_kernel_type(q))
     for slot in range(m - 1, -1, -1):
         digits[..., slot] = rest % q
         rest //= q
@@ -396,7 +401,7 @@ def batch_accessible_at_k(gammas: np.ndarray, q: int, k: int, dealer: int = 0) -
     players = [v for v in range(gammas.shape[1]) if v != dealer]
     if _some_set_fails(k, len(players)):
         return np.zeros(len(gammas), dtype=bool)
-    first = _first_failure(gammas, q, dealer, combinations(players, k))
+    first = _first_failure(_residues(gammas, require_prime(q)), q, dealer, combinations(players, k))
     return np.array([f is None for f in first], dtype=bool)
 
 
@@ -439,9 +444,9 @@ def random_trials(
 def _trial_chunk(seed: int, chunk_index: int, count: int, n: int, q: int, k: int) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
     m = n * (n - 1) // 2
-    # the multiplicities are residues, so they go straight into the
-    # kernel's type and the scan reduces nothing
-    slots = np.zeros((count, m + 1), dtype=_float_type(q))
+    # the multiplicities are residues, drawn straight into the kernel's
+    # type, so batch_accessible_at_k reduces bytes
+    slots = np.zeros((count, m + 1), dtype=_kernel_type(q))
     slots[:, :m] = rng.integers(0, q, size=(count, m))
     return int(batch_accessible_at_k(slots[:, _slot_map(n)], q, k).sum())
 

@@ -7,6 +7,7 @@ valid replacement witness exists for each, so the table stays an honest
 record instead of silently passing.
 """
 
+from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
@@ -31,7 +32,7 @@ from qss.access import (
     witness_D,
     witness_rows,
 )
-from qss.fqlinalg import _float_type
+from qss.fqlinalg import _kernel_type
 from qss.multigraph import Multigraph, random_graph, rs747_fixture
 from qss.oracle import code_unitaries, decode_params, qq_decode_bell, qq_encode
 
@@ -314,17 +315,18 @@ def test_malformed_uniform_rows_are_rejected(rows, dealer, complaint):
 
 def test_a_stack_of_residues_in_the_kernel_type_is_not_reduced_again():
     # int64 entries anywhere, against the same graphs as kernel-type
-    # residues, which batch_indicators gathers from as they are
+    # residues, which batch_indicators reduces into a copy of its own and
+    # leaves as they are
     rng = np.random.default_rng(41)
     subsets = np.array(list(combinations(range(1, 8), 3)), dtype=np.intp)
     for q in (2, 7, 2039, 2053):
         gammas = rng.integers(0, q, size=(5, 8, 8))
         gammas = np.triu(gammas, 1) + np.triu(gammas, 1).transpose(0, 2, 1)
         shifted = gammas + q * rng.integers(-3, 4, size=gammas.shape)
-        residues = gammas.astype(_float_type(q))
+        residues = gammas.astype(_kernel_type(q))
         got = batch_indicators(residues, q, 0, subsets)
         assert all(np.array_equal(a, b) for a, b in zip(got, batch_indicators(shifted, q, 0, subsets)))
-        assert residues.dtype == _float_type(q) and np.array_equal(residues, gammas)
+        assert residues.dtype == _kernel_type(q) and np.array_equal(residues, gammas)
         want = [[quantum_derivative(Multigraph(q, g), 0, b) for b in subsets] for g in gammas]
         assert got[1].tolist() == want
 
@@ -350,6 +352,19 @@ def test_classify_labels_and_witnesses():
     vp = classify(g, 0, [1])
     assert vp.quantum == PARTIAL
     assert vp.derivative == 0
+
+
+def test_verdicts_compare_by_value():
+    # the witness vectors compare entry by entry, and a None witness equals
+    # only None
+    rs = rs747_fixture()
+    v = classify(rs.graph, 0, [1, 2, 3, 7])
+    assert v == classify(rs.graph, 0, [1, 2, 3, 7]) and v.witness_c is None
+    assert v != classify(rs.graph, 0, [1, 2, 3])
+    assert v != replace(v, witness_d=(v.witness_d + 1) % rs.graph.q)
+    assert v != replace(v, witness_c=v.witness_d)
+    assert v != replace(v, witness_d=None)
+    assert v != (v.classical, v.quantum, v.pi, v.derivative, v.witness_d, v.witness_c)
 
 
 def test_classify_cross_check_random():

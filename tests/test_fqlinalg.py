@@ -17,8 +17,7 @@ from qss.access import batch_indicators
 from qss.fqlinalg import (
     SCRATCH_CAP,
     FIELD_SIZE_CEILING,
-    FLOAT32_CEILING,
-    _float_type,
+    _kernel_type,
     _solve_stack,
     batch_border_indicators_mod,
     batch_rank_mod,
@@ -36,10 +35,11 @@ from helpers import int_rank, int_rref, int_solve
 
 PRIMES = [2, 3, 5, 7]
 LARGEST_PRIME = 1048573  # the largest prime below FIELD_SIZE_CEILING = 2**20
-# the largest float32 prime (below FLOAT32_CEILING = 2**11), the least
-# float64 prime, the largest prime below 2**12, where float32 would err,
-# and the ceiling's
-BOUNDARY_PRIMES = [2039, 2053, 4093, LARGEST_PRIME]
+# the largest and least prime of each kernel type (int8 up to 11, int16 up
+# to 181, int32 up to 46337, int64 from 46349), the primes around 2**11
+# and below 2**12, where an earlier float32 kernel changed type and would
+# have erred, and the ceiling's
+BOUNDARY_PRIMES = [11, 13, 181, 191, 2039, 2053, 4093, 46337, 46349, LARGEST_PRIME]
 
 
 def kernel_entries(q):
@@ -108,8 +108,9 @@ def test_ranks_exact_just_below_ceiling():
 
 def test_ranks_exact_where_a_bare_float_quotient_errs():
     # for 92 of the multiples a = m * 197 with |m| < 197, floor(a * (1/197))
-    # rounds to m - 1; the kernel's floor((a + 1/2) * (1/q)) does not, and
-    # rank-deficient matrices make such multiples in their eliminated rows
+    # rounds to m - 1, and rank-deficient matrices make such multiples in
+    # their eliminated rows; the kernel's integer floor division must take
+    # each to 0
     q = 197
     rng = np.random.default_rng(20)
     mats = [rng.integers(0, q, size=(5, r)) @ rng.integers(0, q, size=(r, 6)) % q for r in (1, 2, 3, 4) for _ in range(10)]
@@ -137,9 +138,18 @@ def test_rank_kernels_match_pure_int_reference(q, count, rows, cols, data):
     assert [rank_mod(m, q) for m in mats] == want
 
 
-def test_elimination_type_changes_at_the_float32_ceiling():
-    assert FLOAT32_CEILING == 2**11
-    assert [_float_type(q) for q in [2, 7, *BOUNDARY_PRIMES]] == [np.float32] * 3 + [np.float64] * 3
+def test_elimination_type_is_the_narrowest_integer_holding_a_step():
+    # int8 up to 11, int16 up to 181, int32 up to 46337 and int64 above
+    pins = [(2, np.int8), (11, np.int8), (13, np.int16), (181, np.int16)]
+    pins += [(191, np.int32), (46337, np.int32), (46349, np.int64), (LARGEST_PRIME, np.int64)]
+    assert [_kernel_type(q) for q, _ in pins] == [t for _, t in pins]
+    for q, kind in pins:
+        # a step lies in [-(q - 1)^2, (q - 1)^2] and the q * (a // q) of its
+        # reduction in [-q(q - 1), (q - 1)^2]
+        assert np.iinfo(kind).min <= -q * (q - 1) and (q - 1) ** 2 <= np.iinfo(kind).max
+    # the least prime past each boundary overflows the narrower type
+    for q, narrower in [(13, np.int8), (191, np.int16), (46349, np.int32)]:
+        assert -((q - 1) ** 2) < np.iinfo(narrower).min
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -151,7 +161,7 @@ def test_elimination_type_changes_at_the_float32_ceiling():
     st.integers(1, 3),
     st.data(),
 )
-def test_kernels_exact_on_both_sides_of_the_float32_ceiling(q, count, rows, cols, inner, data):
+def test_kernels_exact_on_both_sides_of_each_type_boundary(q, count, rows, cols, inner, data):
     # entries cluster at 0 and q - 1, where the steps reach their largest
     # magnitudes, near q^2; the even matrices are products of thin factors,
     # whose eliminated rows are multiples of q that must reduce to 0
@@ -450,6 +460,53 @@ def test_border_indicators_match_pure_int_reference(q, count, m, w, data):
         assert got_r == int_rank(mat[:, :w].tolist(), q) - rank_m  # [M ; r]
 
 
+def test_no_input_type_marks_its_entries_as_residues():
+    # every public routine reduces what it is given, whatever its integer
+    # type: -q, q, 2q - 1 and the type's extremes, wherever the type holds
+    # them, read as their residues; a lone -q is 0, so c = [-q] lies in the
+    # span of an M without columns
+    q = LARGEST_PRIME
+    assert batch_border_indicators_mod(np.array([[[-q], [0]]]), q)[0].tolist() == [False]
+    assert rank_mod(np.array([[-q, 0]]), q) == int_rank([[-q, 0]], q) == 0
+    rng = np.random.default_rng(43)
+    subsets = np.array(list(combinations(range(1, 6), 2)), dtype=np.intp)
+    for q in (2, 11, 13, 181, 191, 46337, 46349, LARGEST_PRIME):
+        # the matrix routines read their input as int64; batch_indicators
+        # gathers from any integer type, unsigned ones too
+        for kind in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint64):
+            info = np.iinfo(kind)
+            values = [v for v in (0, 1, q - 1, -q, q, 2 * q - 1, info.min, info.max) if info.min <= v <= info.max]
+            values = np.array(values, dtype=kind)
+            gammas = rng.choice(values, size=(2, 6, 6))
+            pi, der = batch_indicators(gammas, q, 0, subsets)
+            for g, pi_g, der_g in zip(gammas.tolist(), pi.tolist(), der.tolist()):
+                for b, pi_b, der_b in zip(subsets.tolist(), pi_g, der_g):
+                    w = [v for v in range(1, 6) if v not in b]
+                    m = [[g[u][v] for v in w] for u in b]
+                    rank_m = int_rank(m, q)
+                    c_out = int_rank([row + [g[u][0]] for row, u in zip(m, b)], q) - rank_m
+                    r_out = int_rank(m + [[g[0][v] for v in w]], q) - rank_m
+                    assert (pi_b, der_b) == (c_out, r_out - c_out)
+            if info.min == 0:
+                continue
+            mats = rng.choice(values, size=(6, 4, 5))
+            want = [int_rank(m.tolist(), q) for m in mats]
+            assert batch_rank_mod(mats, q).tolist() == want
+            assert [rank_mod(m, q) for m in mats] == want
+            for m in mats:
+                r, pivots = rref_mod(m, q)
+                assert (r.tolist(), pivots) == int_rref(m.tolist(), q)
+                x = solve_affine_mod(m[:, :-1], m[:, -1], q)
+                assert (x is None) == (int_rank(m.tolist(), q) > int_rank(m[:, :-1].tolist(), q))
+                if x is not None:
+                    assert ((m[:, :-1].astype(object) @ x.astype(object) - m[:, -1].astype(object)) % q == 0).all()
+            c_outside, r_outside = batch_border_indicators_mod(mats, q)
+            for got_c, got_r, m in zip(c_outside, r_outside, mats):
+                rank_m = int_rank(m[:-1, :-1].tolist(), q)
+                assert got_c == int_rank(m[:-1, :].tolist(), q) - rank_m
+                assert got_r == int_rank(m[:, :-1].tolist(), q) - rank_m
+
+
 def test_kernels_accept_strided_stacks():
     # views that are not C-contiguous: every other matrix of a transposed
     # stack with its columns reversed, and single matrices cut from it
@@ -505,7 +562,7 @@ def test_kernel_calls_of_changing_shapes_share_the_scratch_buffer():
 
 def test_a_stack_above_the_cap_gets_a_buffer_of_its_own():
     # 300 order-12 graphs by the 462 sets of 6 players: 138,600 bordered 7x6
-    # matrices, a 23 MiB float32 stack. The buffer kept afterwards stays under the
+    # matrices, a 5.8 MB int8 stack. The buffer kept afterwards stays under the
     # cap, and the stack's own buffer ranks as the kept one does on chunks
     # of 10 graphs
     rng = np.random.default_rng(71)
@@ -515,7 +572,7 @@ def test_a_stack_above_the_cap_gets_a_buffer_of_its_own():
     gammas[:, iu[0], iu[1]] = rng.integers(0, q, size=(count, len(iu[0])))
     gammas += np.transpose(gammas, (0, 2, 1))
     subsets = np.array(list(combinations(range(1, n), 6)), dtype=np.intp)
-    assert np.dtype(_float_type(q)).itemsize * 7 * 6 * count * len(subsets) > SCRATCH_CAP
+    assert np.dtype(_kernel_type(q)).itemsize * 7 * 6 * count * len(subsets) > SCRATCH_CAP
     pi, der = batch_indicators(gammas, q, 0, subsets)
     assert getattr(qss.fqlinalg._scratch, "buf", np.empty(0)).nbytes <= SCRATCH_CAP
     for lo in range(0, count, 10):

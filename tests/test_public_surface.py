@@ -28,8 +28,19 @@ SOURCES = [*MODULES, *(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.p
 # whose decode needs 7^9 amplitudes. verify_witness_pair is the one-set form
 # of the paper's graphical access criterion; the oracle checks whole stacks
 # through verify_witness_pairs, and tests/test_access.py pins the criterion's
-# verdicts and domain errors through the one-set form
-TEST_REFERENCES = ("schmidt_rank", "eigenvalue_label", "sufficient_condition_check", "info_leak", "verify_witness_pair")
+# verdicts and domain errors through the one-set form.
+# batch_border_indicators_mod is the public form of the bordered span test:
+# it reduces any integer stack, while batch_indicators gathers from residues
+# and eliminates through the private route fqlinalg._border_indicators, and
+# tests/test_fqlinalg.py checks the kernel against int_rank through it
+TEST_REFERENCES = (
+    "schmidt_rank",
+    "eigenvalue_label",
+    "sufficient_condition_check",
+    "info_leak",
+    "verify_witness_pair",
+    "batch_border_indicators_mod",
+)
 
 
 def _references(tree: ast.AST) -> Counter:

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qss.search
-from qss.access import batch_indicators, quantum_derivative
+from qss.access import _residue_indicators, batch_indicators, quantum_derivative
 from qss.multigraph import DealerGraph, Multigraph, local_complement, parse_graph, random_graph, rs747_fixture
 from qss.search import (
     TRIAL_CHUNK,
@@ -308,15 +308,15 @@ def test_is_scheme_truthiness():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The (sets, width) index array of every batch_indicators call from
-    qss.search."""
+    """The (sets, width) index array of every kernel call from qss.search,
+    which ranks through batch_indicators' residue route."""
     calls = []
 
     def counted(*args):
         calls.append(args[3])
-        return batch_indicators(*args)
+        return _residue_indicators(*args)
 
-    monkeypatch.setattr(qss.search, "batch_indicators", counted)
+    monkeypatch.setattr(qss.search, "_residue_indicators", counted)
     return calls
 
 
