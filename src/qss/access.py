@@ -25,6 +25,7 @@ import numpy as np
 
 from .fqlinalg import (
     _border_indicators,
+    _kernel_type,
     _residues,
     _solve_stack,
     kernel_basis_mod,
@@ -68,10 +69,11 @@ def batch_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarra
     colspan M] and cutrk(B + {d}) = rank M + [r not in rowspan M], so one
     batch_border_indicators_mod call gives pi = [c not in colspan M] and
     the derivative [r not in rowspan M] - pi. Every indicator in the
-    package, scalar or searched, comes from this gather. The graph stack
-    is reduced mod q into the elimination's type first (fqlinalg._residues);
-    a scan that holds its stack as residues already gathers through
-    _residue_indicators, which skips that reduction.
+    package, scalar or searched, comes from this gather: the stack reduced
+    mod q (fqlinalg._residues) and bordered by a zero vertex (_zero_vertex),
+    indexed by _gather_index, is ranked by _residue_indicators. A search
+    scan borders its stack once and indexes each block from cached plans
+    (search._plan), so it calls _residue_indicators alone.
 
     Rows may hold sets of several sizes: a smaller set lists its members
     and pads the rest of its row with -1. All matrices then share the shape
@@ -84,12 +86,24 @@ def batch_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarra
     ValueError.
     """
     q = require_prime(q)
-    return _residue_indicators(_residues(gammas, q), q, dealer, subsets)
+    rows, cols = _gather_index(gammas.shape[1], dealer, subsets)
+    return _residue_indicators(_zero_vertex(_residues(gammas, q), q), q, rows, cols)
 
 
-def _residue_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """batch_indicators on a stack of residues in the elimination's type."""
+def _zero_vertex(gammas: np.ndarray, q: int) -> np.ndarray:
+    """A (graphs, n, n) stack of residues mod q as a new stack of the
+    kernel's type with a zero vertex n appended, which index -1 reaches."""
     count, n, _ = gammas.shape
+    out = np.zeros((count, n + 1, n + 1), dtype=_kernel_type(q))
+    out[:, :n, :n] = gammas
+    return out
+
+
+def _gather_index(n: int, dealer: int, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """batch_indicators' checks, then its gather index: rows lists each
+    set's members, its -1 pads and the dealer; cols lists a -1 for each
+    member beyond the smallest set's, the other players ascending and the
+    dealer. Index -1 reaches the zero vertex of _zero_vertex."""
     sets, width = subsets.shape
     low = subsets.min(initial=0)
     if not 0 <= dealer < n:
@@ -115,18 +129,20 @@ def _residue_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.nda
         raise ValueError("a player set repeats a member or holds the dealer")
     cols = np.argsort(key, axis=1, kind="stable")[:, least:]
     if least < width:
-        # vertex n: a zero row and column, which index -1 reaches too; the
-        # zeroed columns are a smaller set's leading sorted members
-        padded = np.zeros((count, n + 1, n + 1), dtype=gammas.dtype)
-        padded[:, :n, :n] = gammas
-        gammas = padded
-        cols[np.arange(n - least) < (members - least)[:, None]] = n
-    rows = np.concatenate([subsets, np.full((sets, 1), dealer)], axis=1)
+        # the zeroed columns are a smaller set's leading sorted members
+        cols[np.arange(n - least) < (members - least)[:, None]] = -1
+    return np.column_stack([subsets, np.full(sets, dealer)]).astype(np.intp, copy=False), cols
+
+
+def _residue_indicators(gammas: np.ndarray, q: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """batch_indicators' gather and elimination on a stack of residues in
+    the kernel's type, bordered by _zero_vertex if an index is -1."""
+    sets, count = len(rows), len(gammas)
     # gathered with the (set, graph) stack axis last, the layout the
     # elimination runs in place on; numpy lays out a gather from one graph
     # with its set axis outermost, so that one is copied
     bordered = gammas.transpose(1, 2, 0)[rows.T[:, None, :], cols.T[None, :, :]]
-    stack = np.ascontiguousarray(bordered.reshape(width + 1, n - least, sets * count))
+    stack = np.ascontiguousarray(bordered.reshape(rows.shape[1], cols.shape[1], sets * count))
     c_outside, r_outside = _border_indicators(stack, q)
     pi = c_outside.reshape(sets, count).T.astype(np.int64)
     return pi, r_outside.reshape(sets, count).T - pi

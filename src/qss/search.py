@@ -3,28 +3,27 @@
 A dealer graph realises a ((k, n))_q scheme when every set of k players can
 reconstruct a quantum secret and some set of k - 1 players cannot (n counts
 players, not vertices). Because accessibility is monotone, k - 1 is the size
-of the largest non-accessible set. Every path asks one question of a stream
-of player sets: which is the first without access? `_first_failure` answers
-it for a stack of graphs, and a graph stops being ranked at its first
-failure. A stream may chain several sizes, and one kernel call then ranks a
-block that spans them: `scheme_k` scans sizes downwards on small graphs, so
-its first failure is the largest unauthorized set, and `is_scheme` ranks the
-size-k sets and then the size-(k - 1) sets.
-"""
+of the largest non-accessible set. Every path asks one question of a list of
+sizes: in the lexicographic player sets of each size in turn, which is the
+first without access? `_first_failure` answers it for a stack of graphs from
+cached gather plans, and a graph stops being ranked at its first failure.
+One kernel call may rank a block that spans sizes: `scheme_k` scans sizes
+downwards on small graphs, so its first failure is the largest unauthorized
+set, and `is_scheme` ranks the size-k sets and then the size-(k - 1) sets."""
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import chain, combinations, islice
-from math import ceil, comb, isfinite
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from math import ceil, comb, isfinite, log2
+from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
-from .access import _index_array, _residue_indicators
+from .access import _gather_index, _residue_indicators, _zero_vertex
 from .fqlinalg import _kernel_type, _residues, require_prime
 from .multigraph import DealerGraph, Multigraph, serialize_graph
 
@@ -37,6 +36,10 @@ TRIAL_CHUNK = 2048
 # outgrows a 2 MiB L2 cache.
 BLOCK = 64
 BLOCK_CAP = 2048
+# Plans (_plan) kept at once. A plan holds at most BLOCK_CAP * (n + 1)
+# int64 indices, so the cache holds at most 512 KiB per vertex; a downward
+# scheme_k scan (order 12 or less) uses one plan per size
+PLAN_CACHE = 32
 # _gamma_from_index builds int64 indices, so no search reaches this index
 _INDEX_LIMIT = 2**63
 
@@ -61,48 +64,93 @@ class SchemeReport:
     all_accessible_at_k: bool
 
 
-def _first_failure(
-    gammas: np.ndarray, q: int, dealer: int, sets: Iterable[tuple[int, ...]]
-) -> list[tuple[int, ...] | None]:
-    """For each graph of a stack, the first player set of the ordered stream
-    sets whose derivative is not -1, or None when every set has access.
+@lru_cache(maxsize=PLAN_CACHE)
+def _plan(n: int, dealer: int, size: int, chunk: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only gather plan (sets, rows, cols) of the chunk-th run of
+    at most BLOCK_CAP lexicographic size-element sets of the players (every
+    vertex but the dealer): their members and access._gather_index's rows
+    and cols, whose checks run once per plan. At most PLAN_CACHE plans are
+    kept, so no level is built whole and memory stays bounded at any n."""
+    players = [v for v in range(n) if v != dealer]
+    start = chunk * BLOCK_CAP
+    count = min(comb(len(players), size) - start, BLOCK_CAP)
+    sets = islice(combinations(players, size), start, start + count)
+    rows, cols = _gather_index(n, dealer, np.fromiter(chain.from_iterable(sets), np.intp).reshape(count, size))
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows[:, :-1], rows, cols
 
-    The one subset scan behind every search path. The stream is pulled in
-    blocks of max(1, budget // live) sets, where live counts the graphs
-    still in the stack and the budget of bordered matrices starts at BLOCK
-    and doubles after each call up to BLOCK_CAP; the stream is never built
-    whole. A block that spans several set sizes goes to batch_indicators
-    as one array padded with -1. A graph leaves the stack at its first
-    failure, the argmax inside its ordered block, so the block sizes change
-    only the number of calls, never a result. The scan stops when no graph
-    is left. The stack must hold residues mod q, as a Multigraph's Gamma
-    and _gamma_from_index's stacks do; it is cast once into the kernel's
-    type, and every block is gathered from it by access._residue_indicators.
+
+def _block_index(n: int, dealer: int, sizes: list[int], start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """_gather_index's rows and cols for the sets [start, stop) of the
+    lexicographic player sets of each size in turn: two slices of one plan,
+    or slices of several assembled with -1 pads to the widest set (rows)
+    and down to the smallest (cols)."""
+    pieces = []
+    for size in sizes:
+        total = comb(n - 1, size)
+        lo, hi = max(start, 0), min(stop, total)
+        while lo < hi:
+            chunk, offset = divmod(lo, BLOCK_CAP)
+            end = min(hi, lo - offset + BLOCK_CAP)
+            pieces.append((size, _plan(n, dealer, size, chunk), offset, end - lo + offset))
+            lo = end
+        start, stop = start - total, stop - total
+    if len(pieces) == 1:
+        _, (_, rows, cols), lo, hi = pieces[0]
+        return rows[lo:hi], cols[lo:hi]
+    widest = max(size for size, *_ in pieces)
+    least = min(size for size, *_ in pieces)
+    count = sum(hi - lo for *_, lo, hi in pieces)
+    rows = np.full((count, widest + 1), -1, dtype=np.intp)
+    cols = np.full((count, n - least), -1, dtype=np.intp)
+    rows[:, -1] = dealer
+    at = 0
+    for size, (sets, _, plan_cols), lo, hi in pieces:
+        rows[at : at + hi - lo, :size] = sets[lo:hi]
+        cols[at : at + hi - lo, size - least :] = plan_cols[lo:hi]
+        at += hi - lo
+    return rows, cols
+
+
+def _first_failure(gammas: np.ndarray, q: int, dealer: int, sizes: Iterable[int]) -> list[tuple[int, ...] | None]:
+    """For each graph of a stack, the first set without access among the
+    lexicographic player sets of each size of sizes in turn, or None.
+
+    The one subset scan behind every search path. It ranks blocks of
+    max(1, budget // live) sets, live counting the graphs still in the
+    stack and the budget of bordered matrices starting at BLOCK and
+    doubling after each call up to BLOCK_CAP, each from cached plans
+    (_block_index) in one _residue_indicators call. A graph leaves at its
+    first failure, the argmax inside its ordered block, so block sizes
+    change only the number of calls, never a result. The stack must hold
+    residues mod q. A scan of several sizes borders it by the zero vertex
+    once, for the pads of blocks that span sizes; one of a single size
+    only casts it into the kernel's type.
     """
-    gammas = gammas.astype(_kernel_type(q), copy=False)
-    # each graph's first failure as an index into failed_sets, which keeps
-    # only the blocks some graph failed in
-    first = np.full(len(gammas), -1)
-    failed_sets: list[tuple[int, ...] | None] = []
+    sizes = list(sizes)
+    n = gammas.shape[1]
+    gammas = _zero_vertex(gammas, q) if len(sizes) > 1 else gammas.astype(_kernel_type(q), copy=False)
+    found: list[tuple[int, ...] | None] = [None] * len(gammas)
     live = np.arange(len(gammas))
-    sets = iter(sets)
+    start, total = 0, sum(comb(n - 1, size) for size in sizes)
     budget = BLOCK
-    while live.size and (block := list(islice(sets, max(1, budget // live.size)))):
+    while live.size and start < total:
+        stop = min(total, start + max(1, budget // live.size))
         budget = min(2 * budget, BLOCK_CAP)
-        failing = _residue_indicators(gammas, q, dealer, _index_array(block))[1] != -1
+        rows, cols = _block_index(n, dealer, sizes, start, stop)
+        failing = _residue_indicators(gammas, q, rows, cols)[1] != -1
         failed = failing.any(axis=1)
         if failed.any():
-            first[live[failed]] = len(failed_sets) + failing[failed].argmax(axis=1)
-            failed_sets += block
+            firsts = failing[failed].argmax(axis=1).tolist()
+            # many graphs of a stack fail at one set, which is named once
+            named = {j: tuple(v for v in rows[j, :-1].tolist() if v >= 0) for j in set(firsts)}
+            for graph, j in zip(live[failed].tolist(), firsts):
+                found[graph] = named[j]
             keep = ~failed
             live, gammas = live[keep], gammas[keep]
-    failed_sets.append(None)  # index -1: no failure
-    return [failed_sets[i] for i in first.tolist()]
-
-
-def _sets_by_size(players: tuple[int, ...], sizes: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """The player sets of each size in turn, lexicographic within a size."""
-    return chain.from_iterable(combinations(players, size) for size in sizes)
+        start = stop
+    return found
 
 
 def _some_set_fails(size: int, players: int) -> bool:
@@ -124,7 +172,7 @@ def _largest_failure_downwards(dg: DealerGraph) -> tuple[int, ...]:
     first failure lies in the largest failing size, and _some_set_fails
     puts one in size p // 2."""
     g, p = dg.graph, len(dg.players)
-    return _first_failure(g.gamma[None], g.q, dg.dealer, _sets_by_size(dg.players, range(p - 1, p // 2 - 1, -1)))[0]
+    return _first_failure(g.gamma[None], g.q, dg.dealer, range(p - 1, p // 2 - 1, -1))[0]
 
 
 def _largest_failure_upwards(dg: DealerGraph) -> tuple[int, ...]:
@@ -133,7 +181,7 @@ def _largest_failure_upwards(dg: DealerGraph) -> tuple[int, ...]:
     It ranks no size above k, where the downward scan ranks every one."""
     g, players = dg.graph, dg.players
     for size in range(len(players) // 2, len(players)):
-        failure = _first_failure(g.gamma[None], g.q, dg.dealer, combinations(players, size))[0]
+        failure = _first_failure(g.gamma[None], g.q, dg.dealer, [size])[0]
         if failure is None:
             break
         worst = failure
@@ -191,7 +239,7 @@ def is_scheme(dg: DealerGraph, k: int) -> IsSchemeResult:
     if not 1 <= k <= len(players):
         raise ValueError(f"k={k} outside 1..{len(players)}")
     sizes = _sizes_at_k(k, len(players))
-    failure = _first_failure(g.gamma[None], g.q, d, _sets_by_size(players, sizes))[0]
+    failure = _first_failure(g.gamma[None], g.q, d, sizes)[0]
     if failure is not None and len(failure) == k:
         return IsSchemeResult(False, failure, f"set of size {k} cannot access the secret")
     if failure is None and len(sizes) == 2:
@@ -220,15 +268,20 @@ def _gamma_from_index(index, n: int, q: int) -> np.ndarray:
     The edge slots of _slot_map are read as base-q digits with the first
     slot most significant, so contiguous index ranges share their leading
     entries. index is an int or an integer array; the result has shape
-    index.shape + (n, n). The digits are taken one slot at a time, as
-    q^(m - 1) overflows int64 for large n.
+    index.shape + (n, n). q^(m - 1) overflows int64 for large n, so the
+    digits are taken in groups of the most slots g with q^g below 2^63, one
+    vectorised pass per group from the least significant; an index below
+    2^63 leaves zeros in the slots above its last group.
     """
     rest = np.array(index, dtype=np.int64)
     m = n * (n - 1) // 2
     digits = np.zeros(rest.shape + (m + 1,), dtype=_kernel_type(q))
-    for slot in range(m - 1, -1, -1):
-        digits[..., slot] = rest % q
-        rest //= q
+    group = int(63 / log2(q) - 1e-9)
+    places = q ** np.arange(group, -1, -1, dtype=np.int64)
+    for stop in range(m, 0, -group):
+        width = min(group, stop)
+        digits[..., stop - width : stop] = rest[..., None] // places[-width:] % q
+        rest //= places[-width - 1]
     return digits[..., _slot_map(n)]
 
 
@@ -258,8 +311,7 @@ def _graphs_realising_k(start: int, stop: int, n: int, q: int, k: int, dealer_fi
         hit = np.zeros(len(gammas), dtype=bool)
         for d in dealers:
             live = np.flatnonzero(gammas[:, d].any(axis=1) & ~hit)
-            players = tuple(v for v in range(n) if v != d)
-            first = _first_failure(gammas[live], q, d, _sets_by_size(players, sizes))
+            first = _first_failure(gammas[live], q, d, sizes)
             hit[live] = [len(sizes) == 1 if f is None else len(f) < k for f in first]
         if hit.any():
             return lo + int(np.argmax(hit))
@@ -398,10 +450,9 @@ class TrialSummary:
 def batch_accessible_at_k(gammas: np.ndarray, q: int, k: int, dealer: int = 0) -> np.ndarray:
     """For a stack of adjacency matrices, test whether every size-k player
     set has derivative -1: never when _some_set_fails, so nothing is ranked."""
-    players = [v for v in range(gammas.shape[1]) if v != dealer]
-    if _some_set_fails(k, len(players)):
+    if _some_set_fails(k, gammas.shape[1] - 1):
         return np.zeros(len(gammas), dtype=bool)
-    first = _first_failure(_residues(gammas, require_prime(q)), q, dealer, combinations(players, k))
+    first = _first_failure(_residues(gammas, require_prime(q)), q, dealer, [k])
     return np.array([f is None for f in first], dtype=bool)
 
 

@@ -9,7 +9,7 @@ import dataclasses
 import os
 import tempfile
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import ceil, comb
 
 import numpy as np
@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qss.search
-from qss.access import _residue_indicators, batch_indicators, quantum_derivative
+from qss.access import _index_array, _residue_indicators, _zero_vertex, batch_indicators, quantum_derivative
 from qss.multigraph import DealerGraph, Multigraph, local_complement, parse_graph, random_graph, rs747_fixture
 from qss.search import (
     TRIAL_CHUNK,
@@ -32,10 +32,14 @@ from qss.search import (
 from qss.search import (
     BLOCK,
     BLOCK_CAP,
+    PLAN_CACHE,
+    _block_index,
     _first_failure,
     _gamma_from_index,
     _largest_failure_downwards,
     _largest_failure_upwards,
+    _plan,
+    _slot_map,
     _some_set_fails,
 )
 
@@ -195,36 +199,109 @@ def test_cut_rank_invariances_keep_every_derivative(dg, data):
 
 @pytest.mark.parametrize("count", [1, 3, 300])
 def test_first_failure_across_blocks(count):
-    # order-12 graphs have C(11, 6) = 462 player sets of size 6, several
-    # blocks however many graphs are live
+    # order-12 graphs over F_7: the downward scan of sizes 10 to 6 lists
+    # 1,023 player sets, several blocks however many graphs are live. The
+    # stack keeps the graphs of a larger random pool whose lexicographic
+    # first failures lie deepest, so a set taken from a wrong block differs
     rng = np.random.default_rng(70 + count)
-    n, q = 12, 3
+    n, q = 12, 7
     iu = np.triu_indices(n, 1)
-    gammas = np.zeros((count, n, n), dtype=np.int64)
-    gammas[:, iu[0], iu[1]] = rng.integers(0, q, size=(count, len(iu[0])))
-    gammas += np.transpose(gammas, (0, 2, 1))
+    pool = np.zeros((count + 16, n, n), dtype=np.int64)
+    pool[:, iu[0], iu[1]] = rng.integers(0, q, size=(len(pool), len(iu[0])))
+    pool += np.transpose(pool, (0, 2, 1))
     firsts = {}
-    for size in (6, 10):
-        subsets = np.array(list(combinations(range(1, n), size)))
-        # sets that fail on few graphs go first, so first failures fall
-        # deep into the list and past the first block
-        failing = batch_indicators(gammas, q, 0, subsets)[1] != -1
-        order = np.argsort(failing.sum(axis=0), kind="stable")
-        failing = failing[:, order]
-        want = np.where(failing.any(axis=1), failing.argmax(axis=1), len(subsets))
-        stream = [tuple(int(v) for v in subsets[i]) for i in order]
-        got = _first_failure(gammas, q, 0, iter(stream))
+    for sizes in ((10, 9, 8, 7, 6), (10,)):
+        stream = [b for size in sizes for b in combinations(range(1, n), size)]
+        failing = batch_indicators(pool, q, 0, _index_array(stream))[1] != -1
+        want = np.where(failing.any(axis=1), failing.argmax(axis=1), len(stream))
+        if len(sizes) > 1:
+            deepest = np.argsort(-want, kind="stable")[:count]
+        want = want[deepest]
+        got = _first_failure(pool[deepest], q, 0, sizes)
         assert got == [stream[j] if j < len(stream) else None for j in want]
-        firsts[size] = want
-    # a result taken from the wrong block would name a set before this
-    assert (firsts[6] >= max(1, BLOCK // count)).any()
+        firsts[sizes[-1]] = want
+    # every first failure lies past the first block
+    assert (firsts[6] >= max(1, BLOCK // count)).all()
     if count == 1:
         # a lone graph is ranked in blocks of BLOCK, 2 * BLOCK, 4 * BLOCK
-        # sets: its first failure lies in the third block, so a set taken
+        # sets: its first failure lies past the third block, so a set taken
         # from a wrongly grown block fails the comparison above
-        assert firsts[6][0] > BLOCK + 2 * BLOCK
+        assert firsts[6][0] > BLOCK + 2 * BLOCK + 4 * BLOCK
     # size 10 covers graphs on which every set has access
     assert (firsts[10] == comb(11, 10)).any()
+
+
+def _padded_stream(players, sizes, start, stop):
+    """The sets at [start, stop) of the lexicographic sets of each size in
+    turn, as batch_indicators' index array padded with -1."""
+    stream = [b for size in sizes for b in combinations(players, size)][start:stop]
+    subsets = np.full((len(stream), max(sizes)), -1, dtype=np.intp)
+    for row, b in zip(subsets, stream):
+        row[: len(b)] = b
+    return subsets
+
+
+def _assert_plan_route_matches(gammas, q, dealer, sizes, start, stop):
+    n = gammas.shape[1]
+    rows, cols = _block_index(n, dealer, sizes, start, stop)
+    subsets = _padded_stream([v for v in range(n) if v != dealer], sizes, start, stop)
+    assert np.array_equal(rows[:, :-1], subsets[:, : rows.shape[1] - 1])
+    assert (subsets[:, rows.shape[1] - 1 :] == -1).all() and (rows[:, -1] == dealer).all()
+    got = _residue_indicators(_zero_vertex(gammas, q), q, rows, cols)
+    for a, b in zip(got, batch_indicators(gammas, q, dealer, subsets)):
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_plan_blocks_match_batch_indicators(data):
+    # any block of any list of sizes, any dealer: the plan route gathers
+    # the sets of the padded index array and gives its verdicts
+    n = data.draw(st.integers(2, 9))
+    q = data.draw(st.sampled_from([2, 3, 5, 7]))
+    dealer = data.draw(st.integers(0, n - 1))
+    sizes = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    total = sum(comb(n - 1, size) for size in sizes)
+    start = data.draw(st.integers(0, total - 1))
+    stop = data.draw(st.integers(start + 1, min(total, start + BLOCK_CAP)))
+    gammas = np.stack([random_graph(n, q, np.random.default_rng(data.draw(st.integers(0, 99)))).gamma
+                       for _ in range(2)])
+    _assert_plan_route_matches(gammas, q, dealer, sizes, start, stop)
+
+
+@pytest.mark.parametrize("start, stop", [(2000, 2100), (2950, 3050), (5040, 5060), (0, 2048)])
+def test_plan_blocks_cross_chunks_at_order_15(start, stop):
+    # 14 players: C(14, 8) = 3,003 sets of size 8 and C(14, 7) = 3,432 of
+    # size 7, each more than one BLOCK_CAP chunk; the blocks cross a chunk
+    # within size 8, span size 8's last chunk and size 7's first, cross a
+    # chunk within size 7 and fill one whole chunk
+    assert comb(14, 7) > comb(14, 8) > BLOCK_CAP
+    gammas = np.stack([random_graph(15, 5, np.random.default_rng(s)).gamma for s in range(3)])
+    _assert_plan_route_matches(gammas, 5, 4, [8, 7], start, stop)
+
+
+def test_plans_are_read_only_lexicographic_chunks():
+    players = [v for v in range(15) if v != 2]
+    for chunk in (0, 1):
+        plan = _plan(15, 2, 7, chunk)
+        want = list(islice(combinations(players, 7), chunk * BLOCK_CAP, (chunk + 1) * BLOCK_CAP))
+        assert plan[0].tolist() == [list(b) for b in want]
+        for a in plan:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0
+
+
+def test_plan_cache_stays_within_its_bound():
+    # upward scans over every dealer of an order-16 graph use more plans
+    # than the cache holds, which keeps no more than PLAN_CACHE of them
+    _plan.cache_clear()
+    g = random_graph(16, 3, np.random.default_rng(16))
+    assert sum(comb(15, size) for size in range(7, 15)) > BLOCK_CAP  # scheme_k scans upwards
+    for dealer in range(16):
+        rep = scheme_k(DealerGraph(g, dealer))
+        assert rep.worst_unauthorized == _largest_failure_upwards(DealerGraph(g, dealer))
+    info = _plan.cache_info()
+    assert info.misses > info.maxsize == PLAN_CACHE >= info.currsize
 
 
 @st.composite
@@ -308,12 +385,12 @@ def test_is_scheme_truthiness():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The (sets, width) index array of every kernel call from qss.search,
-    which ranks through batch_indicators' residue route."""
+    """The (sets, width) index array of batch_indicators for every kernel
+    call from qss.search: the gather rows without their dealer column."""
     calls = []
 
     def counted(*args):
-        calls.append(args[3])
+        calls.append(args[2][:, :-1])
         return _residue_indicators(*args)
 
     monkeypatch.setattr(qss.search, "_residue_indicators", counted)
@@ -413,6 +490,32 @@ def test_gamma_from_index_roundtrip():
         assert back == index
         assert np.array_equal(gamma, gamma.T)
         assert not np.diag(gamma).any()
+
+
+def _slot_by_slot_gamma(index, n, q):
+    """_gamma_from_index's reference: one base-q digit per pass."""
+    rest = np.array(index, dtype=np.int64)
+    m = n * (n - 1) // 2
+    digits = np.zeros(rest.shape + (m + 1,), dtype=np.min_scalar_type(-((q - 1) ** 2)))
+    for slot in range(m - 1, -1, -1):
+        digits[..., slot] = rest % q
+        rest //= q
+    return digits[..., _slot_map(n)]
+
+
+@pytest.mark.parametrize("q", [2, 7])
+def test_gamma_from_index_matches_slot_by_slot_digits(q):
+    # from n = 12 at q = 2 and n = 9 at q = 7, q^(m - 1) overflows int64
+    rng = np.random.default_rng(q)
+    for n in range(1, 13):
+        top = min(q ** (n * (n - 1) // 2), 2**63)
+        drawn = rng.integers(0, top, size=201, dtype=np.uint64)
+        index = np.concatenate([np.array([0, top - 1, top // q], dtype=np.uint64), drawn])
+        index = index.astype(np.int64).reshape(2, -1)
+        got, want = _gamma_from_index(index, n, q), _slot_by_slot_gamma(index, n, q)
+        assert got.dtype == want.dtype and got.shape == (2, index.shape[1], n, n)
+        assert np.array_equal(got, want)
+        assert np.array_equal(_gamma_from_index(top - 1, n, q), want[0, 1])
 
 
 def test_exhaustive_search_no_scheme_exists():
