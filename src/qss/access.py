@@ -325,8 +325,14 @@ def dealer_kernel_witness(g: Multigraph, d: int, b_set) -> np.ndarray:
     Proved: let s be the joint support of C1 and C2. Each of those s
     coordinates is zero on exactly q - 1 of the q^2 - 1 slice elements, so
     their supports sum to s * q * (q - 1) and the smallest is at most the
-    mean, |sup| <= q * s / (q + 1). Only observed, not proved here:
-    s <= cutrk(B) + 1 held on every instance swept, which would give
+    mean, |sup| <= q * s / (q + 1). And s <= cutrk(B) + 1: the columns of
+    kernel_slice_columns are a reduced column echelon basis of ker M, M =
+    Gamma[V - (B + {d}), B + {d}]. Each column's leading 1 is the only
+    nonzero entry of its pivot row, so a column is supported on its own
+    pivot coordinate and on the non-pivot coordinates alone. Of the |B| + 1
+    coordinates, dim ker M are pivots, which leaves rank M non-pivot ones,
+    so s <= rank M + 2. rank M = cutrk(B + {d}) = cutrk(B) - 1 for an
+    accessible set (derivative -1), so s <= cutrk(B) + 1 and
     |sup| * (q + 1) <= q * (cutrk(B) + 1). The strict form
     |sup| * (q + 1) < q * cutrk(B) is false whenever cutrk(B) = 1.
     """

@@ -2,9 +2,10 @@
 
 Everything here works on explicit complex amplitude arrays, so it is slow.
 The trace distances use no rank algebra; the decoders steer with the
-witnesses that the rank machinery solves. Phases are tracked as integer powers
-of omega = exp(2*pi*i/q), inside WeylOperator or in stacks of exponent rows,
-and only turned into floats when an operator hits a state.
+witnesses that the rank machinery solves. A Weyl operator omega^p X^x Z^z on
+m sites is one int64 row [x (m) | z (m) | p] of exponents read mod q, and a
+stack of operators a stack of such rows; _weyl_product and _weyl_power hold
+their algebra, and phases only turn into floats when an operator hits a state.
 
 Every projective measurement is a Weyl measurement under one label rule,
 _collapse, sampled by _draw_rows on one uniform: the dealer's X^t Z and the
@@ -31,7 +32,7 @@ from itertools import combinations, groupby
 import numpy as np
 
 from .fqlinalg import inv_mod, require_prime
-from .multigraph import Multigraph, delete_vertex, serialize_graph
+from .multigraph import Multigraph, as_integers, delete_vertex, serialize_graph
 from .access import QUANTUM_VERDICT, _check_b, _index_array, _members, _vector_pair, batch_indicators
 from .access import verify_witness_pairs, witness_rows
 
@@ -83,82 +84,6 @@ def state_fidelity(a: StateVector, b: StateVector) -> float:
     return abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
 
 
-@dataclass(frozen=True)
-class WeylOperator:
-    """omega^phase * prod_v X_v^{x_powers[v]} Z_v^{z_powers[v]}.
-
-    Composition, powers and inverses track the global phase exactly as an
-    integer exponent of omega, using X^a Z^b |x> = omega^{b.x} |x+a> and
-    Z^b X^a = omega^{a b} X^a Z^b per site. Stabilizer products skip this
-    algebra: _stabilizer_rows writes each down in closed form.
-    """
-
-    q: int
-    x_powers: tuple[int, ...]
-    z_powers: tuple[int, ...]
-    phase: int = 0
-
-    def __post_init__(self):
-        require_prime(self.q)
-        object.__setattr__(self, "x_powers", tuple(int(a) % self.q for a in self.x_powers))
-        object.__setattr__(self, "z_powers", tuple(int(b) % self.q for b in self.z_powers))
-        object.__setattr__(self, "phase", int(self.phase) % self.q)
-        if len(self.x_powers) != len(self.z_powers):
-            raise ValueError("x and z exponent tuples differ in length")
-
-    @property
-    def n(self) -> int:
-        return len(self.x_powers)
-
-    def __matmul__(self, other: "WeylOperator") -> "WeylOperator":
-        if other.q != self.q or other.n != self.n:
-            raise ValueError("operator shapes differ")
-        # (X^a1 Z^b1)(X^a2 Z^b2): moving Z^b1 past X^a2 costs omega^{b1.a2}
-        cross = sum(b * a for b, a in zip(self.z_powers, other.x_powers))
-        return WeylOperator(
-            self.q,
-            tuple(a1 + a2 for a1, a2 in zip(self.x_powers, other.x_powers)),
-            tuple(b1 + b2 for b1, b2 in zip(self.z_powers, other.z_powers)),
-            self.phase + other.phase + cross,
-        )
-
-    def inverse(self) -> "WeylOperator":
-        cross = sum(b * a for b, a in zip(self.z_powers, self.x_powers))
-        return WeylOperator(
-            self.q,
-            tuple(-a for a in self.x_powers),
-            tuple(-b for b in self.z_powers),
-            -self.phase + cross,
-        )
-
-    def __pow__(self, m: int) -> "WeylOperator":
-        if m < 0:
-            return self.inverse() ** (-m)
-        # W^m phase: m*t + C(m,2) * (b.a) from repeated reordering
-        cross = sum(b * a for b, a in zip(self.z_powers, self.x_powers))
-        return WeylOperator(
-            self.q,
-            tuple(m * a for a in self.x_powers),
-            tuple(m * b for b in self.z_powers),
-            m * self.phase + (m * (m - 1) // 2) * cross,
-        )
-
-    def factor_site(self, site: int) -> "WeylOperator":
-        """The operator on the remaining sites, in order, with the site split
-        off and the global phase kept. Exact only for a site with no X
-        component, where the operator factorizes strictly; any other site
-        raises."""
-        if self.x_powers[site] != 0:
-            raise ValueError("cannot cleanly factor a site with an X component")
-        keep = [v for v in range(self.n) if v != site]
-        return WeylOperator(
-            self.q,
-            tuple(self.x_powers[v] for v in keep),
-            tuple(self.z_powers[v] for v in keep),
-            self.phase,
-        )
-
-
 @cache
 def omega_table(q: int) -> np.ndarray:
     """omega^j for j in 0..q-1, built once per q and read-only."""
@@ -167,19 +92,65 @@ def omega_table(q: int) -> np.ndarray:
     return table
 
 
-def _exponents(ops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The x and z exponent rows (S, m) and the phases (S,) of S Weyl operators."""
-    return tuple(np.array([getattr(w, f) for w in ops], dtype=np.int64) for f in ("x_powers", "z_powers", "phase"))
+def _split(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x rows, z rows and phases of [x | z | phase] exponent rows."""
+    m = ops.shape[-1] // 2
+    return ops[..., :m], ops[..., m:-1], ops[..., -1]
 
 
-def _weyl_powers(q: int, psi: np.ndarray, x, z, phase, top: int) -> list[np.ndarray]:
+def _join(x: np.ndarray, z: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """The [x | z | phase] rows of exponent rows x, z (..., m) and phases (...)."""
+    return np.concatenate([x, z, phase[..., None]], axis=-1)
+
+
+def _keep_sites(ops: np.ndarray, sites) -> np.ndarray:
+    """[x | z | phase] rows on the given sites alone, in that order, the phase kept."""
+    m, sites = ops.shape[-1] // 2, np.asarray(sites, dtype=np.int64)
+    return ops[..., np.concatenate([sites, m + sites, [2 * m]])]
+
+
+def _weyl_product(q: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """W_a W_b for [x | z | phase] rows a and b, broadcast, reduced mod q.
+    Moving Z^{z_a} past X^{x_b} costs omega^{z_a.x_b}, as Z^b X^a =
+    omega^{ab} X^a Z^b per site: the exponents add and the phase gains
+    z_a.x_b. Each factor is reduced first, so every term stays below m q^2."""
+    (xa, za, pa), (xb, zb, pb) = _split(a % q), _split(b % q)
+    return _join((xa + xb) % q, (za + zb) % q, (pa + pb + (za * xb).sum(axis=-1)) % q)
+
+
+def _weyl_power(q: int, ops: np.ndarray, m) -> np.ndarray:
+    """W^m for [x | z | phase] rows and any integer m, or an integer array
+    broadcast against the rows' leading axes, reduced mod q: m x, m z and
+    m p + C(m, 2) z.x, each of the C(m, 2) reorderings costing z.x; m = -1
+    gives the inverse, phase -p + z.x. W^q = omega^{C(q, 2) z.x}, I for odd
+    q but -I for XZ at q = 2, so W's order divides 2q and m is reduced mod 2q
+    before C(m, 2) is taken; with the factors reduced mod q every entry
+    stays below 3q^2."""
+    ops, m = ops % q, np.asarray(m, dtype=np.int64) % (2 * q)
+    x, z, _ = _split(ops)
+    out = m[..., None] * ops
+    out[..., -1] += m * (m - 1) // 2 % q * ((z * x).sum(axis=-1) % q)
+    return out % q
+
+
+def _operator(q: int, ops, sites: int) -> np.ndarray:
+    """A public operator's [x | z | phase] row as residues mod q; ValueError
+    unless its entries are integers within int64 and it spans the sites."""
+    row = as_integers(ops, "operator exponents")
+    if row.shape != (2 * sites + 1,):
+        raise ValueError("operator does not match the state register")
+    return row % q
+
+
+def _weyl_powers(q: int, psi: np.ndarray, ops: np.ndarray, top: int) -> list[np.ndarray]:
     """[psi, W psi, ..., W^top psi] for rows psi (S, q^m), row s mapped by
-    W_s = omega^{phase[s]} X^{x[s]} Z^{z[s]} (exponent rows x, z of shape
-    (S, m)): W|y> = omega^{phase + b.y} |y + a>. Each power is one phase
-    multiply and one gather by a flat index into the whole stack."""
+    its [x | z | phase] row W_s of ops (S, 2m + 1): W|y> = omega^{phase +
+    z.y} |y + x>. Each power is one phase multiply and one gather by a flat
+    index into the whole stack."""
+    x, z, phase = _split(ops)
     rows, m = x.shape
     d = np.arange(q)
-    # phase + b.y (each term mod q) and the flat stack index of y - a, summed
+    # phase + z.y (each term mod q) and the flat stack index of y - x, summed
     # from per-axis tables from the last axis on, so each inner loop is long
     ztab, xtab = z[:, :, None] * d % q, (d - x[:, :, None]) % q * q ** np.arange(m - 1, -1, -1)[:, None]
     exp, src = phase[:, None] % q, np.arange(rows)[:, None] * q**m
@@ -192,29 +163,22 @@ def _weyl_powers(q: int, psi: np.ndarray, x, z, phase, top: int) -> list[np.ndar
     return out
 
 
-def apply_weyl(state: StateVector, w: WeylOperator) -> StateVector:
-    """W|x> = omega^{phase + b.x} |x + a>, applied over the whole register."""
-    if w.q != state.q or w.n != state.n:
-        raise ValueError("operator does not match the state register")
-    out = _check_norms(_weyl_powers(state.q, state.amplitudes[None], *_exponents([w]), 1)[1])[0]
+def apply_weyl(state: StateVector, w) -> StateVector:
+    """W|y> = omega^{phase + z.y} |y + x> for the [x | z | phase] row w,
+    applied over the whole register."""
+    out = _check_norms(_weyl_powers(state.q, state.amplitudes[None], _operator(state.q, w, state.n)[None], 1)[1])[0]
     return StateVector(state.q, state.n, out, budget=out.size)  # a map does not grow the register
 
 
-def stabilizer_generator(g: Multigraph, u: int) -> WeylOperator:
-    """K_u = X_u Z_{Gamma.{u}} on the full vertex register."""
-    return _stabilizer_product(g, np.arange(g.n) == u)
+def stabilizer_generator(g: Multigraph, u: int) -> np.ndarray:
+    """K_u = X_u Z_{Gamma.{u}} on the full vertex register, as its [x | z | phase] row."""
+    return _stabilizer_rows(g, np.arange(g.n) == u)
 
 
-def _stabilizer_product(g: Multigraph, w) -> WeylOperator:
-    """The stack of one of _stabilizer_rows, for a length-n weight vector w."""
-    x, z, phase = _stabilizer_rows(g, np.asarray(w)[None])
-    return WeylOperator(g.q, x[0], z[0], phase[0])
-
-
-def _stabilizer_rows(g: Multigraph, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The x and z exponent rows and the phases of prod_u K_u^{w_u} =
-    omega^{w.Gamma.w / 2} X^w Z^{Gamma w} for each weight row of w (..., n),
-    on the full vertex register.
+def _stabilizer_rows(g: Multigraph, w: np.ndarray) -> np.ndarray:
+    """The [x | z | phase] rows of prod_u K_u^{w_u} = omega^{w.Gamma.w / 2}
+    X^w Z^{Gamma w} for each weight row of w (..., n), on the full vertex
+    register.
 
     Exact: K_u^q = I, so w mod q suffices. Multiplied out in any order, the
     reorderings cost omega^{w_u Gamma_uv w_v} once per pair u < v. Gamma is
@@ -225,7 +189,7 @@ def _stabilizer_rows(g: Multigraph, w: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """
     x = np.asarray(w, dtype=np.int64) % g.q
     z = x @ g.gamma
-    return x, z % g.q, (x * (z % (2 * g.q))).sum(axis=-1) % (2 * g.q) // 2
+    return _join(x, z % g.q, (x * (z % (2 * g.q))).sum(axis=-1) % (2 * g.q) // 2)
 
 
 def graph_state(g: Multigraph, budget: int = AMPLITUDE_BUDGET) -> StateVector:
@@ -258,8 +222,9 @@ def _draw_rows(weights: np.ndarray, uniforms) -> tuple[np.ndarray, np.ndarray]:
     return (cdf <= np.asarray(uniforms)[:, None]).sum(axis=-1), probs
 
 
-def measure_weyl(state: StateVector, w: WeylOperator, rng: np.random.Generator):
-    """Projective measurement of a Weyl operator; returns (label, state).
+def measure_weyl(state: StateVector, w, rng: np.random.Generator):
+    """Projective measurement of the Weyl operator of the [x | z | phase]
+    row w; returns (label, state).
 
     For odd q every Weyl operator here satisfies W^q = I, the eigenvalues
     are omega^m and the projectors are the discrete Fourier sums of W^j.
@@ -268,37 +233,36 @@ def measure_weyl(state: StateVector, w: WeylOperator, rng: np.random.Generator):
     i * (-1)^m of W itself. Even x.z keeps the plain (-1)^m convention. An
     operator on one site is measured there alone, others on the register.
     """
-    if w.q != state.q or w.n != state.n:
-        raise ValueError("operator does not match the state register")
-    x, z, phase = _exponents([w])
+    ops = _operator(state.q, w, state.n)[None]
+    x, z, _ = _split(ops)
     on = np.flatnonzero(x[0] | z[0])  # the sites w acts on
-    args = (state.q, state.amplitudes[None], x, z, phase, rng.random)
+    args = (state.q, state.amplitudes[None], ops, rng.random)
     labels, out = _measure_site(*args, int(on[0])) if len(on) == 1 else _measure_rows(*args)
     return int(labels[0]), StateVector(state.q, state.n, out[0], budget=out.size)
 
 
-def _measure_rows(q: int, psi: np.ndarray, x, z, phase, uniforms) -> tuple[np.ndarray, np.ndarray]:
-    """measure_weyl on each row of psi (S, q^m) with its own operator and
-    uniform, through q - 1 full-register powers: the labels (S,) and the
-    collapsed rows. Every reduction runs along one row, so a row's floats
-    do not depend on the stack it sits in."""
-    powers = _weyl_powers(q, psi, x, z, phase, q - 1)
+def _measure_rows(q: int, psi: np.ndarray, ops: np.ndarray, uniforms) -> tuple[np.ndarray, np.ndarray]:
+    """measure_weyl on each row of psi (S, q^m) with its own [x | z | phase]
+    row of ops and its own uniform, through q - 1 full-register powers: the
+    labels (S,) and the collapsed rows. Every reduction runs along one row,
+    so a row's floats do not depend on the stack it sits in."""
+    powers = _weyl_powers(q, psi, ops, q - 1)
     expect = np.stack([np.vecdot(psi, p) for p in powers], axis=-1)  # <psi|W^j|psi>
-    return _collapse(q, x, z, expect, uniforms, lambda c: sum(c[:, i, None] * p for i, p in enumerate(powers)) / q)
+    return _collapse(q, ops, expect, uniforms, lambda c: sum(c[:, i, None] * p for i, p in enumerate(powers)) / q)
 
 
-def _measure_site(q: int, psi: np.ndarray, x, z, phase, uniforms, site: int) -> tuple[np.ndarray, np.ndarray]:
+def _measure_site(q: int, psi: np.ndarray, ops: np.ndarray, uniforms, site: int) -> tuple[np.ndarray, np.ndarray]:
     """_measure_rows for operators on the given site alone: <psi|W^j|psi>
     from its q x q reduced state, the label's projector through _on_site."""
-    wj = _site_powers(q, x[:, site], z[:, site], phase)
+    wj = _site_powers(q, _keep_sites(ops, [site]))
     expect = np.einsum("sjab,sba->sj", wj, _site_density(q, psi, site))
-    return _collapse(q, x, z, expect, uniforms, lambda c: _on_site(q, psi, site, np.einsum("sj,sjab->sab", c / q, wj)))
+    return _collapse(q, ops, expect, uniforms, lambda c: _on_site(q, psi, site, np.einsum("sj,sjab->sab", c / q, wj)))
 
 
-def _collapse(q: int, x, z, expect: np.ndarray, uniforms, project) -> tuple[np.ndarray, np.ndarray]:
+def _collapse(q: int, ops: np.ndarray, expect: np.ndarray, uniforms, project) -> tuple[np.ndarray, np.ndarray]:
     """The labels _draw_rows draws from the expectations (S, q) of W^j, and
     project(c) for each label's coefficients c (S, q) of W^j, normalised."""
-    j = np.arange(q)
+    j, (x, z, _) = np.arange(q), _split(ops)
     odd = (x * z).sum(axis=-1) % 2 if q == 2 else np.zeros(len(expect), dtype=np.int64)
     # the projector onto label m is sum_j coef[s, m, j] W_s^j / q; odd x.z measures -iW
     coef = omega_table(q)[-j[:, None] * j % q] * np.where(odd[:, None] & (j == 1), -1j, 1)[:, None]
@@ -308,14 +272,13 @@ def _collapse(q: int, x, z, expect: np.ndarray, uniforms, project) -> tuple[np.n
     return labels, _check_norms(proj)
 
 
-def _site_powers(q: int, a, b, p) -> np.ndarray:
-    """W^0, ..., W^{q-1} as q x q matrices on one site, for W = omega^p X^a
-    Z^b per entry of the exponents a, b, p (S,): (S, q, q, q), indexed
-    [s, j, row, column], W^j|c> = omega^{jp + jbc + C(j,2)ab} |c + ja>."""
-    j, r, c = np.arange(q)[:, None, None], np.arange(q)[:, None], np.arange(q)
-    a, b, p = (np.asarray(e, dtype=np.int64)[:, None, None, None] % q for e in (a, b, p))
-    e = j * p + j * b % q * c + j * (j - 1) // 2 % q * a % q * b
-    return (r == (c + j * a) % q) * omega_table(q)[e % q]
+def _site_powers(q: int, ops: np.ndarray) -> np.ndarray:
+    """W^0, ..., W^{q-1} as q x q matrices on one site, for each one-site
+    [x | z | phase] row of ops (S, 3): (S, q, q, q), indexed [s, j, row,
+    column], W^j|c> = omega^{p_j + z_j c} |c + x_j> for W^j's row [x_j | z_j | p_j]."""
+    r, c = np.arange(q)[:, None], np.arange(q)
+    x, z, p = (e[..., None, None] for e in _weyl_power(q, ops, np.arange(q)[:, None]).T)
+    return (r == (c + x) % q) * omega_table(q)[(p + z * c) % q]
 
 
 def _site_density(q: int, rows: np.ndarray, site: int) -> np.ndarray:
@@ -339,9 +302,10 @@ def _on_site(q: int, rows: np.ndarray, site: int, mat: np.ndarray) -> np.ndarray
     return out / norms[:, None] if mat.shape[-2] == 1 else out
 
 
-def eigenvalue_label(state: StateVector, w: WeylOperator) -> int:
-    """m with W|psi> = omega^m |psi>, for a state that is an exact
-    eigenvector; raises if it is not one within tolerance."""
+def eigenvalue_label(state: StateVector, w) -> int:
+    """m with W|psi> = omega^m |psi> for the [x | z | phase] row w, for a
+    state that is an exact eigenvector; raises if it is not one within
+    tolerance."""
     q = state.q
     out = apply_weyl(state, w)
     pivot = int(np.argmax(abs(state.amplitudes)))
@@ -362,13 +326,13 @@ def _player_order(g: Multigraph, d: int) -> list[int]:
 
 def _codewords(g: Multigraph, d: int, values, budget: int) -> np.ndarray:
     """|s_L> for each s in values, one row each. The dealer-deleted graph
-    state is built once and the codewords are its images under Z^s on the
-    dealer's neighbours, one stacked Weyl map."""
+    state is built once and the codewords are its images under Xbar^s, Z^s
+    on the dealer's neighbours, one stacked Weyl map."""
     if g.degree(d) == 0:
         raise ValueError("isolated dealer: the encoding collapses")
     base = graph_state(delete_vertex(g, d), budget=budget).amplitudes
-    z = np.outer(list(values), logical_x(g, d).z_powers) % g.q
-    return _check_norms(_weyl_powers(g.q, np.broadcast_to(base, (len(z), len(base))), 0 * z, z, z[:, 0] * 0, 1)[1])
+    ops = _weyl_power(g.q, logical_x(g, d), list(values))
+    return _check_norms(_weyl_powers(g.q, np.broadcast_to(base, (len(ops), len(base))), ops, 1)[1])
 
 
 def cq_encode(g: Multigraph, d: int, s: int, budget: int = AMPLITUDE_BUDGET) -> StateVector:
@@ -581,13 +545,12 @@ def decode_params(g: Multigraph, d: int, b_set, d_vec, c_vec, t: int) -> DecodeP
     c_row = np.zeros(g.n, dtype=np.int64) if c_rows is None else c_rows[0]
     beta = int((g.gamma[d] @ c_row) % q)
     # C is 1 at the dealer and otherwise supported on b
-    s_product = _stabilizer_product(g, t * c_row + (1 - t * beta) * d_rows[0])
-    x, z = s_product.x_powers, s_product.z_powers
+    x, z, phase = (e.tolist() for e in _split(_stabilizer_rows(g, t * c_row + (1 - t * beta) * d_rows[0])))
     if any(x[v] or z[v] for v in range(g.n) if v != d and v not in b):
         raise AssertionError("stabilizer product leaks outside the player set")
     if (x[d], z[d]) != (t, 1):
         raise AssertionError("dealer factor of the stabilizer product is off")
-    c = (s_product.phase - t * (t - 1) // 2 * beta) % q
+    c = (phase - t * (t - 1) // 2 * beta) % q
 
     half_corr = 0
     if q == 2:
@@ -595,7 +558,7 @@ def decode_params(g: Multigraph, d: int, b_set, d_vec, c_vec, t: int) -> DecodeP
         if weight % 2:
             raise AssertionError("total XZ weight of the round operator must be even")
         half_corr = (weight // 2) % 2
-    return DecodeParams(q, t, beta, x, z, c, half_corr)
+    return DecodeParams(q, t, beta, tuple(x), tuple(z), c, half_corr)
 
 
 def cq_round(
@@ -641,7 +604,7 @@ def cq_round(
 
     on, state, outcomes = np.eye(g.n, dtype=np.int64), graph_state(g, budget=budget), []
     for v in (d, *b):  # the dealer first, then the players ascending
-        m_v, state = measure_weyl(state, WeylOperator(q, params.x[v] * on[v], params.z[v] * on[v]), rng)
+        m_v, state = measure_weyl(state, np.r_[params.x[v] * on[v], params.z[v] * on[v], 0], rng)
         outcomes.append(m_v)
     return outcomes[0], params.decode(sum(outcomes[1:]))
 
@@ -650,32 +613,35 @@ def cq_round(
 # quantum decoding
 
 
-def logical_x(g: Multigraph, d: int) -> WeylOperator:
-    """Xbar = Z on the dealer's neighbour multiset; shifts |i_L> to
-    |(i+1)_L> on the player register."""
+def logical_x(g: Multigraph, d: int) -> np.ndarray:
+    """Xbar = Z on the dealer's neighbour multiset, as its [x | z | phase]
+    row on the player register; shifts |i_L> to |(i+1)_L>."""
     _check_b(g, d, ())
-    return WeylOperator(g.q, (0,) * g.n, tuple(g.gamma[d].tolist()), 0).factor_site(d)
+    z = g.gamma[d, _player_order(g, d)]
+    return np.concatenate([0 * z, z, [0]])
 
 
-def logical_z(g: Multigraph, d: int) -> WeylOperator:
+def logical_z(g: Multigraph, d: int) -> np.ndarray:
     """Zbar = (X_u Z_{Gamma.{u}})^{-1/Gamma(u,d)} for the first player u
-    adjacent to the dealer; phases |i_L> by omega^i."""
+    adjacent to the dealer, as its [x | z | phase] row on the player
+    register, the dealer's Z power dropped; phases |i_L> by omega^i."""
     _check_b(g, d, ())
     for u in _player_order(g, d):
         if g.gamma[u, d] % g.q:
             w = -inv_mod(int(g.gamma[u, d]), g.q) * (np.arange(g.n) == u)
-            return _stabilizer_product(g, w).factor_site(d)
+            return _keep_sites(_stabilizer_rows(g, w), _player_order(g, d))
     raise ValueError("no player adjacent to the dealer; logical Z undefined")
 
 
-def code_unitaries(g: Multigraph, d: int, b_set, d_vec, c_vec) -> tuple[WeylOperator, WeylOperator]:
-    """(U_B, V_B) on the player register from a valid witness pair:
-    U_B |s_L> = omega^s |s_L> and V_B |s_L> = |(s+1)_L>, both supported on
-    b_set only. The stack of one of _steering_rows."""
+def code_unitaries(g: Multigraph, d: int, b_set, d_vec, c_vec) -> np.ndarray:
+    """(U_B, V_B) on the player register from a valid witness pair, as a
+    (2, 2(n-1)+1) array of [x | z | phase] rows: U_B |s_L> = omega^s |s_L>
+    and V_B |s_L> = |(s+1)_L>, both supported on b_set only. The stack of
+    one of _steering_rows."""
     b = _check_b(g, d, b_set)
     if d_vec is None or c_vec is None:
         raise ValueError("quantum decoding needs both witnesses")
-    return tuple(WeylOperator(g.q, *_split(row)) for row in _steering_rows(g, d, [b], *_vector_pair(g, d_vec, c_vec))[0])
+    return _steering_rows(g, d, [b], *_vector_pair(g, d_vec, c_vec))[0]
 
 
 def _steering_rows(g: Multigraph, d: int, sets, d_rows, c_rows) -> np.ndarray:
@@ -686,20 +652,13 @@ def _steering_rows(g: Multigraph, d: int, sets, d_rows, c_rows) -> np.ndarray:
     weight 1 as the logical X, Z on the dealer's neighbours."""
     d_rows, c_rows = _checked_witnesses(g, d, sets, d_rows, c_rows)
     beta = c_rows @ g.gamma[d] % g.q
-    x, z, phase = _stabilizer_rows(g, np.stack([-d_rows, c_rows - beta[:, None] * d_rows], axis=1))
-    outside = ~_members(g.n, sets)
+    ops = _stabilizer_rows(g, np.stack([-d_rows, c_rows - beta[:, None] * d_rows], axis=1))
+    (x, z, _), outside = _split(ops), ~_members(g.n, sets)
     outside[:, d] = False
     for k, name in enumerate(("U_B", "V_B")):
         if ((x[:, k] + z[:, k]) * outside).any():
             raise AssertionError(f"{name} acts outside the player set")
-    players = _player_order(g, d)
-    return np.concatenate([x[..., players], z[..., players], phase[..., None]], axis=-1)
-
-
-def _split(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The x rows, z rows and phases of [x | z | phase] exponent rows."""
-    m = rows.shape[-1] // 2
-    return rows[..., :m], rows[..., m:-1], rows[..., -1]
+    return _keep_sites(ops, _player_order(g, d))
 
 
 @dataclass(frozen=True)
@@ -775,17 +734,17 @@ def _bell_decode(q: int, steering: np.ndarray, encoded: np.ndarray, uniforms: np
     and measured on its row of uniforms (S, 2): the second ancilla's density
     matrices (S, q, q) and the syndromes (k, l) as an (S, 2) array."""
     _admit(encoded.shape[1] * q * q, budget)
-    (ux, uz, up), (vx, vz, vp) = _split(steering[:, 0]), _split(steering[:, 1])
     bell = np.eye(q, dtype=np.complex128).reshape(-1) / np.sqrt(q)
     full = (encoded[:, :, None] * bell).reshape(len(encoded), -1)
     # the ancillas a1, a2 follow the players: V_B^{-1} X_{a1}^{-1}, then U_B Z_{a1}^{-1}
-    pad = lambda rows, a1, a2: np.column_stack([rows, np.full(len(rows), a1), np.full(len(rows), a2)])
-    k, full = _measure_rows(q, full, pad(-vx, -1, 0), pad(-vz, 0, 0), (vx * vz).sum(axis=-1) - vp, uniforms[:, 0])
-    l_label, full = _measure_rows(q, full, pad(ux, 0, 0), pad(uz, -1, 0), up, uniforms[:, 1])
+    (vx, vz, vp), (ux, uz, up) = _split(_weyl_power(q, steering[:, 1], -1)), _split(steering[:, 0])
+    pad = lambda e, a1: np.column_stack([e, np.full(len(e), a1), 0 * e[:, 0]])
+    k, full = _measure_rows(q, full, _join(pad(vx, -1), pad(vz, 0), vp), uniforms[:, 0])
+    l_label, full = _measure_rows(q, full, _join(pad(ux, 0), pad(uz, -1), up), uniforms[:, 1])
     l = -l_label % q
     # Z^k X^{-l} = omega^{-kl} X^{-l} Z^k on a2, the last site
     last = ux.shape[1] + 1
-    full = _check_norms(_on_site(q, full, last, _site_powers(q, -l, k, -k * l)[:, 1]))
+    full = _check_norms(_on_site(q, full, last, _site_powers(q, np.stack([-l, k, -k * l], axis=1))[:, 1]))
     return _site_density(q, full, last), np.stack([k, l], axis=1)
 
 
@@ -799,15 +758,13 @@ def _fidelity(rho: np.ndarray, expected) -> float:
 # appendix encode/decode variants
 
 
-def apply_controlled(state: StateVector, control: int, w: WeylOperator) -> StateVector:
+def apply_controlled(state: StateVector, control: int, w) -> StateVector:
     """Apply W^j to the rest of the register for each digit j of the control
-    site; digit 0 is left alone. w acts on the remaining sites in their
-    order."""
-    if w.q != state.q or w.n != state.n - 1:
-        raise ValueError("operator does not match the state register")
-    q = state.q
+    site; digit 0 is left alone. The [x | z | phase] row w acts on the
+    remaining sites in their order."""
+    q, w = state.q, _operator(state.q, w, state.n - 1)
     grid = np.moveaxis(state.amplitudes.reshape([q] * state.n), control, 0).reshape(q, -1)
-    grid = _weyl_powers(q, grid, *_exponents([w**j for j in range(q)]), 1)[1]
+    grid = _weyl_powers(q, grid, _weyl_power(q, w, np.arange(q)), 1)[1]
     out = np.moveaxis(grid.reshape([q] * state.n), 0, control).reshape(1, -1)
     return StateVector(q, state.n, _check_norms(out)[0], budget=out.size)
 
@@ -860,14 +817,15 @@ def encode_decode_variants(
         # undo the Bell preparation on (secret, dealer), controlled-X^{-1} then
         # Fourier^dagger, which takes |beta_kl> = sum_i omega^{ki} |i, i+l> / sqrt(q)
         # to |k, l>, and measure Z on both sites
-        on, zero = np.eye(1 + g.n, dtype=np.int64), (0,) * (1 + g.n)
-        full = apply_controlled(full, 0, WeylOperator(q, -on[1 + d, 1:], zero[1:]))
+        on = np.eye(1 + g.n, dtype=np.int64)
+        full = apply_controlled(full, 0, np.r_[-on[1 + d, 1:], 0 * on[0, 1:], 0])
         full = on_site(full, 0, _fourier_matrix(q).conj().T)
-        k, full = measure_weyl(full, WeylOperator(q, zero, on[0]), rng)
-        l, full = measure_weyl(full, WeylOperator(q, zero, on[1 + d]), rng)
+        k, full = measure_weyl(full, np.r_[0 * on[0], on[0], 0], rng)
+        l, full = measure_weyl(full, np.r_[0 * on[0], on[1 + d], 0], rng)
         # remaining axes: the players in vertex order
         rest = on_site(on_site(full, 0, np.eye(q)[[k]]), d, np.eye(q)[[l]])
-        return apply_weyl(rest, (logical_z(g, d) ** k) @ (logical_x(g, d) ** ((-l) % q)))
+        correction = _weyl_product(q, _weyl_power(q, logical_z(g, d), k), _weyl_power(q, logical_x(g, d), -l))
+        return apply_weyl(rest, correction)
 
     if mode == "E2" or mode == "E3":
         # register: dealer wire first, then players in vertex order
@@ -879,22 +837,23 @@ def encode_decode_variants(
             # label j leaves the dealer wire in column j of the conjugate Fourier
             # matrix (whose bra is row j of the Fourier matrix), the X eigenvector of
             # eigenvalue omega^j, so Zbar^{-j} removes the leftover phase omega^{js}.
-            j, full = measure_weyl(full, WeylOperator(q, np.arange(full.n) == 0, (0,) * full.n), rng)
+            on = np.eye(full.n, dtype=np.int64)
+            j, full = measure_weyl(full, np.r_[on[0], 0 * on[0], 0], rng)
             full = on_site(full, 0, _fourier_matrix(q)[[j]])
-            return apply_weyl(full, zbar ** ((-j) % q))
-        full = apply_controlled(on_site(full, 0, _fourier_matrix(q)), 0, zbar.inverse())
+            return apply_weyl(full, _weyl_power(q, zbar, -j))
+        full = apply_controlled(on_site(full, 0, _fourier_matrix(q)), 0, _weyl_power(q, zbar, -1))
         return on_site(full, 0, np.ones((1, q)) / np.sqrt(q))
 
     if mode in ("D2", "D3"):
         steering, fallback = _steering(g, d, [_check_b(g, d, players if b_set is None else b_set)])
         if fallback[0]:
             raise ValueError("decoding variants need an authorized player set")
-        u_op, v_op = (WeylOperator(q, *_split(row)) for row in steering[0])
+        u_op, v_op = steering[0]
         encoded = qq_encode(g, d, secret, budget=budget)
         # the ancilla |+> is the last site
         full = StateVector(q, g.n, np.kron(encoded.amplitudes, np.ones(q) / np.sqrt(q)), budget)
         anc = full.n - 1
-        full = apply_controlled(full, anc, v_op.inverse())
+        full = apply_controlled(full, anc, _weyl_power(q, v_op, -1))
         if mode == "D2":
             return full
         fmat = _fourier_matrix(q)

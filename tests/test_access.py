@@ -19,6 +19,7 @@ from qss.access import (
     CLASSICAL_ACCESSIBLE,
     NO_INFO,
     PARTIAL,
+    _index_array,
     batch_indicators,
     classify,
     cutrank,
@@ -35,6 +36,7 @@ from qss.access import (
 from qss.fqlinalg import _kernel_type
 from qss.multigraph import Multigraph, random_graph, rs747_fixture
 from qss.oracle import code_unitaries, decode_params, qq_decode_bell, qq_encode
+from qss.search import _gamma_from_index
 
 from helpers import dealer_graphs, int_rank, int_solve, vector
 
@@ -561,10 +563,11 @@ def test_verify_witness_pair_perturbation_breaks():
 
 
 # the three one-set entry points of a witness pair, called as f(g, d, B, D, C)
+# (code_unitaries' rows as a list, whose truth value is its length)
 PAIR_CALLS = {
     "verify_witness_pair": verify_witness_pair,
     "decode_params": lambda *args: decode_params(*args, 0),
-    "code_unitaries": code_unitaries,
+    "code_unitaries": lambda *args: code_unitaries(*args).tolist(),
 }
 
 
@@ -622,6 +625,28 @@ def test_dealer_kernel_witness_rs747_all_quads():
         cols = [d] + list(b)
         vec = w[cols]
         assert _kernel_member(g, d, cols, vec)
+
+
+@pytest.mark.parametrize("n, q, count", [(4, 3, 2088), (5, 2, 4840)])
+def test_echelon_pair_support_on_every_small_graph(n, q, count):
+    # the proof in dealer_kernel_witness: C1 and C2 are supported on their
+    # own pivot coordinates and the rank M non-pivot ones, so their joint
+    # support is at most rank M + 2 = cutrk(B) + 1; every accessible set of
+    # every graph of the order, dealer 0, ranked by one batch_indicators call
+    sets = [b for size in range(1, n) for b in combinations(range(1, n), size)]
+    gammas = _gamma_from_index(np.arange(q ** (n * (n - 1) // 2)), n, q)
+    derivatives = batch_indicators(gammas, q, 0, _index_array(sets))[1]
+    instances = tight = 0
+    for gamma, row in zip(gammas, derivatives):
+        g = Multigraph(q, gamma)
+        for b in (b for b, der in zip(sets, row) if der == -1):
+            basis, d_row, cols = kernel_slice_columns(g, 0, b)
+            seen = np.flatnonzero(d_row @ basis[:, 1:] % q)
+            joint = np.count_nonzero(basis[:, 0] | basis[:, 1 + seen[0]])
+            rank_m = len(cols) - basis.shape[1]
+            assert joint <= rank_m + 2 and rank_m == cutrank(g, b) - 1
+            instances, tight = instances + 1, tight + (joint == rank_m + 2)
+    assert instances == count and tight > 0  # the bound is attained
 
 
 def test_dealer_kernel_size_formula():

@@ -10,6 +10,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qss.access import QUANTUM_VERDICT, cutrank, quantum_derivative, witness_C, witness_D
 from qss.multigraph import Multigraph, parse_graph, random_graph, rs747_fixture
@@ -20,25 +22,28 @@ from qss.oracle import (
     BellDecodeResult,
     BudgetExceeded,
     StateVector,
-    WeylOperator,
     _bell_decode,
     _check_norms,
     _codewords,
     _draw_rows,
-    _exponents,
     _fidelity,
     _fourier_matrix,
+    _join,
+    _keep_sites,
     _measure_rows,
     _measure_site,
     _on_site,
     _set_trace_distances,
     _site_density,
     _site_powers,
-    _stabilizer_product,
+    _split,
+    _stabilizer_rows,
     _steering,
     _steering_rows,
     _superpose,
+    _weyl_power,
     _weyl_powers,
+    _weyl_product,
     apply_controlled,
     apply_weyl,
     code_unitaries,
@@ -91,8 +96,13 @@ def rs_subgraph():
     return Multigraph(7, rs.gamma[np.ix_(keep, keep)])
 
 
-def identity(q, n):
-    return WeylOperator(q, (0,) * n, (0,) * n)
+def weyl(x, z, phase=0):
+    """The [x | z | phase] row of omega^phase X^x Z^z."""
+    return np.r_[x, z, phase].astype(np.int64)
+
+
+def identity(n):
+    return np.zeros(2 * n + 1, dtype=np.int64)
 
 
 def random_secret(rng, q):
@@ -153,7 +163,7 @@ def test_norm_drift_raises():
     with pytest.raises(AssertionError, match="norm"):
         _check_norms(np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
     with pytest.raises(AssertionError, match="norm"):
-        apply_weyl(StateVector(3, 1, [1.0, 1.0, 0.0]), WeylOperator(3, (1,), (0,)))
+        apply_weyl(StateVector(3, 1, [1.0, 1.0, 0.0]), weyl([1], [0]))
 
 
 # ----------------------------------------------------------------- weyl algebra
@@ -163,10 +173,9 @@ def test_xz_versus_zx_on_zero():
     q = 3
     zero = StateVector(q, 1, basis(q, 0))
     one = StateVector(q, 1, basis(q, 1))
-    x = WeylOperator(q, (1,), (0,))
-    z = WeylOperator(q, (0,), (1,))
-    xz = apply_weyl(zero, x @ z)
-    zx = apply_weyl(zero, z @ x)
+    x, z = weyl([1], [0]), weyl([0], [1])
+    xz = apply_weyl(zero, _weyl_product(q, x, z))
+    zx = apply_weyl(zero, _weyl_product(q, z, x))
     omega = omega_table(q)[1]
     assert np.allclose(xz.amplitudes, one.amplitudes)
     assert np.allclose(zx.amplitudes, omega * one.amplitudes)
@@ -180,61 +189,53 @@ def test_omega_table_is_built_once_per_q_and_read_only():
         table[0] = 0
 
 
-def commutation_exponent(a, b):
-    """e with a @ b = omega^e (b @ a): the symplectic form z_a.x_b - z_b.x_a."""
-    e = sum(z * x for z, x in zip(a.z_powers, b.x_powers)) - sum(z * x for z, x in zip(b.z_powers, a.x_powers))
-    return e % a.q
+def commutation_exponent(q, a, b):
+    """e with W_a W_b = omega^e W_b W_a: the symplectic form z_a.x_b - z_b.x_a."""
+    (xa, za, _), (xb, zb, _) = _split(a), _split(b)
+    return int(za @ xb - zb @ xa) % q
 
 
 def test_commutation_exponent():
     for q in (2, 3, 5):
-        x = WeylOperator(q, (1,), (0,))
-        z = WeylOperator(q, (0,), (1,))
-        assert commutation_exponent(x, z) == q - 1
-        assert commutation_exponent(z, x) == 1
-        assert commutation_exponent(x, x) == 0
-        xz, zx = x @ z, z @ x
-        assert (xz.x_powers, xz.z_powers) == (zx.x_powers, zx.z_powers)
-        assert (xz.phase - zx.phase) % q == commutation_exponent(x, z)
+        x, z = weyl([1], [0]), weyl([0], [1])
+        assert commutation_exponent(q, x, z) == q - 1
+        assert commutation_exponent(q, z, x) == 1
+        assert commutation_exponent(q, x, x) == 0
+        xz, zx = _weyl_product(q, x, z), _weyl_product(q, z, x)
+        assert xz[:-1].tolist() == zx[:-1].tolist()
+        assert (xz[-1] - zx[-1]) % q == commutation_exponent(q, x, z)
 
 
 def test_weyl_inverse_and_power():
     rng = np.random.default_rng(71)
     for q in (2, 3, 5):
         for _ in range(20):
-            w = WeylOperator(
-                q,
-                tuple(rng.integers(0, q, size=3)),
-                tuple(rng.integers(0, q, size=3)),
-                int(rng.integers(0, q)),
-            )
-            assert w @ w.inverse() == identity(q, 3)
-            assert w.inverse() @ w == identity(q, 3)
+            w = weyl(rng.integers(0, q, size=3), rng.integers(0, q, size=3), int(rng.integers(0, q)))
+            inverse = _weyl_power(q, w, -1)
+            assert _weyl_product(q, w, inverse).tolist() == identity(3).tolist()
+            assert _weyl_product(q, inverse, w).tolist() == identity(3).tolist()
             if q != 2:
-                assert (w**q).x_powers == (0, 0, 0)
-                assert (w**q).z_powers == (0, 0, 0)
-                assert (w**q).phase == 0
+                assert _weyl_power(q, w, q).tolist() == identity(3).tolist()
 
 
 def test_weyl_square_at_q2_odd_weight():
     # XZ on one site squares to -I: exponents vanish, phase flips
-    w = WeylOperator(2, (1,), (1,), 0)
-    sq = w**2
-    assert sq.x_powers == (0,) and sq.z_powers == (0,)
-    assert sq.phase == 1
-    assert sq != identity(2, 1)
+    sq = _weyl_power(2, weyl([1], [1]), 2)
+    assert sq[:-1].tolist() == [0, 0]
+    assert sq[-1] == 1
+    assert sq.tolist() != identity(1).tolist()
 
 
 def weyl_by_rolls(q, grid, w):
     """The per-axis reference for W|x> = omega^{phase + b.x} |x + a>: the
     phase grid built by one broadcast add per Z power, then one np.roll
     per X power."""
-    n = grid.ndim
+    n, (x, z, phase) = grid.ndim, _split(w)
     exp = np.zeros([q] * n, dtype=np.int64)
-    for v, b in enumerate(w.z_powers):
+    for v, b in enumerate(z):
         exp = exp + b * np.arange(q).reshape([q if j == v else 1 for j in range(n)])
-    out = grid * omega_table(q)[(exp + w.phase) % q]
-    for v, a in enumerate(w.x_powers):
+    out = grid * omega_table(q)[(exp + phase) % q]
+    for v, a in enumerate(x):
         out = np.roll(out, a, axis=v)
     return out.reshape(-1)
 
@@ -251,10 +252,10 @@ def test_weyl_map_is_the_per_axis_reference_bit_for_bit():
         for kind in ("identity", "z", "x", "xz") * 2:
             x = rng.integers(0, q, n) * (kind in ("x", "xz"))
             z = rng.integers(0, q, n) * (kind in ("z", "xz"))
-            ops.append(WeylOperator(q, x, z, int(rng.integers(0, q))))
+            ops.append(weyl(x, z, int(rng.integers(0, q))))
             psi = rng.normal(size=q**n) + 1j * rng.normal(size=q**n)
             rows.append(psi / np.linalg.norm(psi))
-        stacked = _weyl_powers(q, np.array(rows), *_exponents(ops), 1)[1]
+        stacked = _weyl_powers(q, np.array(rows), np.array(ops), 1)[1]
         for w, psi, got in zip(ops, rows, stacked):
             want = weyl_by_rolls(q, psi.reshape([q] * n), w).tobytes()
             assert got.tobytes() == want
@@ -265,44 +266,101 @@ def test_weyl_power_matches_repeated_product():
     rng = np.random.default_rng(72)
     for q in (3, 5):
         for _ in range(20):
-            w = WeylOperator(
-                q,
-                tuple(rng.integers(0, q, size=2)),
-                tuple(rng.integers(0, q, size=2)),
-                int(rng.integers(0, q)),
-            )
-            acc = identity(q, 2)
+            w = weyl(rng.integers(0, q, size=2), rng.integers(0, q, size=2), int(rng.integers(0, q)))
+            acc = identity(2)
             for m in range(6):
-                assert acc == w**m
-                acc = acc @ w
+                assert acc.tolist() == _weyl_power(q, w, m).tolist()
+                acc = _weyl_product(q, acc, w)
 
 
 def test_weyl_embed_and_factor():
     # exponents appended for new sites act as the tensor product with them
     rng = np.random.default_rng(79)
-    w = WeylOperator(3, (1, 0), (2, 1), 1)
+    w = weyl((1, 0), (2, 1), 1)
     psi = rng.normal(size=9) + 1j * rng.normal(size=9)
     psi = StateVector(3, 2, psi / np.linalg.norm(psi))
     anc = StateVector(3, 1, basis(3, 2))
-    wide = WeylOperator(3, (*w.x_powers, 2), (*w.z_powers, 1), w.phase)
-    expected = np.kron(apply_weyl(psi, w).amplitudes, apply_weyl(anc, WeylOperator(3, (2,), (1,), 0)).amplitudes)
+    x, z, phase = _split(w)
+    wide = weyl((*x, 2), (*z, 1), phase)
+    expected = np.kron(apply_weyl(psi, w).amplitudes, apply_weyl(anc, weyl((2,), (1,))).amplitudes)
     joint = StateVector(3, 3, np.kron(psi.amplitudes, anc.amplitudes))
     assert np.allclose(apply_weyl(joint, wide).amplitudes, expected)
 
-    big = WeylOperator(3, (0, 1, 0, 0), (0, 2, 0, 1), 1)
-    rest = big.factor_site(3)
-    assert rest.x_powers == (0, 1, 0)
-    assert rest.z_powers == (0, 2, 0)
-    assert rest.phase == 1
-    with pytest.raises(ValueError, match="X component"):
-        big.factor_site(1)
+    big = weyl((0, 1, 0, 0), (0, 2, 0, 1), 1)
+    rest = _keep_sites(big, [0, 1, 2])
+    assert _split(rest)[0].tolist() == [0, 1, 0]
+    assert _split(rest)[1].tolist() == [0, 2, 0]
+    assert rest[-1] == 1
 
 
 def test_weyl_validation():
-    with pytest.raises(ValueError, match="length"):
-        WeylOperator(3, (1,), (0, 0), 0)
     with pytest.raises(ValueError, match="shapes"):
-        identity(3, 2) @ identity(3, 3)
+        _weyl_product(3, identity(2), identity(3))
+
+
+# each public entry on a one-site register (apply_controlled: one control
+# site and one target), and rows that must not pass as that site's operator
+ROW_ENTRIES = {
+    "apply_weyl": lambda row: apply_weyl(StateVector(3, 1, basis(3, 0)), row),
+    "measure_weyl": lambda row: measure_weyl(StateVector(3, 1, basis(3, 0)), row, np.random.default_rng(1)),
+    "apply_controlled": lambda row: apply_controlled(StateVector(3, 2, basis(3, 1, 0)), 0, row),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ROW_ENTRIES))
+@pytest.mark.parametrize("row, error", [
+    ([1.5, 0, 0], "operator exponents must be integers"),
+    (["1", "0", "0"], "operator exponents must be integers"),
+    ("100", "operator exponents must be integers"),
+    ([1, 0, 0, 0, 0], "does not match the state register"),
+    ([1, 0], "does not match the state register"),
+])
+def test_public_entries_take_integer_rows_of_their_register(entry, row, error):
+    with pytest.raises(ValueError, match=error):
+        ROW_ENTRIES[entry](row)
+    # an integral float row passes as the integers it holds
+    assert ROW_ENTRIES[entry]([1.0, 0.0, 0.0]) is not None
+
+
+def dense(q, row):
+    """omega^p X^x Z^z as a q^m x q^m matrix, site 0 the most significant:
+    X^a Z^b on one site maps |c> to omega^{bc} |c + a>."""
+    x, z, phase = _split(np.asarray(row))
+    c = np.arange(q)
+    out = np.ones((1, 1))
+    for a, b in zip(x.tolist(), z.tolist()):
+        out = np.kron(out, (c[:, None] == (c + a) % q) * omega_table(q)[b * c % q])
+    return omega_table(q)[phase % q] * out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 5]).flatmap(lambda q: st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.just(q),
+    *[st.lists(st.integers(-3 * q, 3 * q), min_size=2 * m + 1, max_size=2 * m + 1) for _ in range(2)],
+    st.integers(-2 * q, 2 * q)))))
+def test_row_algebra_is_the_dense_matrix_algebra(case):
+    # rows of any integers, reduced or not: composition, inverse and every
+    # power from -2q to 2q act as the products of their dense matrices
+    q, a, b, k = case
+    a, b = np.array(a), np.array(b)
+    eye = np.eye(q ** (len(a) // 2))
+    assert np.allclose(dense(q, _weyl_product(q, a, b)), dense(q, a) @ dense(q, b), atol=1e-9)
+    assert np.allclose(dense(q, _weyl_power(q, a, -1)) @ dense(q, a), eye, atol=1e-9)
+    assert np.allclose(dense(q, _weyl_power(q, a, k)), np.linalg.matrix_power(dense(q, a), k), atol=1e-9)
+    # every result is reduced: exponents and phase lie in 0..q-1
+    assert 0 <= _weyl_product(q, a, b).min() and _weyl_power(q, a, k).max() < q
+
+
+def test_xz_squares_to_minus_identity_at_q2():
+    # (XZ)^2 = -I: a row of q = 2 has order 4, so powers reduce mod 2q
+    xz = weyl([1], [1])
+    assert np.allclose(dense(2, _weyl_power(2, xz, 2)), -np.eye(2))
+    assert _weyl_power(2, xz, 2).tolist() == [0, 0, 1]
+    assert _weyl_power(2, xz, 4).tolist() == identity(1).tolist()
+    assert _weyl_power(2, xz, -1).tolist() == _weyl_power(2, xz, 3).tolist() == [1, 1, 1]
+    # stacked: the powers 0..3 of XZ on two sites in one call
+    assert _weyl_power(2, weyl([1, 1], [1, 0]), np.arange(4)).tolist() == [
+        [0, 0, 0, 0, 0], [1, 1, 1, 0, 0], [0, 0, 0, 0, 1], [1, 1, 1, 0, 1]]
 
 
 def test_graph_stabilizers_commute():
@@ -313,16 +371,16 @@ def test_graph_stabilizers_commute():
         ops = [stabilizer_generator(g, u) for u in range(4)]
         for a in ops:
             for b in ops:
-                assert commutation_exponent(a, b) == 0
+                assert commutation_exponent(q, a, b) == 0
 
 
 def folded_product(g, w, order):
     """prod_u K_u^{w_u} multiplied out one generator power at a time."""
-    out = identity(g.q, g.n)
+    out = identity(g.n)
     for u in order:
         k_u = stabilizer_generator(g, u)
-        assert k_u == WeylOperator(g.q, np.arange(g.n) == u, g.gamma[u])  # X_u Z^{Gamma.u}
-        out = out @ (k_u ** int(w[u]))
+        assert k_u.tolist() == weyl(np.arange(g.n) == u, g.gamma[u]).tolist()  # X_u Z^{Gamma.u}
+        out = _weyl_product(g.q, out, _weyl_power(g.q, k_u, int(w[u])))
     return out
 
 
@@ -335,11 +393,12 @@ def test_stabilizer_product_matches_ordered_fold():
             n = int(rng.integers(2, 8 if q < 11 else 13))
             g = random_graph(n, q, rng)
             w = rng.integers(-2 * q, 2 * q + 1, size=n)  # below 0 and at least q
-            prod = _stabilizer_product(g, w)
-            assert prod == folded_product(g, w, rng.permutation(n).tolist())
+            prod = _stabilizer_rows(g, w)
+            assert prod.tolist() == folded_product(g, w, rng.permutation(n).tolist()).tolist()
             # the round operator's shape K_C^t K_D^e has weight t*C + e*D
             c, t = rng.integers(-2 * q, 2 * q + 1, size=n), int(rng.integers(0, q))
-            assert (folded_product(g, c, range(n)) ** t) @ prod == _stabilizer_product(g, t * c + w)
+            folded = _weyl_product(q, _weyl_power(q, folded_product(g, c, range(n)), t), prod)
+            assert folded.tolist() == _stabilizer_rows(g, t * c + w).tolist()
             if q**n <= 3**7:
                 assert eigenvalue_label(graph_state(g), prod) == 0
 
@@ -353,7 +412,7 @@ def test_weyl_measurement_labels_its_eigenvector():
     rng = np.random.default_rng(79)
     for q in (3, 5, 7):
         for t in range(q):
-            w = WeylOperator(q, (t, 0), (1, 0))
+            w = weyl((t, 0), (1, 0))
             for _ in range(3):
                 amps = rng.normal(size=q * q) + 1j * rng.normal(size=q * q)
                 label, post = measure_weyl(StateVector(q, 2, amps / np.linalg.norm(amps)), w, rng)
@@ -410,7 +469,7 @@ def test_stabilizers_fix_graph_state():
 def test_measure_computational_deterministic():
     rng = np.random.default_rng(75)
     s = StateVector(3, 2, basis(3, 2, 0))
-    out, post = measure_weyl(s, WeylOperator(3, (0, 0), (1, 0)), rng)
+    out, post = measure_weyl(s, weyl((0, 0), (1, 0)), rng)
     assert out == 2
     assert state_fidelity(post, s) == pytest.approx(1.0)
 
@@ -422,7 +481,7 @@ def test_measure_plus_state_statistics():
     counts = np.zeros(q)
     draws = 1200
     for _ in range(draws):
-        out, _ = measure_weyl(plus, WeylOperator(q, (0,), (1,)), rng)
+        out, _ = measure_weyl(plus, weyl((0,), (1,)), rng)
         counts[out] += 1
     sigma = (draws * (1 / q) * (1 - 1 / q)) ** 0.5
     assert (np.abs(counts - draws / q) <= 4 * sigma).all()
@@ -442,7 +501,7 @@ def test_measure_weyl_q2_odd_weight_convention():
     # (1, i)/sqrt(2) is the -i eigenvector of XZ; label 1 via i*(-1)^m
     rng = np.random.default_rng(78)
     state = StateVector(2, 1, np.array([1.0, 1.0j]) / np.sqrt(2))
-    w = WeylOperator(2, (1,), (1,), 0)
+    w = weyl((1,), (1,))
     m, _ = measure_weyl(state, w, rng)
     assert m == 1
     other = StateVector(2, 1, np.array([1.0, -1.0j]) / np.sqrt(2))
@@ -504,9 +563,8 @@ def test_row_whose_weights_clip_to_zero_raises_before_any_draw():
     # a zero row among states measured as one stack
     psi = np.zeros((3, 9), dtype=np.complex128)
     psi[0, 0] = psi[2, 4] = 1.0
-    x, z, phase = _exponents([WeylOperator(3, (0, 0), (1, 0))] * 3)
     with pytest.raises(ValueError, match="weights sum to"):
-        _measure_rows(3, psi, x, z, phase, np.full(3, 0.5))
+        _measure_rows(3, psi, np.array([weyl((0, 0), (1, 0))] * 3), np.full(3, 0.5))
 
 
 @pytest.mark.parametrize("q, m", [(2, 3), (3, 3), (5, 3), (7, 2)])
@@ -520,16 +578,16 @@ def test_one_site_measurement_is_the_full_register_rule(q, m):
         ops = [(a, b) for a in range(q) for b in range(q) if a or b]
         x, z = np.zeros((len(ops), m), dtype=np.int64), np.zeros((len(ops), m), dtype=np.int64)
         x[:, v], z[:, v] = np.array(ops).T
-        phase = rng.integers(0, q, len(ops))
+        rows = _join(x, z, rng.integers(0, q, len(ops)))
         psi = rng.normal(size=(len(ops), q**m)) + 1j * rng.normal(size=(len(ops), q**m))
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
         uniforms = rng.random(len(ops))
-        labels, post = _measure_site(q, psi, x, z, phase, uniforms, v)
-        want_labels, want = _measure_rows(q, psi, x, z, phase, uniforms)
+        labels, post = _measure_site(q, psi, rows, uniforms, v)
+        want_labels, want = _measure_rows(q, psi, rows, uniforms)
         assert labels.tolist() == want_labels.tolist()
         assert np.abs(post - want).max() <= 1e-12
         for i in range(len(ops)):
-            alone = _measure_site(q, psi[i:i + 1], x[i:i + 1], z[i:i + 1], phase[i:i + 1], uniforms[i:i + 1], v)
+            alone = _measure_site(q, psi[i:i + 1], rows[i:i + 1], uniforms[i:i + 1], v)
             assert alone[0][0] == labels[i] and alone[1][0].tobytes() == post[i].tobytes()
 
 
@@ -540,8 +598,8 @@ def test_measure_weyl_routes_by_the_operators_support(monkeypatch):
     monkeypatch.setattr(qss.oracle, "_weyl_powers", lambda *args: calls.append(1) or powers(*args))
     rng = np.random.default_rng(501)
     psi = graph_state(path4())
-    for w, taken in ((WeylOperator(3, (0, 2, 0, 0), (0, 1, 0, 0)), 0), (WeylOperator(3, (0, 0, 0, 0), (0, 0, 0, 2)), 0),
-                     (stabilizer_generator(path4(), 1), 1), (identity(3, 4), 1)):
+    for w, taken in ((weyl((0, 2, 0, 0), (0, 1, 0, 0)), 0), (weyl((0, 0, 0, 0), (0, 0, 0, 2)), 0),
+                     (stabilizer_generator(path4(), 1), 1), (identity(4), 1)):
         calls.clear()
         measure_weyl(psi, w, rng)
         assert len(calls) == taken
@@ -560,8 +618,8 @@ def test_one_site_weyl_map_is_the_full_register_gather(q):
                 x, z = np.zeros((count, m), dtype=np.int64), np.zeros((count, m), dtype=np.int64)
                 x[:, v], z[:, v] = -l, k
                 phase = np.full(count, -k * l)
-                got = _on_site(q, rows, v, _site_powers(q, x[:, v], z[:, v], phase)[:, 1])
-                assert np.abs(got - _weyl_powers(q, rows, x, z, phase, 1)[1]).max() <= 1e-15
+                got = _on_site(q, rows, v, _site_powers(q, np.stack([x[:, v], z[:, v], phase], axis=1))[:, 1])
+                assert np.abs(got - _weyl_powers(q, rows, _join(x, z, phase), 1)[1]).max() <= 1e-15
 
 
 def test_projecting_a_site_out_checks_its_state():
@@ -573,9 +631,7 @@ def test_projecting_a_site_out_checks_its_state():
 
 def test_eigenvalue_label_rejects_non_eigenvector():
     with pytest.raises(AssertionError, match="eigenvector"):
-        eigenvalue_label(
-            StateVector(3, 1, basis(3, 0)), WeylOperator(3, (1,), (0,))
-        )
+        eigenvalue_label(StateVector(3, 1, basis(3, 0)), weyl((1,), (0,)))
 
 
 # ------------------------------------------------------------------- encodings
@@ -984,8 +1040,11 @@ def folded_unitaries(g, d, b, dms, cms):
     q, dvec, cvec = g.q, dms.copy(), cms.copy()
     dvec = dvec * pow(int(g.gamma[d] @ dvec % q), -1, q) % q
     beta, cvec[d] = int(g.gamma[d] @ cvec % q), 0
-    u_op = folded_product(g, -dvec % q, range(g.n)).factor_site(d)
-    return u_op, logical_x(g, d) @ folded_product(g, (cvec - beta * dvec) % q, range(g.n)).factor_site(d)
+    players = [v for v in range(g.n) if v != d]
+    u_op, v_rest = folded_product(g, -dvec % q, range(g.n)), folded_product(g, (cvec - beta * dvec) % q, range(g.n))
+    # the dealer's site splits off exactly: neither carries an X power there
+    assert u_op[d] == v_rest[d] == 0
+    return np.array([_keep_sites(u_op, players), _weyl_product(q, logical_x(g, d), _keep_sites(v_rest, players))])
 
 
 def test_steering_rows_are_the_code_unitaries():
@@ -1000,13 +1059,13 @@ def test_steering_rows_are_the_code_unitaries():
             rows, fallback = _steering(g, 0, sets)
             assert rows.shape == (len(sets), 2, 2 * n - 1)
             for b, row, fell in zip(sets, rows, fallback):
-                got = [WeylOperator(q, r[: n - 1], r[n - 1 : -1], r[-1]) for r in row]
                 dms, cms = witness_D(g, 0, b), witness_C(g, 0, [v for v in range(1, n) if v not in b])
                 if dms is None or cms is None:
                     assert fell and not row.any()
                     continue
                 assert not fell
-                assert got == list(code_unitaries(g, 0, b, dms, cms)) == list(folded_unitaries(g, 0, b, dms, cms))
+                want = code_unitaries(g, 0, b, dms, cms).tolist()
+                assert row.tolist() == want == folded_unitaries(g, 0, b, dms, cms).tolist()
             assert {bool(f) for f in fallback} == {False, True}
 
 
@@ -1305,30 +1364,29 @@ def test_bell_measure_recovers_prepared_label():
     pair = StateVector(q, 2, np.eye(q).reshape(-1) / np.sqrt(q))
     for k in range(q):
         for l in range(q):
-            state = apply_weyl(pair, WeylOperator(q, (0, l), (k, 0)))
-            state = apply_controlled(state, 0, WeylOperator(q, (-1,), (0,)))
+            state = apply_weyl(pair, weyl((0, l), (k, 0)))
+            state = apply_controlled(state, 0, weyl((-1,), (0,)))
             state = StateVector(q, 2, _on_site(q, state.amplitudes[None], 0, _fourier_matrix(q).conj().T)[0])
-            got_k, state = measure_weyl(state, WeylOperator(q, (0, 0), (1, 0)), rng)
-            got_l, _ = measure_weyl(state, WeylOperator(q, (0, 0), (0, 1)), rng)
+            got_k, state = measure_weyl(state, weyl((0, 0), (1, 0)), rng)
+            got_l, _ = measure_weyl(state, weyl((0, 0), (0, 1)), rng)
             assert (got_k, got_l) == (k, l)
 
 
 def test_apply_controlled_entangles():
     q = 3
     both = StateVector(q, 2, np.kron(np.ones(q) / np.sqrt(q), basis(q, 0)))
-    out = apply_controlled(both, 0, WeylOperator(q, (1,), (0,)))
+    out = apply_controlled(both, 0, weyl((1,), (0,)))
     grid = out.amplitudes.reshape(q, q)
     for j in range(q):
         assert grid[j, j] == pytest.approx(1 / np.sqrt(q))
     assert schmidt_rank(out, [0]) == q
 
 
-@pytest.mark.parametrize("w", [WeylOperator(5, (4,), (0,)), WeylOperator(3, (1, 0), (0, 0))])
-def test_apply_controlled_rejects_an_operator_off_the_register(w):
-    # the control leaves one target site of dimension 3
+def test_apply_controlled_rejects_an_operator_off_the_register():
+    # the control leaves one target site
     both = StateVector(3, 2, np.kron(np.ones(3) / np.sqrt(3), basis(3, 0)))
     with pytest.raises(ValueError, match="does not match the state register"):
-        apply_controlled(both, 0, w)
+        apply_controlled(both, 0, weyl((1, 0), (0, 0)))
 
 
 # --------------------------------------------------------- encode/decode variants
