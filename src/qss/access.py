@@ -70,10 +70,10 @@ def batch_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarra
     batch_border_indicators_mod call gives pi = [c not in colspan M] and
     the derivative [r not in rowspan M] - pi. Every indicator in the
     package, scalar or searched, comes from this gather: the stack reduced
-    mod q (fqlinalg._residues) and bordered by a zero vertex (_zero_vertex),
-    indexed by _gather_index, is ranked by _residue_indicators. A search
-    scan borders its stack once and indexes each block from cached plans
-    (search._plan), so it calls _residue_indicators alone.
+    mod q (fqlinalg._residues) and bordered by a zero vertex (_zero_vertex)
+    is ranked by _bordered_spans at the flat index that _gather_index's
+    halves add up to. A search scan borders its stack once and builds each
+    block's index from cached plans (search._plan).
 
     Rows may hold sets of several sizes: a smaller set lists its members
     and pads the rest of its row with -1. All matrices then share the shape
@@ -87,23 +87,27 @@ def batch_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarra
     """
     q = require_prime(q)
     rows, cols = _gather_index(gammas.shape[1], dealer, subsets)
-    return _residue_indicators(_zero_vertex(_residues(gammas, q), q), q, rows, cols)
+    c_outside, r_outside = _bordered_spans(_zero_vertex(_residues(gammas, q), q), q, rows[:, None] + cols)
+    pi = c_outside.T.astype(np.int64)
+    return pi, r_outside.T - pi
 
 
 def _zero_vertex(gammas: np.ndarray, q: int) -> np.ndarray:
-    """A (graphs, n, n) stack of residues mod q as a new stack of the
-    kernel's type with a zero vertex n appended, which index -1 reaches."""
+    """A (graphs, n, n) stack of residues mod q as a new (graphs, (n + 1)^2)
+    stack of the kernel's type, entry (u, v) at u (n + 1) + v, n a zero vertex."""
     count, n, _ = gammas.shape
     out = np.zeros((count, n + 1, n + 1), dtype=_kernel_type(q))
     out[:, :n, :n] = gammas
-    return out
+    return out.reshape(count, (n + 1) ** 2)
 
 
 def _gather_index(n: int, dealer: int, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """batch_indicators' checks, then its gather index: rows lists each
-    set's members, its -1 pads and the dealer; cols lists a -1 for each
-    member beyond the smallest set's, the other players ascending and the
-    dealer. Index -1 reaches the zero vertex of _zero_vertex."""
+    """batch_indicators' checks, then the halves (rows, cols) of its flat
+    index into the stack of _zero_vertex, each with one column per set:
+    entry (i, j) of a set's bordered matrix is at rows[i] + cols[j]. rows
+    holds u (n + 1) for the set's members, its -1 pads and the dealer; cols
+    holds v for a -1 per member beyond the smallest set's, the other
+    players ascending and the dealer. A -1 reaches the zero vertex n."""
     sets, width = subsets.shape
     low = subsets.min(initial=0)
     if not 0 <= dealer < n:
@@ -130,22 +134,20 @@ def _gather_index(n: int, dealer: int, subsets: np.ndarray) -> tuple[np.ndarray,
     cols = np.argsort(key, axis=1, kind="stable")[:, least:]
     if least < width:
         # the zeroed columns are a smaller set's leading sorted members
-        cols[np.arange(n - least) < (members - least)[:, None]] = -1
-    return np.column_stack([subsets, np.full(sets, dealer)]).astype(np.intp, copy=False), cols
+        cols[np.arange(n - least) < (members - least)[:, None]] = n
+    rows = np.column_stack([subsets % (n + 1), np.full(sets, dealer)]) * (n + 1)
+    return np.ascontiguousarray(rows.T, dtype=np.intp), np.ascontiguousarray(cols.T, dtype=np.intp)
 
 
-def _residue_indicators(gammas: np.ndarray, q: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """batch_indicators' gather and elimination on a stack of residues in
-    the kernel's type, bordered by _zero_vertex if an index is -1."""
-    sets, count = len(rows), len(gammas)
-    # gathered with the (set, graph) stack axis last, the layout the
-    # elimination runs in place on; numpy lays out a gather from one graph
-    # with its set axis outermost, so that one is copied
-    bordered = gammas.transpose(1, 2, 0)[rows.T[:, None, :], cols.T[None, :, :]]
-    stack = np.ascontiguousarray(bordered.reshape(rows.shape[1], cols.shape[1], sets * count))
-    c_outside, r_outside = _border_indicators(stack, q)
-    pi = c_outside.reshape(sets, count).T.astype(np.int64)
-    return pi, r_outside.reshape(sets, count).T - pi
+def _bordered_spans(stack: np.ndarray, q: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c_outside, r_outside) of fqlinalg._border_indicators, each (sets,
+    graphs), for each graph of a _zero_vertex stack and each bordered
+    matrix of an (R, C, sets) flat index. Indexing the stack's transpose
+    lays the matrices out with the (set, graph) stack axis last, the layout
+    the elimination runs in place on, and leaves the stack graph-major, so
+    a scan drops a graph by copying its row out."""
+    c_outside, r_outside = _border_indicators(stack.T[index].reshape(*index.shape[:2], -1), q)
+    return c_outside.reshape(index.shape[2], len(stack)), r_outside.reshape(index.shape[2], len(stack))
 
 
 def _index_array(sets: list[tuple[int, ...]]) -> np.ndarray:
@@ -225,9 +227,9 @@ def witness_rows(g: Multigraph, d: int, d_sets, c_sets) -> tuple[np.ndarray, np.
     exists, from one _solve_stack call: Gamma[V - B, B] D = [d] for each
     set of d_sets and Gamma[B, V - B] C = 0 plus a last row C(d) = 1 for
     each set of c_sets (the empty set's D system has no columns and is
-    inconsistent). Each system is gathered, its vertices ascending and
-    padded, from Gamma bordered by a zero vertex n for pads and vertex n + 1
-    for the target column and pin row."""
+    inconsistent). Each system is gathered at one flat index, its vertices
+    ascending and padded, from Gamma bordered by a zero vertex n for pads
+    and vertex n + 1 for the target column and pin row."""
     n, k, index = g.n, len(d_sets), []
     inside = _members(n, [_check_b(g, d, b) for b in [*d_sets, *c_sets]])
     pinned = np.arange(len(inside)) >= k
@@ -241,7 +243,7 @@ def witness_rows(g: Multigraph, d: int, d_sets, c_sets) -> tuple[np.ndarray, np.
         order[np.arange(order.shape[1]) >= count[:, None]] = n
         index.append(order)
     r, c = index[0], np.column_stack([index[1], np.full(len(inside), n + 1)])
-    x, found = _solve_stack(ext[r.T[:, None, :], c.T[None, :, :]], g.q)
+    x, found = _solve_stack(ext.take(r.T[:, None, :] * (n + 2) + c.T[None, :, :]), g.q)
     out = np.zeros((len(x), n + 1), dtype=np.int64)
     out[np.arange(len(x))[:, None], c[:, :-1]] = x
     return out[:k, :n], found[:k], out[k:, :n], found[k:]

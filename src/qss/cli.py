@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 argument/parse error, 2 precondition violation,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -76,6 +75,8 @@ def _witness_payload(vec) -> dict | None:
 
 
 def _emit(command: str, inputs: dict, result, seed, started: float) -> None:
+    # a result dataclass comes as vars(result): its fields are flat, so
+    # json writes them as it would dataclasses.asdict's deep copy
     report = {
         "command": command,
         "inputs": inputs,
@@ -186,7 +187,7 @@ def _run(args) -> int:
     if args.command == "scheme-k":
         g = _read_graph(args.graph, args.dealer)
         report = scheme_k(DealerGraph(g, args.dealer))
-        _emit("scheme-k", {"graph": args.graph, "dealer": args.dealer}, dataclasses.asdict(report), None, started)
+        _emit("scheme-k", {"graph": args.graph, "dealer": args.dealer}, vars(report), None, started)
         return EXIT_OK
 
     if args.command == "search":
@@ -200,13 +201,13 @@ def _run(args) -> int:
             checkpoint_path=args.checkpoint,
         )
         inputs = {"n": args.n, "q": args.q, "k": args.k, "budget": args.budget, "workers": args.workers}
-        _emit("search", inputs, dataclasses.asdict(res), None, started)
+        _emit("search", inputs, vars(res), None, started)
         return EXIT_BUDGET if res.status == "budget_exceeded" else EXIT_OK
 
     if args.command == "sample":
         summary = random_trials(args.n, args.q, args.alpha, args.trials, args.seed, workers=args.workers)
         inputs = {"n": args.n, "q": args.q, "alpha": args.alpha, "trials": args.trials}
-        _emit("sample", inputs, dataclasses.asdict(summary), args.seed, started)
+        _emit("sample", inputs, vars(summary), args.seed, started)
         return EXIT_OK
 
     if args.command == "oracle-verify":

@@ -153,11 +153,7 @@ def parse_graph(text: str) -> Multigraph:
     line per edge with u < v and 1 <= w < q. ``#`` starts a comment. Unlisted
     pairs have multiplicity 0.
     """
-    lines = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
+    lines = [line for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if line]
     if len(lines) < 2:
         raise ValueError("graph text needs 'q' and 'n' header lines")
     qtok = lines[0].split()
@@ -173,29 +169,44 @@ def parse_graph(text: str) -> Multigraph:
     require_prime(q)
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
-    gamma = np.zeros((n, n), dtype=np.int64)
-    seen = set()
-    for line in lines[2:]:
-        tok = line.split()
-        if len(tok) != 4 or tok[0] != "e":
-            raise ValueError(f"malformed edge line: {line!r}")
-        try:
+    upper = [0] * (n * n)  # Gamma row by row, the edge lines fill it above the diagonal
+    try:
+        for line in lines[2:]:
+            tok = line.split()
             u, v, w = int(tok[1]), int(tok[2]), int(tok[3])
-        except ValueError:
-            raise ValueError(f"malformed edge line: {line!r}") from None
-        if u == v:
-            raise ValueError(f"self-loop on vertex {u}")
-        if not u < v:
-            raise ValueError(f"edge endpoints must satisfy u < v: {line!r}")
-        if not (0 <= u and v < n):
-            raise ValueError(f"edge endpoint out of range: {line!r}")
-        if not 1 <= w < q:
-            raise ValueError(f"edge multiplicity must be in [1, {q}): {line!r}")
-        if (u, v) in seen:
-            raise ValueError(f"duplicate edge line for ({u}, {v})")
-        seen.add((u, v))
-        gamma[u, v] = gamma[v, u] = w
+            if not (len(tok) == 4 and tok[0] == "e" and 0 <= u < v < n and 0 < w < q):
+                raise ValueError
+            upper[u * n + v] = w
+    except (IndexError, ValueError):
+        raise ValueError(_edge_error(lines[2:], n, q)) from None
+    gamma = np.array(upper, dtype=np.int64).reshape(n, n)
+    gamma += gamma.T
+    # every w is nonzero and u < v, so distinct pairs set two entries each
+    if np.count_nonzero(gamma) < 2 * (len(lines) - 2):
+        raise ValueError(_edge_error(lines[2:], n, q))
     return Multigraph(q, gamma)
+
+
+def _edge_error(edge_lines: list[str], n: int, q: int) -> str:
+    """parse_graph's message for its first edge line that fails a check or repeats a pair."""
+    seen = set()
+    for line in edge_lines:
+        tok = line.split()
+        try:
+            u, v, w = map(int, tok[1:]) if tok[0] == "e" else ()  # () does not unpack
+        except ValueError:
+            return f"malformed edge line: {line!r}"
+        if u == v:
+            return f"self-loop on vertex {u}"
+        if not u < v:
+            return f"edge endpoints must satisfy u < v: {line!r}"
+        if not (0 <= u and v < n):
+            return f"edge endpoint out of range: {line!r}"
+        if not 0 < w < q:
+            return f"edge multiplicity must be in [1, {q}): {line!r}"
+        if (u, v) in seen:
+            return f"duplicate edge line for ({u}, {v})"
+        seen.add((u, v))
 
 
 def serialize_graph(g: Multigraph) -> str:

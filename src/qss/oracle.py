@@ -761,7 +761,8 @@ def _fidelity(rho: np.ndarray, expected) -> float:
 def apply_controlled(state: StateVector, control: int, w) -> StateVector:
     """Apply W^j to the rest of the register for each digit j of the control
     site; digit 0 is left alone. The [x | z | phase] row w acts on the
-    remaining sites in their order."""
+    remaining sites in their order. A control outside 0..n-1 raises."""
+    [control] = _register_sites(state, [control])
     q, w = state.q, _operator(state.q, w, state.n - 1)
     grid = np.moveaxis(state.amplitudes.reshape([q] * state.n), control, 0).reshape(q, -1)
     grid = _weyl_powers(q, grid, _weyl_power(q, w, np.arange(q)), 1)[1]

@@ -23,23 +23,28 @@ from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
-from .access import _gather_index, _residue_indicators, _zero_vertex
+from .access import _bordered_spans, _gather_index, _zero_vertex
 from .fqlinalg import _kernel_type, _residues, require_prime
 from .multigraph import DealerGraph, Multigraph, serialize_graph
 
 TRIAL_CHUNK = 2048
-# Bordered cut matrices in _first_failure's first batch_indicators call,
-# unless the live stack alone is larger. The budget doubles after each call
-# up to BLOCK_CAP: a graph that fails early leaves the stack after small
+# Bordered cut matrices in _first_failure's first kernel call, unless the
+# live stack alone is larger. The budget doubles after each call up to
+# BLOCK_CAP: a graph that fails early leaves the stack after small
 # blocks, while a long scan pays the kernel's fixed per-call cost rarely.
 # Past BLOCK_CAP matrices the elimination slows per matrix, as the stack
 # outgrows a 2 MiB L2 cache.
 BLOCK = 64
 BLOCK_CAP = 2048
-# Plans (_plan) kept at once. A plan holds at most BLOCK_CAP * (n + 1)
-# int64 indices, so the cache holds at most 512 KiB per vertex; a downward
-# scheme_k scan (order 12 or less) uses one plan per size
+# Plans (_plan) kept at once. A plan holds the halves of the flat gather
+# index of at most BLOCK_CAP sets of one size, n + 1 int64 entries per set:
+# 16 KiB per vertex, so the cache holds at most 512 KiB per vertex. A
+# downward scheme_k scan (order 12 or less) uses one plan per size.
 PLAN_CACHE = 32
+# Blocks (_spanning_block) of scans of several sizes kept at once: each of
+# at most BLOCK_CAP sets of at most 2n int64 entries, so both caches hold at
+# most 1 MiB per vertex. A flat index, R * C entries per set, is never kept.
+BLOCK_CACHE = 16
 # _gamma_from_index builds int64 indices, so no search reaches this index
 _INDEX_LIMIT = 2**63
 
@@ -65,12 +70,12 @@ class SchemeReport:
 
 
 @lru_cache(maxsize=PLAN_CACHE)
-def _plan(n: int, dealer: int, size: int, chunk: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only gather plan (sets, rows, cols) of the chunk-th run of
-    at most BLOCK_CAP lexicographic size-element sets of the players (every
-    vertex but the dealer): their members and access._gather_index's rows
-    and cols, whose checks run once per plan. At most PLAN_CACHE plans are
-    kept, so no level is built whole and memory stays bounded at any n."""
+def _plan(n: int, dealer: int, size: int, chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only gather plan of the chunk-th run of at most BLOCK_CAP
+    lexicographic size-element sets of the players (every vertex but the
+    dealer): access._gather_index's halves (rows, cols) of their flat index,
+    whose checks run once per plan. At most PLAN_CACHE plans are kept, so
+    no level is built whole and memory stays bounded at any n."""
     players = [v for v in range(n) if v != dealer]
     start = chunk * BLOCK_CAP
     count = min(comb(len(players), size) - start, BLOCK_CAP)
@@ -78,15 +83,15 @@ def _plan(n: int, dealer: int, size: int, chunk: int) -> tuple[np.ndarray, np.nd
     rows, cols = _gather_index(n, dealer, np.fromiter(chain.from_iterable(sets), np.intp).reshape(count, size))
     rows.setflags(write=False)
     cols.setflags(write=False)
-    return rows[:, :-1], rows, cols
+    return rows, cols
 
 
-def _block_index(n: int, dealer: int, sizes: list[int], start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """_gather_index's rows and cols for the sets [start, stop) of the
-    lexicographic player sets of each size in turn: two slices of one plan,
-    or slices of several assembled with -1 pads to the widest set (rows)
-    and down to the smallest (cols)."""
-    pieces = []
+def _block_halves(n: int, dealer: int, sizes: tuple[int, ...], start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The halves (rows, cols) of the flat index of the sets [start, stop)
+    of the lexicographic player sets of each size in turn: slices of one
+    plan, or copied from several with pads, which reach the zero vertex, to
+    the widest set (rows) and down to the smallest (cols)."""
+    pieces, count = [], stop - start
     for size in sizes:
         total = comb(n - 1, size)
         lo, hi = max(start, 0), min(stop, total)
@@ -97,40 +102,48 @@ def _block_index(n: int, dealer: int, sizes: list[int], start: int, stop: int) -
             lo = end
         start, stop = start - total, stop - total
     if len(pieces) == 1:
-        _, (_, rows, cols), lo, hi = pieces[0]
-        return rows[lo:hi], cols[lo:hi]
-    widest = max(size for size, *_ in pieces)
-    least = min(size for size, *_ in pieces)
-    count = sum(hi - lo for *_, lo, hi in pieces)
-    rows = np.full((count, widest + 1), -1, dtype=np.intp)
-    cols = np.full((count, n - least), -1, dtype=np.intp)
-    rows[:, -1] = dealer
+        _, (rows, cols), lo, hi = pieces[0]
+        return rows[:, lo:hi], cols[:, lo:hi]
+    widest, least = max(piece[0] for piece in pieces), min(piece[0] for piece in pieces)
+    rows = np.full((widest + 1, count), n * (n + 1), dtype=np.intp)
+    cols = np.full((n - least, count), n, dtype=np.intp)
+    rows[-1] = dealer * (n + 1)
     at = 0
-    for size, (sets, _, plan_cols), lo, hi in pieces:
-        rows[at : at + hi - lo, :size] = sets[lo:hi]
-        cols[at : at + hi - lo, size - least :] = plan_cols[lo:hi]
+    for size, (plan_rows, plan_cols), lo, hi in pieces:
+        rows[:size, at : at + hi - lo] = plan_rows[:-1, lo:hi]
+        cols[size - least :, at : at + hi - lo] = plan_cols[:, lo:hi]
         at += hi - lo
     return rows, cols
+
+
+# every graph of one order asks a scan of several sizes for the same blocks
+_spanning_block = lru_cache(maxsize=BLOCK_CACHE)(_block_halves)
+
+
+def _block_index(n: int, dealer: int, sizes: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+    """The (R, C, sets) flat index of _block_halves, cached across sizes."""
+    rows, cols = (_spanning_block if len(sizes) > 1 else _block_halves)(n, dealer, sizes, start, stop)
+    return rows[:, None] + cols
 
 
 def _first_failure(gammas: np.ndarray, q: int, dealer: int, sizes: Iterable[int]) -> list[tuple[int, ...] | None]:
     """For each graph of a stack, the first set without access among the
     lexicographic player sets of each size of sizes in turn, or None.
 
-    The one subset scan behind every search path. It ranks blocks of
-    max(1, budget // live) sets, live counting the graphs still in the
-    stack and the budget of bordered matrices starting at BLOCK and
-    doubling after each call up to BLOCK_CAP, each from cached plans
-    (_block_index) in one _residue_indicators call. A graph leaves at its
-    first failure, the argmax inside its ordered block, so block sizes
-    change only the number of calls, never a result. The stack must hold
-    residues mod q. A scan of several sizes borders it by the zero vertex
-    once, for the pads of blocks that span sizes; one of a single size
-    only casts it into the kernel's type.
+    The one subset scan behind every search path. It borders the stack
+    once (_zero_vertex) and ranks blocks of max(1, budget // live) sets,
+    live counting the graphs still in the stack and the budget of bordered
+    matrices starting at BLOCK and doubling after each call up to
+    BLOCK_CAP, each gathered at one flat index (_block_index) in one
+    _bordered_spans call. A set fails unless its derivative is -1: when r
+    is outside rowspan M or c inside colspan M (batch_indicators). A graph
+    leaves at its first failure, the argmax inside its ordered block, so
+    block sizes change only the number of calls, never a result. The stack
+    must hold residues mod q.
     """
-    sizes = list(sizes)
+    sizes = tuple(sizes)
     n = gammas.shape[1]
-    gammas = _zero_vertex(gammas, q) if len(sizes) > 1 else gammas.astype(_kernel_type(q), copy=False)
+    stack = _zero_vertex(gammas, q)
     found: list[tuple[int, ...] | None] = [None] * len(gammas)
     live = np.arange(len(gammas))
     start, total = 0, sum(comb(n - 1, size) for size in sizes)
@@ -138,17 +151,19 @@ def _first_failure(gammas: np.ndarray, q: int, dealer: int, sizes: Iterable[int]
     while live.size and start < total:
         stop = min(total, start + max(1, budget // live.size))
         budget = min(2 * budget, BLOCK_CAP)
-        rows, cols = _block_index(n, dealer, sizes, start, stop)
-        failing = _residue_indicators(gammas, q, rows, cols)[1] != -1
-        failed = failing.any(axis=1)
+        index = _block_index(n, dealer, sizes, start, stop)
+        c_outside, r_outside = _bordered_spans(stack, q, index)
+        failing = r_outside | ~c_outside
+        failed = failing.any(axis=0)
         if failed.any():
-            firsts = failing[failed].argmax(axis=1).tolist()
-            # many graphs of a stack fail at one set, which is named once
-            named = {j: tuple(v for v in rows[j, :-1].tolist() if v >= 0) for j in set(firsts)}
+            firsts = failing[:, failed].argmax(axis=0).tolist()
+            # many graphs of a stack fail at one set, which is named once;
+            # its members are the rows of the index that reach no pad
+            named = {j: tuple(u // (n + 1) for u in index[:-1, 0, j].tolist() if u < n * (n + 1)) for j in set(firsts)}
             for graph, j in zip(live[failed].tolist(), firsts):
                 found[graph] = named[j]
             keep = ~failed
-            live, gammas = live[keep], gammas[keep]
+            live, stack = live[keep], stack[keep]
         start = stop
     return found
 

@@ -4,6 +4,7 @@ Each test drives main(argv) in-process and inspects stdout/stderr through
 capsys, so the suite never shells out.
 """
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -19,7 +20,8 @@ from qss.cli import (
     EXIT_PRECONDITION,
     main,
 )
-from qss.multigraph import Multigraph, parse_graph, rs747_fixture, serialize_graph
+from qss.multigraph import DealerGraph, Multigraph, parse_graph, random_graph, rs747_fixture, serialize_graph
+from qss.search import exhaustive_search, random_trials, scheme_k
 
 
 @pytest.fixture
@@ -246,6 +248,96 @@ def test_scheme_k_rs747(capsys, rs_file):
     assert res["k"] == 4
     assert res["n_players"] == 7
     assert res["all_accessible_at_k"] is True
+
+
+# Random graphs of the benchmark's threshold shapes (n 9 to 11, q 2 to 7),
+# random_graph(n, q, seed 10 n + q) with dealer q: (n, q, dealer, k, worst).
+SCHEME_K_PINS = [
+    (9, 2, 2, 7, [0, 1, 5, 6, 7, 8]),
+    (9, 3, 3, 6, [0, 1, 2, 5, 6]),
+    (9, 5, 5, 6, [0, 1, 2, 3, 7]),
+    (9, 7, 7, 6, [1, 2, 3, 5, 6]),
+    (10, 2, 2, 8, [0, 4, 5, 6, 7, 8, 9]),
+    (10, 3, 3, 7, [0, 1, 4, 7, 8, 9]),
+    (10, 5, 5, 7, [0, 1, 3, 4, 6, 7]),
+    (10, 7, 7, 7, [2, 3, 4, 5, 8, 9]),
+    (11, 2, 2, 8, [0, 1, 3, 6, 7, 9, 10]),
+    (11, 3, 3, 8, [1, 2, 4, 5, 6, 8, 9]),
+    (11, 5, 5, 8, [0, 1, 3, 6, 7, 8, 9]),
+    (11, 7, 7, 7, [0, 1, 4, 5, 9, 10]),
+]
+
+
+def _asdict_report(out, command, inputs, result, seed):
+    """The report line as the CLI printed it when it emitted
+    dataclasses.asdict(result), with the wall_time of out."""
+    rep = {"command": command, "inputs": inputs, "result": dataclasses.asdict(result), "seed": seed,
+           "wall_time": json.loads(out)["wall_time"]}
+    return json.dumps(rep, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("n, q, dealer, k, worst", SCHEME_K_PINS)
+def test_scheme_k_report_bytes_match_asdict(capsys, tmp_path, n, q, dealer, k, worst):
+    g = random_graph(n, q, 10 * n + q)
+    path = tmp_path / "g.graph"
+    path.write_text(serialize_graph(g))
+    code, out, _ = run(capsys, ["scheme-k", str(path), "--dealer", str(dealer)])
+    assert code == EXIT_OK
+    rep = scheme_k(DealerGraph(g, dealer))
+    assert (rep.k, list(rep.worst_unauthorized), rep.n_players) == (k, worst, n - 1)
+    assert out == _asdict_report(out, "scheme-k", {"graph": str(path), "dealer": dealer}, rep, None)
+
+
+@pytest.mark.parametrize("dealer, worst", [(0, "[1, 2, 3]"), (7, "[0, 1, 2]")])
+def test_scheme_k_report_pinned_rs747(capsys, rs_file, dealer, worst):
+    code, out, _ = run(capsys, ["scheme-k", rs_file, "--dealer", str(dealer)])
+    assert code == EXIT_OK
+    pinned = (f'{{"command": "scheme-k", "inputs": {{"dealer": {dealer}, "graph": "GRAPH"}}, "result": '
+              f'{{"all_accessible_at_k": true, "k": 4, "n_players": 7, "worst_unauthorized": {worst}}}, '
+              '"seed": null, "wall_time": X}\n')
+    assert re.sub(r'"wall_time": [0-9.e-]+', '"wall_time": X', out) == pinned.replace("GRAPH", rs_file)
+    rep = scheme_k(DealerGraph(rs747_fixture().graph, dealer))
+    assert out == _asdict_report(out, "scheme-k", {"graph": rs_file, "dealer": dealer}, rep, None)
+
+
+# search and sample reports, pinned byte for byte, wall_time aside: found,
+# exhausted and budget_exceeded searches, a sample and a sample of no trials
+REPORT_PINS = [
+    (["search", "--n", "4", "--q", "3", "--k", "2"], EXIT_OK,
+     '{"command": "search", "inputs": {"budget": null, "k": 2, "n": 4, "q": 3, "workers": 1}, "result": '
+     '{"checked": 124, "graph_text": "q 3\\nn 4\\ne 0 2 1\\ne 0 3 1\\ne 1 2 1\\ne 1 3 2\\n", "index": 123, '
+     '"next_index": 729, "status": "found"}, "seed": null, "wall_time": X}\n'),
+    (["search", "--n", "4", "--q", "2", "--k", "2"], EXIT_OK,
+     '{"command": "search", "inputs": {"budget": null, "k": 2, "n": 4, "q": 2, "workers": 1}, "result": '
+     '{"checked": 64, "graph_text": null, "index": null, "next_index": 64, "status": "exhausted"}, '
+     '"seed": null, "wall_time": X}\n'),
+    (["search", "--n", "4", "--q", "3", "--k", "2", "--budget", "60"], EXIT_BUDGET,
+     '{"command": "search", "inputs": {"budget": 60, "k": 2, "n": 4, "q": 3, "workers": 1}, "result": '
+     '{"checked": 60, "graph_text": null, "index": null, "next_index": 60, "status": "budget_exceeded"}, '
+     '"seed": null, "wall_time": X}\n'),
+    (["sample", "--n", "6", "--q", "3", "--alpha", "0.8", "--trials", "300", "--seed", "77"], EXIT_OK,
+     '{"command": "sample", "inputs": {"alpha": 0.8, "n": 6, "q": 3, "trials": 300}, "result": '
+     '{"alpha": 0.8, "n": 6, "q": 3, "seed": 77, "success_rate": 0.84, "successes": 252, "trials": 300}, '
+     '"seed": 77, "wall_time": X}\n'),
+    (["sample", "--n", "5", "--q", "2", "--alpha", "0.6", "--trials", "0", "--seed", "8"], EXIT_OK,
+     '{"command": "sample", "inputs": {"alpha": 0.6, "n": 5, "q": 2, "trials": 0}, "result": '
+     '{"alpha": 0.6, "n": 5, "q": 2, "seed": 8, "success_rate": null, "successes": 0, "trials": 0}, '
+     '"seed": 8, "wall_time": X}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, pinned", REPORT_PINS)
+def test_search_and_sample_report_bytes_match_asdict(capsys, argv, exit_code, pinned):
+    code, out, _ = run(capsys, argv)
+    assert code == exit_code
+    assert re.sub(r'"wall_time": [0-9.e-]+', '"wall_time": X', out) == pinned
+    rep = json.loads(out)
+    args = {key: rep["inputs"][key] for key in ("n", "q")}
+    if argv[0] == "search":
+        result = exhaustive_search(k=rep["inputs"]["k"], budget=rep["inputs"]["budget"], **args)
+    else:
+        result = random_trials(alpha=rep["inputs"]["alpha"], trials=rep["inputs"]["trials"], seed=rep["seed"], **args)
+    assert out == _asdict_report(out, argv[0], rep["inputs"], result, rep["seed"])
 
 
 # --------------------------------------------------------------------- search

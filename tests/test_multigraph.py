@@ -9,6 +9,8 @@ is caught. Vertices v1..v5 are indices 0..4.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qss.access import cutrank
 from qss.multigraph import (
@@ -264,29 +266,85 @@ e 1 2 1
     assert g.edges() == [(0, 1, 1), (0, 2, 1), (1, 2, 1)]
 
 
+PARSE_MESSAGES = [
+    ("q 3\n", "graph text needs 'q' and 'n' header lines"),
+    ("p 3\nn 2\n", "malformed modulus line: 'p 3'"),
+    ("q 4\nn 2\n", "modulus must be a prime, got 4"),
+    ("q 3\nm 2\n", "malformed order line: 'm 2'"),
+    ("q x\nn 2\n", "malformed header: invalid literal for int() with base 10: 'x'"),
+    ("q 3\nn -1\n", "order must be nonnegative, got -1"),
+    ("q 3\nn 2\ne 0 1\n", "malformed edge line: 'e 0 1'"),
+    ("q 3\nn 2\ne 0 1 1 1\n", "malformed edge line: 'e 0 1 1 1'"),
+    ("q 3\nn 2\nf 0 1 1\n", "malformed edge line: 'f 0 1 1'"),
+    ("q 3\nn 2\ne 0 x 1\n", "malformed edge line: 'e 0 x 1'"),
+    ("q 3\nn 2\ne 0 1 1.0\n", "malformed edge line: 'e 0 1 1.0'"),
+    ("q 3\nn 2\ne 1 0 1\n", "edge endpoints must satisfy u < v: 'e 1 0 1'"),
+    ("q 3\nn 3\ne 2 1 0\n", "edge endpoints must satisfy u < v: 'e 2 1 0'"),
+    ("q 3\nn 2\ne 1 1 1\n", "self-loop on vertex 1"),
+    ("q 3\nn 3\ne 2 2 9\n", "self-loop on vertex 2"),
+    ("q 3\nn 2\ne 0 2 1\n", "edge endpoint out of range: 'e 0 2 1'"),
+    ("q 3\nn 2\ne -1 1 1\n", "edge endpoint out of range: 'e -1 1 1'"),
+    ("q 3\nn 2\ne 0 1 0\n", "edge multiplicity must be in [1, 3): 'e 0 1 0'"),
+    ("q 3\nn 2\ne 0 1 3\n", "edge multiplicity must be in [1, 3): 'e 0 1 3'"),
+    ("q 3\nn 2\ne 0 1 1\ne 0 1 2\n", "duplicate edge line for (0, 1)"),
+]
+
+
 def test_parse_error_cases():
-    with pytest.raises(ValueError, match="header"):
-        parse_graph("q 3\n")
-    with pytest.raises(ValueError, match="modulus"):
-        parse_graph("p 3\nn 2\n")
-    with pytest.raises(ValueError, match="prime"):
-        parse_graph("q 4\nn 2\n")
-    with pytest.raises(ValueError, match="order"):
-        parse_graph("q 3\nm 2\n")
-    with pytest.raises(ValueError, match="edge line"):
-        parse_graph("q 3\nn 2\ne 0 1\n")
-    with pytest.raises(ValueError, match="u < v"):
-        parse_graph("q 3\nn 2\ne 1 0 1\n")
-    with pytest.raises(ValueError, match="self-loop"):
-        parse_graph("q 3\nn 2\ne 1 1 1\n")
-    with pytest.raises(ValueError, match="out of range"):
-        parse_graph("q 3\nn 2\ne 0 2 1\n")
-    with pytest.raises(ValueError, match="multiplicity"):
-        parse_graph("q 3\nn 2\ne 0 1 0\n")
-    with pytest.raises(ValueError, match="multiplicity"):
-        parse_graph("q 3\nn 2\ne 0 1 3\n")
-    with pytest.raises(ValueError, match="duplicate"):
-        parse_graph("q 3\nn 2\ne 0 1 1\ne 0 1 2\n")
+    for text, message in PARSE_MESSAGES:
+        with pytest.raises(ValueError) as err:
+            parse_graph(text)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("q 3\nn 3\ne 0 5 1\ne 1 1 1\n", "edge endpoint out of range: 'e 0 5 1'"),
+    ("q 3\nn 3\ne 1 1 1\ne 0 5 1\n", "self-loop on vertex 1"),
+    ("q 3\nn 3\ne 0 1 1\ne 1 2 1\ne 0 1 1\ne 1 2 2\n", "duplicate edge line for (0, 1)"),
+    ("q 3\nn 3\ne 1 2 1\ne 0 1 1\ne 1 2 1\ne 0 1 1\n", "duplicate edge line for (1, 2)"),
+    ("q 3\nn 3\ne 0 1 1\ne 0 1 2\ne 0 5 1\n", "duplicate edge line for (0, 1)"),
+    ("q 3\nn 3\ne 0 5 1\ne 0 1 1\ne 0 1 2\n", "edge endpoint out of range: 'e 0 5 1'"),
+])
+def test_parse_names_the_first_bad_line(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
+def test_parse_handles_extra_spaces_and_trailing_comments():
+    text = "  q   3 # field\n\n\tn 4\n# e 0 1 1\ne   0 3\t2   \n   \ne 1 2 1#\n"
+    assert parse_graph(text).edges() == [(0, 3, 2), (1, 2, 1)]
+
+
+def reference_parse(text):
+    """A pure-Python parse of a valid graph text: (q, n, gamma as nested lists)."""
+    lines = [line.split("#")[0].split() for line in text.splitlines()]
+    (_, q), (_, n), *edges = [[int(t) if t.lstrip("-").isdigit() else t for t in tok] for tok in lines if tok]
+    gamma = [[0] * n for _ in range(n)]
+    for _, u, v, w in edges:
+        gamma[u][v] = gamma[v][u] = w
+    return q, n, gamma
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_parse_round_trip_matches_a_reference_parser(data):
+    q = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n = data.draw(st.integers(0, 7))
+    gamma = np.zeros((n, n), dtype=np.int64)
+    gamma[np.triu_indices(n, 1)] = data.draw(st.lists(st.integers(0, q - 1), min_size=n * (n - 1) // 2,
+                                                      max_size=n * (n - 1) // 2))
+    g = Multigraph(q, gamma + gamma.T)
+    lines = serialize_graph(g).splitlines()
+    # the edge lines in any order, each with spaces, a comment or a blank line around it
+    lines[2:] = data.draw(st.permutations(lines[2:]))
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    text = "".join(data.draw(pad) + line.replace(" ", data.draw(pad) + " ") + data.draw(pad)
+                   + data.draw(st.sampled_from(["", " # note", "#"])) + data.draw(st.sampled_from(["\n", "\n\n"]))
+                   for line in lines)
+    parsed = parse_graph(text)
+    assert parsed == g
+    assert (parsed.q, parsed.n, parsed.gamma.tolist()) == reference_parse(text)
 
 
 def test_parse_edgeless_graph():

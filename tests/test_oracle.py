@@ -1389,6 +1389,15 @@ def test_apply_controlled_rejects_an_operator_off_the_register():
         apply_controlled(both, 0, weyl((1, 0), (0, 0)))
 
 
+@pytest.mark.parametrize("control", [-1, 2, 5])
+def test_apply_controlled_rejects_a_control_off_the_register(control):
+    # -1 would otherwise wrap to the last site
+    both = StateVector(3, 2, np.kron(np.ones(3) / np.sqrt(3), basis(3, 0)))
+    with pytest.raises(ValueError, match="sites outside the register"):
+        apply_controlled(both, control, weyl((1,), (0,)))
+    assert apply_controlled(both, 1, weyl((1,), (0,))).n == 2
+
+
 # --------------------------------------------------------- encode/decode variants
 
 

@@ -8,17 +8,19 @@ hypothesis property tests.
 import dataclasses
 import os
 import tempfile
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations, islice, product
-from math import ceil, comb
+from math import ceil, comb, isqrt
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qss.fqlinalg
 import qss.search
-from qss.access import _index_array, _residue_indicators, _zero_vertex, batch_indicators, quantum_derivative
+from qss.access import _bordered_spans, _gather_index, _index_array, _zero_vertex, batch_indicators, quantum_derivative
 from qss.multigraph import DealerGraph, Multigraph, local_complement, parse_graph, random_graph, rs747_fixture
 from qss.search import (
     TRIAL_CHUNK,
@@ -31,6 +33,7 @@ from qss.search import (
 )
 from qss.search import (
     BLOCK,
+    BLOCK_CACHE,
     BLOCK_CAP,
     PLAN_CACHE,
     _block_index,
@@ -41,6 +44,7 @@ from qss.search import (
     _plan,
     _slot_map,
     _some_set_fails,
+    _spanning_block,
 )
 
 from helpers import dealer_graphs, int_rank
@@ -241,15 +245,28 @@ def _padded_stream(players, sizes, start, stop):
     return subsets
 
 
+def _index_sets(index, n):
+    """The sets of an (R, C, sets) flat index as rows of members padded with
+    -1, then the dealer: its rows, read off the first column."""
+    rows = index[:, 0].T // (n + 1)
+    return np.where(rows < n, rows, -1)
+
+
 def _assert_plan_route_matches(gammas, q, dealer, sizes, start, stop):
     n = gammas.shape[1]
-    rows, cols = _block_index(n, dealer, sizes, start, stop)
+    index = _block_index(n, dealer, tuple(sizes), start, stop)
     subsets = _padded_stream([v for v in range(n) if v != dealer], sizes, start, stop)
-    assert np.array_equal(rows[:, :-1], subsets[:, : rows.shape[1] - 1])
-    assert (subsets[:, rows.shape[1] - 1 :] == -1).all() and (rows[:, -1] == dealer).all()
-    got = _residue_indicators(_zero_vertex(gammas, q), q, rows, cols)
-    for a, b in zip(got, batch_indicators(gammas, q, dealer, subsets)):
-        assert np.array_equal(a, b)
+    width = index.shape[0] - 1
+    sets = _index_sets(index, n)
+    assert np.array_equal(sets[:, :-1], subsets[:, :width])
+    assert (subsets[:, width:] == -1).all() and (sets[:, -1] == dealer).all()
+    # the whole index is the one batch_indicators gathers these sets at
+    rows, cols = _gather_index(n, dealer, subsets[:, :width])
+    assert np.array_equal(index, rows[:, None] + cols)
+    c_outside, r_outside = _bordered_spans(_zero_vertex(gammas, q), q, index)
+    pi, derivative = batch_indicators(gammas, q, dealer, subsets)
+    assert np.array_equal(c_outside.T, pi == 1)
+    assert np.array_equal(r_outside.T.astype(np.int64) - pi, derivative)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -280,12 +297,23 @@ def test_plan_blocks_cross_chunks_at_order_15(start, stop):
     _assert_plan_route_matches(gammas, 5, 4, [8, 7], start, stop)
 
 
+@pytest.mark.parametrize("start, stop", [(1984, 3432), (2040, 2050), (2048, 3432)])
+def test_single_size_blocks_cross_chunks_at_order_15(start, stop):
+    # a scan of one size keeps no block: the sixth block of an upward scan
+    # of the C(14, 7) = 3,432 sets and a short one cross a chunk, the last
+    # one ranks the rest of the size from the second chunk
+    gammas = np.stack([random_graph(15, 3, np.random.default_rng(s)).gamma for s in range(2)])
+    _assert_plan_route_matches(gammas, 3, 0, [7], start, stop)
+
+
 def test_plans_are_read_only_lexicographic_chunks():
     players = [v for v in range(15) if v != 2]
     for chunk in (0, 1):
         plan = _plan(15, 2, 7, chunk)
         want = list(islice(combinations(players, 7), chunk * BLOCK_CAP, (chunk + 1) * BLOCK_CAP))
-        assert plan[0].tolist() == [list(b) for b in want]
+        rows, cols = plan
+        assert (rows[:-1].T // 16).tolist() == [list(b) for b in want] and (rows[-1] == 2 * 16).all()
+        assert cols.T.tolist() == [[v for v in players if v not in b] + [2] for b in want]
         for a in plan:
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] = 0
@@ -302,6 +330,29 @@ def test_plan_cache_stays_within_its_bound():
         assert rep.worst_unauthorized == _largest_failure_upwards(DealerGraph(g, dealer))
     info = _plan.cache_info()
     assert info.misses > info.maxsize == PLAN_CACHE >= info.currsize
+
+
+def test_cached_plans_and_blocks_stay_within_the_memory_bound():
+    # the PLAN_CACHE and BLOCK_CACHE comments bound the caches by n + 1 and
+    # 2n int64 entries per set of BLOCK_CAP: the arrays allocated under
+    # qss.search and still alive after an order-18 scheme_k and is_scheme
+    # (the kernel's scratch buffer aside) are the cached ones
+    _plan.cache_clear()
+    _spanning_block.cache_clear()
+    dg = DealerGraph(random_graph(18, 3, np.random.default_rng(18)), 0)
+    tracemalloc.start(4)
+    try:
+        rep = scheme_k(dg)
+        assert is_scheme(dg, rep.k).ok
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    kept = snapshot.filter_traces([tracemalloc.Filter(True, qss.search.__file__, all_frames=True),
+                                   tracemalloc.Filter(False, qss.fqlinalg.__file__, all_frames=True)])
+    cached = sum(stat.size for stat in kept.statistics("filename"))
+    assert _plan.cache_info().currsize and _spanning_block.cache_info().currsize
+    plans = sum(a.nbytes for key in [(18, 0, size, 0) for size in (12, 13)] for a in _plan(*key))
+    assert plans <= cached < (PLAN_CACHE * 19 + BLOCK_CACHE * 2 * 18) * BLOCK_CAP * 8
 
 
 @st.composite
@@ -386,14 +437,14 @@ def test_is_scheme_truthiness():
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """The (sets, width) index array of batch_indicators for every kernel
-    call from qss.search: the gather rows without their dealer column."""
+    call from qss.search: the sets of its flat index without the dealer."""
     calls = []
 
-    def counted(*args):
-        calls.append(args[2][:, :-1])
-        return _residue_indicators(*args)
+    def counted(stack, q, index):
+        calls.append(_index_sets(index, isqrt(stack.shape[1]) - 1)[:, :-1])
+        return _bordered_spans(stack, q, index)
 
-    monkeypatch.setattr(qss.search, "_residue_indicators", counted)
+    monkeypatch.setattr(qss.search, "_bordered_spans", counted)
     return calls
 
 
