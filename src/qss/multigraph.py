@@ -170,43 +170,29 @@ def parse_graph(text: str) -> Multigraph:
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
     upper = [0] * (n * n)  # Gamma row by row, the edge lines fill it above the diagonal
-    try:
-        for line in lines[2:]:
-            tok = line.split()
-            u, v, w = int(tok[1]), int(tok[2]), int(tok[3])
-            if not (len(tok) == 4 and tok[0] == "e" and 0 <= u < v < n and 0 < w < q):
-                raise ValueError
-            upper[u * n + v] = w
-    except (IndexError, ValueError):
-        raise ValueError(_edge_error(lines[2:], n, q)) from None
-    gamma = np.array(upper, dtype=np.int64).reshape(n, n)
-    gamma += gamma.T
-    # every w is nonzero and u < v, so distinct pairs set two entries each
-    if np.count_nonzero(gamma) < 2 * (len(lines) - 2):
-        raise ValueError(_edge_error(lines[2:], n, q))
-    return Multigraph(q, gamma)
-
-
-def _edge_error(edge_lines: list[str], n: int, q: int) -> str:
-    """parse_graph's message for its first edge line that fails a check or repeats a pair."""
     seen = set()
-    for line in edge_lines:
+    for line in lines[2:]:
         tok = line.split()
+        if len(tok) != 4 or tok[0] != "e":
+            raise ValueError(f"malformed edge line: {line!r}")
         try:
-            u, v, w = map(int, tok[1:]) if tok[0] == "e" else ()  # () does not unpack
+            u, v, w = int(tok[1]), int(tok[2]), int(tok[3])
         except ValueError:
-            return f"malformed edge line: {line!r}"
+            raise ValueError(f"malformed edge line: {line!r}") from None
         if u == v:
-            return f"self-loop on vertex {u}"
+            raise ValueError(f"self-loop on vertex {u}")
         if not u < v:
-            return f"edge endpoints must satisfy u < v: {line!r}"
+            raise ValueError(f"edge endpoints must satisfy u < v: {line!r}")
         if not (0 <= u and v < n):
-            return f"edge endpoint out of range: {line!r}"
-        if not 0 < w < q:
-            return f"edge multiplicity must be in [1, {q}): {line!r}"
+            raise ValueError(f"edge endpoint out of range: {line!r}")
+        if not 1 <= w < q:
+            raise ValueError(f"edge multiplicity must be in [1, {q}): {line!r}")
         if (u, v) in seen:
-            return f"duplicate edge line for ({u}, {v})"
+            raise ValueError(f"duplicate edge line for ({u}, {v})")
         seen.add((u, v))
+        upper[u * n + v] = w
+    gamma = np.array(upper, dtype=np.int64).reshape(n, n)
+    return Multigraph(q, gamma + gamma.T)
 
 
 def serialize_graph(g: Multigraph) -> str:

@@ -37,14 +37,12 @@ TRIAL_CHUNK = 2048
 BLOCK = 64
 BLOCK_CAP = 2048
 # Plans (_plan) kept at once. A plan holds the halves of the flat gather
-# index of at most BLOCK_CAP sets of one size, n + 1 int64 entries per set:
-# 16 KiB per vertex, so the cache holds at most 512 KiB per vertex. A
-# downward scheme_k scan (order 12 or less) uses one plan per size.
+# index of at most BLOCK_CAP sets of a stream of sizes, n + 1 int64
+# entries per set for one size and at most 2n for several: at most 32 KiB
+# per vertex, so the cache holds at most 1 MiB per vertex. A downward
+# scheme_k scan (order 12 or less) uses one plan, an upward one a plan per
+# size. A block's flat index, R * C entries per set, is never kept.
 PLAN_CACHE = 32
-# Blocks (_spanning_block) of scans of several sizes kept at once: each of
-# at most BLOCK_CAP sets of at most 2n int64 entries, so both caches hold at
-# most 1 MiB per vertex. A flat index, R * C entries per set, is never kept.
-BLOCK_CACHE = 16
 # _gamma_from_index builds int64 indices, so no search reaches this index
 _INDEX_LIMIT = 2**63
 
@@ -70,17 +68,24 @@ class SchemeReport:
 
 
 @lru_cache(maxsize=PLAN_CACHE)
-def _plan(n: int, dealer: int, size: int, chunk: int) -> tuple[np.ndarray, np.ndarray]:
+def _plan(n: int, dealer: int, sizes: tuple[int, ...], chunk: int) -> tuple[np.ndarray, np.ndarray]:
     """The read-only gather plan of the chunk-th run of at most BLOCK_CAP
-    lexicographic size-element sets of the players (every vertex but the
-    dealer): access._gather_index's halves (rows, cols) of their flat index,
-    whose checks run once per plan. At most PLAN_CACHE plans are kept, so
-    no level is built whole and memory stays bounded at any n."""
+    sets of the stream of lexicographic player sets (every vertex but the
+    dealer) of each size of sizes in turn: access._gather_index's halves
+    (rows, cols) of their flat index, padded with the zero vertex to the
+    widest size of the stream (rows) and down to its smallest (cols), so
+    the plans of one stream line up. Its checks run once per plan. At most
+    PLAN_CACHE plans are kept, so no stream is built whole and memory stays
+    bounded at any n."""
     players = [v for v in range(n) if v != dealer]
-    start = chunk * BLOCK_CAP
-    count = min(comb(len(players), size) - start, BLOCK_CAP)
-    sets = islice(combinations(players, size), start, start + count)
-    rows, cols = _gather_index(n, dealer, np.fromiter(chain.from_iterable(sets), np.intp).reshape(count, size))
+    widest, start = max(sizes), chunk * BLOCK_CAP
+    count = min(sum(comb(len(players), size) for size in sizes) - start, BLOCK_CAP)
+    stream = chain.from_iterable(combinations(players, size) if size == widest else
+                                 (b + (-1,) * (widest - size) for b in combinations(players, size)) for size in sizes)
+    sets = np.fromiter(chain.from_iterable(islice(stream, start, start + count)), np.intp)
+    rows, cols = _gather_index(n, dealer, sets.reshape(count, widest))
+    if len(cols) < n - min(sizes):
+        cols = np.pad(cols, ((n - min(sizes) - len(cols), 0), (0, 0)), constant_values=n)
     rows.setflags(write=False)
     cols.setflags(write=False)
     return rows, cols
@@ -88,41 +93,30 @@ def _plan(n: int, dealer: int, size: int, chunk: int) -> tuple[np.ndarray, np.nd
 
 def _block_halves(n: int, dealer: int, sizes: tuple[int, ...], start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """The halves (rows, cols) of the flat index of the sets [start, stop)
-    of the lexicographic player sets of each size in turn: slices of one
-    plan, or copied from several with pads, which reach the zero vertex, to
-    the widest set (rows) and down to the smallest (cols)."""
-    pieces, count = [], stop - start
+    of the stream of sizes: slices of one plan, or of two joined, cut to
+    the widest set of the block (rows) and down to its smallest (cols)."""
+    touched, end = [], 0
     for size in sizes:
-        total = comb(n - 1, size)
-        lo, hi = max(start, 0), min(stop, total)
-        while lo < hi:
-            chunk, offset = divmod(lo, BLOCK_CAP)
-            end = min(hi, lo - offset + BLOCK_CAP)
-            pieces.append((size, _plan(n, dealer, size, chunk), offset, end - lo + offset))
-            lo = end
-        start, stop = start - total, stop - total
-    if len(pieces) == 1:
-        _, (rows, cols), lo, hi = pieces[0]
-        return rows[:, lo:hi], cols[:, lo:hi]
-    widest, least = max(piece[0] for piece in pieces), min(piece[0] for piece in pieces)
-    rows = np.full((widest + 1, count), n * (n + 1), dtype=np.intp)
-    cols = np.full((n - least, count), n, dtype=np.intp)
-    rows[-1] = dealer * (n + 1)
-    at = 0
-    for size, (plan_rows, plan_cols), lo, hi in pieces:
-        rows[:size, at : at + hi - lo] = plan_rows[:-1, lo:hi]
-        cols[size - least :, at : at + hi - lo] = plan_cols[:, lo:hi]
-        at += hi - lo
-    return rows, cols
-
-
-# every graph of one order asks a scan of several sizes for the same blocks
-_spanning_block = lru_cache(maxsize=BLOCK_CACHE)(_block_halves)
+        end += comb(n - 1, size)
+        if end > start:
+            touched.append(size)
+        if end >= stop:
+            break
+    chunk, lo = divmod(start, BLOCK_CAP)
+    hi = lo + stop - start
+    rows, cols = _plan(n, dealer, sizes, chunk)
+    if hi > BLOCK_CAP:  # the block runs on into the next plan
+        after = _plan(n, dealer, sizes, chunk + 1)
+        rows, cols = (np.concatenate([a[:, lo:], b[:, : hi - BLOCK_CAP]], axis=1) for a, b in zip((rows, cols), after))
+        lo, hi = 0, stop - start
+    rows, cols = rows[:, lo:hi], cols[len(cols) - n + min(touched) :, lo:hi]
+    widest = max(touched)
+    return (rows if widest == max(sizes) else rows[[*range(widest), -1]]), cols
 
 
 def _block_index(n: int, dealer: int, sizes: tuple[int, ...], start: int, stop: int) -> np.ndarray:
-    """The (R, C, sets) flat index of _block_halves, cached across sizes."""
-    rows, cols = (_spanning_block if len(sizes) > 1 else _block_halves)(n, dealer, sizes, start, stop)
+    """The (R, C, sets) flat index of _block_halves."""
+    rows, cols = _block_halves(n, dealer, sizes, start, stop)
     return rows[:, None] + cols
 
 

@@ -33,7 +33,6 @@ from qss.search import (
 )
 from qss.search import (
     BLOCK,
-    BLOCK_CACHE,
     BLOCK_CAP,
     PLAN_CACHE,
     _block_index,
@@ -44,7 +43,6 @@ from qss.search import (
     _plan,
     _slot_map,
     _some_set_fails,
-    _spanning_block,
 )
 
 from helpers import dealer_graphs, int_rank
@@ -257,6 +255,7 @@ def _assert_plan_route_matches(gammas, q, dealer, sizes, start, stop):
     index = _block_index(n, dealer, tuple(sizes), start, stop)
     subsets = _padded_stream([v for v in range(n) if v != dealer], sizes, start, stop)
     width = index.shape[0] - 1
+    assert width == (subsets >= 0).sum(axis=1).max()  # no row pads beyond the block's widest set
     sets = _index_sets(index, n)
     assert np.array_equal(sets[:, :-1], subsets[:, :width])
     assert (subsets[:, width:] == -1).all() and (sets[:, -1] == dealer).all()
@@ -286,12 +285,12 @@ def test_plan_blocks_match_batch_indicators(data):
     _assert_plan_route_matches(gammas, q, dealer, sizes, start, stop)
 
 
-@pytest.mark.parametrize("start, stop", [(2000, 2100), (2950, 3050), (5040, 5060), (0, 2048)])
+@pytest.mark.parametrize("start, stop", [(2000, 2100), (2950, 3050), (5040, 5060), (0, 2048), (2900, 4200)])
 def test_plan_blocks_cross_chunks_at_order_15(start, stop):
     # 14 players: C(14, 8) = 3,003 sets of size 8 and C(14, 7) = 3,432 of
-    # size 7, each more than one BLOCK_CAP chunk; the blocks cross a chunk
-    # within size 8, span size 8's last chunk and size 7's first, cross a
-    # chunk within size 7 and fill one whole chunk
+    # size 7, a stream of four BLOCK_CAP chunks; the blocks cross a chunk
+    # within size 8, span both sizes inside one chunk, lie inside a chunk of
+    # size 7, fill one whole chunk, and cross a chunk and a size at once
     assert comb(14, 7) > comb(14, 8) > BLOCK_CAP
     gammas = np.stack([random_graph(15, 5, np.random.default_rng(s)).gamma for s in range(3)])
     _assert_plan_route_matches(gammas, 5, 4, [8, 7], start, stop)
@@ -299,9 +298,9 @@ def test_plan_blocks_cross_chunks_at_order_15(start, stop):
 
 @pytest.mark.parametrize("start, stop", [(1984, 3432), (2040, 2050), (2048, 3432)])
 def test_single_size_blocks_cross_chunks_at_order_15(start, stop):
-    # a scan of one size keeps no block: the sixth block of an upward scan
-    # of the C(14, 7) = 3,432 sets and a short one cross a chunk, the last
-    # one ranks the rest of the size from the second chunk
+    # the sixth block of an upward scan of the C(14, 7) = 3,432 sets and a
+    # short one cross a chunk, the last one ranks the rest of the size from
+    # the second chunk
     gammas = np.stack([random_graph(15, 3, np.random.default_rng(s)).gamma for s in range(2)])
     _assert_plan_route_matches(gammas, 3, 0, [7], start, stop)
 
@@ -309,7 +308,7 @@ def test_single_size_blocks_cross_chunks_at_order_15(start, stop):
 def test_plans_are_read_only_lexicographic_chunks():
     players = [v for v in range(15) if v != 2]
     for chunk in (0, 1):
-        plan = _plan(15, 2, 7, chunk)
+        plan = _plan(15, 2, (7,), chunk)
         want = list(islice(combinations(players, 7), chunk * BLOCK_CAP, (chunk + 1) * BLOCK_CAP))
         rows, cols = plan
         assert (rows[:-1].T // 16).tolist() == [list(b) for b in want] and (rows[-1] == 2 * 16).all()
@@ -317,6 +316,12 @@ def test_plans_are_read_only_lexicographic_chunks():
         for a in plan:
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] = 0
+    # the chunks of a stream of sizes 8 and 7 line up: members padded to 8
+    # rows before the dealer's, columns padded down to the size-7 sets'
+    for chunk in (0, 1, 2, 3):
+        rows, cols = _plan(15, 2, (8, 7), chunk)
+        assert rows.shape[0] == 9 and cols.shape[0] == 15 - 7
+        assert not rows.flags.writeable and not cols.flags.writeable
 
 
 def test_plan_cache_stays_within_its_bound():
@@ -332,13 +337,12 @@ def test_plan_cache_stays_within_its_bound():
     assert info.misses > info.maxsize == PLAN_CACHE >= info.currsize
 
 
-def test_cached_plans_and_blocks_stay_within_the_memory_bound():
-    # the PLAN_CACHE and BLOCK_CACHE comments bound the caches by n + 1 and
-    # 2n int64 entries per set of BLOCK_CAP: the arrays allocated under
-    # qss.search and still alive after an order-18 scheme_k and is_scheme
-    # (the kernel's scratch buffer aside) are the cached ones
+def test_cached_plans_stay_within_the_memory_bound():
+    # the PLAN_CACHE comment bounds the cache by n + 1 int64 entries per set
+    # of BLOCK_CAP: the arrays allocated under qss.search and still alive
+    # after an order-18 scheme_k and is_scheme (the kernel's scratch buffer
+    # aside) are the cached plans
     _plan.cache_clear()
-    _spanning_block.cache_clear()
     dg = DealerGraph(random_graph(18, 3, np.random.default_rng(18)), 0)
     tracemalloc.start(4)
     try:
@@ -350,9 +354,9 @@ def test_cached_plans_and_blocks_stay_within_the_memory_bound():
     kept = snapshot.filter_traces([tracemalloc.Filter(True, qss.search.__file__, all_frames=True),
                                    tracemalloc.Filter(False, qss.fqlinalg.__file__, all_frames=True)])
     cached = sum(stat.size for stat in kept.statistics("filename"))
-    assert _plan.cache_info().currsize and _spanning_block.cache_info().currsize
-    plans = sum(a.nbytes for key in [(18, 0, size, 0) for size in (12, 13)] for a in _plan(*key))
-    assert plans <= cached < (PLAN_CACHE * 19 + BLOCK_CACHE * 2 * 18) * BLOCK_CAP * 8
+    assert _plan.cache_info().currsize
+    plans = sum(a.nbytes for key in [(18, 0, (size,), 0) for size in (12, 13)] for a in _plan(*key))
+    assert plans <= cached < PLAN_CACHE * 2 * 18 * BLOCK_CAP * 8
 
 
 @st.composite
