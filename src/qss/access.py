@@ -30,7 +30,6 @@ from .fqlinalg import (
     _solve_stack,
     kernel_basis_mod,
     rank_mod,
-    reduced_column_echelon_mod,
     require_prime,
 )
 from .multigraph import Multigraph, as_integers, cut_matrix
@@ -364,7 +363,10 @@ def kernel_slice_columns(g: Multigraph, d: int, b_set) -> tuple[np.ndarray, np.n
     cols = [d] + list(b)
     rows = [v for v in range(g.n) if v not in set(cols)]
     m = g.gamma[np.ix_(rows, cols)] if rows else np.zeros((0, len(cols)), dtype=np.int64)
-    basis = reduced_column_echelon_mod(kernel_basis_mod(m, g.q), g.q)
+    # over the reversed columns each basis vector is 1 at its own free column,
+    # 0 at the other free ones and nonzero only at pivots before it, so read
+    # back reversed the basis is in reduced column echelon form
+    basis = kernel_basis_mod(m[:, ::-1], g.q)[::-1, ::-1]
     return basis, g.gamma[d, cols], cols
 
 

@@ -284,12 +284,6 @@ def _solve_stack(stack: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(consistent[:, None], x[:, :cols], 0), consistent
 
 
-def reduced_column_echelon_mod(a, q: int) -> np.ndarray:
-    """Reduced column echelon form: nonzero columns first, each column's
-    first nonzero entry is 1 and is the only nonzero entry of its row."""
-    return rref_mod(np.asarray(a).T, q)[0].T.copy()
-
-
 def batch_rank_mod(mats, q: int) -> np.ndarray:
     """Ranks of a stack of matrices over F_q, eliminated in lockstep.
 

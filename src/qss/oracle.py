@@ -814,6 +814,7 @@ def encode_decode_variants(
     on_site = lambda sv, v, m: StateVector(q, sv.n - (len(m) == 1), _on_site(q, sv.amplitudes[None], v, m)[0], budget)
 
     if mode == "E1":
+        _admit(q ** (1 + g.n), budget)
         full = StateVector(q, 1 + g.n, np.kron(secret, graph_state(g, budget=budget).amplitudes), budget)
         # undo the Bell preparation on (secret, dealer), controlled-X^{-1} then
         # Fourier^dagger, which takes |beta_kl> = sum_i omega^{ki} |i, i+l> / sqrt(q)
@@ -831,6 +832,7 @@ def encode_decode_variants(
     if mode == "E2" or mode == "E3":
         # register: dealer wire first, then players in vertex order
         zero_l = cq_encode(g, d, 0, budget=budget)
+        _admit(q**g.n, budget)
         full = StateVector(q, g.n, np.kron(secret, zero_l.amplitudes), budget)
         xbar, zbar = logical_x(g, d), logical_z(g, d)
         full = apply_controlled(full, 0, xbar)
@@ -852,6 +854,7 @@ def encode_decode_variants(
         u_op, v_op = steering[0]
         encoded = qq_encode(g, d, secret, budget=budget)
         # the ancilla |+> is the last site
+        _admit(q**g.n, budget)
         full = StateVector(q, g.n, np.kron(encoded.amplitudes, np.ones(q) / np.sqrt(q)), budget)
         anc = full.n - 1
         full = apply_controlled(full, anc, _weyl_power(q, v_op, -1))

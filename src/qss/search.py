@@ -6,18 +6,21 @@ players, not vertices). Because accessibility is monotone, k - 1 is the size
 of the largest non-accessible set. Every path asks one question of a list of
 sizes: in the lexicographic player sets of each size in turn, which is the
 first without access? `_first_failure` answers it for a stack of graphs from
-cached gather plans, and a graph stops being ranked at its first failure.
+cached gather plans with each graph's position in that stream of sets, and a
+graph stops being ranked at its first failure. Only the set a report names is
+read back off its plan (`_set_at`).
 One kernel call may rank a block that spans sizes: `scheme_k` scans sizes
 downwards on small graphs, so its first failure is the largest unauthorized
 set, and `is_scheme` ranks the size-k sets and then the size-(k - 1) sets."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
-from itertools import chain, combinations, islice
+from itertools import accumulate, chain, combinations, islice
 from math import ceil, comb, isfinite, log2
 from typing import Iterable, NamedTuple, TextIO
 
@@ -28,6 +31,9 @@ from .fqlinalg import _kernel_type, _residues, require_prime
 from .multigraph import DealerGraph, Multigraph, serialize_graph
 
 TRIAL_CHUNK = 2048
+# Enumeration indices per exhaustive_search block: the checkpoint gains one
+# record per block, and a block is cut into one slice per worker.
+CHECKPOINT_EVERY = 50_000
 # Bordered cut matrices in _first_failure's first kernel call, unless the
 # live stack alone is larger. The budget doubles after each call up to
 # BLOCK_CAP: a graph that fails early leaves the stack after small
@@ -41,7 +47,7 @@ BLOCK_CAP = 2048
 # entries per set for one size and at most 2n for several: at most 32 KiB
 # per vertex, so the cache holds at most 1 MiB per vertex. A downward
 # scheme_k scan (order 12 or less) uses one plan, an upward one a plan per
-# size. A block's flat index, R * C entries per set, is never kept.
+# BLOCK_CAP sets of each size. A block's flat index is never kept.
 PLAN_CACHE = 32
 # _gamma_from_index builds int64 indices, so no search reaches this index
 _INDEX_LIMIT = 2**63
@@ -91,71 +97,61 @@ def _plan(n: int, dealer: int, sizes: tuple[int, ...], chunk: int) -> tuple[np.n
     return rows, cols
 
 
-def _block_halves(n: int, dealer: int, sizes: tuple[int, ...], start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """The halves (rows, cols) of the flat index of the sets [start, stop)
-    of the stream of sizes: slices of one plan, or of two joined, cut to
-    the widest set of the block (rows) and down to its smallest (cols)."""
-    touched, end = [], 0
-    for size in sizes:
-        end += comb(n - 1, size)
-        if end > start:
-            touched.append(size)
-        if end >= stop:
-            break
+def _block_index(n: int, dealer: int, sizes: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+    """The (R, C, sets) flat index of the sets [start, stop) of the stream of
+    sizes: a slice of one plan, cut to the widest set of the block (rows)
+    and down to its smallest (cols). A block that spans two plans raises
+    ValueError."""
     chunk, lo = divmod(start, BLOCK_CAP)
-    hi = lo + stop - start
+    hi = stop - chunk * BLOCK_CAP
+    if hi > BLOCK_CAP:
+        raise ValueError(f"sets {start}..{stop - 1} span two plans")
+    ends = list(accumulate(comb(n - 1, size) for size in sizes))  # where each size's sets end
+    touched = sizes[bisect_right(ends, start) : bisect_left(ends, stop) + 1]
     rows, cols = _plan(n, dealer, sizes, chunk)
-    if hi > BLOCK_CAP:  # the block runs on into the next plan
-        after = _plan(n, dealer, sizes, chunk + 1)
-        rows, cols = (np.concatenate([a[:, lo:], b[:, : hi - BLOCK_CAP]], axis=1) for a, b in zip((rows, cols), after))
-        lo, hi = 0, stop - start
     rows, cols = rows[:, lo:hi], cols[len(cols) - n + min(touched) :, lo:hi]
     widest = max(touched)
-    return (rows if widest == max(sizes) else rows[[*range(widest), -1]]), cols
+    return (rows if widest == max(sizes) else rows[[*range(widest), -1]])[:, None] + cols
 
 
-def _block_index(n: int, dealer: int, sizes: tuple[int, ...], start: int, stop: int) -> np.ndarray:
-    """The (R, C, sets) flat index of _block_halves."""
-    rows, cols = _block_halves(n, dealer, sizes, start, stop)
-    return rows[:, None] + cols
+def _set_at(n: int, dealer: int, sizes: tuple[int, ...], position: int) -> tuple[int, ...]:
+    """The set at a position of the stream of sizes, read off its plan: the
+    members are the rows before the dealer's that reach no pad."""
+    chunk, j = divmod(int(position), BLOCK_CAP)
+    return tuple(u // (n + 1) for u in _plan(n, dealer, sizes, chunk)[0][:-1, j].tolist() if u < n * (n + 1))
 
 
-def _first_failure(gammas: np.ndarray, q: int, dealer: int, sizes: Iterable[int]) -> list[tuple[int, ...] | None]:
-    """For each graph of a stack, the first set without access among the
-    lexicographic player sets of each size of sizes in turn, or None.
+def _first_failure(gammas: np.ndarray, q: int, dealer: int, sizes: Iterable[int]) -> np.ndarray:
+    """For each graph of a stack, the position of its first set without
+    access in the stream of lexicographic player sets of each size of sizes
+    in turn, or -1: an int64 array.
 
     The one subset scan behind every search path. It borders the stack
     once (_zero_vertex) and ranks blocks of max(1, budget // live) sets,
     live counting the graphs still in the stack and the budget of bordered
     matrices starting at BLOCK and doubling after each call up to
-    BLOCK_CAP, each gathered at one flat index (_block_index) in one
-    _bordered_spans call. A set fails unless its derivative is -1: when r
-    is outside rowspan M or c inside colspan M (batch_indicators). A graph
-    leaves at its first failure, the argmax inside its ordered block, so
-    block sizes change only the number of calls, never a result. The stack
-    must hold residues mod q.
+    BLOCK_CAP, each block stopping at the end of its plan and gathered at
+    one flat index (_block_index) in one _bordered_spans call. A set fails
+    unless its derivative is -1: when r is outside rowspan M or c inside
+    colspan M (batch_indicators). A graph leaves at its first failure, the
+    argmax inside its ordered block, so block sizes change only the number
+    of calls, never a result. The stack must hold residues mod q.
     """
     sizes = tuple(sizes)
     n = gammas.shape[1]
     stack = _zero_vertex(gammas, q)
-    found: list[tuple[int, ...] | None] = [None] * len(gammas)
+    found = np.full(len(gammas), -1)
     live = np.arange(len(gammas))
     start, total = 0, sum(comb(n - 1, size) for size in sizes)
     budget = BLOCK
     while live.size and start < total:
-        stop = min(total, start + max(1, budget // live.size))
+        stop = min(total, start + max(1, budget // live.size), (start // BLOCK_CAP + 1) * BLOCK_CAP)
         budget = min(2 * budget, BLOCK_CAP)
-        index = _block_index(n, dealer, sizes, start, stop)
-        c_outside, r_outside = _bordered_spans(stack, q, index)
+        c_outside, r_outside = _bordered_spans(stack, q, _block_index(n, dealer, sizes, start, stop))
         failing = r_outside | ~c_outside
         failed = failing.any(axis=0)
         if failed.any():
-            firsts = failing[:, failed].argmax(axis=0).tolist()
-            # many graphs of a stack fail at one set, which is named once;
-            # its members are the rows of the index that reach no pad
-            named = {j: tuple(u // (n + 1) for u in index[:-1, 0, j].tolist() if u < n * (n + 1)) for j in set(firsts)}
-            for graph, j in zip(live[failed].tolist(), firsts):
-                found[graph] = named[j]
+            found[live[failed]] = start + failing[:, failed].argmax(axis=0)
             keep = ~failed
             live, stack = live[keep], stack[keep]
         start = stop
@@ -181,7 +177,8 @@ def _largest_failure_downwards(dg: DealerGraph) -> tuple[int, ...]:
     first failure lies in the largest failing size, and _some_set_fails
     puts one in size p // 2."""
     g, p = dg.graph, len(dg.players)
-    return _first_failure(g.gamma[None], g.q, dg.dealer, range(p - 1, p // 2 - 1, -1))[0]
+    sizes = tuple(range(p - 1, p // 2 - 1, -1))
+    return _set_at(g.n, dg.dealer, sizes, _first_failure(g.gamma[None], g.q, dg.dealer, sizes)[0])
 
 
 def _largest_failure_upwards(dg: DealerGraph) -> tuple[int, ...]:
@@ -190,10 +187,10 @@ def _largest_failure_upwards(dg: DealerGraph) -> tuple[int, ...]:
     It ranks no size above k, where the downward scan ranks every one."""
     g, players = dg.graph, dg.players
     for size in range(len(players) // 2, len(players)):
-        failure = _first_failure(g.gamma[None], g.q, dg.dealer, [size])[0]
-        if failure is None:
+        position = _first_failure(g.gamma[None], g.q, dg.dealer, [size])[0]
+        if position < 0:
             break
-        worst = failure
+        worst = _set_at(g.n, dg.dealer, (size,), position)
     return worst
 
 
@@ -248,10 +245,10 @@ def is_scheme(dg: DealerGraph, k: int) -> IsSchemeResult:
     if not 1 <= k <= len(players):
         raise ValueError(f"k={k} outside 1..{len(players)}")
     sizes = _sizes_at_k(k, len(players))
-    failure = _first_failure(g.gamma[None], g.q, d, sizes)[0]
-    if failure is not None and len(failure) == k:
-        return IsSchemeResult(False, failure, f"set of size {k} cannot access the secret")
-    if failure is None and len(sizes) == 2:
+    position = _first_failure(g.gamma[None], g.q, d, sizes)[0]
+    if 0 <= position < comb(len(players), k):
+        return IsSchemeResult(False, _set_at(g.n, d, sizes, position), f"set of size {k} cannot access the secret")
+    if position < 0 and len(sizes) == 2:
         return IsSchemeResult(False, None, f"k is not minimal: every set of size {k - 1} already has access")
     return IsSchemeResult(True, None, "ok")
 
@@ -308,8 +305,9 @@ def _graphs_realising_k(start: int, stop: int, n: int, q: int, k: int, dealer_fi
     sub-blocks of at most TRIAL_CHUNK graphs, or None.
 
     A graph is a hit for dealer d when d has a neighbour, every size-k
-    player set is accessible and some size-(k-1) set is not: one scan per
-    dealer over the sizes of _sizes_at_k decides both.
+    player set is accessible and some size-(k-1) set is not. One scan per
+    dealer over the sizes of _sizes_at_k decides both: the first failure
+    lies past the C(n - 1, k) size-k sets, or is absent if k alone is ranked.
     """
     if _some_set_fails(k, n - 1):
         return None  # no graph realises this k, so none is built
@@ -321,7 +319,7 @@ def _graphs_realising_k(start: int, stop: int, n: int, q: int, k: int, dealer_fi
         for d in dealers:
             live = np.flatnonzero(gammas[:, d].any(axis=1) & ~hit)
             first = _first_failure(gammas[live], q, d, sizes)
-            hit[live] = [len(sizes) == 1 if f is None else len(f) < k for f in first]
+            hit[live] = first >= comb(n - 1, k) if len(sizes) == 2 else first < 0
         if hit.any():
             return lo + int(np.argmax(hit))
     return None
@@ -377,7 +375,6 @@ def exhaustive_search(
     budget: int | None = None,
     workers: int = 1,
     checkpoint_path: str | None = None,
-    checkpoint_every: int = 50_000,
 ) -> SearchResult:
     """Enumerate every order-n F_q-graph in index order and return the first
     one realising a ((k, n-1))_q scheme.
@@ -385,17 +382,17 @@ def exhaustive_search(
     With dealer_fixed the dealer is vertex 0 (sufficient when searching for
     existence: relabeling moves any dealer there); otherwise every vertex is
     tried. Graphs are built and tested in vectorised sub-blocks of at most
-    TRIAL_CHUNK indices through batch_accessible_at_k. budget caps the
-    number of graphs examined and yields a budget_exceeded result carrying
-    the resume index. The checkpoint file starts with a
+    TRIAL_CHUNK indices (_graphs_realising_k). budget caps the number of
+    graphs examined and yields a budget_exceeded result carrying the resume
+    index. The checkpoint file starts with a
     `# n=.. q=.. k=.. dealer_fixed=..` header and appends
     `slice_index, last_enumeration_index, partial_result` lines; a rerun
     with the same file and parameters skips finished work, and one with
-    other parameters raises ValueError. Each checkpoint block is cut into
-    `workers` contiguous slices, mapped through one process pool for the
-    whole call when workers > 1; the block's hit is the least slice hit, so
-    the result does not depend on workers. A block that would reach index
-    2^63 raises ValueError.
+    other parameters raises ValueError. Each block of CHECKPOINT_EVERY
+    indices is cut into `workers` contiguous slices, mapped through one
+    process pool for the whole call when workers > 1; the block's hit is
+    the least slice hit, so the result does not depend on workers. A block
+    that would reach index 2^63 raises ValueError.
     """
     require_prime(q)
     if n < 2:
@@ -423,7 +420,7 @@ def exhaustive_search(
         run = stack.enter_context(_ordered_map(workers))
         cursor = start
         while cursor < stop and found is None:
-            end = min(stop, cursor + max(checkpoint_every, 1))
+            end = min(stop, cursor + CHECKPOINT_EVERY)
             if end > _INDEX_LIMIT:
                 raise ValueError(f"the block from index {cursor} reaches 2^63, beyond the int64 enumeration")
             cuts = [cursor + (end - cursor) * i // workers for i in range(workers + 1)]
@@ -461,8 +458,7 @@ def batch_accessible_at_k(gammas: np.ndarray, q: int, k: int, dealer: int = 0) -
     set has derivative -1: never when _some_set_fails, so nothing is ranked."""
     if _some_set_fails(k, gammas.shape[1] - 1):
         return np.zeros(len(gammas), dtype=bool)
-    first = _first_failure(_residues(gammas, require_prime(q)), q, dealer, [k])
-    return np.array([f is None for f in first], dtype=bool)
+    return _first_failure(_residues(gammas, require_prime(q)), q, dealer, [k]) < 0
 
 
 def random_trials(

@@ -38,7 +38,7 @@ from qss.multigraph import Multigraph, random_graph, rs747_fixture
 from qss.oracle import code_unitaries, decode_params, qq_decode_bell, qq_encode
 from qss.search import _gamma_from_index
 
-from helpers import dealer_graphs, int_rank, int_solve, vector
+from helpers import dealer_graphs, int_rank, int_rref, int_solve, vector
 
 
 def star3(q=3):
@@ -645,6 +645,14 @@ def test_echelon_pair_support_on_every_small_graph(n, q, count):
             joint = np.count_nonzero(basis[:, 0] | basis[:, 1 + seen[0]])
             rank_m = len(cols) - basis.shape[1]
             assert joint <= rank_m + 2 and rank_m == cutrank(g, b) - 1
+            if (n, q) == (4, 3):
+                # the basis is in reduced column echelon form, its transpose
+                # its own RREF with a pivot in every row, and spans ker M: it
+                # lies in it and has as many columns as ker M has dimensions
+                echelon, pivots = int_rref(basis.T.tolist(), q)
+                assert echelon == basis.T.tolist() and len(pivots) == basis.shape[1]
+                m = g.gamma[np.ix_([v for v in range(n) if v not in cols], cols)]
+                assert not (m @ basis % q).any() and rank_m == int_rank(m.tolist(), q)
             instances, tight = instances + 1, tight + (joint == rank_m + 2)
     assert instances == count and tight > 0  # the bound is attained
 

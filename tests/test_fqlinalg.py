@@ -25,7 +25,6 @@ from qss.fqlinalg import (
     is_prime,
     kernel_basis_mod,
     rank_mod,
-    reduced_column_echelon_mod,
     require_prime,
     rref_mod,
     solve_affine_mod,
@@ -387,29 +386,6 @@ def test_stacked_solve_of_nothing_and_of_zero_width_systems():
     assert empty.shape == (0,) and empty.dtype == np.int64
     assert solve_affine_mod(np.zeros((3, 0)), [0, 1, 0], 5) is None
     assert solve_affine_mod(np.zeros((2, 0)), [0, 0], 5).shape == (0,)
-
-
-def test_column_echelon_identity_and_zero():
-    eye = np.eye(3, dtype=np.int64)
-    assert np.array_equal(reduced_column_echelon_mod(eye, 5), eye)
-    zero = np.zeros((2, 3), dtype=np.int64)
-    assert np.array_equal(reduced_column_echelon_mod(zero, 5), zero)
-
-
-def test_column_echelon_rank_one_f5():
-    out = reduced_column_echelon_mod([[2, 4], [1, 2]], 5)
-    assert np.array_equal(out, [[1, 0], [3, 0]])
-
-
-def test_column_echelon_idempotent_and_span_preserving():
-    rng = np.random.default_rng(16)
-    for q in (2, 5):
-        for _ in range(100):
-            a = rng.integers(0, q, size=(4, 4))
-            e = reduced_column_echelon_mod(a, q)
-            assert np.array_equal(reduced_column_echelon_mod(e, q), e)
-            # same column span: stacking side by side does not raise the rank
-            assert rank_mod(np.hstack([a, e]), q) == rank_mod(a, q) == rank_mod(e, q)
 
 
 def test_batch_rank_matches_scalar_rank():

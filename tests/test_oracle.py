@@ -159,6 +159,14 @@ def test_variants_check_the_budget_where_the_register_grows(mode, grown):
         encode_decode_variants(star3(), 0, mode, [1.0, 0.0], rng=rng)
 
 
+@pytest.mark.parametrize("mode, grown", [("E1", 3**4), ("E2", 3**3), ("E3", 3**3), ("D2", 3**3), ("D3", 3**3)])
+def test_variants_refuse_the_grown_register_before_building_it(monkeypatch, mode, grown):
+    # the budget check comes before np.kron allocates the larger register
+    monkeypatch.setattr(np, "kron", lambda *args: pytest.fail("np.kron ran before the budget check"))
+    with pytest.raises(BudgetExceeded, match=f"q\\^n = {grown} amplitudes"):
+        encode_decode_variants(star3(), 0, mode, [1.0, 0.0, 0.0], rng=np.random.default_rng(1), budget=grown - 1)
+
+
 def test_norm_drift_raises():
     with pytest.raises(AssertionError, match="norm"):
         _check_norms(np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))

@@ -220,7 +220,7 @@ def test_first_failure_across_blocks(count):
             deepest = np.argsort(-want, kind="stable")[:count]
         want = want[deepest]
         got = _first_failure(pool[deepest], q, 0, sizes)
-        assert got == [stream[j] if j < len(stream) else None for j in want]
+        assert got.dtype == np.int64 and got.tolist() == [j if j < len(stream) else -1 for j in want]
         firsts[sizes[-1]] = want
     # every first failure lies past the first block
     assert (firsts[6] >= max(1, BLOCK // count)).all()
@@ -285,24 +285,83 @@ def test_plan_blocks_match_batch_indicators(data):
     _assert_plan_route_matches(gammas, q, dealer, sizes, start, stop)
 
 
+def _assert_blocks_stay_in_plans(gammas, q, dealer, sizes, start, stop):
+    """A block that spans two plans raises; cut at each plan boundary, every
+    piece matches batch_indicators."""
+    cuts = [start, *range((start // BLOCK_CAP + 1) * BLOCK_CAP, stop, BLOCK_CAP), stop]
+    if len(cuts) > 2:
+        with pytest.raises(ValueError, match="span two plans"):
+            _block_index(gammas.shape[1], dealer, tuple(sizes), start, stop)
+    for lo, hi in zip(cuts, cuts[1:]):
+        _assert_plan_route_matches(gammas, q, dealer, sizes, lo, hi)
+
+
 @pytest.mark.parametrize("start, stop", [(2000, 2100), (2950, 3050), (5040, 5060), (0, 2048), (2900, 4200)])
 def test_plan_blocks_cross_chunks_at_order_15(start, stop):
     # 14 players: C(14, 8) = 3,003 sets of size 8 and C(14, 7) = 3,432 of
-    # size 7, a stream of four BLOCK_CAP chunks; the blocks cross a chunk
+    # size 7, a stream of four BLOCK_CAP chunks; the ranges cross a chunk
     # within size 8, span both sizes inside one chunk, lie inside a chunk of
     # size 7, fill one whole chunk, and cross a chunk and a size at once
     assert comb(14, 7) > comb(14, 8) > BLOCK_CAP
     gammas = np.stack([random_graph(15, 5, np.random.default_rng(s)).gamma for s in range(3)])
-    _assert_plan_route_matches(gammas, 5, 4, [8, 7], start, stop)
+    _assert_blocks_stay_in_plans(gammas, 5, 4, [8, 7], start, stop)
 
 
 @pytest.mark.parametrize("start, stop", [(1984, 3432), (2040, 2050), (2048, 3432)])
 def test_single_size_blocks_cross_chunks_at_order_15(start, stop):
-    # the sixth block of an upward scan of the C(14, 7) = 3,432 sets and a
-    # short one cross a chunk, the last one ranks the rest of the size from
-    # the second chunk
+    # ranges over the C(14, 7) = 3,432 sets of one size that cross a chunk,
+    # a long one and a short one, and the rest of the size from the second
+    # chunk
     gammas = np.stack([random_graph(15, 3, np.random.default_rng(s)).gamma for s in range(2)])
-    _assert_plan_route_matches(gammas, 3, 0, [7], start, stop)
+    _assert_blocks_stay_in_plans(gammas, 3, 0, [7], start, stop)
+
+
+def _rs_floor_graph(q=17, n=16, k=8):
+    """The Reed-Solomon floor graph: a Vandermonde generator at 0..n-1,
+    reduced to [I | P], joined as a bipartite graph by P."""
+    r, pivots = qss.fqlinalg.rref_mod([[pow(x, i, q) for x in range(n)] for i in range(k)], q)
+    assert pivots == list(range(k))
+    gamma = np.zeros((n, n), dtype=np.int64)
+    gamma[:k, k:] = r[:, k:]
+    return Multigraph(q, gamma + gamma.T)
+
+
+@pytest.mark.parametrize("graph", ["rs17", "random15"])
+def test_first_failure_scans_across_plans(monkeypatch, graph):
+    # the F_17 Reed-Solomon floor graph has k = 8, so its upward scan ranks
+    # all C(15, 8) = 6,435 size-8 sets, four plans, and its downward stream
+    # of sizes 14 to 7 holds eight; the random F_2 graph's downward stream
+    # of sizes 13 to 7 holds five, though its scans all stop in the first.
+    # Each scan's positions are the argmax of batch_indicators over its
+    # stream, and each of its blocks is a slice of one plan
+    if graph == "rs17":
+        dg = DealerGraph(_rs_floor_graph(), 0)
+    else:
+        dg = random_dealer_graph(np.random.default_rng(15), 15, 2)
+    g, players, p = dg.graph, dg.players, len(dg.players)
+    blocks = []
+
+    def spy(stack, q, index):
+        blocks.append(index.shape[2])
+        return _bordered_spans(stack, q, index)
+
+    monkeypatch.setattr(qss.search, "_bordered_spans", spy)
+    k = scheme_k(dg).k
+    ranked = 0
+    for sizes in [tuple(range(p - 1, p // 2 - 1, -1)), *[(size,) for size in range(p // 2, k + 1)]]:
+        stream = [b for size in sizes for b in combinations(players, size)]
+        failing = batch_indicators(g.gamma[None], g.q, dg.dealer, _index_array(stream))[1][0] != -1
+        blocks.clear()
+        got = _first_failure(g.gamma[None], g.q, dg.dealer, sizes)
+        assert got.tolist() == [int(failing.argmax()) if failing.any() else -1]
+        # the blocks run on from 0 up to the first failure or the stream's end
+        stops = np.cumsum(blocks)
+        assert stops[-1] == len(stream) if got[0] < 0 else stops[-1] - blocks[-1] <= got[0] < stops[-1]
+        assert ((stops - blocks) // BLOCK_CAP == (stops - 1) // BLOCK_CAP).all()
+        assert len(stream) > BLOCK_CAP or len(sizes) == 1
+        ranked = max(ranked, stops[-1])
+    assert ranked > 3 * BLOCK_CAP if graph == "rs17" else ranked < BLOCK_CAP
+    assert _largest_failure_downwards(dg) == _largest_failure_upwards(dg) == scheme_k(dg).worst_unauthorized
 
 
 def test_plans_are_read_only_lexicographic_chunks():
@@ -620,16 +679,19 @@ def test_exhaustive_search_hit_must_be_tight(tmp_path):
 
 def test_exhaustive_search_worker_invariance():
     for every in (40, 50_000):
-        base = exhaustive_search(4, 3, 2, checkpoint_every=every)
-        assert base.status == "found"
-        for workers in (2, 3):
-            # slices past the block's least hit are not counted
-            assert exhaustive_search(4, 3, 2, workers=workers, checkpoint_every=every) == base
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qss.search, "CHECKPOINT_EVERY", every)
+            base = exhaustive_search(4, 3, 2)
+            assert base.status == "found"
+            for workers in (2, 3):
+                # slices past the block's least hit are not counted
+                assert exhaustive_search(4, 3, 2, workers=workers) == base
 
 
-def test_exhaustive_search_budget_and_resume(tmp_path):
+def test_exhaustive_search_budget_and_resume(tmp_path, monkeypatch):
+    monkeypatch.setattr(qss.search, "CHECKPOINT_EVERY", 10)
     ck = tmp_path / "scan.ck"
-    first = exhaustive_search(4, 3, 2, budget=50, checkpoint_path=str(ck), checkpoint_every=10)
+    first = exhaustive_search(4, 3, 2, budget=50, checkpoint_path=str(ck))
     assert first.status == "budget_exceeded"
     assert first.checked == 50
     assert first.next_index == 50
@@ -641,7 +703,7 @@ def test_exhaustive_search_budget_and_resume(tmp_path):
         assert mark == "none"
         int(last)
 
-    second = exhaustive_search(4, 3, 2, checkpoint_path=str(ck), checkpoint_every=10)
+    second = exhaustive_search(4, 3, 2, checkpoint_path=str(ck))
     assert second.status == "found"
     assert second.index == 123
     assert second.checked == 74  # resumed at 50, hit at 123
@@ -658,7 +720,8 @@ def test_exhaustive_search_opens_one_pool_per_call(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(qss.search, "ProcessPoolExecutor", CountingPool)
-    r = exhaustive_search(4, 3, 2, workers=2, checkpoint_every=40)
+    monkeypatch.setattr(qss.search, "CHECKPOINT_EVERY", 40)
+    r = exhaustive_search(4, 3, 2, workers=2)
     assert (r.status, r.index) == ("found", 123)
     assert len(opened) == 1  # four blocks of 40 indices share it
 
@@ -699,15 +762,16 @@ def test_checkpoint_header_guards_resume(tmp_path):
 
 
 @pytest.mark.parametrize("torn", ["0, 99, no", "0, 99, 12", "0, 9", "# n=4 q"])
-def test_checkpoint_torn_trailing_record_is_ignored(tmp_path, torn):
+def test_checkpoint_torn_trailing_record_is_ignored(tmp_path, monkeypatch, torn):
+    monkeypatch.setattr(qss.search, "CHECKPOINT_EVERY", 10)
     ck = tmp_path / "scan.ck"
     if torn.startswith("#"):
         ck.write_text(torn)  # the header itself was cut short
     else:
-        exhaustive_search(4, 3, 2, budget=50, checkpoint_path=str(ck), checkpoint_every=10)
+        exhaustive_search(4, 3, 2, budget=50, checkpoint_path=str(ck))
         with open(ck, "a") as fh:
             fh.write(torn)
-    resumed = exhaustive_search(4, 3, 2, checkpoint_path=str(ck), checkpoint_every=10)
+    resumed = exhaustive_search(4, 3, 2, checkpoint_path=str(ck))
     assert (resumed.status, resumed.index) == ("found", 123)
     assert resumed.checked == (124 if torn.startswith("#") else 74)
     lines = ck.read_text().splitlines()
@@ -720,14 +784,15 @@ def test_checkpoint_torn_trailing_record_is_ignored(tmp_path, torn):
 
 
 @pytest.mark.parametrize("record", ["0, 99, no", "0, x, none", "zero, 99, none", "0, 99", "0, 99, none, 1"])
-def test_checkpoint_malformed_complete_record_raises(tmp_path, record):
+def test_checkpoint_malformed_complete_record_raises(tmp_path, monkeypatch, record):
+    monkeypatch.setattr(qss.search, "CHECKPOINT_EVERY", 10)
     ck = tmp_path / "scan.ck"
-    exhaustive_search(4, 3, 2, budget=50, checkpoint_path=str(ck), checkpoint_every=10)
+    exhaustive_search(4, 3, 2, budget=50, checkpoint_path=str(ck))
     with open(ck, "a") as fh:
         fh.write(record + "\n")  # the newline makes it a complete record
     text = ck.read_text()
     with pytest.raises(ValueError, match=f"checkpoint {ck} line 7: '{record}' is not"):
-        exhaustive_search(4, 3, 2, checkpoint_path=str(ck), checkpoint_every=10)
+        exhaustive_search(4, 3, 2, checkpoint_path=str(ck))
     assert ck.read_text() == text
 
 
@@ -758,15 +823,16 @@ def test_checkpoint_record_at_the_last_index_is_exhausted(tmp_path):
     assert (r.status, r.checked, r.next_index) == ("exhausted", 0, 729)
 
 
-def test_search_stops_before_index_2_to_the_63(tmp_path):
+def test_search_stops_before_index_2_to_the_63(tmp_path, monkeypatch):
+    monkeypatch.setattr(qss.search, "CHECKPOINT_EVERY", 10)
     # n = 8, q = 7 has 7^28 > 2^63 indices; _gamma_from_index builds int64
     ck = tmp_path / "scan.ck"
     ck.write_text(f"# n=8 q=7 k=4 dealer_fixed=1\n0, {2**63 - 21}, none\n")
-    r = exhaustive_search(8, 7, 4, budget=10, checkpoint_path=str(ck), checkpoint_every=10)
+    r = exhaustive_search(8, 7, 4, budget=10, checkpoint_path=str(ck))
     assert (r.status, r.checked, r.next_index) == ("budget_exceeded", 10, 2**63 - 10)
     # the block up to index 2^63 - 1 runs, the next one would reach 2^63
     with pytest.raises(ValueError, match=f"block from index {2**63} reaches 2\\^63"):
-        exhaustive_search(8, 7, 4, budget=100, checkpoint_path=str(ck), checkpoint_every=10)
+        exhaustive_search(8, 7, 4, budget=100, checkpoint_path=str(ck))
     assert ck.read_text().splitlines()[-1] == f"0, {2**63 - 1}, none"
     ck.write_text(f"# n=8 q=7 k=4 dealer_fixed=1\n0, {2**63 + 92}, none\n")
     with pytest.raises(ValueError, match=f"last index outside 0..{2**63 - 1}"):
@@ -788,7 +854,9 @@ def test_interrupted_search_resumes_to_uninterrupted_result(space, dealer_fixed,
     with tempfile.TemporaryDirectory() as tmp:
         ck = os.path.join(tmp, "scan.ck")
         for budget in budgets + [None]:
-            part = exhaustive_search(n, q, k, dealer_fixed, budget=budget, checkpoint_path=ck, checkpoint_every=every)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(qss.search, "CHECKPOINT_EVERY", every)
+                part = exhaustive_search(n, q, k, dealer_fixed, budget=budget, checkpoint_path=ck)
             checked += part.checked
             if part.status != "budget_exceeded":
                 break
