@@ -39,6 +39,8 @@ NO_INFO = "no_info"
 PARTIAL = "partial"
 # quantum verdict of each derivative value
 QUANTUM_VERDICT = {-1: CLASSICAL_ACCESSIBLE, 0: PARTIAL, 1: NO_INFO}
+# Combinations of a kernel basis min_support_kernel_element enumerates at most
+KERNEL_BUDGET = 200_000
 
 
 def _check_b(g: Multigraph, d: int, b_set) -> tuple[int, ...]:
@@ -370,19 +372,19 @@ def kernel_slice_columns(g: Multigraph, d: int, b_set) -> tuple[np.ndarray, np.n
     return basis, g.gamma[d, cols], cols
 
 
-def min_support_kernel_element(g: Multigraph, d: int, b_set, budget: int = 200_000) -> int:
+def min_support_kernel_element(g: Multigraph, d: int, b_set) -> int:
     """Exact minimum support size over the whole dealer kernel S_d(B).
 
     B must be accessible (derivative -1). Enumerates all (q^2 - 1) * q^t
-    elements; raises if that exceeds budget. Used to probe how tight the
-    echelon-pair bound is.
+    elements; raises if the q^(t + 2) combinations of the kernel basis
+    exceed KERNEL_BUDGET. Used to probe how tight the echelon-pair bound is.
     """
     basis, d_row, _cols = kernel_slice_columns(g, d, b_set)
     q = g.q
     k = basis.shape[1]
     total = q**k
-    if total > budget:
-        raise ValueError(f"kernel too large to enumerate ({total} > {budget})")
+    if total > KERNEL_BUDGET:
+        raise ValueError(f"kernel too large to enumerate ({total} > {KERNEL_BUDGET})")
     best = None
     for coeffs in product(range(q), repeat=k):
         vec = (basis @ np.array(coeffs, dtype=np.int64)) % q

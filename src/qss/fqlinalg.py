@@ -45,8 +45,7 @@ def require_prime(q: int) -> int:
     The ceiling keeps every intermediate exact. Residues are below
     q < 2^20, so a product of two is below 2^40 and the elimination step
     v * r - f * p fits int64 (see _eliminate). In int64, a row sum
-    Gamma @ v of n such products
-    (witness checks, neighbour multisets, the sufficient-condition scan)
+    Gamma @ v of n such products (witness checks, neighbour multisets)
     stays below n * 2^40 < 2^63 for every order n < 2^23, whose int64
     adjacency matrix alone would take 512 TiB.
 

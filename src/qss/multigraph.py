@@ -95,10 +95,6 @@ class DealerGraph:
     def players(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.graph.n) if v != self.dealer)
 
-    @property
-    def n_players(self) -> int:
-        return self.graph.n - 1
-
 
 def delete_vertex(g: Multigraph, v: int) -> Multigraph:
     """Graph with vertex v removed; remaining vertices are re-indexed in

@@ -907,16 +907,17 @@ def oracle_reports(
     witnesses solved in fqlinalg, so a fidelity of 1 certifies access; the
     no_info verdict rests on the trace distances. The codewords are built
     once, and the code unitaries of every decoded set come from one stacked
-    witness solve. Every draw comes first, in set-by-set order: a secret,
-    two uniforms for the set's decode and two for a nonempty complement's.
-    The decode's budget is checked, the trace distances come next, and then
-    one stacked pass Bell-decodes the sets and the nonempty complements of
-    the sets with every trace distance at most 1e-7, those of them with both
-    witnesses; the others' fidelities take the closed form of
-    _decode_fidelities. A complement's fidelity is read only where its set's
-    is below 1 - 1e-7.
+    witness solve. The decode's budget is checked before anything is built.
+    Every draw comes next, in set-by-set order: a secret, two uniforms for
+    the set's decode and two for a nonempty complement's. The trace
+    distances follow, and then one stacked pass Bell-decodes the sets and
+    the nonempty complements of the sets with every trace distance at most
+    1e-7, those of them with both witnesses; the others' fidelities take the
+    closed form of _decode_fidelities. A complement's fidelity is read only
+    where its set's is below 1 - 1e-7.
     """
     sets = [_check_b(g, d, b) for b in sets]
+    _admit(g.q ** (g.n + 1) if sets else 0, budget)
     words = _codewords(g, d, range(g.q), budget)
     by_size = sorted(set(sets), key=len)
     ranked = batch_indicators(g.gamma[None], g.q, d, _index_array(by_size))[1][0].tolist() if sets else []
@@ -928,7 +929,6 @@ def oracle_reports(
         secret = rng.normal(size=g.q) + 1j * rng.normal(size=g.q)
         secrets[i] = _unit_secret(g.q, secret / np.linalg.norm(secret))
         draws[i, :4 if comp else 2] = rng.random(4 if comp else 2)
-    _admit(g.q ** (g.n + 1) if sets else 0, budget)
     max_td = _set_trace_distances(words, [[players.index(v) for v in b] for b in sets], budget)
     read = [i for i, comp in enumerate(comps) if comp and max_td[i] <= 1e-7]
     steering, fallback = _steering(g, d, sets + [comps[i] for i in read])

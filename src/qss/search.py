@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple, TextIO
 import numpy as np
 
 from .access import _bordered_spans, _gather_index, _zero_vertex
-from .fqlinalg import _kernel_type, _residues, require_prime
+from .fqlinalg import _kernel_type, _residues, batch_rank_mod, require_prime
 from .multigraph import DealerGraph, Multigraph, serialize_graph
 
 TRIAL_CHUNK = 2048
@@ -49,6 +49,8 @@ BLOCK_CAP = 2048
 # scheme_k scan (order 12 or less) uses one plan, an upward one a plan per
 # BLOCK_CAP sets of each size. A block's flat index is never kept.
 PLAN_CACHE = 32
+# Vertex sets sufficient_condition_check ranks at most
+CONDITION_BUDGET = 5_000_000
 # _gamma_from_index builds int64 indices, so no search reaches this index
 _INDEX_LIMIT = 2**63
 
@@ -406,17 +408,13 @@ def exhaustive_search(
     total = q ** (n * (n - 1) // 2)
     header = f"# n={n} q={q} k={k} dealer_fixed={int(dealer_fixed)}"
     scan = partial(_graphs_realising_k, n=n, q=q, k=k, dealer_fixed=dealer_fixed)
-    found: int | None = None
     checked = 0
     with ExitStack() as stack:
         ck = stack.enter_context(open(checkpoint_path, "a+")) if checkpoint_path else None
         state = _read_checkpoint(ck, header, min(total, _INDEX_LIMIT), scan) if ck else None
-        last, found_prev = state or (-1, None)
+        last, found = state or (-1, None)
         start = last + 1
         stop = total if budget is None else min(total, start + budget)
-        if found_prev is not None:
-            stop = min(stop, found_prev)
-
         run = stack.enter_context(_ordered_map(workers))
         cursor = start
         while cursor < stop and found is None:
@@ -432,8 +430,6 @@ def exhaustive_search(
                 ck.write(f"0, {cursor - 1}, {mark}\n")
                 ck.flush()
 
-    if found is None and found_prev is not None:
-        found = found_prev
     if found is not None:
         g = Multigraph(q, _gamma_from_index(found, n, q))
         return SearchResult("found", found, serialize_graph(g), checked, cursor)
@@ -507,36 +503,39 @@ def _trial_chunk(seed: int, chunk_index: int, count: int, n: int, q: int, k: int
     return int(batch_accessible_at_k(slots[:, _slot_map(n)], q, k).sum())
 
 
-def sufficient_condition_check(g: Multigraph, alpha: float, budget: int = 5_000_000) -> bool:
+def sufficient_condition_check(g: Multigraph, alpha: float) -> bool:
     """Test the sufficient access condition at ratio alpha: every nonzero
-    multiset C with support of at most (1-alpha)*n vertices must see, jointly
-    with its neighbours, more than (1-alpha)*n vertices.
+    multiset C with support of at most t = (1-alpha)*n vertices must see,
+    jointly with its neighbours, more than t vertices.
 
     This is the paper's sufficient condition behind its random-multigraph
     theorem (a random multigraph has accessing parameter k <= alpha*n with
     high probability); bounds.random_threshold_alpha(q) is that alpha.
-
     True guarantees all sets of at least alpha*n players are accessible
-    (regardless of dealer); False says nothing. Enumeration is over one
-    representative per scalar class (first nonzero multiplicity = 1).
+    (regardless of dealer); False says nothing. The condition holds exactly
+    when every t-set T has cutrk(T) = t, so the C(n, t) cut matrices
+    Gamma[V - T, T] are ranked in blocks of BLOCK_CAP sets, up to the first
+    block holding a deficient one; over CONDITION_BUDGET sets raise ValueError.
+
+    Proof. If a nonzero C has supp C + supp Gamma.C inside a t-set T (a
+    joint support of at most t vertices lies in one), C on T is a nonzero
+    kernel vector of Gamma[V - T, T]; conversely such a kernel vector, zero
+    outside T, is such a C. So a deficient smaller set S makes every t-set
+    T containing S deficient (pad with zeros on T - S): the t-sets decide.
+    alpha >= 0.5 gives n - t >= t, so full column rank is possible. t is
+    int((1 - alpha) * n + 1e-9): a product just below an integer counts as it.
     """
     if not 0.5 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0.5, 1]")
-    n, q = g.n, g.q
-    threshold = (1.0 - alpha) * n
-    s_max = int(threshold + 1e-9)
-    classes = sum(comb(n, s) * (q - 1) ** (s - 1) for s in range(1, s_max + 1)) if s_max else 0
-    if classes > budget:
-        raise ValueError(f"{classes} support classes exceed budget {budget}")
-    for size in range(1, s_max + 1):
-        for supp in combinations(range(n), size):
-            for tail in np.ndindex(*([q - 1] * (size - 1))):
-                vec = np.zeros(n, dtype=np.int64)
-                vec[supp[0]] = 1
-                for j, t in enumerate(tail):
-                    vec[supp[j + 1]] = t + 1
-                nb = (g.gamma @ vec) % q
-                joint = np.count_nonzero((vec != 0) | (nb != 0))
-                if not joint > threshold + 1e-9:
-                    return False
+    n, t = g.n, int((1.0 - alpha) * g.n + 1e-9)
+    if (count := comb(n, t)) > CONDITION_BUDGET:
+        raise ValueError(f"{count} vertex sets exceed budget {CONDITION_BUDGET}")
+    stream = combinations(range(n), t)
+    for _ in range(0, count, BLOCK_CAP):
+        sets = np.array(list(islice(stream, BLOCK_CAP)), dtype=np.intp)
+        outside = np.ones((len(sets), n), dtype=bool)
+        outside[np.arange(len(sets))[:, None], sets] = False
+        rest = np.nonzero(outside)[1].reshape(len(sets), n - t)
+        if (batch_rank_mod(g.gamma[rest[:, :, None], sets[:, None, :]], g.q) < t).any():
+            return False
     return True

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qss.access
 from qss.access import (
     CLASSICAL_ACCESSIBLE,
     NO_INFO,
@@ -703,7 +704,8 @@ def test_slice_minimum_upper_bounds_exact_minimum():
         checked += 1
 
 
-def test_min_support_budget_guard():
+def test_min_support_budget_guard(monkeypatch):
     rs = rs747_fixture()
+    monkeypatch.setattr(qss.access, "KERNEL_BUDGET", 10)
     with pytest.raises(ValueError, match="budget|too large"):
-        min_support_kernel_element(rs.graph, 0, [1, 2, 3, 7], budget=10)
+        min_support_kernel_element(rs.graph, 0, [1, 2, 3, 7])

@@ -108,7 +108,6 @@ def test_dealer_graph_rejects_isolated_dealer():
         DealerGraph(g, 0)
     dg = DealerGraph(g, 1)
     assert dg.players == (0, 2)
-    assert dg.n_players == 2
 
 
 def test_dealer_graph_range_check():

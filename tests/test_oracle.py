@@ -840,6 +840,15 @@ def test_oracle_reports_check_the_decode_budget_before_any_trace_distance(monkey
         oracle_reports(g, 0, [(1,), (2, 3)], np.random.default_rng(17), budget=64)
 
 
+def test_oracle_reports_check_the_decode_budget_before_any_codeword(monkeypatch):
+    # the same graph: its 2^5-amplitude codewords fit the budget of 64, so
+    # only the decode's check can refuse the sweep before they are built
+    g = parse_graph("q 2\nn 6\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 4 1\ne 3 5 1\ne 4 5 1\ne 1 4 1\ne 2 5 1\n")
+    monkeypatch.setattr(qss.oracle, "_codewords", lambda *args: pytest.fail("codewords built"))
+    with pytest.raises(BudgetExceeded, match="q\\^n = 128 amplitudes"):
+        oracle_reports(g, 0, [(1,), (2, 3)], np.random.default_rng(17), budget=64)
+
+
 def test_info_leak_past_the_dense_budget_when_the_factor_fits():
     # all 11 players of a q = 2 graph: the 2,048 x 2,048 reduced state
     # exceeds the budget, its 2 x 2 Gram matrices do not

@@ -999,9 +999,62 @@ def test_sufficient_condition_implies_access():
     assert confirmed > 10  # the sweep must actually exercise the guarantee
 
 
-def test_sufficient_condition_validation():
+def test_sufficient_condition_validation(monkeypatch):
     g = random_graph(4, 3, 1)
     with pytest.raises(ValueError, match="alpha"):
         sufficient_condition_check(g, 0.3)
+    monkeypatch.setattr(qss.search, "CONDITION_BUDGET", 10)
     with pytest.raises(ValueError, match="budget"):
-        sufficient_condition_check(random_graph(12, 5, 1), 0.5, budget=10)
+        sufficient_condition_check(random_graph(12, 5, 1), 0.5)
+
+
+def _sufficient_by_multisets(g: Multigraph, alpha: float) -> bool:
+    """The condition read literally: every nonzero vertex multiset C with
+    at most t = (1 - alpha) n support vertices, one per scalar class (first
+    nonzero multiplicity 1), sees more than t vertices jointly with its
+    neighbours."""
+    n, q = g.n, g.q
+    threshold = (1.0 - alpha) * n
+    for size in range(1, int(threshold + 1e-9) + 1):
+        for supp in combinations(range(n), size):
+            for tail in product(range(1, q), repeat=size - 1):
+                vec = np.zeros(n, dtype=np.int64)
+                vec[list(supp)] = (1, *tail)
+                joint = np.count_nonzero((vec != 0) | (g.gamma @ vec % q != 0))
+                if not joint > threshold + 1e-9:
+                    return False
+    return True
+
+
+def test_sufficient_condition_matches_the_multiset_reference():
+    # every third graph keeps about 30% of its edges, so both verdicts occur
+    rng = np.random.default_rng(34)
+    verdicts = []
+    for q in (2, 3, 5):
+        for n in range(2, 9):
+            for alpha in (0.5, 0.55, 0.6, 0.7, 0.75, 0.8, 0.9, 1.0):
+                for thin in (False, False, True):
+                    g = random_graph(n, q, rng)
+                    if thin:
+                        keep = np.triu(rng.random((n, n)) < 0.3, 1)
+                        g = Multigraph(q, g.gamma * (keep | keep.T))
+                    verdict = sufficient_condition_check(g, alpha)
+                    assert verdict == _sufficient_by_multisets(g, alpha), (q, n, alpha, g.edges())
+                    verdicts.append(verdict)
+    assert 100 < sum(verdicts) < len(verdicts) - 100
+
+
+def test_sufficient_condition_ranks_only_the_t_sets(monkeypatch):
+    # n = 14 at alpha = 0.57 ranks the C(14, 6) = 3003 six-sets, as 8 x 6
+    # cut matrices in two blocks, and stops at the first block that fails
+    seen = []
+    rank = qss.search.batch_rank_mod
+    monkeypatch.setattr(qss.search, "batch_rank_mod", lambda mats, q: seen.append(mats.shape) or rank(mats, q))
+    g = random_graph(14, 101, 3)
+    assert sufficient_condition_check(g, 0.57)
+    assert seen == [(BLOCK_CAP, 8, 6), (3003 - BLOCK_CAP, 8, 6)]
+    seen.clear()
+    gamma = g.gamma.copy()
+    gamma[0] = gamma[:, 0] = 0  # an isolated vertex 0 leaves the first six-set a zero column
+    assert not sufficient_condition_check(Multigraph(101, gamma), 0.57)
+    assert seen == [(BLOCK_CAP, 8, 6)]
