@@ -341,8 +341,6 @@ def dealer_kernel_witness(g: Multigraph, d: int, b_set) -> np.ndarray:
     """
     basis, d_row, cols = kernel_slice_columns(g, d, b_set)
     seen = np.flatnonzero(d_row @ basis[:, 1:] % g.q)  # the columns after C1 with a nonzero image at d
-    if basis.shape[1] < 2 or basis[0, 0] == 0 or not seen.size:
-        raise ValueError("kernel structure inconsistent with derivative -1")
     c1, c2 = basis[:, 0], basis[:, 1 + seen[0]]
     members = [(x * c1 + y * c2) % g.q for x, y in product(range(g.q), repeat=2) if x or y]
     out = np.zeros(g.n, dtype=np.int64)
@@ -357,11 +355,22 @@ def kernel_slice_columns(g: Multigraph, d: int, b_set) -> tuple[np.ndarray, np.n
 
     dealer_kernel_witness picks its (C1, C2) pair from this basis and
     min_support_kernel_element scans every combination of it. Both need an
-    accessible set, so anything else is rejected here.
+    accessible set, and the basis shows one: the derivative is -1 exactly
+    when basis[0, 0] != 0 and a later column has a nonzero image at d.
+
+    Proved: with W = V - B - {d}, M0 = Gamma[B, W], c = Gamma[B, d] and
+    r = Gamma[d, W], cutrk(B) = rank M0 + [c not in colspan M0] and
+    cutrk(B + {d}) = rank M0 + [r not in rowspan M0], so the derivative is
+    -1 exactly when r is in rowspan M0 (a hiding C exists) and c is not in
+    colspan M0 (an accessing D exists). The basis spans the kernel of
+    Gamma[W, B + {d}] = [r^T | M0^T]. A hiding C is a kernel vector nonzero
+    at d, and in reduced column echelon form only the first column can lead
+    at the dealer's row, the others being zero there. The kernel vectors
+    zero at d are then the span of the later columns, the D over B with
+    D M0 = 0; c is outside colspan M0 exactly when one has c . D != 0, its
+    image at d, and by linearity exactly when a later column has.
     """
     b = _check_b(g, d, b_set)
-    if quantum_derivative(g, d, b) != -1:
-        raise ValueError("dealer kernel witness requires an accessible set (derivative -1)")
     cols = [d] + list(b)
     rows = [v for v in range(g.n) if v not in set(cols)]
     m = g.gamma[np.ix_(rows, cols)] if rows else np.zeros((0, len(cols)), dtype=np.int64)
@@ -369,7 +378,10 @@ def kernel_slice_columns(g: Multigraph, d: int, b_set) -> tuple[np.ndarray, np.n
     # 0 at the other free ones and nonzero only at pivots before it, so read
     # back reversed the basis is in reduced column echelon form
     basis = kernel_basis_mod(m[:, ::-1], g.q)[::-1, ::-1]
-    return basis, g.gamma[d, cols], cols
+    d_row = g.gamma[d, cols]
+    if not basis.shape[1] or basis[0, 0] == 0 or not (d_row @ basis[:, 1:] % g.q).any():
+        raise ValueError("dealer kernel witness requires an accessible set (derivative -1)")
+    return basis, d_row, cols
 
 
 def min_support_kernel_element(g: Multigraph, d: int, b_set) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .access import classify
 from .multigraph import DealerGraph, Multigraph, parse_graph, rs747_fixture, serialize_graph
-from .oracle import AMPLITUDE_BUDGET, BudgetExceeded, cq_round, oracle_reports, qq_decode_bell, qq_encode
+from .oracle import AMPLITUDE_BUDGET, BudgetExceeded, _admit, cq_round, oracle_reports, qq_decode_bell, qq_encode
 from .search import exhaustive_search, random_trials, scheme_k
 
 EXIT_OK = 0
@@ -74,17 +74,73 @@ def _witness_payload(vec) -> dict | None:
     return None if vec is None else {str(v): w for v, w in enumerate(vec.tolist()) if w}
 
 
-def _emit(command: str, inputs: dict, result, seed, started: float) -> None:
-    # a result dataclass comes as vars(result): its fields are flat, so
-    # json writes them as it would dataclasses.asdict's deep copy
-    report = {
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "seed": seed,
-        "wall_time": round(time.monotonic() - started, 6),
-    }
-    print(json.dumps(report, sort_keys=True))
+def _inputs(args, *keys, b=None) -> dict:
+    """A report's inputs: the named flags and, when given, the player set b."""
+    fields = {key: getattr(args, key) for key in keys}
+    return fields if b is None else {**fields, "set": list(b)}
+
+
+# Each report subcommand's handler (args, g, b, rng) -> (inputs, result, exit
+# code) gets the graph, the player set of --set and an rng seeded by --seed
+# when it reads a graph file, else None. A result dataclass is reported as
+# vars(result): its fields are flat, so json writes them as it would
+# dataclasses.asdict's deep copy.
+
+
+def _access(args, g, b, rng):
+    verdict = classify(g, args.dealer, b)
+    result = {**vars(verdict), "witness_d": _witness_payload(verdict.witness_d),
+              "witness_c": _witness_payload(verdict.witness_c)}
+    return _inputs(args, "graph", "dealer", b=b), result, EXIT_OK
+
+
+def _scheme_k(args, g, b, rng):
+    return _inputs(args, "graph", "dealer"), vars(scheme_k(DealerGraph(g, args.dealer))), EXIT_OK
+
+
+def _search(args, g, b, rng):
+    res = exhaustive_search(args.n, args.q, args.k, dealer_fixed=not args.all_dealers, budget=args.budget,
+                            workers=args.workers, checkpoint_path=args.checkpoint)
+    code = EXIT_BUDGET if res.status == "budget_exceeded" else EXIT_OK
+    return _inputs(args, "n", "q", "k", "budget", "workers"), vars(res), code
+
+
+def _sample(args, g, b, rng):
+    summary = random_trials(args.n, args.q, args.alpha, args.trials, args.seed, workers=args.workers)
+    return _inputs(args, "n", "q", "alpha", "trials"), vars(summary), EXIT_OK
+
+
+def _oracle_verify(args, g, b, rng):
+    players = [v for v in range(g.n) if v != args.dealer]
+    cap = len(players) if args.max_size is None else args.max_size
+    sets = [s for size in range(cap + 1) for s in combinations(players, size)]
+    rows = oracle_reports(g, args.dealer, sets, rng, budget=args.budget)
+    disagree = sum(row["verdict_graph"] != row["verdict_oracle"] for row in rows)
+    result = {"rows": rows, "disagreements": disagree}
+    return _inputs(args, "graph", "dealer"), result, EXIT_DISAGREEMENT if disagree else EXIT_OK
+
+
+def _cq_round(args, g, b, rng):
+    rounds = []
+    for _ in range(args.rounds):
+        s, m = cq_round(g, args.dealer, b, args.t, rng, on_unauthorized=args.on_unauthorized, budget=args.budget)
+        rounds.append({"s": s, "m": m})
+    result = {"rounds": rounds, "agreements": sum(r["s"] == r["m"] for r in rounds), "total": args.rounds}
+    return _inputs(args, "graph", "dealer", "t", "rounds", b=b), result, EXIT_OK
+
+
+def _qq_decode(args, g, b, rng):
+    # the Bell decode's q^(n+1) amplitudes are the most any stage holds, so
+    # they are admitted before qq_encode builds a codeword
+    _admit(g.q ** (g.n + 1), args.budget)
+    secret = rng.normal(size=g.q) + 1j * rng.normal(size=g.q)
+    secret = secret / np.linalg.norm(secret)
+    res = qq_decode_bell(g, args.dealer, b, qq_encode(g, args.dealer, secret, budget=args.budget), rng, secret,
+                         budget=args.budget)
+    result = {"fidelity": res.fidelity, "syndrome": list(res.syndrome), "used_fallback": res.used_fallback,
+              "secret_real": [round(float(x.real), 12) for x in secret],
+              "secret_imag": [round(float(x.imag), 12) for x in secret]}
+    return _inputs(args, "graph", "dealer", b=b), result, EXIT_OK
 
 
 @functools.cache
@@ -93,17 +149,30 @@ def build_parser() -> _Parser:
     between calls, so every main call after the first only parses."""
     p = _Parser(prog="qss", description="Secret sharing on qudit graph states.")
     sub = p.add_subparsers(dest="command", required=True)
+    shared = {
+        "graph": (["graph"], {"help": "graph file in the text format, or - for stdin"}),
+        "dealer": (["--dealer"], {"type": int, "required": True}),
+        "set": (["--set"], {"dest": "vset", "required": True, "help": "comma-separated 0-based vertices"}),
+        "seed": (["--seed"], {"type": int, "required": True}),
+        "budget": (["--budget"], {"type": int, "default": AMPLITUDE_BUDGET, "help": "max state-vector amplitudes"}),
+    }
 
-    acc = sub.add_parser("access", help="classify a player set on a graph")
-    acc.add_argument("graph", help="graph file in the text format, or - for stdin")
-    acc.add_argument("--dealer", type=int, required=True)
-    acc.add_argument("--set", dest="vset", required=True, help="comma-separated 0-based vertices")
+    def add_shared(sp, *names):
+        for name in names:
+            sp.add_argument(*shared[name][0], **shared[name][1])
+        return sp
 
-    sk = sub.add_parser("scheme-k", help="exact threshold of a dealer graph")
-    sk.add_argument("graph")
-    sk.add_argument("--dealer", type=int, required=True)
+    def command(name, help, run, *names):
+        """A subcommand run by its handler (a report) or its text function (a
+        raw artifact), with the shared arguments names in that order."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(**run)
+        return add_shared(sp, *names)
 
-    se = sub.add_parser("search", help="exhaustive scheme existence search")
+    command("access", "classify a player set on a graph", {"handler": _access}, "graph", "dealer", "set")
+    command("scheme-k", "exact threshold of a dealer graph", {"handler": _scheme_k}, "graph", "dealer")
+
+    se = command("search", "exhaustive scheme existence search", {"handler": _search})
     se.add_argument("--n", type=int, required=True, help="graph order (players + dealer)")
     se.add_argument("--q", type=int, required=True)
     se.add_argument("--k", type=int, required=True)
@@ -112,167 +181,62 @@ def build_parser() -> _Parser:
     se.add_argument("--checkpoint", default=None, help="append-only progress file; reruns resume")
     se.add_argument("--all-dealers", action="store_true", help="try every dealer instead of vertex 0")
 
-    sa = sub.add_parser("sample", help="random-graph scheme success rate")
+    sa = command("sample", "random-graph scheme success rate", {"handler": _sample})
     sa.add_argument("--n", type=int, required=True)
     sa.add_argument("--q", type=int, required=True)
     sa.add_argument("--alpha", type=float, required=True)
     sa.add_argument("--trials", type=int, required=True)
-    sa.add_argument("--seed", type=int, required=True)
+    add_shared(sa, "seed")
     sa.add_argument("--workers", type=int, default=1)
 
-    bo = sub.add_parser("bounds", help="threshold bound curve as CSV")
+    bo = command("bounds", "threshold bound curve as CSV",
+                 {"text": lambda args: bounds_mod.emit_curve(args.qmin, args.qmax, tol=args.tol)})
     bo.add_argument("--qmin", type=int, required=True)
     bo.add_argument("--qmax", type=int, required=True)
     bo.add_argument("--tol", type=float, default=1e-8)
 
-    ov = sub.add_parser("oracle-verify", help="cross-check rank verdicts against the simulator")
-    ov.add_argument("graph")
-    ov.add_argument("--dealer", type=int, required=True)
-    ov.add_argument("--seed", type=int, required=True)
+    ov = command("oracle-verify", "cross-check rank verdicts against the simulator", {"handler": _oracle_verify},
+                 "graph", "dealer", "seed", "budget")
     ov.add_argument("--max-size", type=int, default=None, help="cap player-set size (default: all)")
-    ov.add_argument("--budget", type=int, default=AMPLITUDE_BUDGET, help="max state-vector amplitudes")
 
-    fx = sub.add_parser("fixture", help="emit a named graph fixture")
+    fx = command("fixture", "emit a named graph fixture", {"text": lambda args: serialize_graph(rs747_fixture().graph)})
     fx.add_argument("name", choices=["rs747"])
 
-    cq = sub.add_parser("cq-round", help="run classical protocol rounds")
-    cq.add_argument("graph")
-    cq.add_argument("--dealer", type=int, required=True)
-    cq.add_argument("--set", dest="vset", required=True)
+    cq = command("cq-round", "run classical protocol rounds", {"handler": _cq_round},
+                 "graph", "dealer", "set", "seed", "budget")
     cq.add_argument("--t", type=int, default=0)
     cq.add_argument("--rounds", type=int, default=10)
-    cq.add_argument("--seed", type=int, required=True)
     cq.add_argument("--on-unauthorized", choices=["raise", "measure"], default="raise")
-    cq.add_argument("--budget", type=int, default=AMPLITUDE_BUDGET, help="max state-vector amplitudes")
 
-    qq = sub.add_parser("qq-decode", help="encode a random secret and Bell-decode it")
-    qq.add_argument("graph")
-    qq.add_argument("--dealer", type=int, required=True)
-    qq.add_argument("--set", dest="vset", required=True)
-    qq.add_argument("--seed", type=int, required=True)
-    qq.add_argument("--budget", type=int, default=AMPLITUDE_BUDGET, help="max state-vector amplitudes")
-
+    command("qq-decode", "encode a random secret and Bell-decode it", {"handler": _qq_decode},
+            "graph", "dealer", "set", "seed", "budget")
     return p
 
 
 def _run(args) -> int:
     started = time.monotonic()
-    if getattr(args, "seed", 0) < 0:
-        raise ValueError(f"--seed {args.seed} is negative")
-
-    if args.command == "fixture":
-        print(serialize_graph(rs747_fixture().graph), end="")
+    for flag in ("seed", "max_size", "rounds"):  # checked before any file is read
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise ValueError(f"--{flag.replace('_', '-')} {value} is negative")
+    if "text" in args:
+        print(args.text(args), end="")
         return EXIT_OK
-
-    if args.command == "bounds":
-        print(bounds_mod.emit_curve(args.qmin, args.qmax, tol=args.tol), end="")
-        return EXIT_OK
-
-    if args.command == "access":
+    g = b = rng = None
+    if "graph" in args:
         g = _read_graph(args.graph, args.dealer)
-        b = _parse_set(args.vset, args.dealer, g.n)
-        verdict = classify(g, args.dealer, b)
-        result = {
-            "classical": verdict.classical,
-            "quantum": verdict.quantum,
-            "pi": verdict.pi,
-            "derivative": verdict.derivative,
-            "witness_d": _witness_payload(verdict.witness_d),
-            "witness_c": _witness_payload(verdict.witness_c),
-        }
-        inputs = {"graph": args.graph, "dealer": args.dealer, "set": list(b)}
-        _emit("access", inputs, result, None, started)
-        return EXIT_OK
-
-    if args.command == "scheme-k":
-        g = _read_graph(args.graph, args.dealer)
-        report = scheme_k(DealerGraph(g, args.dealer))
-        _emit("scheme-k", {"graph": args.graph, "dealer": args.dealer}, vars(report), None, started)
-        return EXIT_OK
-
-    if args.command == "search":
-        res = exhaustive_search(
-            args.n,
-            args.q,
-            args.k,
-            dealer_fixed=not args.all_dealers,
-            budget=args.budget,
-            workers=args.workers,
-            checkpoint_path=args.checkpoint,
-        )
-        inputs = {"n": args.n, "q": args.q, "k": args.k, "budget": args.budget, "workers": args.workers}
-        _emit("search", inputs, vars(res), None, started)
-        return EXIT_BUDGET if res.status == "budget_exceeded" else EXIT_OK
-
-    if args.command == "sample":
-        summary = random_trials(args.n, args.q, args.alpha, args.trials, args.seed, workers=args.workers)
-        inputs = {"n": args.n, "q": args.q, "alpha": args.alpha, "trials": args.trials}
-        _emit("sample", inputs, vars(summary), args.seed, started)
-        return EXIT_OK
-
-    if args.command == "oracle-verify":
-        if args.max_size is not None and args.max_size < 0:
-            raise ValueError(f"--max-size {args.max_size} is negative")
-        g = _read_graph(args.graph, args.dealer)
-        rng = np.random.default_rng(args.seed)
-        players = [v for v in range(g.n) if v != args.dealer]
-        cap = len(players) if args.max_size is None else args.max_size
-        sets = [b for size in range(cap + 1) for b in combinations(players, size)]
-        rows = oracle_reports(g, args.dealer, sets, rng, budget=args.budget)
-        disagree = sum(row["verdict_graph"] != row["verdict_oracle"] for row in rows)
-        result = {"rows": rows, "disagreements": disagree}
-        _emit("oracle-verify", {"graph": args.graph, "dealer": args.dealer}, result, args.seed, started)
-        return EXIT_DISAGREEMENT if disagree else EXIT_OK
-
-    if args.command == "cq-round":
-        if args.rounds < 0:
-            raise ValueError(f"--rounds {args.rounds} is negative")
-        g = _read_graph(args.graph, args.dealer)
-        b = _parse_set(args.vset, args.dealer, g.n)
-        rng = np.random.default_rng(args.seed)
-        rounds = []
-        agree = 0
-        for _ in range(args.rounds):
-            s, m = cq_round(g, args.dealer, b, args.t, rng,
-                            on_unauthorized=args.on_unauthorized, budget=args.budget)
-            rounds.append({"s": s, "m": m})
-            agree += int(s == m)
-        result = {"rounds": rounds, "agreements": agree, "total": args.rounds}
-        inputs = {"graph": args.graph, "dealer": args.dealer, "set": list(b), "t": args.t, "rounds": args.rounds}
-        _emit("cq-round", inputs, result, args.seed, started)
-        return EXIT_OK
-
-    if args.command == "qq-decode":
-        g = _read_graph(args.graph, args.dealer)
-        b = _parse_set(args.vset, args.dealer, g.n)
-        rng = np.random.default_rng(args.seed)
-        secret = rng.normal(size=g.q) + 1j * rng.normal(size=g.q)
-        secret = secret / np.linalg.norm(secret)
-        encoded = qq_encode(g, args.dealer, secret, budget=args.budget)
-        res = qq_decode_bell(g, args.dealer, b, encoded, rng, secret, budget=args.budget)
-        result = {
-            "fidelity": res.fidelity,
-            "syndrome": list(res.syndrome),
-            "used_fallback": res.used_fallback,
-            "secret_real": [round(float(x.real), 12) for x in secret],
-            "secret_imag": [round(float(x.imag), 12) for x in secret],
-        }
-        inputs = {"graph": args.graph, "dealer": args.dealer, "set": list(b)}
-        _emit("qq-decode", inputs, result, args.seed, started)
-        return EXIT_OK
-
-    raise _ParseError(f"unknown command {args.command!r}")
+        b = _parse_set(args.vset, args.dealer, g.n) if "vset" in args else None
+        rng = np.random.default_rng(args.seed) if "seed" in args else None
+    inputs, result, code = args.handler(args, g, b, rng)
+    report = {"command": args.command, "inputs": inputs, "result": result, "seed": getattr(args, "seed", None),
+              "wall_time": round(time.monotonic() - started, 6)}
+    print(json.dumps(report, sort_keys=True))
+    return code
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
     except _ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

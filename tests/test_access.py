@@ -609,6 +609,31 @@ def test_dealer_kernel_witness_requires_accessible_set():
             probe(g, 0, [1])
 
 
+def test_kernel_slice_columns_accepts_exactly_the_accessible_sets():
+    # kernel_slice_columns reads accessibility off its own basis (the proof in
+    # its docstring); against the batched derivative on every order-4 graph
+    # over F_3, graph i with dealer i mod 4, so every dealer meets every
+    # player set (the empty one included) on 182 or 183 graphs
+    n, q = 4, 3
+    gammas = _gamma_from_index(np.arange(q ** (n * (n - 1) // 2)), n, q)
+    accessible = 0
+    for d in range(n):
+        players = [v for v in range(n) if v != d]
+        sets = [b for size in range(n) for b in combinations(players, size)]
+        derivatives = batch_indicators(gammas[d::n], q, d, _index_array(sets))[1]
+        for gamma, row in zip(gammas[d::n], derivatives):
+            g = Multigraph(q, gamma)
+            for b, der in zip(sets, row):
+                try:
+                    kernel_slice_columns(g, d, b)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == (der == -1), (gamma.tolist(), d, b)
+                accessible += accepted
+    assert 0 < accessible < len(gammas) * 2 ** (n - 1)
+
+
 def _kernel_member(g, d, cols, vec):
     rows = [v for v in range(g.n) if v not in set(cols)]
     if rows:

@@ -876,6 +876,24 @@ def test_qq_decode_partial_set_fallback(capsys, star_file):
     assert res["fidelity"] < 1 - 1e-9
 
 
+def test_qq_decode_admits_the_decode_before_encoding(capsys, monkeypatch, rs_file, tmp_path):
+    # rs747's decode needs 7^9 amplitudes, over the default budget: the
+    # check comes before qq_encode builds a codeword, so it is never called
+    def never(*args, **kwargs):
+        raise AssertionError("qq_encode called past the decode budget")
+
+    monkeypatch.setattr(cli, "qq_encode", never)
+    code, out, err = run(capsys, ["qq-decode", rs_file, "--dealer", "0", "--set", "1,2,3,4", "--seed", "1"])
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err == f"error: q^n = {7**9} amplitudes exceed the budget of 2000000\n"
+
+    # so an isolated dealer over the budget is a budget error, not exit 2
+    path = tmp_path / "iso.graph"
+    path.write_text("q 3\nn 3\ne 1 2 1\n")
+    code, _, err = run(capsys, ["qq-decode", str(path), "--dealer", "0", "--set", "1", "--seed", "1", "--budget", "80"])
+    assert code == EXIT_BUDGET and "q^n = 81 amplitudes" in err
+
+
 # ------------------------------------------------------- parser reuse, argv
 
 
@@ -965,3 +983,69 @@ def test_negative_seed_exit_2_names_the_flag(capsys, star_file, command):
 def test_exit_code_constants_are_distinct():
     codes = [EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_BUDGET, EXIT_DISAGREEMENT]
     assert codes == sorted(codes) == [0, 1, 2, 3, 4]
+
+
+# ---------------------------------------------------------------- option table
+
+# each subcommand's dest -> (option strings, type, default, required,
+# choices, action class); a parser refactor that adds, drops or changes an
+# option fails here. The order of --help's listing is not pinned.
+HELP = (("-h", "--help"), None, "==SUPPRESS==", False, None, "_HelpAction")
+GRAPH = ((), None, None, True, None, "_StoreAction")
+DEALER = (("--dealer",), "int", None, True, None, "_StoreAction")
+VSET = (("--set",), None, None, True, None, "_StoreAction")
+SEED = (("--seed",), "int", None, True, None, "_StoreAction")
+AMPLITUDES = (("--budget",), "int", 2_000_000, False, None, "_StoreAction")
+OPTION_TABLE = {
+    "access": {"help": HELP, "graph": GRAPH, "dealer": DEALER, "vset": VSET},
+    "scheme-k": {"help": HELP, "graph": GRAPH, "dealer": DEALER},
+    "search": {
+        "help": HELP,
+        "n": (("--n",), "int", None, True, None, "_StoreAction"),
+        "q": (("--q",), "int", None, True, None, "_StoreAction"),
+        "k": (("--k",), "int", None, True, None, "_StoreAction"),
+        "budget": (("--budget",), "int", None, False, None, "_StoreAction"),
+        "workers": (("--workers",), "int", 1, False, None, "_StoreAction"),
+        "checkpoint": (("--checkpoint",), None, None, False, None, "_StoreAction"),
+        "all_dealers": (("--all-dealers",), None, False, False, None, "_StoreTrueAction"),
+    },
+    "sample": {
+        "help": HELP,
+        "n": (("--n",), "int", None, True, None, "_StoreAction"),
+        "q": (("--q",), "int", None, True, None, "_StoreAction"),
+        "alpha": (("--alpha",), "float", None, True, None, "_StoreAction"),
+        "trials": (("--trials",), "int", None, True, None, "_StoreAction"),
+        "seed": SEED,
+        "workers": (("--workers",), "int", 1, False, None, "_StoreAction"),
+    },
+    "bounds": {
+        "help": HELP,
+        "qmin": (("--qmin",), "int", None, True, None, "_StoreAction"),
+        "qmax": (("--qmax",), "int", None, True, None, "_StoreAction"),
+        "tol": (("--tol",), "float", 1e-08, False, None, "_StoreAction"),
+    },
+    "oracle-verify": {
+        "help": HELP, "graph": GRAPH, "dealer": DEALER, "seed": SEED,
+        "max_size": (("--max-size",), "int", None, False, None, "_StoreAction"),
+        "budget": AMPLITUDES,
+    },
+    "fixture": {"help": HELP, "name": ((), None, None, True, ("rs747",), "_StoreAction")},
+    "cq-round": {
+        "help": HELP, "graph": GRAPH, "dealer": DEALER, "vset": VSET, "seed": SEED, "budget": AMPLITUDES,
+        "t": (("--t",), "int", 0, False, None, "_StoreAction"),
+        "rounds": (("--rounds",), "int", 10, False, None, "_StoreAction"),
+        "on_unauthorized": (("--on-unauthorized",), None, "raise", False, ("raise", "measure"), "_StoreAction"),
+    },
+    "qq-decode": {"help": HELP, "graph": GRAPH, "dealer": DEALER, "vset": VSET, "seed": SEED, "budget": AMPLITUDES},
+}
+
+
+def test_option_table_is_pinned():
+    (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    assert sub.required and list(sub.choices) == list(OPTION_TABLE)
+    table = {
+        name: {a.dest: (tuple(a.option_strings), getattr(a.type, "__name__", a.type), a.default, a.required,
+                        None if a.choices is None else tuple(a.choices), type(a).__name__) for a in parser._actions}
+        for name, parser in sub.choices.items()
+    }
+    assert table == OPTION_TABLE
