@@ -19,7 +19,7 @@ product with Gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, product
+from itertools import chain, product
 
 import numpy as np
 
@@ -68,8 +68,8 @@ def batch_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarra
     (graph, set) pair: M = Gamma[B, V - B - {d}] with the dealer column c
     and the dealer row r as its border. cutrk(B) = rank M + [c not in
     colspan M] and cutrk(B + {d}) = rank M + [r not in rowspan M], so one
-    batch_border_indicators_mod call gives pi = [c not in colspan M] and
-    the derivative [r not in rowspan M] - pi. Every indicator in the
+    fqlinalg._border_indicators elimination gives pi = [c not in colspan M]
+    and the derivative [r not in rowspan M] - pi. Every indicator in the
     package, scalar or searched, comes from this gather: the stack reduced
     mod q (fqlinalg._residues) and bordered by a zero vertex (_zero_vertex)
     is ranked by _bordered_spans at the flat index that _gather_index's
@@ -152,20 +152,11 @@ def _bordered_spans(stack: np.ndarray, q: int, index: np.ndarray) -> tuple[np.nd
 
 
 def _index_array(sets: list[tuple[int, ...]]) -> np.ndarray:
-    """The (sets, width) index array of batch_indicators for a nonempty list
-    of player sets whose size changes monotonically, so that a list whose
-    ends have one size is of one size: it is converted whole, and np.array
-    raises if it is not. A list that spans sizes is filled run by run of
-    equal sizes, each row padded with -1 to the widest set."""
-    if len(sets[0]) == len(sets[-1]):
-        return np.array(sets, dtype=np.intp)
-    runs = [list(run) for _, run in groupby(sets, len)]
-    packed = np.full((len(sets), max(len(run[0]) for run in runs)), -1, dtype=np.intp)
-    start = 0
-    for run in runs:
-        packed[start : start + len(run), : len(run[0])] = run
-        start += len(run)
-    return packed
+    """The (sets, width) index array of batch_indicators for a list of
+    player sets, each row padded with -1 to the widest set."""
+    width = max(map(len, sets), default=0)
+    padded = chain.from_iterable((*b, *[-1] * (width - len(b))) for b in sets)
+    return np.fromiter(padded, np.intp, len(sets) * width).reshape(len(sets), width)
 
 
 def _indicators(g: Multigraph, d: int, b_set) -> tuple[int, int]:
@@ -272,19 +263,6 @@ def classify(g: Multigraph, d: int, b_set) -> AccessVerdict:
     return AccessVerdict(classical, QUANTUM_VERDICT[der], pi, der, wd, wc)
 
 
-def verify_witness_pair(g: Multigraph, d: int, b_set, d_vec, c_vec) -> bool:
-    """Check (D, C) against the paper's graphical access criterion.
-
-    D lives on B and sup(Gamma.D) - B = {d}: outside B, D is seen exactly
-    at the dealer, with any nonzero multiplicity. C lives on B + {d}, has
-    C(d) != 0 and sup(Gamma.C) - B - {d} empty. With c_vec None only D is
-    checked. Raises on domain violations; returns the boolean verdict
-    otherwise. The stack of one of verify_witness_pairs.
-    """
-    b = _check_b(g, d, b_set)
-    return bool(verify_witness_pairs(g, d, [b], *_vector_pair(g, d_vec, c_vec))[0])
-
-
 def _vector_pair(g: Multigraph, d_vec, c_vec) -> tuple[np.ndarray, np.ndarray | None]:
     """A witness pair of length-n vectors (C may be None) as (1, n) rows of
     residues; ValueError if D is missing, a vector has another shape or an
@@ -298,9 +276,13 @@ def _vector_pair(g: Multigraph, d_vec, c_vec) -> tuple[np.ndarray, np.ndarray | 
 
 
 def verify_witness_pairs(g: Multigraph, d: int, sets, d_rows: np.ndarray, c_rows: np.ndarray | None) -> np.ndarray:
-    """verify_witness_pair of each checked player set for its witness rows
-    D and C (S, n), C None to check D alone: raises ValueError if some row
-    breaks a domain, else returns the (S,) verdicts."""
+    """Check the witness rows D and C (S, n) of each checked player set B
+    against the paper's graphical access criterion, C None to check D alone.
+
+    D lives on B and sup(Gamma.D) - B = {d}: outside B, D is seen exactly at
+    the dealer, with any nonzero multiplicity. C lives on B + {d}, has
+    C(d) != 0 and sup(Gamma.C) - B - {d} empty. Raises ValueError if some
+    row breaks its domain, else returns the (S,) verdicts."""
     q, outside = g.q, ~_members(g.n, sets)
     if (d_rows % q * outside).any():
         raise ValueError("D is supported outside the player set")

@@ -236,7 +236,9 @@ def kernel_basis_mod(a, q: int) -> np.ndarray:
         from the free columns of the RREF (deterministic).
     """
     r, pivots = rref_mod(a, q)
-    free = np.flatnonzero(~np.isin(np.arange(r.shape[1]), pivots))
+    free = np.ones(r.shape[1], dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
     basis = np.zeros((r.shape[1], len(free)), dtype=np.int64)
     basis[free, np.arange(len(free))] = 1
     basis[pivots] = -r[: len(pivots), free] % q
@@ -297,31 +299,20 @@ def batch_rank_mod(mats, q: int) -> np.ndarray:
     return _eliminate(_residues(arr.transpose(1, 2, 0), q), q, arr.shape[1], arr.shape[2])[1].sum(axis=0)
 
 
-def batch_border_indicators_mod(mats, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Span tests for a stack of bordered matrices [[M, c], [r, x]] over F_q.
+def _border_indicators(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Span tests for an (R, C, N) stack of N bordered matrices
+    [[M, c], [r, x]] over F_q, residues of _kernel_type(q) as _residues
+    makes them, eliminated in place: access.batch_indicators' route.
 
     One lockstep elimination of M, with the last column c and the last row r
     carried along as a border (the corner x is ignored), decides both
-    rank(M | c) - rank(M) and rank(M ; r) - rank(M).
-
-    Args:
-        mats: integer array of shape (N, m + 1, w + 1); M is m x w, and m
-            or w may be 0.
+    rank(M | c) - rank(M) and rank(M ; r) - rank(M); M is (R - 1) x (C - 1),
+    and either may be 0.
 
     Returns:
         (c_outside, r_outside): bool arrays of shape (N,) holding
         c not in colspan M and r not in rowspan M.
     """
-    q = require_prime(q)
-    arr = _int_array(mats, ndim=3)
-    if arr.shape[1] == 0 or arr.shape[2] == 0:
-        raise ValueError(f"expected a border row and column, got shape {arr.shape}")
-    return _border_indicators(_residues(arr.transpose(1, 2, 0), q), q)
-
-
-def _border_indicators(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """batch_border_indicators_mod on an (R, C, N) stack of residues in the
-    kernel's type, eliminated in place: access.batch_indicators' route."""
     a, used = _eliminate(a, q, a.shape[0] - 1, a.shape[1] - 1)
     # c is in colspan M exactly when it vanishes on the rows M reduced to 0;
     # r is in rowspan M exactly when its reduction against M vanishes

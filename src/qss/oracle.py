@@ -302,20 +302,6 @@ def _on_site(q: int, rows: np.ndarray, site: int, mat: np.ndarray) -> np.ndarray
     return out / norms[:, None] if mat.shape[-2] == 1 else out
 
 
-def eigenvalue_label(state: StateVector, w) -> int:
-    """m with W|psi> = omega^m |psi> for the [x | z | phase] row w, for a
-    state that is an exact eigenvector; raises if it is not one within
-    tolerance."""
-    q = state.q
-    out = apply_weyl(state, w)
-    pivot = int(np.argmax(abs(state.amplitudes)))
-    angle = np.angle(out.amplitudes[pivot] / state.amplitudes[pivot]) * q / (2 * np.pi)
-    m = int(np.round(angle)) % q
-    if np.linalg.norm(out.amplitudes - omega_table(q)[m] * state.amplitudes) > 1e-8:
-        raise AssertionError("state is not an eigenvector of the given operator")
-    return m
-
-
 # ---------------------------------------------------------------------------
 # encodings
 
@@ -327,9 +313,11 @@ def _player_order(g: Multigraph, d: int) -> list[int]:
 def _codewords(g: Multigraph, d: int, values, budget: int) -> np.ndarray:
     """|s_L> for each s in values, one row each. The dealer-deleted graph
     state is built once and the codewords are its images under Xbar^s, Z^s
-    on the dealer's neighbours, one stacked Weyl map."""
+    on the dealer's neighbours, one stacked Weyl map. The budget admits the
+    whole stack of len(values) q^(n - 1) amplitudes before any is built."""
     if g.degree(d) == 0:
         raise ValueError("isolated dealer: the encoding collapses")
+    _admit(len(values) * g.q ** (g.n - 1), budget)
     base = graph_state(delete_vertex(g, d), budget=budget).amplitudes
     ops = _weyl_power(g.q, logical_x(g, d), list(values))
     return _check_norms(_weyl_powers(g.q, np.broadcast_to(base, (len(ops), len(base))), ops, 1)[1])
@@ -461,16 +449,6 @@ def _set_trace_distances(words: np.ndarray, sets, budget: int) -> list[float]:
                     rhos[k] = f @ np.ascontiguousarray(f.conj().swapaxes(-1, -2))
             out.update(zip(chunk, _max_trace_distance(rhos)))
     return [float(out[i]) for i in range(len(sets))]
-
-
-def info_leak(g: Multigraph, d: int, b_set, budget: int = AMPLITUDE_BUDGET) -> float:
-    """Max trace distance between reduced codeword states on b_set, by the
-    route of oracle_reports, so the two agree bit for bit: 0 iff the set has
-    no classical information; 1 with orthogonal supports iff it can read the
-    secret perfectly."""
-    players = _player_order(g, d)
-    pos = [players.index(v) for v in _check_b(g, d, b_set)]
-    return _set_trace_distances(_codewords(g, d, range(g.q), budget), [pos], budget)[0]
 
 
 def schmidt_rank(state: StateVector, sites) -> int:

@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
-from .access import _bordered_spans, _gather_index, _zero_vertex
+from .access import _bordered_spans, _gather_index, _index_array, _zero_vertex
 from .fqlinalg import _kernel_type, _residues, batch_rank_mod, require_prime
 from .multigraph import DealerGraph, Multigraph, serialize_graph
 
@@ -72,7 +72,6 @@ class SchemeReport:
     k: int
     n_players: int
     worst_unauthorized: tuple[int, ...]
-    all_accessible_at_k: bool
 
 
 @lru_cache(maxsize=PLAN_CACHE)
@@ -80,18 +79,15 @@ def _plan(n: int, dealer: int, sizes: tuple[int, ...], chunk: int) -> tuple[np.n
     """The read-only gather plan of the chunk-th run of at most BLOCK_CAP
     sets of the stream of lexicographic player sets (every vertex but the
     dealer) of each size of sizes in turn: access._gather_index's halves
-    (rows, cols) of their flat index, padded with the zero vertex to the
-    widest size of the stream (rows) and down to its smallest (cols), so
-    the plans of one stream line up. Its checks run once per plan. At most
-    PLAN_CACHE plans are kept, so no stream is built whole and memory stays
-    bounded at any n."""
+    (rows, cols) of their flat index (access._index_array), padded with the
+    zero vertex to the widest size of the stream (rows) and down to its
+    smallest (cols), so the plans of one stream line up. Its checks run
+    once per plan. At most PLAN_CACHE plans are kept, so no stream is built
+    whole and memory stays bounded at any n."""
     players = [v for v in range(n) if v != dealer]
-    widest, start = max(sizes), chunk * BLOCK_CAP
-    count = min(sum(comb(len(players), size) for size in sizes) - start, BLOCK_CAP)
-    stream = chain.from_iterable(combinations(players, size) if size == widest else
-                                 (b + (-1,) * (widest - size) for b in combinations(players, size)) for size in sizes)
-    sets = np.fromiter(chain.from_iterable(islice(stream, start, start + count)), np.intp)
-    rows, cols = _gather_index(n, dealer, sets.reshape(count, widest))
+    stream = chain.from_iterable(combinations(players, size) for size in sizes)
+    sets = _index_array(list(islice(stream, chunk * BLOCK_CAP, (chunk + 1) * BLOCK_CAP)))
+    rows, cols = _gather_index(n, dealer, np.pad(sets, ((0, 0), (0, max(sizes) - sets.shape[1])), constant_values=-1))
     if len(cols) < n - min(sizes):
         cols = np.pad(cols, ((n - min(sizes) - len(cols), 0), (0, 0)), constant_values=n)
     rows.setflags(write=False)
@@ -213,7 +209,7 @@ def scheme_k(dg: DealerGraph) -> SchemeReport:
         worst = _largest_failure_downwards(dg)
     else:
         worst = _largest_failure_upwards(dg)
-    return SchemeReport(len(worst) + 1, p, worst, True)
+    return SchemeReport(len(worst) + 1, p, worst)
 
 
 class IsSchemeResult(NamedTuple):

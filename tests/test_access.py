@@ -29,7 +29,7 @@ from qss.access import (
     min_support_kernel_element,
     pi_classical,
     quantum_derivative,
-    verify_witness_pair,
+    verify_witness_pairs,
     witness_C,
     witness_D,
     witness_rows,
@@ -491,7 +491,7 @@ PUBLISHED_WITNESS_TABLE = [
 
 
 def _split_pair_checks(g, d, b, dvec, cvec):
-    """The two halves of verify_witness_pair, reported separately."""
+    """The two halves of verify_witness_pairs' check, reported separately."""
     q = g.q
     nb_d = (g.gamma @ dvec) % q
     nb_c = (g.gamma @ cvec) % q
@@ -512,14 +512,14 @@ def test_published_witness_table_row(row):
     d_ok, c_ok = _split_pair_checks(g, d, b, d_vec, c_vec)
     assert d_ok == want_d
     assert c_ok == want_c
-    assert verify_witness_pair(g, d, b, d_vec, c_vec) == (want_d and want_c)
+    assert verify_witness_pairs(g, d, [b], d_vec[None], c_vec[None]).tolist() == [want_d and want_c]
     # every set in the table is genuinely accessible and a valid pair exists
     assert quantum_derivative(g, d, b) == -1
     wd = witness_D(g, d, b)
     far = [v for v in range(8) if v != d and v not in b]
     wc = witness_C(g, d, far)
     assert wd is not None and wc is not None
-    assert verify_witness_pair(g, d, b, wd, wc)
+    assert verify_witness_pairs(g, d, [b], wd[None], wc[None]).tolist() == [True]
 
 
 def test_table_covers_every_support_pattern_once():
@@ -529,44 +529,44 @@ def test_table_covers_every_support_pattern_once():
 
 def test_verify_witness_pair_rejects_domain_violations():
     rs = rs747_fixture()
+    b = [1, 2, 3, 7]
     with pytest.raises(ValueError, match="player set"):
-        verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], vector(8, {4: 1}), vector(8, {0: 1}))
+        verify_witness_pairs(rs.graph, 0, [b], vector(8, {4: 1})[None], vector(8, {0: 1})[None])
     with pytest.raises(ValueError, match="dealer"):
-        verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], vector(8, {7: 1}), vector(8, {5: 1}))
+        verify_witness_pairs(rs.graph, 0, [b], vector(8, {7: 1})[None], vector(8, {5: 1})[None])
     # without C the D domain is still checked
     with pytest.raises(ValueError, match="D is supported outside"):
-        verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], vector(8, {4: 1}), None)
+        verify_witness_pairs(rs.graph, 0, [b], vector(8, {4: 1})[None], None)
     # a C domain violation raises even when D alone already fails
     with pytest.raises(ValueError, match="C is supported outside"):
-        verify_witness_pair(rs.graph, 0, (6, 7, 2, 3), vector(8, {6: 3, 7: 2}), vector(8, {5: 1}))
+        verify_witness_pairs(rs.graph, 0, [(6, 7, 2, 3)], vector(8, {6: 3, 7: 2})[None], vector(8, {5: 1})[None])
     # a vector of another length names no vertex set at all
-    with pytest.raises(ValueError, match="length 8"):
-        verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], vector(9, {7: 1}), None)
+    for call in PAIR_CALLS.values():
+        with pytest.raises(ValueError, match="length 8"):
+            call(rs.graph, 0, b, vector(9, {7: 1}), vector(8, {0: 1}))
 
 
 def test_verify_witness_pair_rejects_zero_d():
     rs = rs747_fixture()
-    assert not verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], vector(8, {}), vector(8, {0: 1}))
-    assert not verify_witness_pair(rs.graph, 0, [1, 2, 3, 7], vector(8, {}), None)
+    zero = vector(8, {})[None]
+    assert verify_witness_pairs(rs.graph, 0, [[1, 2, 3, 7]], zero, vector(8, {0: 1})[None]).tolist() == [False]
+    assert verify_witness_pairs(rs.graph, 0, [[1, 2, 3, 7]], zero, None).tolist() == [False]
 
 
 def test_verify_witness_pair_perturbation_breaks():
+    # the pair, D perturbed and C perturbed, stacked on one player set
     rs = rs747_fixture()
     b = (6, 7, 2, 3)
-    d_vec = vector(8, {6: 3, 7: 1})
-    c_vec = vector(8, {0: 1, 2: 1, 3: 3})
-    assert verify_witness_pair(rs.graph, 0, b, d_vec, c_vec)
-    assert not verify_witness_pair(rs.graph, 0, b, vector(8, {6: 3, 7: 2}), c_vec)
-    # with c_vec None only D is checked
-    assert verify_witness_pair(rs.graph, 0, b, d_vec, None)
-    assert not verify_witness_pair(rs.graph, 0, b, vector(8, {6: 3, 7: 2}), None)
-    assert not verify_witness_pair(rs.graph, 0, b, d_vec, vector(8, {0: 1, 2: 1, 3: 4}))
+    d_rows = np.stack([vector(8, {6: 3, 7: 1}), vector(8, {6: 3, 7: 2}), vector(8, {6: 3, 7: 1})])
+    c_rows = np.stack([vector(8, {0: 1, 2: 1, 3: 3}), vector(8, {0: 1, 2: 1, 3: 3}), vector(8, {0: 1, 2: 1, 3: 4})])
+    assert verify_witness_pairs(rs.graph, 0, [b] * 3, d_rows, c_rows).tolist() == [True, False, False]
+    # with c_rows None only D is checked
+    assert verify_witness_pairs(rs.graph, 0, [b] * 3, d_rows, None).tolist() == [True, False, True]
 
 
-# the three one-set entry points of a witness pair, called as f(g, d, B, D, C)
+# the one-set entry points of a witness pair, called as f(g, d, B, D, C)
 # (code_unitaries' rows as a list, whose truth value is its length)
 PAIR_CALLS = {
-    "verify_witness_pair": verify_witness_pair,
     "decode_params": lambda *args: decode_params(*args, 0),
     "code_unitaries": lambda *args: code_unitaries(*args).tolist(),
 }

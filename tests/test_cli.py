@@ -236,7 +236,6 @@ def test_scheme_k_star(capsys, star_file):
     assert res == {
         "k": 2,
         "n_players": 2,
-        "all_accessible_at_k": True,
         "worst_unauthorized": [1],
     }
 
@@ -247,7 +246,6 @@ def test_scheme_k_rs747(capsys, rs_file):
     res = report(out)["result"]
     assert res["k"] == 4
     assert res["n_players"] == 7
-    assert res["all_accessible_at_k"] is True
 
 
 # Random graphs of the benchmark's threshold shapes (n 9 to 11, q 2 to 7),
@@ -293,7 +291,7 @@ def test_scheme_k_report_pinned_rs747(capsys, rs_file, dealer, worst):
     code, out, _ = run(capsys, ["scheme-k", rs_file, "--dealer", str(dealer)])
     assert code == EXIT_OK
     pinned = (f'{{"command": "scheme-k", "inputs": {{"dealer": {dealer}, "graph": "GRAPH"}}, "result": '
-              f'{{"all_accessible_at_k": true, "k": 4, "n_players": 7, "worst_unauthorized": {worst}}}, '
+              f'{{"k": 4, "n_players": 7, "worst_unauthorized": {worst}}}, '
               '"seed": null, "wall_time": X}\n')
     assert re.sub(r'"wall_time": [0-9.e-]+', '"wall_time": X', out) == pinned.replace("GRAPH", rs_file)
     rep = scheme_k(DealerGraph(rs747_fixture().graph, dealer))

@@ -17,9 +17,10 @@ from qss.access import batch_indicators
 from qss.fqlinalg import (
     SCRATCH_CAP,
     FIELD_SIZE_CEILING,
+    _border_indicators,
     _kernel_type,
+    _residues,
     _solve_stack,
-    batch_border_indicators_mod,
     batch_rank_mod,
     inv_mod,
     is_prime,
@@ -181,7 +182,7 @@ def test_kernels_exact_on_both_sides_of_each_type_boundary(q, count, rows, cols,
             assert x is None
         else:
             assert [sum(u * v for u, v in zip(row, x.tolist())) % q for row in a.tolist()] == b.tolist()
-    c_outside, r_outside = batch_border_indicators_mod(mats, q)
+    c_outside, r_outside = _border_indicators(_residues(mats.transpose(1, 2, 0), q), q)
     for got_c, got_r, mat in zip(c_outside, r_outside, mats):
         rank_m = int_rank(mat[:-1, :-1].tolist(), q)
         assert got_c == int_rank(mat[:-1, :].tolist(), q) - rank_m
@@ -428,7 +429,7 @@ def test_border_indicators_match_pure_int_reference(q, count, m, w, data):
     size = count * (m + 1) * (w + 1)
     mats = np.array(data.draw(st.lists(entry, min_size=size, max_size=size)), dtype=np.int64)
     mats = mats.reshape(count, m + 1, w + 1)
-    c_outside, r_outside = batch_border_indicators_mod(mats, q)
+    c_outside, r_outside = _border_indicators(_residues(mats.transpose(1, 2, 0), q), q)
     assert c_outside.shape == r_outside.shape == (count,)
     for got_c, got_r, mat in zip(c_outside, r_outside, mats):
         rank_m = int_rank(mat[:m, :w].tolist(), q)
@@ -442,7 +443,7 @@ def test_no_input_type_marks_its_entries_as_residues():
     # them, read as their residues; a lone -q is 0, so c = [-q] lies in the
     # span of an M without columns
     q = LARGEST_PRIME
-    assert batch_border_indicators_mod(np.array([[[-q], [0]]]), q)[0].tolist() == [False]
+    assert _border_indicators(_residues(np.array([[[-q], [0]]]).transpose(1, 2, 0), q), q)[0].tolist() == [False]
     assert rank_mod(np.array([[-q, 0]]), q) == int_rank([[-q, 0]], q) == 0
     rng = np.random.default_rng(43)
     subsets = np.array(list(combinations(range(1, 6), 2)), dtype=np.intp)
@@ -476,7 +477,7 @@ def test_no_input_type_marks_its_entries_as_residues():
                 assert (x is None) == (int_rank(m.tolist(), q) > int_rank(m[:, :-1].tolist(), q))
                 if x is not None:
                     assert ((m[:, :-1].astype(object) @ x.astype(object) - m[:, -1].astype(object)) % q == 0).all()
-            c_outside, r_outside = batch_border_indicators_mod(mats, q)
+            c_outside, r_outside = _border_indicators(_residues(mats.transpose(1, 2, 0), q), q)
             for got_c, got_r, m in zip(c_outside, r_outside, mats):
                 rank_m = int_rank(m[:-1, :-1].tolist(), q)
                 assert got_c == int_rank(m[:-1, :].tolist(), q) - rank_m
@@ -497,7 +498,7 @@ def test_kernels_accept_strided_stacks():
         assert batch_rank_mod(mats, q).tolist() == want
         assert [rank_mod(m, q) for m in mats] == want
         assert [rref_mod(m, q)[0].tolist() for m in mats] == [int_rref(m.tolist(), q)[0] for m in mats]
-        c_outside, r_outside = batch_border_indicators_mod(mats, q)
+        c_outside, r_outside = _border_indicators(_residues(mats.transpose(1, 2, 0), q), q)
         for got_c, got_r, mat in zip(c_outside, r_outside, mats):
             rank_m = int_rank(mat[:-1, :-1].tolist(), q)
             assert got_c == int_rank(mat[:-1, :].tolist(), q) - rank_m
@@ -524,7 +525,7 @@ def test_kernel_calls_of_changing_shapes_share_the_scratch_buffer():
         # every other matrix has rank at most 2, so both span tests vary
         low = rng.integers(0, q, size=(count, rows, 2)) @ rng.integers(0, q, size=(count, 2, cols)) % q
         mats[::2] = low[::2]
-        c_outside, r_outside = batch_border_indicators_mod(mats, q)
+        c_outside, r_outside = _border_indicators(_residues(mats.transpose(1, 2, 0), q), q)
         for got_c, got_r, mat in zip(c_outside, r_outside, mats):
             rank_m = int_rank(mat[:-1, :-1].tolist(), q)
             assert got_c == int_rank(mat[:-1, :].tolist(), q) - rank_m
@@ -559,24 +560,18 @@ def test_a_stack_above_the_cap_gets_a_buffer_of_its_own():
 
 def test_border_indicators_degenerate_shapes():
     q = 5
+    spans = lambda mats: _border_indicators(_residues(np.array(mats).transpose(1, 2, 0), q), q)
     # M with no rows (B empty): only r is tested, against the zero span
-    c_out, r_out = batch_border_indicators_mod(np.array([[[0, 3, 1]], [[0, 0, 4]]]), q)
+    c_out, r_out = spans([[[0, 3, 1]], [[0, 0, 4]]])
     assert c_out.tolist() == [False, False]
     assert r_out.tolist() == [True, False]
     # M with no columns (B + {d} = V): only c is tested, against the zero span
-    c_out, r_out = batch_border_indicators_mod(np.array([[[0], [2], [1]], [[0], [0], [3]]]), q)
+    c_out, r_out = spans([[[0], [2], [1]], [[0], [0], [3]]])
     assert c_out.tolist() == [True, False]
     assert r_out.tolist() == [False, False]
     # c and r inside the spans of a full-rank M, and the corner ignored
-    c_out, r_out = batch_border_indicators_mod(np.array([[[1, 2, 3], [0, 1, 4], [1, 3, 2]]]), q)
+    c_out, r_out = spans([[[1, 2, 3], [0, 1, 4], [1, 3, 2]]])
     assert (c_out.tolist(), r_out.tolist()) == ([False], [False])
     for shape in ((0, 3, 4), (0, 1, 1)):
-        c_out, r_out = batch_border_indicators_mod(np.zeros(shape, dtype=np.int64), q)
+        c_out, r_out = spans(np.zeros(shape, dtype=np.int64))
         assert c_out.shape == r_out.shape == (0,)
-    for shape in ((2, 0, 3), (2, 3, 0)):
-        with pytest.raises(ValueError, match="border"):
-            batch_border_indicators_mod(np.zeros(shape, dtype=np.int64), q)
-    with pytest.raises(ValueError):
-        batch_border_indicators_mod(np.zeros((3, 3), dtype=np.int64), q)
-    with pytest.raises(ValueError, match="prime"):
-        batch_border_indicators_mod(np.zeros((1, 2, 2), dtype=np.int64), 4)

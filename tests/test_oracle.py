@@ -51,11 +51,9 @@ from qss.oracle import (
     cq_round,
     decode_params,
     density_fidelity,
-    eigenvalue_label,
     encode_decode_variants,
     graph_hash,
     graph_state,
-    info_leak,
     leak_profile,
     logical_x,
     logical_z,
@@ -408,7 +406,8 @@ def test_stabilizer_product_matches_ordered_fold():
             folded = _weyl_product(q, _weyl_power(q, folded_product(g, c, range(n)), t), prod)
             assert folded.tolist() == _stabilizer_rows(g, t * c + w).tolist()
             if q**n <= 3**7:
-                assert eigenvalue_label(graph_state(g), prod) == 0
+                psi = graph_state(g)
+                assert np.allclose(apply_weyl(psi, prod).amplitudes, psi.amplitudes, rtol=0, atol=1e-9)
 
 
 # -------------------------------------------------------- Weyl measurement labels
@@ -424,7 +423,8 @@ def test_weyl_measurement_labels_its_eigenvector():
             for _ in range(3):
                 amps = rng.normal(size=q * q) + 1j * rng.normal(size=q * q)
                 label, post = measure_weyl(StateVector(q, 2, amps / np.linalg.norm(amps)), w, rng)
-                assert eigenvalue_label(post, w) == label
+                out = apply_weyl(post, w).amplitudes
+                assert np.allclose(out, omega_table(q)[label] * post.amplitudes, rtol=0, atol=1e-9)
 
 
 # ---------------------------------------------------------------- graph states
@@ -468,7 +468,8 @@ def test_stabilizers_fix_graph_state():
         g = random_graph(n, q, rng)
         psi = graph_state(g)
         for u in range(n):
-            assert eigenvalue_label(psi, stabilizer_generator(g, u)) == 0
+            out = apply_weyl(psi, stabilizer_generator(g, u)).amplitudes
+            assert np.allclose(out, psi.amplitudes, rtol=0, atol=1e-9)
 
 
 # --------------------------------------------------------------- measurements
@@ -637,11 +638,6 @@ def test_projecting_a_site_out_checks_its_state():
         _on_site(3, rows, 0, np.eye(3)[[1]])
 
 
-def test_eigenvalue_label_rejects_non_eigenvector():
-    with pytest.raises(AssertionError, match="eigenvector"):
-        eigenvalue_label(StateVector(3, 1, basis(3, 0)), weyl((1,), (0,)))
-
-
 # ------------------------------------------------------------------- encodings
 
 
@@ -685,7 +681,8 @@ def test_logical_operators_act_on_codewords():
         for s in range(g.q):
             shifted = apply_weyl(words[s], xbar)
             assert state_fidelity(shifted, words[(s + 1) % g.q]) == pytest.approx(1.0)
-            assert eigenvalue_label(words[s], zbar) == s
+            out = apply_weyl(words[s], zbar).amplitudes
+            assert np.allclose(out, omega_table(g.q)[s] * words[s].amplitudes, rtol=0, atol=1e-9)
 
 
 def test_logical_z_needs_a_dealer_neighbor():
@@ -742,10 +739,13 @@ def test_stacked_trace_distances_are_the_pairwise_ones_bit_for_bit():
 
 
 def test_info_leak_extremes():
-    assert info_leak(star3(), 0, [1]) == pytest.approx(1.0, abs=1e-9)
-    rs = rs747_fixture().graph
-    assert info_leak(rs, 0, [1, 2, 3]) == pytest.approx(0.0, abs=1e-9)
-    rhos = leak_profile(rs, 0, [1, 2, 3])
+    # player positions are vertices less one: the dealer is vertex 0
+    words = _codewords(star3(), 0, range(3), AMPLITUDE_BUDGET)
+    assert _set_trace_distances(words, [[0]], AMPLITUDE_BUDGET)[0] == pytest.approx(1.0, abs=1e-9)
+    rs, budget = rs747_fixture().graph, 7**8  # the seven codewords of 7^7 amplitudes
+    leak = _set_trace_distances(_codewords(rs, 0, range(7), budget), [[0, 1, 2]], budget)[0]
+    assert leak == pytest.approx(0.0, abs=1e-9)
+    rhos = leak_profile(rs, 0, [1, 2, 3], budget=budget)
     assert len(rhos) == 7
     for rho in rhos[1:]:
         assert trace_distance(rhos[0], rho) == pytest.approx(0.0, abs=1e-9)
@@ -801,8 +801,10 @@ def test_info_leak_is_the_oracle_reports_distance_bit_for_bit(text):
     # one route computes a set's maximum trace distance, with no fork
     g = parse_graph(text)
     sets = [b for size in range(g.n) for b in combinations(range(1, g.n), size)]
+    words = _codewords(g, 0, range(g.q), AMPLITUDE_BUDGET)
     for row in oracle_reports(g, 0, sets, np.random.default_rng(96)):
-        assert info_leak(g, 0, row["B"]) == row["max_trace_distance"]
+        positions = [v - 1 for v in row["B"]]
+        assert _set_trace_distances(words, [positions], AMPLITUDE_BUDGET)[0] == row["max_trace_distance"]
 
 
 def test_set_trace_distance_budget_bounds_the_gram_matrices():
@@ -856,16 +858,25 @@ def test_info_leak_past_the_dense_budget_when_the_factor_fits():
     players = list(range(1, 12))
     with pytest.raises(BudgetExceeded):
         leak_profile(g, 0, players)
-    assert info_leak(g, 0, players) == pytest.approx(1.0, abs=1e-12)
+    words = _codewords(g, 0, range(2), AMPLITUDE_BUDGET)
+    assert _set_trace_distances(words, [list(range(11))], AMPLITUDE_BUDGET)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_info_leak_rejects_dealer_and_outside_vertices():
     g = star3()
-    for fn in (info_leak, leak_profile):
-        with pytest.raises(ValueError, match="dealer 0 must not belong"):
-            fn(g, 0, [0, 1])
-        with pytest.raises(ValueError, match="outside vertex range"):
-            fn(g, 0, [1, 7])
+    with pytest.raises(ValueError, match="dealer 0 must not belong"):
+        leak_profile(g, 0, [0, 1])
+    with pytest.raises(ValueError, match="outside vertex range"):
+        leak_profile(g, 0, [1, 7])
+
+
+def test_leak_profile_admits_the_codeword_stack_before_building_it(monkeypatch):
+    # rs747 at a budget of 10^6: one codeword of 7^7 amplitudes fits it, the
+    # stack of all seven does not, and the refusal comes before either is built
+    monkeypatch.setattr(qss.oracle, "graph_state", lambda *args, **kwargs: pytest.fail("graph state built"))
+    monkeypatch.setattr(qss.oracle, "_weyl_powers", lambda *args: pytest.fail("codewords built"))
+    with pytest.raises(BudgetExceeded):
+        leak_profile(rs747_fixture().graph, 0, [1, 2, 3, 4, 5], budget=10**6)
 
 
 def test_schmidt_rank_equals_q_power_cutrank():
@@ -1040,7 +1051,8 @@ def test_code_unitaries_phase_and_shift():
         u_op, v_op = code_unitaries(g, 0, b, dms, cms)
         words = [cq_encode(g, 0, s) for s in range(g.q)]
         for s in range(g.q):
-            assert eigenvalue_label(words[s], u_op) == s
+            out = apply_weyl(words[s], u_op).amplitudes
+            assert np.allclose(out, omega_table(g.q)[s] * words[s].amplitudes, rtol=0, atol=1e-9)
             shifted = apply_weyl(words[s], v_op)
             assert state_fidelity(shifted, words[(s + 1) % g.q]) == pytest.approx(1.0)
 

@@ -6,7 +6,8 @@ somewhere beyond its own definition: by package code, a demo, the bench
 or the acceptance suite. A reference is a name, an attribute, an imported
 name or a string equal to the name (the bench looks its trace targets up
 with `getattr`). The only names allowed to rest on their unit tests alone
-are the test references listed in TEST_REFERENCES.
+are the test references listed in TEST_REFERENCES. BENCH_ONLY pins the
+names that, outside the tests, only the bench's tracer refers to.
 """
 
 import ast
@@ -18,29 +19,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "qss").glob("*.py"))
-SOURCES = [*MODULES, *(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py"),
-           ROOT / "tests" / "test_acceptance.py"]
-# no program path uses these; tests in tests/test_oracle.py and
-# tests/test_search.py use them to check the paper's statements (Schmidt rank
-# q^cutrk, stabilizer eigenvalues, the sufficient access condition).
-# info_leak answers the trace distance of one set without a decode, so it
-# reaches sets whose Bell decode exceeds the amplitude budget: rs747 {1,2,3},
-# whose decode needs 7^9 amplitudes. verify_witness_pair is the one-set form
-# of the paper's graphical access criterion; the oracle checks whole stacks
-# through verify_witness_pairs, and tests/test_access.py pins the criterion's
-# verdicts and domain errors through the one-set form.
-# batch_border_indicators_mod is the public form of the bordered span test:
-# it reduces any integer stack, while batch_indicators gathers from residues
-# and eliminates through the private route fqlinalg._border_indicators, and
-# tests/test_fqlinalg.py checks the kernel against int_rank through it
+PROGRAM = [*MODULES, *(ROOT / "demos").glob("*.py")]
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+TRACER = ROOT / "bench" / "spans.py"
+SOURCES = [*PROGRAM, *BENCH, ROOT / "tests" / "test_acceptance.py"]
+# no program path uses these; tests use them to check the paper's statements
 TEST_REFERENCES = (
-    "schmidt_rank",
-    "eigenvalue_label",
+    # the sufficient access condition (tests/test_search.py); ROADMAP item 4
+    # puts its verdict beside the exact finite-n law
     "sufficient_condition_check",
-    "info_leak",
-    "verify_witness_pair",
-    "batch_border_indicators_mod",
+    # the Schmidt rank q^cutrk(B) of a graph state (tests/test_oracle.py);
+    # ROADMAP item 15 makes it the route of the oracle's entropy reading
+    "schmidt_rank",
 )
+# outside the tests only the bench's trace targets (bench/spans.py TARGETS)
+# refer to these; ROADMAP item 1 retargets the tracer and deletes them
+BENCH_ONLY = ("density_fidelity", "leak_profile", "solve_affine_mod")
 
 
 def _references(tree: ast.AST) -> Counter:
@@ -58,10 +52,11 @@ def _references(tree: ast.AST) -> Counter:
     return names
 
 
-def _callers() -> dict[str, int]:
-    """References to each public top-level def or class of the package,
-    minus those inside its own definition."""
-    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+def _callers(sources) -> dict[str, int]:
+    """References in the sources, the package among them, to each public
+    top-level def or class of the package, minus those inside its own
+    definition."""
+    trees = {path: ast.parse(path.read_text()) for path in sources}
     total = sum((_references(tree) for tree in trees.values()), Counter())
     out = {}
     for path in MODULES:
@@ -72,10 +67,16 @@ def _callers() -> dict[str, int]:
 
 
 def test_every_public_name_has_a_caller():
-    callers = _callers()
+    callers = _callers(SOURCES)
     assert sorted(name for name, count in callers.items() if count == 0 and name not in TEST_REFERENCES) == []
     # an exception that gains a program caller leaves the list
     assert {name: callers.get(name) for name in TEST_REFERENCES} == dict.fromkeys(TEST_REFERENCES, 0)
+
+
+def test_bench_only_names_are_pinned():
+    untraced = _callers([*PROGRAM, *(path for path in BENCH if path != TRACER)])
+    traced = _callers([*PROGRAM, *BENCH])
+    assert sorted(name for name, count in traced.items() if count > untraced[name] == 0) == sorted(BENCH_ONLY)
 
 
 def test_import_qss_binds_only_the_version():

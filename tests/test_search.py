@@ -123,7 +123,6 @@ def test_scheme_k_star_and_edge():
     assert rep.k == 2
     assert rep.n_players == 2
     assert rep.worst_unauthorized == (1,)
-    assert rep.all_accessible_at_k
 
     edge = DealerGraph(Multigraph(2, [[0, 1], [1, 0]]), 0)
     rep = scheme_k(edge)
@@ -154,7 +153,7 @@ def test_scheme_k_matches_naive_scan():
 def test_scheme_k_matches_unpruned_reference(dg):
     rep = scheme_k(dg)
     k = naive_scheme_k(dg)
-    assert (rep.k, rep.n_players, rep.all_accessible_at_k) == (k, len(dg.players), True)
+    assert (rep.k, rep.n_players) == (k, len(dg.players))
     # the lexicographically first unauthorized set of the largest such size
     unauthorized = [b for b in combinations(dg.players, k - 1) if not _has_access(dg, b)]
     assert rep.worst_unauthorized == unauthorized[0]
@@ -455,7 +454,7 @@ def test_streamed_scan_matches_scalar_derivative_loop(dg):
 
 def test_scheme_report_json_shape():
     payload = dataclasses.asdict(scheme_k(star3()))
-    assert set(payload) == {"k", "n_players", "worst_unauthorized", "all_accessible_at_k"}
+    assert set(payload) == {"k", "n_players", "worst_unauthorized"}
 
 
 # ------------------------------------------------------------------- is_scheme
