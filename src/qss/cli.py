@@ -38,6 +38,8 @@ class _ParseError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, _Parser]  # the top-level parser's subcommand parsers, by name
+
     def error(self, message):
         raise _ParseError(message)
 
@@ -146,9 +148,11 @@ def _qq_decode(args, g, b, rng):
 @functools.cache
 def build_parser() -> _Parser:
     """The argument parser, built once per process; parse_args keeps no state
-    between calls, so every main call after the first only parses."""
+    between calls, so every main call after the first only parses. Its
+    commands map each subcommand to its own parser (see main)."""
     p = _Parser(prog="qss", description="Secret sharing on qudit graph states.")
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices
     shared = {
         "graph": (["graph"], {"help": "graph file in the text format, or - for stdin"}),
         "dealer": (["--dealer"], {"type": int, "required": True}),
@@ -234,9 +238,22 @@ def _run(args) -> int:
     return code
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the top-level parser parses it. When argv starts with
+    a subcommand, the top-level parser only hands every later argument to
+    that subcommand's parser, so that parser is called directly and the
+    top-level pass is saved. No argument, -h or an unknown command goes to
+    the top-level parser."""
+    parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def main(argv=None) -> int:
     try:
-        return _run(build_parser().parse_args(argv))
+        return _run(_parse(sys.argv[1:] if argv is None else list(argv)))
     except _ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -7,9 +7,9 @@ prime q (`_residues`) into the narrowest signed integer type that holds
 (q - 1)^2: int8 up to q = 11, int16 up to 181, int32 up to 46,337 and int64
 up to the field ceiling 2^20. Every elimination step then stays within
 [-(q - 1)^2, (q - 1)^2] and is reduced back into [0, q) by exact integer
-floor division, so no step rounds. The pivot of a column is always the
-first unused row that is nonzero there, which keeps every routine
-deterministic.
+floor division, so no step rounds; over F_2 a step is an AND and an XOR.
+The pivot of a column is always the first unused row that is nonzero
+there, which keeps every routine deterministic.
 """
 
 from __future__ import annotations
@@ -138,7 +138,16 @@ def _eliminate(a: np.ndarray, q: int, rows: int, cols: int) -> tuple[np.ndarray,
     other row r becomes v * r - r[col] * p for the pivot row p with pivot
     value v, and a matrix with no pivot in the column gets v = 1 and a zero
     p, which subtracts nothing. Scaling a row by a nonzero v keeps every
-    span, so no inverse is needed and no table grows with q.
+    span, so no inverse is needed and no table grows with q. The factor
+    r[col] of each pivot row is masked to 0 through one buffer (keep) made
+    once per call, so the pivot row stays as it is.
+
+    Over F_2 the step is r ^ (r[col] & p), an AND and an XOR (the XOR
+    elimination of M4RI; Albrecht, Bard and Hart, ACM TOMS 37(1), 2010).
+    It is the same step: the only nonzero residue is 1, so v = 1, and for
+    residues f, p and r in {0, 1}, r - f * p mod 2 = r ^ (f & p). Both
+    operands stay in {0, 1}, so no scale, subtraction or reduction runs and
+    every result equals the general step's, bit for bit.
 
     Exactness: every entry is a residue in [0, q) before a step, so both
     products lie in [0, (q - 1)^2] and the step's result in
@@ -165,23 +174,31 @@ def _eliminate(a: np.ndarray, q: int, rows: int, cols: int) -> tuple[np.ndarray,
     score = np.arange(rows, 0, -1, dtype=np.min_scalar_type(rows))[:, None]
     scratch = _scratch_like(a)
     lead, masked = a[:rows], scratch[:rows]
+    keep = np.ones(a.shape[::2], dtype=a.dtype)
+    factors = np.empty_like(keep)
     for col in range(cols):
-        key = ((lead[:, col] != 0) & unused) * score
+        free = np.logical_and(lead[:, col], unused)
+        key = free * score
         top = key.max(axis=0)
         if not top.any():
             continue
-        pivot = (key == top) & (top > 0)
+        pivot = (key == top) & free
         # each matrix's pivot row, or a zero row where it has no pivot
         np.multiply(lead, pivot[:, None, :], out=masked)
         pivot_rows = masked.sum(axis=0, dtype=a.dtype)
-        factors = a[:, col].copy()
-        factors[:rows] *= ~pivot
-        a *= pivot_rows[col] + (top == 0)
-        np.multiply(factors[:, None, :], pivot_rows, out=scratch)
-        a -= scratch
-        np.floor_divide(a, q, out=scratch)
-        scratch *= q
-        a -= scratch
+        np.logical_not(pivot, out=keep[:rows])
+        if q == 2:
+            np.bitwise_and(a[:, col], keep, out=factors)
+            np.bitwise_and(factors[:, None, :], pivot_rows, out=scratch)
+            a ^= scratch
+        else:
+            np.multiply(a[:, col], keep, out=factors)
+            a *= np.maximum(pivot_rows[col], 1)
+            np.multiply(factors[:, None, :], pivot_rows, out=scratch)
+            a -= scratch
+            np.floor_divide(a, q, out=scratch)
+            scratch *= q
+            a -= scratch
         unused ^= pivot
     return a, ~unused
 

@@ -52,6 +52,16 @@ class Multigraph:
         self.gamma = arr
         self.n = arr.shape[0]
 
+    @classmethod
+    def _checked(cls, q: int, gamma: np.ndarray) -> Multigraph:
+        """A graph on a new int64 adjacency matrix that its maker has already
+        checked (q prime, entries in [0, q), zero diagonal, symmetric),
+        taken as it is, without __init__'s checks or copy."""
+        g = cls.__new__(cls)
+        gamma.setflags(write=False)
+        g.q, g.gamma, g.n = q, gamma, gamma.shape[0]
+        return g
+
     def degree(self, v: int) -> int:
         """Number of distinct neighbours of v."""
         return int(np.count_nonzero(self.gamma[v]))
@@ -102,7 +112,7 @@ def delete_vertex(g: Multigraph, v: int) -> Multigraph:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for order {g.n}")
     keep = [u for u in range(g.n) if u != v]
-    return Multigraph(g.q, g.gamma[np.ix_(keep, keep)])
+    return Multigraph._checked(g.q, g.gamma[np.ix_(keep, keep)])
 
 
 def local_complement(g: Multigraph, u: int, lam: int) -> Multigraph:
@@ -187,8 +197,10 @@ def parse_graph(text: str) -> Multigraph:
             raise ValueError(f"duplicate edge line for ({u}, {v})")
         seen.add((u, v))
         upper[u * n + v] = w
+    # the edge lines checked every entry's range and listed none on or below
+    # the diagonal, so gamma + gamma.T is a valid adjacency matrix
     gamma = np.array(upper, dtype=np.int64).reshape(n, n)
-    return Multigraph(q, gamma + gamma.T)
+    return Multigraph._checked(q, gamma + gamma.T)
 
 
 def serialize_graph(g: Multigraph) -> str:

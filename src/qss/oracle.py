@@ -48,7 +48,7 @@ class BudgetExceeded(ValueError):
 
 def _admit(dim: int, budget: int) -> None:
     if dim > budget:
-        raise BudgetExceeded(f"q^n = {dim} amplitudes exceed the budget of {budget}")
+        raise BudgetExceeded(f"{dim} amplitudes exceed the budget of {budget}")
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:

@@ -38,9 +38,12 @@ CHECKPOINT_EVERY = 50_000
 # live stack alone is larger. The budget doubles after each call up to
 # BLOCK_CAP: a graph that fails early leaves the stack after small
 # blocks, while a long scan pays the kernel's fixed per-call cost rarely.
-# Past BLOCK_CAP matrices the elimination slows per matrix, as the stack
-# outgrows a 2 MiB L2 cache.
-BLOCK = 64
+# That cost is flat up to a few hundred matrices: on the scan's 9 x 3,
+# 8 x 3 and 5 x 4 bordered matrices a call takes about as long for 256
+# matrices as for 64, being bound by its numpy calls per column step, so
+# the first block starts at 256. Past BLOCK_CAP matrices the elimination
+# slows per matrix, as the stack outgrows a 2 MiB L2 cache.
+BLOCK = 256
 BLOCK_CAP = 2048
 # Plans (_plan) kept at once. A plan holds the halves of the flat gather
 # index of at most BLOCK_CAP sets of a stream of sizes, n + 1 int64

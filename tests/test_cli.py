@@ -883,13 +883,13 @@ def test_qq_decode_admits_the_decode_before_encoding(capsys, monkeypatch, rs_fil
     monkeypatch.setattr(cli, "qq_encode", never)
     code, out, err = run(capsys, ["qq-decode", rs_file, "--dealer", "0", "--set", "1,2,3,4", "--seed", "1"])
     assert (code, out) == (EXIT_BUDGET, "")
-    assert err == f"error: q^n = {7**9} amplitudes exceed the budget of 2000000\n"
+    assert err == f"error: {7**9} amplitudes exceed the budget of 2000000\n"
 
     # so an isolated dealer over the budget is a budget error, not exit 2
     path = tmp_path / "iso.graph"
     path.write_text("q 3\nn 3\ne 1 2 1\n")
     code, _, err = run(capsys, ["qq-decode", str(path), "--dealer", "0", "--set", "1", "--seed", "1", "--budget", "80"])
-    assert code == EXIT_BUDGET and "q^n = 81 amplitudes" in err
+    assert code == EXIT_BUDGET and "81 amplitudes exceed" in err
 
 
 # ------------------------------------------------------- parser reuse, argv
@@ -1047,3 +1047,48 @@ def test_option_table_is_pinned():
         for name, parser in sub.choices.items()
     }
     assert table == OPTION_TABLE
+
+
+# arguments after the subcommand that parse; the graph file is never opened
+PARSE_ARGS = {
+    "access": ["g", "--dealer", "0", "--set", "1"],
+    "scheme-k": ["g", "--dealer", "0"],
+    "search": ["--n", "3", "--q", "3", "--k", "2", "--all-dealers"],
+    "sample": ["--n", "5", "--q", "3", "--alpha", "0.75", "--trials", "4", "--seed", "1"],
+    "bounds": ["--qmin", "2", "--qmax", "5"],
+    "oracle-verify": ["g", "--dealer", "0", "--seed", "3", "--max-size", "1"],
+    "fixture": ["rs747"],
+    "cq-round": ["g", "--dealer", "0", "--set", "1", "--seed", "4", "--on-unauthorized", "measure"],
+    "qq-decode": ["g", "--dealer", "0", "--set", "1", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(OPTION_TABLE))
+def test_main_parses_as_the_top_level_parser(capsys, monkeypatch, command):
+    # main parses a subcommand with that subcommand's own parser; the
+    # Namespace, stderr text and exit code must be the top-level parse's,
+    # for a parse and for each kind of parse error
+    assert set(PARSE_ARGS) == set(OPTION_TABLE)
+    args = PARSE_ARGS[command]
+    calls = [[command, *args], [command], [command, *args, "--bogus"], [command, *args[:-1], "--dealer"], [],
+             ["bogus", *args]]
+    parser = cli.build_parser()
+    want = []
+    for argv in calls:
+        try:
+            want.append((parser.parse_args(argv), "", EXIT_OK))
+        except cli._ParseError as exc:
+            want.append((None, f"error: {exc}\n", EXIT_PARSE))
+    assert want[0][0].command == command and [code for *_, code in want[1:]] == [EXIT_PARSE] * 5
+    parsed = []
+    monkeypatch.setattr(cli, "_run", lambda namespace: parsed.append(namespace) or EXIT_OK)
+    got = []
+    for argv in calls:
+        parsed.clear()
+        code, out, err = run(capsys, argv)
+        assert out == ""
+        got.append((parsed[0] if parsed else None, err, code))
+    assert got == want
+    # the top-level parser's own pass is skipped for a subcommand
+    monkeypatch.setattr(parser, "parse_args", None)
+    assert main([command, *args]) == EXIT_OK

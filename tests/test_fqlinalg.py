@@ -437,6 +437,39 @@ def test_border_indicators_match_pure_int_reference(q, count, m, w, data):
         assert got_r == int_rank(mat[:, :w].tolist(), q) - rank_m  # [M ; r]
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.integers(300, 400),
+    st.integers(1, 9),
+    st.integers(1, 6),
+    st.sampled_from([0.2, 0.5, 0.8]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_f2_kernels_on_large_stacks_match_pure_int_reference(count, rows, cols, density, seed, data):
+    # the q = 2 step (an AND and an XOR) on stacks of hundreds of matrices:
+    # a third of them lose one column, and sometimes the whole stack does,
+    # so some column steps find no pivot in some matrices or in any
+    rng = np.random.default_rng(seed)
+    mats = (rng.random((count, rows, cols)) < density).astype(np.int64)
+    mats[rng.random(count) < 1 / 3, :, rng.integers(cols)] = 0
+    if data.draw(st.booleans()):
+        mats[:, :, data.draw(st.integers(0, cols - 1))] = 0
+    mats += 2 * rng.integers(-2, 3, size=mats.shape)  # the same residues mod 2
+    ranks = [int_rank(m.tolist(), 2) for m in mats]
+    assert batch_rank_mod(mats, 2).tolist() == ranks
+    for mat in mats:
+        want_rows, want_pivots = int_rref(mat.tolist(), 2)
+        r, pivots = rref_mod(mat, 2)
+        assert (r.tolist(), pivots) == (want_rows, want_pivots)
+    # the same stack read as bordered matrices [[M, c], [r, x]]
+    c_outside, r_outside = _border_indicators(_residues(mats.transpose(1, 2, 0), 2), 2)
+    for got_c, got_r, mat in zip(c_outside, r_outside, mats):
+        rank_m = int_rank(mat[:-1, :-1].tolist(), 2)
+        assert got_c == int_rank(mat[:-1].tolist(), 2) - rank_m
+        assert got_r == int_rank(mat[:, :-1].tolist(), 2) - rank_m
+
+
 def test_no_input_type_marks_its_entries_as_residues():
     # every public routine reduces what it is given, whatever its integer
     # type: -q, q, 2q - 1 and the type's extremes, wherever the type holds

@@ -200,20 +200,23 @@ def test_cut_rank_invariances_keep_every_derivative(dg, data):
 
 @pytest.mark.parametrize("count", [1, 3, 300])
 def test_first_failure_across_blocks(count):
-    # order-12 graphs over F_7: the downward scan of sizes 10 to 6 lists
-    # 1,023 player sets, several blocks however many graphs are live. The
-    # stack keeps the graphs of a larger random pool whose lexicographic
-    # first failures lie deepest, so a set taken from a wrong block differs
+    # order-14 graphs over F_7: the downward scan of sizes 12 to 7 lists
+    # 4,095 player sets, several blocks however many graphs are live, in
+    # two plans. The stack keeps the graphs of a larger random pool whose
+    # lexicographic first failures lie deepest, so a set taken from a wrong
+    # block or plan differs
     rng = np.random.default_rng(70 + count)
-    n, q = 12, 7
+    n, q = 14, 7
     iu = np.triu_indices(n, 1)
     pool = np.zeros((count + 16, n, n), dtype=np.int64)
     pool[:, iu[0], iu[1]] = rng.integers(0, q, size=(len(pool), len(iu[0])))
     pool += np.transpose(pool, (0, 2, 1))
     firsts = {}
-    for sizes in ((10, 9, 8, 7, 6), (10,)):
-        stream = [b for size in sizes for b in combinations(range(1, n), size)]
-        failing = batch_indicators(pool, q, 0, _index_array(stream))[1] != -1
+    for sizes in ((12, 11, 10, 9, 8, 7), (12,)):
+        stream = _index_array([b for size in sizes for b in combinations(range(1, n), size)])
+        # ranked 512 sets at a time, so the reference stays a few MiB
+        failing = np.hstack([batch_indicators(pool, q, 0, stream[i : i + 512])[1] != -1
+                             for i in range(0, len(stream), 512)])
         want = np.where(failing.any(axis=1), failing.argmax(axis=1), len(stream))
         if len(sizes) > 1:
             deepest = np.argsort(-want, kind="stable")[:count]
@@ -222,14 +225,14 @@ def test_first_failure_across_blocks(count):
         assert got.dtype == np.int64 and got.tolist() == [j if j < len(stream) else -1 for j in want]
         firsts[sizes[-1]] = want
     # every first failure lies past the first block
-    assert (firsts[6] >= max(1, BLOCK // count)).all()
+    assert (firsts[7] >= max(1, BLOCK // count)).all()
     if count == 1:
         # a lone graph is ranked in blocks of BLOCK, 2 * BLOCK, 4 * BLOCK
         # sets: its first failure lies past the third block, so a set taken
         # from a wrongly grown block fails the comparison above
-        assert firsts[6][0] > BLOCK + 2 * BLOCK + 4 * BLOCK
-    # size 10 covers graphs on which every set has access
-    assert (firsts[10] == comb(11, 10)).any()
+        assert firsts[7][0] > BLOCK + 2 * BLOCK + 4 * BLOCK
+    # size 12 covers graphs on which every set has access
+    assert (firsts[12] == comb(13, 12)).any()
 
 
 def _padded_stream(players, sizes, start, stop):
@@ -544,12 +547,14 @@ def test_every_small_graph_matches_the_int_references(n, q):
 def test_scheme_k_ranks_rs747_in_one_call(kernel_calls):
     rep = scheme_k(rs747_fixture())
     assert (rep.k, rep.worst_unauthorized) == (4, (1, 2, 3))
-    # the 63 sets of sizes 6, 5 and 4 and the first set of size 3 fill the
-    # first block; sizes 1 and 2 must fail, so they are never ranked
+    # the downward stream of sizes 6 to 3 holds 98 sets, fewer than BLOCK:
+    # the 63 sets of sizes 6, 5 and 4 and the 35 of size 3 are one block.
+    # Sizes 1 and 2 must fail, so they are never ranked
     [subsets] = kernel_calls
     sizes = (subsets >= 0).sum(axis=1)
-    assert subsets.shape == (BLOCK, 6)
-    assert sizes.min() == 3 and np.flatnonzero(sizes == 3).tolist() == [63]
+    assert BLOCK >= 98 and subsets.shape == (98, 6)
+    assert np.bincount(sizes).tolist() == [0, 0, 0, 35, 35, 21, 7]
+    assert np.flatnonzero(sizes == 3)[0] == 63
 
 
 def test_is_scheme_skips_a_tightness_scan_no_cloning_settles(kernel_calls):
@@ -926,6 +931,19 @@ def test_random_trials_rank_in_doubling_blocks(kernel_calls, n, q, calls, succes
     # BLOCK matrices would rank one set per call: 45 and 36 calls
     assert random_trials(n, q, 0.75, 256, seed=7).successes == successes
     assert len(kernel_calls) <= calls
+
+
+@pytest.mark.parametrize(
+    "n, q, alpha, trials, calls, successes",
+    [(8, 3, 0.5, 1024, 5, 0), (11, 5, 0.75, 256, 8, 255), (10, 2, 0.75, 256, 6, 98)],
+)
+def test_random_trials_kernel_calls_at_the_scan_points(kernel_calls, n, q, alpha, trials, calls, successes):
+    # the benchmark's scan points. At (11, 5) nearly all 256 graphs pass all
+    # 45 sets, ranked 1, 2, 4, 8, 8, 8, 8 and 6 per call as the budget
+    # doubles from BLOCK = 256 to BLOCK_CAP matrices; from BLOCK = 64 it
+    # took 10 calls, and at the other two points 6 and 8
+    assert random_trials(n, q, alpha, trials, seed=7).successes == successes
+    assert len(kernel_calls) == calls
 
 
 def test_random_trials_zero_trials_null_rate():
