@@ -219,7 +219,7 @@ def build_parser() -> _Parser:
 
 def _run(args) -> int:
     started = time.monotonic()
-    for flag in ("seed", "max_size", "rounds"):  # checked before any file is read
+    for flag in ("seed", "max_size", "rounds", "budget"):  # checked before any file is read
         value = getattr(args, flag, None)
         if value is not None and value < 0:
             raise ValueError(f"--{flag.replace('_', '-')} {value} is negative")

@@ -103,8 +103,9 @@ def _residues(a: np.ndarray, q: int) -> np.ndarray:
 
 # _eliminate's scratch stack: one byte buffer per thread, viewed as the
 # stack's type and grown to the largest stack the thread has eliminated up
-# to SCRATCH_CAP bytes, never shrunk (see _eliminate). Program paths stay
-# below about 2 MiB.
+# to SCRATCH_CAP bytes, never shrunk (see _eliminate). A search scan's
+# stack holds at most search.BLOCK_BYTES = 512 KiB, unless one set for each
+# of its live graphs alone takes more.
 _scratch = threading.local()
 SCRATCH_CAP = 4 << 20
 

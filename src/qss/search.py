@@ -8,7 +8,11 @@ sizes: in the lexicographic player sets of each size in turn, which is the
 first without access? `_first_failure` answers it for a stack of graphs from
 cached gather plans with each graph's position in that stream of sets, and a
 graph stops being ranked at its first failure. Only the set a report names is
-read back off its plan (`_set_at`).
+read back off its plan (`_set_at`). The scan ranks its sets in blocks that
+grow 4-fold per kernel call, each gathered stack capped at 512 KiB
+(`BLOCK_BYTES`): on 9 x 3 matrices over F_5 a column step costs the int8
+kernel 25 ns per matrix at 2,048 matrices and 16-18 ns from 8,192 up to
+the cap.
 One kernel call may rank a block that spans sizes: `scheme_k` scans sizes
 downwards on small graphs, so its first failure is the largest unauthorized
 set, and `is_scheme` ranks the size-k sets and then the size-(k - 1) sets."""
@@ -35,15 +39,23 @@ TRIAL_CHUNK = 2048
 # record per block, and a block is cut into one slice per worker.
 CHECKPOINT_EVERY = 50_000
 # Bordered cut matrices in _first_failure's first kernel call, unless the
-# live stack alone is larger. The budget doubles after each call up to
-# BLOCK_CAP: a graph that fails early leaves the stack after small
-# blocks, while a long scan pays the kernel's fixed per-call cost rarely.
-# That cost is flat up to a few hundred matrices: on the scan's 9 x 3,
-# 8 x 3 and 5 x 4 bordered matrices a call takes about as long for 256
-# matrices as for 64, being bound by its numpy calls per column step, so
-# the first block starts at 256. Past BLOCK_CAP matrices the elimination
-# slows per matrix, as the stack outgrows a 2 MiB L2 cache.
+# live stack alone is larger: a graph that fails early leaves the stack
+# after a small block. A call costs about as much for 256 matrices as for
+# 64 on the scan's 9 x 3, 8 x 3 and 5 x 4 bordered matrices, being bound by
+# its numpy calls per column step, so the first block starts at 256.
 BLOCK = 256
+# Sets per call grow GROWTH-fold after each call, so a long scan pays the
+# kernel's fixed per-call cost rarely, while each block's gathered stack
+# stays within BLOCK_BYTES. On int8 9 x 3 matrices over F_5 a column step
+# costs 25.0 ns per matrix at 2,048 matrices (54 KiB), 16.1 ns at 8,192,
+# 16.5 ns at 16,384 and 17.7 ns at 19,418 (512 KiB); at 512 KiB the stack
+# and the kernel's scratch copy of it fit one core's 2 MiB L2. On the
+# sample scans 4-fold growth won as much as 8-fold, and 2-fold little.
+GROWTH = 4
+BLOCK_BYTES = 1 << 19
+# Sets per plan (_plan), so no block holds more; scheme_k scans downwards
+# when its sets fit one plan, and sufficient_condition_check ranks blocks
+# of this many sets.
 BLOCK_CAP = 2048
 # Plans (_plan) kept at once. A plan holds the halves of the flat gather
 # index of at most BLOCK_CAP sets of a stream of sizes, n + 1 int64
@@ -128,15 +140,19 @@ def _first_failure(gammas: np.ndarray, q: int, dealer: int, sizes: Iterable[int]
     in turn, or -1: an int64 array.
 
     The one subset scan behind every search path. It borders the stack
-    once (_zero_vertex) and ranks blocks of max(1, budget // live) sets,
-    live counting the graphs still in the stack and the budget of bordered
-    matrices starting at BLOCK and doubling after each call up to
-    BLOCK_CAP, each block stopping at the end of its plan and gathered at
-    one flat index (_block_index) in one _bordered_spans call. A set fails
-    unless its derivative is -1: when r is outside rowspan M or c inside
-    colspan M (batch_indicators). A graph leaves at its first failure, the
-    argmax inside its ordered block, so block sizes change only the number
-    of calls, never a result. The stack must hold residues mod q.
+    once (_zero_vertex) and ranks blocks of sets, each gathered at one flat
+    index (_block_index) in one _bordered_spans call and stopping at the
+    end of its plan. The first block holds max(1, BLOCK // graphs) sets,
+    and each later one GROWTH (4) times as many as the one before, but
+    never more than fit BLOCK_BYTES (512 KiB) at the widest bordered matrix
+    of the stream for the graphs still live (at least one set): a column
+    step costs the int8 kernel 25 ns per 9 x 3 matrix at 2,048 matrices and
+    16-18 ns from 8,192 up to the cap. A set fails unless its
+    derivative is -1: when r is outside rowspan M or c inside colspan M
+    (batch_indicators). A graph leaves at its first failure, the argmax
+    inside its ordered block, so block sizes change only the number of
+    calls, never a result. The stack must hold residues mod q; an empty
+    one ranks nothing.
     """
     sizes = tuple(sizes)
     n = gammas.shape[1]
@@ -144,10 +160,11 @@ def _first_failure(gammas: np.ndarray, q: int, dealer: int, sizes: Iterable[int]
     found = np.full(len(gammas), -1)
     live = np.arange(len(gammas))
     start, total = 0, sum(comb(n - 1, size) for size in sizes)
-    budget = BLOCK
+    count = max(1, BLOCK // max(1, live.size))
+    matrices = BLOCK_BYTES // ((max(sizes) + 1) * (n - min(sizes)) * stack.itemsize)
     while live.size and start < total:
-        stop = min(total, start + max(1, budget // live.size), (start // BLOCK_CAP + 1) * BLOCK_CAP)
-        budget = min(2 * budget, BLOCK_CAP)
+        stop = min(total, start + min(count, max(1, matrices // live.size)), (start // BLOCK_CAP + 1) * BLOCK_CAP)
+        count = min(GROWTH * count, BLOCK_CAP)
         c_outside, r_outside = _bordered_spans(stack, q, _block_index(n, dealer, sizes, start, stop))
         failing = r_outside | ~c_outside
         failed = failing.any(axis=0)

@@ -978,6 +978,25 @@ def test_negative_seed_exit_2_names_the_flag(capsys, star_file, command):
     assert "--seed -1 is negative" in err
 
 
+BUDGET_ARGS = {
+    "search": ["--n", "4", "--q", "2", "--k", "2"],
+    "oracle-verify": ["{graph}", "--dealer", "0", "--seed", "1"],
+    "cq-round": ["{graph}", "--dealer", "0", "--set", "1,2", "--seed", "1"],
+    "qq-decode": ["{graph}", "--dealer", "0", "--set", "1,2", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(BUDGET_ARGS))
+def test_negative_budget_exit_2_before_any_file_is_read(capsys, tmp_path, command):
+    # the graph file does not exist: a read would fail with another message
+    missing = str(tmp_path / "never_read.graph")
+    argv = [command, *[a.format(graph=missing) for a in BUDGET_ARGS[command]], "--budget", "-5"]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "--budget -5 is negative" in err
+
+
 def test_exit_code_constants_are_distinct():
     codes = [EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_BUDGET, EXIT_DISAGREEMENT]
     assert codes == sorted(codes) == [0, 1, 2, 3, 4]

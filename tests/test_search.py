@@ -20,7 +20,15 @@ from hypothesis import strategies as st
 
 import qss.fqlinalg
 import qss.search
-from qss.access import _bordered_spans, _gather_index, _index_array, _zero_vertex, batch_indicators, quantum_derivative
+from qss.access import (
+    _border_indicators,
+    _bordered_spans,
+    _gather_index,
+    _index_array,
+    _zero_vertex,
+    batch_indicators,
+    quantum_derivative,
+)
 from qss.multigraph import DealerGraph, Multigraph, local_complement, parse_graph, random_graph, rs747_fixture
 from qss.search import (
     TRIAL_CHUNK,
@@ -33,11 +41,14 @@ from qss.search import (
 )
 from qss.search import (
     BLOCK,
+    BLOCK_BYTES,
     BLOCK_CAP,
+    GROWTH,
     PLAN_CACHE,
     _block_index,
     _first_failure,
     _gamma_from_index,
+    _graphs_realising_k,
     _largest_failure_downwards,
     _largest_failure_upwards,
     _plan,
@@ -227,10 +238,11 @@ def test_first_failure_across_blocks(count):
     # every first failure lies past the first block
     assert (firsts[7] >= max(1, BLOCK // count)).all()
     if count == 1:
-        # a lone graph is ranked in blocks of BLOCK, 2 * BLOCK, 4 * BLOCK
-        # sets: its first failure lies past the third block, so a set taken
-        # from a wrongly grown block fails the comparison above
-        assert firsts[7][0] > BLOCK + 2 * BLOCK + 4 * BLOCK
+        # a lone graph is ranked in blocks of BLOCK and GROWTH * BLOCK sets,
+        # then up to the plan end at BLOCK_CAP: its first failure lies past
+        # the second block, so a set taken from a wrongly grown block fails
+        # the comparison above
+        assert firsts[7][0] > BLOCK + GROWTH * BLOCK
     # size 12 covers graphs on which every set has access
     assert (firsts[12] == comb(13, 12)).any()
 
@@ -500,6 +512,19 @@ def test_is_scheme_truthiness():
 
 
 @pytest.fixture
+def gathered_stacks(monkeypatch):
+    """(shape, nbytes) of every (R, C, N) stack _bordered_spans gathers."""
+    stacks = []
+
+    def recorded(a, q):
+        stacks.append((a.shape, a.nbytes))
+        return _border_indicators(a, q)
+
+    monkeypatch.setattr(qss.access, "_border_indicators", recorded)
+    return stacks
+
+
+@pytest.fixture
 def kernel_calls(monkeypatch):
     """The (sets, width) index array of batch_indicators for every kernel
     call from qss.search: the sets of its flat index without the dealer."""
@@ -579,6 +604,38 @@ def test_batch_accessible_at_k_ranks_nothing_below_the_floor(kernel_calls):
     assert kernel_calls == []
     assert batch_accessible_at_k(gammas, 7, 4, rs.dealer).all()
     assert kernel_calls
+
+
+def test_block_bytes_cap_every_stack_and_move_no_position(gathered_stacks, monkeypatch):
+    # a TRIAL_CHUNK of graphs at the (11, 5) scan point, ranked over the
+    # sizes 8 and 7 of is_scheme at k = 8: the widest bordered matrix takes
+    # 9 x 4 int8 bytes, so BLOCK_BYTES admits 14,563 matrices, 7 sets while
+    # every graph is live, where growth alone would give the third block 16
+    n, q, sizes = 11, 5, (8, 7)
+    m = n * (n - 1) // 2
+    slots = np.zeros((TRIAL_CHUNK, m + 1), dtype=np.int8)
+    slots[:, :m] = np.random.default_rng(11).integers(0, q, size=(TRIAL_CHUNK, m))
+    gammas = slots[:, _slot_map(n)]
+    got = _first_failure(gammas, q, 0, sizes)
+    assert all(nbytes <= BLOCK_BYTES for _, nbytes in gathered_stacks)
+    assert max(shape[2] for shape, _ in gathered_stacks) > BLOCK_CAP
+    calls = len(gathered_stacks)
+    # a cap below one matrix ranks one set per call
+    monkeypatch.setattr(qss.search, "BLOCK_BYTES", 1)
+    gathered_stacks.clear()
+    want = _first_failure(gammas, q, 0, sizes)
+    assert got.tolist() == want.tolist() and (want >= 0).any()
+    ranked = total = comb(n - 1, 8) + comb(n - 1, 7)
+    if (want >= 0).all():
+        ranked = want.max() + 1
+    assert calls < len(gathered_stacks) == ranked <= total
+    # an empty stack ranks nothing, as when every graph of a chunk has an
+    # isolated dealer: index 0 is the empty graph
+    gathered_stacks.clear()
+    empty = _first_failure(gammas[:0], q, 0, sizes)
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+    assert _graphs_realising_k(0, 1, n, q, 8, True) is None
+    assert gathered_stacks == []
 
 
 def test_impossible_searches_rank_nothing(kernel_calls, tmp_path):
@@ -925,23 +982,26 @@ def test_random_trials_pinned_counts(n, q, alpha, trials, seed, k, successes):
     assert random_trials(n, q, alpha, trials, seed).successes == successes
 
 
-@pytest.mark.parametrize("n, q, calls, successes", [(11, 5, 10, 255), (10, 2, 8, 98)])
-def test_random_trials_rank_in_doubling_blocks(kernel_calls, n, q, calls, successes):
-    # most of the 256 graphs pass many sets, so a budget that stayed at
-    # BLOCK matrices would rank one set per call: 45 and 36 calls
+@pytest.mark.parametrize("n, q, successes", [(11, 5, 255), (10, 2, 98)])
+def test_random_trials_rank_in_growing_blocks(kernel_calls, n, q, successes):
+    # 256 graphs start at BLOCK // 256 = 1 set per call, and most of them
+    # pass many of the 45 and 36 sets: blocks that stayed at one set would
+    # take 45 and 36 calls, and doubling ones 6. Each block holds GROWTH
+    # times the sets of the one before, far below the byte cap, and the
+    # last holds the rest
     assert random_trials(n, q, 0.75, 256, seed=7).successes == successes
-    assert len(kernel_calls) <= calls
+    total = comb(n - 1, ceil(0.75 * (n - 1)))
+    assert GROWTH == 4 and [len(sets) for sets in kernel_calls] == [1, 4, 16, total - 21]
 
 
 @pytest.mark.parametrize(
     "n, q, alpha, trials, calls, successes",
-    [(8, 3, 0.5, 1024, 5, 0), (11, 5, 0.75, 256, 8, 255), (10, 2, 0.75, 256, 6, 98)],
+    [(8, 3, 0.5, 1024, 3, 0), (11, 5, 0.75, 256, 4, 255), (10, 2, 0.75, 256, 4, 98)],
 )
 def test_random_trials_kernel_calls_at_the_scan_points(kernel_calls, n, q, alpha, trials, calls, successes):
     # the benchmark's scan points. At (11, 5) nearly all 256 graphs pass all
-    # 45 sets, ranked 1, 2, 4, 8, 8, 8, 8 and 6 per call as the budget
-    # doubles from BLOCK = 256 to BLOCK_CAP matrices; from BLOCK = 64 it
-    # took 10 calls, and at the other two points 6 and 8
+    # 45 sets, ranked 1, 4, 16 and 24 per call as the sets per block grow
+    # 4-fold from BLOCK // 256 = 1
     assert random_trials(n, q, alpha, trials, seed=7).successes == successes
     assert len(kernel_calls) == calls
 
