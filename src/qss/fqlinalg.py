@@ -74,6 +74,14 @@ def inv_mod(a: int, q: int) -> int:
     return pow(a, -1, q)
 
 
+def inverses_mod(values: np.ndarray, q: int) -> np.ndarray:
+    """inv_mod of each entry of an int array, as int64 of its shape, one pow
+    per distinct value (a stack of pivots repeats few); ZeroDivisionError if
+    an entry is divisible by q."""
+    distinct, where = np.unique(values, return_inverse=True)
+    return np.array([inv_mod(v, q) for v in distinct.tolist()], dtype=np.int64)[where]
+
+
 def _int_array(a, ndim: int = 2) -> np.ndarray:
     arr = np.asarray(a, dtype=np.int64)
     if arr.ndim != ndim:
@@ -212,8 +220,7 @@ def _pivot_rows(eliminated: np.ndarray, used: np.ndarray, q: int) -> tuple[np.nd
     r = eliminated[row, :, matrix].astype(np.int64)
     # a row's first nonzero entry is its pivot; argmax raises on width 0
     pivots = (r != 0).argmax(axis=1) if r.shape[1] else np.zeros(0, dtype=np.intp)
-    scale = [inv_mod(v, q) for v in r[np.arange(len(r)), pivots].tolist()]
-    return matrix, pivots, r * np.array(scale, dtype=np.int64)[:, None] % q
+    return matrix, pivots, r * inverses_mod(r[np.arange(len(r)), pivots], q)[:, None] % q
 
 
 def rref_mod(a, q: int) -> tuple[np.ndarray, list[int]]:

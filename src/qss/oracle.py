@@ -12,7 +12,7 @@ _collapse, sampled by _draw_rows on one uniform: the dealer's X^t Z and the
 players' X^{x_i} Z^{z_i} in a round and the appendix E1 Bell measurement's
 two Z and E2 dealer's X, each on its one site (_measure_site), and the Bell
 decode's syndromes, through full-register powers (_measure_rows); the sweep
-decodes only the sets with both witnesses.
+decodes each set with both witnesses once.
 
 Site ordering: states are flat amplitude rows (S, q^m), a StateVector
 being the record of one row; site j is the j-th digit of the flat index,
@@ -31,7 +31,7 @@ from itertools import combinations, groupby
 
 import numpy as np
 
-from .fqlinalg import inv_mod, require_prime
+from .fqlinalg import inv_mod, inverses_mod, require_prime
 from .multigraph import Multigraph, as_integers, delete_vertex, serialize_graph
 from .access import QUANTUM_VERDICT, _check_b, _index_array, _members, _vector_pair, batch_indicators
 from .access import verify_witness_pairs, witness_rows
@@ -411,43 +411,44 @@ def _max_trace_distance(mats: np.ndarray) -> np.ndarray:
 def _set_trace_distances(words: np.ndarray, sets, budget: int) -> list[float]:
     """The largest trace distance between the q codewords (rows of words)
     reduced to each set of site positions. Codeword s is a q^|B| x r matrix
-    A_s, rho_s = A_s A_s^dagger. Up to 27 x 27, or when q r >= q^|B|, the
-    sets of one size stack their reduced states, STACK_CAP amplitudes at a
-    time, for _max_trace_distance: one matmul of a set's (q, q^|B|, r)
-    factors, bit for bit reduced_density's product when r >= 2 (the full set
-    calls reduced_density). Otherwise one QR of [A_0 ... A_{q-1}] = Q R per
-    set gives rho_s - rho_t = Q (G_s - G_t) Q^dagger, G_s = R_s R_s^dagger:
-    the same nonzero spectra from q r x q r Gram matrices, whose size the
-    budget bounds as it bounds rho_s."""
-    q, out, dense = len(words), {}, {}
+    A_s, r = q^(players - |B|), and rho_s = A_s A_s^dagger, so rho_s - rho_t
+    has rank at most 2r. The sets of one size are stacked, STACK_CAP
+    amplitudes at a time. Up to q^|B| = 2r the stack holds their reduced
+    states for _max_trace_distance, one matmul of a set's (q, q^|B|, r)
+    factors, bit for bit reduced_density's product. Above, it holds each
+    pair's [A_s A_t], whose thin QR = Q R gives rho_s - rho_t = Q R J
+    R^dagger Q^dagger, J = diag(I_r, -I_r): the same nonzero spectrum from
+    the 2r x 2r matrix R J R^dagger, whose size the budget bounds as it
+    bounds rho_s."""
+    q, out, groups = len(words), {}, {}
     n = round(np.log(words.shape[1]) / np.log(q))
     grids = words.reshape([q] * (n + 1))
     # (q, q^|B|, r): axis 0 holds the codewords
     factors = lambda pos: np.moveaxis(grids, np.add(pos, 1), range(1, len(pos) + 1)).reshape(q, q ** len(pos), -1)
+    s, t = np.array(list(combinations(range(q), 2))).T
     for i, pos in enumerate(sets):
-        dim, cols = q ** len(pos), q ** (n - len(pos) + 1)
-        if dim <= max(27, cols):
-            dense.setdefault(len(pos), []).append(i)
-            continue
-        if cols**2 > budget:
-            raise BudgetExceeded("codeword Gram matrices exceed the amplitude budget")
-        r_factor = np.linalg.qr(factors(pos).transpose(1, 0, 2).reshape(dim, -1), mode="r")
-        gram = r_factor.reshape(cols, q, -1).transpose(1, 0, 2)
-        out[i] = _max_trace_distance((gram @ gram.conj().transpose(0, 2, 1))[None])[0]
-    for size, group in dense.items():
-        if q ** (2 * size) > budget:
-            raise BudgetExceeded("reduced density matrix exceeds the amplitude budget")
-        step = max(1, STACK_CAP // q ** (2 * size + 1))
+        groups.setdefault(len(pos), []).append(i)
+    for size, group in groups.items():
+        dim, r = q**size, q ** (n - size)
+        thin = dim > 2 * r  # [A_s A_t] is narrower than rho_s
+        if min(dim, 2 * r) ** 2 > budget:
+            raise BudgetExceeded(f"{'codeword Gram' if thin else 'reduced density'} matrices exceed the budget")
+        shape = (len(s), dim, 2 * r) if thin else (q, dim, dim)
+        step = max(1, STACK_CAP // int(np.prod(shape)))
         for chunk in (group[lo:lo + step] for lo in range(0, len(group), step)):
-            if size == n:
-                rhos = np.array([[reduced_density(StateVector(q, n, w, budget), sets[i], budget=budget)
-                                  for w in words] for i in chunk])
+            stack = np.empty((len(chunk), *shape), dtype=np.complex128)
+            for k, i in enumerate(chunk):
+                f = factors(sets[i])
+                if thin:
+                    stack[k, ..., :r], stack[k, ..., r:] = f[s], f[t]
+                else:
+                    stack[k] = f @ np.ascontiguousarray(f.conj().swapaxes(-1, -2))
+            if thin:
+                rf = np.linalg.qr(stack, mode="r")
+                gaps = np.linalg.eigvalsh(rf * np.repeat([1.0, -1.0], r) @ rf.conj().swapaxes(-1, -2))
+                out.update(zip(chunk, 0.5 * abs(gaps).sum(axis=-1).max(axis=-1)))
             else:
-                rhos = np.empty((len(chunk), q, q**size, q**size), dtype=np.complex128)
-                for k, i in enumerate(chunk):
-                    f = factors(sets[i])
-                    rhos[k] = f @ np.ascontiguousarray(f.conj().swapaxes(-1, -2))
-            out.update(zip(chunk, _max_trace_distance(rhos)))
+                out.update(zip(chunk, _max_trace_distance(stack)))
     return [float(out[i]) for i in range(len(sets))]
 
 
@@ -477,9 +478,7 @@ def _checked_witnesses(g: Multigraph, d: int, sets, d_rows, c_rows) -> tuple[np.
     q = g.q
     if c_rows is not None and ((c_rows := c_rows % q)[:, d] != 1).any():
         raise ValueError("witness C must have dealer coefficient 1")
-    alpha, where = np.unique(d_rows @ g.gamma[d] % q, return_inverse=True)
-    inverse = np.array([inv_mod(a, q) for a in alpha.tolist()], dtype=np.int64)
-    return d_rows * inverse[where][:, None] % q, c_rows
+    return d_rows * inverses_mod(d_rows @ g.gamma[d] % q, q)[:, None] % q, c_rows
 
 
 @dataclass(frozen=True)
@@ -888,11 +887,15 @@ def oracle_reports(
     witness solve. The decode's budget is checked before anything is built.
     Every draw comes next, in set-by-set order: a secret, two uniforms for
     the set's decode and two for a nonempty complement's. The trace
-    distances follow, and then one stacked pass Bell-decodes the sets and
-    the nonempty complements of the sets with every trace distance at most
-    1e-7, those of them with both witnesses; the others' fidelities take the
-    closed form of _decode_fidelities. A complement's fidelity is read only
-    where its set's is below 1 - 1e-7.
+    distances follow. A set with every trace distance at most 1e-7 reads
+    the decode of its nonempty complement: the complement's own row when it
+    is swept, as with both witnesses it decodes with fidelity 1 for every
+    secret, and without them its closed form nears 1 only near the uniform
+    superposition; else a row of its own, on the set's secret and last two
+    uniforms. One stacked pass Bell-decodes the rows with both witnesses,
+    each set once; the others' fidelities take the closed form of
+    _decode_fidelities. A complement's fidelity is read only where its
+    set's is below 1 - 1e-7.
     """
     sets = [_check_b(g, d, b) for b in sets]
     _admit(g.q ** (g.n + 1) if sets else 0, budget)
@@ -908,11 +911,14 @@ def oracle_reports(
         secrets[i] = _unit_secret(g.q, secret / np.linalg.norm(secret))
         draws[i, :4 if comp else 2] = rng.random(4 if comp else 2)
     max_td = _set_trace_distances(words, [[players.index(v) for v in b] for b in sets], budget)
+    at = {b: i for i, b in enumerate(sets)}
     read = [i for i, comp in enumerate(comps) if comp and max_td[i] <= 1e-7]
-    steering, fallback = _steering(g, d, sets + [comps[i] for i in read])
-    fid = _decode_fidelities(g, words, steering, fallback, secrets[[*range(len(sets)), *read]],
-                             np.concatenate([draws[:, :2], draws[read, 2:]]), budget)
-    hidden = {i for i, f in zip(read, fid[len(sets):]) if f >= 1 - 1e-7}
+    own = [i for i in read if comps[i] not in at]
+    steering, fallback = _steering(g, d, sets + [comps[i] for i in own])
+    fid = _decode_fidelities(g, words, steering, fallback, secrets[[*range(len(sets)), *own]],
+                             np.concatenate([draws[:, :2], draws[own, 2:]]), budget)
+    at |= {comps[i]: k for k, i in enumerate(own, len(sets))}  # each decode row, by its player set
+    hidden = {i for i in read if fid[at[comps[i]]] >= 1 - 1e-7}
     digest = graph_hash(g)
     return [{
         "graph_hash": digest,

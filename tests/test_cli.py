@@ -556,7 +556,17 @@ def test_oracle_verify_size_cap(capsys, star_file):
 # () 0.7553505920066483 -> 0.7553505920066486 and (2, 3) 0.6973571949614592
 # -> 0.6973571949614595, q3's (1, 2) 0.8470895051047745 -> 0.8470895051047748,
 # q5's (2,) 0.6727335955441636 -> 0.6727335955441638); no verdict, trace
-# distance or fidelity of a decoded set moved.
+# distance or fidelity of a decoded set moved. Re-captured when a set with
+# q^|B| > 2r, r = q^(players - |B|), came to take its trace distances from the
+# thin QR of each codeword pair: 11 max_trace_distance values moved, all of
+# such sets, by at most 4.4e-16 (q2's (1, 2, 4) 1.0 -> 1.0000000000000002,
+# (1, 3, 4) 1.0 -> 1.0000000000000002, (2, 3, 4) 1.0 -> 1.0000000000000004
+# and (1, 2, 3, 4) 1.0 -> 0.9999999999999999; q3's (1, 2)
+# 2.641657457251073e-16 -> 3.570703436954399e-16, (1, 3) 1.0000000000000002
+# -> 1.0, (2, 3) 1.0000000000000004 -> 1.0000000000000002 and (1, 2, 3) 1.0
+# -> 1.0000000000000004; q5's (1, 2) and (1, 3) 1.0000000000000007 ->
+# 1.0000000000000004 and (2, 3) 2.1386647320189016e-16 ->
+# 3.675631638955471e-16); no verdict or fidelity moved.
 ORACLE_PINS = {
     "q2": ("q 2\nn 5\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 3 1\ne 3 4 1\ne 1 4 1\n", 7, "84dd5c0bd4aaaf5b", [
         ((), "no_info", 0.0, 0.7553505920066486),
@@ -571,29 +581,29 @@ ORACLE_PINS = {
         ((2, 4), "partial", 9.681683036350972e-17, 0.6386497097838781),
         ((3, 4), "partial", 8.650572712760372e-33, 0.2209797077012081),
         ((1, 2, 3), "accessible", 1.0000000000000004, 1.0),
-        ((1, 2, 4), "accessible", 1.0, 1.0000000000000002),
-        ((1, 3, 4), "accessible", 1.0, 1.0000000000000004),
-        ((2, 3, 4), "accessible", 1.0, 0.9999999999999999),
-        ((1, 2, 3, 4), "accessible", 1.0, 0.9999999999999997),
+        ((1, 2, 4), "accessible", 1.0000000000000002, 1.0000000000000002),
+        ((1, 3, 4), "accessible", 1.0000000000000002, 1.0000000000000004),
+        ((2, 3, 4), "accessible", 1.0000000000000004, 0.9999999999999999),
+        ((1, 2, 3, 4), "accessible", 0.9999999999999999, 0.9999999999999997),
     ]),
     "q3": ("q 3\nn 4\ne 0 1 1\ne 0 2 2\ne 1 2 1\ne 2 3 1\ne 1 3 2\n", 11, "1e23af1c947a5f54", [
         ((), "no_info", 0.0, 0.7242142759311067),
         ((1,), "no_info", 1.8440577321853656e-16, 0.46697086319033926),
         ((2,), "no_info", 1.816271650468207e-16, 0.6474751590857678),
         ((3,), "partial", 9.829515167218813e-17, 0.10005751301441242),
-        ((1, 2), "partial", 2.641657457251073e-16, 0.8470895051047748),
-        ((1, 3), "accessible", 1.0000000000000002, 1.0),
-        ((2, 3), "accessible", 1.0000000000000004, 0.9999999999999998),
-        ((1, 2, 3), "accessible", 1.0, 0.9999999999999998),
+        ((1, 2), "partial", 3.570703436954399e-16, 0.8470895051047748),
+        ((1, 3), "accessible", 1.0, 1.0),
+        ((2, 3), "accessible", 1.0000000000000002, 0.9999999999999998),
+        ((1, 2, 3), "accessible", 1.0000000000000004, 0.9999999999999998),
     ]),
     "q5": ("q 5\nn 4\ne 0 1 2\ne 0 2 3\ne 1 2 4\ne 2 3 1\n", 5, "c918e658065311fc", [
         ((), "no_info", 0.0, 0.04955859660037569),
         ((1,), "partial", 1.3606863475249125e-16, 0.428507842908208),
         ((2,), "no_info", 1.4512434180810912e-16, 0.6727335955441638),
         ((3,), "no_info", 1.220701126699668e-16, 0.2541843783623137),
-        ((1, 2), "accessible", 1.0000000000000007, 1.0),
-        ((1, 3), "accessible", 1.0000000000000007, 0.9999999999999998),
-        ((2, 3), "partial", 2.1386647320189016e-16, 0.1530932191838654),
+        ((1, 2), "accessible", 1.0000000000000004, 1.0),
+        ((1, 3), "accessible", 1.0000000000000004, 0.9999999999999998),
+        ((2, 3), "partial", 3.675631638955471e-16, 0.1530932191838654),
         ((1, 2, 3), "accessible", 1.0000000000000004, 0.9999999999999998),
     ]),
 }
@@ -627,10 +637,17 @@ def test_oracle_verify_reports_pinned(capsys, tmp_path, name, max_size):
 # 0.9999999999999982 -> 1.0); nothing else moved. Re-captured (b2a4ccf9... ->
 # b3514457...) when a set without both witnesses came to take its fidelity in
 # closed form: 20 such fidelities moved, by at most 4.4e-16 (row (4, 5)
-# 0.6152868243577475 -> 0.615286824357748); nothing else moved.
+# 0.6152868243577475 -> 0.615286824357748); nothing else moved. Re-captured
+# (b3514457... -> 11fb5c52...) when a set with q^|B| > 2r came to take its
+# trace distances from the thin QR of each codeword pair: four of the sets of
+# four players moved their max_trace_distance, by at most 4.4e-16 ((1, 2, 3,
+# 5) 1.0000000000000002 -> 0.9999999999999999, (1, 2, 4, 5)
+# 1.0000000000000004 -> 1.0000000000000002, (1, 3, 4, 5) 1.0000000000000007
+# -> 1.0000000000000002, (2, 3, 4, 5) 1.0000000000000002 ->
+# 0.9999999999999998); nothing else moved.
 ORACLE_PIN_Q2N6 = (
     "q 2\nn 6\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 4 1\ne 3 5 1\ne 4 5 1\ne 1 4 1\ne 2 5 1\n", 13,
-    "b3514457aef9627869a0616ec323676a99b14d4ea495af91a9c8a45c45ba7fda",
+    "11fb5c525bcf0b11afdd81b87f123954a0a7cad2df73d2de9961c4fdb1353689",
 )
 
 
@@ -664,12 +681,21 @@ def test_oracle_verify_report_pinned_q2_n6(capsys, tmp_path):
 # fidelity |sum_i s_i|^2 / q in closed form (q3n5 7110b89f... -> 26eae5b7...,
 # q5n4 0c74d929... -> 76374dbd..., q2n6-max1 a5ecb41a... -> 1c08e59d...): only
 # fidelities of such sets moved, 9, 5 and 6 of them, by at most 3.3e-16
-# (q2n6-max1's (2,) 0.5458950915344445 -> 0.5458950915344448).
+# (q2n6-max1's (2,) 0.5458950915344445 -> 0.5458950915344448). q3n5 and q5n4
+# were re-captured when a set with q^|B| > 2r came to take its trace
+# distances from the thin QR of each codeword pair (q3n5 26eae5b7... ->
+# bf81d062..., q5n4 76374dbd... -> 6c074ade...): only max_trace_distance
+# moved, by at most 4.4e-16, on q3n5's (1, 2, 4) 0.9999999999999999 -> 1.0,
+# (1, 3, 4) 1.0 -> 0.9999999999999999 and (2, 3, 4) 1.0 ->
+# 0.9999999999999998, and q5n4's (1, 2) 1.9889398609275328e-16 ->
+# 4.019959800458033e-16, (1, 3) and (2, 3) 1.0000000000000004 ->
+# 1.0000000000000002 and (1, 2, 3) 1.0000000000000009 -> 1.0000000000000004;
+# q2n6-max1 did not move.
 ORACLE_PINS_BY_SHA = {
     "q3n5": ("q 3\nn 5\ne 0 3 2\ne 0 4 1\ne 1 2 1\ne 2 3 1\ne 2 4 1\ne 3 4 1\n", 17, [], 16,
-             "26eae5b7b6784c48d95f89780005bd7507c6cfa777fb9e0650ecc3c43fc12704"),
+             "bf81d062c3cd44253d8569843db451d35638a8d80797c8c12a653f442943f170"),
     "q5n4": ("q 5\nn 4\ne 0 1 3\ne 0 2 1\ne 0 3 1\ne 1 2 2\ne 1 3 3\ne 2 3 1\n", 17, [], 8,
-             "76374dbd889e89d413c4fd4cab0775d185041bdc94175439aadbf08722d1f8f2"),
+             "6c074ade3d18f2dae0b1c481b6a6a94e93fb0d3480593814e1e73db9761158fb"),
     "q2n6-max1": (ORACLE_PIN_Q2N6[0], 13, ["--max-size", "1"], 6,
                   "1c08e59dc42c204c5090b527aeca4f6e9ea8d32b6f82bb245f9e741aecae1c85"),
 }

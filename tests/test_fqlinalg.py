@@ -19,6 +19,7 @@ from qss.fqlinalg import (
     FIELD_SIZE_CEILING,
     _border_indicators,
     _kernel_type,
+    _pivot_rows,
     _residues,
     _solve_stack,
     batch_rank_mod,
@@ -206,6 +207,28 @@ def test_inverse_roundtrip_all_elements():
     for q in PRIMES:
         for a in range(1, q):
             assert (a * inv_mod(a, q)) % q == 1
+
+
+@pytest.mark.parametrize("q", [2, 7, 2053, LARGEST_PRIME])
+def test_pivot_rows_invert_each_distinct_pivot_once(monkeypatch, q):
+    # 40 matrices of 4 x 5 whose pivot rows share three pivot values: each
+    # row comes back scaled by pow(pivot, -1, q), from one inverse per value
+    rng = np.random.default_rng(q)
+    rows, cols, count = 4, 5, 40
+    values = rng.choice(rng.integers(1, q, size=3), size=(rows, count))
+    lead = rng.integers(0, cols, size=(rows, count))
+    col = np.arange(cols)[None, :, None]
+    stack = np.where(col < lead[:, None], 0, rng.integers(0, q, size=(rows, cols, count)))
+    stack = np.where(col == lead[:, None], values[:, None], stack).astype(_kernel_type(q))
+    used = rng.random((rows, count)) < 0.7
+    calls, inverse = [], qss.fqlinalg.inv_mod
+    monkeypatch.setattr(qss.fqlinalg, "inv_mod", lambda a, q: calls.append(a) or inverse(a, q))
+    matrix, pivots, scaled = _pivot_rows(stack, used, q)
+    row, mat = np.nonzero(used)
+    assert matrix.tolist() == mat.tolist() and pivots.tolist() == lead[row, mat].tolist()
+    assert sorted(calls) == sorted(set(values[used].tolist()))
+    for got, i, m in zip(scaled.tolist(), row, mat):
+        assert got == [int(v) * pow(int(values[i, m]), -1, q) % q for v in stack[i, :, m]]
 
 
 def test_rank_identity_f5():

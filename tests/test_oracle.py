@@ -765,13 +765,16 @@ def dense_max_trace_distance(g, b):
 
 
 @pytest.mark.parametrize("q, n, size", [
-    (2, 7, 6), (3, 5, 4), (5, 4, 3), (7, 4, 3),  # the full set: r = 1
-    (2, 8, 5), (3, 6, 4), (5, 5, 3),  # q r < q^|B|
-    (2, 12, 5), (7, 4, 2),  # q r >= q^|B|: the reduced states themselves
+    (2, 7, 6), (3, 5, 4), (5, 4, 3), (7, 4, 3), (3, 4, 3),  # the full set: r = 1
+    (2, 8, 5), (3, 6, 4), (5, 5, 3), (7, 4, 2),  # 2r < q^|B|, above 27 x 27
+    (5, 4, 2), (3, 5, 3), (2, 7, 4),  # 2r < q^|B| <= 27
+    (2, 12, 5),  # 2r >= q^|B| > 27: the reduced states themselves, one pair per call
 ])
 def test_set_trace_distance_above_27_matches_the_dense_reference(q, n, size):
+    # every set past the stacked reduced states of up to 27 x 27: the thin
+    # QR of each codeword pair, or the dense route's one call per pair
     rng = np.random.default_rng(94 + q * n + size)
-    assert q**size > 27
+    assert q**size > min(27, 2 * q ** (n - 1 - size))
     for _ in range(3):
         g = dealer_graph(n, q, rng)
         b = sorted(rng.choice(np.arange(1, n), size=size, replace=False).tolist())
@@ -780,9 +783,12 @@ def test_set_trace_distance_above_27_matches_the_dense_reference(q, n, size):
         assert abs(got - dense_max_trace_distance(g, b)) <= 1e-12
 
 
-@pytest.mark.parametrize("q, n, size", [(3, 5, 3), (3, 4, 3), (2, 7, 4), (5, 4, 2)])
+@pytest.mark.parametrize("q, n, size", [(2, 6, 3), (2, 7, 3), (3, 5, 2), (5, 4, 1), (7, 4, 1)])
 def test_set_trace_distance_up_to_27_is_the_dense_route_bit_for_bit(q, n, size):
+    # q^|B| <= 2r, r = q^(players - |B|), up to the q = 2 boundary q^|B| = 2r
+    # of (2, 6, 3): the sets' stacked reduced states, bit for bit one set's
     rng = np.random.default_rng(95 + q * n + size)
+    assert q**size <= min(27, 2 * q ** (n - 1 - size))
     g = dealer_graph(n, q, rng)
     words = _codewords(g, 0, range(q), AMPLITUDE_BUDGET)
     sets = list(combinations(range(1, n), size))
@@ -808,12 +814,27 @@ def test_info_leak_is_the_oracle_reports_distance_bit_for_bit(text):
 
 
 def test_set_trace_distance_budget_bounds_the_gram_matrices():
-    # q = 5, full set of 3 players: 125 x 125 states, 5 x 5 Gram matrices
+    # q = 5, full set of 3 players: 125 x 125 states, r = 1, and 2 x 2
+    # matrices R J R^dagger of each codeword pair
     g = parse_graph("q 5\nn 4\ne 0 1 2\ne 0 2 3\ne 1 2 4\ne 2 3 1\n")
     words = _codewords(g, 0, range(5), AMPLITUDE_BUDGET)
     with pytest.raises(BudgetExceeded, match="Gram"):
-        _set_trace_distances(words, [[0, 1, 2]], 24)
-    assert _set_trace_distances(words, [[0, 1, 2]], 25)[0] == pytest.approx(1.0, abs=1e-12)
+        _set_trace_distances(words, [[0, 1, 2]], 3)
+    assert _set_trace_distances(words, [[0, 1, 2]], 4)[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def trace_distance_peak(size):
+    """The peak bytes traced while _set_trace_distances takes the 12-player
+    sets of one size of a q = 2 graph, and the codewords' bytes."""
+    g = dealer_graph(13, 2, np.random.default_rng(100))
+    words = _codewords(g, 0, range(2), AMPLITUDE_BUDGET)
+    sets = [list(b) for b in combinations(range(12), size)]
+    tracemalloc.start()
+    try:
+        _set_trace_distances(words, sets, AMPLITUDE_BUDGET)
+        return tracemalloc.get_traced_memory()[1], words.nbytes
+    finally:
+        tracemalloc.stop()
 
 
 def test_dense_trace_distances_hold_one_set_of_factors_at_a_time():
@@ -821,16 +842,17 @@ def test_dense_trace_distances_hold_one_set_of_factors_at_a_time():
     # (q, 8, 512) factors are the codewords themselves, so a copy per set
     # would hold 220 copies; one set's factors and their copies plus the
     # chunk's reduced states (at most STACK_CAP amplitudes) bound the peak
-    g = dealer_graph(13, 2, np.random.default_rng(100))
-    words = _codewords(g, 0, range(2), AMPLITUDE_BUDGET)
-    sets = [list(b) for b in combinations(range(12), 3)]
-    tracemalloc.start()
-    try:
-        _set_trace_distances(words, sets, AMPLITUDE_BUDGET)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * words.nbytes + 16 * STACK_CAP
+    peak, words = trace_distance_peak(3)
+    assert peak <= 8 * words + 16 * STACK_CAP
+
+
+def test_thin_trace_distances_hold_one_chunk_of_pairs_at_a_time():
+    # q = 2, 12 players, the 220 sets of size 9: q^|B| = 512 > 2r = 16, so
+    # each set's one codeword pair [A_0 A_1] is 512 x 16, and all 220 would
+    # hold 28.8 MB; a chunk of at most STACK_CAP amplitudes (4 sets), the
+    # QR's copy of it and one set's factors bound the peak
+    peak, words = trace_distance_peak(9)
+    assert peak <= 8 * words + 16 * STACK_CAP
 
 
 def test_oracle_reports_check_the_decode_budget_before_any_trace_distance(monkeypatch):
@@ -1238,10 +1260,12 @@ def steered(g, d, b):
 
 def steered_decodes(g, d, rows):
     """The decodes oracle_reports simulates for its rows: the sets with both
-    witnesses, and such nonempty complements that the verdict reads."""
-    comps = [[v for v in range(g.n) if v != d and v not in row["B"]] for row in rows]
-    return sum(steered(g, d, row["B"]) for row in rows) + sum(
-        steered(g, d, comp) for comp, row in zip(comps, rows) if comp and row["max_trace_distance"] <= 1e-7)
+    witnesses, and such nonempty complements that the verdict reads and that
+    are not swept themselves, as a swept complement's verdict reads its row."""
+    swept = {tuple(row["B"]) for row in rows}
+    comps = [tuple(v for v in range(g.n) if v != d and v not in row["B"]) for row in rows]
+    read = [comp for comp, row in zip(comps, rows) if comp and comp not in swept and row["max_trace_distance"] <= 1e-7]
+    return sum(steered(g, d, row["B"]) for row in rows) + sum(steered(g, d, comp) for comp in read)
 
 
 def assert_rows_match(g, d, rows, reference):
@@ -1355,6 +1379,55 @@ def test_sweeps_decode_no_set_without_both_witnesses(monkeypatch):
         assert swept.bit_generator.state == looped.bit_generator.state
         with pytest.raises(BudgetExceeded, match="^64 amplitudes exceed the budget"):
             oracle_reports(g, 0, sets, np.random.default_rng(17), budget=32)
+
+
+def record_steering(monkeypatch):
+    """The steering rows of every decode the oracle's Bell decode runs, as bytes."""
+    decoded, decode = [], qss.oracle._bell_decode
+
+    def recorded(q, steering, *args):
+        decoded.extend(map(np.ndarray.tobytes, steering))
+        return decode(q, steering, *args)
+
+    monkeypatch.setattr(qss.oracle, "_bell_decode", recorded)
+    return decoded
+
+
+Q2N6 = "q 2\nn 6\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 4 1\ne 3 5 1\ne 4 5 1\ne 1 4 1\ne 2 5 1\n"
+
+
+@pytest.mark.parametrize("text", [
+    Q2N6,
+    "q 3\nn 5\ne 0 3 2\ne 0 4 1\ne 1 2 1\ne 2 3 1\ne 2 4 1\ne 3 4 1\n",
+    "q 5\nn 4\ne 0 1 3\ne 0 2 1\ne 0 3 1\ne 1 2 2\ne 1 3 3\ne 2 3 1\n",
+], ids=["q2n6", "q3n5", "q5n4"])
+def test_full_sweeps_decode_each_steered_set_once(monkeypatch, text):
+    # every complement of a full sweep is a swept set, so a no_info verdict
+    # reads its complement's own row: _bell_decode gets the sets with both
+    # witnesses, each once, though the verdicts read complements too
+    g = parse_graph(text)
+    sets = [b for size in range(g.n) for b in combinations(range(1, g.n), size)]
+    decoded = record_steering(monkeypatch)
+    rows = oracle_reports(g, 0, sets, np.random.default_rng(19))
+    steered_sets = [b for b in sets if steered(g, 0, b)]
+    assert sorted(decoded) == sorted(map(np.ndarray.tobytes, _steering(g, 0, steered_sets)[0]))
+    assert "no_info" in {row["verdict_oracle"] for row in rows}
+
+
+def test_sweeps_up_to_one_player_decode_the_complement_of_the_empty_set(monkeypatch):
+    # oracle-verify --max-size 1 sweeps (), (1,), ..., (5,): the empty set's
+    # verdict reads its complement, all five players, which is not swept and
+    # takes its own decode row, on the empty set's secret and draws, as do the
+    # four-player complements the single players' verdicts read
+    g, players = parse_graph(Q2N6), tuple(range(1, 6))
+    sets = [(), *((v,) for v in players)]
+    decoded = record_steering(monkeypatch)
+    swept, looped = np.random.default_rng(20), np.random.default_rng(20)
+    rows = oracle_reports(g, 0, sets, swept)
+    assert _steering(g, 0, [players])[0][0].tobytes() in decoded and rows[0]["verdict_oracle"] == "no_info"
+    assert len(decoded) == steered_decodes(g, 0, rows)
+    assert_rows_match(g, 0, rows, reference_reports(g, 0, sets, looped)[0])
+    assert swept.bit_generator.state == looped.bit_generator.state
 
 
 @pytest.mark.parametrize("graph", [
