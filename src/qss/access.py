@@ -110,19 +110,16 @@ def _gather_index(n: int, dealer: int, subsets: np.ndarray) -> tuple[np.ndarray,
     holds v for a -1 per member beyond the smallest set's, the other
     players ascending and the dealer. A -1 reaches the zero vertex n."""
     sets, width = subsets.shape
-    low = subsets.min(initial=0)
     if not 0 <= dealer < n:
         raise ValueError(f"dealer {dealer} out of range for order {n}")
-    if low < -1 or subsets.max(initial=0) >= n:
+    if subsets.min(initial=0) < -1 or subsets.max(initial=0) >= n:
         raise ValueError("player set outside vertex range")
-    least, marked, members = width, subsets, width
-    if low < 0:
-        pad = subsets < 0
-        members = width - pad.sum(axis=1)
-        least = int(members.min())
-        if (pad[:, :-1] > pad[:, 1:]).any():
-            raise ValueError("a -1 pad must follow every member of its row")
-        marked = np.where(pad, dealer, subsets)
+    pad = subsets < 0
+    members = width - pad.sum(axis=1)
+    least = int(members.min(initial=width))
+    if (pad[:, :-1] > pad[:, 1:]).any():
+        raise ValueError("a -1 pad must follow every member of its row")
+    marked = np.where(pad, dealer, subsets)
     # a stable sort on (member, other player, dealer) keys lists the members
     # ascending, then the other players ascending and then the dealer
     key = np.ones((sets, n), dtype=np.int8)
@@ -133,9 +130,8 @@ def _gather_index(n: int, dealer: int, subsets: np.ndarray) -> tuple[np.ndarray,
     if ((key == 0).sum(axis=1) < members).any():
         raise ValueError("a player set repeats a member or holds the dealer")
     cols = np.argsort(key, axis=1, kind="stable")[:, least:]
-    if least < width:
-        # the zeroed columns are a smaller set's leading sorted members
-        cols[np.arange(n - least) < (members - least)[:, None]] = n
+    # the zeroed columns are a smaller set's leading sorted members
+    cols[np.arange(n - least) < (members - least)[:, None]] = n
     rows = np.column_stack([subsets % (n + 1), np.full(sets, dealer)]) * (n + 1)
     return np.ascontiguousarray(rows.T, dtype=np.intp), np.ascontiguousarray(cols.T, dtype=np.intp)
 

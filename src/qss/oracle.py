@@ -398,24 +398,15 @@ def leak_profile(g: Multigraph, d: int, b_set, budget: int = AMPLITUDE_BUDGET) -
     return [reduced_density(StateVector(g.q, g.n - 1, word, budget), pos, budget=budget) for word in words]
 
 
-def _max_trace_distance(mats: np.ndarray) -> np.ndarray:
-    """The largest trace distance between two of the q matrices mats[s], for
-    each s: one stacked call up to 27 x 27 (bit for bit the one-pair results);
-    above, one call per pair, as larger stacks cost memory and save no time."""
-    i, j = np.array(list(combinations(range(mats.shape[1]), 2))).T
-    if mats.shape[-1] > 27:
-        return np.array([max(trace_distance(m[a], m[b]) for a, b in zip(i, j)) for m in mats])
-    return trace_distance(mats[:, i], mats[:, j]).max(axis=-1)
-
-
 def _set_trace_distances(words: np.ndarray, sets, budget: int) -> list[float]:
     """The largest trace distance between the q codewords (rows of words)
     reduced to each set of site positions. Codeword s is a q^|B| x r matrix
     A_s, r = q^(players - |B|), and rho_s = A_s A_s^dagger, so rho_s - rho_t
     has rank at most 2r. The sets of one size are stacked, STACK_CAP
     amplitudes at a time. Up to q^|B| = 2r the stack holds their reduced
-    states for _max_trace_distance, one matmul of a set's (q, q^|B|, r)
-    factors, bit for bit reduced_density's product. Above, it holds each
+    states, one matmul of a set's (q, q^|B|, r) factors, bit for bit
+    reduced_density's product, and one trace_distance call takes every
+    pair of every set, bit for bit the one-pair results. Above, it holds each
     pair's [A_s A_t], whose thin QR = Q R gives rho_s - rho_t = Q R J
     R^dagger Q^dagger, J = diag(I_r, -I_r): the same nonzero spectrum from
     the 2r x 2r matrix R J R^dagger, whose size the budget bounds as it
@@ -448,7 +439,7 @@ def _set_trace_distances(words: np.ndarray, sets, budget: int) -> list[float]:
                 gaps = np.linalg.eigvalsh(rf * np.repeat([1.0, -1.0], r) @ rf.conj().swapaxes(-1, -2))
                 out.update(zip(chunk, 0.5 * abs(gaps).sum(axis=-1).max(axis=-1)))
             else:
-                out.update(zip(chunk, _max_trace_distance(stack)))
+                out.update(zip(chunk, trace_distance(stack[:, s], stack[:, t]).max(axis=-1)))
     return [float(out[i]) for i in range(len(sets))]
 
 
@@ -900,15 +891,13 @@ def oracle_reports(
     sets = [_check_b(g, d, b) for b in sets]
     _admit(g.q ** (g.n + 1) if sets else 0, budget)
     words = _codewords(g, d, range(g.q), budget)
-    by_size = sorted(set(sets), key=len)
-    ranked = batch_indicators(g.gamma[None], g.q, d, _index_array(by_size))[1][0].tolist() if sets else []
-    derivative = dict(zip(by_size, ranked))
+    derivative = batch_indicators(g.gamma[None], g.q, d, _index_array(sets))[1][0].tolist()
     players = _player_order(g, d)
     comps = [tuple(v for v in players if v not in b) for b in sets]
     secrets, draws = np.empty((len(sets), g.q), dtype=np.complex128), np.zeros((len(sets), 4))
     for i, comp in enumerate(comps):
         secret = rng.normal(size=g.q) + 1j * rng.normal(size=g.q)
-        secrets[i] = _unit_secret(g.q, secret / np.linalg.norm(secret))
+        secrets[i] = secret / np.linalg.norm(secret)
         draws[i, :4 if comp else 2] = rng.random(4 if comp else 2)
     max_td = _set_trace_distances(words, [[players.index(v) for v in b] for b in sets], budget)
     at = {b: i for i, b in enumerate(sets)}
@@ -923,7 +912,7 @@ def oracle_reports(
     return [{
         "graph_hash": digest,
         "B": list(b),
-        "verdict_graph": QUANTUM_VERDICT[derivative[b]],
+        "verdict_graph": QUANTUM_VERDICT[derivative[i]],
         "verdict_oracle": "accessible" if fid[i] >= 1 - 1e-7 else "no_info" if i in hidden else "partial",
         "max_trace_distance": max_td[i],
         "decode_fidelity": fid[i],

@@ -13,9 +13,10 @@ grow 4-fold per kernel call, each gathered stack capped at 512 KiB
 (`BLOCK_BYTES`): on 9 x 3 matrices over F_5 a column step costs the int8
 kernel 25 ns per matrix at 2,048 matrices and 16-18 ns from 8,192 up to
 the cap.
-One kernel call may rank a block that spans sizes: `scheme_k` scans sizes
-downwards on small graphs, so its first failure is the largest unauthorized
-set, and `is_scheme` ranks the size-k sets and then the size-(k - 1) sets."""
+One kernel call may rank a block that spans sizes: `scheme_k` scans one
+window of sizes after another, a small graph's one window running from the
+largest size down, and `is_scheme` ranks the size-k sets and then the
+size-(k - 1) sets."""
 
 from __future__ import annotations
 
@@ -53,16 +54,16 @@ BLOCK = 256
 # sample scans 4-fold growth won as much as 8-fold, and 2-fold little.
 GROWTH = 4
 BLOCK_BYTES = 1 << 19
-# Sets per plan (_plan), so no block holds more; scheme_k scans downwards
-# when its sets fit one plan, and sufficient_condition_check ranks blocks
-# of this many sets.
+# Sets per plan (_plan), so no block holds more; scheme_k scans its sizes
+# in one window when their sets fit one plan, and
+# sufficient_condition_check ranks blocks of this many sets.
 BLOCK_CAP = 2048
 # Plans (_plan) kept at once. A plan holds the halves of the flat gather
 # index of at most BLOCK_CAP sets of a stream of sizes, n + 1 int64
 # entries per set for one size and at most 2n for several: at most 32 KiB
-# per vertex, so the cache holds at most 1 MiB per vertex. A downward
-# scheme_k scan (order 12 or less) uses one plan, an upward one a plan per
-# BLOCK_CAP sets of each size. A block's flat index is never kept.
+# per vertex, so the cache holds at most 1 MiB per vertex. scheme_k's one
+# window of sizes (order 12 or less) uses one plan, its windows of one size
+# each a plan per BLOCK_CAP sets. A block's flat index is never kept.
 PLAN_CACHE = 32
 # Vertex sets sufficient_condition_check ranks at most
 CONDITION_BUDGET = 5_000_000
@@ -189,27 +190,18 @@ def _some_set_fails(size: int, players: int) -> bool:
     return 2 * size <= players
 
 
-def _largest_failure_downwards(dg: DealerGraph) -> tuple[int, ...]:
-    """The lexicographically first non-accessible set of the largest size,
-    from one scan of sizes p - 1, p - 2, ..., p // 2 for p players. Its
-    first failure lies in the largest failing size, and _some_set_fails
-    puts one in size p // 2."""
-    g, p = dg.graph, len(dg.players)
-    sizes = tuple(range(p - 1, p // 2 - 1, -1))
-    return _set_at(g.n, dg.dealer, sizes, _first_failure(g.gamma[None], g.q, dg.dealer, sizes)[0])
-
-
-def _largest_failure_upwards(dg: DealerGraph) -> tuple[int, ...]:
-    """The same set as _largest_failure_downwards, from one scan per size
-    upwards from p // 2, which stops at the first size without a failure.
-    It ranks no size above k, where the downward scan ranks every one."""
-    g, players = dg.graph, dg.players
-    for size in range(len(players) // 2, len(players)):
-        position = _first_failure(g.gamma[None], g.q, dg.dealer, [size])[0]
+def _worst_unauthorized(dg: DealerGraph, windows: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+    """The set of the last failure found by one _first_failure scan per
+    window of sizes, in order, up to the first window without a failure.
+    scheme_k's windows make it the lexicographically first non-accessible
+    set of the largest size."""
+    g = dg.graph
+    for sizes in windows:
+        position = _first_failure(g.gamma[None], g.q, dg.dealer, sizes)[0]
         if position < 0:
             break
-        worst = _set_at(g.n, dg.dealer, (size,), position)
-    return worst
+        found = sizes, position
+    return _set_at(g.n, dg.dealer, *found)
 
 
 def scheme_k(dg: DealerGraph) -> SchemeReport:
@@ -220,15 +212,18 @@ def scheme_k(dg: DealerGraph) -> SchemeReport:
     the largest size from p // 2 to p - 1 with a failing set; the full
     player set of a non-isolated dealer has access. worst_unauthorized is
     the lexicographically first non-accessible set of size k - 1. When the
-    sets of those sizes fit in one BLOCK_CAP block, one scan of the sizes
-    downwards ranks them in a few kernel calls; larger graphs scan upwards,
-    one size per scan, and never rank the sets above k.
+    sets of those sizes fit one BLOCK_CAP plan, one window of the sizes
+    from p - 1 down to p // 2 ranks them in a few kernel calls, and its
+    first failure lies in the largest failing size; larger graphs take one
+    window per size upwards from p // 2 and never rank the sets above k.
     """
     p = len(dg.players)
-    if sum(comb(p, size) for size in range(p // 2, p)) <= BLOCK_CAP:
-        worst = _largest_failure_downwards(dg)
+    sizes = range(p // 2, p)
+    if sum(comb(p, size) for size in sizes) <= BLOCK_CAP:
+        windows = [tuple(reversed(sizes))]
     else:
-        worst = _largest_failure_upwards(dg)
+        windows = [(size,) for size in sizes]
+    worst = _worst_unauthorized(dg, windows)
     return SchemeReport(len(worst) + 1, p, worst)
 
 

@@ -728,10 +728,11 @@ def test_distance_and_fidelity_extremes():
 
 
 def test_stacked_trace_distances_are_the_pairwise_ones_bit_for_bit():
-    # the oracle stacks a set's codeword pairs up to 27 x 27; every
-    # distance must be the float of the one-pair call
+    # the oracle stacks the codeword pairs of its sets' reduced states up
+    # to q^|B| = 2r, past 27 x 27 from q = 2 and n = 10; every distance
+    # must be the float of the one-pair call
     rng = np.random.default_rng(93)
-    for dim in (1, 3, 9, 25, 27, 32):
+    for dim in (1, 3, 9, 25, 27, 32, 49, 81, 128, 256):
         mats = rng.normal(size=(5, 2, dim, dim)) + 1j * rng.normal(size=(5, 2, dim, dim))
         mats = mats + mats.conj().swapaxes(-1, -2)
         stacked = trace_distance(mats[:, 0], mats[:, 1])
@@ -768,11 +769,11 @@ def dense_max_trace_distance(g, b):
     (2, 7, 6), (3, 5, 4), (5, 4, 3), (7, 4, 3), (3, 4, 3),  # the full set: r = 1
     (2, 8, 5), (3, 6, 4), (5, 5, 3), (7, 4, 2),  # 2r < q^|B|, above 27 x 27
     (5, 4, 2), (3, 5, 3), (2, 7, 4),  # 2r < q^|B| <= 27
-    (2, 12, 5),  # 2r >= q^|B| > 27: the reduced states themselves, one pair per call
+    (2, 12, 5),  # 2r >= q^|B| > 27: the stacked reduced states, as at 27 and below
 ])
 def test_set_trace_distance_above_27_matches_the_dense_reference(q, n, size):
-    # every set past the stacked reduced states of up to 27 x 27: the thin
-    # QR of each codeword pair, or the dense route's one call per pair
+    # every set past 27 x 27: the thin QR of each codeword pair, or up to
+    # q^|B| = 2r the stacked reduced states
     rng = np.random.default_rng(94 + q * n + size)
     assert q**size > min(27, 2 * q ** (n - 1 - size))
     for _ in range(3):
@@ -783,12 +784,15 @@ def test_set_trace_distance_above_27_matches_the_dense_reference(q, n, size):
         assert abs(got - dense_max_trace_distance(g, b)) <= 1e-12
 
 
-@pytest.mark.parametrize("q, n, size", [(2, 6, 3), (2, 7, 3), (3, 5, 2), (5, 4, 1), (7, 4, 1)])
+@pytest.mark.parametrize("q, n, size", [
+    (2, 6, 3), (2, 7, 3), (3, 5, 2), (5, 4, 1), (7, 4, 1),
+    (2, 12, 5), (3, 9, 4), (7, 5, 2),  # q^|B| > 27: 32, 81 and 49
+])
 def test_set_trace_distance_up_to_27_is_the_dense_route_bit_for_bit(q, n, size):
     # q^|B| <= 2r, r = q^(players - |B|), up to the q = 2 boundary q^|B| = 2r
     # of (2, 6, 3): the sets' stacked reduced states, bit for bit one set's
     rng = np.random.default_rng(95 + q * n + size)
-    assert q**size <= min(27, 2 * q ** (n - 1 - size))
+    assert q**size <= 2 * q ** (n - 1 - size)
     g = dealer_graph(n, q, rng)
     words = _codewords(g, 0, range(q), AMPLITUDE_BUDGET)
     sets = list(combinations(range(1, n), size))

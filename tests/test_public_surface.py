@@ -79,6 +79,19 @@ def test_bench_only_names_are_pinned():
     assert sorted(name for name, count in traced.items() if count > untraced[name] == 0) == sorted(BENCH_ONLY)
 
 
+def test_one_scan_ranks_every_block():
+    # the package ranks its bordered matrices in one block loop, the scan
+    # of search._first_failure, and in access.batch_indicators' one call:
+    # no other top-level statement of src/qss refers to _bordered_spans
+    users = {
+        (path.stem, getattr(node, "name", None))
+        for path in MODULES
+        for node in ast.parse(path.read_text()).body
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) and _references(node)["_bordered_spans"]
+    }
+    assert users == {("search", "_first_failure"), ("access", "batch_indicators")}
+
+
 def test_import_qss_binds_only_the_version():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -49,11 +49,10 @@ from qss.search import (
     _first_failure,
     _gamma_from_index,
     _graphs_realising_k,
-    _largest_failure_downwards,
-    _largest_failure_upwards,
     _plan,
     _slot_map,
     _some_set_fails,
+    _worst_unauthorized,
 )
 
 from helpers import dealer_graphs, int_rank
@@ -84,6 +83,13 @@ def _scalar_derivative(gamma, q, d, b):
 
 def _has_access(dg, b):
     return _scalar_derivative(dg.graph.gamma.tolist(), dg.graph.q, dg.dealer, b) == -1
+
+
+def scheme_k_windows(dg):
+    """scheme_k's two lists of size windows for dg's p players: one window
+    of sizes p - 1 down to p // 2, and one window per size from p // 2 up."""
+    p = len(dg.players)
+    return [tuple(range(p - 1, p // 2 - 1, -1))], [(size,) for size in range(p // 2, p)]
 
 
 def naive_scheme_k(dg):
@@ -179,7 +185,8 @@ def test_scheme_k_scans_upwards_at_order_13(q, seed):
     rep, k = scheme_k(dg), naive_scheme_k(dg)
     unauthorized = [b for b in combinations(dg.players, k - 1) if not _has_access(dg, b)]
     assert (rep.k, rep.worst_unauthorized) == (k, unauthorized[0])
-    assert _largest_failure_upwards(dg) == _largest_failure_downwards(dg) == unauthorized[0]
+    one, per_size = scheme_k_windows(dg)
+    assert _worst_unauthorized(dg, per_size) == _worst_unauthorized(dg, one) == unauthorized[0]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -375,7 +382,8 @@ def test_first_failure_scans_across_plans(monkeypatch, graph):
         assert len(stream) > BLOCK_CAP or len(sizes) == 1
         ranked = max(ranked, stops[-1])
     assert ranked > 3 * BLOCK_CAP if graph == "rs17" else ranked < BLOCK_CAP
-    assert _largest_failure_downwards(dg) == _largest_failure_upwards(dg) == scheme_k(dg).worst_unauthorized
+    one, per_size = scheme_k_windows(dg)
+    assert _worst_unauthorized(dg, one) == _worst_unauthorized(dg, per_size) == scheme_k(dg).worst_unauthorized
 
 
 def test_plans_are_read_only_lexicographic_chunks():
@@ -402,10 +410,10 @@ def test_plan_cache_stays_within_its_bound():
     # than the cache holds, which keeps no more than PLAN_CACHE of them
     _plan.cache_clear()
     g = random_graph(16, 3, np.random.default_rng(16))
-    assert sum(comb(15, size) for size in range(7, 15)) > BLOCK_CAP  # scheme_k scans upwards
+    assert sum(comb(15, size) for size in range(7, 15)) > BLOCK_CAP  # one window per size
     for dealer in range(16):
-        rep = scheme_k(DealerGraph(g, dealer))
-        assert rep.worst_unauthorized == _largest_failure_upwards(DealerGraph(g, dealer))
+        dg = DealerGraph(g, dealer)
+        assert scheme_k(dg).worst_unauthorized == _worst_unauthorized(dg, scheme_k_windows(dg)[1])
     info = _plan.cache_info()
     assert info.misses > info.maxsize == PLAN_CACHE >= info.currsize
 
@@ -561,9 +569,10 @@ def test_every_small_graph_matches_the_int_references(n, q):
             rep, k = scheme_k(dg), naive_scheme_k(dg)
             unauthorized = [b for b in combinations(dg.players, k - 1) if not _has_access(dg, b)]
             assert (rep.k, rep.worst_unauthorized) == (k, unauthorized[0])
-            # scheme_k scans these small graphs downwards; the upward scan
-            # must find the same set
-            assert _largest_failure_downwards(dg) == _largest_failure_upwards(dg) == unauthorized[0]
+            # scheme_k scans these small graphs in one window; one window
+            # per size must find the same set
+            one, per_size = scheme_k_windows(dg)
+            assert _worst_unauthorized(dg, one) == _worst_unauthorized(dg, per_size) == unauthorized[0]
             for size in range(1, n):
                 res = is_scheme(dg, size)
                 assert (res.ok, res.counterexample) == scalar_is_scheme(dg, size)
@@ -580,6 +589,31 @@ def test_scheme_k_ranks_rs747_in_one_call(kernel_calls):
     assert BLOCK >= 98 and subsets.shape == (98, 6)
     assert np.bincount(sizes).tolist() == [0, 0, 0, 35, 35, 21, 7]
     assert np.flatnonzero(sizes == 3)[0] == 63
+
+
+@pytest.mark.parametrize("players, q, seed", [(None, 7, None), (10, 3, 10), (12, 2, 12), (14, 3, 14)])
+def test_scheme_k_scans_one_window_up_to_11_players_and_one_size_a_scan_above(monkeypatch, players, q, seed):
+    # rs747 and 10 players: the sets of sizes p // 2 to p - 1 fit one plan,
+    # so one scan runs from p - 1 down. 12 and 14 players: one scan per
+    # size from p // 2 up, ending at the first size without a failure or
+    # at p - 1, the last failing size being k - 1
+    dg = rs747_fixture() if players is None else random_dealer_graph(np.random.default_rng(seed), players + 1, q)
+    p, calls = len(dg.players), []
+
+    def recorded(gammas, q, dealer, sizes):
+        found = _first_failure(gammas, q, dealer, sizes)
+        calls.append((tuple(sizes), int(found[0])))
+        return found
+
+    monkeypatch.setattr(qss.search, "_first_failure", recorded)
+    k = scheme_k(dg).k
+    if p <= 11:
+        assert [sizes for sizes, _ in calls] == [tuple(range(p - 1, p // 2 - 1, -1))]
+        return
+    assert [sizes for sizes, _ in calls] == [(size,) for size in range(p // 2, p // 2 + len(calls))]
+    assert all(found >= 0 for _, found in calls[:-1])
+    assert calls[-1][1] < 0 or calls[-1][0] == (p - 1,)
+    assert k == p // 2 + sum(found >= 0 for _, found in calls)
 
 
 def test_is_scheme_skips_a_tightness_scan_no_cloning_settles(kernel_calls):
