@@ -247,10 +247,8 @@ def rref_mod(a, q: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank_mod(a, q: int) -> int:
-    """Rank of a over F_q. Empty matrices have rank 0."""
-    q = require_prime(q)
-    arr = _int_array(a)
-    return int(_eliminate(_residues(arr[:, :, None], q), q, *arr.shape)[1].sum())
+    """Rank of a over F_q: batch_rank_mod on a stack of one. Empty matrices have rank 0."""
+    return int(batch_rank_mod(_int_array(a)[None], q)[0])
 
 
 def kernel_basis_mod(a, q: int) -> np.ndarray:

@@ -443,18 +443,6 @@ def _set_trace_distances(words: np.ndarray, sets, budget: int) -> list[float]:
     return [float(out[i]) for i in range(len(sets))]
 
 
-def schmidt_rank(state: StateVector, sites) -> int:
-    """Schmidt rank of the bipartition (sites, rest): singular values above 1e-7.
-
-    For a graph state |G> the Schmidt rank across (B, rest) is q^cutrk(B).
-    """
-    keep = _register_sites(state, sites)
-    grid = np.moveaxis(state.amplitudes.reshape([state.q] * state.n), keep, range(len(keep)))
-    mat = grid.reshape(state.q ** len(keep), -1)
-    sing = np.linalg.svd(mat, compute_uv=False)
-    return int((sing > 1e-7).sum())
-
-
 # ---------------------------------------------------------------------------
 # protocol machinery
 
@@ -673,17 +661,14 @@ def qq_decode_bell(
 def _steering(g: Multigraph, d: int, sets) -> tuple[np.ndarray, np.ndarray]:
     """The _steering_rows of each checked player set for _bell_decode, and
     the mask of the sets that have no witness D or no witness C, whose rows
-    are the identity stand-ins. One witness_rows call finds, for every
-    distinct set B, its D and its C over B + {d} (witness_C of V - B - {d})."""
-    at = {b: i for i, b in enumerate(dict.fromkeys(sets))}
-    keys = list(at)
-    d_rows, d_found, c_rows, c_found = witness_rows(g, d, keys, [[v for v in range(g.n) if v != d and v not in b]
-                                                                 for b in keys])
+    are the identity stand-ins. One witness_rows call finds, for every set
+    B, its D and its C over B + {d} (witness_C of V - B - {d})."""
+    d_rows, d_found, c_rows, c_found = witness_rows(g, d, sets, [[v for v in range(g.n) if v != d and v not in b]
+                                                                 for b in sets])
     ok = d_found & c_found
-    rows = np.zeros((len(keys), 2, 2 * g.n - 1), dtype=np.int64)
-    rows[ok] = _steering_rows(g, d, [b for b, solved in zip(keys, ok) if solved], d_rows[ok], c_rows[ok])
-    index = [at[b] for b in sets]
-    return rows[index], ~ok[index]
+    rows = np.zeros((len(sets), 2, 2 * g.n - 1), dtype=np.int64)
+    rows[ok] = _steering_rows(g, d, [b for b, solved in zip(sets, ok) if solved], d_rows[ok], c_rows[ok])
+    return rows, ~ok
 
 
 def _top_eigenvector(rho: np.ndarray) -> tuple[float, np.ndarray]:

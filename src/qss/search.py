@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple, TextIO
 import numpy as np
 
 from .access import _bordered_spans, _gather_index, _index_array, _zero_vertex
-from .fqlinalg import _kernel_type, _residues, batch_rank_mod, require_prime
+from .fqlinalg import _kernel_type, _residues, require_prime
 from .multigraph import DealerGraph, Multigraph, serialize_graph
 
 TRIAL_CHUNK = 2048
@@ -55,8 +55,7 @@ BLOCK = 256
 GROWTH = 4
 BLOCK_BYTES = 1 << 19
 # Sets per plan (_plan), so no block holds more; scheme_k scans its sizes
-# in one window when their sets fit one plan, and
-# sufficient_condition_check ranks blocks of this many sets.
+# in one window when their sets fit one plan.
 BLOCK_CAP = 2048
 # Plans (_plan) kept at once. A plan holds the halves of the flat gather
 # index of at most BLOCK_CAP sets of a stream of sizes, n + 1 int64
@@ -65,8 +64,6 @@ BLOCK_CAP = 2048
 # window of sizes (order 12 or less) uses one plan, its windows of one size
 # each a plan per BLOCK_CAP sets. A block's flat index is never kept.
 PLAN_CACHE = 32
-# Vertex sets sufficient_condition_check ranks at most
-CONDITION_BUDGET = 5_000_000
 # _gamma_from_index builds int64 indices, so no search reaches this index
 _INDEX_LIMIT = 2**63
 
@@ -512,41 +509,3 @@ def _trial_chunk(seed: int, chunk_index: int, count: int, n: int, q: int, k: int
     slots = np.zeros((count, m + 1), dtype=_kernel_type(q))
     slots[:, :m] = rng.integers(0, q, size=(count, m))
     return int(batch_accessible_at_k(slots[:, _slot_map(n)], q, k).sum())
-
-
-def sufficient_condition_check(g: Multigraph, alpha: float) -> bool:
-    """Test the sufficient access condition at ratio alpha: every nonzero
-    multiset C with support of at most t = (1-alpha)*n vertices must see,
-    jointly with its neighbours, more than t vertices.
-
-    This is the paper's sufficient condition behind its random-multigraph
-    theorem (a random multigraph has accessing parameter k <= alpha*n with
-    high probability); bounds.random_threshold_alpha(q) is that alpha.
-    True guarantees all sets of at least alpha*n players are accessible
-    (regardless of dealer); False says nothing. The condition holds exactly
-    when every t-set T has cutrk(T) = t, so the C(n, t) cut matrices
-    Gamma[V - T, T] are ranked in blocks of BLOCK_CAP sets, up to the first
-    block holding a deficient one; over CONDITION_BUDGET sets raise ValueError.
-
-    Proof. If a nonzero C has supp C + supp Gamma.C inside a t-set T (a
-    joint support of at most t vertices lies in one), C on T is a nonzero
-    kernel vector of Gamma[V - T, T]; conversely such a kernel vector, zero
-    outside T, is such a C. So a deficient smaller set S makes every t-set
-    T containing S deficient (pad with zeros on T - S): the t-sets decide.
-    alpha >= 0.5 gives n - t >= t, so full column rank is possible. t is
-    int((1 - alpha) * n + 1e-9): a product just below an integer counts as it.
-    """
-    if not 0.5 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0.5, 1]")
-    n, t = g.n, int((1.0 - alpha) * g.n + 1e-9)
-    if (count := comb(n, t)) > CONDITION_BUDGET:
-        raise ValueError(f"{count} vertex sets exceed budget {CONDITION_BUDGET}")
-    stream = combinations(range(n), t)
-    for _ in range(0, count, BLOCK_CAP):
-        sets = np.array(list(islice(stream, BLOCK_CAP)), dtype=np.intp)
-        outside = np.ones((len(sets), n), dtype=bool)
-        outside[np.arange(len(sets))[:, None], sets] = False
-        rest = np.nonzero(outside)[1].reshape(len(sets), n - t)
-        if (batch_rank_mod(g.gamma[rest[:, :, None], sets[:, None, :]], g.q) < t).any():
-            return False
-    return True

@@ -1,10 +1,13 @@
-"""Shared test references: pure-int Gauss-Jordan elimination and a
-hypothesis strategy for small dealer graphs.
+"""Shared test references: pure-int Gauss-Jordan elimination, the paper's
+sufficient access condition on it, and a hypothesis strategy for small
+dealer graphs.
 
 The int references never touch `qss.fqlinalg`, so tests that compare the
 package's one elimination loop against them compare two independent
 computations.
 """
+
+from itertools import combinations
 
 import numpy as np
 from hypothesis import strategies as st
@@ -56,6 +59,29 @@ def vector(n, weights):
 def int_rank(rows, q):
     """Rank from int_rref: the independent reference for the numpy kernels."""
     return len(int_rref(rows, q)[1])
+
+
+def sufficient_by_cut_ranks(g, alpha):
+    """The paper's sufficient access condition at ratio alpha, by int_rank:
+    every t-set T, t = int((1 - alpha) n + 1e-9), has rank Gamma[V - T, T]
+    = t. It says that every nonzero multiset C with support of at most
+    (1 - alpha) n vertices sees more than that many jointly with its
+    neighbours, which makes every set of at least alpha n players
+    accessible, whatever the dealer.
+
+    Proof of the equivalence. If a nonzero C has supp C + supp Gamma.C
+    inside a t-set T, C on T is a nonzero kernel vector of Gamma[V - T, T];
+    conversely such a kernel vector, zero outside T, is such a C. A
+    deficient smaller set S makes every t-set containing S deficient, so
+    the t-sets decide.
+    """
+    n, t = g.n, int((1.0 - alpha) * g.n + 1e-9)
+    gamma = g.gamma.tolist()
+    for cut in combinations(range(n), t):
+        rest = [u for u in range(n) if u not in cut]
+        if int_rank([[gamma[u][v] for v in cut] for u in rest], g.q) < t:
+            return False
+    return True
 
 
 @st.composite

@@ -5,9 +5,8 @@ A public top-level `def` or `class` of `src/qss` must be referenced
 somewhere beyond its own definition: by package code, a demo, the bench
 or the acceptance suite. A reference is a name, an attribute, an imported
 name or a string equal to the name (the bench looks its trace targets up
-with `getattr`). The only names allowed to rest on their unit tests alone
-are the test references listed in TEST_REFERENCES. BENCH_ONLY pins the
-names that, outside the tests, only the bench's tracer refers to.
+with `getattr`). BENCH_ONLY pins the names that, outside the tests, only
+the bench's tracer refers to.
 """
 
 import ast
@@ -23,15 +22,6 @@ PROGRAM = [*MODULES, *(ROOT / "demos").glob("*.py")]
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 TRACER = ROOT / "bench" / "spans.py"
 SOURCES = [*PROGRAM, *BENCH, ROOT / "tests" / "test_acceptance.py"]
-# no program path uses these; tests use them to check the paper's statements
-TEST_REFERENCES = (
-    # the sufficient access condition (tests/test_search.py); ROADMAP item 4
-    # puts its verdict beside the exact finite-n law
-    "sufficient_condition_check",
-    # the Schmidt rank q^cutrk(B) of a graph state (tests/test_oracle.py);
-    # ROADMAP item 15 makes it the route of the oracle's entropy reading
-    "schmidt_rank",
-)
 # outside the tests only the bench's trace targets (bench/spans.py TARGETS)
 # refer to these; ROADMAP item 1 retargets the tracer and deletes them
 BENCH_ONLY = ("density_fidelity", "leak_profile", "solve_affine_mod")
@@ -68,9 +58,7 @@ def _callers(sources) -> dict[str, int]:
 
 def test_every_public_name_has_a_caller():
     callers = _callers(SOURCES)
-    assert sorted(name for name, count in callers.items() if count == 0 and name not in TEST_REFERENCES) == []
-    # an exception that gains a program caller leaves the list
-    assert {name: callers.get(name) for name in TEST_REFERENCES} == dict.fromkeys(TEST_REFERENCES, 0)
+    assert sorted(name for name, count in callers.items() if count == 0) == []
 
 
 def test_bench_only_names_are_pinned():

@@ -37,7 +37,6 @@ from qss.search import (
     is_scheme,
     random_trials,
     scheme_k,
-    sufficient_condition_check,
 )
 from qss.search import (
     BLOCK,
@@ -55,7 +54,7 @@ from qss.search import (
     _worst_unauthorized,
 )
 
-from helpers import dealer_graphs, int_rank
+from helpers import dealer_graphs, int_rank, sufficient_by_cut_ranks
 
 
 def star3(q=3):
@@ -1085,7 +1084,7 @@ def test_batch_accessibility_matches_scalar():
             assert bool(got[i]) == want
 
 
-# -------------------------------------------------- sufficient condition check
+# ----------------------------------------------- sufficient access condition
 
 
 def test_sufficient_condition_implies_access():
@@ -1096,7 +1095,7 @@ def test_sufficient_condition_implies_access():
         n = int(rng.integers(3, 6))
         g = random_graph(n, q, rng)
         alpha = float(rng.choice([0.6, 0.75, 0.9]))
-        if not sufficient_condition_check(g, alpha):
+        if not sufficient_by_cut_ranks(g, alpha):
             continue
         confirmed += 1
         k_min = int(np.ceil(alpha * n - 1e-9))
@@ -1108,15 +1107,6 @@ def test_sufficient_condition_implies_access():
                 for b in combinations(players, size):
                     assert quantum_derivative(g, d, b) == -1
     assert confirmed > 10  # the sweep must actually exercise the guarantee
-
-
-def test_sufficient_condition_validation(monkeypatch):
-    g = random_graph(4, 3, 1)
-    with pytest.raises(ValueError, match="alpha"):
-        sufficient_condition_check(g, 0.3)
-    monkeypatch.setattr(qss.search, "CONDITION_BUDGET", 10)
-    with pytest.raises(ValueError, match="budget"):
-        sufficient_condition_check(random_graph(12, 5, 1), 0.5)
 
 
 def _sufficient_by_multisets(g: Multigraph, alpha: float) -> bool:
@@ -1149,23 +1139,7 @@ def test_sufficient_condition_matches_the_multiset_reference():
                     if thin:
                         keep = np.triu(rng.random((n, n)) < 0.3, 1)
                         g = Multigraph(q, g.gamma * (keep | keep.T))
-                    verdict = sufficient_condition_check(g, alpha)
+                    verdict = sufficient_by_cut_ranks(g, alpha)
                     assert verdict == _sufficient_by_multisets(g, alpha), (q, n, alpha, g.edges())
                     verdicts.append(verdict)
     assert 100 < sum(verdicts) < len(verdicts) - 100
-
-
-def test_sufficient_condition_ranks_only_the_t_sets(monkeypatch):
-    # n = 14 at alpha = 0.57 ranks the C(14, 6) = 3003 six-sets, as 8 x 6
-    # cut matrices in two blocks, and stops at the first block that fails
-    seen = []
-    rank = qss.search.batch_rank_mod
-    monkeypatch.setattr(qss.search, "batch_rank_mod", lambda mats, q: seen.append(mats.shape) or rank(mats, q))
-    g = random_graph(14, 101, 3)
-    assert sufficient_condition_check(g, 0.57)
-    assert seen == [(BLOCK_CAP, 8, 6), (3003 - BLOCK_CAP, 8, 6)]
-    seen.clear()
-    gamma = g.gamma.copy()
-    gamma[0] = gamma[:, 0] = 0  # an isolated vertex 0 leaves the first six-set a zero column
-    assert not sufficient_condition_check(Multigraph(101, gamma), 0.57)
-    assert seen == [(BLOCK_CAP, 8, 6)]
