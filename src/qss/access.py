@@ -19,7 +19,7 @@ product with Gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain
 
 import numpy as np
 
@@ -325,10 +325,11 @@ def dealer_kernel_witness(g: Multigraph, d: int, b_set) -> np.ndarray:
     """
     basis, d_row, cols = kernel_slice_columns(g, d, b_set)
     seen = np.flatnonzero(d_row @ basis[:, 1:] % g.q)  # the columns after C1 with a nonzero image at d
-    c1, c2 = basis[:, 0], basis[:, 1 + seen[0]]
-    members = [(x * c1 + y * c2) % g.q for x, y in product(range(g.q), repeat=2) if x or y]
+    # x C1 + y C2 for every nonzero (x, y) of the lexicographic grid; the
+    # lexsort's last key, the support, is its primary one
+    members = np.indices((g.q, g.q)).reshape(2, -1).T[1:] @ basis[:, [0, 1 + seen[0]]].T % g.q
     out = np.zeros(g.n, dtype=np.int64)
-    out[cols] = min(members, key=lambda v: (int(np.count_nonzero(v)), v.tolist()))
+    out[cols] = members[np.lexsort([*members.T[::-1], np.count_nonzero(members, axis=1)])[0]]
     return out
 
 
@@ -357,7 +358,7 @@ def kernel_slice_columns(g: Multigraph, d: int, b_set) -> tuple[np.ndarray, np.n
     b = _check_b(g, d, b_set)
     cols = [d] + list(b)
     rows = [v for v in range(g.n) if v not in set(cols)]
-    m = g.gamma[np.ix_(rows, cols)] if rows else np.zeros((0, len(cols)), dtype=np.int64)
+    m = g.gamma[np.ix_(rows, cols)]
     # over the reversed columns each basis vector is 1 at its own free column,
     # 0 at the other free ones and nonzero only at pivots before it, so read
     # back reversed the basis is in reduced column echelon form
@@ -376,19 +377,12 @@ def min_support_kernel_element(g: Multigraph, d: int, b_set) -> int:
     exceed KERNEL_BUDGET. Used to probe how tight the echelon-pair bound is.
     """
     basis, d_row, _cols = kernel_slice_columns(g, d, b_set)
-    q = g.q
-    k = basis.shape[1]
-    total = q**k
-    if total > KERNEL_BUDGET:
-        raise ValueError(f"kernel too large to enumerate ({total} > {KERNEL_BUDGET})")
-    best = None
-    for coeffs in product(range(q), repeat=k):
-        vec = (basis @ np.array(coeffs, dtype=np.int64)) % q
-        if vec[0] == 0 and int(d_row @ vec) % q == 0:
-            continue
-        size = int(np.count_nonzero(vec))
-        if best is None or size < best:
-            best = size
-    if best is None:
-        raise ValueError("dealer kernel is empty")
-    return best
+    q, k = g.q, basis.shape[1]
+    if q**k > KERNEL_BUDGET:
+        raise ValueError(f"kernel too large to enumerate ({q**k} > {KERNEL_BUDGET})")
+    # every combination of the basis, one per row of the lexicographic grid;
+    # the kernel holds those nonzero at d or with a nonzero image at d, never
+    # none: kernel_slice_columns checked that the first column is nonzero at d
+    vecs = np.indices((q,) * k).reshape(k, -1).T @ basis.T % q
+    kept = vecs[(vecs[:, 0] != 0) | (vecs @ d_row % q != 0)]
+    return int(np.count_nonzero(kept, axis=1).min())

@@ -11,6 +11,7 @@ multiset of D, is the matrix-vector product
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 import numpy as np
@@ -136,20 +137,31 @@ def cut_matrix(g: Multigraph, a: Iterable[int], b: Iterable[int]) -> np.ndarray:
             raise ValueError("cut sides must be subsets of the vertex set")
     if set(al) & set(bl):
         raise ValueError("cut sides overlap")
-    return g.gamma[np.ix_(al, bl)].reshape(len(al), len(bl))
+    return g.gamma[np.ix_(al, bl)]
+
+
+@cache
+def _slot_map(n: int) -> np.ndarray:
+    """The read-only (n, n) map from each adjacency entry to its edge slot,
+    the one edge-slot layout of the package. The m = n(n-1)/2 slots are
+    ordered row-major ((0,1), (0,2), ..., (n-2,n-1)), both entries of a
+    pair read its slot, and the diagonal reads slot m, so a row of m edge
+    multiplicities and a trailing zero gathers into the symmetric adjacency
+    matrix in one step."""
+    rows, cols = np.triu_indices(n, 1)
+    slots = np.full((n, n), rows.size)
+    slots[rows, cols] = slots[cols, rows] = np.arange(rows.size)
+    slots.setflags(write=False)
+    return slots
 
 
 def random_graph(n: int, q: int, seed) -> Multigraph:
-    """Uniform random multigraph: each of the n(n-1)/2 edge slots gets an
-    i.i.d. uniform multiplicity in [0, q). seed may be an int or a numpy
-    Generator."""
+    """Uniform random multigraph: each of the n(n-1)/2 edge slots of
+    _slot_map gets an i.i.d. uniform multiplicity in [0, q). seed may be an
+    int or a numpy Generator."""
     require_prime(q)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    gamma = np.zeros((n, n), dtype=np.int64)
-    iu = np.triu_indices(n, 1)
-    gamma[iu] = rng.integers(0, q, size=len(iu[0]))
-    gamma += gamma.T
-    return Multigraph(q, gamma)
+    return Multigraph(q, np.append(rng.integers(0, q, size=n * (n - 1) // 2), 0)[_slot_map(n)])
 
 
 def parse_graph(text: str) -> Multigraph:

@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import accumulate, chain, combinations, islice
 from math import ceil, comb, isfinite, log2
 from typing import Iterable, NamedTuple, TextIO
@@ -33,7 +33,7 @@ import numpy as np
 
 from .access import _bordered_spans, _gather_index, _index_array, _zero_vertex
 from .fqlinalg import _kernel_type, _residues, require_prime
-from .multigraph import DealerGraph, Multigraph, serialize_graph
+from .multigraph import DealerGraph, Multigraph, _slot_map, serialize_graph
 
 TRIAL_CHUNK = 2048
 # Enumeration indices per exhaustive_search block: the checkpoint gains one
@@ -92,17 +92,14 @@ def _plan(n: int, dealer: int, sizes: tuple[int, ...], chunk: int) -> tuple[np.n
     """The read-only gather plan of the chunk-th run of at most BLOCK_CAP
     sets of the stream of lexicographic player sets (every vertex but the
     dealer) of each size of sizes in turn: access._gather_index's halves
-    (rows, cols) of their flat index (access._index_array), padded with the
-    zero vertex to the widest size of the stream (rows) and down to its
-    smallest (cols), so the plans of one stream line up. Its checks run
-    once per plan. At most PLAN_CACHE plans are kept, so no stream is built
-    whole and memory stays bounded at any n."""
+    (rows, cols) of their flat index (access._index_array), as wide as the
+    run's own widest and smallest sets. Its checks run once per plan. At
+    most PLAN_CACHE plans are kept, so no stream is built whole and memory
+    stays bounded at any n."""
     players = [v for v in range(n) if v != dealer]
     stream = chain.from_iterable(combinations(players, size) for size in sizes)
-    sets = _index_array(list(islice(stream, chunk * BLOCK_CAP, (chunk + 1) * BLOCK_CAP)))
-    rows, cols = _gather_index(n, dealer, np.pad(sets, ((0, 0), (0, max(sizes) - sets.shape[1])), constant_values=-1))
-    if len(cols) < n - min(sizes):
-        cols = np.pad(cols, ((n - min(sizes) - len(cols), 0), (0, 0)), constant_values=n)
+    sets = list(islice(stream, chunk * BLOCK_CAP, (chunk + 1) * BLOCK_CAP))
+    rows, cols = _gather_index(n, dealer, _index_array(sets))
     rows.setflags(write=False)
     cols.setflags(write=False)
     return rows, cols
@@ -122,7 +119,7 @@ def _block_index(n: int, dealer: int, sizes: tuple[int, ...], start: int, stop: 
     rows, cols = _plan(n, dealer, sizes, chunk)
     rows, cols = rows[:, lo:hi], cols[len(cols) - n + min(touched) :, lo:hi]
     widest = max(touched)
-    return (rows if widest == max(sizes) else rows[[*range(widest), -1]])[:, None] + cols
+    return (rows if widest == len(rows) - 1 else rows[[*range(widest), -1]])[:, None] + cols
 
 
 def _set_at(n: int, dealer: int, sizes: tuple[int, ...], position: int) -> tuple[int, ...]:
@@ -263,41 +260,22 @@ def is_scheme(dg: DealerGraph, k: int) -> IsSchemeResult:
     return IsSchemeResult(True, None, "ok")
 
 
-@cache
-def _slot_map(n: int) -> np.ndarray:
-    """The read-only (n, n) map from each adjacency entry to its edge slot.
-    The m = n(n-1)/2 slots are ordered row-major ((0,1), (0,2), ...,
-    (n-2,n-1)), both entries of a pair read its slot, and the diagonal
-    reads slot m, so a row of m edge multiplicities and a trailing zero
-    gathers into the symmetric adjacency matrix in one step."""
-    rows, cols = np.triu_indices(n, 1)
-    slots = np.full((n, n), rows.size)
-    slots[rows, cols] = slots[cols, rows] = np.arange(rows.size)
-    slots.setflags(write=False)
-    return slots
-
-
 def _gamma_from_index(index, n: int, q: int) -> np.ndarray:
     """Adjacency matrices for enumeration indices, in the kernel's type for
     q, so a scan of them reduces nothing; Multigraph takes one as int64.
 
-    The edge slots of _slot_map are read as base-q digits with the first
-    slot most significant, so contiguous index ranges share their leading
-    entries. index is an int or an integer array; the result has shape
-    index.shape + (n, n). q^(m - 1) overflows int64 for large n, so the
-    digits are taken in groups of the most slots g with q^g below 2^63, one
-    vectorised pass per group from the least significant; an index below
-    2^63 leaves zeros in the slots above its last group.
+    The edge slots of multigraph._slot_map are read as base-q digits with
+    the first slot most significant, so contiguous index ranges share their
+    leading entries. index is an int or an integer array below 2^63; the
+    result has shape index.shape + (n, n). Such an index has at most g + 1
+    base-q digits, g the most with q^g below 2^63, so one vectorised pass
+    takes the last min(m, g + 1) slots and leaves the slots above them zero.
     """
-    rest = np.array(index, dtype=np.int64)
     m = n * (n - 1) // 2
-    digits = np.zeros(rest.shape + (m + 1,), dtype=_kernel_type(q))
-    group = int(63 / log2(q) - 1e-9)
-    places = q ** np.arange(group, -1, -1, dtype=np.int64)
-    for stop in range(m, 0, -group):
-        width = min(group, stop)
-        digits[..., stop - width : stop] = rest[..., None] // places[-width:] % q
-        rest //= places[-width - 1]
+    width = min(m, int(63 / log2(q) - 1e-9) + 1)
+    index = np.asarray(index, dtype=np.int64)
+    digits = np.zeros(index.shape + (m + 1,), dtype=_kernel_type(q))
+    digits[..., m - width : m] = index[..., None] // q ** np.arange(width - 1, -1, -1, dtype=np.int64) % q
     return digits[..., _slot_map(n)]
 
 

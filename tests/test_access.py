@@ -729,6 +729,50 @@ def test_slice_minimum_upper_bounds_exact_minimum():
         checked += 1
 
 
+def _looped_probes(g, d, b):
+    """dealer_kernel_witness and min_support_kernel_element as loops over
+    itertools.product, the references of their one-product forms: the
+    slice element of least (support, entries) and the least support of
+    every basis combination nonzero at d or with a nonzero image at d."""
+    basis, d_row, cols = kernel_slice_columns(g, d, b)
+    q = g.q
+    seen = np.flatnonzero(d_row @ basis[:, 1:] % q)
+    c1, c2 = basis[:, 0], basis[:, 1 + seen[0]]
+    members = [(x * c1 + y * c2) % q for x, y in product(range(q), repeat=2) if x or y]
+    witness = np.zeros(g.n, dtype=np.int64)
+    witness[cols] = min(members, key=lambda v: (int(np.count_nonzero(v)), v.tolist()))
+    best = None
+    for coeffs in product(range(q), repeat=basis.shape[1]):
+        vec = (basis @ np.array(coeffs, dtype=np.int64)) % q
+        if vec[0] == 0 and int(d_row @ vec) % q == 0:
+            continue
+        size = int(np.count_nonzero(vec))
+        if best is None or size < best:
+            best = size
+    return witness, best
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_kernel_probes_match_their_loops(q):
+    # every accessible set of two seeded graphs per order 2..6, every dealer
+    rng = np.random.default_rng(q)
+    checked = 0
+    for n in range(2, 7):
+        for _ in range(2):
+            g = random_graph(n, q, rng)
+            for d in range(n):
+                players = [v for v in range(n) if v != d]
+                for b in all_subsets(players):
+                    if quantum_derivative(g, d, b) != -1:
+                        continue
+                    witness, best = _looped_probes(g, d, b)
+                    got = dealer_kernel_witness(g, d, b)
+                    assert got.dtype == np.int64 and got.tolist() == witness.tolist(), (g.gamma.tolist(), d, b)
+                    assert min_support_kernel_element(g, d, b) == best, (g.gamma.tolist(), d, b)
+                    checked += 1
+    assert checked >= 200
+
+
 def test_min_support_budget_guard(monkeypatch):
     rs = rs747_fixture()
     monkeypatch.setattr(qss.access, "KERNEL_BUDGET", 10)

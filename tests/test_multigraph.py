@@ -229,6 +229,30 @@ def test_random_graph_deterministic_per_seed():
     assert a != c
 
 
+def _upper_triangle_fill(n, q, rng):
+    """random_graph's reference: one draw per edge slot, filled into the
+    upper triangle row by row and mirrored."""
+    gamma = np.zeros((n, n), dtype=np.int64)
+    iu = np.triu_indices(n, 1)
+    gamma[iu] = rng.integers(0, q, size=len(iu[0]))
+    gamma += gamma.T
+    return gamma
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_random_graph_matches_the_upper_triangle_fill(q):
+    # the same graph from the same draws, and the generator left at the
+    # same state, from an int seed and from a Generator
+    for n in range(13):
+        for seed in (0, 1, 47, 2026):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            g = random_graph(n, q, rng)
+            assert g.n == n and g.gamma.dtype == np.int64
+            assert np.array_equal(g.gamma, _upper_triangle_fill(n, q, ref))
+            assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+            assert random_graph(n, q, seed) == g
+
+
 def test_random_graph_uniform_edge_weights():
     # single edge slot at n=2: weight counts should be uniform over F_5
     q, draws = 5, 10_000

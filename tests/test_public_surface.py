@@ -67,17 +67,29 @@ def test_bench_only_names_are_pinned():
     assert sorted(name for name, count in traced.items() if count > untraced[name] == 0) == sorted(BENCH_ONLY)
 
 
+def _top_level_users(name: str) -> set[tuple[str, str | None]]:
+    """(module, def or class name) of each top-level statement of src/qss,
+    imports aside, that refers to name."""
+    return {
+        (path.stem, getattr(node, "name", None))
+        for path in MODULES
+        for node in ast.parse(path.read_text()).body
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) and _references(node)[name]
+    }
+
+
 def test_one_scan_ranks_every_block():
     # the package ranks its bordered matrices in one block loop, the scan
     # of search._first_failure, and in access.batch_indicators' one call:
     # no other top-level statement of src/qss refers to _bordered_spans
-    users = {
-        (path.stem, getattr(node, "name", None))
-        for path in MODULES
-        for node in ast.parse(path.read_text()).body
-        if not isinstance(node, (ast.Import, ast.ImportFrom)) and _references(node)["_bordered_spans"]
-    }
-    assert users == {("search", "_first_failure"), ("access", "batch_indicators")}
+    assert _top_level_users("_bordered_spans") == {("search", "_first_failure"), ("access", "batch_indicators")}
+
+
+def test_one_edge_slot_layout():
+    # the edge slots are laid out once, by multigraph._slot_map, which both
+    # enumeration and random graphs gather through: no other top-level
+    # statement of src/qss refers to triu_indices
+    assert _top_level_users("triu_indices") == {("multigraph", "_slot_map")}
 
 
 def test_import_qss_binds_only_the_version():

@@ -30,6 +30,7 @@ from qss.access import (
     quantum_derivative,
 )
 from qss.multigraph import DealerGraph, Multigraph, local_complement, parse_graph, random_graph, rs747_fixture
+from qss.multigraph import _slot_map
 from qss.search import (
     TRIAL_CHUNK,
     batch_accessible_at_k,
@@ -49,7 +50,6 @@ from qss.search import (
     _gamma_from_index,
     _graphs_realising_k,
     _plan,
-    _slot_map,
     _some_set_fails,
     _worst_unauthorized,
 )
@@ -396,11 +396,12 @@ def test_plans_are_read_only_lexicographic_chunks():
         for a in plan:
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] = 0
-    # the chunks of a stream of sizes 8 and 7 line up: members padded to 8
-    # rows before the dealer's, columns padded down to the size-7 sets'
-    for chunk in (0, 1, 2, 3):
+    # each chunk of a stream of sizes 8 and 7 is as wide as its own sets:
+    # C(14, 8) = 3,003 size-8 sets end inside chunk 1, so chunk 0 holds only
+    # size-8 sets, chunk 1 both sizes and chunks 2 and 3 only size-7 sets
+    for chunk, (widest, smallest) in enumerate([(8, 8), (8, 7), (7, 7), (7, 7)]):
         rows, cols = _plan(15, 2, (8, 7), chunk)
-        assert rows.shape[0] == 9 and cols.shape[0] == 15 - 7
+        assert rows.shape[0] == widest + 1 and cols.shape[0] == 15 - smallest
         assert not rows.flags.writeable and not cols.flags.writeable
 
 
