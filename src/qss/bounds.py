@@ -41,9 +41,12 @@ def entropy(x: float, base: float) -> float:
 def _bisect(f, lo: float, hi: float, tol: float) -> float:
     """Bisection for the smallest alpha in (lo, hi] with f(alpha) True.
 
-    f must be monotone (False then True) on the bracket; f(hi) must hold.
+    f must be monotone (False then True) on the bracket; f(hi) must hold
+    and tol be finite and positive.
     Returns the True endpoint, so the guarantee f(result) holds exactly.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if not f(hi):
         raise ValueError("upper bracket does not satisfy the predicate")
     for _ in range(_BISECT_CAP):
@@ -66,8 +69,6 @@ def random_threshold_alpha(q: int, tol: float = 1e-8) -> float:
     """
     if q < 2:
         raise ValueError(f"field size q must be >= 2, got {q}")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     base = q * q
 
     def ok(alpha: float) -> bool:
@@ -86,8 +87,6 @@ def asymptotic_lower_bound(q: int, tol: float = 1e-8) -> float:
     """
     if q < 2:
         raise ValueError(f"field size q must be >= 2, got {q}")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
     def ok(alpha: float) -> bool:
         lhs = entropy((alpha * q + 1) / (q + 1), 2) + alpha * entropy((1 - alpha) / alpha, 2)

@@ -460,37 +460,16 @@ def _checked_witnesses(g: Multigraph, d: int, sets, d_rows, c_rows) -> tuple[np.
     return d_rows * inverses_mod(d_rows @ g.gamma[d] % q, q)[:, None] % q, c_rows
 
 
-@dataclass(frozen=True)
-class DecodeParams:
-    """Measurement data for the basis-t round.
+def decode_params(g: Multigraph, d: int, b_set, d_vec, c_vec, t: int) -> tuple[np.ndarray, int]:
+    """The basis-t round operator and its decoding offset from the witness pair.
 
-    x and z are the round operator's exponent tuples on the full vertex
-    register: vertex v measures X^{x[v]} Z^{z[v]}, so the dealer's entries
-    give X^t Z and the players' their Weyl operators, zero off the round.
-    c is the constructive phase that makes the assembled stabilizer product
-    fix |G>. half_correction is the extra mod-2 term needed at q = 2 where
-    single Weyl factors square to -I.
-    """
-
-    q: int
-    t: int
-    beta: int
-    x: tuple[int, ...]
-    z: tuple[int, ...]
-    c: int
-    half_correction: int
-
-    def decode(self, total: int) -> int:
-        """The secret f_t(total) = -total - c - C(t, 2) * beta, plus the q = 2 correction."""
-        return (-total - self.c - (self.t * (self.t - 1) // 2) * self.beta + self.half_correction) % self.q
-
-
-def decode_params(g: Multigraph, d: int, b_set, d_vec, c_vec, t: int) -> DecodeParams:
-    """Assemble the round-t measurement parameters from the witness pair.
-
-    The stabilizer product K_C^t K_D^{1 - t*beta} has weight
-    t*C + (1 - t*beta)*D; its exact global phase defines c. t = 0 works with
-    c_vec = None (the C factor never enters). q = 2 allows t in {0, 1}.
+    The operator is the stabilizer product K_C^t K_D^{1 - t*beta}, weight
+    t*C + (1 - t*beta)*D, as its [x | z | phase] row on the full vertex
+    register: vertex v measures X^{x[v]} Z^{z[v]}, the dealer X^t Z. The
+    operator fixes |G>, so a round decodes the secret as offset - total,
+    offset = -phase, plus half the operator's XZ weight at q = 2, where
+    single Weyl factors square to -I. t = 0 works with c_vec = None (the C
+    factor never enters). q = 2 allows t in {0, 1}.
     """
     q = g.q
     t = int(t) % q
@@ -501,20 +480,16 @@ def decode_params(g: Multigraph, d: int, b_set, d_vec, c_vec, t: int) -> DecodeP
     c_row = np.zeros(g.n, dtype=np.int64) if c_rows is None else c_rows[0]
     beta = int((g.gamma[d] @ c_row) % q)
     # C is 1 at the dealer and otherwise supported on b
-    x, z, phase = (e.tolist() for e in _split(_stabilizer_rows(g, t * c_row + (1 - t * beta) * d_rows[0])))
+    row = _stabilizer_rows(g, t * c_row + (1 - t * beta) * d_rows[0])
+    x, z, phase = (e.tolist() for e in _split(row))
     if any(x[v] or z[v] for v in range(g.n) if v != d and v not in b):
         raise AssertionError("stabilizer product leaks outside the player set")
     if (x[d], z[d]) != (t, 1):
         raise AssertionError("dealer factor of the stabilizer product is off")
-    c = (phase - t * (t - 1) // 2 * beta) % q
-
-    half_corr = 0
-    if q == 2:
-        weight = sum(xv * zv for xv, zv in zip(x, z))  # the dealer's X^t Z adds t
-        if weight % 2:
-            raise AssertionError("total XZ weight of the round operator must be even")
-        half_corr = (weight // 2) % 2
-    return DecodeParams(q, t, beta, tuple(x), tuple(z), c, half_corr)
+    weight = sum(xv * zv for xv, zv in zip(x, z)) if q == 2 else 0  # the dealer's X^t Z adds t
+    if weight % 2:
+        raise AssertionError("total XZ weight of the round operator must be even")
+    return row, (weight // 2 - phase) % q
 
 
 def cq_round(
@@ -530,10 +505,10 @@ def cq_round(
 
     The dealer measures the Weyl operator X^t Z on their qudit of |G>,
     getting s(t); each player i in b_set measures X^{x_i} Z^{z_i}, both
-    read from the round operator's exponent tuples of DecodeParams; the
-    players combine outcomes through the affine decoder. Returns (s, m); the
-    contract for an authorized set is m = s. Each measurement draws one
-    uniform, so a round draws 1 + |b_set|.
+    read from the round operator's [x | z | phase] row, and the players
+    decode offset - total, the offset read from that row's phase (see
+    decode_params). Returns (s, m); the contract for an authorized set is
+    m = s. Each measurement draws one uniform, so a round draws 1 + |b_set|.
 
     A set without a round-t decoder raises by default: one that cannot read
     the basis-0 secret (no witness D), or, at t != 0, one without a hiding
@@ -549,20 +524,19 @@ def cq_round(
     # D (none iff pi = 0) and, at t != 0, C over B + {d}, from one solve
     d_rows, d_found, c_rows, c_found = witness_rows(g, d, [b], [comp] if t else [])
     if d_found[0] and (t == 0 or c_found[0]):
-        params = decode_params(g, d, b, d_rows[0], c_rows[0] if t else None, t)
+        row, offset = decode_params(g, d, b, d_rows[0], c_rows[0] if t else None, t)
     elif on_unauthorized == "raise":
         if d_found[0]:
             raise ValueError("basis t != 0 needs a quantum-accessible set (no hiding witness exists)")
         raise ValueError("player set cannot access the secret; protocol contract violated")
     else:  # X^t Z on the dealer, Z on every player, decoded as -total
-        params = DecodeParams(q, t, 0, tuple(t * (v == d) for v in range(g.n)),
-                              tuple(int(v not in comp) for v in range(g.n)), 0, 0)
+        row, offset = np.r_[t * (np.arange(g.n) == d), [int(v not in comp) for v in range(g.n)], 0], 0
 
     on, state, outcomes = np.eye(g.n, dtype=np.int64), graph_state(g, budget=budget), []
     for v in (d, *b):  # the dealer first, then the players ascending
-        m_v, state = measure_weyl(state, np.r_[params.x[v] * on[v], params.z[v] * on[v], 0], rng)
+        m_v, state = measure_weyl(state, row * np.r_[on[v], on[v], 0], rng)
         outcomes.append(m_v)
-    return outcomes[0], params.decode(sum(outcomes[1:]))
+    return outcomes[0], (offset - sum(outcomes[1:])) % q
 
 
 # ---------------------------------------------------------------------------

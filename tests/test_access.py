@@ -564,10 +564,15 @@ def test_verify_witness_pair_perturbation_breaks():
     assert verify_witness_pairs(rs.graph, 0, [b] * 3, d_rows, None).tolist() == [True, False, True]
 
 
-# the one-set entry points of a witness pair, called as f(g, d, B, D, C)
-# (code_unitaries' rows as a list, whose truth value is its length)
+def _decode_params_t0(*args):
+    row, offset = decode_params(*args, 0)
+    return row.tolist(), offset
+
+
+# the one-set entry points of a witness pair, called as f(g, d, B, D, C),
+# their rows as lists so that two results compare with ==
 PAIR_CALLS = {
-    "decode_params": lambda *args: decode_params(*args, 0),
+    "decode_params": _decode_params_t0,
     "code_unitaries": lambda *args: code_unitaries(*args).tolist(),
 }
 
@@ -588,7 +593,8 @@ def test_pair_calls_reject_non_integral_entries(name):
     with pytest.raises(ValueError, match="witness C must be integers"):
         PAIR_CALLS[name](g, 0, [1, 2], vector(3, {1: 1}), np.array([1.0, 0.5, 0.0]))
     # integral floats pass as the integers they hold
-    assert PAIR_CALLS[name](g, 0, [1, 2], np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+    want = PAIR_CALLS[name](g, 0, [1, 2], vector(3, {1: 1}), vector(3, {0: 1}))
+    assert PAIR_CALLS[name](g, 0, [1, 2], np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0])) == want
 
 
 # ---------------------------------------------------------------- dealer kernel

@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -88,7 +89,7 @@ def test_access_partial_and_empty_sets(capsys, star_file):
 def test_access_reads_stdin(capsys, monkeypatch, star_file):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(open(star_file).read()))
+    monkeypatch.setattr("sys.stdin", io.StringIO(Path(star_file).read_text()))
     code, out, _ = run(capsys, ["access", "-", "--dealer", "0", "--set", "1,2"])
     assert code == EXIT_OK
     assert report(out)["result"]["derivative"] == -1
@@ -746,7 +747,7 @@ def test_cq_round_authorized_rounds_agree(capsys, star_file):
 # Eight authorized rounds per basis t on the ORACLE_PINS graphs, pinned from the
 # implementation that folded generator powers one at a time. The dealer's
 # outcomes s come from the same draws in every basis; each m must equal s.
-# q = 2 at t = 1 takes the half_correction path, and both odd-q sets have
+# q = 2 at t = 1 takes the offset's half XZ weight term, and both odd-q sets have
 # beta = 1, so the round operator weights D by 1 - t at t = 1 and 2.
 CQ_ROUND_PINS = [
     ("q2", "1,2,3", (1,), 21, [1, 1, 1, 1, 0, 0, 0, 0]),

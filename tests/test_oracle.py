@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qss.access import QUANTUM_VERDICT, cutrank, quantum_derivative, witness_C, witness_D
+from qss.access import QUANTUM_VERDICT, cutrank, quantum_derivative, witness_C, witness_D, witness_rows
 from qss.multigraph import Multigraph, parse_graph, random_graph, rs747_fixture
+from qss.search import _gamma_from_index
 import qss.oracle
 from qss.oracle import (
     AMPLITUDE_BUDGET,
@@ -937,12 +938,12 @@ def test_site_positions_outside_the_register_raise(sites):
 
 def test_decode_params_t0_reduction():
     g = star3()
-    p = decode_params(g, 0, [1, 2], vector(3, {1: 1}), None, 0)
-    assert p.t == 0
-    assert p.beta == 0
-    assert p.x == (0, 1, 0)  # X exponents mirror the accessing multiset, X^0 at the dealer
-    assert p.z == (1, 0, 0)  # the dealer's Z; K_1 = X_1 Z_0 puts no Z on the players
-    assert p.c == 0
+    row, offset = decode_params(g, 0, [1, 2], vector(3, {1: 1}), None, 0)
+    x, z, phase = _split(row)
+    assert x.tolist() == [0, 1, 0]  # X exponents mirror the accessing multiset, X^0 at the dealer
+    assert z.tolist() == [1, 0, 0]  # the dealer's Z; K_1 = X_1 Z_0 puts no Z on the players
+    assert phase == 0
+    assert offset == 0
 
 
 def test_decode_params_needs_c_for_nonzero_t():
@@ -961,9 +962,9 @@ def test_decode_params_constructive_phase_overrides_printed():
     g = star3()
     dms = witness_D(g, 0, [1, 2])
     cms = witness_C(g, 0, [])  # hiding witness over B + {d}, here just {d}
-    p = decode_params(g, 0, [1, 2], dms, cms, 1)
-    assert p.c == 1
-    assert (p.x[0], p.z[0]) == (1, 1)  # the dealer's X^t Z at t = 1
+    x, z, phase = _split(decode_params(g, 0, [1, 2], dms, cms, 1)[0])
+    assert phase == 1
+    assert (x[0], z[0]) == (1, 1)  # the dealer's X^t Z at t = 1
 
 
 def test_decode_params_q2_half_correction_integral():
@@ -971,9 +972,30 @@ def test_decode_params_q2_half_correction_integral():
     dms = witness_D(g, 0, [1, 2])
     cms = witness_C(g, 0, [])
     for t in (0, 1):
-        p = decode_params(g, 0, [1, 2], dms, cms if t else None, t)
-        assert p.half_correction in (0, 1)
-        assert p.decode(0) in (0, 1)
+        assert decode_params(g, 0, [1, 2], dms, cms if t else None, t)[1] in (0, 1)
+
+
+def test_round_operators_fix_the_graph_state():
+    # every set and basis t with a round-t decoder, on every dealer-0 graph
+    # with up to 4 vertices at q = 2, 3 and on random graphs at q = 5, 7:
+    # K_C^t K_D^{1 - t*beta} fixes |G> and puts X^t Z on the dealer
+    rng = np.random.default_rng(90)
+    graphs = [Multigraph(q, gamma) for q in (2, 3) for n in range(2, 5)
+              for gamma in _gamma_from_index(np.arange(q ** (n * (n - 1) // 2)), n, q)]
+    graphs += [random_graph(int(rng.integers(2, 6)), q, rng) for q in (5, 7) for _ in range(15)]
+    rounds = 0
+    for g in graphs:
+        psi, players = graph_state(g), range(1, g.n)
+        sets = [b for k in range(g.n) for b in combinations(players, k)]
+        d_rows, d_found, c_rows, c_found = witness_rows(g, 0, sets, [[v for v in players if v not in b] for b in sets])
+        for i, b in enumerate(sets):
+            for t in range(g.q if c_found[i] else 1) if d_found[i] else ():
+                row = decode_params(g, 0, b, d_rows[i], c_rows[i] if t else None, t)[0]
+                x, z, _ = _split(row)
+                assert (x[0], z[0]) == (t, 1)
+                assert np.abs(apply_weyl(psi, row).amplitudes - psi.amplitudes).max() <= 1e-12
+                rounds += 1
+    assert rounds > 5000
 
 
 def test_cq_round_contract_all_bases():
@@ -999,7 +1021,9 @@ def test_protocol_rounds_on_sets_that_leave_a_player_out():
                 assert m == s
         dms = witness_D(g, 0, b)
         doubled = 2 * dms
-        assert decode_params(g, 0, b, doubled, None, 0) == decode_params(g, 0, b, dms, None, 0)
+        (row, offset), (want, want_offset) = (decode_params(g, 0, b, w, None, 0) for w in (doubled, dms))
+        assert np.array_equal(row, want)
+        assert offset == want_offset
 
 
 def test_cq_round_solves_its_witnesses_in_one_call(monkeypatch):
