@@ -447,43 +447,25 @@ def _set_trace_distances(words: np.ndarray, sets, budget: int) -> list[float]:
 # protocol machinery
 
 
-def _checked_witnesses(g: Multigraph, d: int, sets, d_rows, c_rows) -> tuple[np.ndarray, np.ndarray | None]:
-    """The witness rows (S, n) of the checked player sets, reduced mod q,
-    once every pair meets qss.access.verify_witness_pairs and every C (C
-    may be None) has dealer coefficient 1; else ValueError. D comes back
-    scaled so that the dealer sees it with multiplicity alpha = 1."""
-    if not verify_witness_pairs(g, d, sets, d_rows, c_rows).all():
-        raise ValueError(f"witness {'D' if c_rows is None else 'pair'} fails the access conditions")
-    q = g.q
-    if c_rows is not None and ((c_rows := c_rows % q)[:, d] != 1).any():
-        raise ValueError("witness C must have dealer coefficient 1")
-    return d_rows * inverses_mod(d_rows @ g.gamma[d] % q, q)[:, None] % q, c_rows
-
-
 def decode_params(g: Multigraph, d: int, b_set, d_vec, c_vec, t: int) -> tuple[np.ndarray, int]:
     """The basis-t round operator and its decoding offset from the witness pair.
 
-    The operator is the stabilizer product K_C^t K_D^{1 - t*beta}, weight
-    t*C + (1 - t*beta)*D, as its [x | z | phase] row on the full vertex
-    register: vertex v measures X^{x[v]} Z^{z[v]}, the dealer X^t Z. The
-    operator fixes |G>, so a round decodes the secret as offset - total,
-    offset = -phase, plus half the operator's XZ weight at q = 2, where
-    single Weyl factors square to -I. t = 0 works with c_vec = None (the C
-    factor never enters). q = 2 allows t in {0, 1}.
+    The operator is V_B^t U_B^{-1} = K_C^t K_D^{1 - t*beta}, the code
+    unitaries of _code_rows multiplied out, as its [x | z | phase] row on
+    the full vertex register: vertex v measures X^{x[v]} Z^{z[v]}, the
+    dealer X^t Z. The operator fixes |G>, so a round decodes the secret as
+    offset - total, offset = -phase, plus half the operator's XZ weight at
+    q = 2, where single Weyl factors square to -I. t = 0 works with c_vec =
+    None (V_B is then the identity). q = 2 allows t in {0, 1}.
     """
     q = g.q
     t = int(t) % q
     b = _check_b(g, d, b_set)
     if t != 0 and c_vec is None:
         raise ValueError("basis t != 0 needs the hiding witness C")
-    d_rows, c_rows = _checked_witnesses(g, d, [b], *_vector_pair(g, d_vec, c_vec))
-    c_row = np.zeros(g.n, dtype=np.int64) if c_rows is None else c_rows[0]
-    beta = int((g.gamma[d] @ c_row) % q)
-    # C is 1 at the dealer and otherwise supported on b
-    row = _stabilizer_rows(g, t * c_row + (1 - t * beta) * d_rows[0])
+    u, v = _code_rows(g, d, [b], *_vector_pair(g, d_vec, c_vec))[0]
+    row = _weyl_product(q, _weyl_power(q, v, t), _weyl_power(q, u, -1))
     x, z, phase = (e.tolist() for e in _split(row))
-    if any(x[v] or z[v] for v in range(g.n) if v != d and v not in b):
-        raise AssertionError("stabilizer product leaks outside the player set")
     if (x[d], z[d]) != (t, 1):
         raise AssertionError("dealer factor of the stabilizer product is off")
     weight = sum(xv * zv for xv, zv in zip(x, z)) if q == 2 else 0  # the dealer's X^t Z adds t
@@ -567,28 +549,36 @@ def code_unitaries(g: Multigraph, d: int, b_set, d_vec, c_vec) -> np.ndarray:
     """(U_B, V_B) on the player register from a valid witness pair, as a
     (2, 2(n-1)+1) array of [x | z | phase] rows: U_B |s_L> = omega^s |s_L>
     and V_B |s_L> = |(s+1)_L>, both supported on b_set only. The stack of
-    one of _steering_rows."""
+    one of _code_rows, the dealer's site dropped."""
     b = _check_b(g, d, b_set)
     if d_vec is None or c_vec is None:
         raise ValueError("quantum decoding needs both witnesses")
-    return _steering_rows(g, d, [b], *_vector_pair(g, d_vec, c_vec))[0]
+    return _keep_sites(_code_rows(g, d, [b], *_vector_pair(g, d_vec, c_vec))[0], _player_order(g, d))
 
 
-def _steering_rows(g: Multigraph, d: int, sets, d_rows, c_rows) -> np.ndarray:
-    """(U_B, V_B) of each player set from its witness rows, checked by
-    _checked_witnesses, as (S, 2, 2(n-1)+1) [x | z | phase] exponent rows on
-    the player register: U_B = K_D^{-1} and V_B = K_C K_D^{-beta}, beta =
-    Gamma_d.C, with the dealer's site dropped, which leaves C's dealer
-    weight 1 as the logical X, Z on the dealer's neighbours."""
-    d_rows, c_rows = _checked_witnesses(g, d, sets, d_rows, c_rows)
-    beta = c_rows @ g.gamma[d] % g.q
+def _code_rows(g: Multigraph, d: int, sets, d_rows, c_rows) -> np.ndarray:
+    """(U_B, V_B) of each checked player set from its witness rows (S, n),
+    as (S, 2, 2n + 1) [x | z | phase] rows on the full vertex register:
+    U_B = K_D^{-1} and V_B = K_C K_D^{-beta}, beta = Gamma_d.C, or I if C is
+    None, D scaled to dealer multiplicity alpha = 1. ValueError unless each
+    pair meets qss.access.verify_witness_pairs and each C has dealer
+    coefficient 1."""
+    if not verify_witness_pairs(g, d, sets, d_rows, c_rows).all():
+        raise ValueError(f"witness {'D' if c_rows is None else 'pair'} fails the access conditions")
+    q = g.q
+    if c_rows is None:
+        c_rows = 0 * d_rows
+    elif ((c_rows := c_rows % q)[:, d] != 1).any():
+        raise ValueError("witness C must have dealer coefficient 1")
+    d_rows = d_rows * inverses_mod(d_rows @ g.gamma[d] % q, q)[:, None] % q
+    beta = c_rows @ g.gamma[d] % q
     ops = _stabilizer_rows(g, np.stack([-d_rows, c_rows - beta[:, None] * d_rows], axis=1))
     (x, z, _), outside = _split(ops), ~_members(g.n, sets)
     outside[:, d] = False
     for k, name in enumerate(("U_B", "V_B")):
         if ((x[:, k] + z[:, k]) * outside).any():
             raise AssertionError(f"{name} acts outside the player set")
-    return _keep_sites(ops, _player_order(g, d))
+    return ops
 
 
 @dataclass(frozen=True)
@@ -633,15 +623,16 @@ def qq_decode_bell(
 
 
 def _steering(g: Multigraph, d: int, sets) -> tuple[np.ndarray, np.ndarray]:
-    """The _steering_rows of each checked player set for _bell_decode, and
-    the mask of the sets that have no witness D or no witness C, whose rows
-    are the identity stand-ins. One witness_rows call finds, for every set
-    B, its D and its C over B + {d} (witness_C of V - B - {d})."""
+    """The _code_rows of each checked player set on the player register, for
+    _bell_decode, and the mask of the sets without a witness D or C, whose
+    rows are the identity stand-ins. One witness_rows call finds, for every
+    set B, its D and its C over B + {d} (witness_C of V - B - {d})."""
     d_rows, d_found, c_rows, c_found = witness_rows(g, d, sets, [[v for v in range(g.n) if v != d and v not in b]
                                                                  for b in sets])
     ok = d_found & c_found
     rows = np.zeros((len(sets), 2, 2 * g.n - 1), dtype=np.int64)
-    rows[ok] = _steering_rows(g, d, [b for b, solved in zip(sets, ok) if solved], d_rows[ok], c_rows[ok])
+    rows[ok] = _keep_sites(_code_rows(g, d, [b for b, found in zip(sets, ok) if found], d_rows[ok], c_rows[ok]),
+                           _player_order(g, d))
     return rows, ~ok
 
 

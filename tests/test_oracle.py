@@ -6,14 +6,16 @@ rank-algebra layer, so the two sides stay independent checks of each other.
 
 import tracemalloc
 from dataclasses import FrozenInstanceError
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qss.access import QUANTUM_VERDICT, cutrank, quantum_derivative, witness_C, witness_D, witness_rows
+from qss.access import QUANTUM_VERDICT, _index_array, batch_indicators, cutrank, quantum_derivative, witness_C
+from qss.access import witness_D, witness_rows
 from qss.multigraph import Multigraph, parse_graph, random_graph, rs747_fixture
 from qss.search import _gamma_from_index
 import qss.oracle
@@ -25,6 +27,7 @@ from qss.oracle import (
     StateVector,
     _bell_decode,
     _check_norms,
+    _code_rows,
     _codewords,
     _draw_rows,
     _fidelity,
@@ -40,7 +43,6 @@ from qss.oracle import (
     _split,
     _stabilizer_rows,
     _steering,
-    _steering_rows,
     _superpose,
     _weyl_power,
     _weyl_powers,
@@ -978,7 +980,9 @@ def test_decode_params_q2_half_correction_integral():
 def test_round_operators_fix_the_graph_state():
     # every set and basis t with a round-t decoder, on every dealer-0 graph
     # with up to 4 vertices at q = 2, 3 and on random graphs at q = 5, 7:
-    # K_C^t K_D^{1 - t*beta} fixes |G> and puts X^t Z on the dealer
+    # K_C^t K_D^{1 - t*beta} fixes |G> and puts X^t Z on the dealer; the
+    # row is that stabilizer product taken weight by weight, D scaled to
+    # dealer multiplicity 1, and so names what each player measures
     rng = np.random.default_rng(90)
     graphs = [Multigraph(q, gamma) for q in (2, 3) for n in range(2, 5)
               for gamma in _gamma_from_index(np.arange(q ** (n * (n - 1) // 2)), n, q)]
@@ -992,6 +996,10 @@ def test_round_operators_fix_the_graph_state():
             for t in range(g.q if c_found[i] else 1) if d_found[i] else ():
                 row = decode_params(g, 0, b, d_rows[i], c_rows[i] if t else None, t)[0]
                 x, z, _ = _split(row)
+                dvec = d_rows[i] * pow(int(g.gamma[0] @ d_rows[i] % g.q), -1, g.q) % g.q
+                cvec = c_rows[i] % g.q if t else 0 * dvec
+                beta = int(g.gamma[0] @ cvec % g.q)
+                assert row.tolist() == _stabilizer_rows(g, t * cvec + (1 - t * beta) * dvec).tolist()
                 assert (x[0], z[0]) == (t, 1)
                 assert np.abs(apply_weyl(psi, row).amplitudes - psi.amplitudes).max() <= 1e-12
                 rounds += 1
@@ -1010,7 +1018,7 @@ def test_cq_round_contract_all_bases():
 
 def test_protocol_rounds_on_sets_that_leave_a_player_out():
     # on the path 0-1-2-3 the sets (1, 2) and (1, 3) each leave one player
-    # outside, where decode_params checks the stabilizer product for a leak;
+    # outside, where _code_rows checks the code unitaries for a leak;
     # a doubled D is rescaled to dealer multiplicity 1 before decoding
     g = path4()
     rng = np.random.default_rng(88)
@@ -1172,10 +1180,10 @@ def test_corrupted_witness_rows_raise(case, error):
     else:
         bad_d[2] = 1  # Gamma.D reaches vertex 3 as well as the dealer
     full_d, full_c = witness_D(g, 0, full), witness_C(g, 0, [])
-    assert _steering_rows(g, 0, [b, full], np.array([d_row, full_d]), np.array([c_row, full_c])).shape == (2, 2, 7)
+    assert _code_rows(g, 0, [b, full], np.array([d_row, full_d]), np.array([c_row, full_c])).shape == (2, 2, 9)
     for sets, d_rows, c_rows in (([full, b], [full_d, bad_d], [full_c, bad_c]), ([b], [bad_d], [bad_c])):
         with pytest.raises(ValueError, match=error):
-            _steering_rows(g, 0, sets, np.array(d_rows), np.array(c_rows))
+            _code_rows(g, 0, sets, np.array(d_rows), np.array(c_rows))
     with pytest.raises(ValueError, match=error):
         code_unitaries(g, 0, b, bad_d, bad_c)
 
@@ -1411,6 +1419,46 @@ def test_sweeps_decode_no_set_without_both_witnesses(monkeypatch):
         assert swept.bit_generator.state == looped.bit_generator.state
         with pytest.raises(BudgetExceeded, match="^64 amplitudes exceed the budget"):
             oracle_reports(g, 0, sets, np.random.default_rng(17), budget=32)
+
+
+def misread(monkeypatch, i, derivative):
+    """batch_indicators reading the derivative of the i-th swept set as given."""
+    read = qss.oracle.batch_indicators
+
+    def patched(*args):
+        pi, out = read(*args)
+        out[0, i] = derivative
+        return pi, out
+
+    monkeypatch.setattr(qss.oracle, "batch_indicators", patched)
+
+
+def test_oracle_reports_catch_a_misread_derivative(monkeypatch):
+    # a rank route that reads one accessible set as partial, or one partial
+    # set as accessible, shows as a disagreement: on the full sweep, and on
+    # a sweep capped at the set's size that leaves its complement out, as
+    # --max-size does. The oracle solves every swept set's witnesses, so an
+    # accessible set read as partial still decodes with fidelity 1; solving
+    # only the sets the rank route calls accessible would hide it on the
+    # capped sweep, where no complement reads no_info
+    rng, caught = np.random.default_rng(97), Counter()
+    for q, n, _ in product((2, 3), (4, 5, 6), range(3)):
+        g = dealer_graph(n, q, rng)
+        sets = [b for size in range(n) for b in combinations(range(1, n), size)]
+        derivative = batch_indicators(g.gamma[None], q, 0, _index_array(sets))[1][0]
+        disagree = lambda swept: sum(row["verdict_graph"] != row["verdict_oracle"]
+                                     for row in oracle_reports(g, 0, swept, np.random.default_rng(19)))
+        assert disagree(sets) == 0
+        for i in np.flatnonzero(derivative != 1):
+            misread(monkeypatch, i, -1 - derivative[i])
+            assert disagree(sets) > 0
+            caught["full", QUANTUM_VERDICT[derivative[i]]] += 1
+            if 2 * len(sets[i]) < n - 1:  # the complement is larger than the cap
+                assert disagree([b for b in sets if len(b) <= len(sets[i])]) > 0
+                caught["capped", QUANTUM_VERDICT[derivative[i]]] += 1
+            monkeypatch.undo()
+    assert caught == {("full", "accessible"): 125, ("full", "partial"): 86,
+                      ("capped", "accessible"): 5, ("capped", "partial"): 30}
 
 
 def record_steering(monkeypatch):
