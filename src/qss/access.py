@@ -28,11 +28,12 @@ from .fqlinalg import (
     _kernel_type,
     _residues,
     _solve_stack,
+    as_integers,
     kernel_basis_mod,
     rank_mod,
     require_prime,
 )
-from .multigraph import Multigraph, as_integers, cut_matrix
+from .multigraph import Multigraph, cut_matrix
 
 CLASSICAL_ACCESSIBLE = "accessible"
 NO_INFO = "no_info"
@@ -77,13 +78,12 @@ def batch_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarra
     block's index from cached plans (search._plan).
 
     Rows may hold sets of several sizes: a smaller set lists its members
-    and pads the rest of its row with -1. All matrices then share the shape
-    of the widest row and the smallest set, so a smaller set's matrix gets
-    zero rows for its pads and zero columns for the members of larger sets.
-    A zero row or column of the bordered matrix changes neither span test,
-    so a padded set gets the verdicts of its own matrix, and one kernel
-    call ranks every size. A dealer or member outside 0..n-1, a -1 before
-    a member, a repeated member or the dealer as a member raises
+    and pads the rest of its row with -1. Every matrix then has the shape
+    of the widest row and the smallest set, each half its vertices, zero
+    pads and the dealer (_bordered). A zero row or column changes neither
+    span test, so a padded set gets the verdicts of its own matrix, and one
+    kernel call ranks every size. A dealer or member outside 0..n-1, a -1
+    before a member, a repeated member or the dealer as a member raises
     ValueError.
     """
     q = require_prime(q)
@@ -107,33 +107,37 @@ def _gather_index(n: int, dealer: int, subsets: np.ndarray) -> tuple[np.ndarray,
     index into the stack of _zero_vertex, each with one column per set:
     entry (i, j) of a set's bordered matrix is at rows[i] + cols[j]. rows
     holds u (n + 1) for the set's members, its -1 pads and the dealer; cols
-    holds v for a -1 per member beyond the smallest set's, the other
-    players ascending and the dealer. A -1 reaches the zero vertex n."""
-    sets, width = subsets.shape
+    holds v for the other players ascending, a pad per member beyond the
+    smallest set's and the dealer (_bordered); a pad is the zero vertex n."""
+    sets = len(subsets)
     if not 0 <= dealer < n:
         raise ValueError(f"dealer {dealer} out of range for order {n}")
     if subsets.min(initial=0) < -1 or subsets.max(initial=0) >= n:
         raise ValueError("player set outside vertex range")
     pad = subsets < 0
-    members = width - pad.sum(axis=1)
-    least = int(members.min(initial=width))
     if (pad[:, :-1] > pad[:, 1:]).any():
         raise ValueError("a -1 pad must follow every member of its row")
-    marked = np.where(pad, dealer, subsets)
-    # a stable sort on (member, other player, dealer) keys lists the members
-    # ascending, then the other players ascending and then the dealer
-    key = np.ones((sets, n), dtype=np.int8)
-    key[np.arange(sets)[:, None], marked] = 0
-    key[:, dealer] = 2
-    # a row marks as many distinct members as it lists unless it repeats
-    # one or holds the dealer; the padded gather below relies on it too
-    if ((key == 0).sum(axis=1) < members).any():
+    others = np.ones((sets, n), dtype=bool)
+    others[np.arange(sets)[:, None], np.where(pad, dealer, subsets)] = False
+    others[:, dealer] = False
+    # a row of m members leaves at least n - 1 - m other players, more if it
+    # repeats a member or holds the dealer; the padded gather relies on it
+    if np.count_nonzero(others) > sets * (n - 1) - np.count_nonzero(~pad):
         raise ValueError("a player set repeats a member or holds the dealer")
-    cols = np.argsort(key, axis=1, kind="stable")[:, least:]
-    # the zeroed columns are a smaller set's leading sorted members
-    cols[np.arange(n - least) < (members - least)[:, None]] = n
     rows = np.column_stack([subsets % (n + 1), np.full(sets, dealer)]) * (n + 1)
-    return np.ascontiguousarray(rows.T, dtype=np.intp), np.ascontiguousarray(cols.T, dtype=np.intp)
+    return tuple(np.ascontiguousarray(half.T, dtype=np.intp) for half in (rows, _bordered(others, n, dealer)))
+
+
+def _bordered(mask: np.ndarray, pad: int, border) -> np.ndarray:
+    """The (S, w + 1) vertex order of the systems of an (S, n) mask, w its
+    widest row: each row's True vertices ascending (row-major), then pad up
+    to w, then border (a scalar or one per row). A zero pad row or column
+    never pivots, so each system keeps its own ranks and solutions."""
+    count = mask.sum(axis=1)
+    out = np.full((len(mask), count.max(initial=0) + 1), pad)
+    out[:, -1] = border
+    out[:, :-1][np.arange(out.shape[1] - 1) < count[:, None]] = np.flatnonzero(mask) % mask.shape[1]
+    return out
 
 
 def _bordered_spans(stack: np.ndarray, q: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,22 +225,16 @@ def witness_rows(g: Multigraph, d: int, d_sets, c_sets) -> tuple[np.ndarray, np.
     exists, from one _solve_stack call: Gamma[V - B, B] D = [d] for each
     set of d_sets and Gamma[B, V - B] C = 0 plus a last row C(d) = 1 for
     each set of c_sets (the empty set's D system has no columns and is
-    inconsistent). Each system is gathered at one flat index, its vertices
-    ascending and padded, from Gamma bordered by a zero vertex n for pads
-    and vertex n + 1 for the target column and pin row."""
-    n, k, index = g.n, len(d_sets), []
+    inconsistent). Each system is laid out by _bordered and gathered from
+    Gamma bordered by a zero vertex n for pads and vertex n + 1 for the pin
+    row (a pad for a D system) and the target column."""
+    n, k = g.n, len(d_sets)
     inside = _members(n, [_check_b(g, d, b) for b in [*d_sets, *c_sets]])
     pinned = np.arange(len(inside)) >= k
     ext = np.zeros((n + 2, n + 2), dtype=np.int64)
     ext[:n, :n] = g.gamma
     ext[d, n + 1] = ext[n + 1, d] = ext[n + 1, n + 1] = 1
-    for mask in (np.column_stack([inside ^ ~pinned[:, None], np.zeros(len(inside)), pinned]).astype(bool),
-                 inside ^ pinned[:, None]):
-        count = mask.sum(axis=1)  # each row's vertices ascending, then pads
-        order = np.argsort(~mask, axis=1, kind="stable")[:, : count.max(initial=0)]
-        order[np.arange(order.shape[1]) >= count[:, None]] = n
-        index.append(order)
-    r, c = index[0], np.column_stack([index[1], np.full(len(inside), n + 1)])
+    r, c = _bordered(inside ^ ~pinned[:, None], n, n + pinned), _bordered(inside ^ pinned[:, None], n, n + 1)
     x, found = _solve_stack(ext.take(r.T[:, None, :] * (n + 2) + c.T[None, :, :]), g.q)
     out = np.zeros((len(x), n + 1), dtype=np.int64)
     out[np.arange(len(x))[:, None], c[:, :-1]] = x

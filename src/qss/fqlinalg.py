@@ -1,6 +1,7 @@
 """Exact linear algebra over prime fields F_q.
 
-Every matrix routine takes plain numpy integer arrays and is an entry to one
+Every matrix routine takes integer entries, an integral float too, and
+raises ValueError on any other (`as_integers`). Each is an entry to one
 fraction-free lockstep elimination, `_eliminate`; the single-matrix routines
 run it on a stack of one. Every public routine reduces its input modulo the
 prime q (`_residues`) into the narrowest signed integer type that holds
@@ -82,8 +83,24 @@ def inverses_mod(values: np.ndarray, q: int) -> np.ndarray:
     return np.array([inv_mod(v, q) for v in distinct.tolist()], dtype=np.int64)[where]
 
 
+def as_integers(values, what: str) -> np.ndarray:
+    """values as a new int64 array; ValueError naming what if an entry is
+    not an integer that int64 holds. Integral floats pass."""
+    raw = np.asarray(values)
+    if np.can_cast(raw.dtype, np.int64):  # exact as it stands, whatever integer type int64 holds
+        return raw.astype(np.int64)
+    try:
+        with np.errstate(invalid="ignore"):
+            arr = raw.astype(np.int64)
+        if np.array_equal(arr, raw):
+            return arr
+    except (OverflowError, TypeError, ValueError):
+        pass
+    raise ValueError(f"{what} must be integers within int64")
+
+
 def _int_array(a, ndim: int = 2) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.int64)
+    arr = as_integers(a, "matrix entries")
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
     return arr
@@ -96,12 +113,13 @@ def _kernel_type(q: int) -> np.dtype:
 
 
 def _residues(a: np.ndarray, q: int) -> np.ndarray:
-    """a mod q as a new C-contiguous array of _kernel_type(q), whatever a's
-    type, reduced as a - q * (a // q) in a's type if it is an integer type
-    that holds q, else widened: numpy divides an integer array by a scalar
-    through a multiply, several times faster than %, and a product that
-    wraps past the type wraps back in the subtraction."""
-    if a.dtype.kind not in "iu" or np.iinfo(a.dtype).max < q:
+    """a mod q as a new C-contiguous array of _kernel_type(q), reduced as
+    a - q * (a // q) in a's type if it is an integer type that holds q, else
+    widened (a non-integer type by as_integers, so no entry is truncated):
+    numpy divides an integer array by a scalar through a multiply, several
+    times faster than %, and a product that wraps past the type wraps back."""
+    a = a if a.dtype.kind in "iu" else as_integers(a, "matrix entries")
+    if np.iinfo(a.dtype).max < q:
         a = a.astype(np.promote_types(a.dtype, _kernel_type(q)))
     reduced = a // q
     reduced *= q
@@ -276,7 +294,7 @@ def solve_affine_mod(a, b, q: int) -> np.ndarray | None:
         None when the system is inconsistent.
     """
     q = require_prime(q)
-    arr, rhs = _int_array(a), np.asarray(b, dtype=np.int64).reshape(-1)
+    arr, rhs = _int_array(a), as_integers(b, "matrix entries").reshape(-1)
     if rhs.shape[0] != arr.shape[0]:
         raise ValueError(f"shape mismatch: {arr.shape} vs rhs {rhs.shape}")
     x, consistent = _solve_stack(np.column_stack([arr, rhs])[:, :, None], q)

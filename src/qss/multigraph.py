@@ -16,23 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .fqlinalg import require_prime
-
-
-def as_integers(values, what: str) -> np.ndarray:
-    """values as a new int64 array; ValueError naming what if an entry is
-    not an integer that int64 holds. Integral floats pass."""
-    raw = np.asarray(values)
-    if raw.dtype == np.int64:  # exact as it stands: the package builds its matrices in int64
-        return raw.copy()
-    try:
-        with np.errstate(invalid="ignore"):
-            arr = raw.astype(np.int64)
-        if np.array_equal(arr, raw):
-            return arr
-    except (OverflowError, TypeError, ValueError):
-        pass
-    raise ValueError(f"{what} must be integers within int64")
+from .fqlinalg import as_integers, require_prime
 
 
 class Multigraph:

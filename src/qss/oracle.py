@@ -31,8 +31,8 @@ from itertools import combinations, groupby
 
 import numpy as np
 
-from .fqlinalg import inv_mod, inverses_mod, require_prime
-from .multigraph import Multigraph, as_integers, delete_vertex, serialize_graph
+from .fqlinalg import as_integers, inv_mod, inverses_mod, require_prime
+from .multigraph import Multigraph, delete_vertex, serialize_graph
 from .access import QUANTUM_VERDICT, _check_b, _index_array, _members, _vector_pair, batch_indicators
 from .access import verify_witness_pairs, witness_rows
 

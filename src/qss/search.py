@@ -107,9 +107,9 @@ def _plan(n: int, dealer: int, sizes: tuple[int, ...], chunk: int) -> tuple[np.n
 
 def _block_index(n: int, dealer: int, sizes: tuple[int, ...], start: int, stop: int) -> np.ndarray:
     """The (R, C, sets) flat index of the sets [start, stop) of the stream of
-    sizes: a slice of one plan, cut to the widest set of the block (rows)
-    and down to its smallest (cols). A block that spans two plans raises
-    ValueError."""
+    sizes: a slice of one plan whose halves keep their first w entries and
+    the dealer, w the members of the block's widest set (rows) and the other
+    players of its smallest (cols). A block spanning two plans raises ValueError."""
     chunk, lo = divmod(start, BLOCK_CAP)
     hi = stop - chunk * BLOCK_CAP
     if hi > BLOCK_CAP:
@@ -117,9 +117,8 @@ def _block_index(n: int, dealer: int, sizes: tuple[int, ...], start: int, stop: 
     ends = list(accumulate(comb(n - 1, size) for size in sizes))  # where each size's sets end
     touched = sizes[bisect_right(ends, start) : bisect_left(ends, stop) + 1]
     rows, cols = _plan(n, dealer, sizes, chunk)
-    rows, cols = rows[:, lo:hi], cols[len(cols) - n + min(touched) :, lo:hi]
-    widest = max(touched)
-    return (rows if widest == len(rows) - 1 else rows[[*range(widest), -1]])[:, None] + cols
+    cut = lambda half, w: half[:, lo:hi] if w == len(half) - 1 else half[[*range(w), -1], lo:hi]
+    return cut(rows, max(touched))[:, None] + cut(cols, n - 1 - min(touched))
 
 
 def _set_at(n: int, dealer: int, sizes: tuple[int, ...], position: int) -> tuple[int, ...]:

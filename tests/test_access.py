@@ -20,6 +20,7 @@ from qss.access import (
     CLASSICAL_ACCESSIBLE,
     NO_INFO,
     PARTIAL,
+    _bordered,
     _index_array,
     batch_indicators,
     classify,
@@ -277,6 +278,24 @@ def test_padded_rows_match_one_uniform_call_per_size(dg, data):
         uniform = np.array([sets[i] for i in at], dtype=np.intp).reshape(len(at), size)
         want_pi, want_der = batch_indicators(gammas, q, d, uniform)
         assert np.array_equal(pi[:, at], want_pi) and np.array_equal(der[:, at], want_der)
+
+
+def test_bordered_matches_a_pure_python_layout():
+    # each row's True vertices ascending, then pad up to the widest row,
+    # then the border, a scalar or one per row: random masks with an empty
+    # and a full row, and stacks of no rows
+    rng = np.random.default_rng(46)
+    for sets, n in [(0, 1), (0, 6), (1, 1), (2, 5), (7, 9), (40, 12)]:
+        mask = rng.random((sets, n)) < rng.random()
+        if sets >= 2:
+            mask[0], mask[-1] = False, True
+        for pad, border in [(n, n + 1), (-1, rng.integers(0, 50, size=sets))]:
+            members = [[v for v in range(n) if row[v]] for row in mask.tolist()]
+            width = max(map(len, members), default=0)
+            ends = np.broadcast_to(border, sets).tolist()
+            want = [b + [pad] * (width - len(b)) + [end] for b, end in zip(members, ends)]
+            got = _bordered(mask, pad, border)
+            assert got.shape == (sets, width + 1) and got.tolist() == want
 
 
 @pytest.mark.parametrize(

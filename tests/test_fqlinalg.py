@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import qss.fqlinalg
 from qss.access import batch_indicators
+from qss.search import batch_accessible_at_k
 from qss.fqlinalg import (
     SCRATCH_CAP,
     FIELD_SIZE_CEILING,
@@ -22,6 +23,7 @@ from qss.fqlinalg import (
     _pivot_rows,
     _residues,
     _solve_stack,
+    as_integers,
     batch_rank_mod,
     inv_mod,
     is_prime,
@@ -538,6 +540,39 @@ def test_no_input_type_marks_its_entries_as_residues():
                 rank_m = int_rank(m[:-1, :-1].tolist(), q)
                 assert got_c == int_rank(m[:-1, :].tolist(), q) - rank_m
                 assert got_r == int_rank(m[:, :-1].tolist(), q) - rank_m
+
+
+@pytest.mark.parametrize("bad", [0.5, float("nan"), 2**70])
+def test_no_routine_truncates_a_non_integral_entry(bad):
+    # a fraction, a NaN or an integer beyond int64 raises ValueError in
+    # every public matrix routine, in batch_indicators and in
+    # batch_accessible_at_k, wherever it sits; the same entry as an
+    # integral float reads as the integer it equals
+    def calls(entry):
+        m = [[1, entry], [entry, 0]]
+        gamma = np.array([[0, entry, 1], [entry, 0, 1], [1, 1, 0]])[None]
+        return [
+            lambda: as_integers(m, "entries"),
+            lambda: rref_mod(m, 5),
+            lambda: rank_mod(m, 5),
+            lambda: kernel_basis_mod(m, 5),
+            lambda: batch_rank_mod([m], 5),
+            lambda: solve_affine_mod(m, [1, 0], 5),
+            lambda: solve_affine_mod([[1, 0], [0, 1]], [1, entry], 5),
+            lambda: batch_indicators(gamma, 5, 0, np.array([[1]])),
+            lambda: batch_accessible_at_k(gamma, 5, 2),
+        ]
+
+    def same(a, b):
+        if isinstance(a, tuple):
+            return all(same(x, y) for x, y in zip(a, b, strict=True))
+        return b is None if a is None else np.array_equal(a, b)
+
+    for call in calls(bad):
+        with pytest.raises(ValueError, match="must be integers within int64"):
+            call()
+    for integral, exact in zip(calls(2.0), calls(2)):
+        assert same(integral(), exact())
 
 
 def test_kernels_accept_strided_stacks():

@@ -92,6 +92,15 @@ def test_one_edge_slot_layout():
     assert _top_level_users("triu_indices") == {("multigraph", "_slot_map")}
 
 
+def test_one_vertex_order_for_every_bordered_system():
+    # the cut matrices of batch_indicators and the witness systems D and C
+    # are laid out by access._bordered alone, and no top-level statement of
+    # src/qss sorts vertices into place: argsort is left to the pivot order
+    # of fqlinalg.rref_mod
+    assert _top_level_users("_bordered") == {("access", "_gather_index"), ("access", "witness_rows")}
+    assert _top_level_users("argsort") == {("fqlinalg", "rref_mod")}
+
+
 def test_one_check_of_the_witness_pairs_that_become_operators():
     # every witness pair turned into code unitaries, for the classical round
     # and the Bell decode alike, is checked by oracle._code_rows: no other
