@@ -94,12 +94,13 @@ def batch_indicators(gammas: np.ndarray, q: int, dealer: int, subsets: np.ndarra
 
 
 def _zero_vertex(gammas: np.ndarray, q: int) -> np.ndarray:
-    """A (graphs, n, n) stack of residues mod q as a new (graphs, (n + 1)^2)
-    stack of the kernel's type, entry (u, v) at u (n + 1) + v, n a zero vertex."""
+    """A (graphs, n, n) stack of residues mod q as a new entry-major
+    ((n + 1)^2, graphs) stack of the kernel's type: entry (u, v) of every
+    graph is row u (n + 1) + v, each graph is one column, n a zero vertex."""
     count, n, _ = gammas.shape
-    out = np.zeros((count, n + 1, n + 1), dtype=_kernel_type(q))
-    out[:, :n, :n] = gammas
-    return out.reshape(count, (n + 1) ** 2)
+    out = np.zeros((n + 1, n + 1, count), dtype=_kernel_type(q))
+    out[:n, :n] = gammas.transpose(1, 2, 0)
+    return out.reshape((n + 1) ** 2, count)
 
 
 def _gather_index(n: int, dealer: int, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,18 +144,13 @@ def _bordered(mask: np.ndarray, pad: int, border) -> np.ndarray:
 def _bordered_spans(stack: np.ndarray, q: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(c_outside, r_outside) of fqlinalg._border_indicators, each (sets,
     graphs), for each graph of a _zero_vertex stack and each bordered
-    matrix of an (R, C, sets) flat index. Indexing the stack's transpose
+    matrix of an (R, C, sets) flat index. One take of the stack's rows
     lays the matrices out with the (set, graph) stack axis last, the layout
-    the elimination runs in place on, and leaves the stack graph-major, so
-    a scan drops a graph by copying its row out. A stack of one graph is
-    gathered by take, about 3x faster there than the fancy index, which in
-    turn is 2-3x faster than take on stacks of 1,024 graphs and more."""
-    if len(stack) == 1:
-        gathered = stack[0].take(index)
-    else:
-        gathered = stack.T[index].reshape(*index.shape[:2], -1)
+    the elimination runs in place on, for a stack of any size."""
+    (rows, cols, sets), graphs = index.shape, stack.shape[1]
+    gathered = stack.take(index, axis=0).reshape(rows, cols, sets * graphs)
     c_outside, r_outside = _border_indicators(gathered, q)
-    return c_outside.reshape(index.shape[2], len(stack)), r_outside.reshape(index.shape[2], len(stack))
+    return c_outside.reshape(sets, graphs), r_outside.reshape(sets, graphs)
 
 
 def _index_array(sets: list[tuple[int, ...]]) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Exact linear algebra over prime fields F_q.
 
-Every matrix routine takes integer entries, an integral float too, and
-raises ValueError on any other (`as_integers`). Each is an entry to one
-fraction-free lockstep elimination, `_eliminate`; the single-matrix routines
-run it on a stack of one. Every public routine reduces its input modulo the
+Every matrix and scalar routine takes integers, an integral float too,
+and raises ValueError on any other (`as_integers`). Each matrix routine
+is one fraction-free lockstep elimination, `_eliminate`, of a stack of
+matrices or systems. Every public routine reduces its input modulo the
 prime q (`_residues`) into the narrowest signed integer type that holds
 (q - 1)^2: int8 up to q = 11, int16 up to 181, int32 up to 46,337 and int64
 up to the field ceiling 2^20. Every elimination step then stays within
@@ -21,7 +21,8 @@ import numpy as np
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for field moduli."""
+    """Trial-division primality test of an integer n (as_integers), adequate for field moduli."""
+    n = int(as_integers(n, "primality candidates"))
     if n < 2:
         return False
     if n < 4:
@@ -51,11 +52,11 @@ def require_prime(q: int) -> int:
     adjacency matrix alone would take 512 TiB.
 
     Raises:
-        ValueError: for a composite q or one at or above the ceiling. The
-            ceiling is checked first, so an oversized modulus costs no trial
-            division.
+        ValueError: for a q that is not an integer (as_integers), is
+            composite or lies at or above the ceiling. The ceiling is
+            checked first, so an oversized modulus costs no trial division.
     """
-    q = int(q)
+    q = int(as_integers(q, "field sizes"))
     if q >= FIELD_SIZE_CEILING:
         raise ValueError(f"field size {q} is not below the ceiling {FIELD_SIZE_CEILING}")
     if not is_prime(q):
@@ -67,9 +68,10 @@ def inv_mod(a: int, q: int) -> int:
     """Inverse of a modulo q via the extended Euclid built into pow.
 
     Raises:
+        ValueError: if a is not an integer (as_integers).
         ZeroDivisionError: if a is divisible by q.
     """
-    a = int(a) % q
+    a = int(as_integers(a, "values to invert")) % q
     if a == 0:
         raise ZeroDivisionError(f"0 has no inverse in F_{q}")
     return pow(a, -1, q)
@@ -241,49 +243,25 @@ def _pivot_rows(eliminated: np.ndarray, used: np.ndarray, q: int) -> tuple[np.nd
     return matrix, pivots, r * inverses_mod(r[np.arange(len(r)), pivots], q)[:, None] % q
 
 
-def rref_mod(a, q: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of a over F_q.
-
-    A stack-of-one call to the fraction-free elimination. Each pivot row it
-    leaves is a nonzero multiple of an RREF row, with its pivot as its first
-    nonzero entry; the pivot rows are ordered by pivot column and each is
-    scaled by the inverse of its pivot value. The RREF is unique, so this
-    equals Gauss-Jordan elimination with row swaps.
-
-    Returns:
-        (R, pivot_cols) where R is the RREF and pivot_cols lists the pivot
-        column of each nonzero row in order.
-    """
-    q = require_prime(q)
-    arr = _int_array(a)
-    rows, cols = arr.shape
-    _, pivots, r = _pivot_rows(*_eliminate(_residues(arr[:, :, None], q), q, rows, cols), q)
-    order = np.argsort(pivots)
-    out = np.zeros((rows, cols), dtype=np.int64)
-    out[: len(r)] = r[order]
-    return out, pivots[order].tolist()
-
-
 def rank_mod(a, q: int) -> int:
     """Rank of a over F_q: batch_rank_mod on a stack of one. Empty matrices have rank 0."""
     return int(batch_rank_mod(_int_array(a)[None], q)[0])
 
 
 def kernel_basis_mod(a, q: int) -> np.ndarray:
-    """Basis of the right kernel {x : a.x = 0 over F_q}.
+    """Basis of the right kernel {x : a.x = 0 over F_q}, shape (cols, k):
+    one column per free column of the RREF, in column order.
 
-    Returns:
-        Array of shape (cols, k) whose columns are the basis vectors, built
-        from the free columns of the RREF (deterministic).
+    One _solve_stack call solves a.x = -a[:, f] for every column f. With
+    zero free variables, a pivot column's solution is -e_f and a free
+    column's is its RREF kernel vector less e_f (the RREF is unique), so
+    the nonzero rows of (x + I) mod q are the basis.
     """
-    r, pivots = rref_mod(a, q)
-    free = np.ones(r.shape[1], dtype=bool)
-    free[pivots] = False
-    free = np.flatnonzero(free)
-    basis = np.zeros((r.shape[1], len(free)), dtype=np.int64)
-    basis[free, np.arange(len(free))] = 1
-    basis[pivots] = -r[: len(pivots), free] % q
-    return basis
+    q = require_prime(q)
+    arr = _residues(_int_array(a), q)
+    systems = np.concatenate([np.repeat(arr[:, :, None], arr.shape[1], axis=2), -arr[:, None]], axis=1)
+    x = (_solve_stack(systems, q)[0] + np.eye(arr.shape[1], dtype=np.int64)) % q
+    return x[x.any(axis=1)].T
 
 
 def solve_affine_mod(a, b, q: int) -> np.ndarray | None:
@@ -302,7 +280,7 @@ def solve_affine_mod(a, b, q: int) -> np.ndarray | None:
 
 
 def _solve_stack(stack: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Solve every system a.x = b of an (R, C + 1, N) int64 stack of
+    """Solve every system a.x = b of an (R, C + 1, N) integer stack of
     augmented matrices [a | b] over F_q in one lockstep elimination.
 
     Systems of different shapes share the stack padded: zero rows below

@@ -36,6 +36,20 @@ def int_rref(rows, q):
     return rows, pivots
 
 
+def int_kernel(rows, cols, q):
+    """The right-kernel basis read off int_rref of a matrix with cols
+    columns, as a cols x k list: one column per free column f in order, 1
+    at f, 0 at the other free columns and -R[i][f] at the i-th pivot."""
+    r, pivots = int_rref(rows, q)
+    free = [f for f in range(cols) if f not in pivots]
+    basis = [[0] * len(free) for _ in range(cols)]
+    for j, f in enumerate(free):
+        basis[f][j] = 1
+        for i, p in enumerate(pivots):
+            basis[p][j] = -r[i][f] % q
+    return basis
+
+
 def int_solve(a, b, cols, q):
     """The lowest-pivot particular solution of a.x = b, a with cols columns,
     from int_rref of [a | b], or None when the system is inconsistent."""

@@ -19,6 +19,7 @@ from qss.fqlinalg import (
     SCRATCH_CAP,
     FIELD_SIZE_CEILING,
     _border_indicators,
+    _eliminate,
     _kernel_type,
     _pivot_rows,
     _residues,
@@ -30,11 +31,10 @@ from qss.fqlinalg import (
     kernel_basis_mod,
     rank_mod,
     require_prime,
-    rref_mod,
     solve_affine_mod,
 )
 
-from helpers import int_rank, int_rref, int_solve
+from helpers import int_kernel, int_rank, int_rref, int_solve
 
 PRIMES = [2, 3, 5, 7]
 LARGEST_PRIME = 1048573  # the largest prime below FIELD_SIZE_CEILING = 2**20
@@ -43,6 +43,24 @@ LARGEST_PRIME = 1048573  # the largest prime below FIELD_SIZE_CEILING = 2**20
 # and below 2**12, where an earlier float32 kernel changed type and would
 # have erred, and the ceiling's
 BOUNDARY_PRIMES = [11, 13, 181, 191, 2039, 2053, 4093, 46337, 46349, LARGEST_PRIME]
+
+
+def pivot_rref(a, q):
+    """The RREF of a and its pivot columns as int_rref gives them, read off
+    _pivot_rows of a stack-of-one elimination, the rows that _solve_stack
+    and kernel_basis_mod read: the pivot rows in pivot order, zero rows
+    below."""
+    arr = as_integers(a, "matrix entries")
+    rows, cols = arr.shape
+    _, pivots, r = _pivot_rows(*_eliminate(_residues(arr[:, :, None], q), q, rows, cols), q)
+    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
+    return [r[i].tolist() for i in order] + [[0] * cols] * (rows - len(order)), [int(pivots[i]) for i in order]
+
+
+def assert_echelon_routes(mat, q):
+    """pivot_rref and kernel_basis_mod of mat against the int_rref references."""
+    assert pivot_rref(mat, q) == int_rref(mat.tolist(), q)
+    assert kernel_basis_mod(mat, q).tolist() == int_kernel(mat.tolist(), mat.shape[1], q)
 
 
 def kernel_entries(q):
@@ -81,6 +99,20 @@ def test_is_prime_small_values():
     assert not is_prime(1)
     assert not is_prime(0)
     assert not is_prime(-7)
+
+
+@pytest.mark.parametrize(
+    "routine", [is_prime, require_prime, lambda a: inv_mod(a, 11)], ids=["is_prime", "require_prime", "inv_mod"]
+)
+def test_scalar_routines_truncate_no_input(routine):
+    # the field scalars pass the integer check of matrix entries
+    # (as_integers): an integral float or a numpy integer reads as the
+    # integer it equals, and a fraction, a NaN or an infinity raises
+    for integral in (7.0, np.int64(7), np.int8(7), np.uint64(7)):
+        assert routine(integral) == routine(7)
+    for bad in (7.5, float("nan"), float("inf"), np.float32(1.5)):
+        with pytest.raises(ValueError, match="must be integers within int64"):
+            routine(bad)
 
 
 def test_require_prime_rejects_composites():
@@ -177,8 +209,7 @@ def test_kernels_exact_on_both_sides_of_each_type_boundary(q, count, rows, cols,
     mats[::2] = (draw(count, rows, inner) @ draw(count, inner, cols) % q)[::2]
     for mat in mats:
         assert rank_mod(mat, q) == int_rank(mat.tolist(), q)
-        r, pivots = rref_mod(mat, q)
-        assert (r.tolist(), pivots) == int_rref(mat.tolist(), q)
+        assert_echelon_routes(mat, q)
         a, b = mat[:, :-1], mat[:, -1]
         x = solve_affine_mod(a, b, q)
         if int_rank(mat.tolist(), q) > int_rank(a.tolist(), q):
@@ -276,10 +307,11 @@ def test_rref_matches_pure_int_gauss_jordan(q, rows, cols, data):
     flat = data.draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
     a = np.array(flat, dtype=np.int64).reshape(rows, cols)
     want_rows, want_pivots = int_rref(a.tolist(), q)
-    r, pivots = rref_mod(a, q)
-    assert r.shape == (rows, cols)
-    assert r.tolist() == want_rows
+    r, pivots = pivot_rref(a, q)
+    assert len(r) == rows and all(len(row) == cols for row in r)
+    assert r == want_rows
     assert pivots == want_pivots
+    assert kernel_basis_mod(a, q).tolist() == int_kernel(a.tolist(), cols, q)
 
 
 def test_rref_pivots_are_unit_columns():
@@ -287,7 +319,8 @@ def test_rref_pivots_are_unit_columns():
     for q in (3, 7):
         for _ in range(50):
             a = rng.integers(0, q, size=(4, 5))
-            r, pivots = rref_mod(a, q)
+            r, pivots = pivot_rref(a, q)
+            r = np.array(r)
             for i, col in enumerate(pivots):
                 expected = np.zeros(4, dtype=np.int64)
                 expected[i] = 1
@@ -317,12 +350,13 @@ def test_kernel_of_rank_one_matrix_f5():
 
 def test_kernel_dimension_formula_and_membership():
     rng = np.random.default_rng(14)
-    for q in PRIMES:
+    for q in PRIMES + [2053]:
         for _ in range(200):
-            rows, cols = rng.integers(1, 6, size=2)
+            rows, cols = rng.integers(0, 6, size=2)
             a = rng.integers(0, q, size=(rows, cols))
             basis = kernel_basis_mod(a, q)
-            assert basis.shape[1] == cols - rank_mod(a, q)
+            assert basis.shape == (cols, cols - rank_mod(a, q))
+            assert rank_mod(basis, q) == basis.shape[1]
             assert not ((a @ basis) % q).any()
 
 
@@ -484,9 +518,7 @@ def test_f2_kernels_on_large_stacks_match_pure_int_reference(count, rows, cols, 
     ranks = [int_rank(m.tolist(), 2) for m in mats]
     assert batch_rank_mod(mats, 2).tolist() == ranks
     for mat in mats:
-        want_rows, want_pivots = int_rref(mat.tolist(), 2)
-        r, pivots = rref_mod(mat, 2)
-        assert (r.tolist(), pivots) == (want_rows, want_pivots)
+        assert_echelon_routes(mat, 2)
     # the same stack read as bordered matrices [[M, c], [r, x]]
     c_outside, r_outside = _border_indicators(_residues(mats.transpose(1, 2, 0), 2), 2)
     for got_c, got_r, mat in zip(c_outside, r_outside, mats):
@@ -529,8 +561,7 @@ def test_no_input_type_marks_its_entries_as_residues():
             assert batch_rank_mod(mats, q).tolist() == want
             assert [rank_mod(m, q) for m in mats] == want
             for m in mats:
-                r, pivots = rref_mod(m, q)
-                assert (r.tolist(), pivots) == int_rref(m.tolist(), q)
+                assert_echelon_routes(m, q)
                 x = solve_affine_mod(m[:, :-1], m[:, -1], q)
                 assert (x is None) == (int_rank(m.tolist(), q) > int_rank(m[:, :-1].tolist(), q))
                 if x is not None:
@@ -546,20 +577,22 @@ def test_no_input_type_marks_its_entries_as_residues():
 def test_no_routine_truncates_a_non_integral_entry(bad):
     # a fraction, a NaN or an integer beyond int64 raises ValueError in
     # every public matrix routine, in batch_indicators and in
-    # batch_accessible_at_k, wherever it sits; the same entry as an
+    # batch_accessible_at_k at every k (k = 1 is settled by no-cloning
+    # before any set is ranked), wherever it sits; the same entry as an
     # integral float reads as the integer it equals
     def calls(entry):
         m = [[1, entry], [entry, 0]]
         gamma = np.array([[0, entry, 1], [entry, 0, 1], [1, 1, 0]])[None]
         return [
             lambda: as_integers(m, "entries"),
-            lambda: rref_mod(m, 5),
+            lambda: _solve_stack(np.array(m)[:, :, None], 5),
             lambda: rank_mod(m, 5),
             lambda: kernel_basis_mod(m, 5),
             lambda: batch_rank_mod([m], 5),
             lambda: solve_affine_mod(m, [1, 0], 5),
             lambda: solve_affine_mod([[1, 0], [0, 1]], [1, entry], 5),
             lambda: batch_indicators(gamma, 5, 0, np.array([[1]])),
+            lambda: batch_accessible_at_k(gamma, 5, 1),
             lambda: batch_accessible_at_k(gamma, 5, 2),
         ]
 
@@ -588,7 +621,8 @@ def test_kernels_accept_strided_stacks():
         assert min(want) <= 2
         assert batch_rank_mod(mats, q).tolist() == want
         assert [rank_mod(m, q) for m in mats] == want
-        assert [rref_mod(m, q)[0].tolist() for m in mats] == [int_rref(m.tolist(), q)[0] for m in mats]
+        for m in mats:
+            assert_echelon_routes(m, q)
         c_outside, r_outside = _border_indicators(_residues(mats.transpose(1, 2, 0), q), q)
         for got_c, got_r, mat in zip(c_outside, r_outside, mats):
             rank_m = int_rank(mat[:-1, :-1].tolist(), q)
@@ -621,9 +655,9 @@ def test_kernel_calls_of_changing_shapes_share_the_scratch_buffer():
             rank_m = int_rank(mat[:-1, :-1].tolist(), q)
             assert got_c == int_rank(mat[:-1, :].tolist(), q) - rank_m
             assert got_r == int_rank(mat[:, :-1].tolist(), q) - rank_m
-        r, pivots = rref_mod(mats[-1], q)
-        assert (r.tolist(), pivots) == int_rref(mats[-1].tolist(), q)
-        kept.append(((c_outside, r_outside, r), (c_outside.copy(), r_outside.copy(), r.copy())))
+        basis = kernel_basis_mod(mats[-1], q)
+        assert basis.tolist() == int_kernel(mats[-1].tolist(), cols, q)
+        kept.append(((c_outside, r_outside, basis), (c_outside.copy(), r_outside.copy(), basis.copy())))
         for results, copies in kept:
             assert all(np.array_equal(a, b) for a, b in zip(results, copies))
 

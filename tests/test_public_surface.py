@@ -95,10 +95,24 @@ def test_one_edge_slot_layout():
 def test_one_vertex_order_for_every_bordered_system():
     # the cut matrices of batch_indicators and the witness systems D and C
     # are laid out by access._bordered alone, and no top-level statement of
-    # src/qss sorts vertices into place: argsort is left to the pivot order
-    # of fqlinalg.rref_mod
+    # src/qss sorts anything into place: every solve reads its pivot rows
+    # where the elimination leaves them
     assert _top_level_users("_bordered") == {("access", "_gather_index"), ("access", "witness_rows")}
-    assert _top_level_users("argsort") == {("fqlinalg", "rref_mod")}
+    assert _top_level_users("argsort") == set()
+
+
+def test_one_bordered_stack_layout():
+    # every scan stack is bordered by access._zero_vertex, for the one
+    # gather of _bordered_spans: no other top-level statement of src/qss
+    # refers to _zero_vertex
+    assert _top_level_users("_zero_vertex") == {("access", "batch_indicators"), ("search", "_first_failure")}
+
+
+def test_one_route_to_pivot_rows():
+    # every answer read off an elimination's pivot rows, solutions and
+    # kernel bases alike, goes through fqlinalg._solve_stack: no other
+    # top-level statement of src/qss refers to _pivot_rows
+    assert _top_level_users("_pivot_rows") == {("fqlinalg", "_solve_stack")}
 
 
 def test_one_check_of_the_witness_pairs_that_become_operators():

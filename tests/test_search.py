@@ -29,6 +29,7 @@ from qss.access import (
     batch_indicators,
     quantum_derivative,
 )
+from qss.fqlinalg import _residues
 from qss.multigraph import DealerGraph, Multigraph, local_complement, parse_graph, random_graph, rs747_fixture
 from qss.multigraph import _slot_map
 from qss.search import (
@@ -54,7 +55,7 @@ from qss.search import (
     _worst_unauthorized,
 )
 
-from helpers import dealer_graphs, int_rank, sufficient_by_cut_ranks
+from helpers import dealer_graphs, int_rank, int_rref, sufficient_by_cut_ranks
 
 
 def star3(q=3):
@@ -339,10 +340,10 @@ def test_single_size_blocks_cross_chunks_at_order_15(start, stop):
 def _rs_floor_graph(q=17, n=16, k=8):
     """The Reed-Solomon floor graph: a Vandermonde generator at 0..n-1,
     reduced to [I | P], joined as a bipartite graph by P."""
-    r, pivots = qss.fqlinalg.rref_mod([[pow(x, i, q) for x in range(n)] for i in range(k)], q)
+    r, pivots = int_rref([[pow(x, i, q) for x in range(n)] for i in range(k)], q)
     assert pivots == list(range(k))
     gamma = np.zeros((n, n), dtype=np.int64)
-    gamma[:k, k:] = r[:, k:]
+    gamma[:k, k:] = np.array(r)[:, k:]
     return Multigraph(q, gamma + gamma.T)
 
 
@@ -539,7 +540,7 @@ def kernel_calls(monkeypatch):
     calls = []
 
     def counted(stack, q, index):
-        calls.append(_index_sets(index, isqrt(stack.shape[1]) - 1)[:, :-1])
+        calls.append(_index_sets(index, isqrt(stack.shape[0]) - 1)[:, :-1])
         return _bordered_spans(stack, q, index)
 
     monkeypatch.setattr(qss.search, "_bordered_spans", counted)
@@ -1083,6 +1084,27 @@ def test_batch_accessibility_matches_scalar():
         for i in range(count):
             want = all(_scalar_derivative(gammas[i].tolist(), q, 0, b) == -1 for b in combinations(players, k))
             assert bool(got[i]) == want
+    # one gather for every stack size: inside stacks of 0, 1, 2 and 257
+    # graphs each graph gets the verdicts it gets alone, and an empty stack
+    # or an empty block ranks to empty (sets, graphs) arrays
+    q, n, k = 3, 6, 3
+    gammas = np.stack([random_graph(n, q, np.random.default_rng(s)).gamma for s in range(257)])
+    subsets = _index_array(list(combinations(range(1, n), k)))
+    alone = [batch_indicators(g[None], q, 0, subsets) for g in gammas]
+    alone_k = [bool(batch_accessible_at_k(g[None], q, k)[0]) for g in gammas]
+    assert 0 < sum(alone_k) < len(gammas)
+    rows, cols = _gather_index(n, 0, subsets)
+    index = rows[:, None] + cols
+    for count in (0, 1, 2, 257):
+        pi, der = batch_indicators(gammas[:count], q, 0, subsets)
+        assert pi.shape == der.shape == (count, len(subsets))
+        for i in range(count):
+            assert np.array_equal(pi[i], alone[i][0][0]) and np.array_equal(der[i], alone[i][1][0])
+        assert batch_accessible_at_k(gammas[:count], q, k).tolist() == alone_k[:count]
+        stack = _zero_vertex(_residues(gammas[:count], q), q)
+        for sets in (0, len(subsets)):
+            spans = _bordered_spans(stack, q, index[:, :, :sets])
+            assert [a.shape for a in spans] == [(sets, count)] * 2
 
 
 # ----------------------------------------------- sufficient access condition
