@@ -9,10 +9,8 @@ first without access? `_first_failure` answers it for a stack of graphs from
 cached gather plans with each graph's position in that stream of sets, and a
 graph stops being ranked at its first failure. Only the set a report names is
 read back off its plan (`_set_at`). The scan ranks its sets in blocks that
-grow 4-fold per kernel call, each gathered stack capped at 512 KiB
-(`BLOCK_BYTES`): on 9 x 3 matrices over F_5 a column step costs the int8
-kernel 25 ns per matrix at 2,048 matrices and 16-18 ns from 8,192 up to
-the cap.
+grow 4-fold per kernel call from about 4,096 bordered matrices (`BLOCK`),
+each gathered stack capped at 512 KiB (`BLOCK_BYTES`).
 One kernel call may rank a block that spans sizes: `scheme_k` scans one
 window of sizes after another, a small graph's one window running from the
 largest size down, and `is_scheme` ranks the size-k sets and then the
@@ -39,19 +37,23 @@ TRIAL_CHUNK = 2048
 # Enumeration indices per exhaustive_search block: the checkpoint gains one
 # record per block, and a block is cut into one slice per worker.
 CHECKPOINT_EVERY = 50_000
-# Bordered cut matrices in _first_failure's first kernel call, unless the
-# live stack alone is larger: a graph that fails early leaves the stack
-# after a small block. A call costs about as much for 256 matrices as for
-# 64 on the scan's 9 x 3, 8 x 3 and 5 x 4 bordered matrices, being bound by
-# its numpy calls per column step, so the first block starts at 256.
+# _first_failure's first kernel call ranks _FIRST_MATRICES bordered cut
+# matrices, but at least one set per live graph and at most BLOCK sets (a
+# lone graph's). A call costs about 70 us before it ranks a matrix: on
+# int8 9 x 3 matrices over F_5, 69 us for one, 90 for 256 and 264 for
+# 4,096 (2-vCPU Xeon). The sample scans thus open at 16 sets of 256 graphs
+# and 4 of 1,024, and rank a chunk in 2, 2 and 2.44 calls at (11, 5),
+# (10, 2) and (8, 3), against 4, 4 and 3.06 from 256 matrices; 8,192 and
+# 16,384 ranked those chunks 9-19% and 4-47% more slowly than 4,096.
 BLOCK = 256
+_FIRST_MATRICES = 4096
 # Sets per call grow GROWTH-fold after each call, so a long scan pays the
 # kernel's fixed per-call cost rarely, while each block's gathered stack
 # stays within BLOCK_BYTES. On int8 9 x 3 matrices over F_5 a column step
 # costs 25.0 ns per matrix at 2,048 matrices (54 KiB), 16.1 ns at 8,192,
 # 16.5 ns at 16,384 and 17.7 ns at 19,418 (512 KiB); at 512 KiB the stack
 # and the kernel's scratch copy of it fit one core's 2 MiB L2. On the
-# sample scans 4-fold growth won as much as 8-fold, and 2-fold little.
+# sample scans 4-fold growth ranks as fast as 8-fold, and 2-fold 2-5% slower.
 GROWTH = 4
 BLOCK_BYTES = 1 << 19
 # Sets per plan (_plan), so no block holds more; scheme_k scans its sizes
@@ -137,18 +139,18 @@ def _first_failure(gammas: np.ndarray, q: int, dealer: int, sizes: Iterable[int]
     once (_zero_vertex), one column per graph, and ranks blocks of sets,
     each gathered at one flat index (_block_index) in one _bordered_spans
     call and stopping at the end of its plan. The first block holds
-    max(1, BLOCK // graphs) sets, and each later one GROWTH (4) times as
-    many as the one before, but never more than fit BLOCK_BYTES (512 KiB)
-    at the widest bordered matrix of the stream for the graphs still live
-    (at least one set): a column step costs the int8 kernel 25 ns per
-    9 x 3 matrix at 2,048 matrices and 16-18 ns from 8,192 up to the cap.
+    min(BLOCK, max(1, _FIRST_MATRICES // graphs)) sets, and each later one
+    GROWTH (4) times as many as the one before, but never more than fit
+    BLOCK_BYTES (512 KiB) at the widest bordered matrix of the stream for
+    the graphs still live (at least one set).
     A set fails unless its derivative is -1: when r is outside rowspan M or
     c inside colspan M (batch_indicators). A graph leaves at its first
     failure, the argmax inside its ordered block, so block sizes change
     only the number of calls, never a result. Its column is dropped by
-    compress: on order-11 int8 stacks (2-vCPU Xeon) 154 us against
-    246-255 us for a boolean index at 2,048 graphs, 23 against 14 at 256.
-    The stack must hold residues mod q; an empty one ranks nothing.
+    compress, unless the block was the stream's last: on order-11 int8
+    stacks (2-vCPU Xeon) 154 us against 246-255 us for a boolean index at
+    2,048 graphs, 23 against 14 at 256. The stack must hold residues mod q,
+    of any integer type; an empty one ranks nothing.
     """
     sizes = tuple(sizes)
     n = gammas.shape[1]
@@ -156,7 +158,7 @@ def _first_failure(gammas: np.ndarray, q: int, dealer: int, sizes: Iterable[int]
     found = np.full(len(gammas), -1)
     live = np.arange(len(gammas))
     start, total = 0, sum(comb(n - 1, size) for size in sizes)
-    count = max(1, BLOCK // max(1, live.size))
+    count = min(BLOCK, max(1, _FIRST_MATRICES // max(1, live.size)))
     matrices = BLOCK_BYTES // ((max(sizes) + 1) * (n - min(sizes)) * stack.itemsize)
     while live.size and start < total:
         stop = min(total, start + min(count, max(1, matrices // live.size)), (start // BLOCK_CAP + 1) * BLOCK_CAP)
@@ -166,7 +168,8 @@ def _first_failure(gammas: np.ndarray, q: int, dealer: int, sizes: Iterable[int]
         failed = failing.any(axis=0)
         if failed.any():
             found[live[failed]] = start + failing[:, failed].argmax(axis=0)
-            live, stack = live[~failed], stack.compress(~failed, axis=1)
+            if stop < total:
+                live, stack = live[~failed], stack.compress(~failed, axis=1)
         start = stop
     return found
 
@@ -317,26 +320,28 @@ def _read_checkpoint(fh: TextIO, header: str, limit: int, scan) -> tuple[int, in
     """(last_index, found) of the last complete record of an append-only
     checkpoint, or None when it holds no record yet.
 
-    fh is the checkpoint opened in "a+" mode. An empty file gets the header
-    line; otherwise the file must start with it, so a run never resumes
-    another search's progress. A trailing record without its newline was
-    torn by an interrupted write: it is cut off, and the next append starts
-    a fresh line. Records only ever advance, so the last one is the state.
-    One that does not parse as `slice, last, found`, whose last index lies
-    outside [0, limit), or whose found index lies outside [0, last] or is
-    no hit of scan(start, stop) raises ValueError.
+    fh is the checkpoint opened in "a+" mode as UTF-8 with no newline
+    translation, so a character read is a byte of the file. An empty file
+    gets the header line; otherwise the file must start with it, so a run
+    never resumes another search's progress. A line ends at "\n", a "\r"
+    before it dropped, so a CRLF file resumes intact. A trailing record
+    without its newline was torn by an interrupted write: it is cut off,
+    and the next append starts a fresh line. Records only ever advance, so
+    the last one is the state. One that does not parse as `slice, last,
+    found`, whose last index lies outside [0, limit), or whose found index
+    lies outside [0, last] or is no hit of scan(start, stop) raises ValueError.
     """
     fh.seek(0)
     text = fh.read()
-    if not (text.startswith(header + "\n") or (header + "\n").startswith(text)):
+    complete = text[: text.rfind("\n") + 1]
+    lines = [line.removesuffix("\r") for line in complete.split("\n")[:-1]]
+    if not (lines[:1] == [header] or (header + "\n").startswith(text)):
         first = text.splitlines()[0]
         raise ValueError(f"checkpoint {fh.name} starts {first!r}, not {header!r}: it belongs to another search")
-    complete = text[: text.rfind("\n") + 1]
     fh.truncate(len(complete.encode()))
     if not complete:
         fh.write(header + "\n")
         fh.flush()
-    lines = complete.splitlines()
     if len(lines) < 2:
         return None
     where = f"checkpoint {fh.name} line {len(lines)}: {lines[-1]!r}"
@@ -396,7 +401,9 @@ def exhaustive_search(
     scan = partial(_graphs_realising_k, n=n, q=q, k=k, dealer_fixed=dealer_fixed)
     checked = 0
     with ExitStack() as stack:
-        ck = stack.enter_context(open(checkpoint_path, "a+")) if checkpoint_path else None
+        ck = None
+        if checkpoint_path:
+            ck = stack.enter_context(open(checkpoint_path, "a+", encoding="utf-8", newline=""))
         state = _read_checkpoint(ck, header, min(total, _INDEX_LIMIT), scan) if ck else None
         last, found = state or (-1, None)
         start = last + 1
@@ -438,8 +445,11 @@ class TrialSummary:
 def batch_accessible_at_k(gammas: np.ndarray, q: int, k: int, dealer: int = 0) -> np.ndarray:
     """For a stack of adjacency matrices, test whether every size-k player
     set has derivative -1: never when _some_set_fails, so nothing is ranked,
-    but the stack is reduced mod q first, so every entry is checked."""
-    gammas = _residues(gammas, require_prime(q))
+    but every entry is checked first. A stack of integers in [0, q) (a
+    random_trials chunk) is ranked as it is, any other reduced mod q."""
+    q = require_prime(q)
+    if gammas.dtype.kind not in "iu" or gammas.size and not 0 <= gammas.min() <= gammas.max() < q:
+        gammas = _residues(gammas, q)
     if _some_set_fails(k, gammas.shape[1] - 1):
         return np.zeros(len(gammas), dtype=bool)
     return _first_failure(gammas, q, dealer, [k]) < 0
@@ -484,8 +494,8 @@ def random_trials(
 def _trial_chunk(seed: int, chunk_index: int, count: int, n: int, q: int, k: int) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
     m = n * (n - 1) // 2
-    # the multiplicities are residues, drawn straight into the kernel's
-    # type, so batch_accessible_at_k reduces bytes
+    # residues drawn straight into the kernel's type: batch_accessible_at_k
+    # reduces nothing, and _zero_vertex borders bytes
     slots = np.zeros((count, m + 1), dtype=_kernel_type(q))
     slots[:, :m] = rng.integers(0, q, size=(count, m))
     return int(batch_accessible_at_k(slots[:, _slot_map(n)], q, k).sum())

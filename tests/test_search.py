@@ -46,6 +46,7 @@ from qss.search import (
     BLOCK_CAP,
     GROWTH,
     PLAN_CACHE,
+    _FIRST_MATRICES,
     _block_index,
     _first_failure,
     _gamma_from_index,
@@ -252,6 +253,44 @@ def test_first_failure_across_blocks(count):
         assert firsts[7][0] > BLOCK + GROWTH * BLOCK
     # size 12 covers graphs on which every set has access
     assert (firsts[12] == comb(13, 12)).any()
+
+
+def _drawn_graphs(count, n, q, seed):
+    """count uniform random order-n graphs over F_q drawn as random_trials
+    draws them: int8 edge slots, the last one zero, gathered by _slot_map."""
+    m = n * (n - 1) // 2
+    slots = np.zeros((count, m + 1), dtype=np.int8)
+    slots[:, :m] = np.random.default_rng(seed).integers(0, q, size=(count, m))
+    return slots[:, _slot_map(n)]
+
+
+@pytest.mark.parametrize("q, dealer", [(2, 0), (3, 3), (5, 7)])
+def test_first_failure_positions_do_not_depend_on_the_block_schedule(q, dealer):
+    # order-8 graphs: one size, is_scheme's pair of sizes and scheme_k's one
+    # window of sizes 6 to 3. Positions run up to each stream's end, and to
+    # -1 but in the window, whose size-3 sets cannot all have access. Stacks
+    # of 0 to 1,024 graphs open at 256, 16, 15 or 4 sets; the first block
+    # forced to one set, or to the whole plan with no byte cap, must move
+    # no position
+    n, pool = 8, _drawn_graphs(1024, 8, q, q)
+    players = [v for v in range(n) if v != dealer]
+    schedules = [
+        {},
+        {"BLOCK": 1},
+        {"BLOCK": BLOCK_CAP, "_FIRST_MATRICES": 2**62, "BLOCK_BYTES": 2**62},
+    ]
+    for sizes in [(5,), (6, 5), (6, 5, 4, 3)]:
+        stream = [b for size in sizes for b in combinations(players, size)]
+        failing = batch_indicators(pool, q, dealer, _index_array(stream))[1] != -1
+        want = np.where(failing.any(axis=1), failing.argmax(axis=1), -1)
+        assert len(set(want.tolist())) > 20 and (want == -1).any() == (len(sizes) < 4)
+        for count in (0, 1, 2, 255, 256, 257, 1024):
+            for schedule in schedules:
+                with pytest.MonkeyPatch.context() as mp:
+                    for name, value in schedule.items():
+                        mp.setattr(qss.search, name, value)
+                    got = _first_failure(pool[:count], q, dealer, sizes)
+                assert got.tolist() == want[:count].tolist(), (sizes, count, schedule)
 
 
 def _padded_stream(players, sizes, start, stop):
@@ -641,6 +680,92 @@ def test_batch_accessible_at_k_ranks_nothing_below_the_floor(kernel_calls):
     assert kernel_calls
 
 
+@pytest.fixture
+def reductions(monkeypatch):
+    """The shape of every stack reduced mod q (fqlinalg._residues), under
+    each name the package binds it to."""
+    calls = []
+
+    def counted(a, q):
+        calls.append(a.shape)
+        return _residues(a, q)
+
+    for module in (qss.fqlinalg, qss.access, qss.search):
+        monkeypatch.setattr(module, "_residues", counted)
+    return calls
+
+
+@pytest.fixture
+def borderings(monkeypatch):
+    """The shape of every stack a search scan borders (_zero_vertex)."""
+    calls = []
+
+    def counted(gammas, q):
+        calls.append(gammas.shape)
+        return _zero_vertex(gammas, q)
+
+    monkeypatch.setattr(qss.search, "_zero_vertex", counted)
+    return calls
+
+
+def test_a_trial_chunk_is_bordered_once_and_never_reduced(kernel_calls, reductions, borderings):
+    # a random_trials chunk draws residues into the kernel's type: the
+    # bordered stack is its one copy before the kernel, and no pass reduces
+    # it mod q
+    assert random_trials(8, 3, 0.5, 1024, seed=7).successes == 0
+    assert borderings == [(1024, 8, 8)] and reductions == []
+    assert [len(sets) for sets in kernel_calls] == [4, 16, 15]
+    # two chunks, one bordering each
+    borderings.clear()
+    random_trials(5, 2, 0.75, TRIAL_CHUNK + 100, seed=13)
+    assert borderings == [(TRIAL_CHUNK, 5, 5), (100, 5, 5)] and reductions == []
+
+
+def test_searches_of_residues_make_no_reduction_pass(kernel_calls, reductions, borderings, tmp_path):
+    # scheme_k, is_scheme and exhaustive_search rank stacks of residues
+    # (Multigraph.gamma, enumeration digits): one bordering per scan and
+    # no pass reduces them mod q
+    rs = rs747_fixture()
+    assert scheme_k(rs).k == 4 and is_scheme(rs, 4).ok and not is_scheme(rs, 5).ok
+    assert borderings == [(1, 8, 8)] * 3
+    r = exhaustive_search(4, 3, 2, checkpoint_path=str(tmp_path / "scan.ck"))
+    assert (r.status, r.index) == ("found", 123)
+    assert exhaustive_search(4, 3, 2, checkpoint_path=str(tmp_path / "scan.ck")).checked == 0
+    assert kernel_calls and reductions == []
+
+
+def test_scheme_k_opens_with_at_most_block_sets(kernel_calls):
+    # a lone graph opens at min(BLOCK, 4,096 // 1) = 256 sets: rs747's whole
+    # stream of 98 sets, and the first 256 of the 637 sets of sizes 9 to 5
+    # of a random order-11 graph
+    scheme_k(rs747_fixture())
+    assert [len(sets) for sets in kernel_calls] == [98]
+    for q, seed in [(2, 11), (3, 12), (5, 13)]:
+        kernel_calls.clear()
+        scheme_k(random_dealer_graph(np.random.default_rng(seed), 11, q))
+        assert len(kernel_calls[0]) == BLOCK == 256
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_batch_accessible_at_k_checks_every_entry_at_every_k(k):
+    # a fraction or a NaN raises at every k, before no-cloning settles
+    # k = 1 and 2 of 4 players; integers outside [0, q), of any integer
+    # type, and integral floats get the verdicts of their residues
+    q, n = 5, 5
+    gammas = np.stack([random_graph(n, q, np.random.default_rng(s)).gamma for s in range(40)])
+    want = batch_accessible_at_k(gammas, q, k)
+    assert want.any() == (k > 2)
+    for bad in (0.5, float("nan")):
+        spoiled = gammas.astype(float)
+        spoiled[7, 1, 2] = spoiled[7, 2, 1] = bad
+        with pytest.raises(ValueError, match="must be integers within int64"):
+            batch_accessible_at_k(spoiled, q, k)
+    shifted = gammas + q * np.random.default_rng(k).integers(-3, 4, size=gammas.shape)
+    for stack in (shifted, shifted.astype(np.int8), gammas.astype(np.uint8) + q, gammas.astype(np.uint16),
+                  gammas.astype(float)):
+        assert batch_accessible_at_k(stack, q, k).tolist() == want.tolist()
+
+
 def test_block_bytes_cap_every_stack_and_move_no_position(gathered_stacks, monkeypatch):
     # a TRIAL_CHUNK of graphs at the (11, 5) scan point, ranked over the
     # sizes 8 and 7 of is_scheme at k = 8: the widest bordered matrix takes
@@ -879,6 +1004,28 @@ def test_checkpoint_torn_trailing_record_is_ignored(tmp_path, monkeypatch, torn)
         int(last)
 
 
+@pytest.mark.parametrize("torn", ["", "0, 51", "0, 511, none\r"])
+def test_checkpoint_with_crlf_newlines_resumes_intact(tmp_path, monkeypatch, torn):
+    # a checkpoint whose newlines were rewritten as CRLF, its last record
+    # whole or torn before or after the CR, resumes as the LF file does:
+    # the CRLF records stay byte for byte, the torn one is cut, and each
+    # resume appends LF records
+    monkeypatch.setattr(qss.search, "CHECKPOINT_EVERY", 64)
+    lf, crlf = tmp_path / "lf.ck", tmp_path / "crlf.ck"
+    exhaustive_search(6, 2, 3, budget=256, checkpoint_path=str(lf))
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    kept = crlf.read_bytes()
+    with open(crlf, "a", newline="") as fh:
+        fh.write(torn)
+    for budget in (256, 256, None):
+        want = exhaustive_search(6, 2, 3, budget=budget, checkpoint_path=str(lf))
+        assert exhaustive_search(6, 2, 3, budget=budget, checkpoint_path=str(crlf)) == want
+        tail = crlf.read_bytes()[len(kept):]
+        assert crlf.read_bytes().startswith(kept) and b"\r" not in tail
+        assert kept + tail.replace(b"\n", b"\r\n") == lf.read_bytes().replace(b"\n", b"\r\n")
+    assert (want.status, want.index) == ("found", 7915)
+
+
 @pytest.mark.parametrize("record", ["0, 99, no", "0, x, none", "zero, 99, none", "0, 99", "0, 99, none, 1"])
 def test_checkpoint_malformed_complete_record_raises(tmp_path, monkeypatch, record):
     monkeypatch.setattr(qss.search, "CHECKPOINT_EVERY", 10)
@@ -1019,26 +1166,32 @@ def test_random_trials_pinned_counts(n, q, alpha, trials, seed, k, successes):
 
 @pytest.mark.parametrize("n, q, successes", [(11, 5, 255), (10, 2, 98)])
 def test_random_trials_rank_in_growing_blocks(kernel_calls, n, q, successes):
-    # 256 graphs start at BLOCK // 256 = 1 set per call, and most of them
-    # pass many of the 45 and 36 sets: blocks that stayed at one set would
-    # take 45 and 36 calls, and doubling ones 6. Each block holds GROWTH
-    # times the sets of the one before, far below the byte cap, and the
-    # last holds the rest
+    # 256 graphs start at min(BLOCK, 4,096 // 256) = 16 sets per call, and
+    # most of them pass many of the 45 and 36 sets: blocks that stayed at
+    # one set would take 45 and 36 calls. The next block may hold GROWTH *
+    # 16 = 64 sets, far below the byte cap and more than the 29 and 20 sets
+    # left, so it holds the rest
     assert random_trials(n, q, 0.75, 256, seed=7).successes == successes
     total = comb(n - 1, ceil(0.75 * (n - 1)))
-    assert GROWTH == 4 and [len(sets) for sets in kernel_calls] == [1, 4, 16, total - 21]
+    assert _FIRST_MATRICES == 4096 and BLOCK == 256 and GROWTH == 4
+    assert [len(sets) for sets in kernel_calls] == [16, total - 16]
 
 
 @pytest.mark.parametrize(
     "n, q, alpha, trials, calls, successes",
-    [(8, 3, 0.5, 1024, 3, 0), (11, 5, 0.75, 256, 4, 255), (10, 2, 0.75, 256, 4, 98)],
+    [(8, 3, 0.5, 1024, 3, 0), (11, 5, 0.75, 256, 2, 255), (10, 2, 0.75, 256, 2, 98)],
 )
 def test_random_trials_kernel_calls_at_the_scan_points(kernel_calls, n, q, alpha, trials, calls, successes):
-    # the benchmark's scan points. At (11, 5) nearly all 256 graphs pass all
-    # 45 sets, ranked 1, 4, 16 and 24 per call as the sets per block grow
-    # 4-fold from BLOCK // 256 = 1
+    # the benchmark's scan points. At (8, 3) 1,024 graphs open at
+    # 4,096 // 1,024 = 4 sets, grow 4-fold to 16, and some graph is still
+    # live for the last 15 of the C(7, 4) = 35 sets: 4, 16 and 15 per call.
+    # At (11, 5) nearly all 256 graphs pass all 45 sets, ranked 16 and then
+    # the 29 left, as the 64 that 4-fold growth allows would pass the end;
+    # at (10, 2) 16 and 20 of 36
     assert random_trials(n, q, alpha, trials, seed=7).successes == successes
-    assert len(kernel_calls) == calls
+    blocks = {8: [4, 16, 15], 11: [16, 29], 10: [16, 20]}[n]
+    assert len(kernel_calls) == len(blocks) == calls
+    assert [len(sets) for sets in kernel_calls] == blocks
 
 
 def test_random_trials_zero_trials_null_rate():
