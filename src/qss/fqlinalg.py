@@ -252,16 +252,19 @@ def kernel_basis_mod(a, q: int) -> np.ndarray:
     """Basis of the right kernel {x : a.x = 0 over F_q}, shape (cols, k):
     one column per free column of the RREF, in column order.
 
-    One _solve_stack call solves a.x = -a[:, f] for every column f. With
-    zero free variables, a pivot column's solution is -e_f and a free
-    column's is its RREF kernel vector less e_f (the RREF is unique), so
-    the nonzero rows of (x + I) mod q are the basis.
+    Read off the RREF rows that _pivot_rows gives for one elimination of
+    a: the column of free column f is 1 at f, 0 at the other free columns
+    and -R[i][f] at the pivot column of RREF row i.
     """
     q = require_prime(q)
-    arr = _residues(_int_array(a), q)
-    systems = np.concatenate([np.repeat(arr[:, :, None], arr.shape[1], axis=2), -arr[:, None]], axis=1)
-    x = (_solve_stack(systems, q)[0] + np.eye(arr.shape[1], dtype=np.int64)) % q
-    return x[x.any(axis=1)].T
+    arr = _int_array(a)
+    rows, cols = arr.shape
+    _, pivots, r = _pivot_rows(*_eliminate(_residues(arr[:, :, None], q), q, rows, cols), q)
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    basis = np.eye(cols, dtype=np.int64)[:, free]
+    basis[pivots] = -r[:, free] % q
+    return basis
 
 
 def solve_affine_mod(a, b, q: int) -> np.ndarray | None:

@@ -14,7 +14,10 @@ each gathered stack capped at 512 KiB (`BLOCK_BYTES`).
 One kernel call may rank a block that spans sizes: `scheme_k` scans one
 window of sizes after another, a small graph's one window running from the
 largest size down, and `is_scheme` ranks the size-k sets and then the
-size-(k - 1) sets."""
+size-(k - 1) sets. `exhaustive_search` ranks no graph whose dealer has
+fewer than n - k neighbours, which never realises k (`_graphs_realising_k`),
+and with the dealer at vertex 0 builds none: each dealer row owns one run
+of indices (`_dealer_runs`)."""
 
 from __future__ import annotations
 
@@ -145,8 +148,9 @@ def _first_failure(gammas: np.ndarray, q: int, dealer: int, sizes: Iterable[int]
     the graphs still live (at least one set).
     A set fails unless its derivative is -1: when r is outside rowspan M or
     c inside colspan M (batch_indicators). A graph leaves at its first
-    failure, the argmax inside its ordered block, so block sizes change
-    only the number of calls, never a result. Its column is dropped by
+    failure, the failing row of its ordered block that scores highest
+    against descending row scores, so block sizes change only the number
+    of calls, never a result. Its column is dropped by
     compress, unless the block was the stream's last: on order-11 int8
     stacks (2-vCPU Xeon) 154 us against 246-255 us for a boolean index at
     2,048 graphs, 23 against 14 at 256. The stack must hold residues mod q,
@@ -164,10 +168,12 @@ def _first_failure(gammas: np.ndarray, q: int, dealer: int, sizes: Iterable[int]
         stop = min(total, start + min(count, max(1, matrices // live.size)), (start // BLOCK_CAP + 1) * BLOCK_CAP)
         count = min(GROWTH * count, BLOCK_CAP)
         c_outside, r_outside = _bordered_spans(stack, q, _block_index(n, dealer, sizes, start, stop))
-        failing = r_outside | ~c_outside
-        failed = failing.any(axis=0)
+        # a graph's first failing set scores highest, as _eliminate scores pivots
+        descending = np.arange(stop - start, 0, -1, dtype=np.min_scalar_type(stop - start))[:, None]
+        score = ((r_outside | ~c_outside) * descending).max(axis=0)
+        failed = score > 0
         if failed.any():
-            found[live[failed]] = start + failing[:, failed].argmax(axis=0)
+            found[live[failed]] = stop - score[failed].astype(np.int64)
             if stop < total:
                 live, stack = live[~failed], stack.compress(~failed, axis=1)
         start = stop
@@ -291,6 +297,28 @@ class SearchResult:
     next_index: int
 
 
+def _dealer_runs(start: int, stop: int, n: int, q: int, k: int) -> list[tuple[int, int]]:
+    """The runs of enumeration indices in [start, stop) whose dealer-0 row
+    has at least n - k nonzero entries, in order, adjacent runs joined.
+
+    The dealer's edges are the first n - 1 slots of multigraph._slot_map,
+    the leading base-q digits of an index (_gamma_from_index), so the row
+    of index i is the n - 1 digits of i // q^(m - n + 1), m = n(n - 1)/2:
+    each row pattern owns one contiguous range of q^(m - n + 1) indices.
+    The patterns are walked in Python ints, so no index is built.
+    """
+    width = q ** (n * (n - 1) // 2 - n + 1)
+    runs: list[tuple[int, int]] = []
+    for pattern in range(start // width, -(-stop // width)):
+        if sum(pattern // q**i % q != 0 for i in range(n - 1)) < n - k:
+            continue
+        lo, hi = max(start, pattern * width), min(stop, (pattern + 1) * width)
+        if runs and runs[-1][1] == lo:
+            lo = runs.pop()[0]
+        runs.append((lo, hi))
+    return runs
+
+
 def _graphs_realising_k(start: int, stop: int, n: int, q: int, k: int, dealer_fixed: bool) -> int | None:
     """The first hit among enumeration indices [start, stop), scanned in
     sub-blocks of at most TRIAL_CHUNK graphs, or None.
@@ -299,20 +327,29 @@ def _graphs_realising_k(start: int, stop: int, n: int, q: int, k: int, dealer_fi
     player set is accessible and some size-(k-1) set is not. One scan per
     dealer over the sizes of _sizes_at_k decides both: the first failure
     lies past the C(n - 1, k) size-k sets, or is absent if k alone is ranked.
+    Only dealers with at least n - k neighbours are ranked, and with
+    dealer_fixed only the runs of _dealer_runs are built at all.
+
+    Proof that no other graph is a hit. A dealer with at most n - 1 - k
+    neighbours leaves at least k of the n - 1 players unseen; let B be k of
+    them. Then c = Gamma[B, d] = 0 lies in colspan M (batch_indicators), so
+    pi(B) = 0 and der(B) = [r not in rowspan M] >= 0: B, a size-k set, has
+    no access. Every such dealer has a neighbour, since k <= n - 1.
     """
     if _some_set_fails(k, n - 1):
         return None  # no graph realises this k, so none is built
     dealers = (0,) if dealer_fixed else range(n)
     sizes = _sizes_at_k(k, n - 1)
-    for lo in range(start, stop, TRIAL_CHUNK):
-        gammas = _gamma_from_index(lo + np.arange(min(stop - lo, TRIAL_CHUNK)), n, q)
-        hit = np.zeros(len(gammas), dtype=bool)
-        for d in dealers:
-            live = np.flatnonzero(gammas[:, d].any(axis=1) & ~hit)
-            first = _first_failure(gammas[live], q, d, sizes)
-            hit[live] = first >= comb(n - 1, k) if len(sizes) == 2 else first < 0
-        if hit.any():
-            return lo + int(np.argmax(hit))
+    for run_start, run_stop in _dealer_runs(start, stop, n, q, k) if dealer_fixed else [(start, stop)]:
+        for lo in range(run_start, run_stop, TRIAL_CHUNK):
+            gammas = _gamma_from_index(lo + np.arange(min(run_stop - lo, TRIAL_CHUNK)), n, q)
+            hit = np.zeros(len(gammas), dtype=bool)
+            for d in dealers:
+                live = np.flatnonzero((np.count_nonzero(gammas[:, d], axis=1) >= n - k) & ~hit)
+                first = _first_failure(gammas[live], q, d, sizes)
+                hit[live] = first >= comb(n - 1, k) if len(sizes) == 2 else first < 0
+            if hit.any():
+                return lo + int(np.argmax(hit))
     return None
 
 
@@ -338,7 +375,8 @@ def _read_checkpoint(fh: TextIO, header: str, limit: int, scan) -> tuple[int, in
     if not (lines[:1] == [header] or (header + "\n").startswith(text)):
         first = text.splitlines()[0]
         raise ValueError(f"checkpoint {fh.name} starts {first!r}, not {header!r}: it belongs to another search")
-    fh.truncate(len(complete.encode()))
+    if len(complete) < len(text):
+        fh.truncate(len(complete.encode()))
     if not complete:
         fh.write(header + "\n")
         fh.flush()
@@ -375,9 +413,12 @@ def exhaustive_search(
     With dealer_fixed the dealer is vertex 0 (sufficient when searching for
     existence: relabeling moves any dealer there); otherwise every vertex is
     tried. Graphs are built and tested in vectorised sub-blocks of at most
-    TRIAL_CHUNK indices (_graphs_realising_k). budget caps the number of
-    graphs examined and yields a budget_exceeded result carrying the resume
-    index. The checkpoint file starts with a
+    TRIAL_CHUNK indices (_graphs_realising_k), but no graph whose dealer has
+    fewer than n - k neighbours is ranked, and with dealer_fixed none is
+    built: such a graph is proved no hit. budget caps the number of graphs
+    examined, each either ranked or proved, and yields a budget_exceeded
+    result carrying the resume index; checked counts them the same way, so
+    no result depends on the pruning. The checkpoint file starts with a
     `# n=.. q=.. k=.. dealer_fixed=..` header and appends
     `slice_index, last_enumeration_index, partial_result` lines; a rerun
     with the same file and parameters skips finished work, and one with

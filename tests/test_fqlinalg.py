@@ -360,6 +360,19 @@ def test_kernel_dimension_formula_and_membership():
             assert not ((a @ basis) % q).any()
 
 
+@pytest.mark.parametrize("rows, cols", [(30, 60), (60, 120)])
+def test_kernel_of_wide_matrices_matches_int_kernel(rows, cols):
+    # a full-rank matrix, and one of rank rows / 2 whose pivots skip columns
+    rng = np.random.default_rng(rows)
+    full = rng.integers(0, 5, size=(rows, cols))
+    deficient = rng.integers(0, 5, size=(rows, rows // 2)) @ rng.integers(0, 5, size=(rows // 2, cols))
+    deficient[:, : cols // 4] = 0
+    for a in (full, deficient):
+        basis = kernel_basis_mod(a, 5)
+        assert basis.tolist() == int_kernel(a.tolist(), cols, 5)
+        assert basis.shape == (cols, cols - rank_mod(a, 5))
+
+
 def test_solve_identity_returns_rhs():
     sol = solve_affine_mod(np.eye(3, dtype=np.int64), [2, 0, 4], 5)
     assert sol is not None

@@ -109,10 +109,11 @@ def test_one_bordered_stack_layout():
 
 
 def test_one_route_to_pivot_rows():
-    # every answer read off an elimination's pivot rows, solutions and
-    # kernel bases alike, goes through fqlinalg._solve_stack: no other
-    # top-level statement of src/qss refers to _pivot_rows
-    assert _top_level_users("_pivot_rows") == {("fqlinalg", "_solve_stack")}
+    # every answer read off an elimination's pivot rows goes through
+    # fqlinalg._solve_stack (solutions) or fqlinalg.kernel_basis_mod (the
+    # RREF of one elimination): no other top-level statement of src/qss
+    # refers to _pivot_rows
+    assert _top_level_users("_pivot_rows") == {("fqlinalg", "_solve_stack"), ("fqlinalg", "kernel_basis_mod")}
 
 
 def test_one_check_of_the_witness_pairs_that_become_operators():

@@ -586,6 +586,20 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def gamma_builds(monkeypatch):
+    """The enumeration indices of every _gamma_from_index call from
+    qss.search, one list per call."""
+    builds = []
+
+    def counted(index, n, q):
+        builds.append(np.ravel(index).tolist())
+        return _gamma_from_index(index, n, q)
+
+    monkeypatch.setattr(qss.search, "_gamma_from_index", counted)
+    return builds
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(dealer_graphs(max_n=8))
 def test_no_two_disjoint_sets_both_have_access(dg):
@@ -812,6 +826,114 @@ def test_impossible_searches_rank_nothing(kernel_calls, tmp_path):
 # ---------------------------------------------------------------- enumeration
 
 
+@pytest.mark.parametrize("n, q", [(n, q) for n in range(2, 6) for q in (2, 3)])
+def test_a_dealer_with_at_most_n_minus_1_minus_k_neighbours_realises_no_k(n, q):
+    # the bound _graphs_realising_k prunes by: k players the dealer does not
+    # see have no access, by the int reference. Swapping vertices 0 and d
+    # keeps every derivative (test_cut_rank_invariances_keep_every_derivative)
+    # and maps the graphs of order n onto themselves, so dealer 0 on every
+    # graph covers every dealer graph
+    for gamma in _gamma_from_index(np.arange(q ** (n * (n - 1) // 2)), n, q).tolist():
+        unseen = [v for v in range(1, n) if not gamma[0][v]]
+        for k in range(1, len(unseen) + 1):
+            assert _scalar_derivative(gamma, q, 0, tuple(unseen[:k])) != -1
+
+
+def test_searches_build_no_graph_in_a_pruned_stretch(kernel_calls, gamma_builds):
+    # (6, 2, 3): a dealer-0 row pattern owns 2^10 indices, and patterns 0
+    # to 6 have fewer than 3 nonzero digits; (5, 3, 3): 3^6 indices each,
+    # and patterns 0 to 3 have fewer than 2
+    for (n, q, k), budget in [((6, 2, 3), 7 * 2**10), ((5, 3, 3), 4 * 3**6)]:
+        r = exhaustive_search(n, q, k, budget=budget)
+        assert (r.status, r.checked, r.next_index) == ("budget_exceeded", budget, budget)
+        assert kernel_calls == [] and gamma_builds == []
+        # one index further is one graph built, the first of the next pattern
+        assert exhaustive_search(n, q, k, budget=budget + 1).checked == budget + 1
+        assert gamma_builds == [[budget]] and kernel_calls
+        kernel_calls.clear()
+        gamma_builds.clear()
+
+
+def _unbounded_scan(start, stop, n, q, k, dealer_fixed):
+    """_graphs_realising_k without the degree bound: every graph of
+    [start, stop) is built, and every dealer with a neighbour ranked."""
+    if _some_set_fails(k, n - 1):
+        return None
+    sizes = (k,) if _some_set_fails(k - 1, n - 1) else (k, k - 1)
+    for lo in range(start, stop, TRIAL_CHUNK):
+        gammas = _gamma_from_index(lo + np.arange(min(stop - lo, TRIAL_CHUNK)), n, q)
+        hit = np.zeros(len(gammas), dtype=bool)
+        for d in (0,) if dealer_fixed else range(n):
+            live = np.flatnonzero(gammas[:, d].any(axis=1) & ~hit)
+            first = _first_failure(gammas[live], q, d, sizes)
+            hit[live] = first >= comb(n - 1, k) if len(sizes) == 2 else first < 0
+        if hit.any():
+            return lo + int(np.argmax(hit))
+    return None
+
+
+def _resumed_runs(n, q, k, dealer_fixed, every, budgets, workers, path):
+    """The results of one budgeted exhaustive_search per budget, resumed
+    from one checkpoint, and the checkpoint's bytes."""
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qss.search, "CHECKPOINT_EVERY", every)
+        for budget in budgets:
+            results.append(exhaustive_search(n, q, k, dealer_fixed, budget, workers, str(path)))
+    return results, path.read_bytes()
+
+
+@pytest.mark.parametrize("dealer_fixed", [True, False])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "space, every, budgets",
+    [
+        # pruned up to 7168; blocks end inside the stretch (3000, 7100),
+        # lie in it (7100..7149) and straddle its end (7150..8049)
+        ((6, 2, 3), 1000, [3000, 4100, 50, 900, None]),
+        ((6, 2, 3), 3584, [7168, 1, 2000, None]),
+        # pruned up to 2916, then pattern 4 holds the hit 2931
+        ((5, 3, 3), 700, [2900, 10, 10, None]),
+        ((5, 3, 3), 64, [2000, 1000, None]),
+        # patterns of 27 indices, alternately pruned and live
+        ((4, 3, 2), 20, [40, 30, 53, None]),
+    ],
+)
+def test_pruned_stretches_resume_to_the_unbounded_result_and_checkpoint(
+    tmp_path, monkeypatch, space, every, budgets, workers, dealer_fixed
+):
+    n, q, k = space
+    got = _resumed_runs(n, q, k, dealer_fixed, every, budgets, workers, tmp_path / "got.ck")
+    whole = exhaustive_search(n, q, k, dealer_fixed)
+    monkeypatch.setattr(qss.search, "_graphs_realising_k", _unbounded_scan)
+    assert got == _resumed_runs(n, q, k, dealer_fixed, every, budgets, 1, tmp_path / "want.ck")
+    assert exhaustive_search(n, q, k, dealer_fixed) == whole
+    last = got[0][-1]
+    assert (last.status, last.index, last.graph_text) == (whole.status, whole.index, whole.graph_text)
+    assert sum(r.checked for r in got[0]) == whole.checked
+
+
+def test_enumerate_blocks_build_six_graphs_and_rank_in_four_calls(kernel_calls, gamma_builds, tmp_path):
+    # one cycle of the benchmark's enumerate workload through the library:
+    # each space searched in blocks of 256 indices resumed from a fresh
+    # checkpoint until it ends. (5, 2, 2) is settled by no-cloning; the
+    # degree bound skips every block of (5, 3, 3) and (6, 2, 3) before the
+    # one holding the first pattern that reaches k, which holds the hit
+    ends = {}
+    for n, q, k in [(5, 2, 2), (5, 3, 3), (6, 2, 3)]:
+        ck = tmp_path / f"{n}{q}{k}.ck"
+        while (r := exhaustive_search(n, q, k, budget=256, checkpoint_path=str(ck))).status == "budget_exceeded":
+            assert r.next_index % 256 == 0
+        ends[n, q, k] = r.status, r.index
+    assert ends == {(5, 2, 2): ("exhausted", None), (5, 3, 3): ("found", 2931), (6, 2, 3): ("found", 7915)}
+    # the blocks from 2816 (from 2916, its first live index) and from
+    # 7168, 7424 and 7680, and one Multigraph per hit
+    assert [(b[0], b[-1]) for b in gamma_builds] == [
+        (2916, 3071), (2931, 2931), (7168, 7423), (7424, 7679), (7680, 7935), (7915, 7915)
+    ]
+    assert len(kernel_calls) == 4
+
+
 def test_gamma_from_index_roundtrip():
     q, n = 3, 4
     m = n * (n - 1) // 2
@@ -980,6 +1102,33 @@ def test_checkpoint_header_guards_resume(tmp_path):
     headerless.write_text("0, 26, 27\n")
     with pytest.raises(ValueError, match="another search"):
         exhaustive_search(4, 3, 3, checkpoint_path=str(headerless))
+
+
+def test_intact_checkpoint_is_never_truncated(tmp_path, monkeypatch):
+    # a resume cuts the file only when a record was torn: a fresh, a
+    # header-only and a whole checkpoint are read without a truncate call
+    truncated = []
+
+    def spied(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        cut = fh.truncate
+        fh.truncate = lambda size=None: truncated.append(size) or cut(size)
+        return fh
+
+    monkeypatch.setattr(qss.search, "open", spied, raising=False)
+    monkeypatch.setattr(qss.search, "CHECKPOINT_EVERY", 10)
+    ck = tmp_path / "scan.ck"
+    assert exhaustive_search(4, 3, 2, budget=0, checkpoint_path=str(ck)).checked == 0
+    assert ck.read_text() == "# n=4 q=3 k=2 dealer_fixed=1\n"
+    for budget in (30, 20, None):
+        exhaustive_search(4, 3, 2, budget=budget, checkpoint_path=str(ck))
+    assert exhaustive_search(4, 3, 2, checkpoint_path=str(ck)).index == 123
+    assert truncated == []
+    whole = ck.read_bytes()
+    with open(ck, "a") as fh:
+        fh.write("0, 12")
+    assert exhaustive_search(4, 3, 2, checkpoint_path=str(ck)).index == 123
+    assert truncated == [len(whole)] and ck.read_bytes() == whole
 
 
 @pytest.mark.parametrize("torn", ["0, 99, no", "0, 99, 12", "0, 9", "# n=4 q"])
